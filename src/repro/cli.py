@@ -34,9 +34,12 @@ import argparse
 import os
 import sys
 import time
+from contextlib import contextmanager
 from typing import List, Optional
 
 from .eval import (
+    CheckpointBusyError,
+    CheckpointMismatchError,
     Harness,
     charts,
     cost_ratio,
@@ -82,6 +85,32 @@ def _timed(label):
             print(f"   ({time.time() - self.t0:.1f}s)\n")
 
     return _Timer()
+
+
+@contextmanager
+def _checkpoint_errors(command: str):
+    """An unusable campaign checkpoint (held by a live campaign, or
+    written by another version or other parameters) is a user error:
+    one line on stderr and exit status 2, not a traceback."""
+    try:
+        yield
+    except (CheckpointBusyError, CheckpointMismatchError) as exc:
+        print(f"{command}: {exc}", file=sys.stderr)
+        sys.exit(2)
+
+
+def _print_outcomes(result) -> None:
+    """A campaign's outcome block: the share of every outcome that
+    occurred, then its detection counters."""
+    from .runtime import Outcome
+
+    for outcome in Outcome:
+        count = result.tallies.get(outcome, 0)
+        if count:
+            print(f"   {outcome.name:<10} {count:>5}  "
+                  f"({count / result.trials:6.1%})")
+    print(f"   detected={result.detected}  caught={result.caught}  "
+          f"false negatives={result.false_negatives}")
 
 
 def cmd_table1(args) -> None:
@@ -154,7 +183,8 @@ def cmd_figure9(args) -> None:
     label = f"{args.trials} trials per scheme"
     if jobs > 1:
         label += f", {jobs} jobs"
-    with _timed(f"Figure 9: fault injection ({label})"):
+    with _checkpoint_errors("figure9"), \
+            _timed(f"Figure 9: fault injection ({label})"):
         results = figure9(
             ALL_WORKLOADS,
             schemes=schemes,
@@ -452,7 +482,6 @@ def cmd_run(args) -> None:
 def cmd_campaign(args) -> None:
     """One (workload, scheme) fault-injection campaign, optionally traced."""
     from .eval import eta_printer, run_campaign_parallel
-    from .runtime import Outcome
 
     workload = get_workload(args.workload)
     sfi_scale = min(args.scale, 0.45)
@@ -479,7 +508,8 @@ def cmd_campaign(args) -> None:
     label = f"{args.trials} trials"
     if args.jobs > 1:
         label += f", {args.jobs} jobs"
-    with _timed(f"campaign: {workload.name} under {args.scheme} ({label})"):
+    with _checkpoint_errors("campaign"), \
+            _timed(f"campaign: {workload.name} under {args.scheme} ({label})"):
         result = run_campaign_parallel(
             workload, args.scheme, trials=args.trials, seed=args.seed,
             scale=sfi_scale, profiles=profiles, jobs=args.jobs,
@@ -487,13 +517,7 @@ def cmd_campaign(args) -> None:
             progress=eta_printer("campaign") if args.jobs > 1 else None,
             trace_out=args.trace_out,
         )
-        for outcome in Outcome:
-            count = result.tallies.get(outcome, 0)
-            if count:
-                print(f"   {outcome.name:<10} {count:>5}  "
-                      f"({count / result.trials:6.1%})")
-        print(f"   detected={result.detected}  caught={result.caught}  "
-              f"false negatives={result.false_negatives}")
+        _print_outcomes(result)
     if args.trace_out:
         from .obs import manifest_path_for
 
@@ -504,7 +528,6 @@ def cmd_campaign(args) -> None:
 def _cmd_campaign_stratified(args, workload, sfi_scale, profiles) -> None:
     """Stratified / incremental campaign path of ``repro campaign``."""
     from .eval import SectionStore, run_campaign_stratified
-    from .runtime import Outcome
 
     store = SectionStore() if args.incremental else None
     mode = "incremental" if args.incremental else "stratified"
@@ -515,14 +538,7 @@ def _cmd_campaign_stratified(args, workload, sfi_scale, profiles) -> None:
             scale=sfi_scale, profiles=profiles, store=store,
             reuse=args.incremental,
         )
-        result = outcome.result
-        for kind in Outcome:
-            count = result.tallies.get(kind, 0)
-            if count:
-                print(f"   {kind.name:<10} {count:>5}  "
-                      f"({count / result.trials:6.1%})")
-        print(f"   detected={result.detected}  caught={result.caught}  "
-              f"false negatives={result.false_negatives}")
+        _print_outcomes(outcome.result)
         print(f"   sections: {len(outcome.sections)}  "
               f"reused {outcome.reused_sections} "
               f"({outcome.reused_trials} trials)  "

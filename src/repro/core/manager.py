@@ -41,6 +41,7 @@ from ..obs.events import (
     emit as obs_emit,
     enabled as obs_enabled,
 )
+from ..runtime.errors import CoreDumpError
 from .acceptance import within_range
 from .config import RSkipConfig
 from .interpolation import CutEvent, PhaseSlicer, validate_phase
@@ -510,7 +511,9 @@ class LoopRuntime:
 
     def _require_current(self) -> Element:
         if self.current is None:
-            raise RuntimeError(f"rskip runtime {self.key}: no element fetched")
+            # only a fault can steer the drain into a read before a fetch;
+            # it ends the run like any other corrupted control flow
+            raise CoreDumpError(f"rskip runtime {self.key}: no element fetched")
         return self.current
 
     def orig(self) -> Tuple[float, List[Opcode]]:

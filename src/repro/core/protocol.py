@@ -45,7 +45,7 @@ from ..ir.module import Module
 from ..ir.types import F64, I64
 from ..ir.values import Const, Value
 from ..obs.events import EXEC, RECOVERY, emit as obs_emit, enabled as obs_enabled
-from ..runtime.errors import FaultDetectedError
+from ..runtime.errors import CoreDumpError, FaultDetectedError
 from .manager import (
     ENQUEUE_CHARGE,
     Element,
@@ -133,7 +133,9 @@ class _ProtocolLoop:
 
     def _require_current(self) -> Element:
         if self.current is None:
-            raise RuntimeError(f"protocol runtime {self.key}: no element fetched")
+            # only a fault can steer the drain into a read before a fetch;
+            # it ends the run like any other corrupted control flow
+            raise CoreDumpError(f"protocol runtime {self.key}: no element fetched")
         return self.current
 
     def orig(self) -> Tuple[float, List[Opcode]]:

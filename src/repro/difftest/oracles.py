@@ -86,11 +86,10 @@ from ..pipeline.passes import (
 from ..pipeline.registry import get_scheme
 from ..runtime.backend import make_executor
 from ..runtime.errors import (
-    CoreDumpError,
+    TRIAL_TRAPS,
     FaultDetectedError,
-    HangError,
-    SegfaultError,
     TrapError,
+    classify_trap,
 )
 from ..runtime.faults import FaultPlan, Region, flip_value, random_plan
 from ..runtime.interpreter import OPCODES, Interpreter
@@ -416,16 +415,8 @@ def _observe_ref_trial(
     value = None
     try:
         value = interp.run("main", []).value
-    except FaultDetectedError:
-        detected = True
-    except SegfaultError:
-        trap = "segfault"
-    except HangError:
-        trap = "hang"
-    except (CoreDumpError, TrapError):
-        trap = "coredump"
-    except (OverflowError, MemoryError, RecursionError):
-        trap = "coredump"
+    except TRIAL_TRAPS as exc:
+        trap, detected = classify_trap(exc)
     finals = {}
     if trap is None:
         finals = {name: memory.read_global(name, gvar.size)

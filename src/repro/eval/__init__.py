@@ -28,6 +28,7 @@ from .fault_campaign import (
     campaign_context,
     figure9,
     run_campaign,
+    run_plans,
     run_trial_block,
     trial_seed,
 )
@@ -35,6 +36,7 @@ from .campaign_engine import (
     CampaignTask,
     CheckpointBusyError,
     CheckpointLock,
+    CheckpointMismatchError,
     eta_printer,
     run_campaign_parallel,
     run_campaigns,
@@ -65,7 +67,7 @@ __all__ = [
     "Figure7Result", "Figure8aRow", "Figure8bRow", "PERF_SCHEMES",
     "SchemeAverages", "figure7", "figure8a", "figure8b",
     "CampaignContext", "CampaignResult", "campaign_context", "figure9",
-    "run_campaign", "run_trial_block", "trial_seed",
+    "run_campaign", "run_plans", "run_trial_block", "trial_seed",
     "CampaignTask", "eta_printer", "run_campaign_parallel", "run_campaigns",
     "Section", "SectionPartition", "partition_sections",
     "SectionReport", "SectionStore", "StratifiedResult",

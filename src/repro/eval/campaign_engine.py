@@ -20,7 +20,9 @@ This engine shards those units over a ``ProcessPoolExecutor``:
   reports completion for ETA display.
 
 ``jobs <= 1`` runs the same chunked schedule inline (no pool), which
-keeps checkpoint/resume available without process overhead.
+keeps checkpoint/resume available without process overhead.  Every
+default-seeded campaign runs here: ``run_campaign`` and ``figure9``
+without workers or a checkpoint submit one chunk holding all trials.
 """
 from __future__ import annotations
 
@@ -39,13 +41,14 @@ from ..obs.events import install_sink, remove_sink
 from ..obs.manifest import RunManifest, run_id_for
 from ..obs.sinks import JsonlSink, merge_traces
 from ..pipeline.registry import canonical_scheme, get_scheme
+from ..runtime.backend import default_backend
 from ..runtime.faults import DEFAULT_KIND_WEIGHTS
 from ..workloads.base import Workload, WorkloadInput
 from .fault_campaign import (
     CampaignResult,
     campaign_context,
     run_trial_block,
-    run_trial_block_batch,
+    run_trial_block_batch,  # noqa: F401  (perfbench/tracer.py wraps this name)
 )
 from .schemes import prepare
 
@@ -89,6 +92,10 @@ class CampaignTask:
 _WORKER_CACHE: Dict[Tuple, Tuple] = {}
 
 
+def _cache_key(task: CampaignTask, config: Optional[RSkipConfig]) -> Tuple:
+    return (task.workload, task.scheme, task.seed, task.scale, config)
+
+
 def _worker_campaign(
     task: CampaignTask,
     workload: Workload,
@@ -96,7 +103,7 @@ def _worker_campaign(
     profiles: Optional[Dict[str, LoopProfile]],
     inp: Optional[WorkloadInput],
 ):
-    key = (task.workload, task.scheme, task.seed, task.scale, config)
+    key = _cache_key(task, config)
     entry = _WORKER_CACHE.get(key)
     if entry is None:
         if inp is None:
@@ -131,22 +138,13 @@ def _run_chunk(
     workload, prepared, inp, ctx = _worker_campaign(
         task, workload, config, profiles, inp
     )
-    from ..runtime.backend import default_backend
 
-    if default_backend() == "batch":
-        # one engine chunk maps 1:1 to one lane batch
-        def _block():
-            return run_trial_block_batch(
-                prepared, workload, inp, ctx, task.scheme, task.seed,
-                task.start, task.count, config=config, profiles=profiles,
-                kind_weights=kind_weights,
-            )
-    else:
-        def _block():
-            return run_trial_block(
-                prepared, workload, inp, ctx, task.scheme, task.seed,
-                task.start, task.count, kind_weights=kind_weights,
-            )
+    def _block():
+        return run_trial_block(
+            prepared, workload, inp, ctx, task.scheme, task.seed,
+            task.start, task.count, kind_weights=kind_weights, config=config,
+            profiles=profiles, backend=default_backend(),
+        )
     if trace_path is None:
         return task.key, _block().to_dict()
 
@@ -169,6 +167,11 @@ def _run_chunk(
 # -- checkpointing ----------------------------------------------------------
 class CheckpointBusyError(RuntimeError):
     """Another live campaign owns this checkpoint file."""
+
+
+class CheckpointMismatchError(ValueError):
+    """A checkpoint was written by another checkpoint version or by a
+    campaign with other parameters; resuming from it would mix tallies."""
 
 
 #: checkpoint paths locked by *this* process (serve runs several campaign
@@ -301,14 +304,14 @@ def _load_checkpoint(path: str, params_key: str) -> Dict[str, dict]:
     with open(path, "r", encoding="utf-8") as handle:
         data = json.load(handle)
     if data.get("version") != CHECKPOINT_VERSION:
-        raise ValueError(
+        raise CheckpointMismatchError(
             f"{path}: unsupported checkpoint version "
             f"{data.get('version')!r} (expected {CHECKPOINT_VERSION}; "
             f"older versions predate kind-weight/protocol keying — delete "
             f"the file and re-run)"
         )
     if data.get("params") != params_key:
-        raise ValueError(
+        raise CheckpointMismatchError(
             f"{path}: checkpoint was written by a campaign with different "
             f"parameters; delete it or match "
             f"trials/seed/scale/config/kind_weights and the campaigned "
@@ -469,14 +472,19 @@ def run_campaigns(
         if progress is not None:
             progress(done_trials, total_trials, 0.0)
 
-        def record(key: str, chunk_dict: dict, count: int) -> None:
+        def record(index: int, result: Tuple[str, dict]) -> None:
             nonlocal done_trials
-            chunks[key] = chunk_dict
-            done_trials += count
+            task = pending[index]
+            chunks[task.key] = result[1]
+            done_trials += task.count
             if checkpoint is not None:
                 _save_checkpoint(checkpoint, params_key, chunks)
             if progress is not None:
                 progress(done_trials, total_trials, time.monotonic() - started)
+            if jobs <= 1 and task.start + task.count == trials:
+                # inline chunks run campaign by campaign: free a finished
+                # campaign's program instead of holding every group's
+                _WORKER_CACHE.pop(_cache_key(task, config), None)
 
         def task_args(task: CampaignTask):
             args = (
@@ -495,35 +503,26 @@ def run_campaigns(
             _run_chunk,
             [task_args(task) for task in pending],
             jobs=jobs,
-            on_result=lambda i, result: record(result[0], result[1],
-                                               pending[i].count),
+            on_result=record,
         )
     finally:
         if lock is not None:
             lock.release()
 
-    # assemble per-campaign results by merging chunks in trial order, so
-    # the outcome of a parallel run never depends on completion order
+    # assemble per-campaign results by merging chunks in task order —
+    # groups as given, chunks by trial start — so the outcome of a
+    # parallel run never depends on completion order
     results: Dict[Tuple[str, str], CampaignResult] = {}
-    for workload, scheme, _profiles in groups:
-        merged: Optional[CampaignResult] = None
-        for task in sorted(
-            (t for t in tasks
-             if t.workload == workload.name and t.scheme == scheme),
-            key=lambda t: t.start,
-        ):
-            part = CampaignResult.from_dict(chunks[task.key])
-            if merged is None:
-                merged = part
-            else:
-                merged.merge(part)
-        assert merged is not None
-        results[(workload.name, scheme)] = merged
+    for task in tasks:
+        part = CampaignResult.from_dict(chunks[task.key])
+        merged = results.setdefault((task.workload, task.scheme), part)
+        if merged is not part:
+            merged.merge(part)
 
     if trace_out is not None:
         _merge_campaign_trace(
-            trace_out, trace_run, groups, tasks, chunks, results,
-            trials=trials, seed=seed, scale=scale, jobs=jobs,
+            trace_out, trace_run, groups, tasks, shard_paths, chunks,
+            results, trials=trials, seed=seed, scale=scale, jobs=jobs,
             chunk=chunk, config=config,
         )
     return results
@@ -534,6 +533,7 @@ def _merge_campaign_trace(
     trace_run: str,
     groups,
     tasks: Sequence[CampaignTask],
+    shard_paths: Dict[str, str],
     chunks: Dict[str, dict],
     results: Dict[Tuple[str, str], CampaignResult],
     *,
@@ -552,19 +552,8 @@ def _merge_campaign_trace(
     from a checkpoint written by an untraced (or cleaned-up) run; the
     merge fails loudly rather than produce a silently partial trace.
     """
-    from ..runtime.backend import default_backend
-
-    shard_dir = trace_out + ".shards"
-    ordered: List[CampaignTask] = []
-    for workload, scheme, _profiles in groups:
-        ordered.extend(sorted(
-            (t for t in tasks
-             if t.workload == workload.name and t.scheme == scheme),
-            key=lambda t: t.start,
-        ))
     merged_events = merge_traces(
-        [os.path.join(shard_dir, t.key.replace("|", "_") + ".jsonl")
-         for t in ordered],
+        [shard_paths[t.key] for t in tasks],
         trace_out,
         missing_hint=(
             "chunk was restored from a checkpoint that predates tracing; "
@@ -574,10 +563,10 @@ def _merge_campaign_trace(
 
     spans = [
         (f"shard:{t.key}", chunks[t.key]["elapsed_ms"])
-        for t in ordered if "elapsed_ms" in chunks[t.key]
+        for t in tasks if "elapsed_ms" in chunks[t.key]
     ]
     fingerprints: Dict[str, str] = {}
-    for t in ordered:
+    for t in tasks:
         label = f"{t.workload}|{t.scheme}"
         print_ = chunks[t.key].get("fingerprint")
         if print_ and label not in fingerprints:

@@ -9,10 +9,12 @@ from golden — a corrupted value slipped through fuzzy validation.
 """
 from __future__ import annotations
 
+import gc
 import math
 import random
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..core.config import RSkipConfig
@@ -22,15 +24,9 @@ from ..obs.events import (
     emit as obs_emit,
     enabled as obs_enabled,
 )
-from ..runtime.errors import (
-    CoreDumpError,
-    FaultDetectedError,
-    HangError,
-    SegfaultError,
-    TrapError,
-)
-from ..pipeline.registry import PAPER_SCHEMES, canonical_scheme, get_scheme
-from ..runtime.backend import default_backend, make_executor
+from ..runtime.errors import TRIAL_TRAPS, classify_trap
+from ..pipeline.registry import PAPER_SCHEMES, get_scheme
+from ..runtime.backend import make_executor
 from ..runtime.faults import (
     DEFAULT_KIND_WEIGHTS,
     FaultPlan,
@@ -44,9 +40,9 @@ from .schemes import PreparedProgram, fault_region, prepare
 #: Budget multiplier over the fault-free step count before declaring Hang.
 HANG_FACTOR = 8
 
-#: Lane-slab width of the batch backend's serial trial path.  Parallel
-#: engine chunks (DEFAULT_CHUNK trials) map 1:1 to batches; a serial
-#: campaign slabs its block into batches of at most this many lanes.
+#: Lane-slab width of the batch backend.  Engine chunks (DEFAULT_CHUNK
+#: trials) map 1:1 to batches; a single-chunk campaign slabs its trials
+#: into batches of at most this many lanes.
 BATCH_LANES = 256
 
 
@@ -191,16 +187,8 @@ def _run_once(
     detected = False
     try:
         executor.run(prepared.main, inp.args)
-    except FaultDetectedError:
-        detected = True
-    except SegfaultError:
-        trap = "segfault"
-    except HangError:
-        trap = "hang"
-    except (CoreDumpError, TrapError):
-        trap = "coredump"
-    except (OverflowError, MemoryError, RecursionError):
-        trap = "coredump"
+    except TRIAL_TRAPS as exc:
+        trap, detected = classify_trap(exc)
 
     output: List[float] = []
     loop_output: List[float] = []
@@ -217,23 +205,21 @@ def _run_once_batch(
     plans: Sequence[FaultPlan],
     region: Optional[Region],
     max_steps: int,
-    intrinsics=None,
+    intrinsics,
 ) -> List[Tuple[Optional[str], List[float], List[float], int, bool]]:
     """A whole trial chunk as one lane-vectorized execution.
 
     Returns one ``(trap, output, loop_output, region_steps, detected)``
     tuple per plan — element *i* is byte-identical to what
     :func:`_run_once` returns for ``plans[i]`` (difftest oracle O5).
-    *intrinsics* is a single shared table or one table per lane; it
-    defaults to the prepared program's table.
+    *intrinsics* is a single shared table or one table per lane.
     """
     from ..runtime.batch import BatchExecutor
 
     template = workload.fresh_memory(prepared.module, inp)
     executor = BatchExecutor(
         prepared.module, template, len(plans), fault_plans=list(plans),
-        fault_region=region, max_steps=max_steps,
-        intrinsics=intrinsics if intrinsics is not None else prepared.intrinsics,
+        fault_region=region, max_steps=max_steps, intrinsics=intrinsics,
     )
     lane_results = executor.run(prepared.main, inp.args)
     rows = []
@@ -304,6 +290,11 @@ def trial_seed(seed: int, workload: str, scheme: str, trial_index: int) -> int:
     return stable_seed(seed, workload, scheme, trial_index)
 
 
+#: outcome class of each trap kind :func:`classify_trap` reports
+_TRAP_OUTCOMES = {"segfault": Outcome.SEGFAULT, "hang": Outcome.HANG,
+                  "coredump": Outcome.CORE_DUMP}
+
+
 def _tally_trial(
     result: CampaignResult,
     ctx: CampaignContext,
@@ -318,11 +309,9 @@ def _tally_trial(
     trial: int,
     kind: Optional[str] = None,
 ) -> None:
-    """Classify one finished trial into *result*.
-
-    Shared by the serial and batch block runners, so a campaign's
-    tallies are independent of which engine executed the trials.
-    """
+    """Classify one finished trial into *result* — the same rule for
+    every engine, so a campaign's tallies do not depend on which one
+    executed the trials."""
     caught = False
     if runtime is not None:
         if runtime.stats_delta(snapshot).recompute_mismatches > 0:
@@ -332,12 +321,8 @@ def _tally_trial(
     if detected:
         result.detected += 1
         outcome = Outcome.CORE_DUMP  # aborted execution
-    elif trap == "segfault":
-        outcome = Outcome.SEGFAULT
-    elif trap == "hang":
-        outcome = Outcome.HANG
-    elif trap == "coredump":
-        outcome = Outcome.CORE_DUMP
+    elif trap is not None:
+        outcome = _TRAP_OUTCOMES[trap]
     else:
         outcome = classify_output(ctx.golden, output)
         if runtime is not None and not outputs_equal(
@@ -357,6 +342,89 @@ def _tally_trial(
         )
 
 
+def seeded_plans(
+    seed: int,
+    workload: str,
+    scheme: str,
+    start: int,
+    count: int,
+    region_steps: int,
+    kind_weights: Tuple = DEFAULT_KIND_WEIGHTS,
+) -> List[FaultPlan]:
+    """The default campaign's plan source: trial *i* of [start,
+    start+count) draws its plan from its own :func:`trial_seed` stream."""
+    return [
+        random_plan(random.Random(trial_seed(seed, workload, scheme, trial)),
+                    region_steps, kind_weights)
+        for trial in range(start, start + count)
+    ]
+
+
+def run_plans(
+    prepared: PreparedProgram,
+    workload: Workload,
+    inp: WorkloadInput,
+    ctx: CampaignContext,
+    plans: Sequence[FaultPlan],
+    scheme: str,
+    start: int = 0,
+    backend: str = "ref",
+    config: Optional[RSkipConfig] = None,
+    profiles: Optional[Dict[str, LoopProfile]] = None,
+    lanes: int = BATCH_LANES,
+) -> CampaignResult:
+    """Run and tally one trial per plan (obs trial ``start + i``).
+
+    Each trial starts from a freshly reset runtime, so a fault that
+    corrupts predictor state cannot bias the next trial, and ``caught``
+    comes from a per-trial stats delta.  ``backend="batch"`` runs slabs
+    of up to *lanes* plans as one BatchExecutor run each, preparing one
+    program per lane for runtime-stateful schemes; other backends run
+    the plans one by one on the reference interpreter.  Tallies are
+    byte-identical across backends and slab widths (oracle O5).
+    """
+    result = CampaignResult(workload.name, prepared.scheme, len(plans))
+    result.region_steps = ctx.region_steps
+    batch = backend == "batch"
+    stateful = prepared.runtime is not None
+    width = lanes if batch else 1
+    for first in range(0, len(plans), width):
+        slab = plans[first:first + width]
+        if batch and stateful:
+            preps = [prepare(workload, scheme, config, profiles) for _ in slab]
+        else:
+            preps = [prepared] * len(slab)
+        snapshots = [None] * len(slab)
+        if stateful:
+            for i, p in enumerate(preps):
+                p.runtime.reset()
+                snapshots[i] = p.runtime.total_stats()
+        if batch:
+            # lane execution allocates heavily but briefly; keep the
+            # cyclic collector out of the hot loop
+            gc_was_enabled = gc.isenabled()
+            gc.disable()
+            try:
+                rows = _run_once_batch(
+                    preps[0], workload, inp, slab, ctx.region, ctx.max_steps,
+                    [p.intrinsics for p in preps] if stateful
+                    else prepared.intrinsics,
+                )
+            finally:
+                if gc_was_enabled:
+                    gc.enable()
+        else:
+            rows = [_run_once(prepared, workload, inp, slab[0], ctx.region,
+                              ctx.max_steps)]
+        for i, (trap, output, loop_output, _, detected) in enumerate(rows):
+            _tally_trial(
+                result, ctx, preps[i].runtime, snapshots[i], trap, output,
+                loop_output, detected, workload.name, prepared.scheme,
+                start + first + i, kind=slab[i].kind,
+            )
+    return result
+
+
 def run_trial_block(
     prepared: PreparedProgram,
     workload: Workload,
@@ -367,105 +435,22 @@ def run_trial_block(
     start: int,
     count: int,
     kind_weights: Tuple = DEFAULT_KIND_WEIGHTS,
-) -> CampaignResult:
-    """Run trials [start, start+count) of a campaign.
-
-    Every trial is isolated: the RSkip runtime is reset to its
-    just-constructed state first, so a fault that corrupts predictor state
-    (or merely shifts the QoS counters) in one trial cannot bias the next.
-    ``caught`` comes from the per-trial stats delta.
-    """
-    result = CampaignResult(workload.name, prepared.scheme, count)
-    result.region_steps = ctx.region_steps
-    runtime = prepared.runtime
-
-    for trial in range(start, start + count):
-        snapshot = None
-        if runtime is not None:
-            runtime.reset()
-            snapshot = runtime.total_stats()
-        rng = random.Random(trial_seed(seed, workload.name, scheme, trial))
-        plan = random_plan(rng, ctx.region_steps, kind_weights)
-        trap, output, loop_output, _, detected = _run_once(
-            prepared, workload, inp, plan, ctx.region, ctx.max_steps
-        )
-        _tally_trial(
-            result, ctx, runtime, snapshot, trap, output, loop_output,
-            detected, workload.name, prepared.scheme, trial, kind=plan.kind,
-        )
-    return result
-
-
-def run_trial_block_batch(
-    prepared: PreparedProgram,
-    workload: Workload,
-    inp: WorkloadInput,
-    ctx: CampaignContext,
-    scheme: str,
-    seed: int,
-    start: int,
-    count: int,
     config: Optional[RSkipConfig] = None,
     profiles: Optional[Dict[str, LoopProfile]] = None,
     lanes: int = BATCH_LANES,
-    kind_weights: Tuple = DEFAULT_KIND_WEIGHTS,
+    backend: str = "ref",
 ) -> CampaignResult:
-    """:func:`run_trial_block` on the lane-vectorized batch engine.
+    """Run trials [start, start+count) of a default-seeded campaign:
+    :func:`seeded_plans` fed to :func:`run_plans`."""
+    plans = seeded_plans(seed, workload.name, scheme, start, count,
+                         ctx.region_steps, kind_weights)
+    return run_plans(prepared, workload, inp, ctx, plans, scheme, start=start,
+                     backend=backend, config=config, profiles=profiles,
+                     lanes=lanes)
 
-    Trials run in slabs of at most *lanes* lanes, each slab one
-    :class:`~repro.runtime.batch.BatchExecutor` run; per-trial seeding
-    makes the tallies byte-identical to the serial block.  Stateless
-    schemes share the chunk's prepared program across lanes; runtime-
-    stateful schemes (RSkip) prepare one program per lane so trials stay
-    isolated and ``caught`` still comes from a per-trial stats delta.
-    """
-    import gc
 
-    result = CampaignResult(workload.name, prepared.scheme, count)
-    result.region_steps = ctx.region_steps
-    stateful = prepared.runtime is not None
-
-    for chunk_start in range(0, count, lanes):
-        n = min(lanes, count - chunk_start)
-        plans = []
-        for trial in range(start + chunk_start, start + chunk_start + n):
-            rng = random.Random(trial_seed(seed, workload.name, scheme, trial))
-            plans.append(random_plan(rng, ctx.region_steps, kind_weights))
-        if stateful:
-            preps = [prepare(workload, scheme, config, profiles)
-                     for _ in range(n)]
-            snapshots = []
-            for p in preps:
-                p.runtime.reset()
-                snapshots.append(p.runtime.total_stats())
-            tables = [p.intrinsics for p in preps]
-            slab_prepared = preps[0]
-        else:
-            preps = None
-            snapshots = [None] * n
-            tables = prepared.intrinsics
-            slab_prepared = prepared
-        # lane execution allocates heavily but briefly; keep the cyclic
-        # collector out of the hot loop
-        gc_was_enabled = gc.isenabled()
-        gc.disable()
-        try:
-            rows = _run_once_batch(
-                slab_prepared, workload, inp, plans, ctx.region,
-                ctx.max_steps, intrinsics=tables,
-            )
-        finally:
-            if gc_was_enabled:
-                gc.enable()
-        for i, (trap, output, loop_output, _, detected) in enumerate(rows):
-            _tally_trial(
-                result, ctx,
-                preps[i].runtime if preps is not None else None,
-                snapshots[i], trap, output, loop_output, detected,
-                workload.name, prepared.scheme, start + chunk_start + i,
-                kind=plans[i].kind,
-            )
-    return result
+# the batch backend's spelling of run_trial_block (benchmarks, tests)
+run_trial_block_batch = partial(run_trial_block, backend="batch")
 
 
 def run_campaign(
@@ -477,49 +462,32 @@ def run_campaign(
     config: Optional[RSkipConfig] = None,
     profiles: Optional[Dict[str, LoopProfile]] = None,
     inp: Optional[WorkloadInput] = None,
-    prepared: Optional[PreparedProgram] = None,
     jobs: int = 1,
     checkpoint: Optional[str] = None,
     resume: bool = False,
     progress: Optional[Callable[[int, int, float], None]] = None,
     kind_weights: Tuple = DEFAULT_KIND_WEIGHTS,
 ) -> CampaignResult:
-    """Inject *trials* single faults into one workload under one scheme.
+    """Inject *trials* single faults into one workload under one scheme,
+    drawing fault kinds from *kind_weights*.  Runs on the campaign engine;
+    per-trial seeding makes the tallies identical for every *jobs* value,
+    chunking and backend."""
+    from .campaign_engine import run_campaign_parallel
 
-    With ``jobs > 1`` (or a *checkpoint* path) the campaign runs on the
-    parallel engine (`repro.eval.campaign_engine`); per-trial seeding
-    guarantees the tallies match the serial run exactly.  A reused
-    *prepared* program gives the same result as a fresh one: the runtime
-    is reset before every execution.
+    return run_campaign_parallel(
+        workload, scheme, trials, seed=seed, scale=scale, config=config,
+        profiles=profiles, inp=inp, jobs=jobs, checkpoint=checkpoint,
+        resume=resume, progress=progress, kind_weights=kind_weights,
+        chunk=_engine_chunk(trials, jobs, checkpoint),
+    )
 
-    *kind_weights* selects the fault-kind mix (see
-    :data:`repro.runtime.faults.DEFAULT_KIND_WEIGHTS`) and works on
-    every path — serial, batch and parallel (the checkpoint params key
-    covers the mix, so a resume under a different mix fails loudly).
-    """
-    # canonicalize up front: the scheme spelling feeds per-trial seeds, so
-    # "swift-r" and "SWIFT-R" must tally identically
-    scheme = canonical_scheme(scheme, config)
-    if jobs > 1 or checkpoint is not None:
-        from .campaign_engine import run_campaign_parallel
 
-        return run_campaign_parallel(
-            workload, scheme, trials, seed=seed, scale=scale, config=config,
-            profiles=profiles, inp=inp, jobs=jobs, checkpoint=checkpoint,
-            resume=resume, progress=progress, kind_weights=kind_weights,
-        )
-    if inp is None:
-        inp = workload.test_inputs(1, seed=seed + 17, scale=scale)[0]
-    if prepared is None:
-        prepared = prepare(workload, scheme, config, profiles)
-    ctx = campaign_context(prepared, workload, inp)
-    if default_backend() == "batch":
-        return run_trial_block_batch(
-            prepared, workload, inp, ctx, scheme, seed, 0, trials,
-            config=config, profiles=profiles, kind_weights=kind_weights,
-        )
-    return run_trial_block(prepared, workload, inp, ctx, scheme, seed, 0, trials,
-                           kind_weights=kind_weights)
+def _engine_chunk(trials: int, jobs: int, checkpoint: Optional[str]) -> int:
+    """Trials per engine work unit: a campaign with nothing to spread over
+    workers or checkpoint between runs as a single chunk."""
+    from .campaign_engine import DEFAULT_CHUNK
+
+    return trials if jobs <= 1 and checkpoint is None else DEFAULT_CHUNK
 
 
 def _fault_free_steps(
@@ -564,18 +532,10 @@ def figure9(
                 profiles = profile_source(workload, descriptor.acceptable_range)
             groups.append((workload, descriptor.name, profiles))
 
-    if jobs > 1 or checkpoint is not None:
-        from .campaign_engine import run_campaigns
+    from .campaign_engine import run_campaigns
 
-        return run_campaigns(
-            groups, trials=trials, seed=seed, scale=scale, config=config,
-            jobs=jobs, checkpoint=checkpoint, resume=resume, progress=progress,
-        )
-
-    results: Dict[Tuple[str, str], CampaignResult] = {}
-    for workload, scheme, profiles in groups:
-        results[(workload.name, scheme)] = run_campaign(
-            workload, scheme, trials, seed=seed, scale=scale,
-            config=config, profiles=profiles,
-        )
-    return results
+    return run_campaigns(
+        groups, trials=trials, seed=seed, scale=scale, config=config,
+        jobs=jobs, checkpoint=checkpoint, resume=resume, progress=progress,
+        chunk=_engine_chunk(trials, jobs, checkpoint),
+    )

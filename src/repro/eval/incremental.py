@@ -46,13 +46,10 @@ from ..runtime.backend import default_backend
 from ..runtime.faults import DEFAULT_KIND_WEIGHTS, FaultPlan, random_plan
 from ..workloads.base import Workload, WorkloadInput, stable_seed
 from .fault_campaign import (
-    BATCH_LANES,
-    CampaignContext,
     CampaignResult,
-    _run_once,
-    _run_once_batch,
-    _tally_trial,
+    _tally_trial,  # noqa: F401  (perfbench/tracer.py wraps this name)
     campaign_context,
+    run_plans,
 )
 from .schemes import PreparedProgram, prepare
 from .sections import Section, SectionPartition, partition_sections
@@ -178,74 +175,8 @@ def section_plans(
     return plans
 
 
-def _run_plan_block(
-    prepared: PreparedProgram,
-    workload: Workload,
-    inp: WorkloadInput,
-    ctx: CampaignContext,
-    scheme: str,
-    plans: Sequence[FaultPlan],
-    config: Optional[RSkipConfig],
-    profiles: Optional[Dict[str, LoopProfile]],
-    backend: str,
-) -> CampaignResult:
-    """Run an explicit plan list and tally it — the plan-driven twin of
-    ``run_trial_block`` / ``run_trial_block_batch``, byte-identical
-    between the reference and batch backends."""
-    result = CampaignResult(workload.name, prepared.scheme, len(plans))
-    result.region_steps = ctx.region_steps
-    stateful = prepared.runtime is not None
-
-    if backend != "batch":
-        runtime = prepared.runtime
-        for trial, plan in enumerate(plans):
-            snapshot = None
-            if runtime is not None:
-                runtime.reset()
-                snapshot = runtime.total_stats()
-            trap, output, loop_output, _, detected = _run_once(
-                prepared, workload, inp, plan, ctx.region, ctx.max_steps)
-            _tally_trial(
-                result, ctx, runtime, snapshot, trap, output, loop_output,
-                detected, workload.name, prepared.scheme, trial,
-                kind=plan.kind)
-        return result
-
-    import gc
-
-    for chunk_start in range(0, len(plans), BATCH_LANES):
-        slab = list(plans[chunk_start:chunk_start + BATCH_LANES])
-        if stateful:
-            preps = [prepare(workload, scheme, config, profiles)
-                     for _ in slab]
-            snapshots = []
-            for p in preps:
-                p.runtime.reset()
-                snapshots.append(p.runtime.total_stats())
-            tables = [p.intrinsics for p in preps]
-            slab_prepared = preps[0]
-        else:
-            preps = None
-            snapshots = [None] * len(slab)
-            tables = prepared.intrinsics
-            slab_prepared = prepared
-        gc_was_enabled = gc.isenabled()
-        gc.disable()
-        try:
-            rows = _run_once_batch(
-                slab_prepared, workload, inp, slab, ctx.region,
-                ctx.max_steps, intrinsics=tables)
-        finally:
-            if gc_was_enabled:
-                gc.enable()
-        for i, (trap, output, loop_output, _, detected) in enumerate(rows):
-            _tally_trial(
-                result, ctx,
-                preps[i].runtime if preps is not None else None,
-                snapshots[i], trap, output, loop_output, detected,
-                workload.name, prepared.scheme, chunk_start + i,
-                kind=slab[i].kind)
-    return result
+# calls go through this name because perfbench/tracer.py wraps it
+_run_plan_block = run_plans
 
 
 @dataclass
@@ -356,8 +287,8 @@ def run_campaign_stratified(
             plans = section_plans(
                 section, count, seed, workload.name, scheme, kind_weights)
             part = _run_plan_block(
-                prepared, workload, inp, ctx, scheme, plans, config,
-                profiles, engine)
+                prepared, workload, inp, ctx, plans, scheme, backend=engine,
+                config=config, profiles=profiles)
             if store is not None:
                 store.put(key, part, section)
         else:

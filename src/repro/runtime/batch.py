@@ -90,7 +90,7 @@ import numpy as np
 from ..ir.function import Function
 from ..ir.module import Module
 from ..ir.values import Const, GlobalAddr, Reg
-from .errors import CoreDumpError, FaultDetectedError, HangError, SegfaultError, TrapError
+from .errors import TRIAL_TRAPS, CoreDumpError, HangError, SegfaultError, classify_trap
 from .faults import CONTROL_KINDS, SKIP_KINDS, FaultPlan, Region, flip_value
 from .interpreter import (
     _CODE,
@@ -111,10 +111,6 @@ from .interpreter import (  # noqa: F401
     _SITOFP, _SQRT, _SREM, _STORE, _SUB, _XOR,
 )
 from .memory import Memory
-
-#: Exceptions that retire a lane instead of crashing the batch — exactly
-#: the set ``_run_once`` maps to trial outcomes on the reference path.
-_LANE_TRAPS = (TrapError, OverflowError, MemoryError, RecursionError)
 
 #: Groups at or below this many lanes run the scalar continuation loop.
 #: Break-even sits where the fixed dispatch cost per group instruction
@@ -144,18 +140,6 @@ class LaneResult:
     trap: Optional[str] = None
     detected: bool = False
     finished: bool = False
-
-
-def _classify_trap(exc: BaseException) -> Tuple[Optional[str], bool]:
-    """(trap kind, detected) of a lane-retiring exception — the same
-    mapping ``fault_campaign._run_once`` applies per trial."""
-    if isinstance(exc, FaultDetectedError):
-        return None, True
-    if isinstance(exc, SegfaultError):
-        return "segfault", False
-    if isinstance(exc, HangError):
-        return "hang", False
-    return "coredump", False
 
 
 def _check_addr(addr, size: int) -> int:
@@ -675,7 +659,7 @@ class BatchExecutor:
         snap = None
         brks = g.brks
         for row, exc in dead.items():
-            trap, det = _classify_trap(exc)
+            trap, det = classify_trap(exc)
             lane = g.rows[row]
             self._results[lane] = LaneResult(
                 None, g.steps, g.region_steps, trap, det)
@@ -720,7 +704,7 @@ class BatchExecutor:
         return keep
 
     def _retire_all(self, g: _Group, exc: BaseException) -> None:
-        trap, det = _classify_trap(exc)
+        trap, det = classify_trap(exc)
         brks = g.brks
         for i, lane in enumerate(g.rows):
             self._results[lane] = LaneResult(None, g.steps, g.region_steps, trap, det)
@@ -940,7 +924,7 @@ class BatchExecutor:
                                 res = 1 if r else 0
                             else:
                                 res = _uop(code, extra, a, b, c)
-                        except _LANE_TRAPS as exc:
+                        except TRIAL_TRAPS as exc:
                             g.steps = steps
                             g.region_steps = rsteps
                             self._retire_all(g, exc)
@@ -973,7 +957,7 @@ class BatchExecutor:
                                 regs[dest] = \
                                     _SpCol(rbase, rexc) if rexc else rbase
                                 continue
-                            except _LANE_TRAPS:
+                            except TRIAL_TRAPS:
                                 pass  # refine per lane on the dense path
                         # exception set too wide (or a lane trapped):
                         # materialize and take the dense path below
@@ -1042,7 +1026,7 @@ class BatchExecutor:
                                 res = 1 if r else 0
                         elif code == _FDIV:
                             res = np.divide(av, bv)
-                    except _LANE_TRAPS:
+                    except TRIAL_TRAPS:
                         res = None  # refine per lane below
                     except ZeroDivisionError:
                         res = None
@@ -1071,7 +1055,7 @@ class BatchExecutor:
                     for i in range(L):
                         try:
                             out[i] = _scalar_eval(code, extra, srcs, i)
-                        except _LANE_TRAPS as exc:
+                        except TRIAL_TRAPS as exc:
                             if dead is None:
                                 dead = {}
                             dead[i] = exc
@@ -1461,7 +1445,7 @@ class BatchExecutor:
                             return
                         try:
                             rv, charge = fn(None, tuple(vals))
-                        except _LANE_TRAPS as exc:
+                        except TRIAL_TRAPS as exc:
                             g.steps = steps
                             g.region_steps = rsteps
                             self._retire_all(g, exc)
@@ -1483,7 +1467,7 @@ class BatchExecutor:
                             rv, charge = fn(None, lvals)
                             out[i] = rv
                             clens[i] = len(charge)
-                        except _LANE_TRAPS as exc:
+                        except TRIAL_TRAPS as exc:
                             if dead is None:
                                 dead = {}
                             dead[i] = exc
@@ -1557,7 +1541,7 @@ class BatchExecutor:
                             if nb > msize:
                                 raise SegfaultError(base, "out of memory")
                             out[i] = base
-                        except _LANE_TRAPS as exc:
+                        except TRIAL_TRAPS as exc:
                             if dead is None:
                                 dead = {}
                             dead[i] = exc
@@ -1894,8 +1878,8 @@ class BatchExecutor:
                     regs[dest] = mem.allocate(int(a))
                 else:  # pragma: no cover - all opcodes handled above
                     raise CoreDumpError(f"unimplemented opcode index {code}")
-        except _LANE_TRAPS as exc:
-            trap, det = _classify_trap(exc)
+        except TRIAL_TRAPS as exc:
+            trap, det = classify_trap(exc)
             return LaneResult(None, steps, region_steps, trap, det)
 
 

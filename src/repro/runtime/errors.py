@@ -7,6 +7,8 @@ become *Core dump*, and exceeding the step budget becomes *Hang*.
 """
 from __future__ import annotations
 
+from typing import Optional, Tuple
+
 
 class TrapError(Exception):
     """Base class of all runtime traps."""
@@ -35,3 +37,21 @@ class HangError(TrapError):
 class FaultDetectedError(TrapError):
     """A protection scheme detected an uncorrectable fault (detection-only
     schemes like SWIFT raise this instead of recovering)."""
+
+
+#: Every exception a faulted run can end with.  Anything else escaping an
+#: execution is a bug in the program, not a trial outcome, and propagates.
+TRIAL_TRAPS = (TrapError, OverflowError, MemoryError, RecursionError)
+
+
+def classify_trap(exc: BaseException) -> Tuple[Optional[str], bool]:
+    """``(trap kind, detected)`` of one of :data:`TRIAL_TRAPS`: the one
+    exception → outcome table of every engine and oracle.  Any trap but
+    a detection, segfault or hang is a core dump."""
+    if isinstance(exc, FaultDetectedError):
+        return None, True
+    if isinstance(exc, SegfaultError):
+        return "segfault", False
+    if isinstance(exc, HangError):
+        return "hang", False
+    return "coredump", False

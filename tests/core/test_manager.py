@@ -11,6 +11,7 @@ from repro.core import (
     SkipStats,
 )
 from repro.core.memoization import InputQuantizer
+from repro.runtime.errors import CoreDumpError
 
 
 def make_runtime(ar=1.0, tp=0.5, rmw=False, profile=None, **cfg_kwargs):
@@ -113,7 +114,9 @@ class TestRecomputeDrain:
         runtime.enter()
         idx, _ = runtime.fetch()
         assert idx == -1
-        with pytest.raises(RuntimeError):
+        # a read before any fetch only happens under a fault: the trial
+        # ends as a core dump instead of aborting the campaign
+        with pytest.raises(CoreDumpError):
             runtime.orig()
 
 

@@ -11,6 +11,7 @@ from repro.core.protocol import (
 )
 from repro.ir import verify_module
 from repro.runtime import FaultDetectedError
+from repro.runtime.errors import CoreDumpError
 
 from ..conftest import build_dot_module, run_main
 
@@ -59,6 +60,13 @@ class TestReplayLoopRuntime:
         with pytest.raises(FaultDetectedError):
             rt.resolve(4.0)
         assert rt.stats.recompute_mismatches == 1
+
+    def test_read_before_fetch_is_core_dump(self):
+        rt = ReplayLoopRuntime("k", sample_period=1, window=1)
+        rt.enter()
+        assert rt.fetch()[0] == -1
+        with pytest.raises(CoreDumpError):
+            rt.orig()
 
     def test_replay_never_votes(self):
         """need2 is always 0; a resolve2 call can only come from a

@@ -10,6 +10,7 @@ merge instead of silently keeping the first chunk's value.
 """
 import pytest
 
+from repro.eval import Harness
 from repro.eval.fault_campaign import (
     CampaignResult,
     campaign_context,
@@ -169,6 +170,27 @@ class TestBackendRouting:
         finally:
             set_default_backend(None)
         assert batched.to_dict() == reference.to_dict()
+
+
+class TestFaultInducedDrainError:
+    def test_drain_read_before_fetch_is_core_dump(self):
+        """sgemm AR50, campaign seed 8, trial 1536: the fault sends the
+        RSkip drain to read an element it never fetched.  That raised a
+        bare RuntimeError out of both engines and aborted the whole
+        campaign; it is a core dump, tallied alike on both."""
+        workload = get_workload("sgemm")
+        scheme = canonical_scheme("AR50", None)
+        profiles = Harness(workload, scale=SCALE, timing=False).profiles_for(0.5)
+        inp = workload.test_inputs(1, seed=8 + 17, scale=SCALE)[0]
+        prepared = prepare(workload, scheme, None, profiles)
+        ctx = campaign_context(prepared, workload, inp)
+        serial = run_trial_block(
+            prepared, workload, inp, ctx, scheme, 8, 1536, 1)
+        batch = run_trial_block_batch(
+            prepared, workload, inp, ctx, scheme, 8, 1536, 1,
+            profiles=profiles)
+        assert batch.to_dict() == serial.to_dict()
+        assert serial.to_dict()["tallies"] == {"CORE_DUMP": 1}
 
 
 @pytest.mark.slow

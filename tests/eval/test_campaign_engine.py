@@ -11,6 +11,7 @@ from repro.eval import (
     run_campaign,
 )
 from repro.eval.campaign_engine import run_campaigns
+from repro.eval.fault_campaign import campaign_context, run_trial_block
 from repro.runtime import Outcome
 from repro.workloads import get_workload
 
@@ -36,19 +37,25 @@ def conv1d_profiles(conv1d):
 
 
 class TestTrialIsolation:
-    def test_reused_prepared_program_matches_fresh(self, conv1d, conv1d_profiles):
-        """Back-to-back campaigns on one PreparedProgram tally exactly like
-        campaigns on freshly built programs: no predictor state leaks."""
+    @pytest.mark.parametrize("backend", ["ref", "batch"])
+    def test_reused_prepared_program_matches_fresh(
+            self, conv1d, conv1d_profiles, backend):
+        """Back-to-back trial blocks on one PreparedProgram tally exactly
+        like a block on a freshly built program: no predictor state leaks
+        (the golden/counting runs and every trial reset the runtime)."""
+        inp = conv1d.test_inputs(1, seed=17, scale=SCALE)[0]
+
+        def block(prepared):
+            ctx = campaign_context(prepared, conv1d, inp)
+            return run_trial_block(
+                prepared, conv1d, inp, ctx, "AR100", 0, 0, TRIALS,
+                profiles=conv1d_profiles, backend=backend,
+            )
+
         prepared = prepare(conv1d, "AR100", profiles=conv1d_profiles)
-        first = run_campaign(
-            conv1d, "AR100", TRIALS, scale=SCALE, prepared=prepared
-        )
-        second = run_campaign(
-            conv1d, "AR100", TRIALS, scale=SCALE, prepared=prepared
-        )
-        fresh = run_campaign(
-            conv1d, "AR100", TRIALS, scale=SCALE, profiles=conv1d_profiles
-        )
+        first = block(prepared)
+        second = block(prepared)
+        fresh = block(prepare(conv1d, "AR100", profiles=conv1d_profiles))
         assert campaign_fingerprint(first) == campaign_fingerprint(second)
         assert campaign_fingerprint(first) == campaign_fingerprint(fresh)
 
@@ -182,6 +189,60 @@ class TestCliWiring:
         assert args.trials == 8
         assert args.checkpoint == "cp.json"
         assert args.resume is True
+
+
+class TestCliCheckpointErrors:
+    """An unusable checkpoint is a user error at the CLI: one line on
+    stderr and exit status 2, never a traceback."""
+
+    def _argv(self, command, path, *extra):
+        if command == "campaign":
+            args = ["campaign", "conv1d", "--scheme", "UNSAFE", "--trials", "5"]
+        else:
+            args = ["figure9", "--trials", "2"]
+        return ["--scale", str(SCALE), *args, "--checkpoint", str(path), *extra]
+
+    def _assert_clean_exit(self, argv, command, needle, capsys):
+        from repro.cli import main
+
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        err = capsys.readouterr().err
+        assert info.value.code == 2
+        assert err.startswith(f"{command}: ") and needle in err
+        assert err.count("\n") == 1
+
+    def test_campaign_params_mismatch(self, tmp_path, capsys):
+        from repro.cli import main
+
+        path = tmp_path / "cp.json"
+        assert main(self._argv("campaign", path)) == 0
+        capsys.readouterr()
+        self._assert_clean_exit(
+            self._argv("campaign", path, "--resume", "--seed", "99"),
+            "campaign", "different parameters", capsys)
+
+    @pytest.mark.parametrize("command", ["campaign", "figure9"])
+    @pytest.mark.parametrize("planted, needle", [
+        ("cp.json", "version"),  # a checkpoint of an older version
+        ("cp.json.lock", "locked"),  # held by a live campaign
+    ])
+    def test_unusable_checkpoint(self, command, planted, needle, tmp_path,
+                                 capsys, monkeypatch):
+        import os
+
+        import repro.cli as cli
+
+        # figure9 over one stateless campaign keeps the command cheap
+        monkeypatch.setattr(cli, "ALL_WORKLOADS", [get_workload("conv1d")])
+        monkeypatch.setattr(cli, "PAPER_SCHEMES", ("UNSAFE",))
+        content = {"version": 1, "params": "", "chunks": {}}
+        if planted.endswith(".lock"):
+            content = {"pid": os.getppid()}  # alive, and not this process
+        (tmp_path / planted).write_text(json.dumps(content))
+        self._assert_clean_exit(
+            self._argv(command, tmp_path / "cp.json", "--resume"),
+            command, needle, capsys)
 
 
 @pytest.mark.slow
