@@ -73,7 +73,7 @@ def _quantize(v: float, tolerance: float):
         return (0, 1)
     exp = math.floor(math.log10(abs(v)))
     mant = round(abs(v) / (10.0**exp) / tolerance / 10.0, 0)
-    return (math.copysign(1, v), exp, mant)
+    return (1.0 if v > 0 else -1.0, exp, mant)
 
 
 def loop_instruction_share(workload: Workload, scale: float, seed: int = 3) -> float:

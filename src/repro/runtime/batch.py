@@ -23,12 +23,12 @@ group.  The representation exploits that:
   injected-fault dataflow widen into per-lane columns — numpy **object**
   arrays, one element per lane.  Object dtype is load-bearing: every
   elementwise ufunc dispatches to the operands' *Python* dunders, so
-  results stay bit-exact Python ints/floats, with the reference
-  interpreter's arbitrary-precision integers and lazy 64-bit wrap
-  intact.  No ``np.int64``/``np.float64`` ever enters a register file:
-  comparison results come back as bool-dtype arrays and are routed
-  through ``astype(int64).astype(object)``, and scalar operands are
-  pre-wrapped as 0-d object arrays before broadcasting.
+  results stay bit-exact Python ints/floats, with arbitrary-precision
+  integers and the lazy 64-bit wrap intact.  No ``np.int64``/
+  ``np.float64`` ever enters a register file: comparison results come
+  back as bool-dtype arrays and are routed through
+  ``astype(int64).astype(object)``, and scalar operands are pre-wrapped
+  as 0-d object arrays before broadcasting.
 * Memory is layered copy-on-write over one shared read-only **template**
   (the initial image every lane starts from): a per-group ``gmem`` dict
   holds uniform stores, a per-lane overlay dict holds divergent stores,
@@ -54,10 +54,16 @@ Divergence and retirement
   Retired and finished lanes expose their memory as a :class:`_LaneMem`
   view (overlay → group layer → template) via ``lane_memory``.
 * A group at or below ``SCALAR_CUTOFF`` lanes leaves lockstep: each of
-  its lanes finishes on a slot-indexed scalar loop that mirrors the
-  reference interpreter instruction-for-instruction.  A faulted lane
+  its lanes finishes on a slot-indexed scalar loop with the reference
+  interpreter's fault, trap and step accounting.  A faulted lane
   that hangs burns through ``HANG_FACTOR`` baseline budgets alone — the
   scalar continuation keeps that tail at reference-interpreter speed.
+
+Value ops take their semantics from :mod:`repro.runtime.semantics`: the
+uniform path and the scalar loop call its ``OPS`` table for every cold
+op, the sparse path and per-lane refinement call ``apply``, and only the
+hot ops (MOV, ADD/FADD, SUB/FSUB, FMUL, MUL, ICMP/FCMP) are inlined, on
+the uniform, numpy vector and scalar paths.
 
 Per-lane faults follow :meth:`Interpreter._inject` to the letter: the
 trigger fires when ``region_steps - 1 == plan.step`` *before* operand
@@ -81,7 +87,6 @@ different exception than the reference's ``KeyError``.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -93,24 +98,16 @@ from ..ir.values import Const, GlobalAddr, Reg
 from .errors import TRIAL_TRAPS, CoreDumpError, HangError, SegfaultError, classify_trap
 from .faults import CONTROL_KINDS, SKIP_KINDS, FaultPlan, Region, flip_value
 from .interpreter import (
-    _CODE,
-    _HUGE_INT,
-    _INT_MASK64,
-    _PRED,
+    _ADD, _ALLOC, _BR, _CALL, _CBR, _FADD, _FCMP, _FMUL, _FSUB, _ICMP,
+    _INTRIN, _LOAD, _MOV, _MUL, _RET, _STORE, _SUB,
     DEFAULT_MAX_STEPS,
     MAX_CALL_DEPTH,
     OPERAND_ARITY,
     REGISTER_FILE_SIZE,
 )
-
-# the same hoisted opcode indices the reference dispatch chain uses
-from .interpreter import (  # noqa: F401
-    _ADD, _ALLOC, _AND, _BR, _CALL, _CBR, _COS, _EXP, _FABS, _FADD, _FCMP,
-    _FDIV, _FLOOR, _FMUL, _FNEG, _FPTOSI, _FSUB, _ICMP, _INTRIN, _LOAD,
-    _LOG, _LSHR, _MOV, _MUL, _OR, _RET, _SDIV, _SELECT, _SHL, _SIN,
-    _SITOFP, _SQRT, _SREM, _STORE, _SUB, _XOR,
-)
 from .memory import Memory
+from .semantics import CODE as _CODE, LAST_VALUE_OP, OPS as _OPS, PRED as _PRED
+from .semantics import HUGE_INT as _HUGE_INT, INT_MASK64 as _INT_MASK64, apply
 
 #: Groups at or below this many lanes run the scalar continuation loop.
 #: Break-even sits where the fixed dispatch cost per group instruction
@@ -867,7 +864,7 @@ class BatchExecutor:
                             if g.tptr < len(g.trigs) else -9
 
                 # ---- value ops ------------------------------------------
-                if code <= _SELECT:
+                if code <= LAST_VALUE_OP:
                     k, v, _o = ops[0]
                     a = regs[v] if k else v
                     nops = len(ops)
@@ -923,7 +920,7 @@ class BatchExecutor:
                                     r = a != b
                                 res = 1 if r else 0
                             else:
-                                res = _uop(code, extra, a, b, c)
+                                res = _OPS[code](a, b, c)
                         except TRIAL_TRAPS as exc:
                             g.steps = steps
                             g.region_steps = rsteps
@@ -944,13 +941,13 @@ class BatchExecutor:
                             rows_u.update(c.exc)
                         if len(rows_u) * 4 < L:
                             try:
-                                rbase = _sop(code, extra, _at(a, -1),
-                                             _at(b, -1), _at(c, -1))
+                                rbase = apply(code, extra, _at(a, -1),
+                                              _at(b, -1), _at(c, -1))
                                 rexc = {}
                                 tb = rbase.__class__
                                 for r in rows_u:
-                                    rv_ = _sop(code, extra, _at(a, r),
-                                               _at(b, r), _at(c, r))
+                                    rv_ = apply(code, extra, _at(a, r),
+                                                _at(b, r), _at(c, r))
                                     if rv_.__class__ is tb and rv_ == rbase:
                                         continue  # lane reconverged: drop
                                     rexc[r] = rv_
@@ -1024,12 +1021,8 @@ class BatchExecutor:
                                 res = r.astype(np.int64).astype(object)
                             else:  # 0d-0d compare collapsed to scalar
                                 res = 1 if r else 0
-                        elif code == _FDIV:
-                            res = np.divide(av, bv)
                     except TRIAL_TRAPS:
                         res = None  # refine per lane below
-                    except ZeroDivisionError:
-                        res = None
 
                     if res is not None:
                         if res.__class__ is not np.ndarray:
@@ -1601,10 +1594,11 @@ class BatchExecutor:
     ) -> LaneResult:
         """Finish one lane on a slot-indexed scalar loop.
 
-        This is the reference interpreter's ``_exec`` restated over the
-        batch decode (slot lists instead of name dicts) so it can resume
-        from mid-execution state; every operator expression, trap
-        conversion and counter update matches instruction-for-instruction.
+        The control flow, memory, fault and counter handling of the
+        reference interpreter's ``_exec``, over the batch decode (slot
+        lists instead of name dicts) so it can resume from mid-execution
+        state.  The hot value ops are inlined; every other one is a call
+        into the shared semantics table.
         """
         mem = self._lmems[lane]
         table = self._tables[lane]
@@ -1625,6 +1619,8 @@ class BatchExecutor:
         num = len(instrs)
         pc = frame.pc
         regs = frame.regs
+        # unary ops hand the table a stale or None ``b``/``c``; they ignore it
+        b = c = None
         try:
             while True:
                 if pc == num:
@@ -1807,181 +1803,21 @@ class BatchExecutor:
                     steps += len(charge)
                     if dest is not None:
                         regs[dest] = rv
-                elif code == _SDIV:
-                    try:
-                        q = abs(a) // abs(b)
-                        regs[dest] = q if (a >= 0) == (b >= 0) else -q
-                    except ZeroDivisionError:
-                        raise CoreDumpError("integer division by zero") from None
-                elif code == _SREM:
-                    try:
-                        regs[dest] = a - b * (abs(a) // abs(b)) * (
-                            1 if (a >= 0) == (b >= 0) else -1)
-                    except ZeroDivisionError:
-                        raise CoreDumpError("integer remainder by zero") from None
-                elif code == _FDIV:
-                    try:
-                        regs[dest] = a / b
-                    except ZeroDivisionError:
-                        regs[dest] = math.nan if a == 0 else math.copysign(math.inf, a)
-                elif code == _FNEG:
-                    regs[dest] = -a
-                elif code == _FABS:
-                    regs[dest] = abs(a)
-                elif code == _SQRT:
-                    regs[dest] = math.sqrt(a) if a >= 0 else math.nan
-                elif code == _EXP:
-                    try:
-                        regs[dest] = math.exp(a)
-                    except OverflowError:
-                        regs[dest] = math.inf
-                elif code == _LOG:
-                    try:
-                        regs[dest] = math.log(a)
-                    except ValueError:
-                        regs[dest] = math.nan
-                elif code == _SIN:
-                    regs[dest] = math.sin(a) if math.isfinite(a) else math.nan
-                elif code == _COS:
-                    regs[dest] = math.cos(a) if math.isfinite(a) else math.nan
-                elif code == _FLOOR:
-                    regs[dest] = math.floor(a) if math.isfinite(a) else a
-                elif code == _SITOFP:
-                    regs[dest] = float(a)
-                elif code == _FPTOSI:
-                    try:
-                        regs[dest] = int(a)
-                    except (ValueError, OverflowError):
-                        raise CoreDumpError("float-to-int conversion trap") from None
-                elif code == _SELECT:
-                    k, v, _o = ops[2]
-                    c = regs[v] if k else v
-                    if may_ctrl and c is _UNDEF:
-                        raise CoreDumpError(
-                            f"read of uninitialized register "
-                            f"%{frame.names[v]}")
-                    regs[dest] = b if (a != 0 and a == a) else c
-                elif code == _AND:
-                    regs[dest] = int(a) & int(b)
-                elif code == _OR:
-                    regs[dest] = int(a) | int(b)
-                elif code == _XOR:
-                    regs[dest] = int(a) ^ int(b)
-                elif code == _SHL:
-                    r = int(a) << (int(b) & 63)
-                    if r > _HUGE_INT or r < -_HUGE_INT:
-                        r &= _INT_MASK64
-                    regs[dest] = r
-                elif code == _LSHR:
-                    regs[dest] = (int(a) & _INT_MASK64) >> (int(b) & 63)
                 elif code == _ALLOC:
                     regs[dest] = mem.allocate(int(a))
-                else:  # pragma: no cover - all opcodes handled above
-                    raise CoreDumpError(f"unimplemented opcode index {code}")
+                else:
+                    # every other value op: one shared semantics-table call
+                    if n > 2:
+                        k, v, _o = ops[2]
+                        c = regs[v] if k else v
+                        if may_ctrl and c is _UNDEF:
+                            raise CoreDumpError(
+                                f"read of uninitialized register "
+                                f"%{frame.names[v]}")
+                    regs[dest] = _OPS[code](a, b, c)
         except TRIAL_TRAPS as exc:
             trap, det = classify_trap(exc)
             return LaneResult(None, steps, region_steps, trap, det)
-
-
-def _uop(code: int, extra, a, b, c):
-    """Uniform-group dispatch for value ops outside the inlined hot set,
-    mirroring the reference chain expression-for-expression (including
-    every trap conversion)."""
-    if code == _SDIV:
-        try:
-            q = abs(a) // abs(b)
-            return q if (a >= 0) == (b >= 0) else -q
-        except ZeroDivisionError:
-            raise CoreDumpError("integer division by zero") from None
-    if code == _SREM:
-        try:
-            return a - b * (abs(a) // abs(b)) * (1 if (a >= 0) == (b >= 0) else -1)
-        except ZeroDivisionError:
-            raise CoreDumpError("integer remainder by zero") from None
-    if code == _FDIV:
-        try:
-            return a / b
-        except ZeroDivisionError:
-            return math.nan if a == 0 else math.copysign(math.inf, a)
-    if code == _FNEG:
-        return -a
-    if code == _FABS:
-        return abs(a)
-    if code == _SQRT:
-        return math.sqrt(a) if a >= 0 else math.nan
-    if code == _EXP:
-        try:
-            return math.exp(a)
-        except OverflowError:
-            return math.inf
-    if code == _LOG:
-        try:
-            return math.log(a)
-        except ValueError:
-            return math.nan
-    if code == _SIN:
-        return math.sin(a) if math.isfinite(a) else math.nan
-    if code == _COS:
-        return math.cos(a) if math.isfinite(a) else math.nan
-    if code == _FLOOR:
-        return math.floor(a) if math.isfinite(a) else a
-    if code == _SITOFP:
-        return float(a)
-    if code == _FPTOSI:
-        try:
-            return int(a)
-        except (ValueError, OverflowError):
-            raise CoreDumpError("float-to-int conversion trap") from None
-    if code == _SELECT:
-        return b if (a != 0 and a == a) else c
-    if code == _AND:
-        return int(a) & int(b)
-    if code == _OR:
-        return int(a) | int(b)
-    if code == _XOR:
-        return int(a) ^ int(b)
-    if code == _SHL:
-        r = int(a) << (int(b) & 63)
-        if r > _HUGE_INT or r < -_HUGE_INT:
-            r &= _INT_MASK64
-        return r
-    if code == _LSHR:
-        return (int(a) & _INT_MASK64) >> (int(b) & 63)
-    raise CoreDumpError(f"unimplemented opcode index {code}")
-
-
-def _sop(code: int, extra, a, b, c):
-    """One scalar application of any value op (hot ops inlined, the
-    cold tail delegated to ``_uop``), mirroring the reference dispatch
-    chain expression-for-expression including every trap conversion."""
-    if code == _ADD or code == _FADD:
-        return a + b
-    if code == _SUB or code == _FSUB:
-        return a - b
-    if code == _FMUL:
-        return a * b
-    if code == _MOV:
-        return a
-    if code == _MUL:
-        r = a * b
-        if isinstance(r, int) and (r > _HUGE_INT or r < -_HUGE_INT):
-            r &= _INT_MASK64
-        return r
-    if code == _ICMP or code == _FCMP:
-        if extra == 2:
-            r = a < b
-        elif extra == 0:
-            r = a == b
-        elif extra == 4:
-            r = a > b
-        elif extra == 3:
-            r = a <= b
-        elif extra == 5:
-            r = a >= b
-        else:
-            r = a != b
-        return 1 if r else 0
-    return _uop(code, extra, a, b, c)
 
 
 def _scalar_eval(code: int, extra, srcs, i: int):
@@ -1996,4 +1832,4 @@ def _scalar_eval(code: int, extra, srcs, i: int):
         if len(srcs) > 2:
             col, const = srcs[2]
             c = col[i] if col is not None else const
-    return _sop(code, extra, a, b, c)
+    return apply(code, extra, a, b, c)

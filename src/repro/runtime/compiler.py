@@ -26,8 +26,10 @@ contract (enforced by difftest oracle O4):
   that would cross ``max_steps`` is re-executed instruction-by-instruction
   with reference accounting, so the hang — or any trap that precedes it —
   surfaces exactly where the reference interpreter raises it);
-* the same lazy int64 wrap policy (``MUL``/``SHL`` fold back to 64 bits
-  once past 2**128) and NaN branch rules (a NaN condition falls through).
+* the same value-op semantics: the hot ops (MOV, ADD/FADD, SUB/FSUB,
+  FMUL, MUL with its lazy 64-bit wrap, ICMP/FCMP) are generated inline,
+  every other value op is a call to its :mod:`repro.runtime.semantics`
+  function; and the same NaN branch rule (a NaN condition falls through).
 
 Known, documented divergence: after a *trap*, ``steps``/``region_steps``
 may over/under-count by part of the final fused segment (the campaigns
@@ -56,18 +58,14 @@ from ..ir.values import Const, GlobalAddr, Reg
 from ..obs.events import enabled as obs_enabled, span as obs_span
 from .errors import CoreDumpError, HangError
 from .interpreter import (
-    _CODE,
-    _HUGE_INT,
-    _INT_MASK64,
-    _PRED,
     DEFAULT_MAX_STEPS,
     MAX_CALL_DEPTH,
-    OPCODES,
     OPERAND_ARITY,
     IntrinsicFn,
     RunResult,
 )
 from .memory import Memory
+from .semantics import CODE as _CODE, HUGE_INT, INT_MASK64, OPCODES, OPS, PRED as _PRED
 
 _CALL = _CODE[Opcode.CALL]
 _INTRIN = _CODE[Opcode.INTRIN]
@@ -86,37 +84,17 @@ _VALUE_OPS = frozenset(
 _CMP_SYMBOL = {0: "==", 1: "!=", 2: "<", 3: "<=", 4: ">", 5: ">="}
 
 
-def _exp_sat(a):
-    try:
-        return math.exp(a)
-    except OverflowError:
-        return math.inf
-
-
-def _log_sat(a):
-    try:
-        return math.log(a)
-    except ValueError:
-        return math.nan
-
-
-#: globals every generated closure is exec'd against
+#: globals every generated closure is exec'd against: the wrap constants
+#: of the inlined MUL template and, as ``_<opcode>``, every semantics-table
+#: function the cold value ops call
 _BASE_ENV = {
     "CoreDumpError": CoreDumpError,
     "HangError": HangError,
-    "_nan": math.nan,
-    "_inf": math.inf,
-    "_sqrt": math.sqrt,
-    "_sin": math.sin,
-    "_cos": math.cos,
-    "_floor": math.floor,
-    "_isfinite": math.isfinite,
-    "_copysign": math.copysign,
-    "_exp": _exp_sat,
-    "_log": _log_sat,
-    "_H": _HUGE_INT,
-    "_M": _INT_MASK64,
+    "_H": HUGE_INT,
+    "_M": INT_MASK64,
 }
+_BASE_ENV.update(
+    (f"_{OPCODES[code].value}", fn) for code, fn in enumerate(OPS) if fn)
 
 
 # -- record decoding ----------------------------------------------------------
@@ -283,75 +261,12 @@ def _emit(cl: _Closure, rec, fell_msg: Optional[str] = None) -> None:
             out(f"return ({ex(specs[0])},)")
         else:
             out("return (None,)")
-    elif op is Opcode.SDIV:
-        out(f"a = {ex(specs[0])}")
-        out(f"b = {ex(specs[1])}")
-        out("try:")
-        out("    q = abs(a) // abs(b)")
-        out("except ZeroDivisionError:")
-        out("    raise CoreDumpError('integer division by zero') from None")
-        out(f"R[{d}] = q if (a >= 0) == (b >= 0) else -q")
-    elif op is Opcode.SREM:
-        out(f"a = {ex(specs[0])}")
-        out(f"b = {ex(specs[1])}")
-        out("try:")
-        out("    q = abs(a) // abs(b)")
-        out("except ZeroDivisionError:")
-        out("    raise CoreDumpError('integer remainder by zero') from None")
-        out(f"R[{d}] = a - b * q * (1 if (a >= 0) == (b >= 0) else -1)")
-    elif op is Opcode.FDIV:
-        out(f"a = {ex(specs[0])}")
-        out(f"b = {ex(specs[1])}")
-        out("try:")
-        out(f"    R[{d}] = a / b")
-        out("except ZeroDivisionError:")
-        out(f"    R[{d}] = _nan if a == 0 else _copysign(_inf, a)")
-    elif op is Opcode.FNEG:
-        out(f"R[{d}] = -{ex(specs[0])}")
-    elif op is Opcode.FABS:
-        out(f"R[{d}] = abs({ex(specs[0])})")
-    elif op is Opcode.SQRT:
-        out(f"a = {ex(specs[0])}")
-        out(f"R[{d}] = _sqrt(a) if a >= 0 else _nan")
-    elif op is Opcode.EXP:
-        out(f"R[{d}] = _exp({ex(specs[0])})")
-    elif op is Opcode.LOG:
-        out(f"R[{d}] = _log({ex(specs[0])})")
-    elif op is Opcode.SIN:
-        out(f"a = {ex(specs[0])}")
-        out(f"R[{d}] = _sin(a) if _isfinite(a) else _nan")
-    elif op is Opcode.COS:
-        out(f"a = {ex(specs[0])}")
-        out(f"R[{d}] = _cos(a) if _isfinite(a) else _nan")
-    elif op is Opcode.FLOOR:
-        out(f"a = {ex(specs[0])}")
-        out(f"R[{d}] = _floor(a) if _isfinite(a) else a")
-    elif op is Opcode.SITOFP:
-        out(f"R[{d}] = float({ex(specs[0])})")
-    elif op is Opcode.FPTOSI:
-        out("try:")
-        out(f"    R[{d}] = int({ex(specs[0])})")
-        out("except (ValueError, OverflowError):")
-        out("    raise CoreDumpError('float-to-int conversion trap') from None")
-    elif op is Opcode.SELECT:
-        out(f"a = {ex(specs[0])}")
-        out(f"R[{d}] = {ex(specs[1])} if (a != 0 and a == a) else {ex(specs[2])}")
-    elif op is Opcode.AND:
-        out(f"R[{d}] = int({ex(specs[0])}) & int({ex(specs[1])})")
-    elif op is Opcode.OR:
-        out(f"R[{d}] = int({ex(specs[0])}) | int({ex(specs[1])})")
-    elif op is Opcode.XOR:
-        out(f"R[{d}] = int({ex(specs[0])}) ^ int({ex(specs[1])})")
-    elif op is Opcode.SHL:
-        out(f"r = int({ex(specs[0])}) << (int({ex(specs[1])}) & 63)")
-        out("if r > _H or r < -_H:")
-        out("    r &= _M")
-        out(f"R[{d}] = r")
-    elif op is Opcode.LSHR:
-        out(f"R[{d}] = (int({ex(specs[0])}) & _M) >> (int({ex(specs[1])}) & 63)")
     elif op is Opcode.ALLOC:
         cl.needs.add("mem")
         out(f"R[{d}] = mem.allocate(int({ex(specs[0])}))")
+    elif OPS[code] is not None:
+        # every other value op: a call to its semantics-table function
+        out(f"R[{d}] = _{op.value}({', '.join(ex(s) for s in specs)})")
     else:  # pragma: no cover - CALL/INTRIN never reach the generator
         raise AssertionError(f"cannot generate code for {op}")
 

@@ -9,6 +9,9 @@ of state every experiment needs:
 * **fault-injection hooks** implementing the SEU model of
   `repro.runtime.faults` (Figure 9).
 
+Value ops follow `repro.runtime.semantics`: the hot ops are inlined in the
+dispatch chain, every other one is a call into its ``OPS`` table.
+
 Intrinsics (``intrin`` instructions) dispatch to Python callables registered
 with :meth:`Interpreter.register_intrinsic`; each returns its result plus a
 list of opcodes to *charge*, so predictor bookkeeping shows up in both the
@@ -17,12 +20,11 @@ charging").
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..ir.function import Function
-from ..ir.instructions import CmpPred, Opcode
+from ..ir.instructions import Opcode
 from ..ir.module import Module
 from ..ir.values import Const, GlobalAddr, Reg
 from ..obs.events import enabled as obs_enabled, span as obs_span
@@ -31,39 +33,19 @@ from .faults import CONTROL_KINDS, SKIP_KINDS, FaultPlan, Region, flip_value
 from .memory import Memory
 from .profiling import Profile
 from .scheduler import TimingModel
-
-OPCODES: List[Opcode] = list(Opcode)
-_CODE: Dict[Opcode, int] = {op: i for i, op in enumerate(OPCODES)}
+from .semantics import CODE as _CODE, OPCODES, OPS as _OPS, PRED as _PRED
+from .semantics import HUGE_INT as _HUGE_INT, INT_MASK64 as _INT_MASK64
 
 # frequently used opcode indices, hoisted for the dispatch chain
 _MOV = _CODE[Opcode.MOV]
 _ADD = _CODE[Opcode.ADD]
 _SUB = _CODE[Opcode.SUB]
 _MUL = _CODE[Opcode.MUL]
-_SDIV = _CODE[Opcode.SDIV]
-_SREM = _CODE[Opcode.SREM]
-_AND = _CODE[Opcode.AND]
-_OR = _CODE[Opcode.OR]
-_XOR = _CODE[Opcode.XOR]
-_SHL = _CODE[Opcode.SHL]
-_LSHR = _CODE[Opcode.LSHR]
 _FADD = _CODE[Opcode.FADD]
 _FSUB = _CODE[Opcode.FSUB]
 _FMUL = _CODE[Opcode.FMUL]
-_FDIV = _CODE[Opcode.FDIV]
-_FNEG = _CODE[Opcode.FNEG]
-_FABS = _CODE[Opcode.FABS]
-_SQRT = _CODE[Opcode.SQRT]
-_EXP = _CODE[Opcode.EXP]
-_LOG = _CODE[Opcode.LOG]
-_SIN = _CODE[Opcode.SIN]
-_COS = _CODE[Opcode.COS]
-_FLOOR = _CODE[Opcode.FLOOR]
-_SITOFP = _CODE[Opcode.SITOFP]
-_FPTOSI = _CODE[Opcode.FPTOSI]
 _ICMP = _CODE[Opcode.ICMP]
 _FCMP = _CODE[Opcode.FCMP]
-_SELECT = _CODE[Opcode.SELECT]
 _LOAD = _CODE[Opcode.LOAD]
 _STORE = _CODE[Opcode.STORE]
 _ALLOC = _CODE[Opcode.ALLOC]
@@ -72,18 +54,6 @@ _CBR = _CODE[Opcode.CBR]
 _CALL = _CODE[Opcode.CALL]
 _RET = _CODE[Opcode.RET]
 _INTRIN = _CODE[Opcode.INTRIN]
-
-_PRED = {
-    CmpPred.EQ: 0,
-    CmpPred.NE: 1,
-    CmpPred.LT: 2,
-    CmpPred.LE: 3,
-    CmpPred.GT: 4,
-    CmpPred.GE: 5,
-}
-
-_HUGE_INT = 1 << 128
-_INT_MASK64 = (1 << 64) - 1
 
 #: Operand-count contract per opcode index, enforced at decode time.
 #: ``None`` means variadic (CALL/INTRIN take any number of arguments);
@@ -403,6 +373,8 @@ class Interpreter:
         # campaigns inspecting a trapped run — always observe exact totals
         steps = self.steps
         region_steps = self.region_steps
+        # unary ops hand the table a stale or None ``b``/``c``; they ignore it
+        b = c = None
 
         try:
             while True:
@@ -579,75 +551,15 @@ class Interpreter:
                         if dest is not None:
                             regs[dest] = rv
                         continue
-                    elif code == _SDIV:
-                        try:
-                            q = abs(a) // abs(b)
-                            regs[dest] = q if (a >= 0) == (b >= 0) else -q
-                        except ZeroDivisionError:
-                            raise CoreDumpError("integer division by zero") from None
-                    elif code == _SREM:
-                        try:
-                            regs[dest] = a - b * (abs(a) // abs(b)) * (1 if (a >= 0) == (b >= 0) else -1)
-                        except ZeroDivisionError:
-                            raise CoreDumpError("integer remainder by zero") from None
-                    elif code == _FDIV:
-                        try:
-                            regs[dest] = a / b
-                        except ZeroDivisionError:
-                            regs[dest] = math.nan if a == 0 else math.copysign(math.inf, a)
-                    elif code == _FNEG:
-                        regs[dest] = -a
-                    elif code == _FABS:
-                        regs[dest] = abs(a)
-                    elif code == _SQRT:
-                        regs[dest] = math.sqrt(a) if a >= 0 else math.nan
-                    elif code == _EXP:
-                        try:
-                            regs[dest] = math.exp(a)
-                        except OverflowError:
-                            regs[dest] = math.inf
-                    elif code == _LOG:
-                        try:
-                            regs[dest] = math.log(a)
-                        except ValueError:
-                            regs[dest] = math.nan
-                    elif code == _SIN:
-                        regs[dest] = math.sin(a) if math.isfinite(a) else math.nan
-                    elif code == _COS:
-                        regs[dest] = math.cos(a) if math.isfinite(a) else math.nan
-                    elif code == _FLOOR:
-                        regs[dest] = math.floor(a) if math.isfinite(a) else a
-                    elif code == _SITOFP:
-                        regs[dest] = float(a)
-                    elif code == _FPTOSI:
-                        try:
-                            regs[dest] = int(a)
-                        except (ValueError, OverflowError):
-                            raise CoreDumpError("float-to-int conversion trap") from None
-                    elif code == _SELECT:
-                        k, v = ops[2]
-                        c = regs[v] if k else v
-                        regs[dest] = b if (a != 0 and a == a) else c
-                    elif code == _AND:
-                        regs[dest] = int(a) & int(b)
-                    elif code == _OR:
-                        regs[dest] = int(a) | int(b)
-                    elif code == _XOR:
-                        regs[dest] = int(a) ^ int(b)
-                    elif code == _SHL:
-                        # same lazy-wrap policy as MUL: results may exceed 64
-                        # bits transiently, but are folded back once they pass
-                        # 2**128 so repeated shifts cannot grow without bound
-                        r = int(a) << (int(b) & 63)
-                        if r > _HUGE_INT or r < -_HUGE_INT:
-                            r &= _INT_MASK64
-                        regs[dest] = r
-                    elif code == _LSHR:
-                        regs[dest] = (int(a) & _INT_MASK64) >> (int(b) & 63)
                     elif code == _ALLOC:
                         regs[dest] = memory.allocate(int(a))
-                    else:  # pragma: no cover - all opcodes handled above
-                        raise CoreDumpError(f"unimplemented opcode index {code}")
+                    else:
+                        # every other value op: one call into the shared
+                        # semantics table (only SELECT reads a third operand)
+                        if n > 2:
+                            k, v = ops[2]
+                            c = regs[v] if k else v
+                        regs[dest] = _OPS[code](a, b, c)
 
                     # ---- timing for the plain register-register ops ---------
                     if tm and dest is not None:

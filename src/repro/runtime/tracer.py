@@ -2,16 +2,19 @@
 
 Two jobs:
 
-* **differential testing** — an independent, deliberately simple
-  evaluator whose results the fast interpreter must match (the test suite
-  runs both over the same programs);
+* **differential testing** — a deliberately simple tree-walking
+  evaluator whose results every engine must match (the test suite runs
+  them over the same programs);
 * **debugging** — it records a bounded trace of executed instructions
   (function, block, instruction text, produced value), so a misbehaving
   transform can be diffed against the original program up to the first
   divergence.
 
-It shares :class:`repro.runtime.memory.Memory` and the intrinsic
-convention with the fast interpreter but none of its code.
+It walks control flow, calls and memory on its own, straight off the
+``Instr`` objects, and shares the rest with the fast interpreter:
+:class:`repro.runtime.memory.Memory`, the intrinsic convention, and every
+value op's semantics, which it evaluates through
+:func:`repro.runtime.semantics.apply`.
 """
 from __future__ import annotations
 
@@ -20,15 +23,13 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
 from ..ir.function import Function
-from ..ir.instructions import CmpPred, Instr, Opcode
+from ..ir.instructions import Instr, Opcode
 from ..ir.module import Module
 from ..ir.printer import format_instr
 from ..ir.values import Const, GlobalAddr, Reg, Value
 from .errors import CoreDumpError, HangError
 from .memory import Memory
-
-_HUGE_INT = 1 << 128
-_INT_MASK64 = (1 << 64) - 1
+from .semantics import CODE, LAST_VALUE_OP, PRED, apply
 
 
 @dataclass
@@ -76,16 +77,6 @@ class Trace:
             if a.text != b.text or not same_value:
                 return k
         return None
-
-
-_CMP = {
-    CmpPred.EQ: lambda a, b: a == b,
-    CmpPred.NE: lambda a, b: a != b,
-    CmpPred.LT: lambda a, b: a < b,
-    CmpPred.LE: lambda a, b: a <= b,
-    CmpPred.GT: lambda a, b: a > b,
-    CmpPred.GE: lambda a, b: a >= b,
-}
 
 
 class ReferenceInterpreter:
@@ -167,97 +158,14 @@ class ReferenceInterpreter:
         mem = self.memory
         val = lambda v: self._value(v, regs)  # noqa: E731
 
-        if op is Opcode.MOV:
-            regs[instr.dest.name] = val(instr.args[0])
+        if CODE[op] <= LAST_VALUE_OP:
+            extra = PRED[instr.pred] if instr.pred is not None else None
+            regs[instr.dest.name] = apply(
+                CODE[op], extra, *[val(a) for a in instr.args])
         elif op is Opcode.LOAD:
             regs[instr.dest.name] = mem.load(val(instr.args[0]))
         elif op is Opcode.STORE:
             mem.store(val(instr.args[1]), val(instr.args[0]))
-        elif op in (Opcode.ADD, Opcode.FADD):
-            regs[instr.dest.name] = val(instr.args[0]) + val(instr.args[1])
-        elif op in (Opcode.SUB, Opcode.FSUB):
-            regs[instr.dest.name] = val(instr.args[0]) - val(instr.args[1])
-        elif op in (Opcode.MUL, Opcode.FMUL):
-            r = val(instr.args[0]) * val(instr.args[1])
-            # lazy int64 wrap, same policy as the fast interpreter
-            if isinstance(r, int) and (r > _HUGE_INT or r < -_HUGE_INT):
-                r &= _INT_MASK64
-            regs[instr.dest.name] = r
-        elif op is Opcode.SDIV:
-            a, b = val(instr.args[0]), val(instr.args[1])
-            if b == 0:
-                raise CoreDumpError("integer division by zero")
-            q = abs(a) // abs(b)
-            regs[instr.dest.name] = q if (a >= 0) == (b >= 0) else -q
-        elif op is Opcode.SREM:
-            a, b = val(instr.args[0]), val(instr.args[1])
-            if b == 0:
-                raise CoreDumpError("integer remainder by zero")
-            q = abs(a) // abs(b)
-            q = q if (a >= 0) == (b >= 0) else -q
-            regs[instr.dest.name] = a - b * q
-        elif op is Opcode.FDIV:
-            a, b = val(instr.args[0]), val(instr.args[1])
-            if b == 0:
-                regs[instr.dest.name] = math.nan if a == 0 else math.copysign(math.inf, a)
-            else:
-                regs[instr.dest.name] = a / b
-        elif op is Opcode.FNEG:
-            regs[instr.dest.name] = -val(instr.args[0])
-        elif op is Opcode.FABS:
-            regs[instr.dest.name] = abs(val(instr.args[0]))
-        elif op is Opcode.SQRT:
-            a = val(instr.args[0])
-            regs[instr.dest.name] = math.sqrt(a) if a >= 0 else math.nan
-        elif op is Opcode.EXP:
-            try:
-                regs[instr.dest.name] = math.exp(val(instr.args[0]))
-            except OverflowError:
-                regs[instr.dest.name] = math.inf
-        elif op is Opcode.LOG:
-            a = val(instr.args[0])
-            try:
-                regs[instr.dest.name] = math.log(a)
-            except ValueError:
-                regs[instr.dest.name] = math.nan
-        elif op is Opcode.SIN:
-            a = val(instr.args[0])
-            regs[instr.dest.name] = math.sin(a) if math.isfinite(a) else math.nan
-        elif op is Opcode.COS:
-            a = val(instr.args[0])
-            regs[instr.dest.name] = math.cos(a) if math.isfinite(a) else math.nan
-        elif op is Opcode.FLOOR:
-            a = val(instr.args[0])
-            regs[instr.dest.name] = math.floor(a) if math.isfinite(a) else a
-        elif op is Opcode.SITOFP:
-            regs[instr.dest.name] = float(val(instr.args[0]))
-        elif op is Opcode.FPTOSI:
-            try:
-                regs[instr.dest.name] = int(val(instr.args[0]))
-            except (ValueError, OverflowError):
-                raise CoreDumpError("float-to-int conversion trap") from None
-        elif op in (Opcode.ICMP, Opcode.FCMP):
-            a, b = val(instr.args[0]), val(instr.args[1])
-            regs[instr.dest.name] = 1 if _CMP[instr.pred](a, b) else 0
-        elif op is Opcode.SELECT:
-            c = val(instr.args[0])
-            taken = c != 0 and c == c
-            regs[instr.dest.name] = val(instr.args[1]) if taken else val(instr.args[2])
-        elif op is Opcode.AND:
-            regs[instr.dest.name] = int(val(instr.args[0])) & int(val(instr.args[1]))
-        elif op is Opcode.OR:
-            regs[instr.dest.name] = int(val(instr.args[0])) | int(val(instr.args[1]))
-        elif op is Opcode.XOR:
-            regs[instr.dest.name] = int(val(instr.args[0])) ^ int(val(instr.args[1]))
-        elif op is Opcode.SHL:
-            r = int(val(instr.args[0])) << (int(val(instr.args[1])) & 63)
-            if r > _HUGE_INT or r < -_HUGE_INT:
-                r &= _INT_MASK64
-            regs[instr.dest.name] = r
-        elif op is Opcode.LSHR:
-            regs[instr.dest.name] = (int(val(instr.args[0])) & ((1 << 64) - 1)) >> (
-                int(val(instr.args[1])) & 63
-            )
         elif op is Opcode.ALLOC:
             regs[instr.dest.name] = mem.allocate(int(val(instr.args[0])))
         elif op is Opcode.BR:

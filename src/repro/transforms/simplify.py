@@ -10,31 +10,18 @@ from __future__ import annotations
 from typing import Dict, Optional
 
 from ..ir.function import Function
-from ..ir.instructions import CmpPred, Instr, Opcode
+from ..ir.instructions import Instr, Opcode
 from ..ir.module import Module
 from ..ir.values import Const, Reg, Value
+from ..runtime.semantics import CODE, PRED, apply
 
-_FOLDABLE = {
-    Opcode.ADD: lambda a, b: a + b,
-    Opcode.SUB: lambda a, b: a - b,
-    Opcode.MUL: lambda a, b: a * b,
-    Opcode.AND: lambda a, b: a & b,
-    Opcode.OR: lambda a, b: a | b,
-    Opcode.XOR: lambda a, b: a ^ b,
-    Opcode.SHL: lambda a, b: a << (b & 63),
-    Opcode.FADD: lambda a, b: a + b,
-    Opcode.FSUB: lambda a, b: a - b,
-    Opcode.FMUL: lambda a, b: a * b,
-}
-
-_CMP = {
-    CmpPred.EQ: lambda a, b: a == b,
-    CmpPred.NE: lambda a, b: a != b,
-    CmpPred.LT: lambda a, b: a < b,
-    CmpPred.LE: lambda a, b: a <= b,
-    CmpPred.GT: lambda a, b: a > b,
-    CmpPred.GE: lambda a, b: a >= b,
-}
+#: opcodes folded when every operand is constant, evaluated through the
+#: runtime's semantics table so a fold never changes what a program returns
+_FOLDABLE = frozenset({
+    Opcode.ADD, Opcode.SUB, Opcode.MUL, Opcode.AND, Opcode.OR, Opcode.XOR,
+    Opcode.SHL, Opcode.FADD, Opcode.FSUB, Opcode.FMUL,
+    Opcode.ICMP, Opcode.FCMP, Opcode.SITOFP,
+})
 
 
 def _const_of(value: Value, env: Dict[str, Const]) -> Optional[Const]:
@@ -97,16 +84,13 @@ def run_constfold(func: Function) -> int:
             if instr.op is Opcode.MOV:
                 replacement = consts[0]
             elif instr.op in _FOLDABLE and all(c is not None for c in consts):
+                extra = PRED[instr.pred] if instr.pred is not None else None
                 try:
-                    raw = _FOLDABLE[instr.op](consts[0].value, consts[1].value)
+                    raw = apply(CODE[instr.op], extra, *[c.value for c in consts])
                 except (OverflowError, ValueError):
                     raw = None
                 if raw is not None:
                     replacement = Const(raw, instr.dest.ty)
-            elif instr.op in (Opcode.ICMP, Opcode.FCMP) and all(c is not None for c in consts):
-                replacement = Const(int(_CMP[instr.pred](consts[0].value, consts[1].value)), instr.dest.ty)
-            elif instr.op is Opcode.SITOFP and consts[0] is not None:
-                replacement = Const(float(consts[0].value), instr.dest.ty)
             else:
                 ident = _identity(instr, env)
                 if isinstance(ident, Const):

@@ -1,10 +1,15 @@
-"""Golden per-opcode tests for the closure-compiled backend.
+"""Golden per-opcode tests for every execution engine.
 
-Every case runs under both the reference :class:`Interpreter` and the
+Every case runs under the reference :class:`Interpreter` and the
 :class:`CompiledExecutor` and asserts the full observable state matches:
 return value (NaN-aware), step count, per-opcode counts, region steps
 and final memory — or, on trap paths, the exact exception type and
-message.  Plus compile-cache identity and the backend dispatch rules.
+message.  Most cases also run on the tracer's
+:class:`ReferenceInterpreter` (which evaluates value ops through the
+semantics table) and on the :class:`BatchExecutor`, both on its lockstep
+uniform path and on its one-lane scalar tail, so every inlined copy of a
+hot op is checked against the table.  Plus compile-cache identity and the
+backend dispatch rules.
 """
 import math
 
@@ -19,6 +24,7 @@ from repro.runtime import (
     HangError,
     Interpreter,
     Memory,
+    ReferenceInterpreter,
     SegfaultError,
     clear_compile_cache,
     compile_module,
@@ -26,7 +32,9 @@ from repro.runtime import (
     module_fingerprint,
     set_default_backend,
 )
+from repro.runtime.batch import SCALAR_CUTOFF, BatchExecutor
 from repro.runtime.faults import FaultPlan
+from repro.runtime.semantics import CODE, PRED, apply
 
 from ..conftest import (
     build_call_module,
@@ -46,7 +54,8 @@ def module_of(body: str, ret_ty: str = "f64", params: str = ""):
 
 def observe(cls, module, args=(), max_steps=1_000_000, intrinsics=None,
             seed=False):
-    """One run reduced to a comparable tuple plus the memory it used."""
+    """One run reduced to a comparable tuple, plus the memory it used and
+    the engine's final step count."""
     mem = seed_memory(module) if seed else Memory()
     engine = cls(module, memory=mem, max_steps=max_steps)
     if intrinsics:
@@ -54,33 +63,82 @@ def observe(cls, module, args=(), max_steps=1_000_000, intrinsics=None,
     try:
         result = engine.run("main", list(args))
     except Exception as exc:  # noqa: BLE001 - traps are part of the contract
-        return ("raised", type(exc).__name__, str(exc), exc.args), mem
+        return ("raised", type(exc).__name__, str(exc), exc.args), mem, engine.steps
+    if cls is ReferenceInterpreter:  # returns the bare value
+        return ("ok", result, engine.steps), mem, engine.steps
     return (
         "ok", result.value, result.steps, dict(result.counts),
         result.region_steps,
-    ), mem
+    ), mem, engine.steps
+
+
+def same_value(a, b) -> bool:
+    return a == b or (
+        isinstance(a, float) and isinstance(b, float)
+        and math.isnan(a) and math.isnan(b)
+    )
+
+
+def assert_same_run(ref, other):
+    """Observation tuples agree, a NaN return value matching a NaN."""
+    if ref[0] == "ok" and isinstance(ref[1], float) and math.isnan(ref[1]):
+        assert other[0] == "ok" and math.isnan(other[1])
+        assert ref[2:] == other[2:]
+    else:
+        assert ref == other
+
+
+def assert_same_memory(ref_mem, cells):
+    """Every addressable cell (8 and up) of *cells* matches *ref_mem*."""
+    assert len(cells) == ref_mem.size - 8
+    for i, (a, b) in enumerate(zip(ref_mem.cells[8:], cells), start=8):
+        assert same_value(a, b), f"memory cell {i}: {a!r} != {b!r}"
+
+
+#: the trap kind a batch lane records for each reference exception
+TRAP_KIND = {"CoreDumpError": "coredump", "SegfaultError": "segfault",
+             "HangError": "hang"}
 
 
 def assert_backends_agree(module, args=(), max_steps=1_000_000,
-                          intrinsics_factory=None, seed=False):
-    ref, ref_mem = observe(
-        Interpreter, module, args, max_steps,
-        intrinsics_factory() if intrinsics_factory else None, seed)
-    comp, comp_mem = observe(
-        CompiledExecutor, module, args, max_steps,
-        intrinsics_factory() if intrinsics_factory else None, seed)
-    if ref[0] == "ok" and isinstance(ref[1], float) and math.isnan(ref[1]):
-        assert comp[0] == "ok" and math.isnan(comp[1])
-        assert ref[2:] == comp[2:]
-    else:
-        assert ref == comp
-    assert ref_mem.size == comp_mem.size
-    for i, (a, b) in enumerate(zip(ref_mem.cells, comp_mem.cells)):
-        same = a == b or (
-            isinstance(a, float) and isinstance(b, float)
-            and math.isnan(a) and math.isnan(b)
-        )
-        assert same, f"memory cell {i}: {a!r} != {b!r}"
+                          intrinsics_factory=None, seed=False,
+                          every_engine=True):
+    """Run *module* on the reference interpreter and the compiled backend
+    and, with *every_engine*, on the tracer and on the batch engine with
+    ``SCALAR_CUTOFF + 1`` clean lanes (uniform lockstep path) and with one
+    lane (scalar tail).  The batch engine keeps no per-opcode counts and
+    records a trap kind rather than an exception, so against it only the
+    value, trap kind, steps, region steps and memory are compared."""
+    def run(cls):
+        return observe(cls, module, args, max_steps,
+                       intrinsics_factory() if intrinsics_factory else None,
+                       seed)
+
+    ref, ref_mem, ref_steps = run(Interpreter)
+    comp, comp_mem, _ = run(CompiledExecutor)
+    assert_same_run(ref, comp)
+    assert_same_memory(ref_mem, comp_mem.cells[8:])
+    if not every_engine:
+        return ref
+
+    tr, tr_mem, _ = run(ReferenceInterpreter)
+    assert_same_run(ref[:3] if ref[0] == "ok" else ref, tr)
+    assert_same_memory(ref_mem, tr_mem.cells[8:])
+
+    for n_lanes in (SCALAR_CUTOFF + 1, 1):
+        template = seed_memory(module) if seed else Memory()
+        engine = BatchExecutor(
+            module, template, n_lanes, max_steps=max_steps,
+            intrinsics=intrinsics_factory() if intrinsics_factory else None)
+        for lane, res in enumerate(engine.run("main", list(args))):
+            if ref[0] == "ok":
+                assert res.finished and res.trap is None
+                assert same_value(res.value, ref[1])
+                assert (res.steps, res.region_steps) == (ref[2], ref[4])
+            else:
+                assert (res.trap, res.steps) == (TRAP_KIND[ref[1]], ref_steps)
+            assert_same_memory(
+                ref_mem, engine.lane_memory(lane).read_array(8, ref_mem.size - 8))
     return ref
 
 
@@ -109,13 +167,18 @@ GOLDEN = [
     ("exp_sat", "  %a = exp 1000.0:f64\n  ret %a", math.inf),
     ("log", "  %a = log 1.0:f64\n  ret %a", 0.0),
     ("log_sat", "  %a = log -1.0:f64\n  ret %a", math.nan),
+    ("log_zero", "  %a = log 0.0:f64\n  ret %a", math.nan),
     ("sin", "  %a = sin 0.5:f64\n  ret %a", math.sin(0.5)),
     ("sin_inf", "  %x = fdiv 1.0:f64, 0.0:f64\n  %a = sin %x\n  ret %a",
      math.nan),
     ("cos", "  %a = cos 0.5:f64\n  ret %a", math.cos(0.5)),
+    ("cos_inf", "  %x = fdiv 1.0:f64, 0.0:f64\n  %a = cos %x\n  ret %a",
+     math.nan),
     ("floor", "  %a = floor 2.75:f64\n  ret %a", 2.0),
     ("floor_inf", "  %x = fdiv 1.0:f64, 0.0:f64\n  %a = floor %x\n  ret %a",
      math.inf),
+    ("floor_nan", "  %x = fdiv 0.0:f64, 0.0:f64\n  %a = floor %x\n  ret %a",
+     math.nan),
     ("sitofp", "  %a = sitofp 3:i64\n  ret %a", 3.0),
     ("fptosi", "  %a = fptosi 3.9:f64\n  %f = sitofp %a\n  ret %f", 3.0),
     ("icmp", "  %a = icmp le 2:i64, 2:i64\n  %f = sitofp %a\n  ret %f", 1.0),
@@ -131,10 +194,11 @@ GOLDEN = [
     ("or", "  %a = or 12:i64, 10:i64\n  %f = sitofp %a\n  ret %f", 14.0),
     ("xor", "  %a = xor 12:i64, 10:i64\n  %f = sitofp %a\n  ret %f", 6.0),
     ("shl", "  %a = shl 3:i64, 4:i64\n  %f = sitofp %a\n  ret %f", 48.0),
+    ("shl_ge64", "  %a = shl 3:i64, 67:i64\n  %f = sitofp %a\n  ret %f", 24.0),
     ("shl_wrap",
      "  %a = shl 12345678901:i64, 60:i64\n  %b = shl %a, 60:i64\n"
      "  %c = shl %b, 60:i64\n  %d = srem %c, 1000:i64\n"
-     "  %f = sitofp %d\n  ret %f", None),
+     "  %f = sitofp %d\n  ret %f", 0.0),
     ("lshr", "  %a = lshr -1:i64, 60:i64\n  %f = sitofp %a\n  ret %f", 15.0),
     ("alloc_store_load",
      "  %p = alloc 4:i64\n  %q = add %p, 2:i64\n"
@@ -152,11 +216,10 @@ GOLDEN = [
 def test_golden_opcode(body, expected):
     obs = assert_backends_agree(module_of(body))
     assert obs[0] == "ok"
-    if expected is not None:
-        if isinstance(expected, float) and math.isnan(expected):
-            assert math.isnan(obs[1])
-        else:
-            assert obs[1] == pytest.approx(expected)
+    if isinstance(expected, float) and math.isnan(expected):
+        assert math.isnan(obs[1])
+    else:
+        assert obs[1] == pytest.approx(expected)
 
 
 TRAPS = [
@@ -166,6 +229,10 @@ TRAPS = [
      CoreDumpError, "integer remainder by zero"),
     ("fptosi_inf",
      "  %x = fdiv 1.0:f64, 0.0:f64\n  %a = fptosi %x\n"
+     "  %f = sitofp %a\n  ret %f",
+     CoreDumpError, "float-to-int conversion trap"),
+    ("fptosi_neg_inf",
+     "  %x = fdiv -1.0:f64, 0.0:f64\n  %a = fptosi %x\n"
      "  %f = sitofp %a\n  ret %f",
      CoreDumpError, "float-to-int conversion trap"),
     ("fptosi_nan",
@@ -187,6 +254,40 @@ def test_trap_parity(body, exc_type, message):
     assert obs[0] == "raised"
     assert obs[1] == exc_type.__name__
     assert obs[2] == message
+
+
+#: per-lane operand pairs that keep both operands divergent columns:
+#: ints, wrap-sized ints, floats, NaN, infinities, mixed types
+LANE_OPERANDS = [
+    (3, 4), (-7, 2), (1 << 100, 1 << 60), (2.5, -0.5),
+    (math.nan, 1.0), (math.inf, -math.inf), (0, 0.0), (1.5, 1.5),
+]
+
+
+@pytest.mark.parametrize("op", [
+    "mov", "add", "sub", "mul", "fadd", "fsub", "fmul",
+    "icmp eq", "icmp ne", "icmp lt", "icmp le", "fcmp gt", "fcmp ge",
+])
+def test_vector_path_matches_table(op):
+    # golden runs never diverge, so the batch engine's numpy vector path
+    # is driven here: per-lane intrinsics hand every lane its own operands
+    args = "%a" if op == "mov" else "%a, %b"
+    module = parse_module(
+        "func @main() -> f64 {\nentry:\n"
+        "  %a = intrin lane_a() : f64\n  %b = intrin lane_b() : f64\n"
+        f"  %r = {op} {args}\n  ret %r\n}}\n")
+    tables = [{"lane_a": lambda _e, _v, x=x: (x, ()),
+               "lane_b": lambda _e, _v, y=y: (y, ())}
+              for x, y in LANE_OPERANDS]
+    assert len(tables) > SCALAR_CUTOFF
+    engine = BatchExecutor(module, Memory(), len(tables), intrinsics=tables)
+    instr = module.get_function("main").entry.instrs[2]
+    code = CODE[instr.op]
+    extra = PRED[instr.pred] if instr.pred is not None else None
+    for res, (x, y) in zip(engine.run("main"), LANE_OPERANDS):
+        want = apply(code, extra, x, y)
+        assert res.finished and type(res.value) is type(want)
+        assert same_value(res.value, want), (op, x, y, res.value, want)
 
 
 def test_hang_parity_exact_step():
@@ -235,7 +336,8 @@ def test_call_depth_parity():
         "func @main() -> f64 {\nentry:\n  %r = call @f() : f64\n  ret %r\n}\n"
         "func @f() -> f64 {\nentry:\n  %r = call @f() : f64\n  ret %r\n}\n"
     )
-    obs = assert_backends_agree(parse_module(src))
+    # the tracer reports call depth without naming the callee
+    obs = assert_backends_agree(parse_module(src), every_engine=False)
     assert obs[1] == "CoreDumpError"
     assert obs[2] == "call depth exceeded in @f"
 
@@ -269,7 +371,8 @@ def test_intrinsic_charge_accounting():
 
 def test_arity_error_parity():
     src = "func @main(%x: i64) -> f64 {\nentry:\n  ret 0.0:f64\n}\n"
-    obs = assert_backends_agree(parse_module(src), args=())
+    # the tracer does not check the argument count
+    obs = assert_backends_agree(parse_module(src), args=(), every_engine=False)
     assert obs[1] == "TypeError"
     assert obs[2] == "@main expects 1 arguments, got 0"
 

@@ -158,6 +158,20 @@ class TestConstFold:
         assert run_constfold(m.get_function("main")) > 0
         assert Interpreter(m).run("main", []).value == 1.0
 
+    @pytest.mark.parametrize("body", [
+        "  %y = mul %x, %x\n  %z = mul %y, %y\n",
+        "  %y = mul %x, %x\n  %z = shl %y, 63:i64\n",
+    ], ids=["mul_chain", "shl_chain"])
+    def test_fold_keeps_lazy_wrap(self, body):
+        # past 2**128 the engines fold integer results back to 64 bits;
+        # a constant fold must produce the same value, not the raw product
+        src = ("func @main() -> i64 {\nentry:\n  %x = shl 1:i64, 63:i64\n"
+               + body + "  ret %z\n}\n")
+        m = parse_module(src)
+        before = Interpreter(m).run("main", []).value
+        assert run_constfold(m.get_function("main")) > 0
+        assert Interpreter(m).run("main", []).value == before
+
     def test_module_helper_and_semantics(self, dot_module):
         _, mem_before = run_main(build_dot_module(), [4, 8])
         run_simplify_module(dot_module)
