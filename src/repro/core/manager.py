@@ -598,6 +598,18 @@ class RskipRuntime:
     def loop(self, ctx_id: int) -> LoopRuntime:
         return self.loops[int(ctx_id)]
 
+    def fork(self) -> "RskipRuntime":
+        """A runtime in the just-constructed state over the same loops:
+        same ctx ids, each loop's resolved config, key and rmw flag, and
+        the same (trained, read-only) profiles.  Everything a run mutates
+        is new, so forks run independently of this runtime and of each
+        other — one per batch lane."""
+        twin = RskipRuntime(self.config)
+        for ctx_id, loop in self.loops.items():
+            twin.add_loop(ctx_id, loop.key, loop.profile, loop.config,
+                          rmw=loop.rmw)
+        return twin
+
     def reset(self) -> None:
         """Reset every loop runtime to its just-constructed state."""
         for runtime in self.loops.values():

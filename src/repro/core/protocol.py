@@ -168,6 +168,10 @@ class ReplayLoopRuntime(_ProtocolLoop):
         self._buffer = []
         self._windows_seen = 0
 
+    def fork(self) -> "ReplayLoopRuntime":
+        return ReplayLoopRuntime(self.key, self.sample_period, self.window,
+                                 rmw=self.rmw)
+
     def _close_window(self, charge: List[Opcode]) -> None:
         wid = self._windows_seen
         self._windows_seen += 1
@@ -266,6 +270,15 @@ class CkptLoopRuntime(_ProtocolLoop):
         if self.signal is not None:
             self.signal.reset()
         self.commit_intervals = []
+
+    def fork(self) -> "CkptLoopRuntime":
+        # without a predictor the signal parameters are unused
+        signal = self.signal or FaultLikelihoodSignal()
+        return CkptLoopRuntime(
+            self.key, self.base_interval, rmw=self.rmw,
+            predictor=self.signal is not None, tolerance=signal.tolerance,
+            signal_window=signal.window,
+        )
 
     def live_interval(self) -> int:
         """The current commit interval: the base, compressed by the
@@ -368,6 +381,14 @@ class ProtocolRuntime:
 
     def loop(self, ctx_id: int) -> _ProtocolLoop:
         return self.loops[int(ctx_id)]
+
+    def fork(self) -> "ProtocolRuntime":
+        """A runtime in the just-constructed state over the same loops
+        (see :meth:`RskipRuntime.fork`): one per batch lane."""
+        twin = ProtocolRuntime(self.kind)
+        for ctx_id, loop in self.loops.items():
+            twin.add_loop(ctx_id, loop.fork())
+        return twin
 
     def reset(self) -> None:
         for runtime in self.loops.values():

@@ -142,8 +142,8 @@ def _run_chunk(
     def _block():
         return run_trial_block(
             prepared, workload, inp, ctx, task.scheme, task.seed,
-            task.start, task.count, kind_weights=kind_weights, config=config,
-            profiles=profiles, backend=default_backend(),
+            task.start, task.count, kind_weights=kind_weights,
+            backend=default_backend(),
         )
     if trace_path is None:
         return task.key, _block().to_dict()

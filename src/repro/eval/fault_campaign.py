@@ -35,7 +35,11 @@ from ..runtime.faults import (
 )
 from ..runtime.outcomes import Outcome, classify_output, outputs_equal
 from ..workloads.base import Workload, WorkloadInput, stable_seed
-from .schemes import PreparedProgram, fault_region, prepare
+from .schemes import (
+    PreparedProgram,
+    fault_region,
+    prepare,  # noqa: F401  (perfbench/tracer.py wraps this name)
+)
 
 #: Budget multiplier over the fault-free step count before declaring Hang.
 HANG_FACTOR = 8
@@ -366,11 +370,8 @@ def run_plans(
     inp: WorkloadInput,
     ctx: CampaignContext,
     plans: Sequence[FaultPlan],
-    scheme: str,
     start: int = 0,
     backend: str = "ref",
-    config: Optional[RSkipConfig] = None,
-    profiles: Optional[Dict[str, LoopProfile]] = None,
     lanes: int = BATCH_LANES,
 ) -> CampaignResult:
     """Run and tally one trial per plan (obs trial ``start + i``).
@@ -378,27 +379,31 @@ def run_plans(
     Each trial starts from a freshly reset runtime, so a fault that
     corrupts predictor state cannot bias the next trial, and ``caught``
     comes from a per-trial stats delta.  ``backend="batch"`` runs slabs
-    of up to *lanes* plans as one BatchExecutor run each, preparing one
-    program per lane for runtime-stateful schemes; other backends run
-    the plans one by one on the reference interpreter.  Tallies are
-    byte-identical across backends and slab widths (oracle O5).
+    of up to *lanes* plans as one BatchExecutor run each; runtime-stateful
+    schemes give every lane its own fork of ``prepared.runtime``.  Other
+    backends run the plans one by one on the reference interpreter.
+    Tallies are byte-identical across backends and slab widths (oracle
+    O5).
     """
     result = CampaignResult(workload.name, prepared.scheme, len(plans))
     result.region_steps = ctx.region_steps
     batch = backend == "batch"
-    stateful = prepared.runtime is not None
+    runtime = prepared.runtime
     width = lanes if batch else 1
+    intrinsics = prepared.intrinsics
+    if batch and runtime is not None:
+        lane_runtimes = [runtime.fork() for _ in plans[:width]]
+        intrinsics = [rt.intrinsics() for rt in lane_runtimes]
+    else:
+        # serial trials and stateless lanes share the prepared runtime
+        lane_runtimes = [runtime] * width
     for first in range(0, len(plans), width):
         slab = plans[first:first + width]
-        if batch and stateful:
-            preps = [prepare(workload, scheme, config, profiles) for _ in slab]
-        else:
-            preps = [prepared] * len(slab)
         snapshots = [None] * len(slab)
-        if stateful:
-            for i, p in enumerate(preps):
-                p.runtime.reset()
-                snapshots[i] = p.runtime.total_stats()
+        if runtime is not None:
+            for i in range(len(slab)):
+                lane_runtimes[i].reset()
+                snapshots[i] = lane_runtimes[i].total_stats()
         if batch:
             # lane execution allocates heavily but briefly; keep the
             # cyclic collector out of the hot loop
@@ -406,9 +411,8 @@ def run_plans(
             gc.disable()
             try:
                 rows = _run_once_batch(
-                    preps[0], workload, inp, slab, ctx.region, ctx.max_steps,
-                    [p.intrinsics for p in preps] if stateful
-                    else prepared.intrinsics,
+                    prepared, workload, inp, slab, ctx.region, ctx.max_steps,
+                    intrinsics if runtime is None else intrinsics[:len(slab)],
                 )
             finally:
                 if gc_was_enabled:
@@ -418,7 +422,7 @@ def run_plans(
                               ctx.max_steps)]
         for i, (trap, output, loop_output, _, detected) in enumerate(rows):
             _tally_trial(
-                result, ctx, preps[i].runtime, snapshots[i], trap, output,
+                result, ctx, lane_runtimes[i], snapshots[i], trap, output,
                 loop_output, detected, workload.name, prepared.scheme,
                 start + first + i, kind=slab[i].kind,
             )
@@ -435,8 +439,6 @@ def run_trial_block(
     start: int,
     count: int,
     kind_weights: Tuple = DEFAULT_KIND_WEIGHTS,
-    config: Optional[RSkipConfig] = None,
-    profiles: Optional[Dict[str, LoopProfile]] = None,
     lanes: int = BATCH_LANES,
     backend: str = "ref",
 ) -> CampaignResult:
@@ -444,9 +446,8 @@ def run_trial_block(
     :func:`seeded_plans` fed to :func:`run_plans`."""
     plans = seeded_plans(seed, workload.name, scheme, start, count,
                          ctx.region_steps, kind_weights)
-    return run_plans(prepared, workload, inp, ctx, plans, scheme, start=start,
-                     backend=backend, config=config, profiles=profiles,
-                     lanes=lanes)
+    return run_plans(prepared, workload, inp, ctx, plans, start=start,
+                     backend=backend, lanes=lanes)
 
 
 # the batch backend's spelling of run_trial_block (benchmarks, tests)

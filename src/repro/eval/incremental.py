@@ -287,8 +287,7 @@ def run_campaign_stratified(
             plans = section_plans(
                 section, count, seed, workload.name, scheme, kind_weights)
             part = _run_plan_block(
-                prepared, workload, inp, ctx, plans, scheme, backend=engine,
-                config=config, profiles=profiles)
+                prepared, workload, inp, ctx, plans, backend=engine)
             if store is not None:
                 store.put(key, part, section)
         else:

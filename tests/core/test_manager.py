@@ -349,6 +349,70 @@ class TestStatsAndRegistry:
         assert idx == -1
 
 
+class TestFork:
+    """``RskipRuntime.fork`` gives each batch lane its own runtime."""
+
+    SERIES = [float(i % 7) for i in range(40)]
+
+    def build(self, profile):
+        registry = RskipRuntime(RSkipConfig())
+        registry.add_loop(3, "a", profile,
+                          config=RSkipConfig(acceptable_range=0.2, window=4),
+                          rmw=True)
+        registry.add_loop(7, "b")
+        return registry
+
+    def profile(self):
+        memo = MemoTable([InputQuantizer([5.0])], [1], {(0,): 1.0, (1,): 10.0})
+        return LoopProfile(memo=memo, default_tp=0.25)
+
+    def drive(self, registry):
+        for runtime in registry.loops.values():
+            observe_series(runtime, self.SERIES)
+            runtime.exit()
+        return registry.total_stats()
+
+    def test_fork_of_used_runtime_behaves_like_fresh_build(self):
+        profile = self.profile()
+        source = self.build(profile)
+        self.drive(source)
+        source.loop(3).disabled = True
+        source.loop(7).slicer.set_tp(9.9)
+        fork = source.fork()
+        fresh = self.build(profile)
+        assert sorted(fork.loops) == [3, 7]
+        for ctx_id, loop in fork.loops.items():
+            built = fresh.loop(ctx_id)
+            assert (loop.key, loop.config, loop.rmw) == (
+                built.key, built.config, built.rmw)
+            assert loop.slicer.tp == built.slicer.tp
+            assert not loop.disabled
+        assert fork.total_stats() == SkipStats()
+        assert self.drive(fork) == self.drive(fresh) != SkipStats()
+
+    def test_forks_share_no_mutable_state(self):
+        source = self.build(self.profile())
+        first, second = source.fork(), source.fork()
+        self.drive(first)
+        assert first.total_stats() != SkipStats()
+        assert source.total_stats() == second.total_stats() == SkipStats()
+        self.drive(source)
+        assert second.total_stats() == SkipStats()
+        for ctx_id, loop in first.loops.items():
+            for other in (source.loop(ctx_id), second.loop(ctx_id)):
+                assert loop is not other
+                assert loop.queue is not other.queue
+                assert loop.slicer is not other.slicer
+                assert loop.stats is not other.stats
+
+    def test_forks_share_profiles(self):
+        profile = self.profile()
+        source = self.build(profile)
+        fork = source.fork()
+        assert fork.loop(3).profile is profile
+        assert fork.loop(7).profile is source.loop(7).profile
+
+
 def _all_signatures(runtime):
     """Enumerate plausible signatures for the configured bins."""
     import itertools

@@ -1,13 +1,14 @@
 """Unit tests for the REPLAY/CKPT protocol runtimes and transform."""
 import pytest
 
-from repro.core.manager import Element, FaultLikelihoodSignal
+from repro.core.manager import Element, FaultLikelihoodSignal, SkipStats
 from repro.core.protocol import (
     PROTOCOL_REGION_ATTR,
     CkptLoopRuntime,
     ProtocolRuntime,
     ReplayLoopRuntime,
     apply_protocol,
+    rebuild_protocol_application,
 )
 from repro.ir import verify_module
 from repro.runtime import FaultDetectedError
@@ -196,6 +197,65 @@ class TestFaultLikelihoodSignal:
             b.observe(v)
         assert a.likelihood() == b.likelihood()
         assert a.mispredictions == b.mispredictions
+
+
+class TestFork:
+    """``ProtocolRuntime.fork`` rebuilds every loop from its constructor
+    parameters: one independent runtime per batch lane."""
+
+    KNOBS = {"replay": {"sample_period": 2, "window": 3},
+             "ckpt": {"interval": 3, "tolerance": 0.1, "signal_window": 5}}
+
+    def application(self, kind):
+        module = build_dot_module()
+        return module, apply_protocol(module, kind, **self.KNOBS[kind])
+
+    def run(self, module, runtime):
+        run_main(module, [8, 8], intrinsics=runtime.intrinsics())
+        return runtime.total_stats()
+
+    @pytest.mark.parametrize("kind", ["replay", "ckpt"])
+    def test_fork_of_used_runtime_behaves_like_fresh_build(self, kind):
+        module, app = self.application(kind)
+        self.run(module, app.runtime)
+        fork = app.runtime.fork()
+        fresh = rebuild_protocol_application(
+            module, app.layouts, kind, **self.KNOBS[kind]).runtime
+        assert fork.kind == kind
+        assert fork.total_stats() == SkipStats()
+        for ctx_id, loop in fork.loops.items():
+            built = fresh.loop(ctx_id)
+            assert type(loop) is type(built)
+            assert vars(loop).keys() == vars(built).keys()
+            for name, value in vars(built).items():
+                if name != "signal":
+                    assert getattr(loop, name) == value, name
+        assert self.run(module, fork) == self.run(module, fresh)
+        assert fork.commit_intervals() == fresh.commit_intervals()
+
+    def test_ckpt_fork_keeps_signal_parameters(self):
+        loop = CkptLoopRuntime("k", 5, rmw=True, tolerance=0.1,
+                               signal_window=7)
+        twin = loop.fork()
+        assert (twin.key, twin.base_interval, twin.rmw) == ("k", 5, True)
+        assert (twin.signal.tolerance, twin.signal.window) == (0.1, 7)
+        assert twin.signal is not loop.signal
+        assert CkptLoopRuntime("k", 5, predictor=False).fork().signal is None
+
+    @pytest.mark.parametrize("kind", ["replay", "ckpt"])
+    def test_forks_share_no_mutable_state(self, kind):
+        module, app = self.application(kind)
+        first, second = app.runtime.fork(), app.runtime.fork()
+        assert self.run(module, first).elements == 8
+        assert app.runtime.total_stats() == SkipStats()
+        assert second.total_stats() == SkipStats()
+        self.run(module, app.runtime)
+        assert second.total_stats() == SkipStats()
+        for ctx_id, loop in first.loops.items():
+            for other in (app.runtime.loop(ctx_id), second.loop(ctx_id)):
+                assert loop is not other
+                assert loop.queue is not other.queue
+                assert loop.stats is not other.stats
 
 
 class TestProtocolTransform:

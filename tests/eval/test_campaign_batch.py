@@ -81,7 +81,7 @@ class TestBatchBlock:
 
     def test_stateful_scheme_tallies_identical(self):
         """RSkip carries per-trial predictor state; the batch runner must
-        keep trials isolated (per-lane prepared programs) so ``caught``
+        keep trials isolated (per-lane runtime forks) so ``caught``
         and the false-negative split still match the serial block."""
         serial, batch = _blocks("conv1d", "AR50", 16)
         assert batch.to_dict() == serial.to_dict()
@@ -95,6 +95,46 @@ class TestBatchBlock:
         small lane slabs must reproduce the single-slab tallies."""
         serial, batch = _blocks("conv1d", "UNSAFE", 17, lanes=7)
         assert batch.to_dict() == serial.to_dict()
+
+
+class TestLaneRuntimes:
+    """Stateful lanes run forks of the handed program's runtime."""
+
+    def test_lanes_keep_the_trained_runtime(self):
+        """Profiles reach the batch lanes through ``prepared`` alone.
+        Lanes rebuilt by re-preparing the workload without the profiles
+        ran untrained predictors, and trial 25 came out CORRECT on the
+        batch backend but HANG serially."""
+        workload = get_workload("conv1d")
+        profiles = Harness(workload, scale=SCALE, timing=False).profiles_for(0.5)
+        inp = workload.test_inputs(1, seed=17, scale=SCALE)[0]
+        prepared = prepare(workload, "AR50", None, profiles)
+        ctx = campaign_context(prepared, workload, inp)
+        serial = run_trial_block(prepared, workload, inp, ctx, "AR50", 0, 0, 40)
+        batch = run_trial_block_batch(
+            prepared, workload, inp, ctx, "AR50", 0, 0, 40)
+        assert serial.to_dict()["tallies"] == {"CORRECT": 39, "HANG": 1}
+        assert batch.to_dict() == serial.to_dict()
+
+    @pytest.mark.parametrize("scheme_name", ["AR50", "REPLAY2", "CKPT8"])
+    def test_no_per_lane_prepare(self, monkeypatch, scheme_name):
+        workload = get_workload("conv1d")
+        scheme = canonical_scheme(scheme_name, None)
+        inp = workload.test_inputs(1, seed=SEED + 17, scale=SCALE)[0]
+        prepared = prepare(workload, scheme)
+        ctx = campaign_context(prepared, workload, inp)
+
+        def no_prepare(*args, **kwargs):
+            raise AssertionError("batch lanes must not re-prepare")
+
+        monkeypatch.setattr("repro.eval.fault_campaign.prepare", no_prepare)
+        serial = run_trial_block(
+            prepared, workload, inp, ctx, scheme, SEED, 0, 16).to_dict()
+        for lanes in (1, 7, None):
+            kwargs = {} if lanes is None else {"lanes": lanes}
+            batch = run_trial_block_batch(
+                prepared, workload, inp, ctx, scheme, SEED, 0, 16, **kwargs)
+            assert batch.to_dict() == serial, lanes
 
 
 class TestMixedKinds:
@@ -187,8 +227,7 @@ class TestFaultInducedDrainError:
         serial = run_trial_block(
             prepared, workload, inp, ctx, scheme, 8, 1536, 1)
         batch = run_trial_block_batch(
-            prepared, workload, inp, ctx, scheme, 8, 1536, 1,
-            profiles=profiles)
+            prepared, workload, inp, ctx, scheme, 8, 1536, 1)
         assert batch.to_dict() == serial.to_dict()
         assert serial.to_dict()["tallies"] == {"CORE_DUMP": 1}
 

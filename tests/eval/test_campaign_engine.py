@@ -49,7 +49,7 @@ class TestTrialIsolation:
             ctx = campaign_context(prepared, conv1d, inp)
             return run_trial_block(
                 prepared, conv1d, inp, ctx, "AR100", 0, 0, TRIALS,
-                profiles=conv1d_profiles, backend=backend,
+                backend=backend,
             )
 
         prepared = prepare(conv1d, "AR100", profiles=conv1d_profiles)
