@@ -1,7 +1,7 @@
 PYTHON ?= python
 PYTHONPATH := src
 
-.PHONY: test verify bench difftest report-demo serve-smoke
+.PHONY: test verify bench difftest report-demo serve-smoke ir-digests
 
 ## tier-1 unit/integration suite
 test:
@@ -39,6 +39,12 @@ verify: test
 ## byte-identical to the uninterrupted engine run (checkpoint recovery).
 serve-smoke:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) scripts/serve_smoke.py
+
+## rewrite the protected-IR golden digests (tests/pipeline/
+## protected_ir_digests.json) — only when a transform change is meant
+## to alter the protected IR, layouts or intrinsic names
+ir-digests:
+	PYTHONPATH=$(PYTHONPATH) REPRO_CACHE=off $(PYTHON) tests/pipeline/test_protected_ir.py
 
 ## regenerate every table & figure
 bench:

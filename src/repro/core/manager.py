@@ -1,22 +1,27 @@
-"""Run-time management (paper section 5) and the RSkip runtime.
+"""Run-time management (paper section 5) and the protected-loop runtimes.
 
-``RskipRuntime`` owns one :class:`LoopRuntime` per transformed target loop.
-The transformed IR talks to it through ``intrin rskip.*`` calls:
+:class:`LoopRuntimes` owns one per-loop runtime per transformed target
+loop and serves the intrinsic table the transformed IR calls into.  Both
+runtime-managed families share it: :class:`RskipRuntime` (one
+:class:`LoopRuntime` per loop, namespace ``rskip``) and the REPLAY/CKPT
+``ProtocolRuntime`` (:mod:`repro.core.protocol`, namespace ``proto``).
+Every ``<ns>.*`` handler below exists in both namespaces except
+``select`` and ``arg``, which only RSkip emits:
 
 ==================  ========================================================
-``rskip.select``    choose the PP or CP loop version for this execution
-``rskip.enter``     reset per-execution predictor state
-``rskip.observe``   feed one loop output (index, value, addr[, orig/args]);
+``<ns>.select``     choose the PP or CP loop version for this execution
+``<ns>.enter``      reset per-execution predictor state
+``<ns>.observe``    feed one loop output (index, value, addr[, orig/args]);
                     runs phase slicing, fuzzy validation and the QoS window
-``rskip.fetch``     next element index needing re-computation, or -1
-``rskip.orig``      buffered read-modify-write original for that element
-``rskip.arg``       buffered call argument *k* for that element
-``rskip.resolve``   first re-computation result -> provisional fixed value
-``rskip.need2``     1 when the first re-computation mismatched (vote needed)
-``rskip.resolve2``  second re-computation result -> majority-voted value
-``rskip.addr``      the element's store address (commit)
-``rskip.flush``     loop ended: validate the unfinished phase
-``rskip.exit``      update QoS state (may disable predictors)
+``<ns>.fetch``      next element index needing re-computation, or -1
+``<ns>.orig``       buffered read-modify-write original for that element
+``<ns>.arg``        buffered call argument *k* for that element
+``<ns>.resolve``    first re-computation result -> provisional fixed value
+``<ns>.need2``      1 when the first re-computation mismatched (vote needed)
+``<ns>.resolve2``   second re-computation result -> majority-voted value
+``<ns>.addr``       the element's store address (commit)
+``<ns>.flush``      loop ended: validate the unfinished phase
+``<ns>.exit``       update QoS state (may disable predictors)
 ==================  ========================================================
 
 Every handler returns ``(value, charge)`` where *charge* is the list of
@@ -25,6 +30,7 @@ not free (see DESIGN.md).
 """
 from __future__ import annotations
 
+import copy
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Deque, Dict, List, Optional, Tuple
@@ -147,6 +153,12 @@ class SkipStats:
         })
 
 
+def _same(a: float, b: float) -> bool:
+    """Exact comparison that treats NaN as equal to itself (the votes of
+    both families: two NaN evaluations agree)."""
+    return a == b or (a != a and b != b)
+
+
 @dataclass
 class LoopProfile:
     """Trained artifacts for one target loop (see `repro.core.training`)."""
@@ -262,6 +274,11 @@ class LoopRuntime:
         #: training (`repro.core.training` flips this on); each loop
         #: execution appends a fresh sublist
         self.recording: Optional[List[List[Element]]] = None
+
+    def fork(self) -> "LoopRuntime":
+        """This loop in its just-constructed state: same key, resolved
+        config, rmw flag and (trained, read-only) profile."""
+        return LoopRuntime(self.key, self.config, self.profile, rmw=self.rmw)
 
     # -- version selection & lifecycle ------------------------------------
     def select(self) -> int:
@@ -529,7 +546,7 @@ class LoopRuntime:
     def resolve(self, rv: float) -> Tuple[float, List[Opcode]]:
         element = self._require_current()
         self.stats.recomputed += 1
-        if rv == element.value or (rv != rv and element.value != element.value):
+        if _same(rv, element.value):
             self._need2 = False
             if self.temporal is not None:
                 self.temporal.record(element.index, element.value)
@@ -551,7 +568,7 @@ class LoopRuntime:
         element = self._require_current()
         rv1 = self._rv1
         self._need2 = False
-        if rv1 == rv2:
+        if _same(rv1, rv2):
             # both re-computations agree: the original value was corrupted
             self.stats.corrected_master += 1
             if obs_enabled():
@@ -560,7 +577,7 @@ class LoopRuntime:
             if self.temporal is not None:
                 self.temporal.record(element.index, rv1)
             return rv1, list(_RESOLVE2_CHARGE)
-        if element.value == rv2:
+        if _same(element.value, rv2):
             # the first re-computation was corrupted
             self.stats.corrected_shadow += 1
             if obs_enabled():
@@ -576,38 +593,32 @@ class LoopRuntime:
         return rv2, list(_RESOLVE2_CHARGE)
 
 
-class RskipRuntime:
-    """All loop runtimes of a transformed module + the intrinsic table."""
+class LoopRuntimes:
+    """The per-loop runtimes of one transformed module, keyed by ctx id,
+    plus the ``<ns>.*`` intrinsic table the module calls into.
 
-    def __init__(self, config: RSkipConfig):
-        self.config = config
-        self.loops: Dict[int, LoopRuntime] = {}
+    Each loop object provides ``enter``/``observe``/``fetch``/``orig``/
+    ``addr``/``resolve``/``need2``/``resolve2``/``flush``/``exit``,
+    ``fork()``, ``reset()``, ``stats`` and ``rmw``; the family's
+    semantics live in those objects, never in this container.
+    """
 
-    def add_loop(
-        self,
-        ctx_id: int,
-        key: str,
-        profile: Optional[LoopProfile] = None,
-        config: Optional[RSkipConfig] = None,
-        rmw: bool = False,
-    ) -> LoopRuntime:
-        runtime = LoopRuntime(key, config or self.config, profile, rmw=rmw)
-        self.loops[ctx_id] = runtime
-        return runtime
+    #: intrinsic namespace of the transformed IR (set by each family)
+    ns: str
 
-    def loop(self, ctx_id: int) -> LoopRuntime:
+    def __init__(self):
+        self.loops: Dict[int, object] = {}
+
+    def loop(self, ctx_id: int):
         return self.loops[int(ctx_id)]
 
-    def fork(self) -> "RskipRuntime":
+    def fork(self) -> "LoopRuntimes":
         """A runtime in the just-constructed state over the same loops:
-        same ctx ids, each loop's resolved config, key and rmw flag, and
-        the same (trained, read-only) profiles.  Everything a run mutates
-        is new, so forks run independently of this runtime and of each
-        other — one per batch lane."""
-        twin = RskipRuntime(self.config)
-        for ctx_id, loop in self.loops.items():
-            twin.add_loop(ctx_id, loop.key, loop.profile, loop.config,
-                          rmw=loop.rmw)
+        every loop forked, so everything a run mutates is new and forks
+        run independently of this runtime and of each other — one per
+        batch lane."""
+        twin = copy.copy(self)
+        twin.loops = {ctx_id: loop.fork() for ctx_id, loop in self.loops.items()}
         return twin
 
     def reset(self) -> None:
@@ -631,10 +642,8 @@ class RskipRuntime:
 
     # -- intrinsic table ----------------------------------------------------
     def intrinsics(self) -> Dict[str, object]:
-        """Handlers for `repro.runtime.interpreter.Interpreter`."""
-
-        def select(interp, args):
-            return self.loop(args[0]).select(), _SELECT_CHARGE
+        """Handlers for both execution engines: ``fn(interp, args) ->
+        (value, charge)``."""
 
         def enter(interp, args):
             self.loop(args[0]).enter()
@@ -656,9 +665,6 @@ class RskipRuntime:
         def orig(interp, args):
             return self.loop(args[0]).orig()
 
-        def arg(interp, args):
-            return self.loop(args[0]).arg(args[1])
-
         def addr(interp, args):
             return self.loop(args[0]).addr()
 
@@ -678,17 +684,53 @@ class RskipRuntime:
             self.loop(args[0]).exit()
             return 0, ()
 
+        ns = self.ns
         return {
-            "rskip.select": select,
-            "rskip.enter": enter,
-            "rskip.observe": observe,
-            "rskip.fetch": fetch,
-            "rskip.orig": orig,
-            "rskip.arg": arg,
-            "rskip.addr": addr,
-            "rskip.resolve": resolve,
-            "rskip.need2": need2,
-            "rskip.resolve2": resolve2,
-            "rskip.flush": flush,
-            "rskip.exit": loop_exit,
+            f"{ns}.enter": enter,
+            f"{ns}.observe": observe,
+            f"{ns}.fetch": fetch,
+            f"{ns}.orig": orig,
+            f"{ns}.addr": addr,
+            f"{ns}.resolve": resolve,
+            f"{ns}.need2": need2,
+            f"{ns}.resolve2": resolve2,
+            f"{ns}.flush": flush,
+            f"{ns}.exit": loop_exit,
         }
+
+
+class RskipRuntime(LoopRuntimes):
+    """All RSkip loop runtimes of a transformed module: the shared
+    container plus version selection and buffered call arguments."""
+
+    ns = "rskip"
+
+    def __init__(self, config: RSkipConfig):
+        super().__init__()
+        self.config = config
+
+    def add_loop(
+        self,
+        ctx_id: int,
+        key: str,
+        profile: Optional[LoopProfile] = None,
+        config: Optional[RSkipConfig] = None,
+        rmw: bool = False,
+    ) -> LoopRuntime:
+        runtime = LoopRuntime(key, config or self.config, profile, rmw=rmw)
+        self.loops[ctx_id] = runtime
+        return runtime
+
+    def intrinsics(self) -> Dict[str, object]:
+        """The shared table plus ``rskip.select`` and ``rskip.arg``."""
+
+        def select(interp, args):
+            return self.loop(args[0]).select(), _SELECT_CHARGE
+
+        def arg(interp, args):
+            return self.loop(args[0]).arg(args[1])
+
+        table = super().intrinsics()
+        table["rskip.select"] = select
+        table["rskip.arg"] = arg
+        return table

@@ -1,9 +1,11 @@
 """Loop-level detection/recovery protocol runtimes: REPLAY<n> and CKPT<i>.
 
-Both families reuse the RSkip transform machinery (loop detection, body
-outlining, the drain loop shape) but replace spatial redundancy with
-*temporal* redundancy — the re-execution calls the **same** outlined body
-again, so there is no instruction duplication anywhere:
+Both families are the RSkip transform with the spatial parts off
+(:func:`repro.core.rskip.transform_loops` with ``kind="replay"`` or
+``"ckpt"``): the same outlined body, observe/drain/flush skeleton and
+prologue, but no ``.dup`` clone, no CP version and no ``select`` —
+redundancy is *temporal*, the drain re-executes the **same** outlined
+body, so there is no instruction duplication anywhere:
 
 * **REPLAY<n>** (RepTFD) — every loop iteration's inputs/outputs are
   recorded as a signature :class:`~repro.core.manager.Element`; completed
@@ -25,10 +27,11 @@ again, so there is no instruction duplication anywhere:
   fault prediction steering checkpoint frequency is exactly that
   paper's subject.
 
-The transformed IR talks to the runtimes through ``intrin proto.*``
-calls with the same shapes as ``rskip.*`` (the drain emitter is shared,
-parameterized by namespace), so **both** execution engines — the
-reference interpreter and the lane-vectorized batch engine — dispatch
+This module holds only the per-loop runtime objects and
+:class:`ProtocolRuntime`, which is RSkip's
+:class:`~repro.core.manager.LoopRuntimes` container serving the
+``proto.*`` namespace.  Both execution engines — the reference
+interpreter and the lane-vectorized batch engine — therefore dispatch
 protocol work through their one existing intrinsic point: per-lane
 intrinsic tables, detection raises retiring lanes, and state-dependent
 charge divergence forking lane groups.  No engine knows scheme names.
@@ -36,60 +39,39 @@ charge divergence forking lane groups.  No engine knows scheme names.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
-from typing import Deque, Dict, List, Optional, Sequence, Tuple
+from typing import Deque, List, Optional, Tuple
 
-from ..analysis.patterns import detect_target_loops
-from ..ir.instructions import Instr, Opcode
+from ..ir.instructions import Opcode
 from ..ir.module import Module
-from ..ir.types import F64, I64
-from ..ir.values import Const, Value
 from ..obs.events import EXEC, RECOVERY, emit as obs_emit, enabled as obs_enabled
 from ..runtime.errors import CoreDumpError, FaultDetectedError
 from .manager import (
     ENQUEUE_CHARGE,
+    SIGNAL_CHARGE,
     Element,
     FaultLikelihoodSignal,
-    SIGNAL_CHARGE,
+    LoopRuntimes,
     SkipStats,
+    _FETCH_CHARGE,
+    _READ_CHARGE,
+    _RESOLVE2_CHARGE,
+    _RESOLVE_CHARGE,
+    _same,
 )
 from .rskip import (
-    RecomputeSpec,
+    PROTOCOL_KINDS,
+    PROTOCOL_NS,
+    RskipApplication,
     TargetLayout,
-    _clone_affine,
-    _emit_drain,
-    _exit_label_of,
-    _outline_body,
-    _provenance,
-    _redirect_into_select,
-    RskipError,
+    transform_loops,
 )
-
-#: Intrinsic namespace shared by both protocol families (the per-loop
-#: handler object encodes replay-vs-ckpt semantics, not the name).
-PROTOCOL_NS = "proto"
-
-#: Function attribute marking outlined protocol bodies; the O3 oracle
-#: derives its region flip scope from it (attrs round-trip through the
-#: artifact cache, so a cache-hit module keeps its markers).
-PROTOCOL_REGION_ATTR = "protocol-region"
 
 #: Signature-recording bookkeeping per observed element.
 _RECORD_CHARGE = (Opcode.MOV, Opcode.ADD, Opcode.ICMP)
-_FETCH_CHARGE = (Opcode.LOAD, Opcode.ICMP)
-_READ_CHARGE = (Opcode.LOAD,)
-_RESOLVE_CHARGE = (Opcode.FCMP,)
-_RESOLVE2_CHARGE = (Opcode.FCMP, Opcode.FCMP)
-_ENTER_CHARGE = (Opcode.MOV, Opcode.MOV)
 
 #: How hard the fault-likelihood signal compresses the commit interval:
 #: at likelihood 1.0 the live interval is (1 - _SIGNAL_PRESSURE) * base.
 _SIGNAL_PRESSURE = 0.75
-
-
-def _same(a: float, b: float) -> bool:
-    """Exact comparison that treats NaN as equal to itself."""
-    return a == b or (a != a and b != b)
 
 
 class _ProtocolLoop:
@@ -237,16 +219,12 @@ class CkptLoopRuntime(_ProtocolLoop):
         interval: int,
         rmw: bool = False,
         predictor: bool = True,
-        tolerance: float = 0.2,
-        signal_window: int = 16,
     ):
         super().__init__(key, rmw)
         if interval < 1:
             raise ValueError("CKPT interval must be >= 1")
         self.base_interval = interval
-        self.signal = (
-            FaultLikelihoodSignal(tolerance, signal_window) if predictor else None
-        )
+        self.signal = FaultLikelihoodSignal() if predictor else None
         self._segment: List[Element] = []
         self._rv1: Optional[float] = None
         self._need2 = False
@@ -272,13 +250,8 @@ class CkptLoopRuntime(_ProtocolLoop):
         self.commit_intervals = []
 
     def fork(self) -> "CkptLoopRuntime":
-        # without a predictor the signal parameters are unused
-        signal = self.signal or FaultLikelihoodSignal()
-        return CkptLoopRuntime(
-            self.key, self.base_interval, rmw=self.rmw,
-            predictor=self.signal is not None, tolerance=signal.tolerance,
-            signal_window=signal.window,
-        )
+        return CkptLoopRuntime(self.key, self.base_interval, rmw=self.rmw,
+                               predictor=self.signal is not None)
 
     def live_interval(self) -> int:
         """The current commit interval: the base, compressed by the
@@ -365,47 +338,17 @@ class CkptLoopRuntime(_ProtocolLoop):
         return rv2, list(_RESOLVE2_CHARGE)
 
 
-class ProtocolRuntime:
-    """All protocol loop runtimes of a transformed module + the
-    ``proto.*`` intrinsic table (mirrors :class:`RskipRuntime`)."""
+class ProtocolRuntime(LoopRuntimes):
+    """All protocol loop runtimes of a transformed module: the shared
+    container serving ``proto.*``, plus the CKPT commit trace."""
+
+    ns = PROTOCOL_NS
 
     def __init__(self, kind: str):
-        if kind not in ("replay", "ckpt"):
+        if kind not in PROTOCOL_KINDS:
             raise ValueError(f"unknown protocol kind {kind!r}")
+        super().__init__()
         self.kind = kind
-        self.loops: Dict[int, _ProtocolLoop] = {}
-
-    def add_loop(self, ctx_id: int, loop: _ProtocolLoop) -> _ProtocolLoop:
-        self.loops[ctx_id] = loop
-        return loop
-
-    def loop(self, ctx_id: int) -> _ProtocolLoop:
-        return self.loops[int(ctx_id)]
-
-    def fork(self) -> "ProtocolRuntime":
-        """A runtime in the just-constructed state over the same loops
-        (see :meth:`RskipRuntime.fork`): one per batch lane."""
-        twin = ProtocolRuntime(self.kind)
-        for ctx_id, loop in self.loops.items():
-            twin.add_loop(ctx_id, loop.fork())
-        return twin
-
-    def reset(self) -> None:
-        for runtime in self.loops.values():
-            runtime.reset()
-
-    def total_stats(self) -> SkipStats:
-        total = SkipStats()
-        for runtime in self.loops.values():
-            total.merge(runtime.stats)
-        return total
-
-    def stats_delta(self, since: SkipStats) -> SkipStats:
-        return self.total_stats().delta(since)
-
-    @property
-    def skip_rate(self) -> float:
-        return self.total_stats().skip_rate
 
     def commit_intervals(self) -> List[int]:
         """Committed CKPT segment lengths across all loops, in order."""
@@ -416,213 +359,6 @@ class ProtocolRuntime:
                 out.extend(runtime.commit_intervals)
         return out
 
-    # -- intrinsic table ----------------------------------------------------
-    def intrinsics(self) -> Dict[str, object]:
-        """Handlers for both execution engines (same calling convention
-        as ``rskip.*``: ``fn(interp, args) -> (value, charge)``)."""
-
-        def enter(interp, args):
-            self.loop(args[0]).enter()
-            return 0, _ENTER_CHARGE
-
-        def observe(interp, args):
-            ctx, index, value, addr = args[0], args[1], args[2], args[3]
-            rest = args[4:]
-            runtime = self.loop(ctx)
-            if runtime.rmw:
-                element = Element(int(index), value, addr, orig=rest[0])
-            else:
-                element = Element(int(index), value, addr)
-            return runtime.observe(element)
-
-        def fetch(interp, args):
-            return self.loop(args[0]).fetch()
-
-        def orig(interp, args):
-            return self.loop(args[0]).orig()
-
-        def addr(interp, args):
-            return self.loop(args[0]).addr()
-
-        def resolve(interp, args):
-            return self.loop(args[0]).resolve(args[1])
-
-        def need2(interp, args):
-            return self.loop(args[0]).need2()
-
-        def resolve2(interp, args):
-            return self.loop(args[0]).resolve2(args[1])
-
-        def flush(interp, args):
-            return self.loop(args[0]).flush()
-
-        def loop_exit(interp, args):
-            self.loop(args[0]).exit()
-            return 0, ()
-
-        ns = PROTOCOL_NS
-        return {
-            f"{ns}.enter": enter,
-            f"{ns}.observe": observe,
-            f"{ns}.fetch": fetch,
-            f"{ns}.orig": orig,
-            f"{ns}.addr": addr,
-            f"{ns}.resolve": resolve,
-            f"{ns}.need2": need2,
-            f"{ns}.resolve2": resolve2,
-            f"{ns}.flush": flush,
-            f"{ns}.exit": loop_exit,
-        }
-
-
-@dataclass
-class ProtocolApplication:
-    """Result of applying a protocol transform to a module (duck-typed
-    like :class:`RskipApplication`: ``.layouts``/``.runtime``/
-    ``.intrinsics()`` are what the eval layer reads)."""
-
-    module: Module
-    layouts: List[TargetLayout]
-    runtime: ProtocolRuntime
-    kind: str
-
-    def intrinsics(self) -> Dict[str, object]:
-        return self.runtime.intrinsics()
-
-    def layout_for(self, key: str) -> TargetLayout:
-        for layout in self.layouts:
-            if layout.key == key:
-                return layout
-        raise KeyError(key)
-
-
-# ---------------------------------------------------------------------------
-# the transform
-# ---------------------------------------------------------------------------
-
-def _transform_protocol_loop(
-    module: Module,
-    func,
-    target,
-    ctx_id: int,
-    kind: str,
-) -> TargetLayout:
-    """Outline the target loop's body and wire it to the ``proto.*``
-    runtime.  Identical skeleton to the RSkip reduction transform minus
-    everything spatial: no ``.dup`` clone (the drain re-executes the
-    *same* body — temporal redundancy), no CP version, no ``select``.
-
-    For ``kind == "replay"`` the main path still stores each result
-    immediately (detection-only: memory always matches the unprotected
-    run); for ``kind == "ckpt"`` the main-path store is elided and every
-    element reaches memory only through a checkpoint commit drain.
-    """
-    base = f"{func.name}.P{ctx_id}"
-    ctx = Const(ctx_id, I64)
-    ivar = target.ind.reg
-    ns = PROTOCOL_NS
-
-    body = _outline_body(module, func, target, f"{base}.body")
-    body.attrs[PROTOCOL_REGION_ATTR] = kind
-
-    exit_label = _exit_label_of(func, target)
-    store_block = func.blocks[target.store_site[0]]
-    store_term = store_block.terminator
-    if store_term is None or store_term.op is not Opcode.BR:
-        raise RskipError(f"{target.func_name}: store block must end in 'br'")
-    latch_label = store_term.labels[0]
-
-    # clone the address computation before the region disappears
-    addr_out: List[Instr] = []
-    addr_val = _clone_affine(func, target, addr_out, "")
-
-    # remove the region (it now lives in @body)
-    region_entry = target.region_entry
-    for label in target.region_labels:
-        func.remove_block(label)
-
-    prov = _provenance(func)
-    new_labels: List[str] = []
-
-    def new_block(label: str):
-        block = func.add_block(label)
-        prov[label] = target.loop.header
-        new_labels.append(label)
-        return block
-
-    # main block (keeps the region-entry label so the header is untouched)
-    main = new_block(region_entry)
-    for instr in addr_out:
-        main.append(instr)
-
-    call_args: List[Value] = [ivar] + list(target.live_ins)
-    observe_args: List[Value] = [ctx, ivar]
-    rmw = bool(target.rmw_load_sites)
-    if rmw:
-        orig = func.new_reg(F64, "porig")
-        main.append(Instr(Opcode.LOAD, dest=orig, args=(addr_val,)))
-        call_args.append(orig)
-    v = func.new_reg(F64, "pv")
-    main.append(Instr(Opcode.CALL, dest=v, args=tuple(call_args), callee=body.name))
-    observe_args.extend((v, addr_val))
-    if rmw:
-        observe_args.append(orig)
-    pend = func.new_reg(I64, "ppend")
-    main.append(
-        Instr(Opcode.INTRIN, dest=pend, args=tuple(observe_args),
-              callee=f"{ns}.observe")
-    )
-
-    store_bb = new_block(f"{base}.store")
-    if kind == "replay":
-        store_bb.append(Instr(Opcode.STORE, args=(v, addr_val)))
-    store_bb.append(Instr(Opcode.BR, labels=(latch_label,)))
-
-    spec = RecomputeSpec(body.name, tuple(target.live_ins), rmw=rmw, ns=ns)
-    drain_entry = _emit_drain(func, f"{base}.drain", ctx, spec, store_bb.label, ns=ns)
-    for label in (f"{base}.drain.head", f"{base}.drain.rc",
-                  f"{base}.drain.second", f"{base}.drain.commit"):
-        prov[label] = target.loop.header
-        new_labels.append(label)
-    main.append(Instr(Opcode.CBR, args=(pend,), labels=(drain_entry, store_bb.label)))
-
-    # flush path on loop exit: replay/commit whatever is still buffered
-    flush_bb = new_block(f"{base}.flush")
-    fpend = func.new_reg(I64, "pflush")
-    flush_bb.append(Instr(Opcode.INTRIN, dest=fpend, args=(ctx,), callee=f"{ns}.flush"))
-    exit_bb = new_block(f"{base}.pexit")
-    exit_bb.append(Instr(Opcode.INTRIN, args=(ctx,), callee=f"{ns}.exit"))
-    exit_bb.append(Instr(Opcode.BR, labels=(exit_label,)))
-    fdrain_entry = _emit_drain(func, f"{base}.fdrain", ctx, spec, exit_bb.label, ns=ns)
-    for label in (f"{base}.fdrain.head", f"{base}.fdrain.rc",
-                  f"{base}.fdrain.second", f"{base}.fdrain.commit"):
-        prov[label] = target.loop.header
-        new_labels.append(label)
-    flush_bb.append(Instr(Opcode.CBR, args=(fpend,), labels=(fdrain_entry, exit_bb.label)))
-
-    header_term = func.blocks[target.loop.header].terminator
-    header_term.labels = tuple(
-        flush_bb.label if t == exit_label else t for t in header_term.labels
-    )
-
-    # per-execution runtime reset in front of the loop (no version select)
-    enter_bb = new_block(f"{base}.enter")
-    enter_bb.append(Instr(Opcode.INTRIN, args=(ctx,), callee=f"{ns}.enter"))
-    enter_bb.append(Instr(Opcode.BR, labels=(target.loop.header,)))
-    _redirect_into_select(func, target, enter_bb.label, set(new_labels))
-
-    return TargetLayout(
-        key=f"{func.name}:{target.loop.header}",
-        ctx_id=ctx_id,
-        mode=kind,
-        rmw=rmw,
-        wrapper=func.name,
-        loop_labels=sorted(target.loop.blocks),
-        pp_labels=new_labels,
-        body=body.name,
-        kind=target.kind,
-    )
-
 
 def _make_loop_runtime(
     kind: str,
@@ -632,16 +368,12 @@ def _make_loop_runtime(
     window: int,
     interval: int,
     predictor: bool,
-    tolerance: float,
-    signal_window: int,
 ) -> _ProtocolLoop:
     if kind == "replay":
         return ReplayLoopRuntime(
             layout.key, sample_period, window, rmw=layout.rmw)
     return CkptLoopRuntime(
-        layout.key, interval, rmw=layout.rmw, predictor=predictor,
-        tolerance=tolerance, signal_window=signal_window,
-    )
+        layout.key, interval, rmw=layout.rmw, predictor=predictor)
 
 
 def apply_protocol(
@@ -652,10 +384,7 @@ def apply_protocol(
     window: int = 4,
     interval: int = 8,
     predictor: bool = True,
-    tolerance: float = 0.2,
-    signal_window: int = 16,
-    only: Optional[Sequence[str]] = None,
-) -> ProtocolApplication:
+) -> RskipApplication:
     """Transform the module in place for REPLAY (``kind="replay"``) or
     CKPT (``kind="ckpt"``); returns the application handle.
 
@@ -664,19 +393,10 @@ def apply_protocol(
     outlined loop bodies are protected (temporally), the loop skeleton is
     left bare.
     """
-    layouts: List[TargetLayout] = []
-    ctx_id = 0
-    func_names = list(only) if only is not None else list(module.functions)
-    for name in func_names:
-        func = module.functions[name]
-        for target in detect_target_loops(func, module):
-            layouts.append(
-                _transform_protocol_loop(module, func, target, ctx_id, kind))
-            ctx_id += 1
     return rebuild_protocol_application(
-        module, layouts, kind,
+        module, transform_loops(module, kind), kind,
         sample_period=sample_period, window=window, interval=interval,
-        predictor=predictor, tolerance=tolerance, signal_window=signal_window,
+        predictor=predictor,
     )
 
 
@@ -689,21 +409,15 @@ def rebuild_protocol_application(
     window: int = 4,
     interval: int = 8,
     predictor: bool = True,
-    tolerance: float = 0.2,
-    signal_window: int = 16,
-) -> ProtocolApplication:
+) -> RskipApplication:
     """Fresh (stateful, never-cached) protocol runtime over an
     already-transformed module — the cache-hit path, mirroring
     :func:`repro.core.rskip.rebuild_application`."""
     runtime = ProtocolRuntime(kind)
     for layout in layouts:
-        runtime.add_loop(
-            layout.ctx_id,
-            _make_loop_runtime(
-                kind, layout,
-                sample_period=sample_period, window=window, interval=interval,
-                predictor=predictor, tolerance=tolerance,
-                signal_window=signal_window,
-            ),
+        runtime.loops[layout.ctx_id] = _make_loop_runtime(
+            kind, layout,
+            sample_period=sample_period, window=window, interval=interval,
+            predictor=predictor,
         )
-    return ProtocolApplication(module, layouts, runtime, kind)
+    return RskipApplication(module, layouts, runtime)

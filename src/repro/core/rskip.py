@@ -17,6 +17,11 @@ For every detected target loop the transform builds:
   function, later protected with SWIFT-R.  ``rskip.select`` picks PP or CP
   at run time (run-time management may disable PP).
 
+With ``kind="replay"``/``"ckpt"``, :func:`transform_loops` builds the
+REPLAY/CKPT protocol loops (:mod:`repro.core.protocol`) from the same
+skeleton with the spatial parts off: no ``.dup`` clone, no CP version,
+no ``select`` — the drain re-executes ``body`` itself.
+
 After the per-loop surgery, :func:`apply_rskip` runs SWIFT-R over the whole
 module *except* the outlined body/dup functions: the loop skeleton
 (induction, address computation, stores) gets conventional instruction
@@ -39,9 +44,25 @@ from ..ir.values import Const, Reg, Value
 from ..transforms.clone import clone_function, rename_all_registers
 from ..transforms.swift import apply_swift_r
 from .config import RSkipConfig
-from .manager import LoopProfile, RskipRuntime
+from .manager import LoopProfile, LoopRuntimes, RskipRuntime
 
 ORIG_PARAM = "rskip.origval"
+
+#: The protected-loop families this transform builds.  RSkip protects
+#: spatially (a renamed ``.dup`` clone re-computes, a CP version stands
+#: by); the REPLAY/CKPT protocols protect temporally (the drain
+#: re-executes the *same* outlined body) and skip everything spatial.
+RSKIP = "rskip"
+PROTOCOL_KINDS = ("replay", "ckpt")
+
+#: Intrinsic namespace shared by both protocol families (the per-loop
+#: runtime object encodes replay-vs-ckpt semantics, not the name).
+PROTOCOL_NS = "proto"
+
+#: Function attribute marking outlined protocol bodies; the O3 oracle
+#: derives its region flip scope from it (attrs round-trip through the
+#: artifact cache, so a cache-hit module keeps its markers).
+PROTOCOL_REGION_ATTR = "protocol-region"
 
 
 @dataclass
@@ -110,12 +131,13 @@ class TargetLayout:
 
 @dataclass
 class RskipApplication:
-    """Result of applying RSkip to a module."""
+    """Result of applying a protected-loop transform to a module — RSkip
+    or a REPLAY/CKPT protocol: the transformed module, its target
+    layouts and the (stateful) runtime serving its intrinsics."""
 
     module: Module
     layouts: List[TargetLayout]
-    runtime: RskipRuntime
-    config: RSkipConfig
+    runtime: LoopRuntimes
 
     def intrinsics(self) -> Dict[str, object]:
         return self.runtime.intrinsics()
@@ -186,14 +208,10 @@ def _emit_drain(
     ctx: Const,
     recompute_call: "RecomputeSpec",
     done_label: str,
-    ns: str = "rskip",
 ) -> str:
-    """Emit the re-computation drain loop; returns its entry label.
-
-    *ns* is the intrinsic namespace: the RSkip transform drains through
-    ``rskip.*`` handlers, the protocol transforms (REPLAY/CKPT) reuse the
-    identical drain shape against their own ``proto.*`` runtime.
-    """
+    """Emit the re-computation drain loop against the spec's intrinsic
+    namespace; returns its entry label."""
+    ns = recompute_call.ns
     head = func.add_block(f"{prefix}.head")
     body = func.add_block(f"{prefix}.rc")
     second = func.add_block(f"{prefix}.second")
@@ -228,7 +246,7 @@ class RecomputeSpec:
     live_ins: Tuple[Reg, ...] = ()
     rmw: bool = False
     n_args: int = 0  # call mode: number of buffered arguments
-    ns: str = "rskip"  # intrinsic namespace (see _emit_drain)
+    ns: str = RSKIP  # intrinsic namespace: rskip.* or proto.*
 
     def emit(
         self,
@@ -420,23 +438,135 @@ def _exit_label_of(func: Function, target: TargetLoop) -> str:
     return outside[0]
 
 
+def _loop_base(func: Function, ctx_id: int, kind: str) -> str:
+    """Name stem of one transformed loop: ``<f>.L<k>`` for RSkip,
+    ``<f>.P<k>`` for the protocols."""
+    return f"{func.name}.{'L' if kind == RSKIP else 'P'}{ctx_id}"
+
+
+class _LoopSurgery:
+    """The wrapper surgery shared by every protected-loop transform.
+
+    Every block it adds inherits the loop header's provenance and is
+    listed in the layout's ``pp_labels``.  Names follow the family: RSkip
+    builds ``<f>.L<k>.*`` blocks with ``pp*`` registers against
+    ``rskip.*``; the protocols build ``<f>.P<k>.*`` with ``p*`` registers
+    against ``proto.*``.
+    """
+
+    def __init__(self, func: Function, target: TargetLoop, ctx_id: int, kind: str):
+        spatial = kind == RSKIP
+        self.func = func
+        self.target = target
+        self.ns = RSKIP if spatial else PROTOCOL_NS
+        self.reg = "pp" if spatial else "p"
+        self.base = _loop_base(func, ctx_id, kind)
+        self.ctx = Const(ctx_id, I64)
+        self.exit_label = _exit_label_of(func, target)
+        self.prov = _provenance(func)
+        self.labels: List[str] = []
+
+    def adopt(self, label: str) -> None:
+        self.prov[label] = self.target.loop.header
+        self.labels.append(label)
+
+    def block(self, suffix: str):
+        block = self.func.add_block(f"{self.base}.{suffix}")
+        self.adopt(block.label)
+        return block
+
+    def _drain(self, name: str, spec: "RecomputeSpec", done_label: str) -> str:
+        prefix = f"{self.base}.{name}"
+        entry = _emit_drain(self.func, prefix, self.ctx, spec, done_label)
+        for part in ("head", "rc", "second", "commit"):
+            self.adopt(f"{prefix}.{part}")
+        return entry
+
+    def finish(
+        self,
+        spec: "RecomputeSpec",
+        observe_block,
+        observe_args: List[Value],
+        cont_label: str,
+        cp: Optional[Function] = None,
+        cp_live: Sequence[Reg] = (),
+    ) -> None:
+        """The shared back half: observe + drain (then *cont_label*),
+        flush + final drain at loop exit, the header's exit edge
+        retargeted to the flush, and the prologue every loop entry goes
+        through — ``enter`` alone, or the PP/CP ``select`` when a *cp*
+        version exists."""
+        func, target, ctx, ns = self.func, self.target, self.ctx, self.ns
+        pend = func.new_reg(I64, f"{self.reg}pend")
+        observe_block.append(
+            Instr(Opcode.INTRIN, dest=pend, args=tuple(observe_args), callee=f"{ns}.observe")
+        )
+        drain_entry = self._drain("drain", spec, cont_label)
+        observe_block.append(Instr(Opcode.CBR, args=(pend,), labels=(drain_entry, cont_label)))
+
+        # flush path on loop exit
+        flush_bb = self.block("flush")
+        fpend = func.new_reg(I64, f"{self.reg}flush")
+        flush_bb.append(Instr(Opcode.INTRIN, dest=fpend, args=(ctx,), callee=f"{ns}.flush"))
+        exit_bb = self.block(f"{self.reg}exit")
+        exit_bb.append(Instr(Opcode.INTRIN, args=(ctx,), callee=f"{ns}.exit"))
+        exit_bb.append(Instr(Opcode.BR, labels=(self.exit_label,)))
+        fdrain_entry = self._drain("fdrain", spec, exit_bb.label)
+        flush_bb.append(Instr(Opcode.CBR, args=(fpend,), labels=(fdrain_entry, exit_bb.label)))
+
+        header_term = func.blocks[target.loop.header].terminator
+        header_term.labels = tuple(
+            flush_bb.label if t == self.exit_label else t for t in header_term.labels
+        )
+
+        # the prologue: version selection (RSkip) or a bare runtime reset
+        if cp is not None:
+            entry_bb = self.block("select")
+            enter_bb = self.block("enter")
+            cp_bb = self.block("cpcall")
+            sel = func.new_reg(I64, "ppsel")
+            entry_bb.append(Instr(Opcode.INTRIN, dest=sel, args=(ctx,), callee=f"{ns}.select"))
+            entry_bb.append(Instr(Opcode.CBR, args=(sel,), labels=(enter_bb.label, cp_bb.label)))
+            cp_args: List[Value] = [target.ind.reg] + list(cp_live)
+            cp_bb.append(Instr(Opcode.CALL, args=tuple(cp_args), callee=cp.name))
+            cp_bb.append(Instr(Opcode.BR, labels=(self.exit_label,)))
+        else:
+            entry_bb = enter_bb = self.block("enter")
+        enter_bb.append(Instr(Opcode.INTRIN, args=(ctx,), callee=f"{ns}.enter"))
+        enter_bb.append(Instr(Opcode.BR, labels=(target.loop.header,)))
+        _redirect_into_select(func, target, entry_bb.label, set(self.labels))
+
+
 def _transform_reduction(
     module: Module,
     func: Function,
     target: TargetLoop,
     ctx_id: int,
+    kind: str = RSKIP,
 ) -> TargetLayout:
-    base = f"{func.name}.L{ctx_id}"
-    ctx = Const(ctx_id, I64)
-    ivar = target.ind.reg
+    """Outline the target loop's body and wire it to the *kind* family's
+    runtime.
 
+    RSkip re-computes through a register-renamed ``.dup`` clone and
+    builds a CP version behind ``select``.  The protocols re-execute the
+    *same* body (temporal redundancy) and enter the loop directly; REPLAY
+    still stores each result on the main path (detection only: memory
+    always matches the unprotected run), while CKPT elides that store so
+    every element reaches memory only through a checkpoint commit drain.
+    """
+    base = _loop_base(func, ctx_id, kind)
     body = _outline_body(module, func, target, f"{base}.body")
-    dup = clone_function(body, f"{base}.body.dup")
-    rename_all_registers(dup, ".d")
-    module.add_function(dup)
-    cp, cp_live = _build_cp(module, func, target, f"{base}.cp")
+    dup = cp = None
+    cp_live: List[Reg] = []
+    if kind == RSKIP:
+        dup = clone_function(body, f"{body.name}.dup")
+        rename_all_registers(dup, ".d")
+        module.add_function(dup)
+        cp, cp_live = _build_cp(module, func, target, f"{base}.cp")
+    else:
+        body.attrs[PROTOCOL_REGION_ATTR] = kind
 
-    exit_label = _exit_label_of(func, target)
+    surgery = _LoopSurgery(func, target, ctx_id, kind)
     store_block = func.blocks[target.store_site[0]]
     store_term = store_block.terminator
     if store_term is None or store_term.op is not Opcode.BR:
@@ -452,91 +582,45 @@ def _transform_reduction(
     for label in target.region_labels:
         func.remove_block(label)
 
-    prov = _provenance(func)
-    new_labels: List[str] = []
-
-    def new_block(label: str):
-        block = func.add_block(label)
-        prov[label] = target.loop.header
-        new_labels.append(label)
-        return block
-
     # main PP block (keeps the region-entry label so the header is untouched)
-    main = new_block(region_entry)
+    main = func.add_block(region_entry)
+    surgery.adopt(region_entry)
     for instr in addr_out:
         main.append(instr)
 
+    ivar = target.ind.reg
     call_args: List[Value] = [ivar] + list(target.live_ins)
-    observe_args: List[Value] = [ctx, ivar]
+    observe_args: List[Value] = [surgery.ctx, ivar]
     rmw = bool(target.rmw_load_sites)
     if rmw:
-        orig = func.new_reg(F64, "pporig")
+        orig = func.new_reg(F64, f"{surgery.reg}orig")
         main.append(Instr(Opcode.LOAD, dest=orig, args=(addr_val,)))
         call_args.append(orig)
-    v = func.new_reg(F64, "ppv")
+    v = func.new_reg(F64, f"{surgery.reg}v")
     main.append(Instr(Opcode.CALL, dest=v, args=tuple(call_args), callee=body.name))
     observe_args.extend((v, addr_val))
     if rmw:
         observe_args.append(orig)
-    pend = func.new_reg(I64, "pppend")
-    main.append(
-        Instr(Opcode.INTRIN, dest=pend, args=tuple(observe_args), callee="rskip.observe")
-    )
 
-    store_bb = new_block(f"{base}.store")
-    store_bb.append(Instr(Opcode.STORE, args=(v, addr_val)))
+    store_bb = surgery.block("store")
+    if kind != "ckpt":
+        store_bb.append(Instr(Opcode.STORE, args=(v, addr_val)))
     store_bb.append(Instr(Opcode.BR, labels=(latch_label,)))
 
-    spec = RecomputeSpec(dup.name, tuple(target.live_ins), rmw=rmw)
-    drain_entry = _emit_drain(func, f"{base}.drain", ctx, spec, store_bb.label)
-    for label in (f"{base}.drain.head", f"{base}.drain.rc", f"{base}.drain.second", f"{base}.drain.commit"):
-        prov[label] = target.loop.header
-        new_labels.append(label)
-    main.append(Instr(Opcode.CBR, args=(pend,), labels=(drain_entry, store_bb.label)))
-
-    # flush path on loop exit
-    flush_bb = new_block(f"{base}.flush")
-    fpend = func.new_reg(I64, "ppflush")
-    flush_bb.append(Instr(Opcode.INTRIN, dest=fpend, args=(ctx,), callee="rskip.flush"))
-    exit_bb = new_block(f"{base}.ppexit")
-    exit_bb.append(Instr(Opcode.INTRIN, args=(ctx,), callee="rskip.exit"))
-    exit_bb.append(Instr(Opcode.BR, labels=(exit_label,)))
-    fdrain_entry = _emit_drain(func, f"{base}.fdrain", ctx, spec, exit_bb.label)
-    for label in (f"{base}.fdrain.head", f"{base}.fdrain.rc", f"{base}.fdrain.second", f"{base}.fdrain.commit"):
-        prov[label] = target.loop.header
-        new_labels.append(label)
-    flush_bb.append(Instr(Opcode.CBR, args=(fpend,), labels=(fdrain_entry, exit_bb.label)))
-
-    header_term = func.blocks[target.loop.header].terminator
-    header_term.labels = tuple(
-        flush_bb.label if t == exit_label else t for t in header_term.labels
-    )
-
-    # version selection in front of the loop
-    select_bb = new_block(f"{base}.select")
-    enter_bb = new_block(f"{base}.enter")
-    cp_bb = new_block(f"{base}.cpcall")
-    sel = func.new_reg(I64, "ppsel")
-    select_bb.append(Instr(Opcode.INTRIN, dest=sel, args=(ctx,), callee="rskip.select"))
-    select_bb.append(Instr(Opcode.CBR, args=(sel,), labels=(enter_bb.label, cp_bb.label)))
-    enter_bb.append(Instr(Opcode.INTRIN, args=(ctx,), callee="rskip.enter"))
-    enter_bb.append(Instr(Opcode.BR, labels=(target.loop.header,)))
-    cp_args: List[Value] = [ivar] + list(cp_live)
-    cp_bb.append(Instr(Opcode.CALL, args=tuple(cp_args), callee=cp.name))
-    cp_bb.append(Instr(Opcode.BR, labels=(exit_label,)))
-    _redirect_into_select(func, target, select_bb.label, set(new_labels))
+    spec = RecomputeSpec((dup or body).name, tuple(target.live_ins), rmw=rmw, ns=surgery.ns)
+    surgery.finish(spec, main, observe_args, store_bb.label, cp, cp_live)
 
     return TargetLayout(
         key=f"{func.name}:{target.loop.header}",
         ctx_id=ctx_id,
-        mode="reduction",
+        mode="reduction" if kind == RSKIP else kind,
         rmw=rmw,
         wrapper=func.name,
         loop_labels=sorted(target.loop.blocks),
-        pp_labels=new_labels,
+        pp_labels=surgery.labels,
         body=body.name,
-        dup=dup.name,
-        cp=cp.name,
+        dup=dup.name if dup is not None else None,
+        cp=cp.name if cp is not None else None,
         kind=target.kind,
     )
 
@@ -548,9 +632,6 @@ def _transform_call(
     call_instr: Instr,
     ctx_id: int,
 ) -> TargetLayout:
-    base = f"{func.name}.L{ctx_id}"
-    ctx = Const(ctx_id, I64)
-    ivar = target.ind.reg
     callee = target.callee
 
     dup_name = f"{callee}.dup"
@@ -563,10 +644,11 @@ def _transform_call(
         g_cp = clone_function(module.get_function(callee), cp_callee_name)
         module.add_function(g_cp)
     cp, cp_live = _build_cp(
-        module, func, target, f"{base}.cp", callee_cp={callee: cp_callee_name}
+        module, func, target, f"{_loop_base(func, ctx_id, RSKIP)}.cp",
+        callee_cp={callee: cp_callee_name},
     )
 
-    exit_label = _exit_label_of(func, target)
+    surgery = _LoopSurgery(func, target, ctx_id, RSKIP)
     store_label, store_idx = target.store_site
     store_block = func.blocks[store_label]
     store_instr = store_block.instrs[store_idx]
@@ -574,62 +656,15 @@ def _transform_call(
     tail = store_block.instrs[store_idx + 1 :]
     store_block.instrs = store_block.instrs[:store_idx]
 
-    prov = _provenance(func)
-    new_labels: List[str] = []
-
-    def new_block(label: str):
-        block = func.add_block(label)
-        prov[label] = target.loop.header
-        new_labels.append(label)
-        return block
-
-    cont = new_block(f"{base}.store")
+    cont = surgery.block("store")
     cont.append(store_instr)
     cont.instrs.extend(tail)
 
     n_args = len(call_instr.args)
-    observe_args: List[Value] = [ctx, ivar, value, addr]
+    observe_args: List[Value] = [surgery.ctx, target.ind.reg, value, addr]
     observe_args.extend(call_instr.args)
-    pend = func.new_reg(I64, "pppend")
-    store_block.append(
-        Instr(Opcode.INTRIN, dest=pend, args=tuple(observe_args), callee="rskip.observe")
-    )
     spec = RecomputeSpec(dup_name, n_args=n_args)
-    drain_entry = _emit_drain(func, f"{base}.drain", ctx, spec, cont.label)
-    for label in (f"{base}.drain.head", f"{base}.drain.rc", f"{base}.drain.second", f"{base}.drain.commit"):
-        prov[label] = target.loop.header
-        new_labels.append(label)
-    store_block.append(Instr(Opcode.CBR, args=(pend,), labels=(drain_entry, cont.label)))
-
-    flush_bb = new_block(f"{base}.flush")
-    fpend = func.new_reg(I64, "ppflush")
-    flush_bb.append(Instr(Opcode.INTRIN, dest=fpend, args=(ctx,), callee="rskip.flush"))
-    exit_bb = new_block(f"{base}.ppexit")
-    exit_bb.append(Instr(Opcode.INTRIN, args=(ctx,), callee="rskip.exit"))
-    exit_bb.append(Instr(Opcode.BR, labels=(exit_label,)))
-    fdrain_entry = _emit_drain(func, f"{base}.fdrain", ctx, spec, exit_bb.label)
-    for label in (f"{base}.fdrain.head", f"{base}.fdrain.rc", f"{base}.fdrain.second", f"{base}.fdrain.commit"):
-        prov[label] = target.loop.header
-        new_labels.append(label)
-    flush_bb.append(Instr(Opcode.CBR, args=(fpend,), labels=(fdrain_entry, exit_bb.label)))
-
-    header_term = func.blocks[target.loop.header].terminator
-    header_term.labels = tuple(
-        flush_bb.label if t == exit_label else t for t in header_term.labels
-    )
-
-    select_bb = new_block(f"{base}.select")
-    enter_bb = new_block(f"{base}.enter")
-    cp_bb = new_block(f"{base}.cpcall")
-    sel = func.new_reg(I64, "ppsel")
-    select_bb.append(Instr(Opcode.INTRIN, dest=sel, args=(ctx,), callee="rskip.select"))
-    select_bb.append(Instr(Opcode.CBR, args=(sel,), labels=(enter_bb.label, cp_bb.label)))
-    enter_bb.append(Instr(Opcode.INTRIN, args=(ctx,), callee="rskip.enter"))
-    enter_bb.append(Instr(Opcode.BR, labels=(target.loop.header,)))
-    cp_args: List[Value] = [ivar] + list(cp_live)
-    cp_bb.append(Instr(Opcode.CALL, args=tuple(cp_args), callee=cp.name))
-    cp_bb.append(Instr(Opcode.BR, labels=(exit_label,)))
-    _redirect_into_select(func, target, select_bb.label, set(new_labels))
+    surgery.finish(spec, store_block, observe_args, cont.label, cp, cp_live)
 
     return TargetLayout(
         key=f"{func.name}:{target.loop.header}",
@@ -638,13 +673,31 @@ def _transform_call(
         rmw=False,
         wrapper=func.name,
         loop_labels=sorted(target.loop.blocks),
-        pp_labels=new_labels,
+        pp_labels=surgery.labels,
         callee=callee,
         callee_dup=dup_name,
         cp=cp.name,
         n_args=n_args,
         kind=target.kind,
     )
+
+
+def transform_loops(module: Module, kind: str = RSKIP) -> List[TargetLayout]:
+    """Transform every detected target loop of *module* in place for the
+    *kind* family (``"rskip"``, ``"replay"`` or ``"ckpt"``); returns the
+    layouts in ctx-id order.  Only RSkip has a call mode: the protocols
+    outline every target the same way."""
+    layouts: List[TargetLayout] = []
+    for func in list(module.functions.values()):
+        for target in detect_target_loops(func, module):
+            ctx_id = len(layouts)
+            call_instr = _call_mode_info(func, target) if kind == RSKIP else None
+            if call_instr is not None:
+                layout = _transform_call(module, func, target, call_instr, ctx_id)
+            else:
+                layout = _transform_reduction(module, func, target, ctx_id, kind)
+            layouts.append(layout)
+    return layouts
 
 
 # ---------------------------------------------------------------------------
@@ -656,7 +709,6 @@ def apply_rskip(
     config: Optional[RSkipConfig] = None,
     profiles: Optional[Dict[str, LoopProfile]] = None,
     protect: bool = True,
-    only: Optional[Sequence[str]] = None,
     ar_overrides: Optional[Dict[str, float]] = None,
 ) -> RskipApplication:
     """Transform the module in place; returns the application handle.
@@ -672,23 +724,7 @@ def apply_rskip(
     ``main``).  A function attribute ``attrs["rskip.acceptable_range"]``
     acts as the same pragma at function granularity.
     """
-    config = config or RSkipConfig()
-    profiles = profiles or {}
-    ar_overrides = ar_overrides or {}
-    layouts: List[TargetLayout] = []
-    ctx_id = 0
-
-    func_names = list(only) if only is not None else list(module.functions)
-    for name in func_names:
-        func = module.functions[name]
-        for target in detect_target_loops(func, module):
-            call_instr = _call_mode_info(func, target)
-            if call_instr is not None:
-                layout = _transform_call(module, func, target, call_instr, ctx_id)
-            else:
-                layout = _transform_reduction(module, func, target, ctx_id)
-            layouts.append(layout)
-            ctx_id += 1
+    layouts = transform_loops(module)
 
     if protect:
         excluded: Set[str] = set()
@@ -723,7 +759,7 @@ def rebuild_application(
             config=_loop_config(module, config, layout, ar_overrides),
             rmw=layout.rmw,
         )
-    return RskipApplication(module, layouts, runtime, config)
+    return RskipApplication(module, layouts, runtime)
 
 
 def _loop_config(

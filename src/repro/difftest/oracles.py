@@ -69,7 +69,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..core.config import RSkipConfig
-from ..core.protocol import PROTOCOL_REGION_ATTR
+from ..core.rskip import PROTOCOL_REGION_ATTR
 from ..ir.function import Function
 from ..ir.instructions import CmpPred, Opcode
 from ..ir.module import Module

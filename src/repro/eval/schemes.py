@@ -18,6 +18,7 @@ from typing import Dict, List, Optional
 from ..analysis.patterns import TargetLoop, detect_target_loops
 from ..core.config import RSkipConfig
 from ..core.manager import LoopProfile
+from ..core.rskip import RskipApplication
 from ..ir.module import Module
 from ..pipeline import protect
 from ..pipeline.registry import (  # noqa: F401  (re-exported vocabulary)
@@ -39,9 +40,9 @@ class PreparedProgram:
     scheme: str
     module: Module
     intrinsics: Dict[str, object] = field(default_factory=dict)
-    #: RskipApplication or ProtocolApplication (duck-typed: both expose
-    #: .layouts / .runtime / .intrinsics())
-    application: Optional[object] = None
+    #: the RskipApplication handle of a runtime-managed scheme (RSkip and
+    #: REPLAY/CKPT alike), None for stateless schemes
+    application: Optional[RskipApplication] = None
     #: target loops of the *original* module (same block labels — builds
     #: are deterministic), for fault-region construction
     original_targets: List[TargetLoop] = field(default_factory=list)
@@ -53,8 +54,9 @@ class PreparedProgram:
 
     @property
     def runtime(self) -> Optional[object]:
-        """The scheme's stateful runtime (RskipRuntime/ProtocolRuntime:
-        reset(), total_stats(), stats_delta(), intrinsics())."""
+        """The scheme's stateful runtime (a
+        :class:`~repro.core.manager.LoopRuntimes`: reset(), fork(),
+        total_stats(), stats_delta(), intrinsics())."""
         return self.application.runtime if self.application else None
 
 

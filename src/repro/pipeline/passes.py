@@ -26,7 +26,7 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence
 
 from ..core.config import RSkipConfig
 from ..core.manager import LoopProfile
-from ..core.protocol import ProtocolApplication, apply_protocol
+from ..core.protocol import apply_protocol
 from ..core.rskip import RskipApplication, apply_rskip
 from ..ir.module import Module
 from ..ir.verifier import VerificationError, verify_module
@@ -83,7 +83,9 @@ class ProtectContext:
     ar_overrides: Optional[Dict[str, float]] = None
     sync_points: Optional[Iterable[str]] = None
     intrinsics: Dict[str, object] = field(default_factory=dict)
-    application: Optional[object] = None  # RskipApplication | ProtocolApplication
+    #: the runtime-managed families' one application handle (RSkip and
+    #: REPLAY/CKPT alike: .layouts / .runtime / .intrinsics())
+    application: Optional[RskipApplication] = None
     #: the resolved SchemeDescriptor (set by protect()); protocol passes
     #: read their cost knobs from its Protocol.  None in the compat path,
     #: where each family falls back to its bare-alias default point.

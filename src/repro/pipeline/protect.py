@@ -69,9 +69,9 @@ class ProtectedProgram:
     descriptor: SchemeDescriptor
     module: Module
     intrinsics: Dict[str, object] = field(default_factory=dict)
-    #: RskipApplication or ProtocolApplication (duck-typed: .layouts,
-    #: .runtime, .intrinsics())
-    application: Optional[object] = None
+    #: the runtime-managed families' application handle (RSkip and
+    #: REPLAY/CKPT share it), None for stateless schemes
+    application: Optional[RskipApplication] = None
     pass_runs: List[PassRun] = field(default_factory=list)
     optimizations: Dict[str, int] = field(default_factory=dict)
     cache_hit: bool = False

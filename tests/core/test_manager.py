@@ -11,7 +11,11 @@ from repro.core import (
     SkipStats,
 )
 from repro.core.memoization import InputQuantizer
+from repro.core.protocol import CkptLoopRuntime
 from repro.runtime.errors import CoreDumpError
+
+
+NAN = float("nan")
 
 
 def make_runtime(ar=1.0, tp=0.5, rmw=False, profile=None, **cfg_kwargs):
@@ -108,6 +112,30 @@ class TestRecomputeDrain:
         fixed = self.drain_all(runtime, recompute)
         assert fixed[0][0] == clean[0]
         assert runtime.stats.corrected_shadow == 1
+
+    @pytest.mark.parametrize("family", ["rskip", "ckpt"])
+    @pytest.mark.parametrize("value,rv1,rv2,verdict", [
+        (1.0, NAN, NAN, "corrected_master"),
+        (NAN, 2.0, NAN, "corrected_shadow"),
+    ])
+    def test_vote_treats_nan_as_equal_to_itself(self, family, value, rv1,
+                                                rv2, verdict):
+        """Two agreeing NaN evaluations win the vote in both families."""
+        if family == "rskip":
+            runtime = make_runtime()
+        else:
+            runtime = CkptLoopRuntime("test:loop", 8)
+        runtime.enter()
+        runtime.current = Element(0, value, 8)
+        runtime.resolve(rv1)
+        assert runtime.need2()[0] == 1
+        runtime.resolve2(rv2)
+        stats = runtime.stats
+        counts = (stats.corrected_master, stats.corrected_shadow,
+                  stats.unresolved_votes)
+        expected = tuple(int(name == verdict) for name in (
+            "corrected_master", "corrected_shadow", "unresolved_votes"))
+        assert counts == expected
 
     def test_fetch_without_queue(self):
         runtime = make_runtime()

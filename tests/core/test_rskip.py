@@ -219,8 +219,3 @@ class TestApplicationApi:
         assert app.layout_for(key) is app.layouts[0]
         with pytest.raises(KeyError):
             app.layout_for("nope")
-
-    def test_only_filter(self):
-        module = build_dot_module()
-        app = apply_rskip(module, RSkipConfig(), only=[])
-        assert app.layouts == []
