@@ -101,7 +101,7 @@ from ..workloads.base import stable_seed
 DEFAULT_MAX_STEPS = 5_000_000
 
 #: Lanes per O5 batch — more than the batch engine's small-group cutoff,
-#: so the check exercises the lockstep machine, not just its scalar tail.
+#: so the check exercises the lockstep machine, not just its tail.
 DEFAULT_BATCH_LANES = 8
 
 #: Shadow-register suffixes of the duplication transforms.

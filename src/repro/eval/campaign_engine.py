@@ -161,6 +161,8 @@ def _run_chunk(
     data = result.to_dict()
     data["elapsed_ms"] = (time.perf_counter() - t0) * 1000.0
     data["fingerprint"] = module_fingerprint(prepared.module)
+    if sink.spans:  # the engines' own, e.g. the batch lockstep/tail split
+        data["spans"] = sink.spans
     return task.key, data
 
 
@@ -565,6 +567,11 @@ def _merge_campaign_trace(
         (f"shard:{t.key}", chunks[t.key]["elapsed_ms"])
         for t in tasks if "elapsed_ms" in chunks[t.key]
     ]
+    engine_ms: Dict[str, float] = {}  # summed per label over the shards
+    for t in tasks:
+        for label, ms in chunks[t.key].get("spans", ()):
+            engine_ms[label] = engine_ms.get(label, 0.0) + ms
+    spans.extend(sorted(engine_ms.items()))
     fingerprints: Dict[str, str] = {}
     for t in tasks:
         label = f"{t.workload}|{t.scheme}"

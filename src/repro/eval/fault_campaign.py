@@ -224,6 +224,7 @@ def _run_once_batch(
     executor = BatchExecutor(
         prepared.module, template, len(plans), fault_plans=list(plans),
         fault_region=region, max_steps=max_steps, intrinsics=intrinsics,
+        compiled=prepared.compiled,
     )
     lane_results = executor.run(prepared.main, inp.args)
     rows = []

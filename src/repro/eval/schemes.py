@@ -13,6 +13,7 @@ historical vocabulary and adapts workload objects onto
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, List, Optional
 
 from ..analysis.patterns import TargetLoop, detect_target_loops
@@ -29,6 +30,7 @@ from ..pipeline.registry import (  # noqa: F401  (re-exported vocabulary)
     get_scheme,
     rskip_label,
 )
+from ..runtime.compiler import CompiledModule, compile_module
 from ..runtime.faults import Region
 from ..workloads.base import Workload
 
@@ -51,6 +53,12 @@ class PreparedProgram:
     #: used by programs with no detected target loops (difftest modules
     #: campaigned whole-program, oracle O7)
     region_override: Optional[Region] = None
+
+    @cached_property
+    def compiled(self) -> CompiledModule:
+        """The module's compiled form, looked up once per program (a
+        :func:`compile_module` cache hit still prints and hashes it)."""
+        return compile_module(self.module)
 
     @property
     def runtime(self) -> Optional[object]:

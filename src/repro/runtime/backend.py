@@ -7,15 +7,17 @@ Three backends execute IR:
   profiling).  The semantics oracle.
 * ``compiled`` — the closure-compiling backend of
   :mod:`repro.runtime.compiler`: clean mode only, observationally
-  identical and several times faster.
+  identical and several times faster.  Besides clean runs it resumes
+  faulted batch lanes whose fault has fully acted.
 * ``batch`` — the lane-vectorized batch engine of
   :mod:`repro.runtime.batch`: runs a whole block of fault-injection
   trials in lockstep over one instruction stream.  It applies at the
   campaign-chunk level (``repro.eval.fault_campaign`` routes trial
-  blocks through it when it is the default backend); a single
-  :func:`make_executor` call cannot express "many trials", so here
-  ``batch`` behaves like ``compiled`` for clean runs and like ``ref``
-  for instrumented ones.
+  blocks through it when it is the default backend).  Lanes that leave
+  lockstep finish on ``compiled`` once their fault has fully acted and
+  on ``ref`` otherwise.  A single :func:`make_executor` call cannot
+  express "many trials", so here ``batch`` behaves like ``compiled``
+  for clean runs and like ``ref`` for instrumented ones.
 
 :func:`make_executor` picks the backend: any *instrumented* request
 (a fault plan, a timing model, or a profile) always routes to the

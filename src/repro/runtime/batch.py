@@ -53,17 +53,24 @@ Divergence and retirement
   running; exceeding ``max_steps`` retires the whole group as `hang`.
   Retired and finished lanes expose their memory as a :class:`_LaneMem`
   view (overlay → group layer → template) via ``lane_memory``.
-* A group at or below ``SCALAR_CUTOFF`` lanes leaves lockstep: each of
-  its lanes finishes on a slot-indexed scalar loop with the reference
-  interpreter's fault, trap and step accounting.  A faulted lane
-  that hangs burns through ``HANG_FACTOR`` baseline budgets alone — the
-  scalar continuation keeps that tail at reference-interpreter speed.
+* A group at or below ``SCALAR_CUTOFF`` lanes leaves lockstep, and so
+  does a lane whose skip or control-flow fault just fired.  Each such
+  lane exports a :class:`~repro.runtime.interpreter.MachineState` (its
+  frames, its memory view, both counters and its pending fault state)
+  and finishes alone.  A lane whose fault
+  has fully acted — no trigger, inversion or address corruption left,
+  and not a skip/cf plan — is a clean run from there on and resumes on
+  the compiled backend; every other lane resumes on the reference
+  interpreter.  A faulted lane that hangs burns through ``HANG_FACTOR``
+  baseline budgets alone, so the tail can take a large share of a
+  campaign's time; the ``batch.lockstep`` / ``batch.tail:compiled`` /
+  ``batch.tail:ref`` spans report the split when a sink is installed.
 
 Value ops take their semantics from :mod:`repro.runtime.semantics`: the
-uniform path and the scalar loop call its ``OPS`` table for every cold
-op, the sparse path and per-lane refinement call ``apply``, and only the
-hot ops (MOV, ADD/FADD, SUB/FSUB, FMUL, MUL, ICMP/FCMP) are inlined, on
-the uniform, numpy vector and scalar paths.
+uniform path calls its ``OPS`` table for every cold op, the sparse path
+and per-lane refinement call ``apply``, and only the hot ops (MOV,
+ADD/FADD, SUB/FSUB, FMUL, MUL, ICMP/FCMP) are inlined, on the uniform
+and numpy vector paths.
 
 Per-lane faults follow :meth:`Interpreter._inject` to the letter: the
 trigger fires when ``region_steps - 1 == plan.step`` *before* operand
@@ -73,10 +80,11 @@ live registers modelling a ``REGISTER_FILE_SIZE``-slot physical file
 the lane's next conditional, address faults XOR a bit into the lane's
 next memory access.
 
-Intrinsics are called with ``None`` as their interpreter argument: every
-in-tree intrinsic (the rskip.* closures and the SWIFT checkers) closes
-over its own runtime state and ignores the parameter, and the batch
-machine has no single interpreter object to hand over.  A shared
+In lockstep, intrinsics are called with ``None`` as their interpreter
+argument (tail lanes hand over their resuming engine): every in-tree
+intrinsic (the rskip.* closures and the SWIFT checkers) closes over its
+own runtime state and ignores the parameter, and the batch machine has
+no single interpreter object to hand over.  A shared
 intrinsics table whose arguments are uniform is invoked once per group.
 
 Known divergences from the reference interpreter (documented, not
@@ -88,6 +96,7 @@ different exception than the reference's ``KeyError``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from time import perf_counter
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -95,6 +104,8 @@ import numpy as np
 from ..ir.function import Function
 from ..ir.module import Module
 from ..ir.values import Const, GlobalAddr, Reg
+from ..obs.events import current_sink, enabled as obs_enabled
+from .compiler import CompiledExecutor, CompiledModule, compile_module
 from .errors import TRIAL_TRAPS, CoreDumpError, HangError, SegfaultError, classify_trap
 from .faults import CONTROL_KINDS, SKIP_KINDS, FaultPlan, Region, flip_value
 from .interpreter import (
@@ -104,12 +115,15 @@ from .interpreter import (
     MAX_CALL_DEPTH,
     OPERAND_ARITY,
     REGISTER_FILE_SIZE,
+    Interpreter,
+    MachineState,
+    ResumeFrame,
 )
 from .memory import Memory
 from .semantics import CODE as _CODE, LAST_VALUE_OP, OPS as _OPS, PRED as _PRED
 from .semantics import HUGE_INT as _HUGE_INT, INT_MASK64 as _INT_MASK64, apply
 
-#: Groups at or below this many lanes run the scalar continuation loop.
+#: Groups at or below this many lanes leave lockstep for the tail.
 #: Break-even sits where the fixed dispatch cost per group instruction
 #: exceeds the summed per-lane scalar cost; measured on the paper
 #: workloads the crossover is at a handful of lanes.
@@ -123,6 +137,10 @@ _UNDEF = object()
 
 #: Sentinel for dict-chain lookups where ``None`` is a legal value.
 _MISS = object()
+
+#: Layered accesses after which a lane memory flattens its prefix: the
+#: copy costs about as much as this many layered lookups.
+FLATTEN_AFTER = 256
 
 
 @dataclass
@@ -208,55 +226,72 @@ def _at(x, i: int):
 
 
 class _LaneMem:
-    """One lane's composed memory view: overlay → group layer → template.
+    """One lane's memory view, with :class:`Memory`'s load, store,
+    allocate and read API (same checks, exception classes, messages).
 
-    Mirrors :class:`Memory`'s access API (same checks, same exception
-    messages) so campaign result readers and the scalar continuation
-    loop are oblivious to the layering.  Writes always land in the
-    lane's private overlay — the group layer and template are frozen by
-    the time a :class:`_LaneMem` exists.
+    Reads resolve overlay → group layer → shared template, and writes
+    land in the lane's private overlay.  A lane that keeps running off
+    lockstep (the tail) flattens its allocated prefix ``[0, brk)`` into
+    ``cells`` after ``FLATTEN_AFTER`` layered accesses: from then on
+    addresses below ``size`` live there, where the compiled backend's
+    fast path indexes them.  Short-lived lanes never pay for the copy.
     """
 
-    __slots__ = ("cells", "globals", "size", "gmem", "ov", "_brk")
+    __slots__ = ("cells", "size", "tcells", "globals", "limit", "gmem",
+                 "ov", "_brk", "_misses")
 
-    def __init__(self, cells, globals_, size, gmem, ov, brk):
-        self.cells = cells          # shared template cells (read-only)
+    def __init__(self, tcells, globals_, limit, gmem, ov, brk):
+        self.cells: list = []
+        self.size = 0               # fast-path bound: len(cells)
+        self.tcells = tcells        # shared template cells (read-only)
         self.globals = globals_
-        self.size = size
+        self.limit = limit          # the memory's size
         self.gmem = gmem            # group write layer (frozen)
         self.ov = ov                # this lane's private overlay
         self._brk = brk
+        self._misses = 0
 
-    # -- access (Memory API) ------------------------------------------------
     def load(self, addr):
-        idx = self._check(addr)
-        val = self.ov.get(idx, _MISS)
-        if val is _MISS:
-            val = self.gmem.get(idx, _MISS)
+        idx = _check_addr(addr, self.limit)
+        if idx >= self.size and not self._flattened(idx):
+            val = self.ov.get(idx, _MISS)
             if val is _MISS:
-                val = self.cells[idx]
-        return val
+                val = self.gmem.get(idx, _MISS)
+                if val is _MISS:
+                    val = self.tcells[idx]
+            return val
+        return self.cells[idx]
 
     def store(self, addr, value) -> None:
-        self.ov[self._check(addr)] = value
+        idx = _check_addr(addr, self.limit)
+        if idx >= self.size and not self._flattened(idx):
+            self.ov[idx] = value
+        else:
+            self.cells[idx] = value
 
-    def _check(self, addr) -> int:
-        if isinstance(addr, float):
-            if not addr.is_integer():
-                raise SegfaultError(addr, f"non-integer address {addr!r}")
-            addr = int(addr)
-        if not isinstance(addr, int):
-            raise SegfaultError(addr, f"invalid address {addr!r}")
-        if addr < 8 or addr >= self.size:
-            raise SegfaultError(addr)
-        return addr
+    def _flattened(self, idx: int) -> bool:
+        """Count one layered access; flatten once they add up.  Whether
+        *idx* now lies in ``cells``.  (A new list: compiled code still
+        holding the old one also holds its old bound, 0.)"""
+        self._misses += 1
+        if self._misses != FLATTEN_AFTER:
+            return False
+        brk = self._brk
+        cells = self.tcells[:brk]
+        for layer in (self.gmem, self.ov):
+            for i, val in layer.items():
+                if i < brk:
+                    cells[i] = val
+        self.cells = cells
+        self.size = brk
+        return idx < brk
 
     def allocate(self, size: int) -> int:
         if size <= 0:
             raise SegfaultError(self._brk, f"allocation of non-positive size {size}")
         base = self._brk
         self._brk += int(size)
-        if self._brk > self.size:
+        if self._brk > self.limit:
             raise SegfaultError(base, "out of memory")
         return base
 
@@ -268,32 +303,24 @@ class _LaneMem:
 
     # -- convenience for harnesses ------------------------------------------
     def read_array(self, base: int, count: int) -> list:
-        if base < 8 or base + count > self.size:
+        if base < 8 or base + count > self.limit:
             raise SegfaultError(base, "array read out of bounds")
+        mid = min(base + count, self.size)
+        out = self.cells[base:mid]
         ov = self.ov
         gmem = self.gmem
-        cells = self.cells
-        out = []
-        for idx in range(base, base + count):
+        tcells = self.tcells
+        for idx in range(max(base, mid), base + count):
             val = ov.get(idx, _MISS)
             if val is _MISS:
                 val = gmem.get(idx, _MISS)
                 if val is _MISS:
-                    val = cells[idx]
+                    val = tcells[idx]
             out.append(val)
         return out
 
-    def write_array(self, base: int, values: Sequence) -> None:
-        if base < 8 or base + len(values) > self.size:
-            raise SegfaultError(base, "array write out of bounds")
-        for i, v in enumerate(values):
-            self.ov[base + i] = v
-
     def read_global(self, name: str, count: int, offset: int = 0) -> list:
         return self.read_array(self.global_addr(name) + offset, count)
-
-    def write_global(self, name: str, values: Sequence, offset: int = 0) -> None:
-        self.write_array(self.global_addr(name) + offset, values)
 
 
 class _Frame:
@@ -313,21 +340,6 @@ class _Frame:
         self.label = label
         self.pc = 0
         self.ret_dest = ret_dest    # caller slot for the return value
-
-
-class _SFrame:
-    """One function activation of a single scalar-continuation lane."""
-
-    __slots__ = ("fname", "blocks", "names", "regs", "label", "pc", "ret_dest")
-
-    def __init__(self, fname, blocks, names, regs, label, pc, ret_dest):
-        self.fname = fname
-        self.blocks = blocks
-        self.names = names
-        self.regs = regs            # per-slot scalars (_UNDEF = unwritten)
-        self.label = label
-        self.pc = pc
-        self.ret_dest = ret_dest
 
 
 class _Group:
@@ -376,6 +388,7 @@ class BatchExecutor:
         fault_region: Optional[Region] = None,
         max_steps: int = DEFAULT_MAX_STEPS,
         intrinsics=None,
+        compiled: Optional[CompiledModule] = None,
     ):
         if n_lanes <= 0:
             raise ValueError("a batch needs at least one lane")
@@ -414,12 +427,13 @@ class BatchExecutor:
         # instruction-skip / control-flow fault state: remaining dynamic
         # instructions to drop, and the pending wrong-target pick.  Lanes
         # carrying these leave lockstep the moment the trigger fires (their
-        # instruction stream diverges), so only the scalar loop reads them.
+        # instruction stream diverges); the tail hands them to the reference.
         self._skip = [0] * n_lanes
         self._cf: List[Optional[float]] = [None] * n_lanes
-        #: per function: ({label: next label in layout order}, block order) —
-        #: what a skipped terminator falls through to
-        self._succ: Dict[str, tuple] = {}
+        #: the compiled program tail lanes resume on (looked up once)
+        self._compiled = compiled
+        #: wall-clock ms per tail route, kept only while a sink is installed
+        self._tail_ms: Optional[Dict[str, float]] = None
         self._ovs: List[dict] = [dict() for _ in range(n_lanes)]
         self._results: List[Optional[LaneResult]] = [None] * n_lanes
         self._lmems: List[Optional[_LaneMem]] = [None] * n_lanes
@@ -492,14 +506,7 @@ class BatchExecutor:
                     extra = None
                 decoded.append((code, dest, tuple(ops), extra, in_region))
             blocks[label] = decoded
-        order = tuple(func.block_order())
-        self._succ[func.name] = (
-            {lab: (order[i + 1] if i + 1 < len(order) else None)
-             for i, lab in enumerate(order)},
-            order,
-        )
-        entry = order[0]
-        result = (entry, blocks, names, slot_of)
+        result = (func.block_order()[0], blocks, names, slot_of)
         self._dcache[func.name] = result
         return result
 
@@ -514,7 +521,7 @@ class BatchExecutor:
         ``region_steps - 1 == plan.step`` check before operand fetch).
         Returns the lanes whose plan forces them out of lockstep (skip and
         control-flow kinds): their stream diverges at this instruction, so
-        the caller must peel them off to the scalar loop."""
+        the caller must peel them off to the tail."""
         want = g.region_steps - 1
         row_of = g.row_of
         peel: List[int] = []
@@ -578,52 +585,6 @@ class BatchExecutor:
             if nv is not col:  # flip_value returns its input when masked
                 fregs[s] = _SpCol(col, {row: nv})
         return False
-
-    def _scalar_inject(self, lane: int, frames: List[_SFrame],
-                       plan: FaultPlan) -> None:
-        """Scalar-path twin of :meth:`_inject_lane`."""
-        if plan.kind == "branch":
-            if not self._invert[lane]:
-                self._invert[lane] = True
-                self._n_invert += 1
-            return
-        if plan.kind == "addr":
-            if self._corrupt[lane] is None:
-                self._n_corrupt += 1
-            self._corrupt[lane] = plan.bit
-            return
-        if plan.kind in SKIP_KINDS:
-            self._skip[lane] = plan.burst_len
-            return
-        if plan.kind == "cf":
-            self._cf[lane] = plan.pick
-            return
-        slots: List[Tuple[list, int]] = []
-        for fr in frames:
-            fregs = fr.regs
-            named = sorted(
-                (fr.names[s], s)
-                for s in range(len(fregs)) if fregs[s] is not _UNDEF
-            )
-            slots.extend((fregs, s) for _name, s in named)
-        if not slots:
-            return
-        nfile = max(REGISTER_FILE_SIZE, len(slots))
-        k = int(plan.pick * nfile)
-        if k >= len(slots):
-            return
-        fregs, s = slots[k]
-        fregs[s] = flip_value(fregs[s], plan.bit)
-
-    def _retarget_lane(self, lane: int, fname: str, correct: str) -> str:
-        """Consume a pending control-flow fault: pick a wrong-but-valid
-        block of the current function (``Interpreter._retarget`` twin)."""
-        pick = self._cf[lane]
-        self._cf[lane] = None
-        candidates = [lab for lab in self._succ[fname][1] if lab != correct]
-        if not candidates:
-            return correct
-        return candidates[int(pick * len(candidates)) % len(candidates)]
 
     # -- retirement / splitting --------------------------------------------
     def _bind_lane(self, lane: int, gmem: dict, brk) -> None:
@@ -782,6 +743,9 @@ class BatchExecutor:
         group = _Group(list(range(self.n_lanes)), [frame], 0, 0, trigs)
         group.brk = self._template._brk
         work = [group]
+        if obs_enabled():
+            self._tail_ms = {"compiled": 0.0, "ref": 0.0}
+            t0 = perf_counter()
         # Python float math on lane values sets hardware FP flags (inf*0,
         # overflowing divides) that numpy reports as RuntimeWarnings after
         # each object-loop ufunc; the values themselves are the exact
@@ -789,6 +753,15 @@ class BatchExecutor:
         with np.errstate(all="ignore"):
             while work:
                 self._run_group(work.pop(), work)
+        tail_ms = self._tail_ms
+        if tail_ms is not None:
+            sink = current_sink()
+            if sink is not None:
+                total = (perf_counter() - t0) * 1000.0
+                sink.record_span("batch.lockstep", total - sum(tail_ms.values()))
+                for route, ms in tail_ms.items():
+                    sink.record_span(f"batch.tail:{route}", ms)
+            self._tail_ms = None
         results = []
         for lane in range(self.n_lanes):
             res = self._results[lane]
@@ -824,7 +797,7 @@ class BatchExecutor:
                     frame.pc = pc
                     g.steps = steps
                     g.region_steps = rsteps
-                    self._scalar_finish(g)
+                    self._finish_tail(g)
                     return
                 code, dest, ops, extra, in_region = instrs[pc]
                 pc += 1
@@ -845,7 +818,7 @@ class BatchExecutor:
                             # which has not executed yet: rewind it so both
                             # children re-fetch it — the lockstep rest runs it
                             # normally, the peeled lanes drop/retarget it on
-                            # the scalar loop (triggers at this step are all
+                            # the reference (triggers at this step are all
                             # consumed, so nothing re-fires)
                             frame.pc = pc - 1
                             g.steps = steps - 1
@@ -858,7 +831,7 @@ class BatchExecutor:
                             if sel_rest:
                                 work.append(self._fork(g, sel_rest, True))
                             faulted = self._fork(g, sel_peel, not sel_rest)
-                            self._scalar_finish(faulted)
+                            self._finish_tail(faulted)
                             return
                         ntrig1 = (g.trigs[g.tptr][0] + 1) \
                             if g.tptr < len(g.trigs) else -9
@@ -1562,262 +1535,60 @@ class BatchExecutor:
                 ))
                 return
 
-    # -- scalar continuation ------------------------------------------------
-    def _scalar_finish(self, g: _Group) -> None:
-        """Hand every lane of a small group to the per-lane scalar loop.
-        Each lane gets its own composed memory view over the group's now-
-        frozen write layer; further stores land in the lane overlay."""
-        pending = {}
-        for step, lane in g.trigs[g.tptr:]:
-            pending[lane] = step
+    # -- the tail -----------------------------------------------------------
+    def _finish_tail(self, g: _Group) -> None:
+        """Finish every lane of a small group off lockstep: each exports
+        a :class:`MachineState` and resumes alone, on the compiled backend
+        when its fault has fully acted, else on the reference."""
+        pending = {lane: step for step, lane in g.trigs[g.tptr:]}
         brks = g.brks
+        tail_ms = self._tail_ms
         for i, lane in enumerate(g.rows):
-            self._bind_lane(lane, g.gmem,
-                            brks[i] if brks is not None else g.brk)
+            # the group is done: its write layer is frozen for the lanes
+            self._bind_lane(lane, g.gmem, brks[i] if brks is not None else g.brk)
+            mem = self._lmems[lane]
             frames = [
-                _SFrame(fr.fname, fr.blocks, fr.names,
-                        [_at(col, i) for col in fr.regs],
-                        fr.label, fr.pc, fr.ret_dest)
+                ResumeFrame(fr.fname, fr.label, fr.pc, {
+                    name: _at(col, i) for name, col in zip(fr.names, fr.regs)
+                    if col is not _UNDEF})
                 for fr in g.frames
             ]
-            self._results[lane] = self._run_scalar_lane(
-                lane, frames, g.steps, g.region_steps, pending.get(lane))
+            state = MachineState(
+                frames, mem, g.steps, g.region_steps,
+                trigger=pending.get(lane), skip=self._skip[lane],
+                invert=self._invert[lane], corrupt=self._corrupt[lane],
+                cf=self._cf[lane])
+            # the lane's flags leave with it: drop them from the live counts
+            self._n_invert -= state.invert
+            self._n_corrupt -= state.corrupt is not None
+            plan = self._plans[lane]
+            if state.pending or (plan is not None and plan.kind in CONTROL_KINDS):
+                route = "ref"
+                engine = Interpreter(
+                    self.module, memory=mem, max_steps=self.max_steps,
+                    fault_plan=plan, fault_region=self.fault_region)
+            else:
+                route = "compiled"
+                if self._compiled is None:
+                    self._compiled = compile_module(self.module)
+                engine = CompiledExecutor(
+                    self.module, memory=mem, max_steps=self.max_steps,
+                    fault_region=self.fault_region, compiled=self._compiled)
+            engine.intrinsics = self._tables[lane]
+            if tail_ms is not None:
+                t0 = perf_counter()
+            try:
+                out = engine.resume(state)
+                res = LaneResult(out.value, out.steps, out.region_steps,
+                                 None, False, True)
+            except TRIAL_TRAPS as exc:
+                trap, det = classify_trap(exc)
+                res = LaneResult(None, engine.steps, engine.region_steps,
+                                 trap, det)
+            if tail_ms is not None:
+                tail_ms[route] += (perf_counter() - t0) * 1000.0
+            self._results[lane] = res
         g.rows[:] = []
-
-    def _run_scalar_lane(
-        self,
-        lane: int,
-        frames: List[_SFrame],
-        steps: int,
-        region_steps: int,
-        pending: Optional[int],
-    ) -> LaneResult:
-        """Finish one lane on a slot-indexed scalar loop.
-
-        The control flow, memory, fault and counter handling of the
-        reference interpreter's ``_exec``, over the batch decode (slot
-        lists instead of name dicts) so it can resume from mid-execution
-        state.  The hot value ops are inlined; every other one is a call
-        into the shared semantics table.
-        """
-        mem = self._lmems[lane]
-        table = self._tables[lane]
-        module = self.module
-        max_steps = self.max_steps
-        plan = self._plans[lane]
-        invert = self._invert
-        corrupt = self._corrupt
-        skip_left = self._skip
-        cf = self._cf
-        may_skip = plan is not None and plan.kind in SKIP_KINDS
-        may_ctrl = plan is not None and plan.kind in CONTROL_KINDS
-
-        frame = frames[-1]
-        blocks = frame.blocks
-        label = frame.label
-        instrs = blocks[label]
-        num = len(instrs)
-        pc = frame.pc
-        regs = frame.regs
-        # unary ops hand the table a stale or None ``b``/``c``; they ignore it
-        b = c = None
-        try:
-            while True:
-                if pc == num:
-                    raise CoreDumpError(
-                        f"block {label} of @{frame.fname} fell through "
-                        f"without terminator"
-                    )
-                code, dest, ops, extra, in_region = instrs[pc]
-                pc += 1
-                steps += 1
-                if steps > max_steps:
-                    raise HangError(steps)
-                if in_region:
-                    region_steps += 1
-                    if pending is not None and region_steps - 1 == pending:
-                        pending = None
-                        self._scalar_inject(lane, frames, plan)
-                if may_skip and skip_left[lane]:
-                    # drop this instruction's effects; a dropped terminator
-                    # falls through to the next block in layout order
-                    skip_left[lane] -= 1
-                    if code == _BR or code == _CBR or code == _RET:
-                        nxt = self._succ[frame.fname][0][label]
-                        if nxt is None:
-                            raise CoreDumpError(
-                                f"block {label} of @{frame.fname} fell "
-                                f"through without terminator")
-                        label = nxt
-                        instrs = blocks[label]
-                        num = len(instrs)
-                        pc = 0
-                        frame.label = label
-                    continue
-
-                n = len(ops)
-                if n > 0:
-                    k, v, _o = ops[0]
-                    a = regs[v] if k else v
-                    if may_ctrl and a is _UNDEF:
-                        raise CoreDumpError(
-                            f"read of uninitialized register "
-                            f"%{frame.names[v]}")
-                    if n > 1:
-                        k, v, _o = ops[1]
-                        b = regs[v] if k else v
-                        if may_ctrl and b is _UNDEF:
-                            raise CoreDumpError(
-                                f"read of uninitialized register "
-                                f"%{frame.names[v]}")
-
-                if code == _LOAD:
-                    if corrupt[lane] is not None:
-                        bit = corrupt[lane]
-                        corrupt[lane] = None
-                        self._n_corrupt -= 1
-                        if isinstance(a, int):
-                            a = a ^ (1 << (bit % 24))
-                    regs[dest] = mem.load(a)
-                    continue
-                if code == _FMUL:
-                    regs[dest] = a * b
-                elif code == _FADD:
-                    regs[dest] = a + b
-                elif code == _FSUB:
-                    regs[dest] = a - b
-                elif code == _ADD:
-                    regs[dest] = a + b
-                elif code == _MOV:
-                    regs[dest] = a
-                elif code == _MUL:
-                    r = a * b
-                    if isinstance(r, int) and (r > _HUGE_INT or r < -_HUGE_INT):
-                        r &= _INT_MASK64
-                    regs[dest] = r
-                elif code == _SUB:
-                    regs[dest] = a - b
-                elif code == _ICMP or code == _FCMP:
-                    if extra == 2:
-                        r = a < b
-                    elif extra == 0:
-                        r = a == b
-                    elif extra == 4:
-                        r = a > b
-                    elif extra == 3:
-                        r = a <= b
-                    elif extra == 5:
-                        r = a >= b
-                    else:
-                        r = a != b
-                    regs[dest] = 1 if r else 0
-                elif code == _CBR:
-                    taken = a != 0 and a == a  # NaN condition falls through
-                    if invert[lane]:
-                        taken = not taken
-                        invert[lane] = False
-                        self._n_invert -= 1
-                    label = extra[1] if taken else extra[2]
-                    if cf[lane] is not None:
-                        label = self._retarget_lane(lane, frame.fname, label)
-                    instrs = blocks[label]
-                    num = len(instrs)
-                    pc = 0
-                    frame.label = label
-                elif code == _BR:
-                    label = extra
-                    if cf[lane] is not None:
-                        label = self._retarget_lane(lane, frame.fname, label)
-                    instrs = blocks[label]
-                    num = len(instrs)
-                    pc = 0
-                    frame.label = label
-                elif code == _STORE:
-                    if corrupt[lane] is not None:
-                        bit = corrupt[lane]
-                        corrupt[lane] = None
-                        self._n_corrupt -= 1
-                        if isinstance(b, int):
-                            b = b ^ (1 << (bit % 24))
-                    mem.store(b, a)
-                elif code == _RET:
-                    value = a if n else None
-                    frames.pop()
-                    if not frames:
-                        return LaneResult(
-                            value, steps, region_steps, None, False, True)
-                    rd = frame.ret_dest
-                    frame = frames[-1]
-                    blocks = frame.blocks
-                    label = frame.label
-                    instrs = blocks[label]
-                    num = len(instrs)
-                    pc = frame.pc
-                    regs = frame.regs
-                    if rd is not None:
-                        regs[rd] = value
-                elif code == _CALL:
-                    callee = module.functions.get(extra)
-                    if callee is None:
-                        raise CoreDumpError(f"call to unknown function @{extra}")
-                    if len(frames) > MAX_CALL_DEPTH:
-                        raise CoreDumpError(
-                            f"call depth exceeded in @{callee.name}")
-                    frame.label = label
-                    frame.pc = pc
-                    entry, cblocks, cnames, _slot_of = self._decode(callee)
-                    cregs = [_UNDEF] * len(cnames)
-                    # parameters occupy slots 0..P-1 in declaration order
-                    # (decode assigns them first); surplus args truncate
-                    # exactly like the reference's zip
-                    for j in range(min(len(callee.params), n)):
-                        k, v, _o = ops[j]
-                        x = regs[v] if k else v
-                        if may_ctrl and x is _UNDEF:
-                            raise CoreDumpError(
-                                f"read of uninitialized register "
-                                f"%{frame.names[v]}")
-                        cregs[j] = x
-                    nf = _SFrame(callee.name, cblocks, cnames, cregs,
-                                 entry, 0, dest)
-                    frames.append(nf)
-                    frame = nf
-                    blocks = cblocks
-                    label = entry
-                    instrs = blocks[label]
-                    num = len(instrs)
-                    pc = 0
-                    regs = cregs
-                elif code == _INTRIN:
-                    fn = table.get(extra)
-                    if fn is None:
-                        raise CoreDumpError(f"unknown intrinsic {extra!r}")
-                    vals = tuple(regs[v] if k else v for k, v, _o in ops)
-                    if may_ctrl:
-                        for x, (k, v, _o) in zip(vals, ops):
-                            if x is _UNDEF:
-                                raise CoreDumpError(
-                                    f"read of uninitialized register "
-                                    f"%{frame.names[v]}")
-                    rv, charge = fn(None, vals)
-                    steps += len(charge)
-                    if dest is not None:
-                        regs[dest] = rv
-                elif code == _ALLOC:
-                    regs[dest] = mem.allocate(int(a))
-                else:
-                    # every other value op: one shared semantics-table call
-                    if n > 2:
-                        k, v, _o = ops[2]
-                        c = regs[v] if k else v
-                        if may_ctrl and c is _UNDEF:
-                            raise CoreDumpError(
-                                f"read of uninitialized register "
-                                f"%{frame.names[v]}")
-                    regs[dest] = _OPS[code](a, b, c)
-        except TRIAL_TRAPS as exc:
-            trap, det = classify_trap(exc)
-            return LaneResult(None, steps, region_steps, trap, det)
 
 
 def _scalar_eval(code: int, extra, srcs, i: int):

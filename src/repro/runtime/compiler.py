@@ -13,7 +13,10 @@ closure that bumps ``steps`` and the per-opcode ``counts`` in bulk.
 The backend serves **clean mode only** — no fault plan, no timing model,
 no profile.  Instrumented runs stay on the reference
 :class:`~repro.runtime.interpreter.Interpreter`; the dispatch lives in
-:mod:`repro.runtime.backend`.
+:mod:`repro.runtime.backend`.  Clean also covers the rest of a faulted
+batch lane once its fault has fully acted: :meth:`CompiledExecutor.resume`
+continues such a lane's :class:`~repro.runtime.interpreter.MachineState`
+(the batch engine's tail, :mod:`repro.runtime.batch`).
 
 Observational equivalence with the reference interpreter is a hard
 contract (enforced by difftest oracle O4):
@@ -21,19 +24,18 @@ contract (enforced by difftest oracle O4):
 * identical ``RunResult.value``, ``steps``, per-opcode ``counts`` and
   memory state for completed runs;
 * identical trap behaviour — ``CoreDumpError``/``SegfaultError`` at the
-  same instruction, ``HangError`` with the exact same step count (bulk
-  accounting commits per fused segment *before* executing it; a segment
-  that would cross ``max_steps`` is re-executed instruction-by-instruction
-  with reference accounting, so the hang — or any trap that precedes it —
-  surfaces exactly where the reference interpreter raises it);
+  same instruction, ``HangError`` with the exact same step count, and
+  the same ``steps``/``region_steps`` after any trap.  Bulk accounting
+  commits per fused segment *before* executing it; a segment that would
+  cross ``max_steps`` is re-executed instruction-by-instruction with
+  reference accounting, so the hang — or any trap that precedes it —
+  surfaces exactly where the reference interpreter raises it.  A trap
+  inside a segment is mapped from the generated line it raised at back
+  to its instruction, and the counters are corrected to that point;
 * the same value-op semantics: the hot ops (MOV, ADD/FADD, SUB/FSUB,
   FMUL, MUL with its lazy 64-bit wrap, ICMP/FCMP) are generated inline,
   every other value op is a call to its :mod:`repro.runtime.semantics`
   function; and the same NaN branch rule (a NaN condition falls through).
-
-Known, documented divergence: after a *trap*, ``steps``/``region_steps``
-may over/under-count by part of the final fused segment (the campaigns
-only classify the trap type, and hang step counts are exact via replay).
 
 Compiled programs are cached module-fingerprint-keyed (sha256 of the
 printed module text), so campaign workers and the difftest runner pay
@@ -56,12 +58,13 @@ from ..ir.module import Module
 from ..ir.printer import format_module
 from ..ir.values import Const, GlobalAddr, Reg
 from ..obs.events import enabled as obs_enabled, span as obs_span
-from .errors import CoreDumpError, HangError
+from .errors import TRIAL_TRAPS, CoreDumpError, HangError
 from .interpreter import (
     DEFAULT_MAX_STEPS,
     MAX_CALL_DEPTH,
     OPERAND_ARITY,
     IntrinsicFn,
+    MachineState,
     RunResult,
 )
 from .memory import Memory
@@ -101,7 +104,8 @@ _BASE_ENV.update(
 def _decode_function(func: Function, gindex: Dict[str, int]):
     """Lower *func* to per-block instruction records over register slots.
 
-    Returns ``(nregs, nparams, labels, records, undeclared)`` where each
+    Returns ``(slots, nregs, nparams, labels, records, undeclared)``
+    (``slots`` maps register names to slot indices) where each
     record is ``[code, dest_slot_or_None, specs, extra]`` and a spec is
     ``("r", slot) | ("c", value) | ("gi", global_index) | ("gn", name)``.
     Blocks are truncated after their first terminator (the reference
@@ -181,7 +185,7 @@ def _decode_function(func: Function, gindex: Dict[str, int]):
             for rec in recs:
                 if rec[1] == -1:
                     rec[1] = scratch
-    return nregs, nparams, labels, records, undeclared
+    return slots, nregs, nparams, labels, records, undeclared
 
 
 # -- code generation ----------------------------------------------------------
@@ -395,10 +399,11 @@ class CompiledFunction:
     """One function lowered to per-block closure lists."""
 
     __slots__ = ("name", "nregs", "nparams", "labels", "blocks",
-                 "block_sizes", "undeclared", "records", "_replay")
+                 "block_sizes", "undeclared", "records", "slot_of",
+                 "spans", "line_instr", "_replay")
 
     def __init__(self, name, nregs, nparams, labels, blocks, block_sizes,
-                 undeclared, records):
+                 undeclared, records, slot_of, spans, line_instr):
         self.name = name
         self.nregs = nregs
         self.nparams = nparams
@@ -406,11 +411,18 @@ class CompiledFunction:
         self.blocks = blocks            # tuple of tuples of closures
         self.block_sizes = block_sizes  # counted instructions per block
         self.undeclared = undeclared    # globals referenced but not declared
-        self.records = records          # decoded records (for hang replay)
+        self.records = records          # decoded records (replay, resume)
+        self.slot_of = slot_of          # register name -> slot
+        #: per block, per closure: (first instruction, instructions,
+        #: generated?) — call/intrin closures are not generated
+        self.spans = spans
+        #: source line of a generated instruction -> its index in its block
+        self.line_instr = line_instr
         self._replay: Dict[int, list] = {}
 
     def replay_units(self, bi: int) -> list:
-        """Per-instruction closures for block *bi* (lazy; hang path only)."""
+        """Per-instruction closures for block *bi* (lazy; hang replay and
+        resume)."""
         units = self._replay.get(bi)
         if units is None:
             units = _compile_units(self.name, self.labels[bi], self.records[bi])
@@ -419,9 +431,9 @@ class CompiledFunction:
 
 
 def _compile_units(fname: str, lbl: str, recs) -> list:
-    """Fuse-width-1, accounting-free closures used by the hang replay.
-    CALL/INTRIN positions hold ``None`` — they do their own exact
-    accounting and are never part of a replayed fused segment."""
+    """Fuse-width-1, accounting-free closures, one per instruction.  CALL
+    and INTRIN positions hold their ordinary closures, which do their own
+    step accounting."""
     src_parts: List[str] = []
     makers: List[Optional[Tuple[str, list]]] = []
     for i, rec in enumerate(recs):
@@ -441,25 +453,43 @@ def _compile_units(fname: str, lbl: str, recs) -> list:
     units = []
     for rec, mk in zip(recs, makers):
         if mk is None:
-            units.append((rec[0], None))
+            units.append((rec[0], _call_closure(rec)))
         else:
             name, consts = mk
             units.append((rec[0], env[name](*consts)))
     return units
 
 
+def _call_closure(rec):
+    """The self-accounting closure of a CALL or INTRIN record."""
+    make = _make_call if rec[0] == _CALL else _make_intrin
+    return make(rec[0], rec[3], _fetch_spec(rec[2]), rec[1])
+
+
 def _compile_function(cm: "CompiledModule", func: Function) -> CompiledFunction:
-    nregs, nparams, labels, records, undeclared = _decode_function(
+    slot_of, nregs, nparams, labels, records, undeclared = _decode_function(
         func, cm.gindex
     )
     src_parts: List[str] = []
     #: per block: list of ("mk", name, args) | ("obj", closure)
     pending_blocks: List[list] = []
+    spans: List[tuple] = []
+    line_instr: Dict[int, int] = {}
     handles: List[list] = []
     serial = 0
+    lineno = 1  # first line of the next source part
+
+    def add_part(name, cl, acct, owners) -> None:
+        nonlocal lineno
+        src_parts.append(_assemble(name, cl, acct))
+        lineno += src_parts[-1].count("\n") + 1
+        # the instruction lines end the inner function, before ``return _op``
+        first = lineno - 1 - len(cl.lines)
+        line_instr.update((first + k, i) for k, i in enumerate(owners))
 
     for bi, (lbl, recs) in enumerate(zip(labels, records)):
         pending: list = []
+        bspans: list = []
         terminated = bool(recs) and recs[-1][0] in _TERMINATORS
 
         # split into fused generated segments and call/intrin closures
@@ -467,21 +497,18 @@ def _compile_function(cm: "CompiledModule", func: Function) -> CompiledFunction:
         n = len(recs)
         while i < n:
             rec = recs[i]
-            if rec[0] == _CALL:
-                pending.append(("obj", _make_call(
-                    rec[0], rec[3], _fetch_spec(rec[2]), rec[1])))
-                i += 1
-                continue
-            if rec[0] == _INTRIN:
-                pending.append(("obj", _make_intrin(
-                    rec[0], rec[3], _fetch_spec(rec[2]), rec[1])))
+            if rec[0] in (_CALL, _INTRIN):
+                pending.append(("obj", _call_closure(rec)))
+                bspans.append((i, 1, False))
                 i += 1
                 continue
             start = i
             cl = _Closure()
+            owners: List[int] = []
             count_pairs: Dict[int, int] = {}
             while i < n and recs[i][0] not in (_CALL, _INTRIN):
                 _emit(cl, recs[i])
+                owners.extend([i] * (len(cl.lines) - len(owners)))
                 count_pairs[recs[i][0]] = count_pairs.get(recs[i][0], 0) + 1
                 i += 1
             seg = i - start
@@ -489,9 +516,9 @@ def _compile_function(cm: "CompiledModule", func: Function) -> CompiledFunction:
             handles.append(handle)
             name = f"_mk{serial}"
             serial += 1
-            src_parts.append(_assemble(
-                name, cl, (seg, sorted(count_pairs.items()))))
+            add_part(name, cl, (seg, sorted(count_pairs.items())), owners)
             pending.append(("mk", name, [handle] + cl.consts))
+            bspans.append((start, seg, True))
 
         if not terminated:
             # mirror the reference interpreter's fell-through trap; also the
@@ -502,9 +529,11 @@ def _compile_function(cm: "CompiledModule", func: Function) -> CompiledFunction:
             cl.lines.append(f"raise CoreDumpError({msg!r})")
             name = f"_mk{serial}"
             serial += 1
-            src_parts.append(_assemble(name, cl, None))
+            add_part(name, cl, None, ())
             pending.append(("mk", name, []))
+            bspans.append((n, 0, True))
         pending_blocks.append(pending)
+        spans.append(tuple(bspans))
 
     env = dict(_BASE_ENV)
     if src_parts:
@@ -521,7 +550,8 @@ def _compile_function(cm: "CompiledModule", func: Function) -> CompiledFunction:
     )
     block_sizes = tuple(len(recs) for recs in records)
     cf = CompiledFunction(func.name, nregs, nparams, tuple(labels), blocks,
-                          block_sizes, tuple(undeclared), records)
+                          block_sizes, tuple(undeclared), records, slot_of,
+                          tuple(spans), line_instr)
     for handle in handles:
         handle[0] = cf
     return cf
@@ -600,10 +630,12 @@ class CompiledExecutor:
 
     Exposes the same running state (``steps``, ``counts``, ``region_steps``,
     ``intrinsics``, ``memory``) and the same ``run``/``register_intrinsic``
-    surface.  ``fault_region`` is supported (bulk per-block accounting) so
-    golden campaign runs can measure their injection window; fault *plans*,
-    timing and profiling are not — those runs belong to the reference
-    interpreter (see :mod:`repro.runtime.backend`).
+    surface, plus :meth:`resume` for a paused execution with no fault
+    state pending.  ``fault_region`` is supported (bulk per-block
+    accounting) so golden campaign runs can measure their injection
+    window; fault *plans*, timing and profiling are not — those runs
+    belong to the reference interpreter (see :mod:`repro.runtime.backend`).
+    *compiled* passes in a :func:`compile_module` result looked up once.
     """
 
     def __init__(
@@ -612,6 +644,7 @@ class CompiledExecutor:
         memory: Optional[Memory] = None,
         max_steps: int = DEFAULT_MAX_STEPS,
         fault_region=None,
+        compiled: Optional[CompiledModule] = None,
     ):
         self.module = module
         self.memory = memory if memory is not None else Memory()
@@ -628,7 +661,7 @@ class CompiledExecutor:
         #: dynamic steps charged by intrinsics (they never enter
         #: ``region_steps``, matching the reference accounting)
         self.charged = 0
-        self._cm = compile_module(module)
+        self._cm = compiled if compiled is not None else compile_module(module)
         self._G: Optional[List[int]] = None
         self._depth = 0
         self._overlays: Dict[str, list] = {}
@@ -650,37 +683,87 @@ class CompiledExecutor:
             raise TypeError(
                 f"@{func_name} expects {len(func.params)} arguments, got {len(args)}"
             )
-        if self._G is None:
-            mem = self.memory
-            self._G = [mem.global_addr(n) for n in self._cm.global_names]
         # the compiled backend only ever serves clean runs, so (unlike the
         # reference interpreter) every run may carry a timing span
         if obs_enabled():
             with obs_span(f"compiled.run:@{func_name}"):
-                value = self._invoke(self._cm.function(func_name), list(args))
+                value = self._exact(self._call, func_name, list(args))
         else:
-            value = self._invoke(self._cm.function(func_name), list(args))
-        if self.fault_region is None:
-            # region None means "everything is in region" for the reference
-            # interpreter — every architectural step, never intrinsic charges
-            self.region_steps = self.steps - self.charged
-        return RunResult(
-            value=value,
-            steps=self.steps,
-            counts=self.count_dict(),
-            cycles=0,
-            ipc=0.0,
-            region_steps=self.region_steps,
-        )
+            value = self._exact(self._call, func_name, list(args))
+        return RunResult(value, self.steps, self.count_dict(),
+                         region_steps=self.region_steps)
+
+    def resume(self, state: MachineState) -> RunResult:
+        """Continue a paused execution with no fault state pending.
+
+        The innermost frame re-enters at its (label, index) and runs the
+        rest of that block per instruction (:meth:`CompiledFunction.
+        replay_units`), then whole fused blocks.  When it returns, its
+        value goes into the caller's ``call`` dest and the caller
+        continues the same way, outward to the first frame."""
+        assert not state.pending, "faulted resumes belong to the reference"
+        self.memory = state.memory
+        self.steps = state.steps
+        self.region_steps = state.region_steps
+        value = self._exact(self._resume_frames, state.frames)
+        return RunResult(value, self.steps, self.count_dict(),
+                         region_steps=self.region_steps)
 
     # -- internal -------------------------------------------------------------
+    def _exact(self, body, *args):
+        """``body(*args)`` with the reference's counters on every exit.
+        Without a fault region every architectural step is in region —
+        never an intrinsic charge, nor the step that hung."""
+        self._G = [self.memory.global_addr(n) for n in self._cm.global_names]
+        steps0, region0 = self.steps, self.region_steps
+        self.charged = 0
+        hung = False
+        try:
+            return body(*args)
+        except HangError:
+            hung = True
+            raise
+        finally:
+            self._depth = 0
+            if self.fault_region is None:
+                self.region_steps = (region0 + self.steps - steps0
+                                     - self.charged - hung)
+
+    def _resume_frames(self, frames) -> object:
+        value = None
+        for depth in range(len(frames) - 1, -1, -1):
+            fname, label, index, regs = frames[depth]
+            cf = self._cm.function(fname)
+            R = [None] * cf.nregs
+            for name, v in regs.items():
+                R[cf.slot_of[name]] = v
+            bi = cf.labels.index(label)
+            recs = cf.records[bi]
+            if depth < len(frames) - 1:
+                dest = recs[index - 1][1]  # the pending call's
+                if dest is not None:
+                    R[dest] = value
+            self._depth = depth + 1
+            r = self._run_units(cf, bi, index, len(recs), R)
+            if not recs or recs[-1][0] not in _TERMINATORS:
+                raise CoreDumpError(
+                    f"block {label} of @{fname} fell through without terminator")
+            self._depth = depth
+            value = r[0] if r.__class__ is tuple else self._invoke(cf, R, r)
+        return value
+
     def _call(self, name: str, vals: list):
         cf = self._cm.function(name)
         if cf is None:
             raise CoreDumpError(f"call to unknown function @{name}")
-        return self._invoke(cf, vals)
+        R = [None] * cf.nregs
+        np = cf.nparams
+        if np:
+            R[:np] = vals
+        return self._invoke(cf, R, 0)
 
-    def _invoke(self, cf: CompiledFunction, args: list):
+    def _invoke(self, cf: CompiledFunction, R: list, bi: int):
+        """Run *cf* on register file *R* from block *bi* to its return."""
         depth = self._depth
         if depth > MAX_CALL_DEPTH:
             raise CoreDumpError(f"call depth exceeded in @{cf.name}")
@@ -692,32 +775,58 @@ class CompiledExecutor:
                 for name in cf.undeclared:
                     self.memory.global_addr(name)
                 self._resolved.add(cf.name)
-            R = [None] * cf.nregs
-            np = cf.nparams
-            if np:
-                R[:np] = args
             blocks = cf.blocks
-            if self.fault_region is None:
-                bi = 0
+            overlay = None
+            try:
+                if self.fault_region is None:
+                    while True:
+                        for op in blocks[bi]:
+                            r = op(R, self)
+                        if r.__class__ is int:
+                            bi = r
+                        else:
+                            return r[0]
+                overlay = self._overlay(cf)
                 while True:
                     for op in blocks[bi]:
                         r = op(R, self)
+                    self.region_steps += overlay[bi]
                     if r.__class__ is int:
                         bi = r
                     else:
                         return r[0]
-            overlay = self._overlay(cf)
-            bi = 0
-            while True:
-                for op in blocks[bi]:
-                    r = op(R, self)
-                self.region_steps += overlay[bi]
-                if r.__class__ is int:
-                    bi = r
-                else:
-                    return r[0]
+            except TRIAL_TRAPS as exc:
+                self._settle(cf, bi, op, exc, overlay)
+                raise
         finally:
             self._depth = depth
+
+    def _settle(self, cf: CompiledFunction, bi: int, op, exc, overlay) -> None:
+        """Make ``steps``/``region_steps`` exact after closure *op* of
+        block *bi* raised.  A fused segment commits all its steps up
+        front, and a block's region steps are added after it; the
+        trapping instruction comes from the line the segment's frame
+        stopped at, never from a re-run (it may have overwritten its own
+        operands)."""
+        if isinstance(exc, HangError):
+            self.steps = exc.steps  # hang checks raise before committing
+        start, count, generated = cf.spans[bi][cf.blocks[bi].index(op)]
+        tb = exc.__traceback__
+        while tb.tb_frame.f_code is not op.__code__:
+            tb = tb.tb_next
+        at = cf.line_instr.get(tb.tb_lineno) if generated else None
+        if at is not None:
+            self.steps -= start + count - 1 - at
+            done = at + 1
+        elif generated or (isinstance(exc, HangError) and tb.tb_next is None):
+            # the hang replay counted this segment itself, the block fell
+            # through after its last instruction, or a call/intrin's own
+            # hang check fired (no region step for it)
+            done = start
+        else:
+            done = start + 1
+        if overlay is not None and overlay[bi]:
+            self.region_steps += done
 
     def _overlay(self, cf: CompiledFunction) -> list:
         ov = self._overlays.get(cf.name)
@@ -736,6 +845,13 @@ class CompiledExecutor:
         exact reference accounting: the hang — or any trap the reference
         interpreter would hit first — surfaces at the precise step."""
         cf, bi, start, count = handle
+        self._run_units(cf, bi, start, start + count, R)
+        raise AssertionError("hang replay completed without trapping")  # pragma: no cover
+
+    def _run_units(self, cf: CompiledFunction, bi: int, start: int, stop: int,
+                   R: list):
+        """Execute instructions [start, stop) of block *bi* one at a time
+        with the reference accounting; returns the last one's result."""
         units = cf.replay_units(bi)
         region = self.fault_region
         in_region = region is not None and region.contains(
@@ -743,15 +859,16 @@ class CompiledExecutor:
         )
         max_steps = self.max_steps
         counts = self.counts
-        steps = self.steps
-        for code, unit in units[start:start + count]:
-            steps += 1
+        r = None
+        for code, unit in units[start:stop]:
+            steps = self.steps + 1
             if steps > max_steps:
                 self.steps = steps
                 raise HangError(steps)
-            self.steps = steps
-            counts[code] += 1
+            if code != _CALL and code != _INTRIN:  # those count themselves
+                self.steps = steps
+                counts[code] += 1
             if in_region:
                 self.region_steps += 1
-            unit(R, self)
-        raise AssertionError("hang replay completed without trapping")  # pragma: no cover
+            r = unit(R, self)
+        return r

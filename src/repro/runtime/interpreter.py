@@ -20,8 +20,9 @@ charging").
 """
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from ..ir.function import Function
 from ..ir.instructions import Opcode
@@ -101,6 +102,44 @@ class RunResult:
     @property
     def dynamic_instructions(self) -> int:
         return self.steps
+
+
+class ResumeFrame(NamedTuple):
+    """One activation of a paused execution: its function, the block and
+    index of the next instruction to execute (in a caller, the one after
+    its pending ``call``) and the registers written so far, by name."""
+
+    func: str
+    label: str
+    index: int
+    regs: Dict[str, object]
+
+
+@dataclass
+class MachineState:
+    """A paused execution, continued by :meth:`Interpreter.resume` or
+    :meth:`~repro.runtime.compiler.CompiledExecutor.resume`: the frame
+    stack (outermost first), the memory it runs on, both step counters
+    and the fault state still to act — the plan step whose trigger has
+    not fired (``None`` once fired), instructions still to drop, a
+    pending branch inversion, address-corruption bit and cf pick."""
+
+    frames: List[ResumeFrame]
+    memory: object
+    steps: int
+    region_steps: int
+    trigger: Optional[int] = None
+    skip: int = 0
+    invert: bool = False
+    corrupt: Optional[int] = None
+    cf: Optional[float] = None
+
+    @property
+    def pending(self) -> bool:
+        """Whether fault state is still to act (if not, the rest of the
+        execution is a clean run)."""
+        return (self.trigger is not None or self.skip > 0 or self.invert
+                or self.corrupt is not None or self.cf is not None)
 
 
 class Interpreter:
@@ -191,17 +230,64 @@ class Interpreter:
         if self.fault_plan is None and obs_enabled():
             with obs_span(f"ref.run:@{func_name}"):
                 value, _ = self._run_function(func, list(args), times, depth=0)
-        elif self.fault_plan is not None and self.fault_plan.kind in CONTROL_KINDS:
-            # dropped defs and illegal control edges can reach a register
-            # no path has written; verified IR cannot, so the raw KeyError
-            # here is always fault-induced and classifies as a coredump
-            try:
-                value, _ = self._run_function(func, list(args), times, depth=0)
-            except KeyError as exc:
-                raise CoreDumpError(
-                    f"read of uninitialized register %{exc.args[0]}") from None
         else:
-            value, _ = self._run_function(func, list(args), times, depth=0)
+            with self._undef_reads_core_dump():
+                value, _ = self._run_function(func, list(args), times, depth=0)
+        return self._result(value)
+
+    def resume(self, state: MachineState) -> RunResult:
+        """Continue a paused execution (its pending trigger, if any, is
+        this interpreter's plan) to its end, without timing or profile.
+
+        Re-enters the innermost frame at its (label, index); when the
+        frame returns, its value goes into the caller's ``call`` dest and
+        the caller continues, outward to the first frame.  Every frame is
+        on the stack throughout, so a value flip still picks its victim
+        across the whole stack."""
+        self.memory = state.memory
+        self.steps = state.steps
+        self.region_steps = state.region_steps
+        self._fault_pending = state.trigger is not None
+        self._skip_left = state.skip
+        self._invert_next_cbr = state.invert
+        self._corrupt_next_mem = state.corrupt
+        self._cf_pick = state.cf
+        frames = state.frames
+        self._frames.extend(frame.regs for frame in frames)
+        self._frame_funcs.extend(frame.func for frame in frames)
+        value = None
+        try:
+            with self._undef_reads_core_dump():
+                for depth in range(len(frames) - 1, -1, -1):
+                    fname, label, index, regs = frames[depth]
+                    func = self.module.functions[fname]
+                    _, blocks = self._decode(func)
+                    if depth < len(frames) - 1:
+                        dest = blocks[label][index - 1][1]  # the pending call's
+                        if dest is not None:
+                            regs[dest] = value
+                    value, _ = self._exec(func, label, blocks, regs, {}, depth,
+                                          index)
+                    self._frames.pop()
+                    self._frame_funcs.pop()
+        finally:
+            del self._frames[:], self._frame_funcs[:]
+        return self._result(value)
+
+    @contextmanager
+    def _undef_reads_core_dump(self):
+        """Under a control-flow fault plan, a read of a never-written
+        register (a raw ``KeyError``) is a coredump: dropped defs and
+        illegal control edges reach one, verified IR cannot."""
+        try:
+            yield
+        except KeyError as exc:
+            if self.fault_plan is None or self.fault_plan.kind not in CONTROL_KINDS:
+                raise
+            raise CoreDumpError(
+                f"read of uninitialized register %{exc.args[0]}") from None
+
+    def _result(self, value) -> RunResult:
         tm = self.timing
         return RunResult(
             value=value,
@@ -282,11 +368,9 @@ class Interpreter:
         if plan.kind == "cf":
             self._cf_pick = plan.pick
             return
-        slots = []
+        slots = []  # the current frame is always on the stack
         for frame in self._frames:
             slots.extend((frame, name) for name in sorted(frame))
-        if not slots:
-            slots = [(regs, name) for name in sorted(regs)]
         if not slots:
             return
         # the SEU lands somewhere in a fixed-size physical register file;
@@ -351,7 +435,10 @@ class Interpreter:
         regs: Dict[str, object],
         times: Dict[str, int],
         depth: int,
+        start: int = 0,
     ) -> Tuple[object, int]:
+        """Run *func* from instruction *start* of block *entry* to its
+        return."""
         tm = self.timing
         memory = self.memory
         counts = self.counts
@@ -375,13 +462,14 @@ class Interpreter:
         region_steps = self.region_steps
         # unary ops hand the table a stale or None ``b``/``c``; they ignore it
         b = c = None
+        instrs = blocks[label][start:] if start else blocks[label]
 
         try:
             while True:
                 if block_counts is not None:
                     key = (fname, label)
                     block_counts[key] = block_counts.get(key, 0) + 1
-                for code, dest, ops, extra, in_region in blocks[label]:
+                for code, dest, ops, extra, in_region in instrs:
                     steps += 1
                     if steps > max_steps:
                         raise HangError(steps)
@@ -574,6 +662,7 @@ class Interpreter:
                     raise CoreDumpError(
                         f"block {label} of @{func.name} fell through without terminator"
                     )
+                instrs = blocks[label]
         finally:
             self.steps = steps
             self.region_steps = region_steps

@@ -2,7 +2,7 @@
 
 Each value opcode's arithmetic, trap conversion and lazy 64-bit wrap is
 written here once.  The reference interpreter, the batch engine (uniform,
-sparse, per-lane and scalar-tail paths), the compiled backend, the
+sparse and per-lane paths), the compiled backend, the
 tracer's :class:`~repro.runtime.tracer.ReferenceInterpreter` and the
 constant folder all evaluate the cold value ops through :data:`OPS` or
 :func:`apply`.

@@ -17,11 +17,15 @@ from repro.eval.fault_campaign import (
     run_campaign,
     run_trial_block,
     run_trial_block_batch,
+    seeded_plans,
 )
 from repro.eval.schemes import prepare
 from repro.pipeline.registry import canonical_scheme
 from repro.runtime.backend import set_default_backend
+from repro.runtime.batch import BatchExecutor
+from repro.runtime.errors import TRIAL_TRAPS, classify_trap
 from repro.runtime.faults import ADVERSARIAL_KIND_WEIGHTS
+from repro.runtime.interpreter import Interpreter
 from repro.workloads import get_workload
 
 SCALE = 0.35
@@ -135,6 +139,49 @@ class TestLaneRuntimes:
             batch = run_trial_block_batch(
                 prepared, workload, inp, ctx, scheme, SEED, 0, 16, **kwargs)
             assert batch.to_dict() == serial, lanes
+
+
+class TestTrapStepCounts:
+    """O5 compares step counts even for trapped lanes, but its fuzzed
+    programs never trapped a compiled tail lane inside a fused segment.
+    Trials 163, 187 and 192 of this sgemm AR50 campaign do: each
+    segfaults after its value flip fired, on the compiled backend, and a
+    count taken per segment instead of at the trapping instruction left
+    their region steps short by 1, 1 and 9."""
+
+    @pytest.mark.parametrize("start", [150, 175])
+    def test_slab_lanes_count_like_the_reference(self, start):
+        workload = get_workload("sgemm")
+        seed = 1
+        profiles = Harness(workload, scale=SCALE, timing=False).profiles_for(0.5)
+        inp = workload.test_inputs(1, seed=seed + 17, scale=SCALE)[0]
+        prepared = prepare(workload, "AR50", None, profiles)
+        ctx = campaign_context(prepared, workload, inp)
+        plans = seeded_plans(seed, "sgemm", "AR50", start, 25, ctx.region_steps)
+        runtime = prepared.runtime
+        want = []
+        for plan in plans:
+            runtime.reset()
+            interp = Interpreter(
+                prepared.module, memory=workload.fresh_memory(prepared.module, inp),
+                max_steps=ctx.max_steps, fault_plan=plan, fault_region=ctx.region)
+            interp.register_intrinsics(prepared.intrinsics)
+            trap, detected = None, False
+            try:
+                interp.run(prepared.main, inp.args)
+            except TRIAL_TRAPS as exc:
+                trap, detected = classify_trap(exc)
+            want.append((trap, detected, interp.steps, interp.region_steps))
+        # lanes as the batch backend builds them: one runtime fork each
+        tables = [runtime.fork().intrinsics() for _ in plans]
+        executor = BatchExecutor(
+            prepared.module, workload.fresh_memory(prepared.module, inp),
+            len(plans), fault_plans=plans, fault_region=ctx.region,
+            max_steps=ctx.max_steps, intrinsics=tables)
+        got = [(r.trap, r.detected, r.steps, r.region_steps)
+               for r in executor.run(prepared.main, inp.args)]
+        assert got == want
+        assert sum(w[0] == "segfault" for w in want) > 0
 
 
 class TestMixedKinds:

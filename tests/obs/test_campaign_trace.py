@@ -6,6 +6,8 @@ import pytest
 from repro.eval import Harness
 from repro.eval.campaign_engine import run_campaign_parallel, run_campaigns
 from repro.obs import RunManifest, load_trace
+from repro.runtime.backend import set_default_backend
+from repro.runtime.faults import ADVERSARIAL_KIND_WEIGHTS
 from repro.workloads import get_workload
 
 SCALE = 0.35
@@ -82,6 +84,37 @@ class TestTraceContents:
         assert manifest.run == events[0].run
         assert len(manifest.spans) == 3  # one wall-clock span per shard
         assert manifest.fingerprints  # module fingerprint recorded
+
+    def test_batch_spans_reach_the_manifest(self, conv1d, tmp_path):
+        """The batch engine reports its lockstep/tail split as manifest
+        spans only: the trace body of a campaign whose trials emit only
+        their outcomes stays byte-identical to the reference backend's.
+        (RSkip runtime events interleave in lockstep order on the batch
+        backend, so only their per-backend determinism holds.)"""
+        def traced(name, backend):
+            out = str(tmp_path / name)
+            set_default_backend(backend)
+            try:
+                run_campaign_parallel(
+                    conv1d, "UNSAFE", 30, scale=SCALE, jobs=1, chunk=30,
+                    trace_out=out, kind_weights=ADVERSARIAL_KIND_WEIGHTS)
+            finally:
+                set_default_backend(None)
+            with open(out, "rb") as handle:
+                return out, handle.read()
+
+        _, ref_bytes = traced("ref.jsonl", "ref")
+        out, batch_bytes = traced("batch.jsonl", "batch")
+        assert batch_bytes == ref_bytes
+        spans = dict(RunManifest.load(out).spans)
+        assert {"batch.lockstep", "batch.tail:compiled",
+                "batch.tail:ref"} <= set(spans)
+        assert spans["batch.lockstep"] > 0
+        assert spans["batch.tail:compiled"] > 0  # post-fault clean lanes
+        assert spans["batch.tail:ref"] > 0       # peeled skip/cf lanes
+        assert not any(label.startswith("batch.")
+                       for label, _ in RunManifest.load(
+                           str(tmp_path / "ref.jsonl")).spans)
 
     def test_untraced_campaign_writes_nothing(self, conv1d, conv1d_profiles,
                                               tmp_path, monkeypatch):

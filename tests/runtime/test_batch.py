@@ -15,7 +15,8 @@ from repro.ir.verifier import verify_module
 from repro.runtime.batch import SCALAR_CUTOFF, BatchExecutor
 from repro.runtime.errors import HangError, SegfaultError
 from repro.runtime.faults import FaultPlan, Region
-from repro.runtime.interpreter import Interpreter
+from repro.runtime.compiler import CompiledExecutor
+from repro.runtime.interpreter import Interpreter, MachineState, ResumeFrame
 from repro.runtime.memory import Memory
 
 LOOP_SUM = """
@@ -170,6 +171,49 @@ class TestDivergence:
         for res in executor.run("main", []):
             assert res.trap == "hang" and not res.finished
             assert res.steps == steps  # the interpreter's exact cutoff
+
+
+CALLER = """
+module batch_caller
+
+func @main() -> f64 {
+entry:
+  %a = mov 2.0:f64
+  %r = call @f(%a) : f64
+  %s = fadd %r, %a
+  ret %s
+}
+
+func @f(%x: f64) -> f64 {
+entry:
+  %y = fmul %x, 3.0:f64
+  %z = fadd %y, 1.0:f64
+  ret %z
+}
+"""
+
+
+class TestResume:
+    """Both clean engines continue a paused two-frame execution: the
+    callee from mid-block, then the caller after its pending call."""
+
+    @pytest.mark.parametrize("engine", [Interpreter, CompiledExecutor])
+    @pytest.mark.parametrize("region", [None, Region(funcs=("f",))],
+                             ids=["everything", "callee"])
+    def test_resume_inside_a_callee(self, engine, region):
+        module = _load(CALLER)
+        ref = Interpreter(module, memory=Memory(), fault_region=region)
+        want = ref.run("main", [])
+        # paused after @f's fmul: steps mov, call, fmul
+        state = MachineState(
+            [ResumeFrame("main", "entry", 2, {"a": 2.0}),
+             ResumeFrame("f", "entry", 1, {"x": 2.0, "y": 6.0})],
+            Memory(), steps=3, region_steps=3 if region is None else 1)
+        got = engine(module, memory=state.memory,
+                     fault_region=region).resume(state)
+        assert (got.value, got.steps, got.region_steps) == \
+            (want.value, want.steps, want.region_steps) == \
+            (9.0, 7, 7 if region is None else 3)
 
 
 class TestConstruction:

@@ -4,11 +4,12 @@ Every case runs under the reference :class:`Interpreter` and the
 :class:`CompiledExecutor` and asserts the full observable state matches:
 return value (NaN-aware), step count, per-opcode counts, region steps
 and final memory — or, on trap paths, the exact exception type and
-message.  Most cases also run on the tracer's
-:class:`ReferenceInterpreter` (which evaluates value ops through the
-semantics table) and on the :class:`BatchExecutor`, both on its lockstep
-uniform path and on its one-lane scalar tail, so every inlined copy of a
-hot op is checked against the table.  Plus compile-cache identity and the
+message plus exact step and region-step counts.  Most cases also run on
+the tracer's :class:`ReferenceInterpreter` (which evaluates value ops
+through the semantics table) and on the :class:`BatchExecutor`, both on
+its lockstep uniform path and as a one-lane batch (whose tail resumes on
+the compiled backend), so every inlined copy of a hot op is checked
+against the table.  Plus compile-cache identity and the
 backend dispatch rules.
 """
 import math
@@ -33,7 +34,7 @@ from repro.runtime import (
     set_default_backend,
 )
 from repro.runtime.batch import SCALAR_CUTOFF, BatchExecutor
-from repro.runtime.faults import FaultPlan
+from repro.runtime.faults import FaultPlan, Region
 from repro.runtime.semantics import CODE, PRED, apply
 
 from ..conftest import (
@@ -55,7 +56,7 @@ def module_of(body: str, ret_ty: str = "f64", params: str = ""):
 def observe(cls, module, args=(), max_steps=1_000_000, intrinsics=None,
             seed=False):
     """One run reduced to a comparable tuple, plus the memory it used and
-    the engine's final step count."""
+    the engine's final (steps, region steps) — exact on trap paths too."""
     mem = seed_memory(module) if seed else Memory()
     engine = cls(module, memory=mem, max_steps=max_steps)
     if intrinsics:
@@ -63,13 +64,15 @@ def observe(cls, module, args=(), max_steps=1_000_000, intrinsics=None,
     try:
         result = engine.run("main", list(args))
     except Exception as exc:  # noqa: BLE001 - traps are part of the contract
-        return ("raised", type(exc).__name__, str(exc), exc.args), mem, engine.steps
+        counters = (engine.steps, getattr(engine, "region_steps", None))
+        return ("raised", type(exc).__name__, str(exc), exc.args), mem, counters
+    counters = (engine.steps, getattr(engine, "region_steps", None))
     if cls is ReferenceInterpreter:  # returns the bare value
-        return ("ok", result, engine.steps), mem, engine.steps
+        return ("ok", result, engine.steps), mem, counters
     return (
         "ok", result.value, result.steps, dict(result.counts),
         result.region_steps,
-    ), mem, engine.steps
+    ), mem, counters
 
 
 def same_value(a, b) -> bool:
@@ -106,17 +109,20 @@ def assert_backends_agree(module, args=(), max_steps=1_000_000,
     """Run *module* on the reference interpreter and the compiled backend
     and, with *every_engine*, on the tracer and on the batch engine with
     ``SCALAR_CUTOFF + 1`` clean lanes (uniform lockstep path) and with one
-    lane (scalar tail).  The batch engine keeps no per-opcode counts and
-    records a trap kind rather than an exception, so against it only the
-    value, trap kind, steps, region steps and memory are compared."""
+    lane (the tail, resumed on the compiled backend).  The compiled
+    backend's steps and region steps must match on trap paths too.  The
+    batch engine keeps no per-opcode counts and records a trap kind
+    rather than an exception, so against it only the value, trap kind,
+    steps, region steps and memory are compared."""
     def run(cls):
         return observe(cls, module, args, max_steps,
                        intrinsics_factory() if intrinsics_factory else None,
                        seed)
 
-    ref, ref_mem, ref_steps = run(Interpreter)
-    comp, comp_mem, _ = run(CompiledExecutor)
+    ref, ref_mem, ref_counters = run(Interpreter)
+    comp, comp_mem, comp_counters = run(CompiledExecutor)
     assert_same_run(ref, comp)
+    assert comp_counters == ref_counters
     assert_same_memory(ref_mem, comp_mem.cells[8:])
     if not every_engine:
         return ref
@@ -136,7 +142,8 @@ def assert_backends_agree(module, args=(), max_steps=1_000_000,
                 assert same_value(res.value, ref[1])
                 assert (res.steps, res.region_steps) == (ref[2], ref[4])
             else:
-                assert (res.trap, res.steps) == (TRAP_KIND[ref[1]], ref_steps)
+                assert (res.trap, res.steps, res.region_steps) == \
+                    (TRAP_KIND[ref[1]], *ref_counters)
             assert_same_memory(
                 ref_mem, engine.lane_memory(lane).read_array(8, ref_mem.size - 8))
     return ref
@@ -329,6 +336,59 @@ def test_trap_before_hang_in_same_segment():
     assert obs[2] == "integer division by zero"
     obs = assert_backends_agree(parse_module(src), max_steps=4)
     assert obs[1] == "HangError"
+
+
+def counters_in_region(cls, module, region, max_steps=1_000_000,
+                       intrinsics=None):
+    """(exception name, steps, region steps) of one run over *region*."""
+    engine = cls(module, memory=Memory(), max_steps=max_steps,
+                 fault_region=region)
+    engine.register_intrinsics(intrinsics or {})
+    try:
+        engine.run("main", [])
+        name = None
+    except Exception as exc:  # noqa: BLE001 - traps are part of the contract
+        name = type(exc).__name__
+    return name, engine.steps, engine.region_steps
+
+
+#: a segfault at the third instruction of a five-instruction fused
+#: segment, reached from the middle of a caller block
+NESTED_TRAP = (
+    "func @main() -> f64 {\nentry:\n  %a = add 1:i64, 2:i64\n"
+    "  %r = call @f(%a) : f64\n  %b = add %a, 3:i64\n  ret %r\n}\n"
+    "func @f(%x: i64) -> f64 {\nentry:\n  %y = add %x, 4:i64\n"
+    "  %z = mul %y, 100000:i64\n  %v = load %z : f64\n"
+    "  %w = add %y, 1:i64\n  %q = add %w, 1:i64\n  ret %v\n}\n"
+)
+
+
+@pytest.mark.parametrize("funcs", [None, ("main",), ("f",), ("main", "f")],
+                         ids=["everything", "caller", "callee", "both"])
+def test_trap_counts_mid_segment(funcs):
+    module = parse_module(NESTED_TRAP)
+    region = None if funcs is None else Region(funcs=funcs)
+    ref = counters_in_region(Interpreter, module, region)
+    assert ref[0] == "SegfaultError"
+    assert counters_in_region(CompiledExecutor, module, region) == ref
+
+
+@pytest.mark.parametrize("budget", range(1, 9))
+def test_hang_counts_across_calls_and_intrinsics(budget):
+    # the budget runs out at every position: inside segments, at the
+    # call's and the intrinsic's own checks, and inside the callee
+    module = parse_module(
+        "func @main() -> f64 {\nentry:\n  %a = add 1:i64, 2:i64\n"
+        "  %p = intrin probe(%a) : f64\n  %r = call @f(%a) : f64\n"
+        "  ret %r\n}\n"
+        "func @f(%x: i64) -> f64 {\nentry:\n  %y = add %x, 4:i64\n"
+        "  %z = sitofp %y\n  ret %z\n}\n")
+    probe = {"probe": lambda _e, args: (0.0, (Opcode.ADD,))}
+    for funcs in (None, ("main",), ("f",)):
+        region = None if funcs is None else Region(funcs=funcs)
+        ref = counters_in_region(Interpreter, module, region, budget, probe)
+        assert counters_in_region(
+            CompiledExecutor, module, region, budget, probe) == ref
 
 
 def test_call_depth_parity():
