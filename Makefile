@@ -20,9 +20,12 @@ test:
 ## + the protocol smoke (O3 over every registered scheme's declared
 ## contract, workload-backed; predictor-vs-fixed CKPT campaigns
 ## byte-identical serial vs batch with the fault-likelihood signal
-## demonstrably steering checkpoint frequency).
+## demonstrably steering checkpoint frequency) + the golden-prefix
+## fast-forward check (500 sgemm AR50 and 500 adversarial conv1d UNSAFE
+## reference trials, each identical to its from-scratch run).
 ## Full exhaustive skip sweeps stay behind pytest's `slow` marker.
 verify: test
+	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m pytest -q -m slow tests/eval/test_fast_forward.py
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m repro difftest --oracle o4 --n 60
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m repro difftest --oracle o5 --n 60
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m repro difftest --oracle o6 --n 20

@@ -14,7 +14,6 @@ from .interpolation import (
 )
 from .memoization import (
     InputQuantizer,
-    MemoStats,
     MemoTable,
     bit_tuning,
     build_memo_table,
@@ -58,7 +57,7 @@ __all__ = [
     "PAPER_ACCEPTABLE_RANGES", "RSkipConfig",
     "CutEvent", "PhaseSlicer", "Point", "SimulationResult",
     "linear_prediction", "simulate", "validate_phase",
-    "InputQuantizer", "MemoStats", "MemoTable",
+    "InputQuantizer", "MemoTable",
     "bit_tuning", "build_memo_table", "histogram_levels", "uniform_levels",
     "DEFAULT_BINS", "QoSModel", "histogram", "make_signature",
     "Element", "LoopProfile", "LoopRuntime", "RskipRuntime", "SkipStats",

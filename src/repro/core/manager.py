@@ -51,7 +51,7 @@ from ..runtime.errors import CoreDumpError
 from .acceptance import within_range
 from .config import RSkipConfig
 from .interpolation import CutEvent, PhaseSlicer, validate_phase
-from .memoization import MemoStats, MemoTable
+from .memoization import MemoTable
 from .signature import QoSModel, make_signature
 from .temporal import TemporalPredictor
 
@@ -120,6 +120,10 @@ class SkipStats:
     executions_pp: int = 0
     executions_cp: int = 0
     tp_adjustments: int = 0
+    #: memo-table lookups, and how many found a trained cell or not
+    memo_lookups: int = 0
+    memo_hits: int = 0
+    memo_misses: int = 0
 
     @property
     def skipped(self) -> int:
@@ -363,9 +367,10 @@ class LoopRuntime:
         Everything a run can mutate goes back to its initial value: stats,
         the QoS disable flags, the tuning parameter (run-time management
         may have adjusted it), phase-slicer state, the re-computation
-        queue, temporal-predictor history and the memo table's hit
-        counters.  Campaign trials call this so every fault lands in a
-        statistically independent execution.
+        queue and temporal-predictor history.  The profile is never
+        written at run time, so it needs no reset.  Campaign trials call
+        this so every fault lands in a statistically independent
+        execution.
         """
         self.slicer = PhaseSlicer(self._initial_tp, self.config.max_pending)
         self.payloads = []
@@ -378,8 +383,6 @@ class LoopRuntime:
         self.memo_active = (
             self.config.memoization and self.profile.memo is not None
         )
-        if self.profile.memo is not None:
-            self.profile.memo.stats = MemoStats()
         self.temporal = TemporalPredictor() if self.config.temporal else None
         self.signatures = []
         self.recording = None
@@ -479,7 +482,7 @@ class LoopRuntime:
                     continue
             if memo is not None and element.args:
                 charge.extend(memo.charge())
-                predicted = memo.predict(element.args)
+                predicted = memo.predict(element.args, stats)
                 if predicted is not None and within_range(
                     element.value, predicted, self.config.acceptable_range
                 ):
@@ -626,6 +629,20 @@ class LoopRuntimes:
         for runtime in self.loops.values():
             runtime.reset()
 
+    def snapshot(self) -> Dict[int, dict]:
+        """The run state of every loop, copied: a later :meth:`restore`
+        puts each loop back exactly as it is now.  Trained profiles and
+        configs are read-only at run time, so they are shared by
+        reference rather than copied."""
+        return {ctx_id: _copy_run_state(vars(loop))
+                for ctx_id, loop in self.loops.items()}
+
+    def restore(self, snapshot: Dict[int, dict]) -> None:
+        """Put every loop back to a :meth:`snapshot` (which stays
+        reusable: each restore installs a fresh copy)."""
+        for ctx_id, state in snapshot.items():
+            vars(self.loops[ctx_id]).update(_copy_run_state(state))
+
     def total_stats(self) -> SkipStats:
         total = SkipStats()
         for runtime in self.loops.values():
@@ -697,6 +714,18 @@ class LoopRuntimes:
             f"{ns}.flush": flush,
             f"{ns}.exit": loop_exit,
         }
+
+
+#: loop attributes a run never writes: snapshots share them by reference
+_SHARED_STATE = ("config", "profile")
+
+
+def _copy_run_state(state: dict) -> dict:
+    """A deep copy of a loop's attribute dict that shares its config and
+    profile."""
+    memo = {id(state[name]): state[name] for name in _SHARED_STATE
+            if name in state}
+    return copy.deepcopy(state, memo)
 
 
 class RskipRuntime(LoopRuntimes):

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..ir.instructions import Opcode
@@ -104,24 +104,14 @@ def histogram_levels(
 
 
 @dataclass
-class MemoStats:
-    lookups: int = 0
-    hits: int = 0
-    misses: int = 0
-
-    @property
-    def hit_rate(self) -> float:
-        return self.hits / self.lookups if self.lookups else 0.0
-
-
-@dataclass
 class MemoTable:
-    """The deployed lookup table."""
+    """The deployed lookup table.  Trained once and read-only at run
+    time: lookups are counted in the caller's stats, never here, so one
+    table can serve every fork of a runtime."""
 
     quantizers: List[InputQuantizer]
     bits: List[int]
     table: Dict[Tuple[int, ...], float]
-    stats: MemoStats = field(default_factory=MemoStats)
 
     @property
     def address_bits(self) -> int:
@@ -130,14 +120,17 @@ class MemoTable:
     def cell(self, args: Sequence[float]) -> Tuple[int, ...]:
         return tuple(q.quantize(x) for q, x in zip(self.quantizers, args))
 
-    def predict(self, args: Sequence[float]) -> Optional[float]:
-        """Predicted output, or None when the cell was never trained."""
-        self.stats.lookups += 1
+    def predict(self, args: Sequence[float], stats=None) -> Optional[float]:
+        """Predicted output, or None when the cell was never trained.
+        *stats* (a loop's ``SkipStats``), when given, counts the lookup
+        and whether it hit a trained cell."""
         value = self.table.get(self.cell(args))
-        if value is None:
-            self.stats.misses += 1
-        else:
-            self.stats.hits += 1
+        if stats is not None:
+            stats.memo_lookups += 1
+            if value is None:
+                stats.memo_misses += 1
+            else:
+                stats.memo_hits += 1
         return value
 
     def charge(self) -> List[Opcode]:

@@ -12,7 +12,7 @@ import json
 from typing import Dict, IO, Union
 
 from .manager import LoopProfile
-from .memoization import InputQuantizer, MemoStats, MemoTable
+from .memoization import InputQuantizer, MemoTable
 from .signature import QoSModel
 
 FORMAT_VERSION = 1
@@ -58,7 +58,6 @@ def profile_from_dict(data: dict) -> LoopProfile:
             quantizers,
             [int(b) for b in memo_data["bits"]],
             table,
-            MemoStats(),
         )
     default_tp = data.get("default_tp")
     return LoopProfile(

@@ -10,9 +10,10 @@ in any order and still produce byte-identical tallies.
 
 This engine shards those units over a ``ProcessPoolExecutor``:
 
-* each worker caches the prepared program and its fault-free golden /
-  counting runs per (workload, scheme), so a chunk only pays for its own
-  trials;
+* each worker caches the prepared program and its fault-free golden run
+  per (workload, scheme) — plus, once a chunk repays it, the golden
+  prefix its reference trials fast-forward from — so a chunk only pays
+  for its own trials;
 * every finished chunk is checkpointed to a JSON file (written
   atomically), and ``resume=True`` skips the chunks the file already
   holds — an interrupted campaign continues to the same final result;
@@ -130,7 +131,7 @@ def _run_chunk(
     With *trace_path* set, the chunk's trials run under a JSONL sink
     writing that shard file — owned exclusively by this call, so no two
     workers ever interleave writes into a shared fd.  The sink goes up
-    *after* the cached golden/counting runs (which are per-worker warmup,
+    *after* the cached golden run (which is per-worker warmup,
     not per-chunk work), keeping shard contents deterministic for any
     worker count.  The chunk's wall-clock and module fingerprint ride
     back on the result dict for the parent's run manifest.

@@ -23,6 +23,7 @@ from ..obs.events import (
     TRIAL_OUTCOME,
     emit as obs_emit,
     enabled as obs_enabled,
+    span as obs_span,
 )
 from ..runtime.errors import TRIAL_TRAPS, classify_trap
 from ..pipeline.registry import PAPER_SCHEMES, get_scheme
@@ -33,7 +34,9 @@ from ..runtime.faults import (
     Region,
     random_plan,
 )
+from ..runtime.interpreter import DecodedProgram, Interpreter
 from ..runtime.outcomes import Outcome, classify_output, outputs_equal
+from ..runtime.prefix import GoldenPrefix, capture as capture_prefix
 from ..workloads.base import Workload, WorkloadInput, stable_seed
 from .schemes import (
     PreparedProgram,
@@ -118,7 +121,7 @@ class CampaignResult:
             self.kind_tallies.setdefault(kind, Counter()).update(tallies)
         if (self.region_steps and other.region_steps
                 and self.region_steps != other.region_steps):
-            # chunks of one campaign share a golden counting run; a
+            # chunks of one campaign share a golden run; a
             # region-step mismatch means the chunks came from different
             # campaign configurations and their tallies must not be mixed
             raise ValueError(
@@ -166,31 +169,30 @@ class CampaignResult:
         return result
 
 
-def _run_once(
+def _run_trial(
     prepared: PreparedProgram,
     workload: Workload,
     inp: WorkloadInput,
-    plan: Optional[FaultPlan],
-    region: Optional[Region],
-    max_steps: int,
+    ctx: "CampaignContext",
+    plan: FaultPlan,
 ) -> Tuple[Optional[str], List[float], List[float], int, bool]:
-    """One execution; returns (trap, output, loop_output, region_steps,
-    detected)."""
+    """One faulted trial on the reference interpreter, fast-forwarded
+    from the campaign's golden prefix when it has one; returns (trap,
+    output, loop_output, region_steps, detected)."""
     memory = workload.fresh_memory(prepared.module, inp)
-    # faulted trials (plan set) run on the reference interpreter; the
-    # golden and counting passes (plan None) take the compiled backend
-    executor = make_executor(
-        prepared.module,
-        memory=memory,
-        max_steps=max_steps,
-        fault_plan=plan,
-        fault_region=region,
+    interp = Interpreter(
+        prepared.module, memory=memory, max_steps=ctx.max_steps,
+        fault_plan=plan, fault_region=ctx.region,
+        decoded=ctx.decoded_for(prepared.module, memory),
     )
-    executor.register_intrinsics(prepared.intrinsics)
+    interp.register_intrinsics(prepared.intrinsics)
+    state = None
+    if ctx.prefix is not None:
+        state = ctx.prefix.state_for(plan.step, memory, prepared.runtime)
     trap: Optional[str] = None
     detected = False
     try:
-        executor.run(prepared.main, inp.args)
+        interp.run(prepared.main, inp.args, state=state)
     except TRIAL_TRAPS as exc:
         trap, detected = classify_trap(exc)
 
@@ -199,7 +201,7 @@ def _run_once(
     if trap is None:
         output = memory.read_global(*inp.output)
         loop_output = memory.read_global(*inp.loop_output)
-    return trap, output, loop_output, executor.region_steps, detected
+    return trap, output, loop_output, interp.region_steps, detected
 
 
 def _run_once_batch(
@@ -215,7 +217,7 @@ def _run_once_batch(
 
     Returns one ``(trap, output, loop_output, region_steps, detected)``
     tuple per plan — element *i* is byte-identical to what
-    :func:`_run_once` returns for ``plans[i]`` (difftest oracle O5).
+    :func:`_run_trial` returns for ``plans[i]`` (difftest oracle O5).
     *intrinsics* is a single shared table or one table per lane.
     """
     from ..runtime.batch import BatchExecutor
@@ -243,15 +245,28 @@ def _run_once_batch(
 @dataclass
 class CampaignContext:
     """Fault-free reference state of one (workload, scheme, input) campaign:
-    the injection region, golden outputs and the hang budget.  Workers cache
-    one per prepared program so trial chunks pay for the golden and counting
-    runs once."""
+    the injection region, golden outputs, the golden run's step count and
+    the hang budget.  Workers cache one per prepared program so trial
+    chunks pay for the golden run once; it also holds the program
+    decoded for the reference interpreter and, once a block of trials
+    repays it, the golden prefix trials fast-forward from."""
 
     region: Region
     golden: List[float]
     golden_loop: List[float]
     region_steps: int
     max_steps: int
+    steps: int
+    prefix: Optional[GoldenPrefix] = None
+    decoded: Optional[DecodedProgram] = None
+
+    def decoded_for(self, module, memory) -> DecodedProgram:
+        """The decoded program for *module* on *memory*'s global layout
+        (decoded anew only when either differs from the last call's)."""
+        if self.decoded is None or not self.decoded.fits(
+                module, self.region, memory):
+            self.decoded = DecodedProgram(module, self.region, memory)
+        return self.decoded
 
 
 def campaign_context(
@@ -259,30 +274,51 @@ def campaign_context(
     workload: Workload,
     inp: WorkloadInput,
 ) -> CampaignContext:
-    """Golden + counting passes (fault-free) for a campaign on *prepared*.
+    """The golden (fault-free) pass of a campaign on *prepared*: golden
+    outputs, region steps, and the hang budget from its step count.
 
-    The runtime is reset before each pass, so a cached prepared program
+    The runtime is reset before the pass, so a cached prepared program
     yields byte-identical reference state to a freshly built one.
     """
     region = fault_region(prepared)
-
     if prepared.runtime is not None:
         prepared.runtime.reset()
-    trap, golden, golden_loop, region_steps, _ = _run_once(
-        prepared, workload, inp, None, region, max_steps=500_000_000
-    )
-    if trap is not None:
+    memory = workload.fresh_memory(prepared.module, inp)
+    executor = make_executor(prepared.module, memory=memory,
+                             max_steps=500_000_000, fault_region=region)
+    executor.register_intrinsics(prepared.intrinsics)
+    try:
+        executor.run(prepared.main, inp.args)
+    except TRIAL_TRAPS as exc:
         raise RuntimeError(
-            f"{workload.name}/{prepared.scheme}: fault-free run trapped with {trap}"
-        )
-    if region_steps <= 0:
+            f"{workload.name}/{prepared.scheme}: fault-free run trapped "
+            f"with {classify_trap(exc)[0]}") from None
+    if executor.region_steps <= 0:
         raise RuntimeError(f"{workload.name}/{prepared.scheme}: empty fault region")
+    return CampaignContext(
+        region, memory.read_global(*inp.output),
+        memory.read_global(*inp.loop_output), executor.region_steps,
+        max(executor.steps * HANG_FACTOR, 100_000), executor.steps,
+    )
 
-    if prepared.runtime is not None:
-        prepared.runtime.reset()
-    baseline_steps = _fault_free_steps(prepared, workload, inp)
-    max_steps = max(baseline_steps * HANG_FACTOR, 100_000)
-    return CampaignContext(region, golden, golden_loop, region_steps, max_steps)
+
+def _capture_prefix(
+    prepared: PreparedProgram,
+    workload: Workload,
+    inp: WorkloadInput,
+    ctx: CampaignContext,
+) -> GoldenPrefix:
+    """Snapshot the golden run on the reference interpreter (one
+    ``ref.capture`` span; nothing reaches the trace body)."""
+    runtime = prepared.runtime
+    if runtime is not None:
+        runtime.reset()
+    memory = workload.fresh_memory(prepared.module, inp)
+    with obs_span("ref.capture"):
+        return capture_prefix(
+            prepared.module, memory, prepared.intrinsics, runtime,
+            ctx.region, ctx.decoded_for(prepared.module, memory),
+            prepared.main, inp.args, ctx.region_steps, ctx.max_steps)
 
 
 def trial_seed(seed: int, workload: str, scheme: str, trial_index: int) -> int:
@@ -382,13 +418,21 @@ def run_plans(
     comes from a per-trial stats delta.  ``backend="batch"`` runs slabs
     of up to *lanes* plans as one BatchExecutor run each; runtime-stateful
     schemes give every lane its own fork of ``prepared.runtime``.  Other
-    backends run the plans one by one on the reference interpreter.
-    Tallies are byte-identical across backends and slab widths (oracle
-    O5).
+    backends run the plans one by one on the reference interpreter, each
+    fast-forwarded to the latest golden-prefix snapshot at or before its
+    fault step.  The prefix is captured once per campaign (kept on
+    *ctx*), by the first block whose plans' steps sum past the golden
+    run's step count — the prefix work those trials would otherwise
+    replay outweighs the one capture run.  Tallies are byte-identical
+    across backends, slab widths and fast-forwarding (oracle O5).
     """
     result = CampaignResult(workload.name, prepared.scheme, len(plans))
     result.region_steps = ctx.region_steps
     batch = backend == "batch"
+    if (not batch and ctx.prefix is None
+            and sum(plan.step for plan in plans) > ctx.steps):
+        # the prefixes these trials would replay outweigh one golden run
+        ctx.prefix = _capture_prefix(prepared, workload, inp, ctx)
     runtime = prepared.runtime
     width = lanes if batch else 1
     intrinsics = prepared.intrinsics
@@ -419,8 +463,7 @@ def run_plans(
                 if gc_was_enabled:
                     gc.enable()
         else:
-            rows = [_run_once(prepared, workload, inp, slab[0], ctx.region,
-                              ctx.max_steps)]
+            rows = [_run_trial(prepared, workload, inp, ctx, slab[0])]
         for i, (trap, output, loop_output, _, detected) in enumerate(rows):
             _tally_trial(
                 result, ctx, lane_runtimes[i], snapshots[i], trap, output,
@@ -490,16 +533,6 @@ def _engine_chunk(trials: int, jobs: int, checkpoint: Optional[str]) -> int:
     from .campaign_engine import DEFAULT_CHUNK
 
     return trials if jobs <= 1 and checkpoint is None else DEFAULT_CHUNK
-
-
-def _fault_free_steps(
-    prepared: PreparedProgram, workload: Workload, inp: WorkloadInput
-) -> int:
-    memory = workload.fresh_memory(prepared.module, inp)
-    executor = make_executor(prepared.module, memory=memory)
-    executor.register_intrinsics(prepared.intrinsics)
-    executor.run(prepared.main, inp.args)
-    return executor.steps
 
 
 def figure9(

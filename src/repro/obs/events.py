@@ -136,6 +136,21 @@ def sink_installed(sink, run_id: str = "local"):
         remove_sink()
 
 
+@contextmanager
+def diverted(sink):
+    """Route events and spans to *sink* for the duration of the block,
+    then put the installed sink back with its sequence counter as it
+    was: the diverted events never reach the trace (the golden-prefix
+    capture records events to re-emit them later, per trial)."""
+    global _sink, _seq
+    saved = _sink, _seq
+    _sink = sink
+    try:
+        yield sink
+    finally:
+        _sink, _seq = saved
+
+
 def emit(kind: str, loop: Optional[str] = None, **payload) -> None:
     """Record one event on the installed sink.
 

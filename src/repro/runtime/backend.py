@@ -4,11 +4,14 @@ Three backends execute IR:
 
 * ``ref`` — the reference :class:`~repro.runtime.interpreter.Interpreter`:
   tree-walking, instrumented (timing model, SEU fault injection,
-  profiling).  The semantics oracle.
+  profiling).  The semantics oracle.  Campaign trials off the batch
+  backend run on it, fast-forwarded from golden-run snapshots
+  (:mod:`repro.runtime.prefix`) through ``run(..., state=...)``.
 * ``compiled`` — the closure-compiling backend of
   :mod:`repro.runtime.compiler`: clean mode only, observationally
-  identical and several times faster.  Besides clean runs it resumes
-  faulted batch lanes whose fault has fully acted.
+  identical and several times faster.  Besides clean runs it continues
+  (``run(..., state=...)``) faulted batch lanes whose fault has fully
+  acted.
 * ``batch`` — the lane-vectorized batch engine of
   :mod:`repro.runtime.batch`: runs a whole block of fault-injection
   trials in lockstep over one instruction stream.  It applies at the
@@ -23,8 +26,8 @@ Three backends execute IR:
 (a fault plan, a timing model, or a profile) always routes to the
 reference interpreter — the SEU model and cycle model stay bit-exact —
 while clean runs (golden runs, QoS training sweeps, difftest oracle
-re-execution, the unfaulted side of campaign trials) use the compiled
-backend unless the default says otherwise.
+re-execution) use the compiled backend unless the default says
+otherwise.
 
 The default backend is, in order: the value set via
 :func:`set_default_backend` (the CLI's ``--backend`` flag), the

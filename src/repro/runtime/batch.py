@@ -115,6 +115,7 @@ from .interpreter import (
     MAX_CALL_DEPTH,
     OPERAND_ARITY,
     REGISTER_FILE_SIZE,
+    DecodedProgram,
     Interpreter,
     MachineState,
     ResumeFrame,
@@ -430,8 +431,10 @@ class BatchExecutor:
         # instruction stream diverges); the tail hands them to the reference.
         self._skip = [0] * n_lanes
         self._cf: List[Optional[float]] = [None] * n_lanes
-        #: the compiled program tail lanes resume on (looked up once)
+        #: the compiled program tail lanes resume on (looked up once),
+        #: and the program decoded for the reference tail (decoded once)
         self._compiled = compiled
+        self._decoded: Optional[DecodedProgram] = None
         #: wall-clock ms per tail route, kept only while a sink is installed
         self._tail_ms: Optional[Dict[str, float]] = None
         self._ovs: List[dict] = [dict() for _ in range(n_lanes)]
@@ -1564,9 +1567,13 @@ class BatchExecutor:
             plan = self._plans[lane]
             if state.pending or (plan is not None and plan.kind in CONTROL_KINDS):
                 route = "ref"
+                if self._decoded is None:
+                    self._decoded = DecodedProgram(
+                        self.module, self.fault_region, mem)
                 engine = Interpreter(
                     self.module, memory=mem, max_steps=self.max_steps,
-                    fault_plan=plan, fault_region=self.fault_region)
+                    fault_plan=plan, fault_region=self.fault_region,
+                    decoded=self._decoded)
             else:
                 route = "compiled"
                 if self._compiled is None:
@@ -1578,7 +1585,7 @@ class BatchExecutor:
             if tail_ms is not None:
                 t0 = perf_counter()
             try:
-                out = engine.resume(state)
+                out = engine.run(state.frames[0].func, state=state)
                 res = LaneResult(out.value, out.steps, out.region_steps,
                                  None, False, True)
             except TRIAL_TRAPS as exc:

@@ -14,9 +14,10 @@ The backend serves **clean mode only** — no fault plan, no timing model,
 no profile.  Instrumented runs stay on the reference
 :class:`~repro.runtime.interpreter.Interpreter`; the dispatch lives in
 :mod:`repro.runtime.backend`.  Clean also covers the rest of a faulted
-batch lane once its fault has fully acted: :meth:`CompiledExecutor.resume`
-continues such a lane's :class:`~repro.runtime.interpreter.MachineState`
-(the batch engine's tail, :mod:`repro.runtime.batch`).
+batch lane once its fault has fully acted: ``CompiledExecutor.run(...,
+state=...)`` continues such a lane's
+:class:`~repro.runtime.interpreter.MachineState` (the batch engine's
+tail, :mod:`repro.runtime.batch`).
 
 Observational equivalence with the reference interpreter is a hard
 contract (enforced by difftest oracle O4):
@@ -630,8 +631,8 @@ class CompiledExecutor:
 
     Exposes the same running state (``steps``, ``counts``, ``region_steps``,
     ``intrinsics``, ``memory``) and the same ``run``/``register_intrinsic``
-    surface, plus :meth:`resume` for a paused execution with no fault
-    state pending.  ``fault_region`` is supported (bulk per-block
+    surface; ``run(..., state=...)`` continues a paused execution with
+    no fault state pending.  ``fault_region`` is supported (bulk per-block
     accounting) so golden campaign runs can measure their injection
     window; fault *plans*, timing and profiling are not — those runs
     belong to the reference interpreter (see :mod:`repro.runtime.backend`).
@@ -677,35 +678,37 @@ class CompiledExecutor:
     def count_dict(self) -> Dict[Opcode, int]:
         return {op: self.counts[i] for i, op in enumerate(OPCODES) if self.counts[i]}
 
-    def run(self, func_name: str, args: Sequence = ()) -> RunResult:
+    def run(self, func_name: str, args: Sequence = (),
+            state: Optional[MachineState] = None) -> RunResult:
+        """Run *func_name* on *args* — or continue a paused *state* with
+        no fault state pending to its end instead.
+
+        A resumed run re-enters the innermost frame at its (label, index)
+        and runs the rest of that block per instruction
+        (:meth:`CompiledFunction.replay_units`), then whole fused blocks.
+        When the frame returns, its value goes into the caller's ``call``
+        dest and the caller continues the same way, outward to the first
+        frame."""
         func = self.module.get_function(func_name)
-        if len(args) != len(func.params):
-            raise TypeError(
-                f"@{func_name} expects {len(func.params)} arguments, got {len(args)}"
-            )
+        if state is None:
+            if len(args) != len(func.params):
+                raise TypeError(
+                    f"@{func_name} expects {len(func.params)} arguments, "
+                    f"got {len(args)}")
+            body, body_args = self._call, (func_name, list(args))
+        else:
+            assert not state.pending, "faulted resumes belong to the reference"
+            self.memory = state.memory
+            self.steps = state.steps
+            self.region_steps = state.region_steps
+            body, body_args = self._resume_frames, (state.frames,)
         # the compiled backend only ever serves clean runs, so (unlike the
         # reference interpreter) every run may carry a timing span
         if obs_enabled():
             with obs_span(f"compiled.run:@{func_name}"):
-                value = self._exact(self._call, func_name, list(args))
+                value = self._exact(body, *body_args)
         else:
-            value = self._exact(self._call, func_name, list(args))
-        return RunResult(value, self.steps, self.count_dict(),
-                         region_steps=self.region_steps)
-
-    def resume(self, state: MachineState) -> RunResult:
-        """Continue a paused execution with no fault state pending.
-
-        The innermost frame re-enters at its (label, index) and runs the
-        rest of that block per instruction (:meth:`CompiledFunction.
-        replay_units`), then whole fused blocks.  When it returns, its
-        value goes into the caller's ``call`` dest and the caller
-        continues the same way, outward to the first frame."""
-        assert not state.pending, "faulted resumes belong to the reference"
-        self.memory = state.memory
-        self.steps = state.steps
-        self.region_steps = state.region_steps
-        value = self._exact(self._resume_frames, state.frames)
+            value = self._exact(body, *body_args)
         return RunResult(value, self.steps, self.count_dict(),
                          region_steps=self.region_steps)
 

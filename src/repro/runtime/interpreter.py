@@ -78,6 +78,8 @@ for _op, _n in {
 OPERAND_ARITY[_CODE[Opcode.RET]] = (0, 1)
 
 DEFAULT_MAX_STEPS = 200_000_000
+#: capture threshold of a run with no capture hook: no region step reaches it
+_NEVER = 1 << 62
 MAX_CALL_DEPTH = 64
 #: Physical register file modelled by the SEU injector: flips landing on
 #: slots that hold no live program value are architecturally masked.
@@ -117,12 +119,14 @@ class ResumeFrame(NamedTuple):
 
 @dataclass
 class MachineState:
-    """A paused execution, continued by :meth:`Interpreter.resume` or
-    :meth:`~repro.runtime.compiler.CompiledExecutor.resume`: the frame
-    stack (outermost first), the memory it runs on, both step counters
-    and the fault state still to act — the plan step whose trigger has
-    not fired (``None`` once fired), instructions still to drop, a
-    pending branch inversion, address-corruption bit and cf pick."""
+    """A paused execution, continued by ``run(..., state=...)`` on either
+    :class:`Interpreter` or
+    :class:`~repro.runtime.compiler.CompiledExecutor`: the frame stack
+    (outermost first), the memory it runs on, both step counters, the
+    per-opcode counts when the pausing engine kept them, and the fault
+    state still to act — the plan step whose trigger has not fired
+    (``None`` once fired), instructions still to drop, a pending branch
+    inversion, address-corruption bit and cf pick."""
 
     frames: List[ResumeFrame]
     memory: object
@@ -133,6 +137,7 @@ class MachineState:
     invert: bool = False
     corrupt: Optional[int] = None
     cf: Optional[float] = None
+    counts: Optional[List[int]] = None
 
     @property
     def pending(self) -> bool:
@@ -142,12 +147,35 @@ class MachineState:
                 or self.corrupt is not None or self.cf is not None)
 
 
+class DecodedProgram:
+    """Decoded instructions of one module under one fault region and one
+    global layout (global operands are decoded to their addresses),
+    built lazily per function.  Every :class:`Interpreter` constructed with
+    ``decoded=`` shares it, so a campaign decodes its program once
+    rather than once per trial."""
+
+    def __init__(self, module: Module, region: Optional[Region], memory: Memory):
+        self.module = module
+        self.region = region
+        self.layout = dict(memory.globals)
+        #: function name -> (entry label, label -> decoded instructions)
+        self.funcs: Dict[str, Tuple[str, Dict[str, list]]] = {}
+        #: function name -> (layout-successor map, block order), used by
+        #: the skip fall-through and cf retarget machinery
+        self.succ: Dict[str, Tuple[Dict[str, Optional[str]], Tuple[str, ...]]] = {}
+
+    def fits(self, module: Module, region: Optional[Region], memory: Memory) -> bool:
+        return (module is self.module and region is self.region
+                and memory.globals == self.layout)
+
+
 class Interpreter:
     """One execution context over a module.
 
     Create a fresh interpreter after transforming the module — decoded
     instruction caches are built lazily per function and are not
-    invalidated.
+    invalidated.  *decoded* shares an existing cache (it must fit this
+    module, fault region and global layout).
     """
 
     def __init__(
@@ -159,6 +187,7 @@ class Interpreter:
         fault_plan: Optional[FaultPlan] = None,
         fault_region: Optional[Region] = None,
         profile: Optional["Profile"] = None,
+        decoded: Optional[DecodedProgram] = None,
     ):
         self.module = module
         self.memory = memory if memory is not None else Memory()
@@ -169,7 +198,14 @@ class Interpreter:
         self.steps = 0
         self.counts: List[int] = [0] * len(OPCODES)
         self.intrinsics: Dict[str, IntrinsicFn] = {}
-        self._dcache: Dict[str, Tuple[str, Dict[str, list]]] = {}
+        if decoded is None:
+            decoded = DecodedProgram(module, fault_region, self.memory)
+        elif not decoded.fits(module, fault_region, self.memory):
+            raise ValueError("decoded program was built for another module, "
+                             "fault region or global layout")
+        self._dcache = decoded.funcs
+        #: layout-successor map and block order per decoded function
+        self._succ = decoded.succ
 
         self.fault_plan = fault_plan
         self.fault_region = fault_region
@@ -182,9 +218,6 @@ class Interpreter:
         #: pending control-flow retarget pick (cf kind), consumed at the
         #: next executed branch
         self._cf_pick: Optional[float] = None
-        #: layout-successor map and block order per decoded function,
-        #: used by the skip fall-through and cf retarget machinery
-        self._succ: Dict[str, Tuple[Dict[str, Optional[str]], Tuple[str, ...]]] = {}
         #: active register frames, callee last — the SEU injector picks a
         #: victim across the whole stack, modelling one shared physical
         #: register file (stale caller values soak up many upsets)
@@ -210,6 +243,11 @@ class Interpreter:
         #: would trigger at — the counting pre-run of the incremental
         #: campaign's section partition.
         self.section_trace = None
+        #: optional golden-prefix capture hook (``repro.runtime.prefix``):
+        #: its ``take`` runs at the first block entry at or past region
+        #: step ``at`` and returns the next threshold; its ``call`` runs
+        #: every CALL so it knows each caller's resume point
+        self.capture = None
 
     # -- public API -----------------------------------------------------------
     def register_intrinsic(self, name: str, fn: IntrinsicFn) -> None:
@@ -218,35 +256,42 @@ class Interpreter:
     def register_intrinsics(self, table: Dict[str, IntrinsicFn]) -> None:
         self.intrinsics.update(table)
 
-    def run(self, func_name: str, args: Sequence = ()) -> RunResult:
+    def run(self, func_name: str, args: Sequence = (),
+            state: Optional[MachineState] = None) -> RunResult:
+        """Run *func_name* on *args* to its return — or, given a paused
+        *state* (whose pending trigger, if any, is this interpreter's
+        plan), continue that execution to its end instead.
+
+        A resumed run re-enters the innermost frame at its (label,
+        index); when the frame returns, its value goes into the caller's
+        ``call`` dest and the caller continues, outward to the first
+        frame.  Every frame is on the stack throughout, so a value flip
+        still picks its victim across the whole stack."""
         func = self.module.get_function(func_name)
-        if len(args) != len(func.params):
+        if state is None and len(args) != len(func.params):
             raise TypeError(
                 f"@{func_name} expects {len(func.params)} arguments, got {len(args)}"
             )
-        times = [0] * len(args)
         # span clean runs only: faulted trials emit their own per-trial
         # events and a per-run span would swamp the manifest
         if self.fault_plan is None and obs_enabled():
             with obs_span(f"ref.run:@{func_name}"):
-                value, _ = self._run_function(func, list(args), times, depth=0)
+                value = self._start(func, args, state)
         else:
             with self._undef_reads_core_dump():
-                value, _ = self._run_function(func, list(args), times, depth=0)
+                value = self._start(func, args, state)
         return self._result(value)
 
-    def resume(self, state: MachineState) -> RunResult:
-        """Continue a paused execution (its pending trigger, if any, is
-        this interpreter's plan) to its end, without timing or profile.
-
-        Re-enters the innermost frame at its (label, index); when the
-        frame returns, its value goes into the caller's ``call`` dest and
-        the caller continues, outward to the first frame.  Every frame is
-        on the stack throughout, so a value flip still picks its victim
-        across the whole stack."""
+    def _start(self, func: Function, args: Sequence,
+               state: Optional[MachineState]):
+        if state is None:
+            return self._run_function(func, list(args), [0] * len(args),
+                                      depth=0)[0]
         self.memory = state.memory
         self.steps = state.steps
         self.region_steps = state.region_steps
+        if state.counts is not None:
+            self.counts = list(state.counts)
         self._fault_pending = state.trigger is not None
         self._skip_left = state.skip
         self._invert_next_cbr = state.invert
@@ -257,22 +302,21 @@ class Interpreter:
         self._frame_funcs.extend(frame.func for frame in frames)
         value = None
         try:
-            with self._undef_reads_core_dump():
-                for depth in range(len(frames) - 1, -1, -1):
-                    fname, label, index, regs = frames[depth]
-                    func = self.module.functions[fname]
-                    _, blocks = self._decode(func)
-                    if depth < len(frames) - 1:
-                        dest = blocks[label][index - 1][1]  # the pending call's
-                        if dest is not None:
-                            regs[dest] = value
-                    value, _ = self._exec(func, label, blocks, regs, {}, depth,
-                                          index)
-                    self._frames.pop()
-                    self._frame_funcs.pop()
+            for depth in range(len(frames) - 1, -1, -1):
+                fname, label, index, regs = frames[depth]
+                func = self.module.functions[fname]
+                _, blocks = self._decode(func)
+                if depth < len(frames) - 1:
+                    dest = blocks[label][index - 1][1]  # the pending call's
+                    if dest is not None:
+                        regs[dest] = value
+                value, _ = self._exec(func, label, blocks, regs, {}, depth,
+                                      index)
+                self._frames.pop()
+                self._frame_funcs.pop()
         finally:
             del self._frames[:], self._frame_funcs[:]
-        return self._result(value)
+        return value
 
     @contextmanager
     def _undef_reads_core_dump(self):
@@ -333,7 +377,10 @@ class Interpreter:
                     extra = instr.labels[0]
                 elif instr.op is Opcode.CBR:
                     extra = ((func.name, label, idx), instr.labels[0], instr.labels[1])
-                elif instr.op in (Opcode.CALL, Opcode.INTRIN):
+                elif instr.op is Opcode.CALL:
+                    # the callee, and where the caller resumes after it
+                    extra = (instr.callee, idx + 1)
+                elif instr.op is Opcode.INTRIN:
                     extra = instr.callee
                 elif instr.op in (Opcode.ICMP, Opcode.FCMP):
                     extra = _PRED[instr.pred]
@@ -463,12 +510,18 @@ class Interpreter:
         # unary ops hand the table a stale or None ``b``/``c``; they ignore it
         b = c = None
         instrs = blocks[label][start:] if start else blocks[label]
+        capture = self.capture
+        capture_at = _NEVER if capture is None else capture.at
 
         try:
             while True:
                 if block_counts is not None:
                     key = (fname, label)
                     block_counts[key] = block_counts.get(key, 0) + 1
+                if region_steps >= capture_at:
+                    self.steps = steps
+                    self.region_steps = region_steps
+                    capture_at = capture.take(self, label)
                 for code, dest, ops, extra, in_region in instrs:
                     steps += 1
                     if steps > max_steps:
@@ -589,9 +642,9 @@ class Interpreter:
                             return a, rt
                         return None, 0
                     elif code == _CALL:
-                        callee = self.module.functions.get(extra)
+                        callee = self.module.functions.get(extra[0])
                         if callee is None:
-                            raise CoreDumpError(f"call to unknown function @{extra}")
+                            raise CoreDumpError(f"call to unknown function @{extra[0]}")
                         vals, vts = [], []
                         for k, v in ops:
                             vals.append(regs[v] if k else v)
@@ -601,7 +654,12 @@ class Interpreter:
                         self.steps = steps
                         self.region_steps = region_steps
                         try:
-                            rv, rt = self._run_function(callee, vals, vts, depth + 1)
+                            if capture is None:
+                                rv, rt = self._run_function(callee, vals, vts, depth + 1)
+                            else:
+                                rv, rt = capture.call(self, label, extra[1], callee,
+                                                      vals, vts, depth + 1)
+                                capture_at = capture.at
                         finally:
                             steps = self.steps
                             region_steps = self.region_steps

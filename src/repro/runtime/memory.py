@@ -47,6 +47,20 @@ class Memory:
             raise SegfaultError(base, "out of memory")
         return base
 
+    @property
+    def brk(self) -> int:
+        """The allocation pointer: the first cell ``alloc`` hands out next."""
+        return self._brk
+
+    def patch(self, cells: Dict[int, object], brk: int) -> None:
+        """Overwrite *cells* (address -> value) and move the allocation
+        pointer to *brk*: a paused execution's memory over the initial
+        image it started from."""
+        store = self.cells
+        for addr, value in cells.items():
+            store[addr] = value
+        self._brk = brk
+
     def global_addr(self, name: str) -> int:
         try:
             return self.globals[name]

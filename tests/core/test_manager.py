@@ -269,7 +269,7 @@ class TestLifecycle:
         assert runtime.memo_active is True
         assert runtime.signatures == []
         assert runtime.recording is None
-        assert profile.memo.stats.lookups == 0
+        assert runtime.stats.memo_lookups == 0
 
     def test_reset_isolates_runs(self):
         """Two identical runs after reset produce identical stats — nothing

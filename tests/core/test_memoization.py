@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from repro.core import (
     InputQuantizer,
     MemoTable,
+    SkipStats,
     bit_tuning,
     build_memo_table,
     histogram_levels,
@@ -103,20 +104,22 @@ class TestMemoTable:
         X, y = clustered_dataset()
         table = build_memo_table(X, y, total_bits=8)
         hits = 0
+        stats = SkipStats()
         for args, expect in zip(X[:100], y[:100]):
-            got = table.predict(args)
+            got = table.predict(args, stats)
             if got is not None and abs(got - expect) <= 0.1 * abs(expect):
                 hits += 1
         assert hits >= 95
-        assert table.stats.lookups == 100
+        assert stats.memo_lookups == 100
 
     def test_miss_on_unseen_cell(self):
         quantizers = [InputQuantizer([1.0, 2.0]), InputQuantizer([5.0])]
         table = MemoTable(quantizers, [2, 1], {(0, 0): 42.0})
-        assert table.predict([0.5, 1.0]) == 42.0
-        assert table.predict([1.5, 9.0]) is None  # cell (1, 1) never trained
-        assert table.stats.misses == 1
-        assert table.stats.hits == 1
+        stats = SkipStats()
+        assert table.predict([0.5, 1.0], stats) == 42.0
+        assert table.predict([1.5, 9.0], stats) is None  # cell (1, 1) never trained
+        assert stats.memo_misses == 1
+        assert stats.memo_hits == 1
 
     def test_accuracy_metric(self):
         X, y = clustered_dataset()
@@ -153,6 +156,7 @@ class TestMemoTable:
     def test_hit_rate_stat(self):
         X, y = clustered_dataset()
         table = build_memo_table(X, y, total_bits=8)
+        stats = SkipStats()
         for args in X[:50]:
-            table.predict(args)
-        assert table.stats.hit_rate > 0.9
+            table.predict(args, stats)
+        assert stats.memo_hits / stats.memo_lookups > 0.9

@@ -3,7 +3,7 @@ import os
 
 import pytest
 
-from repro.eval import Harness
+from repro.eval import Harness, fault_campaign
 from repro.eval.campaign_engine import run_campaign_parallel, run_campaigns
 from repro.obs import RunManifest, load_trace
 from repro.runtime.backend import set_default_backend
@@ -82,7 +82,9 @@ class TestTraceContents:
         assert manifest.events == len(events)
         assert manifest.totals["trials"] == TRIALS
         assert manifest.run == events[0].run
-        assert len(manifest.spans) == 3  # one wall-clock span per shard
+        shard_spans = [label for label, _ in manifest.spans
+                       if label.startswith("shard:")]
+        assert len(shard_spans) == 3  # one wall-clock span per shard
         assert manifest.fingerprints  # module fingerprint recorded
 
     def test_batch_spans_reach_the_manifest(self, conv1d, tmp_path):
@@ -115,6 +117,38 @@ class TestTraceContents:
         assert not any(label.startswith("batch.")
                        for label, _ in RunManifest.load(
                            str(tmp_path / "ref.jsonl")).spans)
+
+    def test_fast_forwarded_trials_re_emit_the_golden_prefix(
+            self, tmp_path, monkeypatch):
+        """Reference trials fast-forwarded from golden-run snapshots
+        re-emit the runtime events of the prefix they skip: a full-event
+        RSkip trace is byte-identical to the same campaign with the
+        capture switched off, and across --jobs 1/2.  The capture itself
+        reaches the manifest as one span and nothing else."""
+        sgemm = get_workload("sgemm")
+        profiles = Harness(sgemm, scale=SCALE, timing=False).profiles_for(0.5)
+
+        def traced(name, jobs):
+            out = str(tmp_path / name)
+            run_campaign_parallel(
+                sgemm, "AR50", 24, seed=2, scale=SCALE, profiles=profiles,
+                jobs=jobs, chunk=8, trace_out=out)
+            with open(out, "rb") as handle:
+                return out, handle.read()
+
+        out, fast = traced("fast.jsonl", jobs=1)
+        _, parallel = traced("parallel.jsonl", jobs=2)
+        with monkeypatch.context() as patch:
+            patch.setattr(fault_campaign, "_capture_prefix",
+                          lambda *args: None)
+            slow_out, slow = traced("slow.jsonl", jobs=1)
+        assert fast == slow == parallel
+        kinds = {event.kind for event in load_trace(out)}
+        assert {"exec", "phase-cut", "skip", "trial-outcome"} <= kinds
+        spans = [label for label, _ in RunManifest.load(out).spans]
+        assert "ref.capture" in spans
+        assert "ref.capture" not in [
+            label for label, _ in RunManifest.load(slow_out).spans]
 
     def test_untraced_campaign_writes_nothing(self, conv1d, conv1d_profiles,
                                               tmp_path, monkeypatch):

@@ -210,7 +210,7 @@ class TestResume:
              ResumeFrame("f", "entry", 1, {"x": 2.0, "y": 6.0})],
             Memory(), steps=3, region_steps=3 if region is None else 1)
         got = engine(module, memory=state.memory,
-                     fault_region=region).resume(state)
+                     fault_region=region).run("main", state=state)
         assert (got.value, got.steps, got.region_steps) == \
             (want.value, want.steps, want.region_steps) == \
             (9.0, 7, 7 if region is None else 3)
