@@ -68,6 +68,23 @@ def _scheme_arg(value: str) -> str:
         raise argparse.ArgumentTypeError(str(exc))
 
 
+def _positive(kind):
+    """argparse type for sizes: a *kind* number greater than zero, so a
+    zero or negative ``--trials``/``--scale`` exits 2 with a usage error
+    instead of failing (or silently shrinking the run) later on."""
+    def parse(value: str):
+        number = kind(value)
+        if not number > 0:  # NaN fails this too
+            raise argparse.ArgumentTypeError(f"must be positive, got {value}")
+        return number
+    parse.__name__ = kind.__name__  # named in argparse's "invalid" message
+    return parse
+
+
+_positive_int = _positive(int)
+_positive_float = _positive(float)
+
+
 _SCHEME_HELP = (
     f"protection scheme: one of {', '.join(scheme_names())} "
     f"(any AR<k>; lowercase aliases like 'swift-r' and 'rskip' accepted)"
@@ -614,7 +631,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="repro",
         description="Regenerate the tables and figures of the RSkip paper (CGO'20).",
     )
-    parser.add_argument("--scale", type=float, default=0.6,
+    parser.add_argument("--scale", type=_positive_float, default=0.6,
                         help="problem-size multiplier (default 0.6)")
     parser.add_argument("--jobs", type=int, default=1,
                         help="worker processes for fault-injection campaigns "
@@ -622,24 +639,28 @@ def build_parser() -> argparse.ArgumentParser:
                              "any value)")
     parser.add_argument("--backend", choices=("ref", "compiled", "batch"),
                         default=None,
-                        help="execution backend for clean (uninstrumented) "
-                             "runs: 'compiled' (default) is the closure-"
-                             "compiled fast backend, 'ref' forces the "
-                             "reference interpreter everywhere; instrumented "
-                             "runs always use the reference interpreter")
+                        help="execution backend: 'compiled' (default) runs "
+                             "clean (uninstrumented) runs on the closure-"
+                             "compiled fast backend; 'ref' forces the "
+                             "reference interpreter everywhere; 'batch' runs "
+                             "faulted campaign trials as lockstep lanes "
+                             "(tallies identical to 'ref') and clean runs "
+                             "like 'compiled'.  Other instrumented runs "
+                             "(timing, profiling, single faulted runs) "
+                             "always use the reference interpreter")
     sub = parser.add_subparsers(dest="command", required=True)
 
     sub.add_parser("table1").set_defaults(fn=cmd_table1)
     sub.add_parser("figure2").set_defaults(fn=cmd_figure2)
     p7 = sub.add_parser("figure7")
-    p7.add_argument("--inputs", type=int, default=1)
+    p7.add_argument("--inputs", type=_positive_int, default=1)
     p7.set_defaults(fn=cmd_figure7)
     sub.add_parser("figure8a").set_defaults(fn=cmd_figure8a)
     p8b = sub.add_parser("figure8b")
-    p8b.add_argument("--inputs", type=int, default=10)
+    p8b.add_argument("--inputs", type=_positive_int, default=10)
     p8b.set_defaults(fn=cmd_figure8b)
     p9 = sub.add_parser("figure9")
-    p9.add_argument("--trials", type=int, default=100)
+    p9.add_argument("--trials", type=_positive_int, default=100)
     p9.add_argument("--checkpoint", default=None,
                     help="JSON file partial tallies are saved to after every "
                          "trial chunk")
@@ -648,7 +669,7 @@ def build_parser() -> argparse.ArgumentParser:
                          "(default file: figure9-checkpoint.json)")
     p9.set_defaults(fn=cmd_figure9)
     ptr = sub.add_parser("tradeoff")
-    ptr.add_argument("--trials", type=int, default=60)
+    ptr.add_argument("--trials", type=_positive_int, default=60)
     ptr.set_defaults(fn=cmd_tradeoff)
     sub.add_parser("costratio").set_defaults(fn=cmd_costratio)
     psw = sub.add_parser("sweep")
@@ -663,7 +684,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="differential-test the IR stack on seeded random programs",
     )
     pdt.add_argument("--seed", type=int, default=0)
-    pdt.add_argument("--n", type=int, default=100,
+    pdt.add_argument("--n", type=_positive_int, default=100,
                      help="programs to generate and check (default 100)")
     pdt.add_argument("--oracle",
                      choices=("all", "o1", "o2", "o3", "o4", "o5", "o6",
@@ -692,12 +713,12 @@ def build_parser() -> argparse.ArgumentParser:
              "programs and tabulate per-scheme outcomes",
     )
     psk.add_argument("--seed", type=int, default=0)
-    psk.add_argument("--programs", type=int, default=3,
+    psk.add_argument("--programs", type=_positive_int, default=3,
                      help="generated programs to model-check (default 3)")
-    psk.add_argument("--site-cap", type=int, default=400,
+    psk.add_argument("--site-cap", type=_positive_int, default=400,
                      help="exhaustive-enumeration ceiling; larger dynamic "
                           "streams are stride-sampled (default 400)")
-    psk.add_argument("--burst-len", type=int, default=1,
+    psk.add_argument("--burst-len", type=_positive_int, default=1,
                      help="drop this many consecutive instructions per "
                           "site (default 1 = single skip)")
     psk.set_defaults(fn=cmd_skipmap)
@@ -716,8 +737,8 @@ def build_parser() -> argparse.ArgumentParser:
                           "(default difftest/corpus)")
     pcc.set_defaults(fn=cmd_cache_check)
     pall = sub.add_parser("all")
-    pall.add_argument("--trials", type=int, default=60)
-    pall.add_argument("--inputs", type=int, default=10)
+    pall.add_argument("--trials", type=_positive_int, default=60)
+    pall.add_argument("--inputs", type=_positive_int, default=10)
     pall.set_defaults(fn=cmd_all)
     prun = sub.add_parser(
         "run", help="run one workload under one scheme, optionally tracing"
@@ -738,7 +759,7 @@ def build_parser() -> argparse.ArgumentParser:
     pca.add_argument("workload")
     pca.add_argument("--scheme", type=_scheme_arg, default="AR50",
                      help=_SCHEME_HELP)
-    pca.add_argument("--trials", type=int, default=100)
+    pca.add_argument("--trials", type=_positive_int, default=100)
     pca.add_argument("--seed", type=int, default=0)
     pca.add_argument("--checkpoint", default=None)
     pca.add_argument("--resume", action="store_true")
@@ -783,8 +804,8 @@ def build_parser() -> argparse.ArgumentParser:
                            "skip timelines, QoS-disable causes and recovery "
                            "activity (omit for the legacy markdown results "
                            "report)")
-    prep.add_argument("--trials", type=int, default=60)
-    prep.add_argument("--inputs", type=int, default=10)
+    prep.add_argument("--trials", type=_positive_int, default=60)
+    prep.add_argument("--inputs", type=_positive_int, default=10)
     prep.add_argument("--output", default="results.md")
     prep.set_defaults(fn=cmd_report)
     return parser

@@ -424,6 +424,79 @@ def _observe_ref_trial(
     return (trap, detected, interp.steps, interp.region_steps, value, finals)
 
 
+def _compare_batch_lanes(
+    module: Module,
+    protection: Optional[str],
+    plans: List[Optional[FaultPlan]],
+    region: Region,
+    budget: int,
+    oracle: str,
+    wheres: List[str],
+) -> Tuple[List[tuple], List[Violation]]:
+    """Run every plan once per-trial on the reference interpreter and once
+    as a lane of a single batched run (per-lane module copies keep
+    stateful intrinsic runtimes per-trial on both sides), and compare each
+    lane's trap kind, detection flag, step and region-step counts, return
+    value and final globals.  Returns the reference observation rows and
+    one *oracle* violation per diverging lane, located by ``wheres[lane]``.
+    """
+    from ..runtime.batch import BatchExecutor
+
+    pipe = (protection,) if protection else ()
+    ref_rows = [
+        _observe_ref_trial(module, protection, plan, region, budget)
+        for plan in plans
+    ]
+    lanes = len(plans)
+    works = [module_copy(module) for _ in range(lanes)]
+    tables = []
+    for work in works:
+        table = {DETECT_INTRINSIC: _swift_detect}
+        if protection:
+            table.update(PROTECTIONS[protection](work))
+        tables.append(table)
+    batch_module = works[0]
+    template = Memory()
+    template.load_globals(batch_module)
+    executor = BatchExecutor(
+        batch_module, template, lanes, fault_plans=plans,
+        fault_region=region, max_steps=budget, intrinsics=tables)
+    results = executor.run("main", [])
+
+    violations: List[Violation] = []
+    for lane, where in enumerate(wheres):
+        trap_r, det_r, steps_r, rsteps_r, val_r, fin_r = ref_rows[lane]
+        res = results[lane]
+        got = (res.trap, res.detected, res.steps, res.region_steps)
+        want = (trap_r, det_r, steps_r, rsteps_r)
+        if got != want:
+            violations.append(Violation(
+                oracle, f"{where}: ref (trap={trap_r}, "
+                        f"detected={det_r}, steps={steps_r}, "
+                        f"region_steps={rsteps_r}) but batch "
+                        f"(trap={res.trap}, detected={res.detected}, "
+                        f"steps={res.steps}, "
+                        f"region_steps={res.region_steps})", pipe))
+            continue
+        if trap_r is not None:
+            continue
+        if not _values_equal(val_r, res.value):
+            violations.append(Violation(
+                oracle, f"{where}: return value "
+                        f"{val_r!r} != {res.value!r}", pipe))
+            continue
+        lane_mem = executor.lane_memory(lane)
+        for name, gvar in batch_module.globals.items():
+            if not outputs_equal(
+                    fin_r.get(name, []),
+                    lane_mem.read_global(name, gvar.size)):
+                violations.append(Violation(
+                    oracle, f"{where}: @{name}: contents diverged "
+                            f"from the reference trial", pipe))
+                break
+    return ref_rows, violations
+
+
 def check_batch_equivalence(
     module: Module,
     protection: Optional[str] = None,
@@ -442,11 +515,8 @@ def check_batch_equivalence(
     *protection* is given, on the protected program (per-lane module
     copies keep stateful intrinsic runtimes per-trial on both sides).
     """
-    from ..runtime.batch import BatchExecutor
-
     violations: List[Violation] = []
     for prot in [None] + ([protection] if protection else []):
-        pipe = (prot,) if prot else ()
         label = prot or "plain"
         region = Region(funcs=tuple(module.functions))
         # clean counting run: region steps for plan drawing, and a hang
@@ -462,56 +532,9 @@ def check_batch_equivalence(
             else:
                 plans.append(None)
 
-        ref_rows = [
-            _observe_ref_trial(module, prot, plan, region, budget)
-            for plan in plans
-        ]
-
-        works = [module_copy(module) for _ in range(lanes)]
-        tables = []
-        for work in works:
-            table = {DETECT_INTRINSIC: _swift_detect}
-            if prot:
-                table.update(PROTECTIONS[prot](work))
-            tables.append(table)
-        batch_module = works[0]
-        template = Memory()
-        template.load_globals(batch_module)
-        executor = BatchExecutor(
-            batch_module, template, lanes, fault_plans=plans,
-            fault_region=region, max_steps=budget, intrinsics=tables)
-        results = executor.run("main", [])
-
-        for lane in range(lanes):
-            trap_r, det_r, steps_r, rsteps_r, val_r, fin_r = ref_rows[lane]
-            res = results[lane]
-            got = (res.trap, res.detected, res.steps, res.region_steps)
-            want = (trap_r, det_r, steps_r, rsteps_r)
-            if got != want:
-                violations.append(Violation(
-                    "o5", f"[{label}] lane {lane}: ref (trap={trap_r}, "
-                          f"detected={det_r}, steps={steps_r}, "
-                          f"region_steps={rsteps_r}) but batch "
-                          f"(trap={res.trap}, detected={res.detected}, "
-                          f"steps={res.steps}, "
-                          f"region_steps={res.region_steps})", pipe))
-                continue
-            if trap_r is not None:
-                continue
-            if not _values_equal(val_r, res.value):
-                violations.append(Violation(
-                    "o5", f"[{label}] lane {lane}: return value "
-                          f"{val_r!r} != {res.value!r}", pipe))
-                continue
-            lane_mem = executor.lane_memory(lane)
-            for name, gvar in batch_module.globals.items():
-                if not outputs_equal(
-                        fin_r.get(name, []),
-                        lane_mem.read_global(name, gvar.size)):
-                    violations.append(Violation(
-                        "o5", f"[{label}] lane {lane}: @{name}: contents "
-                              f"diverged from the reference trial", pipe))
-                    break
+        violations.extend(_compare_batch_lanes(
+            module, prot, plans, region, budget, "o5",
+            [f"[{label}] lane {lane}" for lane in range(lanes)])[1])
     return violations
 
 
@@ -665,7 +688,6 @@ def check_skip_exhaustive(
     Programs larger than *site_cap* are stride-sampled.
     """
     del seed  # enumeration is deterministic; kept for runner uniformity
-    from ..runtime.batch import BatchExecutor
 
     violations: List[Violation] = []
     for prot in [None] + ([protection] if protection else []):
@@ -687,58 +709,10 @@ def check_skip_exhaustive(
             kind = "skip" if blen == 1 else "skip-burst"
             plans = [FaultPlan(step=s, kind=kind, burst_len=blen)
                      for s in site_steps]
-            ref_rows = [
-                _observe_ref_trial(module, prot, plan, region, budget)
-                for plan in plans
-            ]
-
-            lanes = len(plans)
-            works = [module_copy(module) for _ in range(lanes)]
-            tables = []
-            for work in works:
-                table = {DETECT_INTRINSIC: _swift_detect}
-                if prot:
-                    table.update(PROTECTIONS[prot](work))
-                tables.append(table)
-            batch_module = works[0]
-            template = Memory()
-            template.load_globals(batch_module)
-            executor = BatchExecutor(
-                batch_module, template, lanes, fault_plans=plans,
-                fault_region=region, max_steps=budget, intrinsics=tables)
-            results = executor.run("main", [])
-
-            for i, s in enumerate(site_steps):
-                trap_r, det_r, steps_r, rsteps_r, val_r, fin_r = ref_rows[i]
-                res = results[i]
-                got = (res.trap, res.detected, res.steps, res.region_steps)
-                want = (trap_r, det_r, steps_r, rsteps_r)
-                where = f"[{label}] {kind}@{s}"
-                if got != want:
-                    violations.append(Violation(
-                        "o6", f"{where}: ref (trap={trap_r}, "
-                              f"detected={det_r}, steps={steps_r}, "
-                              f"region_steps={rsteps_r}) but batch "
-                              f"(trap={res.trap}, detected={res.detected}, "
-                              f"steps={res.steps}, "
-                              f"region_steps={res.region_steps})", pipe))
-                    continue
-                if trap_r is not None:
-                    continue
-                if not _values_equal(val_r, res.value):
-                    violations.append(Violation(
-                        "o6", f"{where}: return value "
-                              f"{val_r!r} != {res.value!r}", pipe))
-                    continue
-                lane_mem = executor.lane_memory(i)
-                for name, gvar in batch_module.globals.items():
-                    if not outputs_equal(
-                            fin_r.get(name, []),
-                            lane_mem.read_global(name, gvar.size)):
-                        violations.append(Violation(
-                            "o6", f"{where}: @{name}: contents diverged "
-                                  f"from the reference trial", pipe))
-                        break
+            ref_rows, found = _compare_batch_lanes(
+                module, prot, plans, region, budget, "o6",
+                [f"[{label}] {kind}@{s}" for s in site_steps])
+            violations.extend(found)
 
             if prot in _SKIP_CONTRACT_SCHEMES and blen == 1:
                 for i, s in enumerate(site_steps):

@@ -20,15 +20,16 @@ group.  The representation exploits that:
 * A register slot whose lanes all hold the same value is stored as the
   **raw Python scalar**; operations between uniform slots execute once
   per *group*, not once per lane.  Only slots actually touched by
-  injected-fault dataflow widen into per-lane columns — numpy **object**
-  arrays, one element per lane.  Object dtype is load-bearing: every
-  elementwise ufunc dispatches to the operands' *Python* dunders, so
-  results stay bit-exact Python ints/floats, with arbitrary-precision
-  integers and the lazy 64-bit wrap intact.  No ``np.int64``/
-  ``np.float64`` ever enters a register file: comparison results come
-  back as bool-dtype arrays and are routed through
-  ``astype(int64).astype(object)``, and scalar operands are pre-wrapped
-  as 0-d object arrays before broadcasting.
+  injected-fault dataflow widen into a **sparse column**
+  (:class:`_SpCol`): one base value plus a dict of per-row exceptions.
+  An op on a column evaluates the base once and each exception row
+  individually, so its cost follows the number of divergent rows.  A
+  slot where many or all rows differ is the same shape with many
+  exceptions; the base need not be held by any row, so when evaluating
+  it traps the op falls back to evaluating every row, and only the
+  rows that trap retire.  Values are plain Python ints/floats
+  throughout, with arbitrary-precision integers and the lazy 64-bit
+  wrap intact.
 * Memory is layered copy-on-write over one shared read-only **template**
   (the initial image every lane starts from): a per-group ``gmem`` dict
   holds uniform stores, a per-lane overlay dict holds divergent stores,
@@ -68,9 +69,8 @@ Divergence and retirement
 
 Value ops take their semantics from :mod:`repro.runtime.semantics`: the
 uniform path calls its ``OPS`` table for every cold op, the sparse path
-and per-lane refinement call ``apply``, and only the hot ops (MOV,
-ADD/FADD, SUB/FSUB, FMUL, MUL, ICMP/FCMP) are inlined, on the uniform
-and numpy vector paths.
+calls ``apply``, and only the hot ops (MOV, ADD/FADD, SUB/FSUB, FMUL,
+MUL, ICMP/FCMP) are inlined, on the uniform path.
 
 Per-lane faults follow :meth:`Interpreter._inject` to the letter: the
 trigger fires when ``region_steps - 1 == plan.step`` *before* operand
@@ -98,8 +98,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from time import perf_counter
 from typing import Dict, List, Optional, Sequence, Tuple
-
-import numpy as np
 
 from ..ir.function import Function
 from ..ir.module import Module
@@ -172,34 +170,28 @@ def _check_addr(addr, size: int) -> int:
     return addr
 
 
-def _try_collapse(col: np.ndarray, n: int):
-    """The uniform value of a column, or ``_MISS`` if its lanes differ.
+def _try_collapse(vals: list):
+    """The uniform value of per-row *vals*, or ``_MISS`` if rows differ.
 
-    Conservative on purpose: NaNs compare unequal and stay columns, and
-    equal values of different types (``1`` vs ``1.0``) are not merged —
-    integer and float diverge under later ``sdiv``/``srem``.
+    Conservative on purpose: values merge only when they have the same
+    type and compare ``==``, so NaNs never merge and neither do ``1``
+    and ``1.0`` — integer and float diverge under later ``sdiv``/``srem``.
     """
-    first = col[0]
-    if first is None:
-        for x in col:
-            if x is not None:
-                return _MISS
-        return None
-    eq = col == first
-    if not eq.all():
-        return _MISS
-    t = type(first)
-    for x in col:
-        if type(x) is not t:
+    first = vals[0]
+    t = first.__class__
+    for x in vals:
+        if x.__class__ is not t or not x == first:
             return _MISS
     return first
 
 
 class _SpCol:
-    """A *sparse* lane column: one uniform base value plus a small dict
-    of per-row exceptions.  This is the shape injected-fault taint takes
-    — one lane differs, the rest agree — and it keeps every op on a
-    tainted register O(#divergent lanes) instead of O(#lanes)."""
+    """A *sparse* lane column: one base value plus a dict of per-row
+    exceptions.  This is the shape injected-fault taint takes — one lane
+    differs, the rest agree — and it keeps every op on a tainted
+    register O(#divergent lanes) instead of O(#lanes).  Rows without an
+    exception hold the base; when every row is an exception the base is
+    held by none of them."""
 
     __slots__ = ("base", "exc")
 
@@ -208,20 +200,61 @@ class _SpCol:
         self.exc = exc              # row index -> value
 
 
-def _dense(sp: _SpCol, n: int) -> np.ndarray:
-    col = np.empty(n, dtype=object)
-    col[:] = sp.base
-    for r, v in sp.exc.items():
-        col[r] = v
-    return col
+def _column(vals: list):
+    """Per-row *vals* as a register value: the uniform value when every
+    row agrees (by :func:`_try_collapse`'s rule), else an :class:`_SpCol`
+    around the value a majority vote picks, so exceptions stay few."""
+    base = _try_collapse(vals)
+    if base is not _MISS:
+        return base
+    votes = 0
+    for x in vals:
+        if not votes:
+            base = x
+            votes = 1
+        elif x.__class__ is base.__class__ and x == base:
+            votes += 1
+        else:
+            votes -= 1
+    t = base.__class__
+    return _SpCol(base, {r: x for r, x in enumerate(vals)
+                         if x.__class__ is not t or not x == base})
+
+
+def _pack(base, exc: dict, n: int):
+    """A column of *n* rows as a register value: the base alone without
+    exceptions, and re-based through :func:`_column` once exceptions
+    cover most rows, so a base few rows hold stops costing every later
+    op one evaluation per row."""
+    if not exc:
+        return base
+    if 2 * len(exc) <= n:
+        return _SpCol(base, exc)
+    return _column([exc.get(r, base) for r in range(n)])
+
+
+def _remap(col: _SpCol, remap: Dict[int, int], n: int):
+    """*col* restricted to the rows *remap* keeps (old row -> new row),
+    as a register value of the resulting *n*-row group."""
+    nexc = {}
+    for r, v in col.exc.items():
+        nr = remap.get(r)
+        if nr is not None:
+            nexc[nr] = v
+    return _pack(col.base, nexc, n)
+
+
+def _select_brks(brks: list, sel: List[int]):
+    """The selected rows' bump pointers as a group's ``(brk, brks)``:
+    the shared pointer and ``None`` when they agree, else the list."""
+    nb = [brks[i] for i in sel]
+    val = _try_collapse(nb)
+    return (nb[0], nb) if val is _MISS else (val, None)
 
 
 def _at(x, i: int):
-    """Element ``i`` of a scalar, sparse or dense column."""
-    cls = x.__class__
-    if cls is np.ndarray:
-        return x[i]
-    if cls is _SpCol:
+    """Row ``i`` of a scalar or sparse column."""
+    if x.__class__ is _SpCol:
         return x.exc.get(i, x.base)
     return x
 
@@ -326,8 +359,8 @@ class _LaneMem:
 
 class _Frame:
     """One function activation of a lane group: per slot either a raw
-    scalar (uniform across lanes), a lane column (np object array), or
-    ``_UNDEF``."""
+    scalar (uniform across lanes), a sparse lane column (:class:`_SpCol`),
+    or ``_UNDEF``."""
 
     __slots__ = ("fname", "blocks", "names", "slot_of", "regs",
                  "label", "pc", "ret_dest")
@@ -363,7 +396,7 @@ class _Group:
         #: entries there (a conservative superset: lanes may have left)
         self.dirty: Dict[int, set] = {}
         self.brk = 8               # uniform bump pointer...
-        self.brks = None           # ...or a per-lane column of pointers
+        self.brks = None           # ...or a per-row list of pointers
         self.row_of: Dict[int, int] = {lane: i for i, lane in enumerate(rows)}
 
 
@@ -454,8 +487,8 @@ class BatchExecutor:
         """Slot-indexed mirror of ``Interpreter._decode``: same opcode
         indices, same arity contract, same region flags; register names
         become dense slot indices (parameters first, then first-use
-        order) and constants carry a pre-built 0-d object array so ufunc
-        broadcasting never coerces them to numpy scalars."""
+        order), and each operand is an ``(is_reg, slot or value)`` pair:
+        constants and global addresses are resolved to their value."""
         cached = self._dcache.get(func.name)
         if cached is not None:
             return cached
@@ -482,13 +515,12 @@ class BatchExecutor:
                 ops = []
                 for a in instr.args:
                     if isinstance(a, Reg):
-                        ops.append((True, slot(a.name), None))
+                        ops.append((True, slot(a.name)))
                     elif isinstance(a, GlobalAddr):
-                        addr = template.global_addr(a.name)
-                        ops.append((False, addr, np.array(addr, dtype=object)))
+                        ops.append((False, template.global_addr(a.name)))
                     else:
                         assert isinstance(a, Const)
-                        ops.append((False, a.value, np.array(a.value, dtype=object)))
+                        ops.append((False, a.value))
                 code = _CODE[instr.op]
                 want = OPERAND_ARITY[code]
                 if want is not None and len(ops) not in want:
@@ -577,10 +609,7 @@ class BatchExecutor:
             return False  # landed on a slot holding no live value: masked
         fregs, s = slots[k]
         col = fregs[s]
-        cls = col.__class__
-        if cls is np.ndarray:
-            col[row] = flip_value(col[row], plan.bit)
-        elif cls is _SpCol:
+        if col.__class__ is _SpCol:
             cur = col.exc.get(row, col.base)
             col.exc[row] = flip_value(cur, plan.bit)
         else:
@@ -632,35 +661,14 @@ class BatchExecutor:
         g.row_of = {lane: i for i, lane in enumerate(g.rows)}
         n = len(keep)
         if n:
-            big = n > SCALAR_CUTOFF
             remap = {old: j for j, old in enumerate(keep)}
             for frame in g.frames:
                 regs = frame.regs
                 for s, col in enumerate(regs):
-                    cls = col.__class__
-                    if cls is np.ndarray:
-                        ncol = col[keep]
-                        if big:
-                            val = _try_collapse(ncol, n)
-                            if val is not _MISS:
-                                regs[s] = val
-                                continue
-                        regs[s] = ncol
-                    elif cls is _SpCol:
-                        nexc = {}
-                        for r, v in col.exc.items():
-                            nr = remap.get(r)
-                            if nr is not None:
-                                nexc[nr] = v
-                        regs[s] = _SpCol(col.base, nexc) if nexc else col.base
+                    if col.__class__ is _SpCol:
+                        regs[s] = _remap(col, remap, n)
             if brks is not None:
-                nb = brks[keep]
-                val = _try_collapse(nb, n)
-                if val is not _MISS:
-                    g.brk = val
-                    g.brks = None
-                else:
-                    g.brks = nb
+                g.brk, g.brks = _select_brks(brks, keep)
             self._prune_dirty(g)
         return keep
 
@@ -679,30 +687,11 @@ class BatchExecutor:
         became uniform within the child collapse back to scalars."""
         rows = [g.rows[i] for i in sel]
         n = len(rows)
-        big = n > SCALAR_CUTOFF
         remap = {old: j for j, old in enumerate(sel)}
         frames = []
         for fr in g.frames:
-            nregs = []
-            for col in fr.regs:
-                cls = col.__class__
-                if cls is np.ndarray:
-                    ncol = col[sel]
-                    if big:
-                        val = _try_collapse(ncol, n)
-                        if val is not _MISS:
-                            nregs.append(val)
-                            continue
-                    nregs.append(ncol)
-                elif cls is _SpCol:
-                    nexc = {}
-                    for r, v in col.exc.items():
-                        nr = remap.get(r)
-                        if nr is not None:
-                            nexc[nr] = v
-                    nregs.append(_SpCol(col.base, nexc) if nexc else col.base)
-                else:
-                    nregs.append(col)
+            nregs = [_remap(col, remap, n) if col.__class__ is _SpCol else col
+                     for col in fr.regs]
             nf = _Frame(fr.fname, fr.blocks, fr.names, fr.slot_of, nregs,
                         fr.label, fr.ret_dest)
             nf.pc = fr.pc
@@ -718,13 +707,8 @@ class BatchExecutor:
             child.dirty = {idx: set(wr) for idx, wr in g.dirty.items()}
         child.brk = g.brk
         if g.brks is not None:
-            nb = g.brks[sel]
-            val = _try_collapse(nb, n)
-            if val is not _MISS:
-                child.brk = val
-            else:
-                child.brks = nb
-        if big:
+            child.brk, child.brks = _select_brks(g.brks, sel)
+        if n > SCALAR_CUTOFF:
             self._prune_dirty(child)
         return child
 
@@ -749,13 +733,8 @@ class BatchExecutor:
         if obs_enabled():
             self._tail_ms = {"compiled": 0.0, "ref": 0.0}
             t0 = perf_counter()
-        # Python float math on lane values sets hardware FP flags (inf*0,
-        # overflowing divides) that numpy reports as RuntimeWarnings after
-        # each object-loop ufunc; the values themselves are the exact
-        # Python results, so the flags carry no information here.
-        with np.errstate(all="ignore"):
-            while work:
-                self._run_group(work.pop(), work)
+        while work:
+            self._run_group(work.pop(), work)
         tail_ms = self._tail_ms
         if tail_ms is not None:
             sink = current_sink()
@@ -841,31 +820,23 @@ class BatchExecutor:
 
                 # ---- value ops ------------------------------------------
                 if code <= LAST_VALUE_OP:
-                    k, v, _o = ops[0]
+                    k, v = ops[0]
                     a = regs[v] if k else v
                     nops = len(ops)
                     b = c = None
-                    cls = a.__class__
-                    dense = cls is np.ndarray
-                    sp = cls is _SpCol
+                    sp = a.__class__ is _SpCol
                     if nops > 1:
-                        k, v, _o = ops[1]
+                        k, v = ops[1]
                         b = regs[v] if k else v
-                        cls = b.__class__
-                        if cls is np.ndarray:
-                            dense = True
-                        elif cls is _SpCol:
+                        if b.__class__ is _SpCol:
                             sp = True
                         if nops > 2:
-                            k, v, _o = ops[2]
+                            k, v = ops[2]
                             c = regs[v] if k else v
-                            cls = c.__class__
-                            if cls is np.ndarray:
-                                dense = True
-                            elif cls is _SpCol:
+                            if c.__class__ is _SpCol:
                                 sp = True
 
-                    if not dense and not sp:
+                    if not sp:
                         # every operand uniform: execute once per group
                         try:
                             if code == _FMUL:
@@ -905,147 +876,57 @@ class BatchExecutor:
                         regs[dest] = res
                         continue
 
-                    if not dense:
-                        # ---- sparse operands: base once, then exceptions
-                        if code == _MOV:
-                            regs[dest] = _SpCol(a.base, dict(a.exc))
-                            continue
-                        rows_u = set(a.exc) if a.__class__ is _SpCol else set()
-                        if b is not None and b.__class__ is _SpCol:
-                            rows_u.update(b.exc)
-                        if c is not None and c.__class__ is _SpCol:
-                            rows_u.update(c.exc)
-                        if len(rows_u) * 4 < L:
-                            try:
-                                rbase = apply(code, extra, _at(a, -1),
-                                              _at(b, -1), _at(c, -1))
-                                rexc = {}
-                                tb = rbase.__class__
-                                for r in rows_u:
-                                    rv_ = apply(code, extra, _at(a, r),
-                                                _at(b, r), _at(c, r))
-                                    if rv_.__class__ is tb and rv_ == rbase:
-                                        continue  # lane reconverged: drop
-                                    rexc[r] = rv_
-                                regs[dest] = \
-                                    _SpCol(rbase, rexc) if rexc else rbase
-                                continue
-                            except TRIAL_TRAPS:
-                                pass  # refine per lane on the dense path
-                        # exception set too wide (or a lane trapped):
-                        # materialize and take the dense path below
-
-                    # ---- divergent operands: vectorized path ------------
-                    if a.__class__ is _SpCol:
-                        a = _dense(a, L)
-                    if b is not None and b.__class__ is _SpCol:
-                        b = _dense(b, L)
-                    if c is not None and c.__class__ is _SpCol:
-                        c = _dense(c, L)
+                    # ---- sparse operands: base once, then exceptions --
                     if code == _MOV:
-                        regs[dest] = a.copy()  # a is the column here
+                        regs[dest] = _SpCol(a.base, dict(a.exc))
                         continue
-                    if a.__class__ is np.ndarray:
-                        av = a
-                    elif ops[0][0]:
-                        av = np.array(a, dtype=object)  # uniform reg value
-                    else:
-                        av = ops[0][2]                  # pre-wrapped const
-                    if nops > 1:
-                        if b.__class__ is np.ndarray:
-                            bv = b
-                        elif ops[1][0]:
-                            bv = np.array(b, dtype=object)
-                        else:
-                            bv = ops[1][2]
-
-                    res = None
+                    rows_u = set(a.exc) if a.__class__ is _SpCol else set()
+                    if b is not None and b.__class__ is _SpCol:
+                        rows_u.update(b.exc)
+                    if c is not None and c.__class__ is _SpCol:
+                        rows_u.update(c.exc)
                     try:
-                        if code == _FMUL:
-                            res = np.multiply(av, bv)
-                        elif code == _FADD or code == _ADD:
-                            res = np.add(av, bv)
-                        elif code == _FSUB or code == _SUB:
-                            res = np.subtract(av, bv)
-                        elif code == _MUL:
-                            res = np.multiply(av, bv)
-                            if res.__class__ is np.ndarray:
-                                for i in range(L):
-                                    r = res[i]
-                                    if r.__class__ is int and \
-                                            (r > _HUGE_INT or r < -_HUGE_INT):
-                                        res[i] = r & _INT_MASK64
-                            elif isinstance(res, int) and \
-                                    (res > _HUGE_INT or res < -_HUGE_INT):
-                                res &= _INT_MASK64
-                        elif code == _ICMP or code == _FCMP:
-                            if extra == 2:
-                                r = av < bv
-                            elif extra == 0:
-                                r = av == bv
-                            elif extra == 4:
-                                r = av > bv
-                            elif extra == 3:
-                                r = av <= bv
-                            elif extra == 5:
-                                r = av >= bv
-                            else:
-                                r = av != bv
-                            # bool-dtype result -> native Python 1/0 ints
-                            # (astype(object) materializes Python int)
-                            if r.__class__ is np.ndarray:
-                                res = r.astype(np.int64).astype(object)
-                            else:  # 0d-0d compare collapsed to scalar
-                                res = 1 if r else 0
+                        rbase = apply(code, extra, _at(a, -1),
+                                      _at(b, -1), _at(c, -1))
                     except TRIAL_TRAPS:
-                        res = None  # refine per lane below
-
-                    if res is not None:
-                        if res.__class__ is not np.ndarray:
-                            col = np.empty(L, dtype=object)
-                            col[:] = res
-                            res = col
-                        elif res.ndim == 0:
-                            col = np.empty(L, dtype=object)
-                            col[:] = res.item()
-                            res = col
-                        regs[dest] = res
-                        continue
-
-                    # per-lane: cold ops and lane-local trap refinement
-                    srcs = []
-                    for x in (a, b, c)[:nops]:
-                        if x.__class__ is np.ndarray:
-                            srcs.append((x, None))
-                        else:
-                            srcs.append((None, x))
-                    out = np.empty(L, dtype=object)
+                        # the base traps, though no row may hold it:
+                        # evaluate every row, and retire those that trap
+                        rbase = _MISS
+                        rows_u = range(L)
+                    rexc = {}
                     dead = None
-                    for i in range(L):
+                    tb = rbase.__class__
+                    for r in rows_u:
                         try:
-                            out[i] = _scalar_eval(code, extra, srcs, i)
+                            rv_ = apply(code, extra, _at(a, r),
+                                        _at(b, r), _at(c, r))
                         except TRIAL_TRAPS as exc:
                             if dead is None:
                                 dead = {}
-                            dead[i] = exc
-                    if dead is not None:
-                        g.steps = steps
-                        g.region_steps = rsteps
-                        keep = self._retire_rows(g, dead)
-                        if not rows:
-                            return
-                        out = out[keep]
-                    regs[dest] = out
+                            dead[r] = exc
+                            continue
+                        if rv_.__class__ is tb and rv_ == rbase:
+                            continue  # lane reconverged: drop
+                        rexc[r] = rv_
+                    if dead is None:
+                        regs[dest] = _pack(rbase, rexc, L)
+                        continue
+                    # the survivors' rows are renumbered with every column
+                    regs[dest] = _SpCol(rbase, rexc)
+                    g.steps = steps
+                    g.region_steps = rsteps
+                    self._retire_rows(g, dead)
+                    if not rows:
+                        return
                     continue
 
                 # ---- memory ops (copy-on-write layers) ------------------
                 if code == _LOAD:
-                    k, v, _o = ops[0]
+                    k, v = ops[0]
                     a = regs[v] if k else v
                     gmem = g.gmem
                     cls = a.__class__
-                    if cls is not np.ndarray and cls is not _SpCol \
-                            and not self._n_corrupt:
+                    if cls is not _SpCol and not self._n_corrupt:
                         # uniform address, no pending addr faults
                         if type(a) is int and 8 <= a < msize:
                             idx = a
@@ -1112,18 +993,16 @@ class BatchExecutor:
                             for r in [r for r, v_ in rexc.items()
                                       if v_.__class__ is tb and v_ == vbase]:
                                 del rexc[r]
-                            regs[dest] = \
-                                _SpCol(vbase, rexc) if rexc else vbase
+                            regs[dest] = _pack(vbase, rexc, L)
                             continue
                         except SegfaultError:
-                            a = _dense(a, L)  # a lane traps: refine below
-                    # column address and/or an addr-fault window is open
-                    acol = a if a.__class__ is np.ndarray else None
+                            pass  # a lane traps: resolve row by row below
+                    # a trapping address and/or an addr-fault window is open
                     corrupt = self._corrupt
-                    out = np.empty(L, dtype=object)
+                    out = [None] * L
                     dead = None
                     for i in range(L):
-                        addr = acol[i] if acol is not None else _at(a, i)
+                        addr = _at(a, i)
                         lane = rows[i]
                         if corrupt[lane] is not None:
                             bit = corrupt[lane]
@@ -1153,22 +1032,18 @@ class BatchExecutor:
                         keep = self._retire_rows(g, dead)
                         if not rows:
                             return
-                        out = out[keep]
-                        L = len(rows)
-                    val = _try_collapse(out, L)
-                    regs[dest] = out if val is _MISS else val
+                        out = [out[i] for i in keep]
+                    regs[dest] = _column(out)
                     continue
 
                 if code == _STORE:
-                    k, v, _o = ops[0]
+                    k, v = ops[0]
                     val0 = regs[v] if k else v
-                    ka, va, _o = ops[1]
+                    ka, va = ops[1]
                     addr0 = regs[va] if ka else va
                     gmem = g.gmem
                     dirty = g.dirty
-                    if addr0.__class__ is not np.ndarray \
-                            and addr0.__class__ is not _SpCol \
-                            and not self._n_corrupt:
+                    if addr0.__class__ is not _SpCol and not self._n_corrupt:
                         if type(addr0) is int and 8 <= addr0 < msize:
                             idx = addr0
                         else:
@@ -1179,8 +1054,7 @@ class BatchExecutor:
                                 g.region_steps = rsteps
                                 self._retire_all(g, exc)
                                 return
-                        vcls = val0.__class__
-                        if vcls is not np.ndarray and vcls is not _SpCol:
+                        if val0.__class__ is not _SpCol:
                             # uniform store: lands in the group layer and
                             # re-cleans any stale per-lane overlay entries
                             writers = dirty.pop(idx, None)
@@ -1190,8 +1064,8 @@ class BatchExecutor:
                                     if lane in row_of:
                                         ovs[lane].pop(idx, None)
                             gmem[idx] = val0
-                        elif vcls is _SpCol:
-                            # near-uniform store: base to the group layer,
+                        else:
+                            # column store: base to the group layer,
                             # exception lanes to their overlays
                             old = dirty.get(idx)
                             if old:
@@ -1213,17 +1087,11 @@ class BatchExecutor:
                             elif old:
                                 dirty.pop(idx, None)
                             gmem[idx] = vb
-                        else:
-                            for i in range(L):
-                                ovs[rows[i]][idx] = val0[i]
-                            dirty[idx] = set(rows)
                         continue
-                    acol = addr0 if addr0.__class__ is np.ndarray else None
-                    vcol = val0 if val0.__class__ is np.ndarray else None
                     corrupt = self._corrupt
                     dead = None
                     for i in range(L):
-                        addr = acol[i] if acol is not None else _at(addr0, i)
+                        addr = _at(addr0, i)
                         lane = rows[i]
                         if corrupt[lane] is not None:
                             bit = corrupt[lane]
@@ -1241,8 +1109,7 @@ class BatchExecutor:
                                 dead = {}
                             dead[i] = exc
                             continue
-                        ovs[lane][idx] = \
-                            vcol[i] if vcol is not None else _at(val0, i)
+                        ovs[lane][idx] = _at(val0, i)
                         wr = dirty.get(idx)
                         if wr is None:
                             dirty[idx] = {lane}
@@ -1258,7 +1125,7 @@ class BatchExecutor:
 
                 # ---- control flow ---------------------------------------
                 if code == _CBR:
-                    k, v, _o = ops[0]
+                    k, v = ops[0]
                     a = regs[v] if k else v
                     cls = a.__class__
                     if cls is _SpCol and not self._n_invert:
@@ -1268,6 +1135,10 @@ class BatchExecutor:
                         div = sorted(
                             r for r, v_ in a.exc.items()
                             if (v_ != 0 and v_ == v_) != tb)
+                        if len(div) == L:
+                            # every row disagrees with a base none holds
+                            tb = not tb
+                            div = []
                         if not div:
                             frame.label = extra[1] if tb else extra[2]
                             frame.pc = 0
@@ -1277,9 +1148,7 @@ class BatchExecutor:
                         taken_sel, fall_sel = \
                             (others, div) if tb else (div, others)
                     else:
-                        if cls is np.ndarray:
-                            takens = [x != 0 and x == x for x in a]
-                        elif cls is _SpCol:
+                        if cls is _SpCol:
                             tb = a.base != 0 and a.base == a.base
                             takens = [tb] * L
                             for r, v_ in a.exc.items():
@@ -1329,7 +1198,7 @@ class BatchExecutor:
                     n = len(ops)
                     rv = None
                     if n:
-                        k, v, _o = ops[0]
+                        k, v = ops[0]
                         rv = regs[v] if k else v
                     g.frames.pop()
                     if not g.frames:
@@ -1350,10 +1219,7 @@ class BatchExecutor:
                     caller = g.frames[-1]
                     rd = frame.ret_dest
                     if rd is not None:
-                        rcls = rv.__class__
-                        if rcls is np.ndarray:
-                            caller.regs[rd] = rv.copy()
-                        elif rcls is _SpCol:
+                        if rv.__class__ is _SpCol:
                             caller.regs[rd] = _SpCol(rv.base, dict(rv.exc))
                         else:
                             caller.regs[rd] = rv
@@ -1376,14 +1242,11 @@ class BatchExecutor:
                         return
                     frame.pc = pc
                     nf = self._make_frame(callee, dest)
-                    for p, (k, v, _o) in zip(callee.params, ops):
+                    for p, (k, v) in zip(callee.params, ops):
                         s = nf.slot_of[p.name]
                         if k:
                             x = regs[v]
-                            xcls = x.__class__
-                            if xcls is np.ndarray:
-                                nf.regs[s] = x.copy()
-                            elif xcls is _SpCol:
+                            if x.__class__ is _SpCol:
                                 nf.regs[s] = _SpCol(x.base, dict(x.exc))
                             else:
                                 nf.regs[s] = x
@@ -1396,10 +1259,9 @@ class BatchExecutor:
                 if code == _INTRIN:
                     vals = []
                     uni = True
-                    for k, v, _o in ops:
+                    for k, v in ops:
                         x = regs[v] if k else v
-                        xcls = x.__class__
-                        if xcls is np.ndarray or xcls is _SpCol:
+                        if x.__class__ is _SpCol:
                             uni = False
                         vals.append(x)
                     if uni and self._shared:
@@ -1423,7 +1285,7 @@ class BatchExecutor:
                             regs[dest] = rv
                         steps += len(charge)
                         continue
-                    out = np.empty(L, dtype=object)
+                    out = [None] * L
                     clens = [0] * L
                     dead = None
                     for i in range(L):
@@ -1446,12 +1308,10 @@ class BatchExecutor:
                         keep = self._retire_rows(g, dead)
                         if not rows:
                             return
-                        out = out[keep]
+                        out = [out[i] for i in keep]
                         clens = [clens[i] for i in keep]
-                        L = len(rows)
                     if dest is not None:
-                        val = _try_collapse(out, L)
-                        regs[dest] = out if val is _MISS else val
+                        regs[dest] = _column(out)
                     lens = set(clens)
                     if len(lens) == 1:
                         steps += clens[0]
@@ -1470,10 +1330,9 @@ class BatchExecutor:
                     return
 
                 if code == _ALLOC:
-                    k, v, _o = ops[0]
+                    k, v = ops[0]
                     a = regs[v] if k else v
-                    if a.__class__ is not np.ndarray \
-                            and a.__class__ is not _SpCol and g.brks is None:
+                    if a.__class__ is not _SpCol and g.brks is None:
                         sz = int(a)
                         if sz <= 0:
                             g.steps = steps
@@ -1490,13 +1349,10 @@ class BatchExecutor:
                             return
                         regs[dest] = base
                         continue
-                    if g.brks is None:
-                        brks = np.empty(L, dtype=object)
-                        brks[:] = g.brk
-                        g.brks = brks
-                    else:
-                        brks = g.brks
-                    out = np.empty(L, dtype=object)
+                    brks = g.brks
+                    if brks is None:
+                        brks = g.brks = [g.brk] * L
+                    out = [None] * L
                     dead = None
                     for i in range(L):
                         sz = int(_at(a, i))
@@ -1520,8 +1376,8 @@ class BatchExecutor:
                         keep = self._retire_rows(g, dead)
                         if not rows:
                             return
-                        out = out[keep]
-                    regs[dest] = out
+                        out = [out[i] for i in keep]
+                    regs[dest] = _column(out)
                     continue
 
                 g.steps = steps
@@ -1597,17 +1453,3 @@ class BatchExecutor:
             self._results[lane] = res
         g.rows[:] = []
 
-
-def _scalar_eval(code: int, extra, srcs, i: int):
-    """One lane of a vector-path value op.  Used for cold ops and
-    per-lane trap refinement."""
-    col, const = srcs[0]
-    a = col[i] if col is not None else const
-    b = c = None
-    if len(srcs) > 1:
-        col, const = srcs[1]
-        b = col[i] if col is not None else const
-        if len(srcs) > 2:
-            col, const = srcs[2]
-            c = col[i] if col is not None else const
-    return apply(code, extra, a, b, c)

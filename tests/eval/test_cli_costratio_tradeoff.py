@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -69,6 +71,24 @@ class TestCli:
                     "figure9", "tradeoff", "costratio", "all"):
             args = parser.parse_args(["--scale", "0.4", cmd])
             assert callable(args.fn)
+
+    @pytest.mark.parametrize("argv", [
+        ["skipmap", "--site-cap", "0"],
+        ["skipmap", "--burst-len", "0"],
+        ["campaign", "sgemm", "--trials", "-3"],
+        ["difftest", "--n", "0"],
+        ["--scale", "0", "campaign", "sgemm"],
+        ["--scale", "-1", "campaign", "sgemm"],
+        ["--scale", "nan", "table1"],
+        ["figure9", "--trials", "two"],
+    ])
+    def test_rejects_non_positive_sizes(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err.rstrip().splitlines()
+        assert err[0].startswith("usage: repro")
+        assert re.match(r"repro( \w+)?: error: argument --", err[-1])
 
     def test_requires_command(self):
         with pytest.raises(SystemExit):

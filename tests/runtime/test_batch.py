@@ -5,15 +5,16 @@ region-step counts, final memory — must match what the reference
 interpreter produces for the same program and fault plan run alone.
 The difftest O5 oracle fuzzes this property; these tests pin the named
 divergence-handling cases: a lane trapping while the rest of the batch
-runs on, every lane hanging against the step budget, and a single-lane
-batch degenerating to a plain trial.
+runs on, every row of a register diverging at once, every lane hanging
+against the step budget, and a single-lane batch degenerating to a
+plain trial.
 """
 import pytest
 
 from repro.ir.parser import parse_module
 from repro.ir.verifier import verify_module
 from repro.runtime.batch import SCALAR_CUTOFF, BatchExecutor
-from repro.runtime.errors import HangError, SegfaultError
+from repro.runtime.errors import CoreDumpError, HangError, SegfaultError
 from repro.runtime.faults import FaultPlan, Region
 from repro.runtime.compiler import CompiledExecutor
 from repro.runtime.interpreter import Interpreter, MachineState, ResumeFrame
@@ -90,6 +91,8 @@ def _ref_trial(module, plan, region, max_steps=100_000):
         trap = "segfault"
     except HangError:
         trap = "hang"
+    except CoreDumpError:
+        trap = "coredump"
     return trap, value, interp.steps, interp.region_steps, memory
 
 
@@ -154,6 +157,29 @@ class TestDivergence:
             assert executor.lane_memory(lane).read_global("out", 8) == \
                 memory_c.read_global("out", 8)
 
+    def test_every_row_diverges_then_some_trap(self):
+        """Every lane flips a different bit of the same register at the
+        same step, so no lane holds the column's base value (0) any more.
+        Dividing by it traps on the base alone; the later ``srem`` traps
+        on the lanes whose quotient hit 0 while the others reconverge."""
+        module = _load(WIDE)
+        region = _region(module)
+        bits = [0, 1, 2, 3, 5, 8, 11, 12, 13, 20, 40, 63]
+        assert len(bits) >= SCALAR_CUTOFF + 4
+        plans = [FaultPlan(step=1, kind="value", pick=0.0, bit=b)
+                 for b in bits]
+        executor = BatchExecutor(module, Memory(), len(plans),
+                                 fault_plans=plans, fault_region=region,
+                                 max_steps=100_000)
+        results = executor.run("main", [])
+        assert {res.trap for res in results} == {None, "coredump"}
+        for lane, (plan, res) in enumerate(zip(plans, results)):
+            trap, value, steps, rsteps, memory = _ref_trial(module, plan, region)
+            assert (res.trap, res.value, res.steps, res.region_steps) == \
+                (trap, value, steps, rsteps), f"bit {plan.bit}"
+            assert executor.lane_memory(lane).read_global("out", 1) == \
+                memory.read_global("out", 1)
+
     def test_all_lanes_hang_against_the_step_budget(self):
         """A batch whose every lane spins must charge each lane exactly
         the hang budget — not multiply it by the lane count, and not run
@@ -172,6 +198,25 @@ class TestDivergence:
             assert res.trap == "hang" and not res.finished
             assert res.steps == steps  # the interpreter's exact cutoff
 
+
+WIDE = """
+module batch_wide
+
+global @a 8 i64 = [10, 11, 12, 13, 14, 15, 16, 17]
+global @out 1 i64
+
+func @main() -> i64 {
+entry:
+  %d = mov 0:i64
+  %q = sdiv 4096:i64, %d
+  %r = srem 7:i64, %q
+  %i = and %r, 7:i64
+  %p = add @a, %i
+  %x = load %p : i64
+  store %x, @out
+  ret %x
+}
+"""
 
 CALLER = """
 module batch_caller

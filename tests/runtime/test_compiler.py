@@ -276,8 +276,8 @@ LANE_OPERANDS = [
     "icmp eq", "icmp ne", "icmp lt", "icmp le", "fcmp gt", "fcmp ge",
 ])
 def test_vector_path_matches_table(op):
-    # golden runs never diverge, so the batch engine's numpy vector path
-    # is driven here: per-lane intrinsics hand every lane its own operands
+    # golden runs never diverge, so the batch engine's column path is
+    # driven here: per-lane intrinsics hand every lane its own operands
     args = "%a" if op == "mov" else "%a, %b"
     module = parse_module(
         "func @main() -> f64 {\nentry:\n"
