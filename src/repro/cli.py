@@ -358,7 +358,12 @@ def cmd_cache_check(args) -> None:
     """Byte-identity audit: cached vs uncached protection over the corpus."""
     import glob
 
-    from .pipeline import ArtifactCache, protect, selfcheck_byte_identity
+    from .pipeline import (
+        ArtifactCache,
+        protect,
+        selfcheck_byte_identity,
+        selfcheck_schemes,
+    )
     from .ir.parser import parse_module
     from .ir.printer import format_module
 
@@ -369,13 +374,14 @@ def cmd_cache_check(args) -> None:
         sys.exit(2)
 
     problems: List[str] = []
+    schemes = selfcheck_schemes()
     with _timed(f"cache-check: {len(paths)} corpus programs "
-                f"x {{SWIFT, SWIFT-R, AR20}} x {{off, miss, hit, disk}}"):
+                f"x {{{', '.join(schemes)}}} x {{off, miss, hit, disk}}"):
         for path in paths:
             name = os.path.basename(path)
             with open(path, "r", encoding="utf-8") as handle:
                 text = handle.read()
-            for problem in selfcheck_byte_identity(text):
+            for problem in selfcheck_byte_identity(text, schemes):
                 problems.append(f"{name}: {problem}")
 
             # disk tier: fill through one cache instance, read back through
@@ -633,7 +639,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--scale", type=_positive_float, default=0.6,
                         help="problem-size multiplier (default 0.6)")
-    parser.add_argument("--jobs", type=int, default=1,
+    parser.add_argument("--jobs", type=_positive_int, default=1,
                         help="worker processes for fault-injection campaigns "
                              "(default 1 = serial; results are identical for "
                              "any value)")
@@ -696,10 +702,10 @@ def build_parser() -> argparse.ArgumentParser:
                           "o6=exhaustive single-skip model checking, "
                           "o7=incremental campaign equivalence "
                           "(default all)")
-    pdt.add_argument("--jobs", type=int, default=1,
+    pdt.add_argument("--jobs", type=_positive_int, default=1,
                      help="worker processes; the report is byte-identical "
                           "for any value (default 1)")
-    pdt.add_argument("--fault-samples", type=int, default=12,
+    pdt.add_argument("--fault-samples", type=_positive_int, default=12,
                      help="shadow-flip trials per O3 check (default 12)")
     pdt.add_argument("--shrink", action="store_true",
                      help="delta-minimize failing programs")
@@ -788,14 +794,14 @@ def build_parser() -> argparse.ArgumentParser:
     psv.add_argument("--state-dir", default=None,
                      help="job records, campaign checkpoints and request "
                           "manifests (default <cache-dir>/serve)")
-    psv.add_argument("--workers", type=int, default=4,
+    psv.add_argument("--workers", type=_positive_int, default=4,
                      help="request executor threads (default 4)")
-    psv.add_argument("--job-workers", type=int, default=1,
+    psv.add_argument("--job-workers", type=_positive_int, default=1,
                      help="concurrent background campaign jobs (default 1)")
-    psv.add_argument("--max-inflight", type=int, default=32,
+    psv.add_argument("--max-inflight", type=_positive_int, default=32,
                      help="global admitted-request budget; beyond it POSTs "
                           "get 429 + Retry-After (default 32)")
-    psv.add_argument("--per-client", type=int, default=8,
+    psv.add_argument("--per-client", type=_positive_int, default=8,
                      help="per-client in-flight cap (default 8)")
     psv.set_defaults(fn=cmd_serve)
     prep = sub.add_parser("report")

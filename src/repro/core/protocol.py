@@ -63,7 +63,6 @@ from .rskip import (
     PROTOCOL_NS,
     RskipApplication,
     TargetLayout,
-    transform_loops,
 )
 
 #: Signature-recording bookkeeping per observed element.
@@ -360,46 +359,6 @@ class ProtocolRuntime(LoopRuntimes):
         return out
 
 
-def _make_loop_runtime(
-    kind: str,
-    layout: TargetLayout,
-    *,
-    sample_period: int,
-    window: int,
-    interval: int,
-    predictor: bool,
-) -> _ProtocolLoop:
-    if kind == "replay":
-        return ReplayLoopRuntime(
-            layout.key, sample_period, window, rmw=layout.rmw)
-    return CkptLoopRuntime(
-        layout.key, interval, rmw=layout.rmw, predictor=predictor)
-
-
-def apply_protocol(
-    module: Module,
-    kind: str,
-    *,
-    sample_period: int = 1,
-    window: int = 4,
-    interval: int = 8,
-    predictor: bool = True,
-) -> RskipApplication:
-    """Transform the module in place for REPLAY (``kind="replay"``) or
-    CKPT (``kind="ckpt"``); returns the application handle.
-
-    Unlike RSkip there is no SWIFT-R skeleton pass afterwards: the whole
-    point of these families is a different cost/coverage trade — only the
-    outlined loop bodies are protected (temporally), the loop skeleton is
-    left bare.
-    """
-    return rebuild_protocol_application(
-        module, transform_loops(module, kind), kind,
-        sample_period=sample_period, window=window, interval=interval,
-        predictor=predictor,
-    )
-
-
 def rebuild_protocol_application(
     module: Module,
     layouts: List[TargetLayout],
@@ -410,14 +369,23 @@ def rebuild_protocol_application(
     interval: int = 8,
     predictor: bool = True,
 ) -> RskipApplication:
-    """Fresh (stateful, never-cached) protocol runtime over an
-    already-transformed module — the cache-hit path, mirroring
-    :func:`repro.core.rskip.rebuild_application`."""
+    """Fresh (stateful, never-cached) protocol runtime over a module the
+    ``replay``/``ckpt`` pass already transformed
+    (:func:`repro.core.rskip.transform_loops`), mirroring
+    :func:`repro.core.rskip.rebuild_application`.
+
+    Unlike RSkip there is no SWIFT-R skeleton pass: the whole point of
+    these families is a different cost/coverage trade — only the
+    outlined loop bodies are protected (temporally), the loop skeleton
+    is left bare.
+    """
     runtime = ProtocolRuntime(kind)
     for layout in layouts:
-        runtime.loops[layout.ctx_id] = _make_loop_runtime(
-            kind, layout,
-            sample_period=sample_period, window=window, interval=interval,
-            predictor=predictor,
-        )
+        if kind == "replay":
+            loop: _ProtocolLoop = ReplayLoopRuntime(
+                layout.key, sample_period, window, rmw=layout.rmw)
+        else:
+            loop = CkptLoopRuntime(
+                layout.key, interval, rmw=layout.rmw, predictor=predictor)
+        runtime.loops[layout.ctx_id] = loop
     return RskipApplication(module, layouts, runtime)

@@ -724,15 +724,21 @@ def apply_rskip(
     ``main``).  A function attribute ``attrs["rskip.acceptable_range"]``
     acts as the same pragma at function granularity.
     """
-    layouts = transform_loops(module)
+    layouts = transform_rskip(module, protect)
+    return rebuild_application(module, layouts, config, profiles, ar_overrides)
 
+
+def transform_rskip(module: Module, protect: bool = True) -> List[TargetLayout]:
+    """The module surgery of :func:`apply_rskip` alone (the ``rskip``
+    pass): transform every target loop, then SWIFT-R the loop skeleton
+    unless *protect* is off; returns the layouts."""
+    layouts = transform_loops(module)
     if protect:
         excluded: Set[str] = set()
         for layout in layouts:
             excluded.update(layout.unprotected_funcs)
         apply_swift_r(module, exclude_funcs=excluded)
-
-    return rebuild_application(module, layouts, config, profiles, ar_overrides)
+    return layouts
 
 
 def rebuild_application(

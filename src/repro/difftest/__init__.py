@@ -18,7 +18,7 @@ from .generator import (
 )
 from .oracles import (
     CLEANUP_PASSES,
-    PROTECTIONS,
+    PROTECTION_PASSES,
     ModuleWorkload,
     Violation,
     check_backend_equivalence,
@@ -36,7 +36,7 @@ from .shrink import instruction_count, shrink_module
 __all__ = [
     "SHAPES", "GeneratedProgram", "generate", "generate_module",
     "generate_phased", "mutate_function",
-    "CLEANUP_PASSES", "PROTECTIONS", "ModuleWorkload", "Violation",
+    "CLEANUP_PASSES", "PROTECTION_PASSES", "ModuleWorkload", "Violation",
     "check_backend_equivalence",
     "check_batch_equivalence",
     "check_fault_metamorphic", "check_incremental_equivalence",

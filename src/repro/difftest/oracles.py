@@ -4,7 +4,8 @@ Six machine-checked properties:
 
 * **O1 — pipeline equivalence** (:func:`check_pipeline`): any pipeline of
   cleanup passes ({dce, cse, licm, simplify, clone}) optionally followed
-  by one protection transform ({swift, swift-r, rskip}) must leave the
+  by one protection pass ({swift, swift-r, rskip, replay, ckpt}, applied
+  through :func:`repro.pipeline.protect`) must leave the
   fault-free outputs (return value plus every global's final cells)
   bit-identical to the unmodified program, and ``verify_module`` must
   accept every intermediate module.
@@ -68,7 +69,6 @@ import random
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from ..core.config import RSkipConfig
 from ..core.rskip import PROTOCOL_REGION_ATTR
 from ..ir.function import Function
 from ..ir.instructions import CmpPred, Opcode
@@ -77,12 +77,8 @@ from ..ir.parser import ParseError, parse_module
 from ..ir.printer import format_module
 from ..ir.values import Reg
 from ..ir.verifier import VerificationError, verify_module
-from ..pipeline.passes import (
-    CLEANUP_PASSES,
-    PROTECTION_APPLIERS,
-    PROTECTIONS,
-    ProtectContext,
-)
+from ..pipeline.passes import CLEANUP_PASSES, PROTECTION_PASSES
+from ..pipeline.protect import protect
 from ..pipeline.registry import get_scheme
 from ..runtime.backend import make_executor
 from ..runtime.errors import (
@@ -95,7 +91,6 @@ from ..runtime.faults import FaultPlan, Region, flip_value, random_plan
 from ..runtime.interpreter import OPCODES, Interpreter
 from ..runtime.memory import Memory
 from ..runtime.outcomes import outputs_equal
-from ..transforms.swift import DETECT_INTRINSIC
 from ..workloads.base import stable_seed
 
 DEFAULT_MAX_STEPS = 5_000_000
@@ -132,8 +127,16 @@ def module_copy(module: Module) -> Module:
     return parse_module(format_module(module))
 
 
-def _swift_detect(interp, args):
-    raise FaultDetectedError("swift detected a mismatch")
+def _protected_copy(
+    module: Module, protection: Optional[str]
+) -> Tuple[Module, dict]:
+    """A fresh copy of *module* under protection pass *protection* (None
+    = plain) and its intrinsics table — a new table, and so new runtime
+    state, per call."""
+    work = module_copy(module)
+    if protection is None:
+        return work, {}
+    return work, protect(work, protection, use_cache=False).intrinsics
 
 
 @dataclass
@@ -162,7 +165,6 @@ def execute_module(
     memory = memory_factory() if memory_factory is not None else Memory()
     executor = make_executor(
         module, memory=memory, max_steps=max_steps, backend=backend)
-    executor.register_intrinsics({DETECT_INTRINSIC: _swift_detect})
     if intrinsics:
         executor.register_intrinsics(intrinsics)
     result = executor.run(entry, list(args))
@@ -195,12 +197,15 @@ def _state_diff(base: ExecResult, other: ExecResult) -> Optional[str]:
 
 
 # -- the pass tables ---------------------------------------------------------
-# CLEANUP_PASSES and PROTECTIONS are re-exported verbatim from
+# CLEANUP_PASSES and PROTECTION_PASSES are re-exported verbatim from
 # repro.pipeline.passes — the process-wide single source of truth for
-# named passes.  O1 below resolves its pipeline stages through those
-# tables, so a scheme registered there is automatically fuzzable here
-# (and tests that monkeypatch a broken pass into the shared dict hit
-# every consumer at once).
+# named passes.  O1 below runs cleanup stages straight from the cleanup
+# table, and every oracle applies a protection stage the way every other
+# layer does: protect(work, name, use_cache=False), which runs the
+# pass's surgery and attaches its runtime through the pipeline's one
+# runtime builder.  A scheme registered there is automatically fuzzable
+# here (and tests that monkeypatch a broken pass into the shared dicts
+# hit every consumer at once).
 
 
 # -- O1: pipeline equivalence -------------------------------------------------
@@ -224,17 +229,19 @@ def check_pipeline(
     work = module_copy(module)
     intrinsics: dict = {}
     for stage in pipe:
-        fn = CLEANUP_PASSES.get(stage) or PROTECTIONS.get(stage)
-        if fn is None:
+        cleanup = CLEANUP_PASSES.get(stage)
+        if cleanup is None and stage not in PROTECTION_PASSES:
             raise ValueError(f"unknown pipeline stage {stage!r}")
         try:
-            produced = fn(work)
+            if cleanup is not None:
+                cleanup(work)
+            else:
+                intrinsics.update(
+                    protect(work, stage, use_cache=False).intrinsics)
         except Exception as exc:  # a crashing pass is an oracle failure
             violations.append(Violation(
                 "o1", f"pass {stage!r} raised {type(exc).__name__}: {exc}", pipe))
             return (violations, None, {})
-        if isinstance(produced, dict):
-            intrinsics.update(produced)
         try:
             verify_module(work)
         except VerificationError as exc:
@@ -301,12 +308,10 @@ def _observe_backend(
     intrinsic runtime state (the RSkip predictor is stateful across
     invocations of one intrinsics table).
     """
-    work = module_copy(module)
-    intrinsics = PROTECTIONS[protection](work) if protection else {}
+    work, intrinsics = _protected_copy(module, protection)
     memory = Memory()
     executor = make_executor(
         work, memory=memory, max_steps=max_steps, backend=backend)
-    executor.register_intrinsics({DETECT_INTRINSIC: _swift_detect})
     if intrinsics:
         executor.register_intrinsics(intrinsics)
     try:
@@ -401,13 +406,11 @@ def _observe_ref_trial(
     """One (possibly faulted) reference-interpreter trial, reduced to a
     comparable tuple.  Fresh module copy and intrinsics per call, so
     stateful protection runtimes stay per-trial."""
-    work = module_copy(module)
-    intrinsics = PROTECTIONS[protection](work) if protection else {}
+    work, intrinsics = _protected_copy(module, protection)
     memory = Memory()
     interp = Interpreter(
         work, memory=memory, max_steps=max_steps,
         fault_plan=plan, fault_region=region)
-    interp.register_intrinsics({DETECT_INTRINSIC: _swift_detect})
     if intrinsics:
         interp.register_intrinsics(intrinsics)
     trap = None
@@ -448,13 +451,8 @@ def _compare_batch_lanes(
         for plan in plans
     ]
     lanes = len(plans)
-    works = [module_copy(module) for _ in range(lanes)]
-    tables = []
-    for work in works:
-        table = {DETECT_INTRINSIC: _swift_detect}
-        if protection:
-            table.update(PROTECTIONS[protection](work))
-        tables.append(table)
+    works, tables = zip(*(
+        _protected_copy(module, protection) for _ in range(lanes)))
     batch_module = works[0]
     template = Memory()
     template.load_globals(batch_module)
@@ -589,12 +587,10 @@ def _count_skip_sites(
     ``(opcode index, dest name)`` entry per in-region dynamic
     instruction — entry *i* names exactly what a plan with ``step == i``
     will hit."""
-    work = module_copy(module)
-    intrinsics = PROTECTIONS[protection](work) if protection else {}
+    work, intrinsics = _protected_copy(module, protection)
     memory = Memory()
     interp = Interpreter(
         work, memory=memory, max_steps=max_steps, fault_region=region)
-    interp.register_intrinsics({DETECT_INTRINSIC: _swift_detect})
     if intrinsics:
         interp.register_intrinsics(intrinsics)
     trace: List[Tuple[int, Optional[str]]] = []
@@ -745,23 +741,6 @@ def o3_descriptor(protection: str):
     if verify_as and verify_as != descriptor.name:
         descriptor = get_scheme(verify_as)
     return descriptor
-
-
-def _apply_o3(module: Module, descriptor) -> tuple:
-    """Protect *module* in place per *descriptor* and return
-    ``(intrinsics, application)`` — the application handle (when the
-    family has one) lets the oracle reset stateful runtimes per trial."""
-    pass_name = next(
-        (p for p in descriptor.passes if p in PROTECTION_APPLIERS), None)
-    if pass_name is None:
-        raise ValueError(
-            f"scheme {descriptor.name!r} has no protection pass to verify")
-    config = None
-    if descriptor.is_rskip:
-        config = RSkipConfig().with_ar(descriptor.acceptable_range)
-    ctx = ProtectContext(config=config, descriptor=descriptor)
-    PROTECTION_APPLIERS[pass_name](module, ctx)
-    return dict(ctx.intrinsics), ctx.application
 
 
 class ShadowFlipInterpreter(Interpreter):
@@ -923,8 +902,11 @@ def check_fault_metamorphic(
     violations: List[Violation] = []
     application = None
     if prepared is None:
-        prepared = module_copy(module)
-        intrinsics, application = _apply_o3(prepared, descriptor)
+        # the application handle (when the family has one) lets the
+        # oracle reset stateful runtimes per trial
+        program = protect(module_copy(module), descriptor, use_cache=False)
+        prepared, intrinsics = program.module, program.intrinsics
+        application = program.application
     intrinsics = intrinsics or {}
 
     if proto.flip_scope == "shadow":
@@ -971,7 +953,6 @@ def check_fault_metamorphic(
                 prepared, memory=memory, max_steps=max_steps,
                 fault_plan=plan, fault_region=region,
             )
-        interp.register_intrinsics({DETECT_INTRINSIC: _swift_detect})
         interp.register_intrinsics(intrinsics)
         if runtime is not None:
             runtime.reset()
@@ -1013,12 +994,13 @@ def check_fault_metamorphic(
 
 # -- O7: incremental campaign equivalence -------------------------------------
 
-#: Stateless protections O7 campaigns under.  RSkip's compat transform
-#: carries runtime state in intrinsic closures with no reset handle, so
-#: per-trial isolation — which stratified tallies rely on — cannot be
-#: guaranteed through this path; the campaign-level RSkip coverage lives
-#: in the eval tests, which prepare through the full pipeline.
-_INCREMENTAL_PROTECTIONS = ("swift", "swift-r")
+#: Stateless protections O7 campaigns under.  The protected-loop
+#: families carry runtime state that O7's adapter (an intrinsics table
+#: with no application handle) would share across trials, so per-trial
+#: isolation — which stratified tallies rely on — cannot be guaranteed
+#: here; their campaign-level coverage lives in the eval tests, which
+#: prepare workloads through the full pipeline.
+_STATELESS_PASSES = ("swift", "swift-r")
 
 
 class ModuleWorkload:
@@ -1073,10 +1055,7 @@ def _observe_stratified(
     from ..eval.incremental import run_campaign_stratified
     from ..eval.schemes import PreparedProgram
 
-    work = module_copy(module)
-    intrinsics = {DETECT_INTRINSIC: _swift_detect}
-    if protection:
-        intrinsics.update(PROTECTIONS[protection](work))
+    work, intrinsics = _protected_copy(module, protection)
     prepared = PreparedProgram(
         scheme, work, intrinsics, None, [], "main",
         region_override=Region(funcs=tuple(work.functions)))
@@ -1114,7 +1093,7 @@ def check_incremental_equivalence(
     from ..pipeline.registry import canonical_scheme
     from .generator import _MUTATION_SWAPS, mutate_function
 
-    prot = protection if protection in _INCREMENTAL_PROTECTIONS else None
+    prot = protection if protection in _STATELESS_PASSES else None
     scheme = canonical_scheme(prot or "unsafe")
     pipe = (prot,) if prot else ()
     label = prot or "plain"

@@ -19,7 +19,7 @@ from ..workloads.base import stable_seed
 from .generator import generate, generate_phased
 from .oracles import (
     CLEANUP_PASSES,
-    PROTECTIONS,
+    PROTECTION_PASSES,
     Violation,
     check_backend_equivalence,
     check_batch_equivalence,
@@ -40,7 +40,7 @@ DEFAULT_FAULT_SAMPLES = 12
 ORACLES = ("all", "o1", "o2", "o3", "o4", "o5", "o6", "o7")
 
 _CLEANUP_NAMES = tuple(sorted(CLEANUP_PASSES))
-_PROTECTION_NAMES = tuple(sorted(PROTECTIONS))
+_PROTECTION_NAMES = tuple(sorted(PROTECTION_PASSES))
 
 
 @dataclass
@@ -301,7 +301,7 @@ def render_report(report: DifftestReport) -> str:
     protected_pipelines = 0
     for record in report.records:
         shapes[record.shape] = shapes.get(record.shape, 0) + 1
-        if record.pipeline and record.pipeline[-1] in PROTECTIONS:
+        if record.pipeline and record.pipeline[-1] in PROTECTION_PASSES:
             protected_pipelines += 1
         for violation in record.violations:
             oracles_hit[violation.oracle] = oracles_hit.get(violation.oracle, 0) + 1

@@ -27,7 +27,6 @@ from ..pipeline.registry import (  # noqa: F401  (re-exported vocabulary)
     SWIFT,
     SWIFT_R,
     UNSAFE,
-    get_scheme,
     rskip_label,
 )
 from ..runtime.compiler import CompiledModule, compile_module
@@ -77,25 +76,16 @@ def prepare(
     """Build the workload's module and apply the requested scheme.
 
     *scheme* accepts any registry spelling (``"AR20"``, ``"swift-r"``,
-    ``"rskip"``…); an explicit RSkip *config* may also stand in for the
-    scheme label.  Protection goes through the pipeline's artifact cache,
-    so preparing the same workload × scheme twice reuses the transformed
-    module text (the run-time manager is always rebuilt fresh).
+    ``"rskip"`` — the last at *config*'s acceptable range); anything else
+    raises ``ValueError``.  Protection goes through the pipeline's
+    artifact cache, so preparing the same workload × scheme twice reuses
+    the transformed module text (the run-time manager is always rebuilt
+    fresh).
     """
     module = workload.build()
     original_targets = detect_target_loops(
         module.get_function(workload.main), module)
-
-    try:
-        descriptor = get_scheme(scheme, config)
-    except ValueError:
-        if config is None:
-            raise
-        # historical affordance: an unknown label with an explicit RSkip
-        # config means "rskip at this config's acceptable range"
-        descriptor = get_scheme(rskip_label(config.acceptable_range))
-
-    program = protect(module, descriptor, config=config, profiles=profiles)
+    program = protect(module, scheme, config=config, profiles=profiles)
     return PreparedProgram(
         program.scheme, program.module, program.intrinsics,
         program.application, original_targets, workload.main,

@@ -15,16 +15,19 @@ from .cache import (
 from .passes import (
     CLEANUP_PASSES,
     CLEANUP_PIPELINE,
-    PROTECTION_APPLIERS,
-    PROTECTIONS,
+    PROTECTION_PASSES,
     PassRun,
     PassVerificationError,
-    ProtectContext,
     module_instr_count,
     pass_names,
     run_pipeline,
 )
-from .protect import ProtectedProgram, protect, selfcheck_byte_identity
+from .protect import (
+    ProtectedProgram,
+    protect,
+    selfcheck_byte_identity,
+    selfcheck_schemes,
+)
 from .registry import (
     CKPT_DEFAULT,
     DRIVER_SCHEMES,
@@ -48,10 +51,11 @@ from .registry import (
 __all__ = [
     "ArtifactCache", "artifact_key", "cache_dir", "cache_mode",
     "get_cache", "reset_cache",
-    "CLEANUP_PASSES", "CLEANUP_PIPELINE", "PROTECTION_APPLIERS",
-    "PROTECTIONS", "PassRun", "PassVerificationError", "ProtectContext",
-    "module_instr_count", "pass_names", "run_pipeline",
+    "CLEANUP_PASSES", "CLEANUP_PIPELINE", "PROTECTION_PASSES", "PassRun",
+    "PassVerificationError", "module_instr_count", "pass_names",
+    "run_pipeline",
     "ProtectedProgram", "protect", "selfcheck_byte_identity",
+    "selfcheck_schemes",
     "CKPT_DEFAULT", "DRIVER_SCHEMES", "PAPER_SCHEMES", "REPLAY_DEFAULT",
     "SWIFT", "SWIFT_R", "UNSAFE", "Protocol", "SchemeDescriptor",
     "all_descriptors", "alias_help", "canonical_scheme",

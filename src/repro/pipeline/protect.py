@@ -1,12 +1,15 @@
 """Scheme application through the registry, pass manager and cache.
 
 :func:`protect` is the one routine every layer (driver, evaluation
-harness, campaign workers, difftest, benchmarks) goes through to turn an
-unprotected module into a protected one.  It resolves the scheme
-descriptor, runs the descriptor's pass list via
-:func:`repro.pipeline.passes.run_pipeline`, and — when caching is
-enabled — memoizes the result keyed by module fingerprint × scheme
-descriptor hash.
+harness, campaign workers, difftest oracles, benchmarks) goes through to
+turn an unprotected module into a protected one.  It resolves the
+scheme descriptor, runs the descriptor's pass list via
+:func:`repro.pipeline.passes.run_pipeline` — pure IR surgery, which for
+the protected-loop families also yields the target layouts — and then
+hands the module and layouts to :func:`build_runtime`, the one place a
+scheme's intrinsics table and (stateful) runtime application are made.
+When caching is enabled the surgery is memoized, keyed by module
+fingerprint × scheme descriptor hash.
 
 Cache-hit semantics are engineered for byte-identity with the uncached
 path:
@@ -19,9 +22,10 @@ path:
   its parse);
 * function attributes (provenance, ``protected``, pragmas) are not part
   of the textual IR, so they are stored alongside and re-applied;
-* RSkip target layouts are stored too, and the (stateful, never cached)
-  run-time manager is rebuilt fresh from them with the *caller's* config
-  and profiles via :func:`repro.core.rskip.rebuild_application`;
+* target layouts are stored too, and a hit calls the same
+  :func:`build_runtime` a miss does — the runtime is never cached, it is
+  rebuilt fresh with the *caller's* config and profiles and the
+  descriptor's protocol knobs;
 * the per-pass ``pass-run`` events are replayed from the stored counts,
   so observability traces do not depend on cache warmth (pinned by the
   campaign trace-equality tests).  Only the wall-clock spans differ —
@@ -33,7 +37,7 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Union
+from typing import Dict, Iterable, List, Optional, Tuple, Union
 
 from ..core.config import RSkipConfig
 from ..core.manager import LoopProfile
@@ -43,22 +47,55 @@ from ..ir.module import Module
 from ..ir.parser import parse_module
 from ..ir.printer import format_module
 from ..ir.verifier import verify_module
+from ..runtime.errors import FaultDetectedError
 from ..transforms.swift import DETECT_INTRINSIC
 from .cache import ArtifactCache, artifact_key, get_cache
 from .passes import (
     CLEANUP_PASSES,
     CLEANUP_PIPELINE,
+    PROTECTION_PASSES,
     PassRun,
-    ProtectContext,
     emit_pass_run,
-    protocol_kwargs,
     run_pipeline,
-    swift_detected,
 )
-from .registry import SchemeDescriptor, get_scheme
+from .registry import SchemeDescriptor, get_scheme, protection_pass_schemes
 
 #: Cleanup pass name -> the driver's historical reporting key.
 _OPT_REPORT_NAMES = {"simplify": "constfold"}
+
+
+def swift_detected(interp, args):
+    """The linked SWIFT checker handler: abort the run on a mismatch."""
+    raise FaultDetectedError("SWIFT detected a transient fault")
+
+
+def build_runtime(
+    descriptor: SchemeDescriptor,
+    module: Module,
+    layouts: Optional[List[TargetLayout]],
+    config: Optional[RSkipConfig],
+    profiles: Optional[Dict[str, LoopProfile]],
+    ar_overrides: Optional[Dict[str, float]],
+) -> Tuple[Dict[str, object], Optional[RskipApplication]]:
+    """The run-time side of a protected *module*: its intrinsics table
+    and, for the protected-loop families (*layouts* not None), a fresh
+    application handle.  RSkip's manager takes the caller's
+    config/profiles/pragmas; REPLAY/CKPT take their knobs from the
+    descriptor's protocol params, which the registry names after
+    :func:`~repro.core.protocol.rebuild_protocol_application`'s
+    keywords (all integer-valued)."""
+    if "swift" in descriptor.passes:
+        return {DETECT_INTRINSIC: swift_detected}, None
+    if layouts is None:
+        return {}, None
+    if descriptor.is_rskip:
+        application = rebuild_application(
+            module, layouts, config, profiles, ar_overrides)
+    else:
+        knobs = {name: int(value) for name, value in descriptor.protocol.params}
+        application = rebuild_protocol_application(
+            module, layouts, descriptor.passes[-1], **knobs)
+    return application.intrinsics(), application
 
 
 @dataclass
@@ -149,46 +186,51 @@ def protect(
 
     if cache is None:
         cache = get_cache() if use_cache else None
-    key = None
+    key = payload = None
     if cache is not None:
         from ..runtime.compiler import module_fingerprint
 
         key = _module_key(
             module_fingerprint(module), descriptor, passes, sync_points)
         payload = cache.get(key)
-        if payload is not None:
-            return _rebuild_from_payload(
-                descriptor, payload, config, profiles, ar_overrides, key=key)
 
-    ctx = ProtectContext(
-        config=config, profiles=profiles, ar_overrides=ar_overrides,
-        sync_points=sync_points, descriptor=descriptor,
-    )
-    runs = run_pipeline(module, passes, verify=verify, context=ctx)
+    if payload is not None:
+        module = _module_from_text(payload["text"], key)
+        _apply_attrs(module, payload["attrs"])
+        layouts = payload["layouts"]
+        if layouts is not None:
+            layouts = [TargetLayout.from_dict(d) for d in layouts]
+        runs = [PassRun.from_dict(d) for d in payload["pass_runs"]]
+        for run in runs:
+            emit_pass_run(run.name, run.instrs_in, run.instrs_out)
+    else:
+        runs = run_pipeline(
+            module, passes, verify=verify, sync_points=sync_points)
+        layouts = next(
+            (run.result for run in runs if run.name in PROTECTION_PASSES),
+            None)
+        if cache is not None:
+            cache.put(key, {
+                "kind": "protected-module",
+                "scheme": descriptor.name,
+                "text": format_module(module),
+                "attrs": _collect_attrs(module),
+                "layouts": (None if layouts is None
+                            else [layout.to_dict() for layout in layouts]),
+                "pass_runs": [run.to_dict() for run in runs],
+            })
 
-    if cache is not None:
-        layouts = (
-            [layout.to_dict() for layout in ctx.application.layouts]
-            if ctx.application is not None else None
-        )
-        cache.put(key, {
-            "kind": "protected-module",
-            "scheme": descriptor.name,
-            "text": format_module(module),
-            "attrs": _collect_attrs(module),
-            "layouts": layouts,
-            "pass_runs": [run.to_dict() for run in runs],
-            "optimizations": _optimizations_from_runs(runs),
-        })
-
+    intrinsics, application = build_runtime(
+        descriptor, module, layouts, config, profiles, ar_overrides)
     return ProtectedProgram(
         scheme=descriptor.name,
         descriptor=descriptor,
         module=module,
-        intrinsics=dict(ctx.intrinsics),
-        application=ctx.application,
+        intrinsics=intrinsics,
+        application=application,
         pass_runs=runs,
         optimizations=_optimizations_from_runs(runs),
+        cache_hit=payload is not None,
     )
 
 
@@ -222,64 +264,27 @@ def _module_from_text(text: str, key: Optional[str]) -> Module:
     return template.clone()
 
 
-def _rebuild_from_payload(
-    descriptor: SchemeDescriptor,
-    payload: dict,
-    config: Optional[RSkipConfig],
-    profiles: Optional[Dict[str, LoopProfile]],
-    ar_overrides: Optional[Dict[str, float]],
-    key: Optional[str] = None,
-) -> ProtectedProgram:
-    module = _module_from_text(payload["text"], key)
-    _apply_attrs(module, payload.get("attrs", {}))
-
-    intrinsics: Dict[str, object] = {}
-    application = None
-    protocol_pass = next(
-        (p for p in descriptor.passes if p in ("replay", "ckpt")), None)
-    if protocol_pass is not None:
-        layouts = [TargetLayout.from_dict(d) for d in payload.get("layouts") or []]
-        application = rebuild_protocol_application(
-            module, layouts, protocol_pass,
-            **protocol_kwargs(descriptor, protocol_pass))
-        intrinsics.update(application.intrinsics())
-    elif payload.get("layouts") is not None:
-        layouts = [TargetLayout.from_dict(d) for d in payload["layouts"]]
-        application = rebuild_application(
-            module, layouts, config, profiles, ar_overrides)
-        intrinsics.update(application.intrinsics())
-    elif "swift" in descriptor.passes:
-        intrinsics[DETECT_INTRINSIC] = swift_detected
-
-    runs = [PassRun.from_dict(d) for d in payload.get("pass_runs", [])]
-    for run in runs:
-        emit_pass_run(run.name, run.instrs_in, run.instrs_out)
-
-    return ProtectedProgram(
-        scheme=descriptor.name,
-        descriptor=descriptor,
-        module=module,
-        intrinsics=intrinsics,
-        application=application,
-        pass_runs=runs,
-        optimizations=dict(payload.get("optimizations", {})),
-        cache_hit=True,
-    )
+def selfcheck_schemes() -> Tuple[str, ...]:
+    """One scheme per registered protection pass (each pass name's
+    default point), so a self-check exercises every family's hit path."""
+    return tuple(
+        get_scheme(name).name for name in protection_pass_schemes() if name)
 
 
 def selfcheck_byte_identity(
     text: str,
-    schemes: Iterable[Union[str, SchemeDescriptor]] = ("SWIFT", "SWIFT-R", "AR20"),
+    schemes: Optional[Iterable[Union[str, SchemeDescriptor]]] = None,
     optimize: bool = True,
 ) -> List[str]:
     """Protect the program in *text* with the cache bypassed, then again
-    through a miss and a hit, and compare the printed modules bytewise.
+    through a miss and a hit, and compare the printed modules bytewise,
+    for each of *schemes* (default :func:`selfcheck_schemes`).
 
     Returns human-readable mismatch descriptions (empty == all equal).
     Used by ``repro cache-check`` and ``make verify``.
     """
     problems: List[str] = []
-    for scheme in schemes:
+    for scheme in schemes or selfcheck_schemes():
         descriptor = get_scheme(scheme)
 
         def run_once(**kwargs) -> str:

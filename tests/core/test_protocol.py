@@ -6,10 +6,9 @@ from repro.core.protocol import (
     CkptLoopRuntime,
     ProtocolRuntime,
     ReplayLoopRuntime,
-    apply_protocol,
     rebuild_protocol_application,
 )
-from repro.core.rskip import PROTOCOL_REGION_ATTR
+from repro.core.rskip import PROTOCOL_REGION_ATTR, transform_loops
 from repro.ir import verify_module
 from repro.runtime import FaultDetectedError
 from repro.runtime.errors import CoreDumpError
@@ -19,6 +18,12 @@ from ..conftest import build_dot_module, run_main
 
 def elem(i, value, addr=100):
     return Element(i, value, addr + i)
+
+
+def protocol_application(module, kind, **knobs):
+    """Transform *module* for protocol *kind* and build its runtime."""
+    return rebuild_protocol_application(
+        module, transform_loops(module, kind), kind, **knobs)
 
 
 class TestReplayLoopRuntime:
@@ -208,7 +213,7 @@ class TestFork:
 
     def application(self, kind):
         module = build_dot_module()
-        return module, apply_protocol(module, kind, **self.KNOBS[kind])
+        return module, protocol_application(module, kind, **self.KNOBS[kind])
 
     def run(self, module, runtime):
         run_main(module, [8, 8], intrinsics=runtime.intrinsics())
@@ -264,7 +269,7 @@ class TestProtocolTransform:
         golden_out = mem.read_global("out", 8)
 
         module = build_dot_module()
-        app = apply_protocol(module, kind)
+        app = protocol_application(module, kind)
         verify_module(module)
         assert app.layouts, "dot module must yield a protocol target loop"
         body = module.get_function(app.layouts[0].body)
@@ -279,7 +284,7 @@ class TestProtocolTransform:
 
     def test_ckpt_commit_intervals_exposed_by_runtime(self):
         module = build_dot_module()
-        app = apply_protocol(module, "ckpt", interval=3, predictor=False)
+        app = protocol_application(module, "ckpt", interval=3, predictor=False)
         run_main(module, [8, 8], intrinsics=app.intrinsics())
         assert app.runtime.commit_intervals() == [3, 3, 2]
 

@@ -12,7 +12,7 @@ import os
 import pytest
 
 from repro.difftest.generator import generate
-from repro.difftest.oracles import PROTECTIONS, check_batch_equivalence
+from repro.difftest.oracles import PROTECTION_PASSES, check_batch_equivalence
 from repro.difftest.runner import ORACLES, check_index
 from repro.ir.parser import parse_module
 
@@ -39,7 +39,7 @@ def test_corpus_lanes_match_reference(filename):
     assert check_batch_equivalence(_parse(filename), seed=7) == []
 
 
-@pytest.mark.parametrize("protection", sorted(PROTECTIONS))
+@pytest.mark.parametrize("protection", sorted(PROTECTION_PASSES))
 def test_corpus_protected_lanes_match_reference(protection):
     """Protected programs exercise intrinsic calls (and RSkip's per-lane
     runtime state) inside the batch — lane isolation must hold there too."""

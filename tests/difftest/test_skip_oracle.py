@@ -13,7 +13,7 @@ import pytest
 
 from repro.difftest.generator import generate
 from repro.difftest.oracles import (
-    PROTECTIONS,
+    PROTECTION_PASSES,
     skip_site_map,
     check_skip_exhaustive,
 )
@@ -103,7 +103,7 @@ def test_o6_detects_a_seeded_skip_divergence(monkeypatch):
 
 
 @pytest.mark.slow
-@pytest.mark.parametrize("protection", sorted(PROTECTIONS))
+@pytest.mark.parametrize("protection", sorted(PROTECTION_PASSES))
 def test_full_sweep_under_every_protection(protection):
     """Every scheme, three programs, bursts included."""
     for index in range(3):

@@ -81,6 +81,13 @@ class TestCli:
         ["--scale", "-1", "campaign", "sgemm"],
         ["--scale", "nan", "table1"],
         ["figure9", "--trials", "two"],
+        ["--jobs", "-3", "table1"],
+        ["difftest", "--jobs", "0"],
+        ["difftest", "--fault-samples", "-2"],
+        ["serve", "--workers", "0"],
+        ["serve", "--job-workers", "0"],
+        ["serve", "--max-inflight", "0"],
+        ["serve", "--per-client", "-1"],
     ])
     def test_rejects_non_positive_sizes(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -89,6 +96,9 @@ class TestCli:
         err = capsys.readouterr().err.rstrip().splitlines()
         assert err[0].startswith("usage: repro")
         assert re.match(r"repro( \w+)?: error: argument --", err[-1])
+
+    def test_serve_port_zero_stays_valid(self):
+        assert build_parser().parse_args(["serve", "--port", "0"]).port == 0
 
     def test_requires_command(self):
         with pytest.raises(SystemExit):

@@ -1,5 +1,6 @@
 import pytest
 
+from repro.core.config import RSkipConfig
 from repro.eval import PAPER_SCHEMES, fault_region, prepare, rskip_label
 from repro.ir import verify_module
 from repro.runtime import Interpreter
@@ -26,6 +27,9 @@ class TestPrepare:
     def test_unknown_scheme(self):
         with pytest.raises(ValueError):
             prepare(get_workload("sgemm"), "BOGUS")
+        # an explicit RSkip config does not rescue an unknown label
+        with pytest.raises(ValueError, match="unknown scheme 'BOGUS'"):
+            prepare(get_workload("sgemm"), "BOGUS", config=RSkipConfig())
 
     def test_rskip_prepared_carries_application(self):
         prepared = prepare(get_workload("sgemm"), "AR50")

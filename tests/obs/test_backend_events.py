@@ -11,10 +11,11 @@ import os
 
 import pytest
 
-from repro.difftest.oracles import PROTECTIONS, execute_module, module_copy
+from repro.difftest.oracles import execute_module, module_copy
 from repro.eval import Harness
 from repro.ir.parser import parse_module
 from repro.obs import MemorySink, sink_installed
+from repro.pipeline import protect
 from repro.workloads import get_workload
 
 CORPUS_DIR = os.path.join(
@@ -31,7 +32,7 @@ def corpus_files():
 def event_stream(module, backend):
     """(kind, loop, payload) stream of one rskip-protected clean run."""
     work = module_copy(module)
-    intrinsics = PROTECTIONS["rskip"](work)
+    intrinsics = protect(work, "rskip", use_cache=False).intrinsics
     with sink_installed(MemorySink(capacity=1 << 16)) as sink:
         result = execute_module(work, intrinsics=intrinsics, backend=backend)
     events = [(e.kind, e.loop, e.payload) for e in sink.events]

@@ -16,6 +16,7 @@ from repro.pipeline import (
     reset_cache,
     selfcheck_byte_identity,
 )
+from repro.runtime import Interpreter
 from repro.workloads import get_workload
 
 CORPUS_DIR = os.path.join(
@@ -149,11 +150,14 @@ class TestProtectCaching:
             r.to_dict() for r in cold.pass_runs
         ]
 
-    def test_rskip_hit_rebuilds_runtime_and_attrs(self):
-        text = self.TEXT()
+    @pytest.mark.parametrize("scheme", ["AR20", "REPLAY2", "CKPT4", "CKPT8FIX"])
+    def test_rskip_hit_rebuilds_runtime_and_attrs(self, scheme):
+        """A hit rebuilds the runtime the miss built, for every
+        runtime-managed family (conv1d has target loops for each)."""
+        workload = get_workload("conv1d")
         cache = ArtifactCache()
-        cold = protect(parse_module(text), "AR20", cache=cache)
-        warm = protect(parse_module(text), "AR20", cache=cache)
+        cold = protect(workload.build(), scheme, cache=cache)
+        warm = protect(workload.build(), scheme, cache=cache)
 
         def attrs_of(module):
             return {
@@ -162,15 +166,42 @@ class TestProtectCaching:
                 if func.attrs
             }
 
-        assert warm.cache_hit
+        def constructor_state(loop):
+            return (
+                type(loop), loop.key, loop.rmw,
+                getattr(loop, "config", None),
+                getattr(loop, "sample_period", None),
+                getattr(loop, "window", None),
+                getattr(loop, "base_interval", None),
+                getattr(loop, "signal", None) is not None,
+            )
+
+        assert not cold.cache_hit and warm.cache_hit
         assert format_module(warm.module) == format_module(cold.module)
         # attrs are not part of the textual IR; the payload must carry them
         assert attrs_of(cold.module)  # outlining recorded provenance
         assert attrs_of(warm.module) == attrs_of(cold.module)
-        # the stateful runtime manager is never cached: rebuilt fresh
-        assert warm.application is not None
+        # the stateful runtime is never cached: rebuilt fresh
         assert warm.application is not cold.application
         assert set(warm.intrinsics) == set(cold.intrinsics)
+        cold_rt, warm_rt = cold.application.runtime, warm.application.runtime
+        assert cold_rt.loops, f"conv1d yields no {scheme} target loops"
+        assert sorted(warm_rt.loops) == sorted(cold_rt.loops)
+        for ctx_id, loop in cold_rt.loops.items():
+            assert constructor_state(warm_rt.loop(ctx_id)) == \
+                constructor_state(loop)
+
+        inp = workload.test_inputs(1, seed=3, scale=0.35)[0]
+        for program in (cold, warm):
+            memory = workload.fresh_memory(program.module, inp)
+            interp = Interpreter(program.module, memory=memory)
+            interp.register_intrinsics(program.intrinsics)
+            interp.run(workload.main, inp.args)
+        assert cold_rt.total_stats().elements > 0
+        assert warm_rt.total_stats() == cold_rt.total_stats()
+        if scheme.startswith("CKPT"):
+            assert cold_rt.commit_intervals()
+            assert warm_rt.commit_intervals() == cold_rt.commit_intervals()
 
     def test_modified_module_misses(self):
         text = self.TEXT()

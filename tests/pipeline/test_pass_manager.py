@@ -5,14 +5,13 @@ from repro.ir.parser import parse_module
 from repro.obs import MemorySink, sink_installed
 from repro.pipeline import (
     CLEANUP_PASSES,
+    PROTECTION_PASSES,
     PassVerificationError,
-    ProtectContext,
     module_instr_count,
     pass_names,
     run_pipeline,
 )
 from repro.pipeline import passes as pipeline_passes
-from repro.transforms.swift import DETECT_INTRINSIC
 
 TEXT = """\
 module pipe
@@ -74,13 +73,24 @@ class TestRunPipeline:
         for name in pass_names():
             assert name in str(exc.value)
 
-    def test_protection_pass_populates_context(self):
+    def test_protection_passes_only_transform_ir(self):
+        """Protection passes are pure surgery: SWIFT grows the module and
+        returns nothing, a protected-loop pass returns its layouts."""
         module = fresh_module()
         before = module_instr_count(module)
-        ctx = ProtectContext()
-        runs = run_pipeline(module, ("swift",), context=ctx)
-        assert DETECT_INTRINSIC in ctx.intrinsics
+        runs = run_pipeline(module, ("swift",))
         assert runs[0].instrs_out > before  # duplication grows the module
+        assert runs[0].result is None
+        runs = run_pipeline(fresh_module(), ("ckpt",))
+        assert isinstance(runs[0].result, list)
+        assert set(PROTECTION_PASSES) <= set(pass_names())
+
+    def test_sync_points_reach_swift(self):
+        full = fresh_module()
+        run_pipeline(full, ("swift",))
+        bare = fresh_module()
+        run_pipeline(bare, ("swift",), sync_points=())
+        assert module_instr_count(bare) < module_instr_count(full)
 
 
 class TestVerifyBetweenPasses:

@@ -142,7 +142,7 @@ class TestFaultBehavior:
         )
         assert swiftr_bad < unsafe_bad
 
-    def test_swift_detects_injected_mismatch(self):
+    def test_swift_flags_injected_mismatch(self):
         """Scan injection points until SWIFT's comparison fires."""
         detections = 0
         for k in range(60):
