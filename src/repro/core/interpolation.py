@@ -30,6 +30,9 @@ class Point:
     index: int
     value: float
 
+    def __deepcopy__(self, memo) -> "Point":
+        return self  # never written after construction: copies share it
+
 
 @dataclass
 class CutEvent:

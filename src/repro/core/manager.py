@@ -99,6 +99,9 @@ class Element:
     orig: float = 0.0
     args: Tuple[float, ...] = ()
 
+    def __deepcopy__(self, memo) -> "Element":
+        return self  # never written after construction: copies share it
+
 
 @dataclass
 class SkipStats:
@@ -632,8 +635,10 @@ class LoopRuntimes:
     def snapshot(self) -> Dict[int, dict]:
         """The run state of every loop, copied: a later :meth:`restore`
         puts each loop back exactly as it is now.  Trained profiles and
-        configs are read-only at run time, so they are shared by
-        reference rather than copied."""
+        configs are read-only at run time, and buffered loop outputs
+        (:class:`Element`, ``Point``) are never written after
+        construction, so they are shared by reference rather than
+        copied."""
         return {ctx_id: _copy_run_state(vars(loop))
                 for ctx_id, loop in self.loops.items()}
 

@@ -28,8 +28,9 @@ Six machine-checked properties:
   lane-for-lane with the reference interpreter — lane *i* of a batched
   chunk reproduces trial *i*'s outcome class, trap kind, detection flag,
   step and region-step counts, return value and final global memory.
-  Checked on the plain program and again under a protection transform
-  (per-lane module copies, so stateful intrinsics stay per-trial).
+  Checked on the plain program and again under a protection transform,
+  protected once: reference trials reset its runtime, and batch lanes
+  get one fork each, the way campaign slabs build them.
 
 * **O6 — exhaustive single-skip model checking**
   (:func:`check_skip_exhaustive`): a counting pre-run names every
@@ -69,6 +70,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
+from ..core.manager import LoopRuntimes
 from ..core.rskip import PROTOCOL_REGION_ATTR
 from ..ir.function import Function
 from ..ir.instructions import CmpPred, Opcode
@@ -81,6 +83,7 @@ from ..pipeline.passes import CLEANUP_PASSES, PROTECTION_PASSES
 from ..pipeline.protect import protect
 from ..pipeline.registry import get_scheme
 from ..runtime.backend import make_executor
+from ..runtime.batch import BatchExecutor, fork_lanes
 from ..runtime.errors import (
     TRIAL_TRAPS,
     FaultDetectedError,
@@ -129,14 +132,17 @@ def module_copy(module: Module) -> Module:
 
 def _protected_copy(
     module: Module, protection: Optional[str]
-) -> Tuple[Module, dict]:
+) -> Tuple[Module, dict, Optional[LoopRuntimes]]:
     """A fresh copy of *module* under protection pass *protection* (None
-    = plain) and its intrinsics table — a new table, and so new runtime
-    state, per call."""
+    = plain), its intrinsics table and its stateful runtime (None for
+    stateless schemes) — new runtime state per call."""
     work = module_copy(module)
     if protection is None:
-        return work, {}
-    return work, protect(work, protection, use_cache=False).intrinsics
+        return work, {}, None
+    protected = protect(work, protection, use_cache=False)
+    application = protected.application
+    return (work, protected.intrinsics,
+            application.runtime if application is not None else None)
 
 
 @dataclass
@@ -308,7 +314,7 @@ def _observe_backend(
     intrinsic runtime state (the RSkip predictor is stateful across
     invocations of one intrinsics table).
     """
-    work, intrinsics = _protected_copy(module, protection)
+    work, intrinsics, _ = _protected_copy(module, protection)
     memory = Memory()
     executor = make_executor(
         work, memory=memory, max_steps=max_steps, backend=backend)
@@ -397,16 +403,18 @@ def check_backend_equivalence(
 
 # -- O5: batch-lane equivalence ----------------------------------------------
 def _observe_ref_trial(
-    module: Module,
-    protection: Optional[str],
+    program: tuple,
     plan: Optional[FaultPlan],
     region: Region,
     max_steps: int,
 ) -> tuple:
-    """One (possibly faulted) reference-interpreter trial, reduced to a
-    comparable tuple.  Fresh module copy and intrinsics per call, so
-    stateful protection runtimes stay per-trial."""
-    work, intrinsics = _protected_copy(module, protection)
+    """One (possibly faulted) reference-interpreter trial of *program*
+    (a :func:`_protected_copy` triple) from the program entry, reduced to
+    a comparable tuple.  The stateful runtime is reset first, so every
+    trial starts from the same state."""
+    work, intrinsics, runtime = program
+    if runtime is not None:
+        runtime.reset()
     memory = Memory()
     interp = Interpreter(
         work, memory=memory, max_steps=max_steps,
@@ -428,7 +436,7 @@ def _observe_ref_trial(
 
 
 def _compare_batch_lanes(
-    module: Module,
+    program: tuple,
     protection: Optional[str],
     plans: List[Optional[FaultPlan]],
     region: Region,
@@ -437,28 +445,26 @@ def _compare_batch_lanes(
     wheres: List[str],
 ) -> Tuple[List[tuple], List[Violation]]:
     """Run every plan once per-trial on the reference interpreter and once
-    as a lane of a single batched run (per-lane module copies keep
-    stateful intrinsic runtimes per-trial on both sides), and compare each
-    lane's trap kind, detection flag, step and region-step counts, return
-    value and final globals.  Returns the reference observation rows and
-    one *oracle* violation per diverging lane, located by ``wheres[lane]``.
+    as a lane of a single batched run of *program* (a
+    :func:`_protected_copy` triple), and compare each lane's trap kind,
+    detection flag, step and region-step counts, return value and final
+    globals.  Reference trials reset the program's runtime; batch lanes
+    get one fork each, as campaign slabs do (:func:`fork_lanes`).
+    Returns the reference observation rows and one *oracle* violation
+    per diverging lane, located by ``wheres[lane]``.
     """
-    from ..runtime.batch import BatchExecutor
-
     pipe = (protection,) if protection else ()
-    ref_rows = [
-        _observe_ref_trial(module, protection, plan, region, budget)
-        for plan in plans
-    ]
-    lanes = len(plans)
-    works, tables = zip(*(
-        _protected_copy(module, protection) for _ in range(lanes)))
-    batch_module = works[0]
+    ref_rows = [_observe_ref_trial(program, plan, region, budget)
+                for plan in plans]
+    batch_module, intrinsics, runtime = program
+    runtimes = fork_lanes(runtime, len(plans))
     template = Memory()
     template.load_globals(batch_module)
     executor = BatchExecutor(
-        batch_module, template, lanes, fault_plans=plans,
-        fault_region=region, max_steps=budget, intrinsics=tables)
+        batch_module, template, len(plans), fault_plans=plans,
+        fault_region=region, max_steps=budget,
+        intrinsics=intrinsics if runtimes is None else None,
+        runtimes=runtimes)
     results = executor.run("main", [])
 
     violations: List[Violation] = []
@@ -510,17 +516,18 @@ def check_batch_equivalence(
     as a lane of a single batched run, and compares each lane's outcome:
     trap kind, detection flag, step and region-step counts, return value
     and final global memory.  Checked on the plain program and, when
-    *protection* is given, on the protected program (per-lane module
-    copies keep stateful intrinsic runtimes per-trial on both sides).
+    *protection* is given, on the protected program (protected once;
+    its runtime is reset per reference trial and forked per lane).
     """
     violations: List[Violation] = []
     for prot in [None] + ([protection] if protection else []):
         label = prot or "plain"
         region = Region(funcs=tuple(module.functions))
+        program = _protected_copy(module, prot)
         # clean counting run: region steps for plan drawing, and a hang
         # budget so faulted lanes cannot run to the full fuzz limit
         _, _, clean_steps, region_steps, _, _ = _observe_ref_trial(
-            module, prot, None, region, max_steps)
+            program, None, region, max_steps)
         budget = min(max_steps, max(clean_steps * 8, 10_000))
         plans: List[Optional[FaultPlan]] = []
         for lane in range(lanes):
@@ -531,7 +538,7 @@ def check_batch_equivalence(
                 plans.append(None)
 
         violations.extend(_compare_batch_lanes(
-            module, prot, plans, region, budget, "o5",
+            program, prot, plans, region, budget, "o5",
             [f"[{label}] lane {lane}" for lane in range(lanes)])[1])
     return violations
 
@@ -578,16 +585,18 @@ class SkipMap:
 
 
 def _count_skip_sites(
-    module: Module,
-    protection: Optional[str],
+    program: tuple,
     region: Region,
     max_steps: int,
 ) -> tuple:
-    """Counting pre-run: the clean observation tuple plus one
+    """Counting pre-run of *program* (a :func:`_protected_copy` triple,
+    its runtime reset first): the clean observation tuple plus one
     ``(opcode index, dest name)`` entry per in-region dynamic
     instruction — entry *i* names exactly what a plan with ``step == i``
     will hit."""
-    work, intrinsics = _protected_copy(module, protection)
+    work, intrinsics, runtime = program
+    if runtime is not None:
+        runtime.reset()
     memory = Memory()
     interp = Interpreter(
         work, memory=memory, max_steps=max_steps, fault_region=region)
@@ -640,14 +649,15 @@ def skip_site_map(
     O6, reusable on its own (``repro skipmap`` and the vulnerability
     table build on it)."""
     region = Region(funcs=tuple(module.functions))
-    golden, trace = _count_skip_sites(module, protection, region, max_steps)
+    program = _protected_copy(module, protection)
+    golden, trace = _count_skip_sites(program, region, max_steps)
     budget = min(max_steps, max(golden[2] * 8, 10_000))
     site_steps, exhaustive = _enumerate_sites(len(trace), site_cap)
     kind = "skip" if burst_len == 1 else "skip-burst"
     smap = SkipMap(protection, len(trace), exhaustive, burst_len)
     for s in site_steps:
         plan = FaultPlan(step=s, kind=kind, burst_len=burst_len)
-        obs = _observe_ref_trial(module, protection, plan, region, budget)
+        obs = _observe_ref_trial(program, plan, region, budget)
         code, dest = trace[s]
         smap.sites.append(SkipSite(
             s, OPCODES[code].value, dest, _classify_outcome(obs, golden)))
@@ -690,7 +700,8 @@ def check_skip_exhaustive(
         pipe = (prot,) if prot else ()
         label = prot or "plain"
         region = Region(funcs=tuple(module.functions))
-        golden, trace = _count_skip_sites(module, prot, region, max_steps)
+        program = _protected_copy(module, prot)
+        golden, trace = _count_skip_sites(program, region, max_steps)
         if golden[3] != len(trace):
             violations.append(Violation(
                 "o6", f"[{label}] counting pre-run named {len(trace)} "
@@ -706,7 +717,7 @@ def check_skip_exhaustive(
             plans = [FaultPlan(step=s, kind=kind, burst_len=blen)
                      for s in site_steps]
             ref_rows, found = _compare_batch_lanes(
-                module, prot, plans, region, budget, "o6",
+                program, prot, plans, region, budget, "o6",
                 [f"[{label}] {kind}@{s}" for s in site_steps])
             violations.extend(found)
 
@@ -1055,7 +1066,7 @@ def _observe_stratified(
     from ..eval.incremental import run_campaign_stratified
     from ..eval.schemes import PreparedProgram
 
-    work, intrinsics = _protected_copy(module, protection)
+    work, intrinsics, _ = _protected_copy(module, protection)
     prepared = PreparedProgram(
         scheme, work, intrinsics, None, [], "main",
         region_override=Region(funcs=tuple(work.functions)))

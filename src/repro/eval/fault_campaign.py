@@ -211,22 +211,25 @@ def _run_once_batch(
     plans: Sequence[FaultPlan],
     region: Optional[Region],
     max_steps: int,
-    intrinsics,
+    runtimes: Optional[list],
 ) -> List[Tuple[Optional[str], List[float], List[float], int, bool]]:
     """A whole trial chunk as one lane-vectorized execution.
 
     Returns one ``(trap, output, loop_output, region_steps, detected)``
     tuple per plan — element *i* is byte-identical to what
     :func:`_run_trial` returns for ``plans[i]`` (difftest oracle O5).
-    *intrinsics* is a single shared table or one table per lane.
+    *runtimes* holds one reset runtime per lane for a stateful scheme
+    (each ends up with its trial's statistics); a stateless scheme
+    passes ``None`` and every lane shares ``prepared.intrinsics``.
     """
     from ..runtime.batch import BatchExecutor
 
     template = workload.fresh_memory(prepared.module, inp)
     executor = BatchExecutor(
         prepared.module, template, len(plans), fault_plans=list(plans),
-        fault_region=region, max_steps=max_steps, intrinsics=intrinsics,
-        compiled=prepared.compiled,
+        fault_region=region, max_steps=max_steps,
+        intrinsics=prepared.intrinsics if runtimes is None else None,
+        compiled=prepared.compiled, runtimes=runtimes,
     )
     lane_results = executor.run(prepared.main, inp.args)
     rows = []
@@ -416,8 +419,12 @@ def run_plans(
     Each trial starts from a freshly reset runtime, so a fault that
     corrupts predictor state cannot bias the next trial, and ``caught``
     comes from a per-trial stats delta.  ``backend="batch"`` runs slabs
-    of up to *lanes* plans as one BatchExecutor run each; runtime-stateful
-    schemes give every lane its own fork of ``prepared.runtime``.  Other
+    of up to *lanes* plans as one BatchExecutor run each.  A
+    runtime-stateful scheme gives every lane slot its own fork of
+    ``prepared.runtime`` (:func:`~repro.runtime.batch.fork_lanes`), reset
+    per slab; the executor runs the lanes on one shared copy of that
+    state until their intrinsic calls diverge, and leaves each lane's
+    statistics in its own fork.  Other
     backends run the plans one by one on the reference interpreter, each
     fast-forwarded to the latest golden-prefix snapshot at or before its
     fault step.  The prefix is captured once per campaign (kept on
@@ -435,10 +442,10 @@ def run_plans(
         ctx.prefix = _capture_prefix(prepared, workload, inp, ctx)
     runtime = prepared.runtime
     width = lanes if batch else 1
-    intrinsics = prepared.intrinsics
     if batch and runtime is not None:
-        lane_runtimes = [runtime.fork() for _ in plans[:width]]
-        intrinsics = [rt.intrinsics() for rt in lane_runtimes]
+        from ..runtime.batch import fork_lanes
+
+        lane_runtimes = fork_lanes(runtime, min(width, len(plans)))
     else:
         # serial trials and stateless lanes share the prepared runtime
         lane_runtimes = [runtime] * width
@@ -457,7 +464,7 @@ def run_plans(
             try:
                 rows = _run_once_batch(
                     prepared, workload, inp, slab, ctx.region, ctx.max_steps,
-                    intrinsics if runtime is None else intrinsics[:len(slab)],
+                    None if runtime is None else lane_runtimes[:len(slab)],
                 )
             finally:
                 if gc_was_enabled:

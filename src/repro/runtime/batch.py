@@ -84,8 +84,23 @@ In lockstep, intrinsics are called with ``None`` as their interpreter
 argument (tail lanes hand over their resuming engine): every in-tree
 intrinsic (the rskip.* closures and the SWIFT checkers) closes over its
 own runtime state and ignores the parameter, and the batch machine has
-no single interpreter object to hand over.  A shared
-intrinsics table whose arguments are uniform is invoked once per group.
+no single interpreter object to hand over.  A stateless table shared by
+every lane is called once per group when the arguments are uniform.
+
+The lanes of a stateful scheme (RSkip, REPLAY, CKPT) arrive as forks of
+one reset runtime, and a group holds their common state once: while a
+lane makes the same intrinsic calls as the rest of its group, its state
+is the group's runtime, so a call with uniform arguments runs once per
+group however many lanes share it.  A lane gets its own copy of the
+group's state (a ``snapshot()`` restored into its fork) the moment the
+group runtime would stop describing it — its argument row differs from
+the base, the group splits and the lane's child does not keep the
+runtime, or the lane leaves for the tail — and from then on it calls
+its own table.  A lane whose trial ends while sharing (it retires, or
+the group finishes) takes only the group's statistics, all its tally
+reads.  With a sink installed, a shared call runs with its events
+diverted and emits them once per sharing lane in row order, between the
+private lanes' own calls, so the trace equals per-lane execution's.
 
 Known divergences from the reference interpreter (documented, not
 observable in campaign tallies): per-opcode counts, timing and profiling
@@ -102,7 +117,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from ..ir.function import Function
 from ..ir.module import Module
 from ..ir.values import Const, GlobalAddr, Reg
-from ..obs.events import current_sink, enabled as obs_enabled
+from ..obs.events import current_sink, diverted, emit as obs_emit
+from ..obs.events import enabled as obs_enabled
+from ..obs.sinks import MemorySink
 from .compiler import CompiledExecutor, CompiledModule, compile_module
 from .errors import TRIAL_TRAPS, CoreDumpError, HangError, SegfaultError, classify_trap
 from .faults import CONTROL_KINDS, SKIP_KINDS, FaultPlan, Region, flip_value
@@ -259,6 +276,43 @@ def _at(x, i: int):
     return x
 
 
+def _call(fn, name: str, args: tuple):
+    """One intrinsic call as ``(value, charge length, None)``, or
+    ``(None, 0, trap)`` when it raises a trial-ending trap (an unknown
+    intrinsic is a core dump)."""
+    try:
+        if fn is None:
+            raise CoreDumpError(f"unknown intrinsic {name!r}")
+        rv, charge = fn(None, args)
+        return rv, len(charge), None
+    except TRIAL_TRAPS as exc:
+        return None, 0, exc
+
+
+def _replay(events) -> None:
+    """Emit recorded *events* again, as one more lane's own call would."""
+    for event in events:
+        obs_emit(event.kind, event.loop, **event.payload)
+
+
+def _take_stats(lane_runtime, group_runtime) -> None:
+    """Give a lane whose trial ended while sharing *group_runtime* that
+    runtime's statistics, loop by loop: all a finished trial is tallied
+    by, so the rest of the state is not copied."""
+    for ctx_id, loop in group_runtime.loops.items():
+        lane_runtime.loops[ctx_id].stats = loop.stats.copy()
+
+
+def fork_lanes(runtime, lanes: int) -> Optional[list]:
+    """The runtimes of *lanes* batch lanes of a program whose stateful
+    runtime is *runtime*: one ``fork()`` each, in the just-constructed
+    state, or ``None`` for a stateless program.  Campaign slabs and the
+    O5/O6 oracles both build their lanes here."""
+    if runtime is None:
+        return None
+    return [runtime.fork() for _ in range(lanes)]
+
+
 class _LaneMem:
     """One lane's memory view, with :class:`Memory`'s load, store,
     allocate and read API (same checks, exception classes, messages).
@@ -381,7 +435,8 @@ class _Group:
     and a shared copy-on-write memory layer."""
 
     __slots__ = ("rows", "frames", "steps", "region_steps", "trigs", "tptr",
-                 "gmem", "dirty", "brk", "brks", "row_of")
+                 "gmem", "dirty", "brk", "brks", "row_of", "rt", "table",
+                 "nshare")
 
     def __init__(self, rows, frames, steps, region_steps, trigs):
         self.rows: List[int] = rows          # lane ids, group-row order
@@ -398,19 +453,33 @@ class _Group:
         self.brk = 8               # uniform bump pointer...
         self.brks = None           # ...or a per-row list of pointers
         self.row_of: Dict[int, int] = {lane: i for i, lane in enumerate(rows)}
+        #: the runtime every sharing lane's state lives in, its
+        #: intrinsics table, and how many of the rows share it
+        self.rt = None
+        self.table: Optional[dict] = None
+        self.nshare = 0
 
 
 class BatchExecutor:
     """Execute one module over N lanes sharing one template memory, each
-    lane with its own fault plan, memory overlay and intrinsics table.
+    lane with its own fault plan, memory overlay and intrinsics.
 
     ``intrinsics`` may be ``None`` (no intrinsics), one shared table
     (stateless checkers — UNSAFE/SWIFT/SWIFT-R), or a sequence of
-    per-lane tables (RSkip predictors carry per-trial state).
+    per-lane tables, every lane then calling its own from the start.
+    A stateful scheme (RSkip, REPLAY, CKPT) passes ``runtimes`` instead:
+    one :class:`~repro.core.manager.LoopRuntimes` per lane, all in one
+    state — forks of one reset runtime (:func:`fork_lanes`).  Lanes
+    share one copy of that state while they see the same intrinsic
+    calls, and each lane's runtime ends up holding its trial's
+    statistics.
 
     ``run`` returns one :class:`LaneResult` per lane; final memory state
     is read through :meth:`lane_memory`, whose view composes the lane's
-    overlay, its group's write layer and the shared template.
+    overlay, its group's write layer and the shared template.  With a
+    sink installed, ``group_calls``/``lane_calls`` count the lockstep
+    calls of stateful intrinsics made once per group and once per lane,
+    and ``state_copies`` the lanes given their own runtime state.
     """
 
     def __init__(
@@ -423,6 +492,7 @@ class BatchExecutor:
         max_steps: int = DEFAULT_MAX_STEPS,
         intrinsics=None,
         compiled: Optional[CompiledModule] = None,
+        runtimes=None,
     ):
         if n_lanes <= 0:
             raise ValueError("a batch needs at least one lane")
@@ -439,9 +509,23 @@ class BatchExecutor:
         if len(fault_plans) != n_lanes:
             raise ValueError("one fault plan (or None) per lane required")
         self._plans = list(fault_plans)
-        if intrinsics is None:
+        #: each lane's runtime (stateful schemes), its own intrinsics
+        #: table, and whether it calls that table — False while it shares
+        #: its group's runtime
+        self._rts: Optional[list] = None
+        self._own = [True] * n_lanes
+        if runtimes is not None:
+            if intrinsics is not None:
+                raise ValueError("pass intrinsics or runtimes, not both")
+            self._rts = list(runtimes)
+            if len(self._rts) != n_lanes:
+                raise ValueError("one runtime per lane required")
+            self._shared = False
+            self._tables: List[Optional[dict]] = [None] * n_lanes
+            self._own = [False] * n_lanes
+        elif intrinsics is None:
             self._shared = True
-            self._tables: List[dict] = [{}] * n_lanes
+            self._tables = [{}] * n_lanes
         elif isinstance(intrinsics, dict):
             self._shared = True
             self._tables = [intrinsics] * n_lanes
@@ -451,6 +535,12 @@ class BatchExecutor:
                 raise ValueError("one intrinsics table per lane required")
             self._shared = False
             self._tables = tables
+        #: lockstep calls of stateful intrinsics once per group and once
+        #: per lane, and runtime state copies (counted with a sink installed)
+        self.group_calls = 0
+        self.lane_calls = 0
+        self.state_copies = 0
+        self._traced = False
         self.fault_region = fault_region
         self.max_steps = max_steps
         self._invert = [False] * n_lanes
@@ -646,6 +736,8 @@ class BatchExecutor:
         share one snapshot of the group write layer (the group lives on
         and keeps mutating it); survivors' columns re-collapse to
         scalars where the departures made them uniform again."""
+        if g.nshare:
+            self._end_shares(g, [g.rows[row] for row in dead])
         snap = None
         brks = g.brks
         for row, exc in dead.items():
@@ -673,6 +765,8 @@ class BatchExecutor:
         return keep
 
     def _retire_all(self, g: _Group, exc: BaseException) -> None:
+        if g.nshare:
+            self._end_shares(g, g.rows)
         trap, det = classify_trap(exc)
         brks = g.brks
         for i, lane in enumerate(g.rows):
@@ -712,6 +806,63 @@ class BatchExecutor:
             self._prune_dirty(child)
         return child
 
+    # -- the shared runtime -------------------------------------------------
+    def _detach(self, g: _Group, lanes: List[int]) -> None:
+        """Give each of *lanes*, which share *g*'s runtime, its own copy
+        of that runtime's state; from here on it calls its own table."""
+        if not lanes:
+            return
+        snap = g.rt.snapshot()
+        for lane in lanes:
+            runtime = self._rts[lane]
+            runtime.restore(snap)
+            self._tables[lane] = runtime.intrinsics()
+            self._own[lane] = True
+        g.nshare -= len(lanes)
+        if self._traced:
+            self.state_copies += len(lanes)
+
+    def _end_shares(self, g: _Group, lanes: Sequence[int]) -> None:
+        """The trials of *lanes* end (they retire or finish): those still
+        sharing *g*'s runtime take its statistics and stop sharing."""
+        own = self._own
+        for lane in lanes:
+            if not own[lane]:
+                _take_stats(self._rts[lane], g.rt)
+                own[lane] = True
+                g.nshare -= 1
+
+    def _hand_runtime(self, g: _Group, children: List[_Group]) -> None:
+        """After *g* splits: one child keeps its runtime — the one with
+        the most sharing lanes among those staying in lockstep — and the
+        sharing lanes of every other child leave with their own copy."""
+        if not g.nshare:
+            return
+        own = self._own
+        shares = [[lane for lane in c.rows if not own[lane]] for c in children]
+        keep = max(range(len(children)), key=lambda j: (
+            len(children[j].rows) > SCALAR_CUTOFF, len(shares[j])))
+        for j, child in enumerate(children):
+            if j == keep:
+                child.rt, child.table = g.rt, g.table
+                child.nshare = len(shares[j])
+            else:
+                self._detach(g, shares[j])
+
+    def _group_call(self, g: _Group, name: str, args: tuple):
+        """Call intrinsic *name* once on *g*'s runtime for every lane
+        sharing it: :func:`_call`'s triple plus, with a sink installed,
+        the events the call emitted — diverted, for the caller to emit
+        once per sharing lane in row order."""
+        fn = g.table.get(name)
+        if not self._traced:
+            return (*_call(fn, name, args), ())
+        self.group_calls += 1
+        recorder = MemorySink(capacity=None)
+        with diverted(recorder):
+            out = _call(fn, name, args)
+        return (*out, recorder.events)
+
     # -- public API ---------------------------------------------------------
     def run(self, func_name: str = "main", args: Sequence = ()) -> List[LaneResult]:
         func = self.module.get_function(func_name)
@@ -729,8 +880,14 @@ class BatchExecutor:
         )
         group = _Group(list(range(self.n_lanes)), [frame], 0, 0, trigs)
         group.brk = self._template._brk
+        if self._rts is not None:
+            # every lane starts in the one (reset) state: the group holds it
+            group.rt = self._rts[0].fork()
+            group.table = group.rt.intrinsics()
+            group.nshare = self.n_lanes
         work = [group]
-        if obs_enabled():
+        self._traced = obs_enabled()
+        if self._traced:
             self._tail_ms = {"compiled": 0.0, "ref": 0.0}
             t0 = perf_counter()
         while work:
@@ -761,6 +918,7 @@ class BatchExecutor:
         rows = g.rows
         max_steps = self.max_steps
         msize = self._size
+        traced = self._traced
         frame = g.frames[-1]
         # counters live in locals on the hot path; every call that reads
         # or publishes them syncs the group first
@@ -810,10 +968,13 @@ class BatchExecutor:
                                         if ln not in peel_set]
                             sel_peel = [i for i, ln in enumerate(rows)
                                         if ln in peel_set]
+                            children = []
                             if sel_rest:
-                                work.append(self._fork(g, sel_rest, True))
-                            faulted = self._fork(g, sel_peel, not sel_rest)
-                            self._finish_tail(faulted)
+                                children.append(self._fork(g, sel_rest, True))
+                                work.append(children[0])
+                            children.append(self._fork(g, sel_peel, not sel_rest))
+                            self._hand_runtime(g, children)
+                            self._finish_tail(children[-1])
                             return
                         ntrig1 = (g.trigs[g.tptr][0] + 1) \
                             if g.tptr < len(g.trigs) else -9
@@ -1181,12 +1342,15 @@ class BatchExecutor:
                     pairs = [(taken_sel, extra[1]), (fall_sel, extra[2])]
                     if len(fall_sel) > len(taken_sel):
                         pairs.reverse()  # bigger child adopts the layers
+                    children = []
                     for j, (sel, target) in enumerate(pairs):
                         child = self._fork(g, sel, j == 0)
                         top = child.frames[-1]
                         top.label = target
                         top.pc = 0
-                        work.append(child)
+                        children.append(child)
+                    self._hand_runtime(g, children)
+                    work.extend(children)
                     return
 
                 if code == _BR:
@@ -1204,6 +1368,8 @@ class BatchExecutor:
                     if not g.frames:
                         g.steps = steps
                         g.region_steps = rsteps
+                        if g.nshare:
+                            self._end_shares(g, rows)
                         gmem = g.gmem
                         brks = g.brks
                         for i in range(L):
@@ -1264,41 +1430,65 @@ class BatchExecutor:
                         if x.__class__ is _SpCol:
                             uni = False
                         vals.append(x)
-                    if uni and self._shared:
-                        # one stateless table, identical arguments: the
+                    if uni and (self._shared or g.nshare == L):
+                        # identical arguments and one stateless table, or
+                        # every lane sharing the group's runtime: the
                         # whole group is a single call
-                        fn = tables[0].get(extra)
-                        if fn is None:
-                            g.steps = steps
-                            g.region_steps = rsteps
-                            self._retire_all(
-                                g, CoreDumpError(f"unknown intrinsic {extra!r}"))
-                            return
-                        try:
-                            rv, charge = fn(None, tuple(vals))
-                        except TRIAL_TRAPS as exc:
+                        if self._shared:
+                            rv, clen, exc = _call(
+                                tables[0].get(extra), extra, tuple(vals))
+                        else:
+                            rv, clen, exc, events = self._group_call(
+                                g, extra, tuple(vals))
+                            if events:
+                                for _ in range(L):
+                                    _replay(events)
+                        if exc is not None:
                             g.steps = steps
                             g.region_steps = rsteps
                             self._retire_all(g, exc)
                             return
                         if dest is not None:
                             regs[dest] = rv
-                        steps += len(charge)
+                        steps += clen
                         continue
+                    own = self._own
+                    events = ()
+                    if g.nshare:
+                        if not uni:
+                            # lanes whose argument row differs from the
+                            # base stop sharing the group's runtime
+                            div = set()
+                            for x in vals:
+                                if x.__class__ is _SpCol:
+                                    div.update(x.exc)
+                            self._detach(g, [rows[r] for r in div
+                                             if not own[rows[r]]])
+                        if g.nshare:
+                            srv, sclen, sexc, events = self._group_call(
+                                g, extra, tuple(x.base if x.__class__ is _SpCol
+                                                else x for x in vals))
+                    count = traced and not self._shared
                     out = [None] * L
                     clens = [0] * L
                     dead = None
                     for i in range(L):
                         lane = rows[i]
-                        try:
-                            fn = tables[lane].get(extra)
-                            if fn is None:
-                                raise CoreDumpError(f"unknown intrinsic {extra!r}")
-                            lvals = tuple(_at(x, i) for x in vals)
-                            rv, charge = fn(None, lvals)
+                        if own[lane]:
+                            if count:
+                                self.lane_calls += 1
+                            rv, clen, exc = _call(
+                                tables[lane].get(extra), extra,
+                                tuple(_at(x, i) for x in vals))
+                        else:
+                            # a sharing lane: the group call was its call
+                            if events:
+                                _replay(events)
+                            rv, clen, exc = srv, sclen, sexc
+                        if exc is None:
                             out[i] = rv
-                            clens[i] = len(charge)
-                        except TRIAL_TRAPS as exc:
+                            clens[i] = clen
+                        else:
                             if dead is None:
                                 dead = {}
                             dead[i] = exc
@@ -1320,13 +1510,14 @@ class BatchExecutor:
                     frame.pc = pc
                     g.steps = steps
                     g.region_steps = rsteps
-                    first = True
+                    children = []
                     for clen in sorted(lens):
                         sel = [i for i, cl in enumerate(clens) if cl == clen]
-                        child = self._fork(g, sel, first)
-                        first = False
+                        child = self._fork(g, sel, not children)
                         child.steps += clen
-                        work.append(child)
+                        children.append(child)
+                    self._hand_runtime(g, children)
+                    work.extend(children)
                     return
 
                 if code == _ALLOC:
@@ -1399,6 +1590,8 @@ class BatchExecutor:
         """Finish every lane of a small group off lockstep: each exports
         a :class:`MachineState` and resumes alone, on the compiled backend
         when its fault has fully acted, else on the reference."""
+        if g.nshare:
+            self._detach(g, [lane for lane in g.rows if not self._own[lane]])
         pending = {lane: step for step, lane in g.trigs[g.tptr:]}
         brks = g.brks
         tail_ms = self._tail_ms

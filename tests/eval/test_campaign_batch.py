@@ -8,6 +8,8 @@ API and the `--backend batch` routing in `run_campaign`.  Plus the
 configurations (mismatched non-zero ``region_steps``) must refuse to
 merge instead of silently keeping the first chunk's value.
 """
+from contextlib import nullcontext
+
 import pytest
 
 from repro.eval import Harness
@@ -20,9 +22,11 @@ from repro.eval.fault_campaign import (
     seeded_plans,
 )
 from repro.eval.schemes import prepare
+from repro.obs.events import sink_installed
+from repro.obs.sinks import MemorySink
 from repro.pipeline.registry import canonical_scheme
 from repro.runtime.backend import set_default_backend
-from repro.runtime.batch import BatchExecutor
+from repro.runtime.batch import BatchExecutor, fork_lanes
 from repro.runtime.errors import TRIAL_TRAPS, classify_trap
 from repro.runtime.faults import ADVERSARIAL_KIND_WEIGHTS
 from repro.runtime.interpreter import Interpreter
@@ -141,6 +145,49 @@ class TestLaneRuntimes:
             assert batch.to_dict() == serial, lanes
 
 
+class TestSharedRuntime:
+    """Lockstep lanes share one runtime until their calls diverge."""
+
+    def test_lanes_call_the_runtime_once_per_group(self):
+        """On a 25-lane conv1d AR50 slab, lanes sharing their group's
+        runtime make under a fifth of the per-lane calls that lanes on
+        their own runtimes from the start make, with the same results
+        and the same runtime events in the same order."""
+        workload = get_workload("conv1d")
+        profiles = Harness(workload, scale=SCALE, timing=False).profiles_for(0.5)
+        inp = workload.test_inputs(1, seed=17, scale=SCALE)[0]
+        prepared = prepare(workload, "AR50", None, profiles)
+        ctx = campaign_context(prepared, workload, inp)
+        plans = seeded_plans(0, "conv1d", "AR50", 0, 25, ctx.region_steps)
+
+        def run(traced, **lanes):
+            executor = BatchExecutor(
+                prepared.module, workload.fresh_memory(prepared.module, inp),
+                len(plans), fault_plans=plans, fault_region=ctx.region,
+                max_steps=ctx.max_steps, **lanes)
+            sink = MemorySink(capacity=None)
+            with sink_installed(sink) if traced else nullcontext():
+                results = executor.run(prepared.main, inp.args)
+            events = [(e.kind, e.loop, e.payload) for e in sink.events]
+            return executor, [(r.trap, r.detected, r.steps, r.region_steps,
+                               r.value) for r in results], events
+
+        runtime = prepared.runtime
+        shared, got, shared_events = run(
+            True, runtimes=fork_lanes(runtime, len(plans)))
+        private, want, private_events = run(True, intrinsics=[
+            rt.intrinsics() for rt in fork_lanes(runtime, len(plans))])
+        assert got == want
+        assert shared_events == private_events
+        assert len(shared_events) > len(plans)
+        assert (private.group_calls, private.state_copies) == (0, 0)
+        assert shared.group_calls > 0 and shared.state_copies > 0
+        assert shared.lane_calls < 0.2 * private.lane_calls
+        untraced, _, _ = run(False, runtimes=fork_lanes(runtime, len(plans)))
+        assert (untraced.group_calls, untraced.lane_calls,
+                untraced.state_copies) == (0, 0, 0)
+
+
 class TestTrapStepCounts:
     """O5 compares step counts even for trapped lanes, but its fuzzed
     programs never trapped a compiled tail lane inside a fused segment.
@@ -150,18 +197,25 @@ class TestTrapStepCounts:
     their region steps short by 1, 1 and 9."""
 
     @pytest.mark.parametrize("start", [150, 175])
-    def test_slab_lanes_count_like_the_reference(self, start):
+    @pytest.mark.parametrize("scheme", ["AR50", "REPLAY2", "CKPT8"])
+    def test_slab_lanes_count_like_the_reference(self, scheme, start):
+        """Each lane also ends with its serial trial's runtime statistics,
+        whether it retired, finished or left lockstep while sharing its
+        group's runtime or after it had its own."""
         workload = get_workload("sgemm")
         seed = 1
-        profiles = Harness(workload, scale=SCALE, timing=False).profiles_for(0.5)
+        profiles = None
+        if scheme == "AR50":
+            profiles = Harness(workload, scale=SCALE, timing=False).profiles_for(0.5)
         inp = workload.test_inputs(1, seed=seed + 17, scale=SCALE)[0]
-        prepared = prepare(workload, "AR50", None, profiles)
+        prepared = prepare(workload, scheme, None, profiles)
         ctx = campaign_context(prepared, workload, inp)
-        plans = seeded_plans(seed, "sgemm", "AR50", start, 25, ctx.region_steps)
+        plans = seeded_plans(seed, "sgemm", scheme, start, 25, ctx.region_steps)
         runtime = prepared.runtime
         want = []
         for plan in plans:
             runtime.reset()
+            before = runtime.total_stats()
             interp = Interpreter(
                 prepared.module, memory=workload.fresh_memory(prepared.module, inp),
                 max_steps=ctx.max_steps, fault_plan=plan, fault_region=ctx.region)
@@ -171,17 +225,22 @@ class TestTrapStepCounts:
                 interp.run(prepared.main, inp.args)
             except TRIAL_TRAPS as exc:
                 trap, detected = classify_trap(exc)
-            want.append((trap, detected, interp.steps, interp.region_steps))
+            want.append((trap, detected, interp.steps, interp.region_steps,
+                         runtime.stats_delta(before)))
         # lanes as the batch backend builds them: one runtime fork each
-        tables = [runtime.fork().intrinsics() for _ in plans]
+        runtimes = fork_lanes(runtime, len(plans))
+        befores = [rt.total_stats() for rt in runtimes]
         executor = BatchExecutor(
             prepared.module, workload.fresh_memory(prepared.module, inp),
             len(plans), fault_plans=plans, fault_region=ctx.region,
-            max_steps=ctx.max_steps, intrinsics=tables)
-        got = [(r.trap, r.detected, r.steps, r.region_steps)
-               for r in executor.run(prepared.main, inp.args)]
+            max_steps=ctx.max_steps, runtimes=runtimes)
+        results = executor.run(prepared.main, inp.args)
+        got = [(r.trap, r.detected, r.steps, r.region_steps, rt.stats_delta(b))
+               for r, rt, b in zip(results, runtimes, befores)]
         assert got == want
-        assert sum(w[0] == "segfault" for w in want) > 0
+        assert any(w[4].recompute_mismatches for w in want)
+        if scheme == "AR50":
+            assert sum(w[0] == "segfault" for w in want) > 0
 
 
 class TestMixedKinds:

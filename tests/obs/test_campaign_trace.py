@@ -1,5 +1,7 @@
 """Campaign tracing: per-shard files, deterministic merge, manifests."""
+import json
 import os
+from collections import Counter
 
 import pytest
 
@@ -117,6 +119,34 @@ class TestTraceContents:
         assert not any(label.startswith("batch.")
                        for label, _ in RunManifest.load(
                            str(tmp_path / "ref.jsonl")).spans)
+
+    @pytest.mark.parametrize("scheme", ["AR50", "CKPT8"])
+    def test_batch_trace_carries_the_reference_events(self, conv1d, scheme,
+                                                      tmp_path):
+        """Lanes sharing one runtime make each shared call once, and the
+        batch engine emits its events once per sharing lane: a traced
+        batch campaign holds the same (kind, loop, payload) multiset as
+        the reference backend's (only their order may differ)."""
+        profiles = None
+        if scheme == "AR50":
+            profiles = Harness(conv1d, scale=SCALE,
+                               timing=False).profiles_for(0.5)
+
+        def events(backend):
+            out = str(tmp_path / f"{backend}.jsonl")
+            set_default_backend(backend)
+            try:
+                run_campaign_parallel(
+                    conv1d, scheme, 50, scale=SCALE, profiles=profiles,
+                    jobs=1, chunk=25, trace_out=out)
+            finally:
+                set_default_backend(None)
+            return Counter((e.kind, e.loop, json.dumps(e.payload, sort_keys=True))
+                           for e in load_trace(out))
+
+        ref = events("ref")
+        assert events("batch") == ref
+        assert {kind for kind, _, _ in ref} - {"trial-outcome", "pass-run"}
 
     def test_fast_forwarded_trials_re_emit_the_golden_prefix(
             self, tmp_path, monkeypatch):
