@@ -1,9 +1,8 @@
 """repro.analysis — static analyses over the IR: CFG, dominators, natural
 loops, def-use chains, liveness, cost estimation and the RSkip target-loop
 pattern detector."""
-from .callgraph import CallGraph, build_callgraph
 from .cfg import CFG
-from .dominators import compute_idom, dominates, dominator_tree
+from .dominators import compute_idom, dominates
 from .loops import InductionInfo, Loop, find_induction, find_loops, loop_depth_map
 from .defuse import Chains, compute_chains, compute_slice, defining_instr
 from .liveness import Liveness
@@ -19,18 +18,16 @@ from .patterns import (
     MIN_TARGET_COST,
     PatternKind,
     TargetLoop,
-    detect_module_targets,
     detect_target_loops,
 )
 
 __all__ = [
-    "CallGraph", "build_callgraph",
     "CFG",
-    "compute_idom", "dominates", "dominator_tree",
+    "compute_idom", "dominates",
     "InductionInfo", "Loop", "find_induction", "find_loops", "loop_depth_map",
     "Chains", "compute_chains", "compute_slice", "defining_instr",
     "Liveness",
     "DEFAULT_TRIP", "LATENCY", "estimate_block_cost", "estimate_function_cost", "instr_cost",
     "MIN_CALL_COST", "MIN_TARGET_COST", "PatternKind", "TargetLoop",
-    "detect_module_targets", "detect_target_loops",
+    "detect_target_loops",
 ]

@@ -27,16 +27,6 @@ class Chains:
     def def_sites(self, reg: str) -> List[Site]:
         return self.defs.get(reg, [])
 
-    def use_sites(self, reg: str) -> List[Site]:
-        return self.uses.get(reg, [])
-
-    def single_def(self, reg: str) -> Optional[Site]:
-        sites = self.defs.get(reg, [])
-        return sites[0] if len(sites) == 1 else None
-
-    def is_dead(self, reg: str) -> bool:
-        """Defined but never read."""
-        return reg in self.defs and not self.uses.get(reg)
 
 
 def compute_chains(func: Function) -> Chains:

@@ -1,7 +1,7 @@
 """Dominator analysis (Cooper–Harvey–Kennedy iterative algorithm)."""
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 from .cfg import CFG
 
@@ -55,11 +55,3 @@ def dominates(idom: Dict[str, str], a: str, b: str) -> bool:
             return True
     return False
 
-
-def dominator_tree(idom: Dict[str, str]) -> Dict[str, List[str]]:
-    """Children lists of the dominator tree."""
-    tree: Dict[str, List[str]] = {label: [] for label in idom}
-    for label, parent in idom.items():
-        if label != parent:
-            tree[parent].append(label)
-    return tree

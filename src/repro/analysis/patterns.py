@@ -372,10 +372,3 @@ def _live_ins(
                 seen.setdefault(reg.name, reg)
     return [seen[name] for name in sorted(seen)]
 
-
-def detect_module_targets(module: Module, min_cost: int = MIN_TARGET_COST) -> Dict[str, List[TargetLoop]]:
-    """Per-function target-loop lists for a whole module."""
-    return {
-        name: detect_target_loops(func, module, min_cost)
-        for name, func in module.functions.items()
-    }

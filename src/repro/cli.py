@@ -68,6 +68,15 @@ def _scheme_arg(value: str) -> str:
         raise argparse.ArgumentTypeError(str(exc))
 
 
+def _workload_arg(value: str) -> str:
+    """argparse type for a workload name: one of the registered workloads,
+    so a typo exits 2 with a usage error instead of a ``KeyError``."""
+    try:
+        return get_workload(value).name
+    except KeyError as exc:
+        raise argparse.ArgumentTypeError(exc.args[0])
+
+
 def _positive(kind):
     """argparse type for sizes: a *kind* number greater than zero, so a
     zero or negative ``--trials``/``--scale`` exits 2 with a usage error
@@ -106,9 +115,9 @@ def _timed(label):
 
 @contextmanager
 def _checkpoint_errors(command: str):
-    """An unusable campaign checkpoint (held by a live campaign, or
-    written by another version or other parameters) is a user error:
-    one line on stderr and exit status 2, not a traceback."""
+    """An unusable campaign checkpoint (held by a live campaign,
+    unparsable, or written by another version or other parameters) is a
+    user error: one line on stderr and exit status 2, not a traceback."""
     try:
         yield
     except (CheckpointBusyError, CheckpointMismatchError) as exc:
@@ -591,8 +600,12 @@ def cmd_report(args) -> None:
     if getattr(args, "trace", None):
         from .obs import RunManifest, load_trace, render_trace_report
 
-        events = load_trace(args.trace)
-        manifest = RunManifest.load(args.trace)
+        try:
+            events = load_trace(args.trace)
+            manifest = RunManifest.load(args.trace)
+        except (OSError, ValueError) as exc:
+            print(f"report: {exc}", file=sys.stderr)
+            sys.exit(2)
         print(render_trace_report(events, manifest))
         return
     _cmd_report_markdown(args)
@@ -679,11 +692,11 @@ def build_parser() -> argparse.ArgumentParser:
     ptr.set_defaults(fn=cmd_tradeoff)
     sub.add_parser("costratio").set_defaults(fn=cmd_costratio)
     psw = sub.add_parser("sweep")
-    psw.add_argument("--workload", default="backprop")
+    psw.add_argument("--workload", type=_workload_arg, default="backprop")
     psw.add_argument("--trials", type=int, default=0)
     psw.set_defaults(fn=cmd_sweep)
     psc = sub.add_parser("scaling")
-    psc.add_argument("--workload", default="lud")
+    psc.add_argument("--workload", type=_workload_arg, default="lud")
     psc.set_defaults(fn=cmd_scaling)
     pdt = sub.add_parser(
         "difftest",
@@ -749,7 +762,7 @@ def build_parser() -> argparse.ArgumentParser:
     prun = sub.add_parser(
         "run", help="run one workload under one scheme, optionally tracing"
     )
-    prun.add_argument("workload")
+    prun.add_argument("workload", type=_workload_arg)
     prun.add_argument("--scheme", type=_scheme_arg, default="AR50",
                       help=_SCHEME_HELP)
     prun.add_argument("--seed", type=int, default=1)
@@ -762,7 +775,7 @@ def build_parser() -> argparse.ArgumentParser:
         "campaign",
         help="one (workload, scheme) fault-injection campaign",
     )
-    pca.add_argument("workload")
+    pca.add_argument("workload", type=_workload_arg)
     pca.add_argument("--scheme", type=_scheme_arg, default="AR50",
                      help=_SCHEME_HELP)
     pca.add_argument("--trials", type=_positive_int, default=100)

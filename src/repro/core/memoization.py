@@ -113,10 +113,6 @@ class MemoTable:
     bits: List[int]
     table: Dict[Tuple[int, ...], float]
 
-    @property
-    def address_bits(self) -> int:
-        return sum(self.bits)
-
     def cell(self, args: Sequence[float]) -> Tuple[int, ...]:
         return tuple(q.quantize(x) for q, x in zip(self.quantizers, args))
 

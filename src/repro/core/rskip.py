@@ -142,13 +142,6 @@ class RskipApplication:
     def intrinsics(self) -> Dict[str, object]:
         return self.runtime.intrinsics()
 
-    def layout_for(self, key: str) -> TargetLayout:
-        for layout in self.layouts:
-            if layout.key == key:
-                return layout
-        raise KeyError(key)
-
-
 class RskipError(ValueError):
     """A detected target could not be transformed safely."""
 

@@ -62,9 +62,5 @@ class TemporalPredictor:
             return True
         return False
 
-    @property
-    def hit_rate(self) -> float:
-        return self.hits / self.predictions if self.predictions else 0.0
-
     def charge(self) -> List[Opcode]:
         return list(TEMPORAL_CHARGE)

@@ -11,7 +11,7 @@ from .schemes import (
     prepare,
     rskip_label,
 )
-from .harness import Harness, RunRecord, default_ars
+from .harness import Harness, RunRecord
 from .perf import (
     Figure7Result,
     Figure8aRow,
@@ -63,7 +63,7 @@ from . import charts, reporting
 __all__ = [
     "PAPER_SCHEMES", "PreparedProgram", "SWIFT", "SWIFT_R", "UNSAFE",
     "fault_region", "prepare", "rskip_label",
-    "Harness", "RunRecord", "default_ars",
+    "Harness", "RunRecord",
     "Figure7Result", "Figure8aRow", "Figure8bRow", "PERF_SCHEMES",
     "SchemeAverages", "figure7", "figure8a", "figure8b",
     "CampaignContext", "CampaignResult", "campaign_context", "figure9",

@@ -173,8 +173,9 @@ class CheckpointBusyError(RuntimeError):
 
 
 class CheckpointMismatchError(ValueError):
-    """A checkpoint was written by another checkpoint version or by a
-    campaign with other parameters; resuming from it would mix tallies."""
+    """A checkpoint is not valid JSON, or was written by another
+    checkpoint version or by a campaign with other parameters; resuming
+    from it would mix tallies."""
 
 
 #: checkpoint paths locked by *this* process (serve runs several campaign
@@ -305,7 +306,12 @@ def _load_checkpoint(path: str, params_key: str) -> Dict[str, dict]:
     if not os.path.exists(path):
         return {}
     with open(path, "r", encoding="utf-8") as handle:
-        data = json.load(handle)
+        try:
+            data = json.load(handle)
+        except ValueError as exc:
+            raise CheckpointMismatchError(
+                f"{path}: unreadable checkpoint ({exc}); delete it and re-run"
+            ) from None
     if data.get("version") != CHECKPOINT_VERSION:
         raise CheckpointMismatchError(
             f"{path}: unsupported checkpoint version "

@@ -53,37 +53,6 @@ def bar_chart(
     return "\n".join(lines)
 
 
-def grouped_bar_chart(
-    groups: Sequence[Tuple[str, Mapping[str, float]]],
-    series: Sequence[str],
-    width: int = 36,
-    fmt: str = "{:.2f}",
-    title: str = "",
-) -> str:
-    """Figure-7-style chart: one block per benchmark, one bar per scheme."""
-    peak = 0.0
-    for _, values in groups:
-        for name in series:
-            value = values.get(name)
-            if value is not None:
-                peak = max(peak, value)
-    if peak == 0:
-        peak = 1.0
-    series_w = max((len(s) for s in series), default=1)
-    lines = [title] if title else []
-    for group, values in groups:
-        lines.append(f"{group}:")
-        for name in series:
-            value = values.get(name)
-            if value is None:
-                continue
-            lines.append(
-                f"  {name:<{series_w}}  {bar(value, peak, width):<{width}}  "
-                f"{fmt.format(value)}"
-            )
-    return "\n".join(lines)
-
-
 def stacked_chart(
     rows: Sequence[Tuple[str, Mapping[str, float]]],
     categories: Sequence[str],

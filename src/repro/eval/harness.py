@@ -4,7 +4,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..core.config import PAPER_ACCEPTABLE_RANGES, RSkipConfig
+from ..core.config import RSkipConfig
 from ..core.manager import LoopProfile, SkipStats
 from ..core.serialize import profiles_from_json, profiles_to_json
 from ..core.training import collect_traces, enable_recording, train_profiles
@@ -232,6 +232,3 @@ class Harness:
             records[scheme] = self.run_scheme(scheme, inp, golden=unsafe.output)
         return records
 
-
-def default_ars() -> Tuple[float, ...]:
-    return PAPER_ACCEPTABLE_RANGES

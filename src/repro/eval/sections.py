@@ -107,11 +107,6 @@ class SectionPartition:
     sections: List[Section]
     region_steps: int
 
-    def by_name(self, name: str) -> Section:
-        for section in self.sections:
-            if section.name == name:
-                return section
-        raise KeyError(name)
 
 
 class _SegmentRecorder:

@@ -26,10 +26,6 @@ class TradeoffRow:
     protection_rate: float
     slowdown: float
 
-    @property
-    def protection_loss_vs(self) -> float:  # pragma: no cover - convenience
-        return 0.0
-
 
 def section73(
     workloads: Sequence[Workload],

@@ -43,9 +43,6 @@ class Module:
         self.functions[func.name] = func
         return func
 
-    def remove_function(self, name: str) -> None:
-        del self.functions[name]
-
     def get_function(self, name: str) -> Function:
         try:
             return self.functions[name]

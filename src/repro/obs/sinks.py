@@ -83,13 +83,19 @@ class JsonlSink:
 
 
 def read_trace(path: str) -> List[Event]:
-    """Parse a JSONL trace back into events."""
+    """Parse a JSONL trace back into events; a line that is not an event
+    raises ``ValueError`` naming the file and line."""
     events: List[Event] = []
     with open(path, "r", encoding="utf-8") as handle:
-        for line in handle:
+        for number, line in enumerate(handle, 1):
             line = line.strip()
             if line:
-                events.append(Event.from_line(line))
+                try:
+                    events.append(Event.from_line(line))
+                except (ValueError, KeyError, TypeError) as exc:
+                    raise ValueError(
+                        f"{path}:{number}: not a trace event ({exc!r})"
+                    ) from None
     return events
 
 

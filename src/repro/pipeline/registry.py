@@ -118,12 +118,6 @@ class Protocol:
             return "exactly-masked"
         return "none"
 
-    def param(self, name: str, default: float = 0.0) -> float:
-        for key, value in self.params:
-            if key == name:
-                return value
-        return default
-
     def to_dict(self) -> dict:
         return {
             "detect": self.detect,

@@ -11,7 +11,6 @@ from .memory import DEFAULT_SIZE, Memory
 from .outcomes import Outcome, classify_output, outputs_equal
 from .energy import ENERGY, EnergyEstimate, LEAKAGE_PER_CYCLE, estimate_energy
 from .profiling import Profile
-from .tracer import ReferenceInterpreter, Trace, TraceEvent, trace_run
 from .scheduler import TimingModel
 from .faults import (
     ADVERSARIAL_KIND_WEIGHTS,
@@ -34,7 +33,6 @@ from .interpreter import (
     OPCODES,
     OPERAND_ARITY,
     RunResult,
-    run_program,
 )
 from .compiler import (
     CompiledExecutor,
@@ -57,12 +55,11 @@ __all__ = [
     "Outcome", "classify_output", "outputs_equal",
     "ENERGY", "EnergyEstimate", "LEAKAGE_PER_CYCLE", "estimate_energy",
     "Profile", "TimingModel",
-    "ReferenceInterpreter", "Trace", "TraceEvent", "trace_run",
     "ADVERSARIAL_KIND_WEIGHTS", "CONTROL_KINDS", "DEFAULT_KIND_WEIGHTS",
     "FAULT_KINDS", "FaultPlan", "Region", "SKIP_KINDS",
     "flip_float", "flip_int", "flip_value", "random_plan",
     "DEFAULT_MAX_STEPS", "Interpreter", "IntrinsicFn", "MAX_CALL_DEPTH",
-    "OPCODES", "OPERAND_ARITY", "RunResult", "run_program",
+    "OPCODES", "OPERAND_ARITY", "RunResult",
     "CompiledExecutor", "CompiledModule", "clear_compile_cache",
     "compile_module", "module_fingerprint",
     "BatchExecutor", "LaneResult",

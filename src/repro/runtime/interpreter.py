@@ -101,10 +101,6 @@ class RunResult:
     region_steps: int = 0
     extras: Dict[str, object] = field(default_factory=dict)
 
-    @property
-    def dynamic_instructions(self) -> int:
-        return self.steps
-
 
 class ResumeFrame(NamedTuple):
     """One activation of a paused execution: its function, the block and
@@ -744,20 +740,3 @@ class Interpreter:
             return correct
         return candidates[int(pick * len(candidates)) % len(candidates)]
 
-
-def run_program(
-    module: Module,
-    func_name: str = "main",
-    args: Sequence = (),
-    memory: Optional[Memory] = None,
-    timing: bool = False,
-    width: int = 4,
-    max_steps: int = DEFAULT_MAX_STEPS,
-    intrinsics: Optional[Dict[str, IntrinsicFn]] = None,
-) -> RunResult:
-    """One-shot convenience wrapper: build an interpreter, run, return result."""
-    tm = TimingModel(width=width) if timing else None
-    interp = Interpreter(module, memory=memory, timing=tm, max_steps=max_steps)
-    if intrinsics:
-        interp.register_intrinsics(intrinsics)
-    return interp.run(func_name, args)

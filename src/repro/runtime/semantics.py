@@ -2,16 +2,15 @@
 
 Each value opcode's arithmetic, trap conversion and lazy 64-bit wrap is
 written here once.  The reference interpreter, the batch engine (uniform,
-sparse and per-lane paths), the compiled backend, the
-tracer's :class:`~repro.runtime.tracer.ReferenceInterpreter` and the
-constant folder all evaluate the cold value ops through :data:`OPS` or
-:func:`apply`.
+sparse and per-lane paths), the compiled backend and the constant folder
+all evaluate the cold value ops through :data:`OPS` or :func:`apply`.
 
 The hot ops that run on every trial step — MOV, ADD/FADD, SUB/FSUB,
 FMUL, MUL and ICMP/FCMP — stay inlined in the engines' dispatch loops and
-the compiler's templates; the golden opcode tests in
-``tests/runtime/test_compiler.py`` check each of those copies against
-this table.
+the compiler's templates.  ``test_vector_path_matches_table`` in
+``tests/runtime/test_compiler.py`` runs each of them over ints, wrap-sized
+ints, floats, NaN, infinities and mixed types on every engine and checks
+the value and its type against :func:`apply` directly.
 
 Integer wrap policy: results are Python ints of arbitrary precision, so
 ``MUL`` and ``SHL`` may exceed 64 bits transiently; once the magnitude

@@ -1,12 +1,11 @@
 """repro.transforms — protection and cleanup transforms over the IR:
-function cloning, DCE, constant folding, a pass manager, and the SWIFT /
+function cloning, DCE, constant folding, and the SWIFT /
 SWIFT-R instruction-duplication baselines."""
 from .clone import clone_function, duplicate_into_module, rename_all_registers
 from .dce import run_dce, run_dce_module
 from .simplify import run_constfold, run_simplify_module
 from .licm import hoist_loop, run_licm, run_licm_module
 from .cse import run_cse, run_cse_block, run_cse_module
-from .pass_manager import PassManager, PassRecord
 from .swift import (
     ALL_SYNC_POINTS,
     DETECT_INTRINSIC,
@@ -22,7 +21,6 @@ __all__ = [
     "run_constfold", "run_simplify_module",
     "hoist_loop", "run_licm", "run_licm_module",
     "run_cse", "run_cse_block", "run_cse_module",
-    "PassManager", "PassRecord",
     "ALL_SYNC_POINTS", "DETECT_INTRINSIC", "ProtectionReport",
     "apply_swift", "apply_swift_r", "protect_function",
 ]

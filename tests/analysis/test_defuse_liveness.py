@@ -29,8 +29,8 @@ class TestChains:
         f, (a, c, d, dead) = straightline()
         chains = compute_chains(f)
         assert len(chains.def_sites(a.name)) == 1
-        assert len(chains.use_sites(a.name)) == 3  # c, d, dead
-        assert chains.single_def(c.name) is not None
+        assert len(chains.uses[a.name]) == 3  # c, d, dead
+        assert len(chains.def_sites(c.name)) == 1
 
     def test_multi_def_register(self, dot_module):
         f = dot_module.get_function("main")
@@ -39,18 +39,18 @@ class TestChains:
         assert accs
         # the accumulator is written at init and in the loop body
         assert len(chains.def_sites(accs[0])) >= 2
-        assert chains.single_def(accs[0]) is None
+        assert len(chains.def_sites(accs[0])) != 1
 
     def test_dead_detection(self):
         f, (a, c, d, dead) = straightline()
         chains = compute_chains(f)
-        assert chains.is_dead(dead.name)
-        assert not chains.is_dead(d.name)
+        assert dead.name in chains.defs and not chains.uses.get(dead.name)
+        assert chains.uses.get(d.name)
 
     def test_defining_instr(self):
         f, (a, c, d, dead) = straightline()
         chains = compute_chains(f)
-        site = chains.single_def(c.name)
+        (site,) = chains.def_sites(c.name)
         assert defining_instr(f, site).op is Opcode.FMUL
 
 

@@ -1,4 +1,4 @@
-from repro.analysis import PatternKind, detect_module_targets, detect_target_loops
+from repro.analysis import PatternKind, detect_target_loops
 from repro.ir import F64, Function, I64, IRBuilder, Module, Reg, verify_module
 
 from ..conftest import build_call_module, build_dot_module, build_rmw_module
@@ -37,10 +37,6 @@ class TestDetectionPositive:
         }
         for reg in t.live_ins:
             assert reg.name not in loop_defs
-
-    def test_module_level_helper(self, dot_module):
-        per_func = detect_module_targets(dot_module)
-        assert len(per_func["main"]) == 1
 
 
 class TestDetectionNegative:

@@ -210,12 +210,3 @@ class TestFaultSemantics:
                 escaped += 1
         assert escaped > 0
 
-
-class TestApplicationApi:
-    def test_layout_for(self):
-        module = build_dot_module()
-        app = apply_rskip(module, RSkipConfig())
-        key = app.layouts[0].key
-        assert app.layout_for(key) is app.layouts[0]
-        with pytest.raises(KeyError):
-            app.layout_for("nope")

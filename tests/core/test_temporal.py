@@ -31,7 +31,6 @@ class TestPredictor:
         assert t.validate(0, 11.0, acceptable_range=0.2)
         assert not t.validate(0, 20.0, acceptable_range=0.2)
         assert t.predictions == 2 and t.hits == 1
-        assert t.hit_rate == 0.5
 
     def test_entry_cap(self):
         t = TemporalPredictor(max_entries=2)

@@ -225,6 +225,7 @@ class TestCliCheckpointErrors:
     @pytest.mark.parametrize("command", ["campaign", "figure9"])
     @pytest.mark.parametrize("planted, needle", [
         ("cp.json", "version"),  # a checkpoint of an older version
+        ("cp.json", "delete it"),  # cut short: not valid JSON
         ("cp.json.lock", "locked"),  # held by a live campaign
     ])
     def test_unusable_checkpoint(self, command, planted, needle, tmp_path,
@@ -236,10 +237,13 @@ class TestCliCheckpointErrors:
         # figure9 over one stateless campaign keeps the command cheap
         monkeypatch.setattr(cli, "ALL_WORKLOADS", [get_workload("conv1d")])
         monkeypatch.setattr(cli, "PAPER_SCHEMES", ("UNSAFE",))
-        content = {"version": 1, "params": "", "chunks": {}}
+        content = json.dumps({"version": 1, "params": "", "chunks": {}})
         if planted.endswith(".lock"):
-            content = {"pid": os.getppid()}  # alive, and not this process
-        (tmp_path / planted).write_text(json.dumps(content))
+            # alive, and not this process
+            content = json.dumps({"pid": os.getppid()})
+        elif needle == "delete it":
+            content = '{"version": 3, "params": "x", "chunks": {"0'
+        (tmp_path / planted).write_text(content)
         self._assert_clean_exit(
             self._argv(command, tmp_path / "cp.json", "--resume"),
             command, needle, capsys)

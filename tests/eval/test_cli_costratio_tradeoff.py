@@ -97,6 +97,21 @@ class TestCli:
         assert err[0].startswith("usage: repro")
         assert re.match(r"repro( \w+)?: error: argument --", err[-1])
 
+    @pytest.mark.parametrize("argv", [
+        ["run", "nope"],
+        ["campaign", "nope", "--trials", "2"],
+        ["sweep", "--workload", "nope"],
+        ["scaling", "--workload", "nope"],
+    ])
+    def test_rejects_unknown_workload(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err.rstrip().splitlines()
+        assert err[0].startswith("usage: repro")
+        assert re.match(r"repro \w+: error: argument (--)?workload: "
+                        r"unknown workload 'nope'; available: ", err[-1])
+
     def test_serve_port_zero_stays_valid(self):
         assert build_parser().parse_args(["serve", "--port", "0"]).port == 0
 
@@ -133,3 +148,18 @@ class TestReportCommand:
         assert "## Table 1: selected benchmarks" in text
         assert "### sub figure" in text
         assert "    row one" in text
+
+    @pytest.mark.parametrize("trace, needle", [
+        (None, "No such file"),  # never written
+        ('{"seq": 1, "run": "r", "kind": "x"}\n{"seq": 2, "ru\n', ":2: "),
+    ], ids=["missing", "malformed"])
+    def test_unreadable_trace_exits_2(self, trace, needle, tmp_path, capsys):
+        path = tmp_path / "t.jsonl"
+        if trace is not None:
+            path.write_text(trace)
+        with pytest.raises(SystemExit) as exc:
+            main(["report", str(path)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("report: ") and needle in err
+        assert err.count("\n") == 1

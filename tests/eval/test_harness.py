@@ -1,7 +1,8 @@
 import pytest
 
 from repro.core import RSkipConfig
-from repro.eval import Harness, default_ars
+from repro.core import PAPER_ACCEPTABLE_RANGES
+from repro.eval import Harness
 from repro.workloads import get_workload
 
 
@@ -106,7 +107,7 @@ class TestPerRunStats:
 
 class TestMisc:
     def test_default_ars(self):
-        assert default_ars() == (0.2, 0.5, 0.8, 1.0)
+        assert PAPER_ACCEPTABLE_RANGES == (0.2, 0.5, 0.8, 1.0)
 
     def test_timing_toggle(self):
         harness = Harness(get_workload("sgemm"), scale=0.3, timing=False)

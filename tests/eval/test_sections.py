@@ -107,8 +107,9 @@ class TestFingerprints:
         edited.module = mutated
         again = partition_sections(edited, workload, inp, ctx.region)
 
+        after_by_name = {s.name: s for s in again.sections}
         for section in part.sections:
-            after = again.by_name(section.name)
+            after = after_by_name[section.name]
             if section.name.startswith("main:") or section.name == f"@{callee}":
                 assert after.fingerprint != section.fingerprint, section.name
             else:

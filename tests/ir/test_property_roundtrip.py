@@ -135,11 +135,11 @@ def test_cse_preserves_semantics_on_random_programs(ops, seed):
 @settings(max_examples=25, deadline=None)
 @given(op_choice, st.floats(min_value=-4.0, max_value=4.0))
 def test_reference_interpreter_agrees_on_random_programs(ops, seed):
-    from repro.runtime import ReferenceInterpreter
+    from repro.runtime import CompiledExecutor
 
     module = build_random_program(ops)
-    fast = Interpreter(module).run("main", [seed])
-    ref = ReferenceInterpreter(module)
-    value = ref.run("main", [seed])
-    assert ref.steps == fast.steps
-    assert value == fast.value or (math.isnan(value) and math.isnan(fast.value))
+    ref = Interpreter(module).run("main", [seed])
+    fast = CompiledExecutor(module).run("main", [seed])
+    assert fast.steps == ref.steps
+    assert fast.value == ref.value or (
+        math.isnan(fast.value) and math.isnan(ref.value))

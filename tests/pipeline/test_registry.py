@@ -141,7 +141,7 @@ class TestProtocolFamilies:
         assert proto.redundancy == "time"
         assert proto.flip_scope == "region"
         assert proto.contract == "detected-or-masked"
-        assert proto.param("sample_period") == 2
+        assert dict(proto.params)["sample_period"] == 2
         assert proto.verify_as == "REPLAY1"
 
     def test_ckpt_protocol_shape(self):
@@ -149,9 +149,9 @@ class TestProtocolFamilies:
         assert proto.detect == "replay-compare"
         assert proto.recovery == "rollback"
         assert proto.contract == "exactly-masked"
-        assert proto.param("interval") == 8
-        assert proto.param("predictor") == 1.0
-        assert get_scheme("ckpt8fix").protocol.param("predictor") == 0.0
+        assert dict(proto.params)["interval"] == 8
+        assert dict(proto.params)["predictor"] == 1.0
+        assert dict(get_scheme("ckpt8fix").protocol.params)["predictor"] == 0.0
 
     def test_paper_scheme_protocols_derived_not_hardcoded(self):
         assert get_scheme(SWIFT).protocol.contract == "detected-or-masked"

@@ -5,12 +5,13 @@ Every case runs under the reference :class:`Interpreter` and the
 return value (NaN-aware), step count, per-opcode counts, region steps
 and final memory — or, on trap paths, the exact exception type and
 message plus exact step and region-step counts.  Most cases also run on
-the tracer's :class:`ReferenceInterpreter` (which evaluates value ops
-through the semantics table) and on the :class:`BatchExecutor`, both on
-its lockstep uniform path and as a one-lane batch (whose tail resumes on
-the compiled backend), so every inlined copy of a hot op is checked
-against the table.  Plus compile-cache identity and the
-backend dispatch rules.
+the :class:`BatchExecutor`, both on its lockstep uniform path and as a
+one-lane batch (whose tail resumes on the compiled backend).  Every
+engine's inlined copy of a hot op is checked against the semantics
+table's ``apply`` directly, value and type, over ints, wrap-sized ints,
+floats, NaN, infinities and mixed types
+(:func:`test_vector_path_matches_table`).  Plus compile-cache identity
+and the backend dispatch rules.
 """
 import math
 
@@ -25,7 +26,6 @@ from repro.runtime import (
     HangError,
     Interpreter,
     Memory,
-    ReferenceInterpreter,
     SegfaultError,
     clear_compile_cache,
     compile_module,
@@ -67,8 +67,6 @@ def observe(cls, module, args=(), max_steps=1_000_000, intrinsics=None,
         counters = (engine.steps, getattr(engine, "region_steps", None))
         return ("raised", type(exc).__name__, str(exc), exc.args), mem, counters
     counters = (engine.steps, getattr(engine, "region_steps", None))
-    if cls is ReferenceInterpreter:  # returns the bare value
-        return ("ok", result, engine.steps), mem, counters
     return (
         "ok", result.value, result.steps, dict(result.counts),
         result.region_steps,
@@ -107,7 +105,7 @@ def assert_backends_agree(module, args=(), max_steps=1_000_000,
                           intrinsics_factory=None, seed=False,
                           every_engine=True):
     """Run *module* on the reference interpreter and the compiled backend
-    and, with *every_engine*, on the tracer and on the batch engine with
+    and, with *every_engine*, on the batch engine with
     ``SCALAR_CUTOFF + 1`` clean lanes (uniform lockstep path) and with one
     lane (the tail, resumed on the compiled backend).  The compiled
     backend's steps and region steps must match on trap paths too.  The
@@ -126,10 +124,6 @@ def assert_backends_agree(module, args=(), max_steps=1_000_000,
     assert_same_memory(ref_mem, comp_mem.cells[8:])
     if not every_engine:
         return ref
-
-    tr, tr_mem, _ = run(ReferenceInterpreter)
-    assert_same_run(ref[:3] if ref[0] == "ok" else ref, tr)
-    assert_same_memory(ref_mem, tr_mem.cells[8:])
 
     for n_lanes in (SCALAR_CUTOFF + 1, 1):
         template = seed_memory(module) if seed else Memory()
@@ -276,25 +270,46 @@ LANE_OPERANDS = [
     "icmp eq", "icmp ne", "icmp lt", "icmp le", "fcmp gt", "fcmp ge",
 ])
 def test_vector_path_matches_table(op):
-    # golden runs never diverge, so the batch engine's column path is
-    # driven here: per-lane intrinsics hand every lane its own operands
+    """Every engine's inlined copy of a hot op gives what ``apply`` gives,
+    value and type, for each operand pair: the reference interpreter, the
+    compiled backend, the batch engine's uniform path (identical lanes)
+    and its column path (every lane its own operands, which golden runs
+    never produce)."""
     args = "%a" if op == "mov" else "%a, %b"
     module = parse_module(
         "func @main() -> f64 {\nentry:\n"
         "  %a = intrin lane_a() : f64\n  %b = intrin lane_b() : f64\n"
         f"  %r = {op} {args}\n  ret %r\n}}\n")
-    tables = [{"lane_a": lambda _e, _v, x=x: (x, ()),
-               "lane_b": lambda _e, _v, y=y: (y, ())}
-              for x, y in LANE_OPERANDS]
-    assert len(tables) > SCALAR_CUTOFF
-    engine = BatchExecutor(module, Memory(), len(tables), intrinsics=tables)
     instr = module.get_function("main").entry.instrs[2]
     code = CODE[instr.op]
     extra = PRED[instr.pred] if instr.pred is not None else None
-    for res, (x, y) in zip(engine.run("main"), LANE_OPERANDS):
+
+    def table(x, y):
+        return {"lane_a": lambda _e, _v: (x, ()),
+                "lane_b": lambda _e, _v: (y, ())}
+
+    def check(got, x, y, engine):
         want = apply(code, extra, x, y)
-        assert res.finished and type(res.value) is type(want)
-        assert same_value(res.value, want), (op, x, y, res.value, want)
+        assert type(got) is type(want), (engine, op, x, y, got, want)
+        assert same_value(got, want), (engine, op, x, y, got, want)
+
+    for x, y in LANE_OPERANDS:
+        for cls in (Interpreter, CompiledExecutor):
+            engine = cls(module, memory=Memory())
+            engine.register_intrinsics(table(x, y))
+            check(engine.run("main", []).value, x, y, cls.__name__)
+        uniform = BatchExecutor(module, Memory(), SCALAR_CUTOFF + 1,
+                                intrinsics=table(x, y))
+        for res in uniform.run("main"):
+            assert res.finished
+            check(res.value, x, y, "batch uniform")
+
+    tables = [table(x, y) for x, y in LANE_OPERANDS]
+    assert len(tables) > SCALAR_CUTOFF
+    engine = BatchExecutor(module, Memory(), len(tables), intrinsics=tables)
+    for res, (x, y) in zip(engine.run("main"), LANE_OPERANDS):
+        assert res.finished
+        check(res.value, x, y, "batch columns")
 
 
 def test_hang_parity_exact_step():
@@ -396,8 +411,7 @@ def test_call_depth_parity():
         "func @main() -> f64 {\nentry:\n  %r = call @f() : f64\n  ret %r\n}\n"
         "func @f() -> f64 {\nentry:\n  %r = call @f() : f64\n  ret %r\n}\n"
     )
-    # the tracer reports call depth without naming the callee
-    obs = assert_backends_agree(parse_module(src), every_engine=False)
+    obs = assert_backends_agree(parse_module(src))
     assert obs[1] == "CoreDumpError"
     assert obs[2] == "call depth exceeded in @f"
 
@@ -431,7 +445,7 @@ def test_intrinsic_charge_accounting():
 
 def test_arity_error_parity():
     src = "func @main(%x: i64) -> f64 {\nentry:\n  ret 0.0:f64\n}\n"
-    # the tracer does not check the argument count
+    # a batch run raises the caller's arity error rather than a lane trap
     obs = assert_backends_agree(parse_module(src), args=(), every_engine=False)
     assert obs[1] == "TypeError"
     assert obs[2] == "@main expects 1 arguments, got 0"

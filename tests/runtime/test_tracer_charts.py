@@ -3,38 +3,39 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.eval.charts import bar, bar_chart, grouped_bar_chart, stacked_chart
-from repro.runtime import Interpreter, ReferenceInterpreter, Trace, trace_run
+from repro.eval.charts import bar, bar_chart, stacked_chart
+from repro.runtime import CompiledExecutor, Interpreter
 
 from ..conftest import build_call_module, build_dot_module, seed_memory
 
 
 class TestReferenceInterpreter:
+    """The reference :class:`Interpreter` and the fast compiled backend
+    agree on whole programs."""
+
     @pytest.mark.parametrize("builder,args", [
         (build_dot_module, [5, 8]),
         (build_call_module, [5]),
     ])
     def test_agrees_with_fast_interpreter(self, builder, args):
         module = builder()
-        mem_fast = seed_memory(module)
-        fast = Interpreter(module, memory=mem_fast)
-        result = fast.run("main", args)
-
         mem_ref = seed_memory(module)
-        ref = ReferenceInterpreter(module, memory=mem_ref)
-        value = ref.run("main", args)
+        ref = Interpreter(module, memory=mem_ref).run("main", args)
 
-        assert ref.steps == result.steps
-        assert value == result.value
-        assert mem_ref.read_global("out", 5) == mem_fast.read_global("out", 5)
+        mem_fast = seed_memory(module)
+        fast = CompiledExecutor(module, memory=mem_fast).run("main", args)
+
+        assert fast.steps == ref.steps
+        assert fast.value == ref.value
+        assert mem_fast.read_global("out", 5) == mem_ref.read_global("out", 5)
 
     def test_random_programs_agree(self):
         from ..ir.test_property_roundtrip import build_random_program
 
         ops = [("fadd", 0, 1), ("fmul", 1, 0), ("add", 0, 1), ("exp", 0, 0)]
         module = build_random_program(ops)
-        fast = Interpreter(module).run("main", [1.5]).value
-        ref = ReferenceInterpreter(module).run("main", [1.5])
+        ref = Interpreter(module).run("main", [1.5]).value
+        fast = CompiledExecutor(module).run("main", [1.5]).value
         assert fast == ref
 
     def test_intrinsics_supported(self):
@@ -48,52 +49,12 @@ class TestReferenceInterpreter:
         protected = build_dot_module()
         app = apply_rskip(protected, RSkipConfig())
         mem = seed_memory(protected)
-        ref = ReferenceInterpreter(protected, memory=mem)
-        ref.register_intrinsics(app.intrinsics())
-        ref.run("main", [5, 8])
+        fast = CompiledExecutor(protected, memory=mem)
+        fast.register_intrinsics(app.intrinsics())
+        fast.run("main", [5, 8])
         assert outputs_equal(
             golden_mem.read_global("out", 5), mem.read_global("out", 5)
         )
-
-
-class TestTrace:
-    def test_trace_records_instructions(self):
-        module = build_dot_module()
-        trace, value = trace_run(module, "main", [3, 4], memory=seed_memory(module))
-        assert trace.events
-        assert trace.events[0].function == "main"
-        assert "mov" in trace.events[0].text
-
-    def test_trace_limit(self):
-        module = build_dot_module()
-        trace, _ = trace_run(module, "main", [6, 8],
-                             memory=seed_memory(module), limit=20)
-        assert len(trace.events) == 20
-        assert trace.truncated
-        assert "truncated" in trace.render()
-
-    def test_function_filter(self):
-        module = build_call_module()
-        trace, _ = trace_run(module, "main", [4],
-                             memory=seed_memory(module), functions=["g"])
-        assert trace.events
-        assert all(e.function == "g" for e in trace.events)
-
-    def test_first_divergence(self):
-        module = build_dot_module()
-        t1, _ = trace_run(module, "main", [3, 4], memory=seed_memory(module))
-        t2, _ = trace_run(module, "main", [3, 4], memory=seed_memory(module))
-        assert t1.first_divergence(t2) is None
-
-        mem = seed_memory(module)
-        mem.write_global("x", [99.0])
-        t3, _ = trace_run(module, "main", [3, 4], memory=mem)
-        assert t1.first_divergence(t3) is not None
-
-    def test_render_last(self):
-        module = build_dot_module()
-        trace, _ = trace_run(module, "main", [2, 3], memory=seed_memory(module))
-        assert len(trace.render(last=3).splitlines()) == 3
 
 
 class TestCharts:
@@ -117,14 +78,6 @@ class TestCharts:
         assert len(lines) == 2
         assert lines[0].startswith("alpha")
         assert "2.00" in lines[1]
-
-    def test_grouped_chart(self):
-        text = grouped_bar_chart(
-            [("sgemm", {"SWIFT-R": 2.5, "AR100": 1.5})],
-            series=["SWIFT-R", "AR100"],
-        )
-        assert "sgemm:" in text
-        assert "SWIFT-R" in text and "AR100" in text
 
     def test_stacked_chart_shares(self):
         text = stacked_chart(

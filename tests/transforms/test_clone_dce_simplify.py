@@ -11,9 +11,13 @@ from repro.ir import (
     parse_module,
     verify_module,
 )
+from repro.pipeline.passes import (
+    CLEANUP_PASSES,
+    PassVerificationError,
+    run_pipeline,
+)
 from repro.runtime import Interpreter
 from repro.transforms import (
-    PassManager,
     clone_function,
     duplicate_into_module,
     rename_all_registers,
@@ -183,19 +187,15 @@ class TestConstFold:
 
 class TestPassManager:
     def test_runs_in_order_with_verification(self, dot_module):
-        pm = PassManager(verify=True)
-        pm.add("fold", run_simplify_module).add("dce", run_dce_module)
-        pm.run(dot_module)
-        assert [r.name for r in pm.history] == ["fold", "dce"]
+        runs = run_pipeline(dot_module, ("simplify", "dce"), verify=True)
+        assert [r.name for r in runs] == ["simplify", "dce"]
 
-    def test_verification_failure_propagates(self):
-        from repro.ir import VerificationError
-
+    def test_verification_failure_propagates(self, monkeypatch):
         m = Module("m")
         f = Function("broken", [], F64)
         m.add_function(f)
 
-        pm = PassManager(verify=True)
-        pm.add("noop", lambda module: None)
-        with pytest.raises(VerificationError):
-            pm.run(m)
+        monkeypatch.setitem(CLEANUP_PASSES, "noop", lambda module: None)
+        with pytest.raises(PassVerificationError) as exc:
+            run_pipeline(m, ("noop",), verify=True)
+        assert exc.value.pass_name == "noop"
