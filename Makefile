@@ -5,7 +5,7 @@ PYTHONPATH := src
 
 ## tier-1 unit/integration suite
 test:
-	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m pytest -x -q
+	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m pytest -x -q --durations=15
 
 ## tier-1 suite + backend-equivalence smokes (O4/O5 over 60 generated
 ## programs each, O6 exhaustive single-skip model checking over 20, O7

@@ -598,10 +598,10 @@ def cmd_serve(args) -> None:
 def cmd_report(args) -> None:
     """Render a trace report, or (legacy) write the markdown results file."""
     if getattr(args, "trace", None):
-        from .obs import RunManifest, load_trace, render_trace_report
+        from .obs import RunManifest, read_trace, render_trace_report
 
         try:
-            events = load_trace(args.trace)
+            events = read_trace(args.trace)
             manifest = RunManifest.load(args.trace)
         except (OSError, ValueError) as exc:
             print(f"report: {exc}", file=sys.stderr)

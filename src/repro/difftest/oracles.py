@@ -1,6 +1,6 @@
 """Differential oracles over generated IR programs.
 
-Six machine-checked properties:
+Seven machine-checked properties:
 
 * **O1 — pipeline equivalence** (:func:`check_pipeline`): any pipeline of
   cleanup passes ({dce, cse, licm, simplify, clone}) optionally followed
@@ -20,27 +20,26 @@ Six machine-checked properties:
   architectural step count, per-opcode counts, and every global's final
   cells — and on trapping runs must raise the same exception type with
   the same message.  Checked on the plain program and again after a
-  protection transform (fresh copies per backend, so runtime-stateful
-  intrinsics like the RSkip predictor stay independent).
+  protection transform (protected once; the runtime is reset before
+  each backend's run, so the RSkip predictor starts fresh on both).
 
-* **O5 — batch-lane equivalence** (:func:`check_batch_equivalence`): the
-  lane-vectorized batch engine (:mod:`repro.runtime.batch`) must agree
-  lane-for-lane with the reference interpreter — lane *i* of a batched
-  chunk reproduces trial *i*'s outcome class, trap kind, detection flag,
-  step and region-step counts, return value and final global memory.
-  Checked on the plain program and again under a protection transform,
-  protected once: reference trials reset its runtime, and batch lanes
-  get one fork each, the way campaign slabs build them.
-
-* **O6 — exhaustive single-skip model checking**
-  (:func:`check_skip_exhaustive`): a counting pre-run names every
-  in-region dynamic instruction of a bounded program; one skip plan per
-  site then *proves* per-scheme skip coverage instead of sampling it —
-  each site's detected/masked/sdc/trap/hang classification must be
-  byte-identical between per-trial reference execution and one batched
-  lane slab, and under the duplication schemes a skip whose victim is a
-  shadow instruction must never be silent corruption (the instruction-
-  skip analogue of O3's shadow-flip property).
+* **O5 — batch-lane equivalence** (:func:`check_batch_equivalence`) and
+  **O6 — exhaustive single-skip model checking**
+  (:func:`check_skip_exhaustive`) run their trials through the
+  campaign's own trial runner,
+  :func:`repro.eval.fault_campaign.trial_rows`, once on the reference
+  interpreter and once as one batched lane slab, and demand identical
+  rows: trap kind, detection flag, caught validation mismatch, step and
+  region-step counts, return value and final global memory.  The
+  program is protected once and campaigned whole-program; reference
+  trials reset its runtime and fast-forward from the golden prefix as
+  campaign trials do, and batch lanes get one runtime fork each.  O5
+  draws one random fault plan per lane.  O6 takes a counting pre-run
+  that names every in-region dynamic instruction and injects one skip
+  plan per site, which *proves* per-scheme skip coverage instead of
+  sampling it; under the duplication schemes a skip whose victim is a
+  shadow instruction must also never be silent corruption (the
+  instruction-skip analogue of O3's shadow-flip property).
 
 * **O3 — fault metamorphic property** (:func:`check_fault_metamorphic`):
   a single bit flip injected into the *redundant* stream of a protected
@@ -60,6 +59,11 @@ Six machine-checked properties:
   actually replicated computation and inserted sync-point checkers, which
   catches "no-op" protection passes that dynamic shadow flips cannot see.
 
+* **O7 — incremental campaign equivalence**
+  (:func:`check_incremental_equivalence`): after a one-function edit, a
+  stratified campaign that reuses stored section tallies must tally
+  byte-identically to one run from scratch, on both backends.
+
 All checks are deterministic: randomness comes in only through the
 caller-supplied fault plans, themselves derived from ``stable_seed``.
 """
@@ -70,9 +74,9 @@ import random
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from ..core.manager import LoopRuntimes
 from ..core.rskip import PROTOCOL_REGION_ATTR
-from ..ir.function import Function
+from ..eval.fault_campaign import CampaignContext, trial_rows
+from ..eval.schemes import PreparedProgram, fault_region
 from ..ir.instructions import CmpPred, Opcode
 from ..ir.module import Module
 from ..ir.parser import ParseError, parse_module
@@ -81,15 +85,9 @@ from ..ir.values import Reg
 from ..ir.verifier import VerificationError, verify_module
 from ..pipeline.passes import CLEANUP_PASSES, PROTECTION_PASSES
 from ..pipeline.protect import protect
-from ..pipeline.registry import get_scheme
+from ..pipeline.registry import canonical_scheme, get_scheme
 from ..runtime.backend import make_executor
-from ..runtime.batch import BatchExecutor, fork_lanes
-from ..runtime.errors import (
-    TRIAL_TRAPS,
-    FaultDetectedError,
-    TrapError,
-    classify_trap,
-)
+from ..runtime.errors import FaultDetectedError, TrapError
 from ..runtime.faults import FaultPlan, Region, flip_value, random_plan
 from ..runtime.interpreter import OPCODES, Interpreter
 from ..runtime.memory import Memory
@@ -110,7 +108,7 @@ _SHADOW_SUFFIXES = (".sw1", ".sw2")
 class Violation:
     """One oracle failure, serializable for cross-process reporting."""
 
-    oracle: str  # "o1" | "o2" | "o3" | "o4" | "o5" | "o6"
+    oracle: str  # "o1" | "o2" | ... | "o7"
     detail: str
     pipeline: Tuple[str, ...] = ()
 
@@ -130,26 +128,39 @@ def module_copy(module: Module) -> Module:
     return parse_module(format_module(module))
 
 
-def _protected_copy(
-    module: Module, protection: Optional[str]
-) -> Tuple[Module, dict, Optional[LoopRuntimes]]:
+def _prepared(module: Module, protection: Optional[str]) -> PreparedProgram:
     """A fresh copy of *module* under protection pass *protection* (None
-    = plain), its intrinsics table and its stateful runtime (None for
-    stateless schemes) — new runtime state per call."""
+    = plain), campaigned whole-program (the region spans every
+    function).  Every oracle that runs a program more than once protects
+    it here, once, and resets or forks its runtime per run."""
     work = module_copy(module)
-    if protection is None:
-        return work, {}, None
-    protected = protect(work, protection, use_cache=False)
-    application = protected.application
-    return (work, protected.intrinsics,
-            application.runtime if application is not None else None)
+    scheme = canonical_scheme(protection or "unsafe")
+    intrinsics: dict = {}
+    application = None
+    if protection is not None:
+        protected = protect(work, protection, use_cache=False)
+        work, intrinsics = protected.module, protected.intrinsics
+        application = protected.application
+    return PreparedProgram(
+        scheme, work, intrinsics, application, [], "main",
+        region_override=Region(funcs=tuple(work.functions)))
 
 
 @dataclass
 class ExecResult:
+    """The observable end state of one run: the one record every oracle
+    compares (:func:`first_diff`)."""
+
     value: object
     globals: Dict[str, List[float]]
     steps: int
+    counts: Dict[Opcode, int] = field(default_factory=dict)
+    region_steps: int = 0
+    #: a trial's trap kind, or an O4 run's ``"<error type>: <message>"``
+    trap: Optional[str] = None
+    detected: bool = False
+    #: RSkip's exact validation flagged a mismatch during the trial
+    caught: bool = False
 
 
 def execute_module(
@@ -174,11 +185,14 @@ def execute_module(
     if intrinsics:
         executor.register_intrinsics(intrinsics)
     result = executor.run(entry, list(args))
-    final = {
-        name: memory.read_global(name, gvar.size)
-        for name, gvar in module.globals.items()
-    }
-    return ExecResult(result.value, final, result.steps)
+    return ExecResult(result.value, _finals(module, memory), result.steps,
+                      dict(result.counts))
+
+
+def _finals(module: Module, memory) -> Dict[str, List[float]]:
+    """Every global's final cells."""
+    return {name: memory.read_global(name, gvar.size)
+            for name, gvar in module.globals.items()}
 
 
 def _values_equal(a: object, b: object) -> bool:
@@ -187,15 +201,48 @@ def _values_equal(a: object, b: object) -> bool:
     return a == b
 
 
-def _state_diff(base: ExecResult, other: ExecResult) -> Optional[str]:
-    """First observable difference between two executions, or None."""
-    if not _values_equal(base.value, other.value):
-        return f"return value {base.value!r} != {other.value!r}"
-    for name in base.globals:
-        if name not in other.globals:
+def _ending(obs: ExecResult) -> str:
+    """How a run ended, for a violation message."""
+    text = f"ok (value {obs.value!r}" if obs.trap is None else f"trap ({obs.trap}"
+    return text + ", detected" * obs.detected + ", caught" * obs.caught + ")"
+
+
+def first_diff(
+    a: ExecResult,
+    b: ExecResult,
+    exact: bool = False,
+    names: Tuple[str, str] = ("ref", "batch"),
+) -> Optional[str]:
+    """The first observable difference between runs *a* and *b*, or None.
+
+    Compares how they ended (trap and detection), then the return value
+    (NaN-aware) and every global of *a*, cell by cell.  With *exact* —
+    two engines running the same trial — it also compares whether a
+    validation mismatch was caught and the step, region-step and
+    per-opcode counts.  *names* label the two runs in the message.
+    """
+    if (a.trap, a.detected) != (b.trap, b.detected) or (
+            exact and a.caught != b.caught):
+        return f"{names[0]} run {_ending(a)} but {names[1]} run {_ending(b)}"
+    if exact:
+        if a.steps != b.steps:
+            return f"step count {a.steps} != {b.steps}"
+        if a.region_steps != b.region_steps:
+            return f"region-step count {a.region_steps} != {b.region_steps}"
+        if a.counts != b.counts:
+            diffs = sorted(
+                f"{op.value}: {a.counts.get(op, 0)} != {b.counts.get(op, 0)}"
+                for op in set(a.counts) | set(b.counts)
+                if a.counts.get(op, 0) != b.counts.get(op, 0))
+            return "opcode counts diverged: " + "; ".join(diffs[:4])
+    if not _values_equal(a.value, b.value):
+        return f"return value {a.value!r} != {b.value!r}"
+    for name, cells in a.globals.items():
+        other = b.globals.get(name)
+        if other is None:
             return f"global @{name} disappeared"
-        if not outputs_equal(base.globals[name], other.globals[name]):
-            for idx, (g, o) in enumerate(zip(base.globals[name], other.globals[name])):
+        if not outputs_equal(cells, other):
+            for idx, (g, o) in enumerate(zip(cells, other)):
                 if not _values_equal(g, o):
                     return f"@{name}[{idx}]: {g!r} != {o!r}"
             return f"@{name}: length changed"
@@ -269,7 +316,7 @@ def check_pipeline(
             "o1", f"transformed module trapped: {type(exc).__name__}: {exc}", pipe))
         return (violations, work, intrinsics)
 
-    diff = _state_diff(baseline, transformed)
+    diff = first_diff(baseline, transformed)
     if diff is not None:
         violations.append(Violation("o1", f"output diverged: {diff}", pipe))
     return (violations, work, intrinsics)
@@ -301,36 +348,6 @@ def check_roundtrip(module: Module, context: str = "") -> List[Violation]:
 
 
 # -- O4: backend equivalence --------------------------------------------------
-def _observe_backend(
-    module: Module,
-    protection: Optional[str],
-    backend: str,
-    max_steps: int,
-) -> tuple:
-    """One clean run on *backend*, reduced to a comparable tuple.
-
-    Each call works on a fresh copy and (when *protection* is set)
-    re-applies the transform, so backends never share module objects or
-    intrinsic runtime state (the RSkip predictor is stateful across
-    invocations of one intrinsics table).
-    """
-    work, intrinsics, _ = _protected_copy(module, protection)
-    memory = Memory()
-    executor = make_executor(
-        work, memory=memory, max_steps=max_steps, backend=backend)
-    if intrinsics:
-        executor.register_intrinsics(intrinsics)
-    try:
-        result = executor.run("main", [])
-    except TrapError as exc:
-        return ("trap", type(exc).__name__, str(exc))
-    finals = {
-        name: memory.read_global(name, gvar.size)
-        for name, gvar in work.globals.items()
-    }
-    return ("ok", result.value, result.steps, dict(result.counts), finals)
-
-
 def check_backend_equivalence(
     module: Module,
     protection: Optional[str] = None,
@@ -340,165 +357,96 @@ def check_backend_equivalence(
     reference interpreter on clean runs.
 
     Compares the plain program and, when *protection* is given, the
-    protected program too: identical return value (NaN-aware), step
+    protected program too (protected once; its runtime is reset before
+    each backend's run): identical return value (NaN-aware), step
     count, per-opcode counts and final global memory on success;
     identical exception type and message on a trap.
     """
     violations: List[Violation] = []
     for prot in [None] + ([protection] if protection else []):
-        pipe = (prot,) if prot else ()
-        label = prot or "plain"
-        ref = _observe_backend(module, prot, "ref", max_steps)
-        comp = _observe_backend(module, prot, "compiled", max_steps)
-        if ref[0] != comp[0]:
-
-            def _show(obs):
-                return (f"{obs[1]}: {obs[2]}" if obs[0] == "trap"
-                        else f"value {obs[1]!r}")
-
+        prepared = _prepared(module, prot)
+        runs = []
+        for backend in ("ref", "compiled"):
+            if prepared.runtime is not None:
+                prepared.runtime.reset()
+            try:
+                runs.append(execute_module(
+                    prepared.module, prepared.intrinsics, max_steps,
+                    backend=backend))
+            except TrapError as exc:
+                runs.append(ExecResult(
+                    None, {}, 0, trap=f"{type(exc).__name__}: {exc}"))
+        diff = first_diff(*runs, exact=True, names=("ref", "compiled"))
+        if diff is not None:
             violations.append(Violation(
-                "o4", f"[{label}] ref run {ref[0]} ({_show(ref)}) but "
-                      f"compiled run {comp[0]} ({_show(comp)})", pipe))
-            continue
-        if ref[0] == "trap":
-            if ref[1:] != comp[1:]:
-                violations.append(Violation(
-                    "o4", f"[{label}] trap mismatch: ref raised "
-                          f"{ref[1]}({ref[2]!r}) but compiled raised "
-                          f"{comp[1]}({comp[2]!r})", pipe))
-            continue
-        _, r_value, r_steps, r_counts, r_globals = ref
-        _, c_value, c_steps, c_counts, c_globals = comp
-        if not _values_equal(r_value, c_value):
-            violations.append(Violation(
-                "o4", f"[{label}] return value {r_value!r} != {c_value!r}",
-                pipe))
-        if r_steps != c_steps:
-            violations.append(Violation(
-                "o4", f"[{label}] step count {r_steps} != {c_steps}", pipe))
-        if r_counts != c_counts:
-            diffs = sorted(
-                f"{op.value}: {r_counts.get(op, 0)} != {c_counts.get(op, 0)}"
-                for op in set(r_counts) | set(c_counts)
-                if r_counts.get(op, 0) != c_counts.get(op, 0)
-            )
-            violations.append(Violation(
-                "o4", f"[{label}] opcode counts diverged: "
-                      + "; ".join(diffs[:4]), pipe))
-        for name in r_globals:
-            if not outputs_equal(r_globals[name], c_globals.get(name, [])):
-                for idx, (g, o) in enumerate(
-                        zip(r_globals[name], c_globals.get(name, []))):
-                    if not _values_equal(g, o):
-                        violations.append(Violation(
-                            "o4", f"[{label}] @{name}[{idx}]: "
-                                  f"{g!r} != {o!r}", pipe))
-                        break
-                else:
-                    violations.append(Violation(
-                        "o4", f"[{label}] @{name}: contents diverged", pipe))
-                break
+                "o4", f"[{prot or 'plain'}] {diff}", (prot,) if prot else ()))
     return violations
 
 
-# -- O5: batch-lane equivalence ----------------------------------------------
-def _observe_ref_trial(
-    program: tuple,
-    plan: Optional[FaultPlan],
-    region: Region,
-    max_steps: int,
-) -> tuple:
-    """One (possibly faulted) reference-interpreter trial of *program*
-    (a :func:`_protected_copy` triple) from the program entry, reduced to
-    a comparable tuple.  The stateful runtime is reset first, so every
-    trial starts from the same state."""
-    work, intrinsics, runtime = program
-    if runtime is not None:
-        runtime.reset()
-    memory = Memory()
-    interp = Interpreter(
-        work, memory=memory, max_steps=max_steps,
-        fault_plan=plan, fault_region=region)
-    if intrinsics:
-        interp.register_intrinsics(intrinsics)
-    trap = None
-    detected = False
-    value = None
-    try:
-        value = interp.run("main", []).value
-    except TRIAL_TRAPS as exc:
-        trap, detected = classify_trap(exc)
-    finals = {}
-    if trap is None:
-        finals = {name: memory.read_global(name, gvar.size)
-                  for name, gvar in work.globals.items()}
-    return (trap, detected, interp.steps, interp.region_steps, value, finals)
+# -- O5/O6: trials through the campaign's trial runner -------------------------
+class _Trials:
+    """One (program, protection) campaigned the way ``repro campaign``
+    runs its trials: protected once (:func:`_prepared`), given a counting
+    run, then trials through :func:`~repro.eval.fault_campaign.trial_rows`
+    on either engine."""
 
+    def __init__(self, module: Module, protection: Optional[str],
+                 max_steps: int):
+        self.prepared = prepared = _prepared(module, protection)
+        self.workload = ModuleWorkload(module)
+        self.inp = self.workload.make_input()
+        # the counting run: the clean observation, the hang budget, and
+        # one (opcode index, dest name) entry per in-region dynamic
+        # instruction — entry i names what a plan with step == i hits
+        region = fault_region(prepared)
+        if prepared.runtime is not None:
+            prepared.runtime.reset()
+        memory = self.workload.fresh_memory(prepared.module, self.inp)
+        interp = Interpreter(prepared.module, memory=memory,
+                             max_steps=max_steps, fault_region=region)
+        interp.register_intrinsics(prepared.intrinsics)
+        self.trace: List[Tuple[int, Optional[str]]] = []
+        interp.site_trace = self.trace
+        value = interp.run(prepared.main, self.inp.args).value
+        self.clean = ExecResult(value, _finals(prepared.module, memory),
+                                interp.steps, region_steps=interp.region_steps)
+        # oracles compare whole rows and never tally, so the context
+        # carries no golden outputs; faulted trials get their own hang
+        # budget so they cannot run to the full fuzz limit
+        self.ctx = CampaignContext(
+            region, [], [], interp.region_steps,
+            min(max_steps, max(interp.steps * 8, 10_000)), interp.steps)
 
-def _compare_batch_lanes(
-    program: tuple,
-    protection: Optional[str],
-    plans: List[Optional[FaultPlan]],
-    region: Region,
-    budget: int,
-    oracle: str,
-    wheres: List[str],
-) -> Tuple[List[tuple], List[Violation]]:
-    """Run every plan once per-trial on the reference interpreter and once
-    as a lane of a single batched run of *program* (a
-    :func:`_protected_copy` triple), and compare each lane's trap kind,
-    detection flag, step and region-step counts, return value and final
-    globals.  Reference trials reset the program's runtime; batch lanes
-    get one fork each, as campaign slabs do (:func:`fork_lanes`).
-    Returns the reference observation rows and one *oracle* violation
-    per diverging lane, located by ``wheres[lane]``.
-    """
-    pipe = (protection,) if protection else ()
-    ref_rows = [_observe_ref_trial(program, plan, region, budget)
-                for plan in plans]
-    batch_module, intrinsics, runtime = program
-    runtimes = fork_lanes(runtime, len(plans))
-    template = Memory()
-    template.load_globals(batch_module)
-    executor = BatchExecutor(
-        batch_module, template, len(plans), fault_plans=plans,
-        fault_region=region, max_steps=budget,
-        intrinsics=intrinsics if runtimes is None else None,
-        runtimes=runtimes)
-    results = executor.run("main", [])
+    def observe(self, plans: List[FaultPlan], backend: str) -> List[ExecResult]:
+        """Each plan's trial on *backend* (one slab of ``len(plans)``
+        lanes for the batch engine), reduced to its observation as soon
+        as it finishes."""
+        module = self.prepared.module
+        return [
+            ExecResult(row.value,
+                       {} if row.trap is not None else _finals(module, row.memory),
+                       row.steps, region_steps=row.region_steps,
+                       trap=row.trap, detected=row.detected, caught=row.caught)
+            for row in trial_rows(self.prepared, self.workload, self.inp,
+                                  self.ctx, plans, backend, lanes=len(plans))
+        ]
 
-    violations: List[Violation] = []
-    for lane, where in enumerate(wheres):
-        trap_r, det_r, steps_r, rsteps_r, val_r, fin_r = ref_rows[lane]
-        res = results[lane]
-        got = (res.trap, res.detected, res.steps, res.region_steps)
-        want = (trap_r, det_r, steps_r, rsteps_r)
-        if got != want:
-            violations.append(Violation(
-                oracle, f"{where}: ref (trap={trap_r}, "
-                        f"detected={det_r}, steps={steps_r}, "
-                        f"region_steps={rsteps_r}) but batch "
-                        f"(trap={res.trap}, detected={res.detected}, "
-                        f"steps={res.steps}, "
-                        f"region_steps={res.region_steps})", pipe))
-            continue
-        if trap_r is not None:
-            continue
-        if not _values_equal(val_r, res.value):
-            violations.append(Violation(
-                oracle, f"{where}: return value "
-                        f"{val_r!r} != {res.value!r}", pipe))
-            continue
-        lane_mem = executor.lane_memory(lane)
-        for name, gvar in batch_module.globals.items():
-            if not outputs_equal(
-                    fin_r.get(name, []),
-                    lane_mem.read_global(name, gvar.size)):
-                violations.append(Violation(
-                    oracle, f"{where}: @{name}: contents diverged "
-                            f"from the reference trial", pipe))
-                break
-    return ref_rows, violations
+    def compare(
+        self, plans: List[FaultPlan], oracle: str, wheres: List[str],
+        pipe: Tuple[str, ...],
+    ) -> Tuple[List[ExecResult], List[Violation]]:
+        """Run every plan on the reference engine and as a lane of one
+        batched slab; returns the reference observations and one
+        *oracle* violation per diverging lane, located by
+        ``wheres[lane]``."""
+        ref = self.observe(plans, "ref")
+        batch = self.observe(plans, "batch")
+        violations = []
+        for where, want, got in zip(wheres, ref, batch):
+            diff = first_diff(want, got, exact=True)
+            if diff is not None:
+                violations.append(Violation(oracle, f"{where}: {diff}", pipe))
+        return ref, violations
 
 
 def check_batch_equivalence(
@@ -514,36 +462,24 @@ def check_batch_equivalence(
     Draws one fault plan per lane (over a region spanning the whole
     program), runs every plan once on the reference interpreter and once
     as a lane of a single batched run, and compares each lane's outcome:
-    trap kind, detection flag, step and region-step counts, return value
-    and final global memory.  Checked on the plain program and, when
-    *protection* is given, on the protected program (protected once;
-    its runtime is reset per reference trial and forked per lane).
+    trap kind, detection flag, caught mismatch, step and region-step
+    counts, return value and final global memory.  Checked on the plain
+    program and, when *protection* is given, on the protected program.
     """
     violations: List[Violation] = []
     for prot in [None] + ([protection] if protection else []):
         label = prot or "plain"
-        region = Region(funcs=tuple(module.functions))
-        program = _protected_copy(module, prot)
-        # clean counting run: region steps for plan drawing, and a hang
-        # budget so faulted lanes cannot run to the full fuzz limit
-        _, _, clean_steps, region_steps, _, _ = _observe_ref_trial(
-            program, None, region, max_steps)
-        budget = min(max_steps, max(clean_steps * 8, 10_000))
-        plans: List[Optional[FaultPlan]] = []
-        for lane in range(lanes):
-            if region_steps > 0:
-                rng = random.Random(stable_seed(seed, "difftest.batch", lane))
-                plans.append(random_plan(rng, region_steps))
-            else:
-                plans.append(None)
-
-        violations.extend(_compare_batch_lanes(
-            program, prot, plans, region, budget, "o5",
-            [f"[{label}] lane {lane}" for lane in range(lanes)])[1])
+        trials = _Trials(module, prot, max_steps)
+        plans = [
+            random_plan(random.Random(stable_seed(seed, "difftest.batch", lane)),
+                        trials.ctx.region_steps)
+            for lane in range(lanes)
+        ]
+        violations.extend(trials.compare(
+            plans, "o5", [f"[{label}] lane {lane}" for lane in range(lanes)],
+            (prot,) if prot else ())[1])
     return violations
 
-
-# -- O6: exhaustive single-skip model checking --------------------------------
 
 #: Exhaustive-enumeration ceiling: a program whose region executes more
 #: dynamic instructions than this gets stride-sampled instead, and the
@@ -584,48 +520,13 @@ class SkipMap:
         return t
 
 
-def _count_skip_sites(
-    program: tuple,
-    region: Region,
-    max_steps: int,
-) -> tuple:
-    """Counting pre-run of *program* (a :func:`_protected_copy` triple,
-    its runtime reset first): the clean observation tuple plus one
-    ``(opcode index, dest name)`` entry per in-region dynamic
-    instruction — entry *i* names exactly what a plan with ``step == i``
-    will hit."""
-    work, intrinsics, runtime = program
-    if runtime is not None:
-        runtime.reset()
-    memory = Memory()
-    interp = Interpreter(
-        work, memory=memory, max_steps=max_steps, fault_region=region)
-    if intrinsics:
-        interp.register_intrinsics(intrinsics)
-    trace: List[Tuple[int, Optional[str]]] = []
-    interp.site_trace = trace
-    value = interp.run("main", []).value
-    finals = {name: memory.read_global(name, gvar.size)
-              for name, gvar in work.globals.items()}
-    golden = (None, False, interp.steps, interp.region_steps, value, finals)
-    return golden, trace
-
-
-def _classify_outcome(obs: tuple, golden: tuple) -> str:
-    """Reduce an observation tuple to the campaign-style outcome label."""
-    trap, detected, _steps, _rsteps, value, finals = obs
-    if detected:
+def _classify_outcome(obs: ExecResult, clean: ExecResult) -> str:
+    """The campaign-style outcome label of a trial against the clean run."""
+    if obs.detected:
         return "detected"
-    if trap == "hang":
-        return "hang"
-    if trap is not None:
-        return "trap"
-    if not _values_equal(golden[4], value):
-        return "sdc"
-    for name, cells in golden[5].items():
-        if not outputs_equal(cells, finals.get(name, [])):
-            return "sdc"
-    return "masked"
+    if obs.trap is not None:
+        return "hang" if obs.trap == "hang" else "trap"
+    return "masked" if first_diff(clean, obs) is None else "sdc"
 
 
 def _enumerate_sites(total: int, site_cap: int) -> Tuple[List[int], bool]:
@@ -635,6 +536,12 @@ def _enumerate_sites(total: int, site_cap: int) -> Tuple[List[int], bool]:
         return list(range(total)), True
     stride = -(-total // site_cap)
     return list(range(0, total, stride)), False
+
+
+def _skip_plans(site_steps: List[int], burst_len: int) -> List[FaultPlan]:
+    kind = "skip" if burst_len == 1 else "skip-burst"
+    return [FaultPlan(step=s, kind=kind, burst_len=burst_len)
+            for s in site_steps]
 
 
 def skip_site_map(
@@ -648,26 +555,20 @@ def skip_site_map(
     classify each one against the clean run.  The model-checking half of
     O6, reusable on its own (``repro skipmap`` and the vulnerability
     table build on it)."""
-    region = Region(funcs=tuple(module.functions))
-    program = _protected_copy(module, protection)
-    golden, trace = _count_skip_sites(program, region, max_steps)
-    budget = min(max_steps, max(golden[2] * 8, 10_000))
-    site_steps, exhaustive = _enumerate_sites(len(trace), site_cap)
-    kind = "skip" if burst_len == 1 else "skip-burst"
-    smap = SkipMap(protection, len(trace), exhaustive, burst_len)
-    for s in site_steps:
-        plan = FaultPlan(step=s, kind=kind, burst_len=burst_len)
-        obs = _observe_ref_trial(program, plan, region, budget)
-        code, dest = trace[s]
+    trials = _Trials(module, protection, max_steps)
+    site_steps, exhaustive = _enumerate_sites(len(trials.trace), site_cap)
+    smap = SkipMap(protection, len(trials.trace), exhaustive, burst_len)
+    observed = trials.observe(_skip_plans(site_steps, burst_len), "ref")
+    for s, obs in zip(site_steps, observed):
+        code, dest = trials.trace[s]
         smap.sites.append(SkipSite(
-            s, OPCODES[code].value, dest, _classify_outcome(obs, golden)))
+            s, OPCODES[code].value, dest, _classify_outcome(obs, trials.clean)))
     return smap
 
 
 def check_skip_exhaustive(
     module: Module,
     protection: Optional[str] = None,
-    seed: int = 0,
     max_steps: int = DEFAULT_MAX_STEPS,
     site_cap: int = SKIPMAP_SITE_CAP,
     burst: bool = False,
@@ -680,7 +581,8 @@ def check_skip_exhaustive(
       its site count must equal the clean run's region-step total — the
       enumeration provably covers the whole dynamic stream;
     * every site is injected once as a ``skip`` plan, per-trial on the
-      reference interpreter and again as one lane of a single batched
+      reference interpreter (fast-forwarded from the golden prefix, as
+      campaign trials are) and again as one lane of a single batched
       slab, and each lane's (trap kind, detection flag, step counts,
       return value, final globals) must be byte-identical;
     * under the duplication schemes (swift, swift-r) a skip whose victim
@@ -693,41 +595,34 @@ def check_skip_exhaustive(
     instructions, so the shadow contract holds only for single skips).
     Programs larger than *site_cap* are stride-sampled.
     """
-    del seed  # enumeration is deterministic; kept for runner uniformity
-
     violations: List[Violation] = []
     for prot in [None] + ([protection] if protection else []):
         pipe = (prot,) if prot else ()
         label = prot or "plain"
-        region = Region(funcs=tuple(module.functions))
-        program = _protected_copy(module, prot)
-        golden, trace = _count_skip_sites(program, region, max_steps)
-        if golden[3] != len(trace):
+        trials = _Trials(module, prot, max_steps)
+        trace = trials.trace
+        if trials.ctx.region_steps != len(trace):
             violations.append(Violation(
                 "o6", f"[{label}] counting pre-run named {len(trace)} "
-                      f"sites but the clean run executed {golden[3]} "
-                      f"region steps", pipe))
+                      f"sites but the clean run executed "
+                      f"{trials.ctx.region_steps} region steps", pipe))
             continue
-        budget = min(max_steps, max(golden[2] * 8, 10_000))
         site_steps, _exhaustive = _enumerate_sites(len(trace), site_cap)
         if not site_steps:
             continue
         for blen in ([1, 2] if burst else [1]):
             kind = "skip" if blen == 1 else "skip-burst"
-            plans = [FaultPlan(step=s, kind=kind, burst_len=blen)
-                     for s in site_steps]
-            ref_rows, found = _compare_batch_lanes(
-                program, prot, plans, region, budget, "o6",
-                [f"[{label}] {kind}@{s}" for s in site_steps])
+            ref, found = trials.compare(
+                _skip_plans(site_steps, blen), "o6",
+                [f"[{label}] {kind}@{s}" for s in site_steps], pipe)
             violations.extend(found)
 
             if prot in _SKIP_CONTRACT_SCHEMES and blen == 1:
-                for i, s in enumerate(site_steps):
+                for s, obs in zip(site_steps, ref):
                     code, dest = trace[s]
                     if dest is None or not _is_shadow(dest):
                         continue
-                    outcome = _classify_outcome(ref_rows[i], golden)
-                    if outcome == "sdc":
+                    if _classify_outcome(obs, trials.clean) == "sdc":
                         violations.append(Violation(
                             "o6",
                             f"[{label}] skipping shadow instruction "
@@ -986,11 +881,8 @@ def check_fault_metamorphic(
             continue
         if interp.flipped is not None:
             landed += 1
-        observed = ExecResult(result.value, {
-            name: memory.read_global(name, gvar.size)
-            for name, gvar in prepared.globals.items()
-        }, result.steps)
-        diff = _state_diff(golden, observed)
+        diff = first_diff(golden, ExecResult(
+            result.value, _finals(prepared, memory), result.steps))
         if diff is not None:
             violations.append(Violation(
                 "o3", f"silent corruption under {protection} from a {scope} "
@@ -1005,12 +897,11 @@ def check_fault_metamorphic(
 
 # -- O7: incremental campaign equivalence -------------------------------------
 
-#: Stateless protections O7 campaigns under.  The protected-loop
-#: families carry runtime state that O7's adapter (an intrinsics table
-#: with no application handle) would share across trials, so per-trial
-#: isolation — which stratified tallies rely on — cannot be guaranteed
-#: here; their campaign-level coverage lives in the eval tests, which
-#: prepare workloads through the full pipeline.
+#: Protections O7 campaigns under; any other falls back to the plain
+#: program.  The protected-loop families find no target loop in a
+#: generated program, so under them O7 would re-check SWIFT-R or the
+#: plain program; their campaign-level coverage lives in the eval tests,
+#: which prepare workloads through the full pipeline.
 _STATELESS_PASSES = ("swift", "swift-r")
 
 
@@ -1054,26 +945,22 @@ class ModuleWorkload:
 def _observe_stratified(
     module: Module,
     protection: Optional[str],
-    scheme: str,
     trials: int,
     seed: int,
     store,
     reuse: bool,
     backend: str,
 ):
-    """One stratified campaign over *module*, protected in place like the
-    other oracles do (fresh copy + intrinsics per run)."""
+    """One stratified campaign over *module*, protected once like the
+    other oracles' programs (:func:`_prepared`)."""
     from ..eval.incremental import run_campaign_stratified
-    from ..eval.schemes import PreparedProgram
 
-    work, intrinsics, _ = _protected_copy(module, protection)
-    prepared = PreparedProgram(
-        scheme, work, intrinsics, None, [], "main",
-        region_override=Region(funcs=tuple(work.functions)))
+    prepared = _prepared(module, protection)
     workload = ModuleWorkload(module)
     return run_campaign_stratified(
-        workload, scheme, trials, seed=seed, inp=workload.make_input(),
-        prepared=prepared, store=store, reuse=reuse, backend=backend)
+        workload, prepared.scheme, trials, seed=seed,
+        inp=workload.make_input(), prepared=prepared, store=store,
+        reuse=reuse, backend=backend)
 
 
 def check_incremental_equivalence(
@@ -1101,11 +988,9 @@ def check_incremental_equivalence(
     import tempfile
 
     from ..eval.incremental import SectionStore
-    from ..pipeline.registry import canonical_scheme
     from .generator import _MUTATION_SWAPS, mutate_function
 
     prot = protection if protection in _STATELESS_PASSES else None
-    scheme = canonical_scheme(prot or "unsafe")
     pipe = (prot,) if prot else ()
     label = prot or "plain"
 
@@ -1131,11 +1016,11 @@ def check_incremental_equivalence(
         with tempfile.TemporaryDirectory(prefix="repro-o7-") as tmp:
             store = SectionStore(directory=os.path.join(tmp, "campaigns"))
             base = _observe_stratified(
-                module, prot, scheme, trials, seed, store, False, backend)
+                module, prot, trials, seed, store, False, backend)
             scratch = _observe_stratified(
-                mutated, prot, scheme, trials, seed, None, False, backend)
+                mutated, prot, trials, seed, None, False, backend)
             inc = _observe_stratified(
-                mutated, prot, scheme, trials, seed, store, True, backend)
+                mutated, prot, trials, seed, store, True, backend)
 
             if inc.result.to_dict() != scratch.result.to_dict():
                 violations.append(Violation(

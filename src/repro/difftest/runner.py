@@ -118,6 +118,30 @@ def plan_index(seed: int, index: int) -> Tuple[Tuple[str, ...], str]:
     return tuple(stages), protection
 
 
+def _oracle_calls(record: IndexRecord, seed: int, fault_samples: int,
+                  stats: dict, full: bool) -> dict:
+    """Oracle name -> its check of a module for *record*, in report
+    order.  *full* marks a run of every oracle: O1 then also round-trips
+    each stage.  O3 adds its shadow-flip counts to *stats*."""
+    index, protection = record.index, record.protection
+    return {
+        "o2": lambda module: check_roundtrip(module, context="generated"),
+        "o1": lambda module: check_pipeline(
+            module, record.pipeline, roundtrip=full)[0],
+        "o3": lambda module: check_fault_metamorphic(
+            module, protection, samples=fault_samples,
+            seed=stable_seed(seed, "difftest.faults", index), stats=stats),
+        "o4": lambda module: check_backend_equivalence(module, protection),
+        "o5": lambda module: check_batch_equivalence(
+            module, protection,
+            seed=stable_seed(seed, "difftest.batch", index)),
+        "o6": lambda module: check_skip_exhaustive(module, protection),
+        "o7": lambda module: check_incremental_equivalence(
+            module, protection,
+            seed=stable_seed(seed, "difftest.incremental", index)),
+    }
+
+
 def check_index(
     seed: int,
     index: int,
@@ -128,38 +152,19 @@ def check_index(
     program = generate(seed, index)
     pipeline, protection = plan_index(seed, index)
     record = IndexRecord(index, program.shape, pipeline, protection)
-    module = program.module
-    if oracle in ("all", "o2"):
-        record.violations.extend(check_roundtrip(module, context="generated"))
-    if oracle in ("all", "o1"):
-        violations, _, _ = check_pipeline(module, pipeline, roundtrip=oracle == "all")
-        record.violations.extend(violations)
-    if oracle in ("all", "o3"):
-        stats: dict = {}
-        record.violations.extend(check_fault_metamorphic(
-            module, protection, samples=fault_samples,
-            seed=stable_seed(seed, "difftest.faults", index),
-            stats=stats,
-        ))
-        record.o3_landed = stats.get("landed", 0)
-        record.o3_detected = stats.get("detected", 0)
-    if oracle in ("all", "o4"):
-        record.violations.extend(check_backend_equivalence(module, protection))
-    if oracle in ("all", "o5"):
-        record.violations.extend(check_batch_equivalence(
-            module, protection,
-            seed=stable_seed(seed, "difftest.batch", index)))
-    if oracle in ("all", "o6"):
-        record.violations.extend(check_skip_exhaustive(
-            module, protection,
-            seed=stable_seed(seed, "difftest.skip", index)))
-    if oracle in ("all", "o7"):
+    stats: dict = {}
+    calls = _oracle_calls(record, seed, fault_samples, stats, oracle == "all")
+    for name, check in calls.items():
+        if oracle not in ("all", name):
+            continue
         # O7 needs phase-isolated programs (independent sections); the
         # phased stream is drawn separately so the default (seed, index)
         # programs stay pinned
-        record.violations.extend(check_incremental_equivalence(
-            generate_phased(seed, index).module, protection,
-            seed=stable_seed(seed, "difftest.incremental", index)))
+        module = (generate_phased(seed, index).module if name == "o7"
+                  else program.module)
+        record.violations.extend(check(module))
+    record.o3_landed = stats.get("landed", 0)
+    record.o3_detected = stats.get("detected", 0)
     return record
 
 
@@ -179,33 +184,11 @@ def _run_index_chunk(
 def failure_predicate(record: IndexRecord, seed: int, fault_samples: int):
     """A shrink predicate replaying exactly this record's failing oracles."""
     failing = {v.oracle for v in record.violations}
+    calls = _oracle_calls(record, seed, fault_samples, {}, False)
 
     def predicate(module) -> bool:
-        found: List[Violation] = []
-        if "o2" in failing:
-            found.extend(check_roundtrip(module))
-        if "o1" in failing:
-            found.extend(check_pipeline(module, record.pipeline, roundtrip=False)[0])
-        if "o3" in failing:
-            found.extend(check_fault_metamorphic(
-                module, record.protection, samples=fault_samples,
-                seed=stable_seed(seed, "difftest.faults", record.index),
-            ))
-        if "o4" in failing:
-            found.extend(check_backend_equivalence(module, record.protection))
-        if "o5" in failing:
-            found.extend(check_batch_equivalence(
-                module, record.protection,
-                seed=stable_seed(seed, "difftest.batch", record.index)))
-        if "o6" in failing:
-            found.extend(check_skip_exhaustive(
-                module, record.protection,
-                seed=stable_seed(seed, "difftest.skip", record.index)))
-        if "o7" in failing:
-            found.extend(check_incremental_equivalence(
-                module, record.protection,
-                seed=stable_seed(seed, "difftest.incremental", record.index)))
-        return {v.oracle for v in found} >= failing
+        found = {v.oracle for name in failing for v in calls[name](module)}
+        return found >= failing
 
     return predicate
 

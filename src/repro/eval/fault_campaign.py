@@ -15,7 +15,8 @@ import random
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import (
+    Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple)
 
 from ..core.config import RSkipConfig
 from ..core.manager import LoopProfile
@@ -169,16 +170,32 @@ class CampaignResult:
         return result
 
 
+class TrialRow(NamedTuple):
+    """One finished trial, the same for every engine: the observables of
+    a :class:`~repro.runtime.batch.LaneResult` plus the memory the trial
+    ended with (a :class:`~repro.runtime.memory.Memory`, or a batch
+    lane's view with the same ``read_global``) and whether RSkip's exact
+    validation flagged a mismatch during it."""
+
+    value: object
+    steps: int
+    region_steps: int
+    #: ``None`` | ``"segfault"`` | ``"coredump"`` | ``"hang"``
+    trap: Optional[str]
+    detected: bool
+    memory: object
+    caught: bool = False
+
+
 def _run_trial(
     prepared: PreparedProgram,
     workload: Workload,
     inp: WorkloadInput,
     ctx: "CampaignContext",
     plan: FaultPlan,
-) -> Tuple[Optional[str], List[float], List[float], int, bool]:
+) -> TrialRow:
     """One faulted trial on the reference interpreter, fast-forwarded
-    from the campaign's golden prefix when it has one; returns (trap,
-    output, loop_output, region_steps, detected)."""
+    from the campaign's golden prefix when it has one."""
     memory = workload.fresh_memory(prepared.module, inp)
     interp = Interpreter(
         prepared.module, memory=memory, max_steps=ctx.max_steps,
@@ -189,19 +206,14 @@ def _run_trial(
     state = None
     if ctx.prefix is not None:
         state = ctx.prefix.state_for(plan.step, memory, prepared.runtime)
-    trap: Optional[str] = None
+    value = trap = None
     detected = False
     try:
-        interp.run(prepared.main, inp.args, state=state)
+        value = interp.run(prepared.main, inp.args, state=state).value
     except TRIAL_TRAPS as exc:
         trap, detected = classify_trap(exc)
-
-    output: List[float] = []
-    loop_output: List[float] = []
-    if trap is None:
-        output = memory.read_global(*inp.output)
-        loop_output = memory.read_global(*inp.loop_output)
-    return trap, output, loop_output, interp.region_steps, detected
+    return TrialRow(value, interp.steps, interp.region_steps, trap, detected,
+                    memory)
 
 
 def _run_once_batch(
@@ -212,15 +224,17 @@ def _run_once_batch(
     region: Optional[Region],
     max_steps: int,
     runtimes: Optional[list],
-) -> List[Tuple[Optional[str], List[float], List[float], int, bool]]:
+) -> List[TrialRow]:
     """A whole trial chunk as one lane-vectorized execution.
 
-    Returns one ``(trap, output, loop_output, region_steps, detected)``
-    tuple per plan — element *i* is byte-identical to what
-    :func:`_run_trial` returns for ``plans[i]`` (difftest oracle O5).
-    *runtimes* holds one reset runtime per lane for a stateful scheme
-    (each ends up with its trial's statistics); a stateless scheme
-    passes ``None`` and every lane shares ``prepared.intrinsics``.
+    Returns one :class:`TrialRow` per plan, whose memory is the lane's
+    view.  :func:`trial_rows` yields these rows and the reference
+    interpreter's in the same shape, and difftest oracles O5 and O6
+    compare the two streams row by row: row *i* must equal what
+    :func:`_run_trial` returns for ``plans[i]``.  *runtimes* holds one
+    reset runtime per lane for a stateful scheme (each ends up with its
+    trial's statistics); a stateless scheme passes ``None`` and every
+    lane shares ``prepared.intrinsics``.
     """
     from ..runtime.batch import BatchExecutor
 
@@ -231,18 +245,11 @@ def _run_once_batch(
         intrinsics=prepared.intrinsics if runtimes is None else None,
         compiled=prepared.compiled, runtimes=runtimes,
     )
-    lane_results = executor.run(prepared.main, inp.args)
-    rows = []
-    for i, res in enumerate(lane_results):
-        output: List[float] = []
-        loop_output: List[float] = []
-        if res.trap is None:
-            lane_mem = executor.lane_memory(i)
-            output = lane_mem.read_global(*inp.output)
-            loop_output = lane_mem.read_global(*inp.loop_output)
-        rows.append((res.trap, output, loop_output, res.region_steps,
-                     res.detected))
-    return rows
+    return [
+        TrialRow(res.value, res.steps, res.region_steps, res.trap,
+                 res.detected, executor.lane_memory(i))
+        for i, res in enumerate(executor.run(prepared.main, inp.args))
+    ]
 
 
 @dataclass
@@ -342,25 +349,18 @@ _TRAP_OUTCOMES = {"segfault": Outcome.SEGFAULT, "hang": Outcome.HANG,
 def _tally_trial(
     result: CampaignResult,
     ctx: CampaignContext,
-    runtime,
-    snapshot,
-    trap: Optional[str],
-    output: List[float],
-    loop_output: List[float],
-    detected: bool,
-    workload_name: str,
-    scheme_label: str,
+    inp: WorkloadInput,
+    row: TrialRow,
+    stateful: bool,
     trial: int,
     kind: Optional[str] = None,
 ) -> None:
     """Classify one finished trial into *result* — the same rule for
     every engine, so a campaign's tallies do not depend on which one
     executed the trials."""
-    caught = False
-    if runtime is not None:
-        if runtime.stats_delta(snapshot).recompute_mismatches > 0:
-            caught = True
-            result.caught += 1
+    trap, detected = row.trap, row.detected
+    if row.caught:
+        result.caught += 1
     false_negative = False
     if detected:
         result.detected += 1
@@ -368,9 +368,9 @@ def _tally_trial(
     elif trap is not None:
         outcome = _TRAP_OUTCOMES[trap]
     else:
-        outcome = classify_output(ctx.golden, output)
-        if runtime is not None and not outputs_equal(
-                ctx.golden_loop, loop_output):
+        outcome = classify_output(ctx.golden, row.memory.read_global(*inp.output))
+        if stateful and not outputs_equal(
+                ctx.golden_loop, row.memory.read_global(*inp.loop_output)):
             false_negative = True
             result.false_negatives += 1
             result.fn_by_outcome[outcome] += 1
@@ -380,9 +380,9 @@ def _tally_trial(
     if obs_enabled():
         obs_emit(
             TRIAL_OUTCOME,
-            workload=workload_name, scheme=scheme_label, trial=trial,
+            workload=result.workload, scheme=result.scheme, trial=trial,
             outcome=outcome.name, trap=trap, detected=detected,
-            caught=caught, false_negative=false_negative,
+            caught=row.caught, false_negative=false_negative,
         )
 
 
@@ -404,6 +404,83 @@ def seeded_plans(
     ]
 
 
+def _mark_caught(row: TrialRow, runtime, since) -> TrialRow:
+    """*row*, marked caught when *runtime* (if any) counted an exact
+    validation mismatch since its stats were *since*."""
+    if runtime is not None and runtime.stats_delta(since).recompute_mismatches:
+        return row._replace(caught=True)
+    return row
+
+
+def trial_rows(
+    prepared: PreparedProgram,
+    workload: Workload,
+    inp: WorkloadInput,
+    ctx: CampaignContext,
+    plans: Sequence[FaultPlan],
+    backend: str = "ref",
+    lanes: int = BATCH_LANES,
+) -> Iterator[TrialRow]:
+    """Run one trial per plan and yield their rows in plan order.
+
+    Each trial starts from a freshly reset runtime, so a fault that
+    corrupts predictor state cannot bias the next trial, and ``caught``
+    comes from a per-trial stats delta.  ``backend="batch"`` runs slabs
+    of up to *lanes* plans as one BatchExecutor run each.  A
+    runtime-stateful scheme gives every lane slot its own fork of
+    ``prepared.runtime`` (:func:`~repro.runtime.batch.fork_lanes`), reset
+    per slab; the executor runs the lanes on one shared copy of that
+    state until their intrinsic calls diverge, and leaves each lane's
+    statistics in its own fork.  Other backends run the plans one by one
+    on the reference interpreter, each fast-forwarded to the latest
+    golden-prefix snapshot at or before its fault step.  The prefix is
+    captured once per campaign (kept on *ctx*), by the first block whose
+    plans' steps sum past the golden run's step count — the prefix work
+    those trials would otherwise replay outweighs the one capture run.
+    Rows are identical across backends, slab widths and fast-forwarding
+    (difftest oracles O5 and O6 compare them).
+    """
+    runtime = prepared.runtime
+    if backend != "batch":
+        if ctx.prefix is None and sum(plan.step for plan in plans) > ctx.steps:
+            # the prefixes these trials would replay outweigh one golden run
+            ctx.prefix = _capture_prefix(prepared, workload, inp, ctx)
+        for plan in plans:
+            since = None
+            if runtime is not None:
+                runtime.reset()
+                since = runtime.total_stats()
+            # unbound here, so a row's memory can go before the next trial
+            yield _mark_caught(_run_trial(prepared, workload, inp, ctx, plan),
+                               runtime, since)
+        return
+    from ..runtime.batch import fork_lanes
+
+    lane_runtimes = fork_lanes(runtime, min(lanes, len(plans)))
+    for first in range(0, len(plans), lanes):
+        slab = plans[first:first + lanes]
+        slab_runtimes = marks = None
+        if lane_runtimes is not None:
+            slab_runtimes = lane_runtimes[:len(slab)]
+            for lane_runtime in slab_runtimes:
+                lane_runtime.reset()
+            marks = [lane_runtime.total_stats() for lane_runtime in slab_runtimes]
+        # lane execution allocates heavily but briefly; keep the cyclic
+        # collector out of the hot loop
+        gc_was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            rows = _run_once_batch(prepared, workload, inp, slab, ctx.region,
+                                   ctx.max_steps, slab_runtimes)
+        finally:
+            if gc_was_enabled:
+                gc.enable()
+        for i, row in enumerate(rows):
+            if slab_runtimes is not None:
+                row = _mark_caught(row, slab_runtimes[i], marks[i])
+            yield row
+
+
 def run_plans(
     prepared: PreparedProgram,
     workload: Workload,
@@ -414,69 +491,18 @@ def run_plans(
     backend: str = "ref",
     lanes: int = BATCH_LANES,
 ) -> CampaignResult:
-    """Run and tally one trial per plan (obs trial ``start + i``).
-
-    Each trial starts from a freshly reset runtime, so a fault that
-    corrupts predictor state cannot bias the next trial, and ``caught``
-    comes from a per-trial stats delta.  ``backend="batch"`` runs slabs
-    of up to *lanes* plans as one BatchExecutor run each.  A
-    runtime-stateful scheme gives every lane slot its own fork of
-    ``prepared.runtime`` (:func:`~repro.runtime.batch.fork_lanes`), reset
-    per slab; the executor runs the lanes on one shared copy of that
-    state until their intrinsic calls diverge, and leaves each lane's
-    statistics in its own fork.  Other
-    backends run the plans one by one on the reference interpreter, each
-    fast-forwarded to the latest golden-prefix snapshot at or before its
-    fault step.  The prefix is captured once per campaign (kept on
-    *ctx*), by the first block whose plans' steps sum past the golden
-    run's step count — the prefix work those trials would otherwise
-    replay outweighs the one capture run.  Tallies are byte-identical
-    across backends, slab widths and fast-forwarding (oracle O5).
-    """
+    """Run and tally one trial per plan (obs trial ``start + i``) through
+    :func:`trial_rows`; tallies are byte-identical across backends, slab
+    widths and fast-forwarding."""
     result = CampaignResult(workload.name, prepared.scheme, len(plans))
     result.region_steps = ctx.region_steps
-    batch = backend == "batch"
-    if (not batch and ctx.prefix is None
-            and sum(plan.step for plan in plans) > ctx.steps):
-        # the prefixes these trials would replay outweigh one golden run
-        ctx.prefix = _capture_prefix(prepared, workload, inp, ctx)
-    runtime = prepared.runtime
-    width = lanes if batch else 1
-    if batch and runtime is not None:
-        from ..runtime.batch import fork_lanes
-
-        lane_runtimes = fork_lanes(runtime, min(width, len(plans)))
-    else:
-        # serial trials and stateless lanes share the prepared runtime
-        lane_runtimes = [runtime] * width
-    for first in range(0, len(plans), width):
-        slab = plans[first:first + width]
-        snapshots = [None] * len(slab)
-        if runtime is not None:
-            for i in range(len(slab)):
-                lane_runtimes[i].reset()
-                snapshots[i] = lane_runtimes[i].total_stats()
-        if batch:
-            # lane execution allocates heavily but briefly; keep the
-            # cyclic collector out of the hot loop
-            gc_was_enabled = gc.isenabled()
-            gc.disable()
-            try:
-                rows = _run_once_batch(
-                    prepared, workload, inp, slab, ctx.region, ctx.max_steps,
-                    None if runtime is None else lane_runtimes[:len(slab)],
-                )
-            finally:
-                if gc_was_enabled:
-                    gc.enable()
-        else:
-            rows = [_run_trial(prepared, workload, inp, ctx, slab[0])]
-        for i, (trap, output, loop_output, _, detected) in enumerate(rows):
-            _tally_trial(
-                result, ctx, lane_runtimes[i], snapshots[i], trap, output,
-                loop_output, detected, workload.name, prepared.scheme,
-                start + first + i, kind=slab[i].kind,
-            )
+    stateful = prepared.runtime is not None
+    rows = trial_rows(prepared, workload, inp, ctx, plans, backend, lanes)
+    for i, plan in enumerate(plans):
+        # next(rows) is not bound here, so its memory is freed before the
+        # next trial runs
+        _tally_trial(result, ctx, inp, next(rows), stateful, start + i,
+                     kind=plan.kind)
     return result
 
 

@@ -28,7 +28,7 @@ from .events import (
     span,
 )
 from .manifest import RunManifest, manifest_path_for, run_id_for
-from .report import load_trace, render_trace_report
+from .report import render_trace_report
 from .sinks import JsonlSink, MemorySink, merge_traces, read_trace
 
 __all__ = [
@@ -37,6 +37,6 @@ __all__ = [
     "current_sink", "emit", "enabled", "install_sink", "remove_sink",
     "sink_installed", "span",
     "RunManifest", "manifest_path_for", "run_id_for",
-    "load_trace", "render_trace_report",
+    "render_trace_report",
     "JsonlSink", "MemorySink", "merge_traces", "read_trace",
 ]

@@ -75,19 +75,24 @@ class RunManifest:
         path = manifest_path_for(trace_path)
         if not os.path.exists(path):
             return None
-        with open(path, "r", encoding="utf-8") as handle:
-            data = json.load(handle)
-        if data.get("version") != MANIFEST_VERSION:
-            raise ValueError(f"{path}: unsupported manifest version")
-        return cls(
-            run=data["run"],
-            command=data["command"],
-            backend=data.get("backend", ""),
-            config=data.get("config", ""),
-            params=data.get("params", {}),
-            fingerprints=data.get("fingerprints", {}),
-            totals=data.get("totals", {}),
-            events=data.get("events", 0),
-            spans=[tuple(s) for s in data.get("spans", [])],
-            written_at=data.get("written_at", 0.0),
-        )
+        try:
+            with open(path, "r", encoding="utf-8") as handle:
+                data = json.load(handle)
+            if not isinstance(data, dict) or data.get("version") != MANIFEST_VERSION:
+                raise ValueError("unsupported manifest version")
+            return cls(
+                run=data["run"],
+                command=data["command"],
+                backend=data.get("backend", ""),
+                config=data.get("config", ""),
+                params=data.get("params", {}),
+                fingerprints=data.get("fingerprints", {}),
+                totals=data.get("totals", {}),
+                events=data.get("events", 0),
+                spans=[tuple(s) for s in data.get("spans", [])],
+                written_at=data.get("written_at", 0.0),
+            )
+        except KeyError as exc:
+            raise ValueError(f"{path}: manifest lacks key {exc}") from None
+        except ValueError as exc:  # a corrupt or truncated file, too
+            raise ValueError(f"{path}: {exc}") from None

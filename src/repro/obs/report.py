@@ -24,7 +24,6 @@ from .events import (
     TRIAL_OUTCOME,
 )
 from .manifest import RunManifest
-from .sinks import read_trace
 
 #: ASCII intensity ramp for the skip-rate timeline (0% .. 100%).
 _RAMP = " .:-=+*#@"
@@ -51,10 +50,6 @@ def _timeline(rates: List[float], width: int = _TIMELINE_WIDTH) -> str:
         chunk = rates[lo:hi]
         out.append(_ramp_char(sum(chunk) / len(chunk)))
     return "".join(out)
-
-
-def load_trace(path: str) -> List[Event]:
-    return read_trace(path)
 
 
 def render_trace_report(events: List[Event],

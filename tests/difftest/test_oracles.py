@@ -9,7 +9,7 @@ from repro.difftest import (
     generate,
     module_copy,
 )
-from repro.difftest.oracles import _state_diff, check_protection_coverage
+from repro.difftest.oracles import check_protection_coverage, first_diff
 from repro.ir.function import Function
 from repro.ir.instructions import Instr, Opcode
 from repro.ir.module import Module
@@ -55,7 +55,7 @@ def test_o1_fires_on_broken_cse():
         work = module_copy(program.module)
         broken_cse(work)
         verify_module(work)
-        if _state_diff(baseline, execute_module(work)) is not None:
+        if first_diff(baseline, execute_module(work)) is not None:
             fired = True
             break
     assert fired, "broken CSE never changed an rmw program's output"

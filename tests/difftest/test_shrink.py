@@ -2,7 +2,7 @@
 import pytest
 
 from repro.difftest import generate, module_copy, shrink_module, instruction_count
-from repro.difftest.oracles import _state_diff, execute_module
+from repro.difftest.oracles import execute_module, first_diff
 from repro.ir.printer import format_module
 from repro.ir.parser import parse_module
 from repro.ir.verifier import verify_module
@@ -17,7 +17,7 @@ def _miscompiled_by_broken_cse(module) -> bool:
     work = module_copy(module)
     broken_cse(work)
     verify_module(work)
-    return _state_diff(baseline, execute_module(work)) is not None
+    return first_diff(baseline, execute_module(work)) is not None
 
 
 def _first_failing_program():

@@ -2,7 +2,8 @@
 
 A counting pre-run names every in-region dynamic instruction; the
 oracle then injects a skip at each named site — per-trial on the
-reference interpreter and as one lane of a batched slab — and demands
+reference interpreter (fast-forwarded from the golden prefix, as
+campaign trials are) and as one lane of a batched slab — and demands
 (1) the enumeration provably covers the dynamic stream, (2) every lane
 matches its reference trial byte-for-byte, and (3) under the
 duplication schemes a skipped *shadow* instruction never ends as
@@ -98,6 +99,28 @@ def test_o6_detects_a_seeded_skip_divergence(monkeypatch):
         return fired
 
     monkeypatch.setattr(batch_mod.BatchExecutor, "_inject_lane", late_inject)
+    violations = check_skip_exhaustive(module)
+    assert violations and all(v.oracle == "o6" for v in violations)
+
+
+def test_o6_checks_prefix_fast_forwarding(monkeypatch):
+    """Sensitivity: O6's reference trials fast-forward from golden-run
+    snapshots, as campaign trials do.  If a restored snapshot dropped the
+    memory the golden run had written, those trials diverge from their
+    batch lanes and o6 must say so."""
+    from repro.runtime import prefix as prefix_mod
+
+    module = generate(0, 0).module
+    assert check_skip_exhaustive(module) == []
+
+    real_state_for = prefix_mod.GoldenPrefix.state_for
+
+    def state_for_without_patch(self, step, memory, runtime=None):
+        memory.patch = lambda cells, brk: None  # skip the memory image
+        return real_state_for(self, step, memory, runtime)
+
+    monkeypatch.setattr(prefix_mod.GoldenPrefix, "state_for",
+                        state_for_without_patch)
     violations = check_skip_exhaustive(module)
     assert violations and all(v.oracle == "o6" for v in violations)
 

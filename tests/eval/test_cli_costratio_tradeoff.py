@@ -163,3 +163,25 @@ class TestReportCommand:
         err = capsys.readouterr().err
         assert err.startswith("report: ") and needle in err
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("manifest, needle", [
+        ('{"version": %d, "run": "r", "comm', "Unterminated string"),
+        ('{"version": %d, "run": "r"}', "lacks key 'command'"),
+    ], ids=["truncated", "missing-key"])
+    def test_corrupt_manifest_exits_2(self, manifest, needle, tmp_path,
+                                      capsys):
+        """A readable trace next to a corrupt manifest: the one error
+        line names the manifest file."""
+        from repro.obs.manifest import MANIFEST_VERSION, manifest_path_for
+
+        path = tmp_path / "t.jsonl"
+        path.write_text('{"seq": 1, "run": "r", "kind": "x"}\n')
+        manifest_path = manifest_path_for(str(path))
+        with open(manifest_path, "w") as handle:
+            handle.write(manifest % MANIFEST_VERSION)
+        with pytest.raises(SystemExit) as exc:
+            main(["report", str(path)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"report: {manifest_path}: ") and needle in err
+        assert err.count("\n") == 1

@@ -78,12 +78,15 @@ def trial_rows(made, workload, prepared, inp, ctx, plans):
         if runtime is not None:
             runtime.reset()
             since = runtime.total_stats()
-        trap, output, loop_output, region_steps, detected = \
-            fault_campaign._run_trial(prepared, workload, inp, ctx, plan)
+        row = fault_campaign._run_trial(prepared, workload, inp, ctx, plan)
+        output = loop_output = []
+        if row.trap is None:
+            output = row.memory.read_global(*inp.output)
+            loop_output = row.memory.read_global(*inp.loop_output)
         delta = runtime.stats_delta(since) if runtime is not None else None
-        rows.append((trap, detected, [repr(v) for v in output],
+        rows.append((row.trap, row.detected, [repr(v) for v in output],
                      [repr(v) for v in loop_output], made[-1].steps,
-                     region_steps, delta))
+                     row.region_steps, delta))
     return rows
 
 

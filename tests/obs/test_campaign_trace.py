@@ -7,7 +7,7 @@ import pytest
 
 from repro.eval import Harness, fault_campaign
 from repro.eval.campaign_engine import run_campaign_parallel, run_campaigns
-from repro.obs import RunManifest, load_trace
+from repro.obs import RunManifest, read_trace
 from repro.runtime.backend import set_default_backend
 from repro.runtime.faults import ADVERSARIAL_KIND_WEIGHTS
 from repro.workloads import get_workload
@@ -69,7 +69,7 @@ class TestTraceContents:
         shards = sorted(os.listdir(shard_dir))
         assert len(shards) == 3  # 10 trials in chunks of 4 -> 4+4+2
 
-        events = load_trace(out)
+        events = read_trace(out)
         assert [e.seq for e in events] == list(range(len(events)))
         assert len({e.run for e in events}) == 1  # shards share one run id
         trials = [e for e in events if e.kind == "trial-outcome"]
@@ -142,7 +142,7 @@ class TestTraceContents:
             finally:
                 set_default_backend(None)
             return Counter((e.kind, e.loop, json.dumps(e.payload, sort_keys=True))
-                           for e in load_trace(out))
+                           for e in read_trace(out))
 
         ref = events("ref")
         assert events("batch") == ref
@@ -173,7 +173,7 @@ class TestTraceContents:
                           lambda *args: None)
             slow_out, slow = traced("slow.jsonl", jobs=1)
         assert fast == slow == parallel
-        kinds = {event.kind for event in load_trace(out)}
+        kinds = {event.kind for event in read_trace(out)}
         assert {"exec", "phase-cut", "skip", "trial-outcome"} <= kinds
         spans = [label for label, _ in RunManifest.load(out).spans]
         assert "ref.capture" in spans
