@@ -28,9 +28,10 @@ Seven machine-checked properties:
   (:func:`check_skip_exhaustive`) run their trials through the
   campaign's own trial runner,
   :func:`repro.eval.fault_campaign.trial_rows`, once on the reference
-  interpreter and once as one batched lane slab, and demand identical
-  rows: trap kind, detection flag, caught validation mismatch, step and
-  region-step counts, return value and final global memory.  The
+  interpreter and once as one batched lane slab (O5 also handed off to
+  the compiled backend), and demand identical rows: trap kind,
+  detection flag, caught validation mismatch, step and region-step
+  counts, return value and final global memory.  The
   program is protected once and campaigned whole-program; reference
   trials reset its runtime and fast-forward from the golden prefix as
   campaign trials do, and batch lanes get one runtime fork each.  O5
@@ -433,19 +434,20 @@ class _Trials:
 
     def compare(
         self, plans: List[FaultPlan], oracle: str, wheres: List[str],
-        pipe: Tuple[str, ...],
+        pipe: Tuple[str, ...], backends: Tuple[str, ...] = ("batch",),
     ) -> Tuple[List[ExecResult], List[Violation]]:
-        """Run every plan on the reference engine and as a lane of one
-        batched slab; returns the reference observations and one
-        *oracle* violation per diverging lane, located by
-        ``wheres[lane]``."""
+        """Run every plan on the reference engine and on each of
+        *backends*; returns the reference observations and one *oracle*
+        violation per diverging trial, located by ``wheres[i]``."""
         ref = self.observe(plans, "ref")
-        batch = self.observe(plans, "batch")
         violations = []
-        for where, want, got in zip(wheres, ref, batch):
-            diff = first_diff(want, got, exact=True)
-            if diff is not None:
-                violations.append(Violation(oracle, f"{where}: {diff}", pipe))
+        for backend in backends:
+            got = self.observe(plans, backend)
+            for where, want, row in zip(wheres, ref, got):
+                diff = first_diff(want, row, exact=True, names=("ref", backend))
+                if diff is not None:
+                    violations.append(Violation(
+                        oracle, f"{where} ({backend}): {diff}", pipe))
         return ref, violations
 
 
@@ -457,11 +459,12 @@ def check_batch_equivalence(
     max_steps: int = DEFAULT_MAX_STEPS,
 ) -> List[Violation]:
     """O5: the lane-vectorized batch engine must be observationally
-    identical, lane for lane, to per-trial reference execution.
+    identical, lane for lane, to per-trial reference execution, and so
+    must trials handed off to the compiled backend.
 
     Draws one fault plan per lane (over a region spanning the whole
-    program), runs every plan once on the reference interpreter and once
-    as a lane of a single batched run, and compares each lane's outcome:
+    program), runs every plan on the reference interpreter, as a lane of
+    a single batched run and handed off, and compares each outcome:
     trap kind, detection flag, caught mismatch, step and region-step
     counts, return value and final global memory.  Checked on the plain
     program and, when *protection* is given, on the protected program.
@@ -477,7 +480,7 @@ def check_batch_equivalence(
         ]
         violations.extend(trials.compare(
             plans, "o5", [f"[{label}] lane {lane}" for lane in range(lanes)],
-            (prot,) if prot else ())[1])
+            (prot,) if prot else (), ("batch", "compiled"))[1])
     return violations
 
 

@@ -29,6 +29,7 @@ from ..obs.events import (
 from ..runtime.errors import TRIAL_TRAPS, classify_trap
 from ..pipeline.registry import PAPER_SCHEMES, get_scheme
 from ..runtime.backend import make_executor
+from ..runtime.compiler import CompiledExecutor
 from ..runtime.faults import (
     DEFAULT_KIND_WEIGHTS,
     FaultPlan,
@@ -37,7 +38,7 @@ from ..runtime.faults import (
 )
 from ..runtime.interpreter import DecodedProgram, Interpreter
 from ..runtime.outcomes import Outcome, classify_output, outputs_equal
-from ..runtime.prefix import GoldenPrefix, capture as capture_prefix
+from ..runtime.prefix import GoldenPrefix, HandOff, HandedOff, capture as capture_prefix
 from ..workloads.base import Workload, WorkloadInput, stable_seed
 from .schemes import (
     PreparedProgram,
@@ -193,9 +194,11 @@ def _run_trial(
     inp: WorkloadInput,
     ctx: "CampaignContext",
     plan: FaultPlan,
+    handoff: bool,
 ) -> TrialRow:
     """One faulted trial on the reference interpreter, fast-forwarded
-    from the campaign's golden prefix when it has one."""
+    from the campaign's golden prefix when it has one and, with
+    *handoff*, finished on the compiled backend once its fault has acted."""
     memory = workload.fresh_memory(prepared.module, inp)
     interp = Interpreter(
         prepared.module, memory=memory, max_steps=ctx.max_steps,
@@ -206,13 +209,19 @@ def _run_trial(
     state = None
     if ctx.prefix is not None:
         state = ctx.prefix.state_for(plan.step, memory, prepared.runtime)
-    value = trap = None
-    detected = False
+    interp.capture = HandOff(plan, state) if handoff else None
+    engine, value, trap, detected = interp, None, None, False
     try:
-        value = interp.run(prepared.main, inp.args, state=state).value
+        try:
+            value = interp.run(prepared.main, inp.args, state=state).value
+        except HandedOff as stop:
+            engine = CompiledExecutor(prepared.module, memory, ctx.max_steps,
+                                      ctx.region, prepared.compiled)
+            engine.intrinsics = prepared.intrinsics
+            value = engine.run(prepared.main, state=stop.args[0]).value
     except TRIAL_TRAPS as exc:
         trap, detected = classify_trap(exc)
-    return TrialRow(value, interp.steps, interp.region_steps, trap, detected,
+    return TrialRow(value, engine.steps, engine.region_steps, trap, detected,
                     memory)
 
 
@@ -433,12 +442,14 @@ def trial_rows(
     state until their intrinsic calls diverge, and leaves each lane's
     statistics in its own fork.  Other backends run the plans one by one
     on the reference interpreter, each fast-forwarded to the latest
-    golden-prefix snapshot at or before its fault step.  The prefix is
-    captured once per campaign (kept on *ctx*), by the first block whose
-    plans' steps sum past the golden run's step count — the prefix work
-    those trials would otherwise replay outweighs the one capture run.
-    Rows are identical across backends, slab widths and fast-forwarding
-    (difftest oracles O5 and O6 compare them).
+    golden-prefix snapshot at or before its fault step; ``"compiled"``
+    finishes each on the compiled backend once its fault has acted.  The
+    prefix is captured once per campaign (kept on *ctx*), by the first
+    block whose plans' steps sum past the golden run's step count — the
+    prefix work those trials would otherwise replay outweighs the one
+    capture run.
+    Rows are identical across backends, slab widths, fast-forwarding and
+    hand-offs (difftest oracles O5 and O6 compare them).
     """
     runtime = prepared.runtime
     if backend != "batch":
@@ -451,7 +462,8 @@ def trial_rows(
                 runtime.reset()
                 since = runtime.total_stats()
             # unbound here, so a row's memory can go before the next trial
-            yield _mark_caught(_run_trial(prepared, workload, inp, ctx, plan),
+            yield _mark_caught(_run_trial(prepared, workload, inp, ctx, plan,
+                                          backend == "compiled"),
                                runtime, since)
         return
     from ..runtime.batch import fork_lanes

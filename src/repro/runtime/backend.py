@@ -5,13 +5,13 @@ Three backends execute IR:
 * ``ref`` — the reference :class:`~repro.runtime.interpreter.Interpreter`:
   tree-walking, instrumented (timing model, SEU fault injection,
   profiling).  The semantics oracle.  Campaign trials off the batch
-  backend run on it, fast-forwarded from golden-run snapshots
-  (:mod:`repro.runtime.prefix`) through ``run(..., state=...)``.
+  backend start on it, fast-forwarded from golden-run snapshots
+  (:mod:`repro.runtime.prefix`); as the default it also finishes them.
 * ``compiled`` — the closure-compiling backend of
   :mod:`repro.runtime.compiler`: clean mode only, observationally
   identical and several times faster.  Besides clean runs it continues
-  (``run(..., state=...)``) faulted batch lanes whose fault has fully
-  acted.
+  (``run(..., state=...)``) faulted campaign trials and batch lanes
+  whose fault has fully acted.
 * ``batch`` — the lane-vectorized batch engine of
   :mod:`repro.runtime.batch`: runs a whole block of fault-injection
   trials in lockstep over one instruction stream.  It applies at the

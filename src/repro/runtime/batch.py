@@ -122,7 +122,7 @@ from ..obs.events import enabled as obs_enabled
 from ..obs.sinks import MemorySink
 from .compiler import CompiledExecutor, CompiledModule, compile_module
 from .errors import TRIAL_TRAPS, CoreDumpError, HangError, SegfaultError, classify_trap
-from .faults import CONTROL_KINDS, SKIP_KINDS, FaultPlan, Region, flip_value
+from .faults import SKIP_KINDS, FaultPlan, Region, flip_value
 from .interpreter import (
     _ADD, _ALLOC, _BR, _CALL, _CBR, _FADD, _FCMP, _FMUL, _FSUB, _ICMP,
     _INTRIN, _LOAD, _MOV, _MUL, _RET, _STORE, _SUB,
@@ -1614,7 +1614,7 @@ class BatchExecutor:
             self._n_invert -= state.invert
             self._n_corrupt -= state.corrupt is not None
             plan = self._plans[lane]
-            if state.pending or (plan is not None and plan.kind in CONTROL_KINDS):
+            if not state.finishes_on_compiled(plan):
                 route = "ref"
                 if self._decoded is None:
                     self._decoded = DecodedProgram(

@@ -142,6 +142,11 @@ class MachineState:
         return (self.trigger is not None or self.skip > 0 or self.invert
                 or self.corrupt is not None or self.cf is not None)
 
+    def finishes_on_compiled(self, plan: Optional[FaultPlan]) -> bool:
+        """Whether the compiled backend may finish this run of *plan*: no fault
+        pending, no control kind (only the reference coredumps on undef reads)."""
+        return not self.pending and (plan is None or plan.kind not in CONTROL_KINDS)
+
 
 class DecodedProgram:
     """Decoded instructions of one module under one fault region and one
@@ -239,10 +244,10 @@ class Interpreter:
         #: would trigger at — the counting pre-run of the incremental
         #: campaign's section partition.
         self.section_trace = None
-        #: optional golden-prefix capture hook (``repro.runtime.prefix``):
-        #: its ``take`` runs at the first block entry at or past region
-        #: step ``at`` and returns the next threshold; its ``call`` runs
-        #: every CALL so it knows each caller's resume point
+        #: optional pause hook (``repro.runtime.prefix``): its ``take`` runs
+        #: at the first block entry (or resumed frame's mid-block re-entry)
+        #: at or past region step ``at`` and returns the next threshold; its
+        #: ``call`` runs every CALL so it knows each caller's resume point
         self.capture = None
 
     # -- public API -----------------------------------------------------------
@@ -517,7 +522,8 @@ class Interpreter:
                 if region_steps >= capture_at:
                     self.steps = steps
                     self.region_steps = region_steps
-                    capture_at = capture.take(self, label)
+                    capture_at = capture.take(
+                        self, label, len(blocks[label]) - len(instrs))
                 for code, dest, ops, extra, in_region in instrs:
                     steps += 1
                     if steps > max_steps:

@@ -20,9 +20,10 @@ at or past each — recording a :class:`Snapshot` there:
 plan's step into a :class:`~repro.runtime.interpreter.MachineState`:
 it patches the trial's fresh memory, restores the runtime and re-emits
 the recorded events, and the trial continues with
-``Interpreter.run(..., state=...)``.  Every instruction a trial executes
-still runs on the reference interpreter, and trap, outputs, ``steps``,
-``region_steps`` and runtime statistics equal a from-scratch trial's.
+``Interpreter.run(..., state=...)``; unless the backend is ``ref``, a
+:class:`HandOff` hook passes it to the compiled backend once the fault
+has fully acted.  Trap, outputs, ``steps``, ``region_steps`` and
+runtime statistics equal a from-scratch trial's.
 """
 from __future__ import annotations
 
@@ -82,8 +83,7 @@ class GoldenPrefix:
         if traced:
             for event in self.events[:snap.events]:
                 obs_emit(event.kind, event.loop, **event.payload)
-        frames = [ResumeFrame(f.func, f.label, f.index, dict(f.regs))
-                  for f in snap.frames]
+        frames = [f._replace(regs=dict(f.regs)) for f in snap.frames]
         return MachineState(frames, memory, snap.steps, snap.region_steps,
                             trigger=step, counts=snap.counts)
 
@@ -101,20 +101,13 @@ class _WriteLog(Memory):
         self.written.add(idx)
 
 
-class _Capture:
-    """The interpreter hook that takes the snapshots."""
+class _Hook:
+    """Frame export for ``Interpreter.capture`` hooks; *outer* holds
+    the frames of the state a resumed run started from."""
 
-    def __init__(self, region_steps: int, runtime, memory: _WriteLog,
-                 recorder: Optional[MemorySink]):
-        self._thresholds = sorted({region_steps * k // SNAPSHOTS
-                                   for k in range(SNAPSHOTS)})
-        self.at = self._thresholds[0]
-        self._runtime = runtime
-        self._memory = memory
-        self._recorder = recorder
-        #: (label, resume index) of every pending call, outermost first
+    def __init__(self, outer: Sequence[ResumeFrame] = ()):
+        self._outer = [(frame.label, frame.index) for frame in outer]
         self._sites: List[tuple] = []
-        self.snapshots: List[Snapshot] = []
 
     def call(self, interp: Interpreter, label: str, index: int, callee,
              vals, vts, depth: int):
@@ -124,17 +117,37 @@ class _Capture:
         finally:
             self._sites.pop()
 
-    def take(self, interp: Interpreter, label: str) -> int:
-        """Snapshot at the entry of block *label* of the innermost frame
-        (capture runs start from scratch, so a loop-top check is always
-        a block entry); returns the next threshold."""
-        positions = self._sites + [(label, 0)]
-        frames = [ResumeFrame(func, lab, index, dict(regs))
-                  for func, (lab, index), regs
-                  in zip(interp._frame_funcs, positions, interp._frames)]
+    def _frames(self, interp: Interpreter, label: str, index: int) -> List[ResumeFrame]:
+        """The frame stack, the innermost paused at (*label*, *index*)."""
+        sites = self._sites
+        # the outer frames still on the stack below the caller of sites[0]
+        positions = (self._outer[:len(interp._frames) - 1 - len(sites)]
+                     + sites + [(label, index)])
+        return [ResumeFrame(func, lab, at, dict(regs))
+                for func, (lab, at), regs
+                in zip(interp._frame_funcs, positions, interp._frames)]
+
+
+class _Capture(_Hook):
+    """The interpreter hook that takes the snapshots."""
+
+    def __init__(self, region_steps: int, runtime, memory: _WriteLog,
+                 recorder: Optional[MemorySink]):
+        super().__init__()
+        self._thresholds = sorted({region_steps * k // SNAPSHOTS
+                                   for k in range(SNAPSHOTS)})
+        self.at = self._thresholds[0]
+        self._runtime = runtime
+        self._memory = memory
+        self._recorder = recorder
+        self.snapshots: List[Snapshot] = []
+
+    def take(self, interp: Interpreter, label: str, index: int) -> int:
+        """Snapshot the paused run; returns the next threshold."""
         memory = self._memory
         self.snapshots.append(Snapshot(
-            interp.region_steps, interp.steps, list(interp.counts), frames,
+            interp.region_steps, interp.steps, list(interp.counts),
+            self._frames(interp, label, index),
             {addr: memory.cells[addr] for addr in memory.written},
             memory.brk,
             self._runtime.snapshot() if self._runtime is not None else None,
@@ -143,6 +156,32 @@ class _Capture:
         thresholds = self._thresholds
         k = bisect_right(thresholds, interp.region_steps)
         self.at = thresholds[k] if k < len(thresholds) else _NEVER
+        return self.at
+
+
+class HandedOff(Exception):
+    """Raised by :class:`HandOff`; ``args[0]`` is the exported state."""
+
+
+class HandOff(_Hook):
+    """Stops a trial of *plan* (resumed from *state*, if any) at the first
+    block entry past its trigger where ``MachineState.finishes_on_compiled``
+    holds; it re-checks while fault state is pending, else disarms."""
+
+    def __init__(self, plan, state: Optional[MachineState] = None):
+        super().__init__(state.frames if state is not None else ())
+        self._plan = plan
+        self.at = plan.step + 1
+
+    def take(self, interp: Interpreter, label: str, index: int) -> int:
+        state = MachineState(
+            self._frames(interp, label, index), interp.memory, interp.steps,
+            interp.region_steps, self._plan.step if interp._fault_pending else None,
+            interp._skip_left, interp._invert_next_cbr, interp._corrupt_next_mem,
+            interp._cf_pick)
+        if state.finishes_on_compiled(self._plan):
+            raise HandedOff(state)
+        self.at = interp.region_steps if state.pending else _NEVER
         return self.at
 
 

@@ -77,3 +77,21 @@ def test_o5_detects_a_seeded_lane_divergence(monkeypatch):
         lambda value, bit: flip_value(value, (bit + 1) & 63))
     violations = check_batch_equivalence(module, seed=0)
     assert violations and all(v.oracle == "o5" for v in violations)
+
+
+def test_o5_detects_a_hand_off_at_the_wrong_instruction(monkeypatch):
+    """Sensitivity: a hand-off hook that exports a frame re-entered
+    mid-block (a caller continuing after its callee returned) as if it
+    paused at the block's start re-executes the block's head on the
+    compiled backend, and o5 must say so."""
+    from repro.runtime.prefix import HandOff
+
+    module = _parse(corpus_modules()[0])  # the corpus program with calls
+    assert check_batch_equivalence(module, seed=7) == []
+
+    take = HandOff.take
+    monkeypatch.setattr(HandOff, "take", lambda self, interp, label, index:
+                        take(self, interp, label, 0))
+    violations = check_batch_equivalence(module, seed=7)
+    assert violations and all(v.oracle == "o5" and "(compiled)" in v.detail
+                              for v in violations)

@@ -1,11 +1,13 @@
-"""Golden-prefix fast-forwarding of reference-interpreter trials.
+"""Golden-prefix fast-forwarding of reference-interpreter trials, and
+their hand-off to the compiled backend.
 
 A fast-forwarded trial restores the latest golden-run snapshot at or
 before its fault step and continues on the reference interpreter.  Every
 per-trial observable — trap, detection, outputs, loop outputs, ``steps``,
 ``region_steps`` and the runtime's stats delta (hence ``caught``) — must
 equal the from-scratch trial's, for stateless and stateful schemes and
-for every fault kind.
+for every fault kind; and it must stay the same when the trial finishes
+on the compiled backend once its fault has fully acted.
 """
 import bisect
 import dataclasses
@@ -26,8 +28,9 @@ from repro.eval.fault_campaign import (
 from repro.eval.schemes import prepare
 from repro.pipeline.registry import all_descriptors
 from repro.runtime.backend import make_executor, set_default_backend
-from repro.runtime.faults import ADVERSARIAL_KIND_WEIGHTS, DEFAULT_KIND_WEIGHTS, FaultPlan
-from repro.runtime.interpreter import Interpreter
+from repro.runtime.compiler import CompiledExecutor
+from repro.runtime.faults import (
+    ADVERSARIAL_KIND_WEIGHTS, CONTROL_KINDS, DEFAULT_KIND_WEIGHTS, FaultPlan)
 from repro.workloads import ALL_WORKLOADS, get_workload
 
 SCALE = 0.35
@@ -55,20 +58,21 @@ def campaign(workload_name, scheme):
 
 
 @pytest.fixture
-def made(monkeypatch):
-    """Every Interpreter the trial runner builds, in order."""
-    instances = []
+def handed_off(monkeypatch):
+    """The state of every trial the trial runner finished on the compiled
+    backend, in order."""
+    states = []
 
-    class Recorded(Interpreter):
-        def __init__(self, *args, **kwargs):
-            super().__init__(*args, **kwargs)
-            instances.append(self)
+    class Recorded(CompiledExecutor):
+        def run(self, func_name, args=(), state=None):
+            states.append(state)
+            return super().run(func_name, args, state=state)
 
-    monkeypatch.setattr(fault_campaign, "Interpreter", Recorded)
-    return instances
+    monkeypatch.setattr(fault_campaign, "CompiledExecutor", Recorded)
+    return states
 
 
-def trial_rows(made, workload, prepared, inp, ctx, plans):
+def trial_rows(workload, prepared, inp, ctx, plans, handoff=False):
     """Per-trial observables, each trial from a freshly reset runtime
     (as ``run_plans`` runs them)."""
     rows = []
@@ -78,22 +82,23 @@ def trial_rows(made, workload, prepared, inp, ctx, plans):
         if runtime is not None:
             runtime.reset()
             since = runtime.total_stats()
-        row = fault_campaign._run_trial(prepared, workload, inp, ctx, plan)
+        row = fault_campaign._run_trial(prepared, workload, inp, ctx, plan,
+                                        handoff)
         output = loop_output = []
         if row.trap is None:
             output = row.memory.read_global(*inp.output)
             loop_output = row.memory.read_global(*inp.loop_output)
         delta = runtime.stats_delta(since) if runtime is not None else None
         rows.append((row.trap, row.detected, [repr(v) for v in output],
-                     [repr(v) for v in loop_output], made[-1].steps,
+                     [repr(v) for v in loop_output], row.steps,
                      row.region_steps, delta))
     return rows
 
 
-def assert_equivalent(made, workload, prepared, inp, ctx, plans):
+def assert_equivalent(workload, prepared, inp, ctx, plans):
     scratch = dataclasses.replace(ctx, prefix=None)
-    want = trial_rows(made, workload, prepared, inp, scratch, plans)
-    got = trial_rows(made, workload, prepared, inp, ctx, plans)
+    want = trial_rows(workload, prepared, inp, scratch, plans)
+    got = trial_rows(workload, prepared, inp, ctx, plans)
     for plan, a, b in zip(plans, want, got):
         assert b == a, plan
     return want
@@ -107,12 +112,11 @@ class TestEquivalence:
     @pytest.mark.parametrize("weights", sorted(WEIGHTS))
     @pytest.mark.parametrize("workload_name,scheme", CASES,
                              ids=[f"{w}-{s}" for w, s in CASES])
-    def test_trials_match_from_scratch(self, made, workload_name, scheme,
-                                       weights):
+    def test_trials_match_from_scratch(self, workload_name, scheme, weights):
         workload, prepared, inp, ctx = campaign(workload_name, scheme)
         plans = seeded_plans(SEED, workload.name, scheme, 0, 24,
                              ctx.region_steps, WEIGHTS[weights])
-        assert_equivalent(made, workload, prepared, inp, ctx, plans)
+        assert_equivalent(workload, prepared, inp, ctx, plans)
 
     def test_campaign_tallies_match_capture_off(self, monkeypatch):
         """Through ``run_plans`` (which decides when to capture): the
@@ -131,7 +135,7 @@ class TestEquivalence:
 
 
 class TestEdges:
-    def test_step_zero_a_snapshot_step_and_the_last_step(self, made):
+    def test_step_zero_a_snapshot_step_and_the_last_step(self):
         workload, prepared, inp, ctx = campaign("sgemm", "AR50")
         marks = [snap.region_steps for snap in ctx.prefix.snapshots]
         assert len(marks) > 8 and marks == sorted(set(marks))
@@ -142,23 +146,23 @@ class TestEdges:
                  for kind, bit, pick in (("value", 3, 0.01), ("value", 62, 0.3),
                                          ("branch", 0, 0.0), ("addr", 7, 0.0),
                                          ("skip", 0, 0.0), ("cf", 0, 0.6))]
-        assert_equivalent(made, workload, prepared, inp, ctx, plans)
+        assert_equivalent(workload, prepared, inp, ctx, plans)
 
-    def test_hang_counts_the_skipped_prefix(self, made):
+    def test_hang_counts_the_skipped_prefix(self):
         workload, prepared, inp, ctx = campaign("conv1d", "UNSAFE")
         plans = seeded_plans(0, workload.name, "UNSAFE", 0, 200,
                              ctx.region_steps, ADVERSARIAL_KIND_WEIGHTS)
         scratch = dataclasses.replace(ctx, prefix=None)
         hangs = [plan for plan, row in zip(plans, trial_rows(
-            made, workload, prepared, inp, scratch, plans))
+            workload, prepared, inp, scratch, plans))
             if row[0] == "hang"]
         assert hangs, "no hanging trial among the drawn plans"
         assert any(plan.step >= ctx.prefix.snapshots[1].region_steps
                    for plan in hangs)  # some hang really skips a prefix
-        rows = assert_equivalent(made, workload, prepared, inp, ctx, hangs)
+        rows = assert_equivalent(workload, prepared, inp, ctx, hangs)
         assert all(row[4] == ctx.max_steps + 1 for row in rows)
 
-    def test_one_snapshot_serves_trials_that_corrupt_state(self, made):
+    def test_one_snapshot_serves_trials_that_corrupt_state(self):
         """The first trial corrupts memory (an SDC) or the runtime's state
         (a caught fault) after restoring a snapshot; the snapshot itself
         stays intact, so the next trial restored from it still matches
@@ -167,7 +171,7 @@ class TestEdges:
         plans = seeded_plans(SEED, workload.name, "AR50", 0, 60,
                              ctx.region_steps)
         scratch = dataclasses.replace(ctx, prefix=None)
-        rows = trial_rows(made, workload, prepared, inp, scratch, plans)
+        rows = trial_rows(workload, prepared, inp, scratch, plans)
         golden = [repr(v) for v in ctx.golden]
         first = next(plan for plan, row in zip(plans, rows)
                      if row[0] is None and row[2] != golden
@@ -176,16 +180,84 @@ class TestEdges:
         snap = ctx.prefix.snapshots[bisect.bisect_right(marks, first.step) - 1]
         before = pickle.dumps(snap)
         second = FaultPlan(snap.region_steps, "value", bit=0, pick=0.99)
-        assert_equivalent(made, workload, prepared, inp, ctx, [first, second])
+        assert_equivalent(workload, prepared, inp, ctx, [first, second])
         assert pickle.dumps(snap) == before
 
-    def test_snapshot_inside_a_callee_frame(self, made):
+    def test_snapshot_inside_a_callee_frame(self):
         workload, prepared, inp, ctx = campaign("sgemm", "AR50")
         nested = [snap for snap in ctx.prefix.snapshots if len(snap.frames) > 1]
         assert nested, "no snapshot was taken inside a callee"
         plans = [FaultPlan(snap.region_steps + k, "value", bit=52, pick=0.1)
                  for snap in nested[:4] for k in (0, 1, 9)]
-        assert_equivalent(made, workload, prepared, inp, ctx, plans)
+        assert_equivalent(workload, prepared, inp, ctx, plans)
+
+
+def handoff_rows(workload, prepared, inp, ctx, plans, handed_off):
+    """Per-trial observables with the hand-off on, and per plan whether
+    its trial finished on the compiled backend."""
+    rows, moved = [], []
+    for plan in plans:
+        before = len(handed_off)
+        rows += trial_rows(workload, prepared, inp, ctx, [plan], handoff=True)
+        moved.append(len(handed_off) > before)
+    return rows, moved
+
+
+def assert_handoff_equivalent(workload, prepared, inp, ctx, plans, handed_off):
+    want = trial_rows(workload, prepared, inp, ctx, plans)
+    got, moved = handoff_rows(workload, prepared, inp, ctx, plans, handed_off)
+    for plan, a, b in zip(plans, want, got):
+        assert b == a, plan
+    return want, moved
+
+
+class TestHandoff:
+    """A trial whose fault has fully acted finishes on the compiled
+    backend with the rows the reference interpreter produces alone."""
+
+    @pytest.mark.parametrize("weights", sorted(WEIGHTS))
+    @pytest.mark.parametrize("workload_name,scheme", CASES,
+                             ids=[f"{w}-{s}" for w, s in CASES])
+    def test_rows_match_the_reference(self, handed_off, workload_name, scheme,
+                                      weights):
+        workload, prepared, inp, ctx = campaign(workload_name, scheme)
+        plans = seeded_plans(SEED, workload.name, scheme, 0, 24,
+                             ctx.region_steps, WEIGHTS[weights])
+        _, moved = assert_handoff_equivalent(workload, prepared, inp, ctx,
+                                             plans, handed_off)
+        control = [m for plan, m in zip(plans, moved)
+                   if plan.kind in CONTROL_KINDS]
+        others = [m for plan, m in zip(plans, moved)
+                  if plan.kind not in CONTROL_KINDS]
+        assert not any(control)
+        assert sum(others) > len(others) // 2
+
+    def test_hangs_hand_off(self, handed_off):
+        workload, prepared, inp, ctx = campaign("conv1d", "UNSAFE")
+        plans = seeded_plans(0, workload.name, "UNSAFE", 0, 200,
+                             ctx.region_steps, ADVERSARIAL_KIND_WEIGHTS)
+        hangs = [plan for plan, row in zip(plans, trial_rows(
+            workload, prepared, inp, ctx, plans)) if row[0] == "hang"]
+        assert hangs, "no hanging trial among the drawn plans"
+        rows, moved = assert_handoff_equivalent(workload, prepared, inp, ctx,
+                                                hangs, handed_off)
+        assert all(row[4] == ctx.max_steps + 1 for row in rows)
+        assert any(moved)
+
+    def test_fault_inside_a_callee(self, handed_off):
+        """Faults in a callee entered before the trial's snapshot: the
+        trial hands off inside the callee (its caller resumes at the
+        snapshot's call site) or, once the callee has returned, as the
+        caller re-enters its block after the call."""
+        workload, prepared, inp, ctx = campaign("sgemm", "AR50")
+        nested = [snap for snap in ctx.prefix.snapshots if len(snap.frames) > 1]
+        plans = [FaultPlan(snap.region_steps + k, kind, bit=52, pick=0.1)
+                 for snap in nested[:2] for k in range(48)
+                 for kind in ("value", "addr", "branch")]
+        assert_handoff_equivalent(workload, prepared, inp, ctx, plans,
+                                  handed_off)
+        assert any(len(state.frames) > 1 for state in handed_off)
+        assert any(state.frames[-1].index > 0 for state in handed_off)
 
 
 class TestCapture:
@@ -218,11 +290,11 @@ class TestCapture:
 @pytest.mark.slow
 @pytest.mark.parametrize("workload_name,scheme,weights", [
     ("sgemm", "AR50", "default"), ("conv1d", "UNSAFE", "adversarial")])
-def test_500_trials_match_from_scratch(made, workload_name, scheme, weights):
+def test_500_trials_match_from_scratch(workload_name, scheme, weights):
     workload, prepared, inp, ctx = campaign(workload_name, scheme)
     plans = seeded_plans(0, workload.name, scheme, 0, 500,
                          ctx.region_steps, WEIGHTS[weights])
-    assert_equivalent(made, workload, prepared, inp, ctx, plans)
+    assert_equivalent(workload, prepared, inp, ctx, plans)
 
 
 class TestGoldenContext:

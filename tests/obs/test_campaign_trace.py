@@ -8,6 +8,7 @@ import pytest
 from repro.eval import Harness, fault_campaign
 from repro.eval.campaign_engine import run_campaign_parallel, run_campaigns
 from repro.obs import RunManifest, read_trace
+from repro.runtime.compiler import CompiledExecutor
 from repro.runtime.backend import set_default_backend
 from repro.runtime.faults import ADVERSARIAL_KIND_WEIGHTS
 from repro.workloads import get_workload
@@ -179,6 +180,40 @@ class TestTraceContents:
         assert "ref.capture" in spans
         assert "ref.capture" not in [
             label for label, _ in RunManifest.load(slow_out).spans]
+
+    def test_handed_off_trials_emit_the_reference_trace(self, tmp_path,
+                                                         monkeypatch):
+        """Trials that finish on the compiled backend once their fault
+        has acted (the default backend) write the trace body the
+        reference interpreter writes alone."""
+        sgemm = get_workload("sgemm")
+        profiles = Harness(sgemm, scale=SCALE, timing=False).profiles_for(0.5)
+        handoffs = []
+
+        class Recorded(CompiledExecutor):
+            def run(self, func_name, args=(), state=None):
+                handoffs.append(state is not None)
+                return super().run(func_name, args, state=state)
+
+        monkeypatch.setattr(fault_campaign, "CompiledExecutor", Recorded)
+
+        def traced(name, backend):
+            out = str(tmp_path / name)
+            set_default_backend(backend)
+            try:
+                run_campaign_parallel(
+                    sgemm, "AR50", 60, scale=SCALE, profiles=profiles,
+                    jobs=1, chunk=60, trace_out=out)
+            finally:
+                set_default_backend(None)
+            with open(out, "rb") as handle:
+                return out, handle.read()
+
+        _, ref = traced("ref.jsonl", "ref")
+        assert not handoffs
+        _, default = traced("default.jsonl", None)
+        assert default == ref
+        assert sum(handoffs) > 30  # most of the 60 trials handed off
 
     def test_untraced_campaign_writes_nothing(self, conv1d, conv1d_profiles,
                                               tmp_path, monkeypatch):
