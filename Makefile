@@ -12,7 +12,8 @@ test:
 ## incremental-campaign equivalence over 10) + a batch-backend campaign
 ## smoke (tallies must be byte-identical to the reference path), also
 ## for a stateful scheme (sgemm AR50: forked lane runtimes, tail lanes
-## resumed on the compiled backend, trapping lanes) + a mixed-kinds
+## handed off to the compiled backend once their fault has acted,
+## trapping lanes) + a mixed-kinds
 ## smoke (SEU + skip/cf kinds in one campaign, again serial==batch;
 ## each of these three runs its serial side under the ref backend) + a
 ## hand-off smoke (default-backend trials finish on the compiled backend

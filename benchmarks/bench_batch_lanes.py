@@ -1,13 +1,17 @@
 """Campaign throughput: serial trial blocks vs the lane-vectorized batch.
 
-Runs the same block of fault-injection trials through the serial
-reference path (`run_trial_block`, one interpreter execution per trial)
-and the batch engine (`run_trial_block_batch`, the whole block as lanes
-of one lockstep execution), checks the tallies are byte-identical, and
-records trials/second for both.  ``python benchmarks/bench_batch_lanes.py``
+Runs the same block of fault-injection trials three ways: the serial
+reference path (`run_trial_block`, one interpreter execution per
+trial), the serial default path (`run_trial_block(...,
+backend="compiled")`, each trial handed to the compiled backend once
+its fault has acted — what a default campaign runs) and the batch
+engine (`run_trial_block_batch`, the whole block as lanes of one
+lockstep execution).  It checks the three tallies are byte-identical
+and records trials/second for each, with the batch engine's speedup
+over both serial paths.  ``python benchmarks/bench_batch_lanes.py``
 writes ``BENCH_batch_lanes.json`` at the repository root; the pytest
-wrapper asserts the batch engine clears its 10x contract on at least
-two workloads.
+wrapper asserts the batch engine clears its 10x contract against the
+reference path on at least two workloads.
 
 The mix is deliberately honest: sgemm and conv1d are long-region
 workloads where divergence windows stay sparse (the best case), SWIFT
@@ -35,7 +39,7 @@ from repro.workloads import get_workload
 
 TRIALS = int(os.environ.get("REPRO_BENCH_BATCH_TRIALS", "200"))
 
-#: The batch engine's contract (ISSUE: perf acceptance threshold) ...
+#: The batch engine's contract against the reference path ...
 REQUIRED_SPEEDUP = 10.0
 #: ... on at least this many of the measured workloads.
 REQUIRED_WORKLOADS = 2
@@ -66,7 +70,8 @@ def _measure(block, repeats=2):
 
 
 def measure_campaign_throughput(trials=TRIALS):
-    """trials/sec per (workload, scheme) for both engines, plus ratios."""
+    """trials/sec per (workload, scheme) for the three paths, plus the
+    batch engine's speedups over the serial ones."""
     results = {}
     for wname, scheme_name, scale, factor in CONFIGS:
         count = max(8, int(trials * factor))
@@ -78,9 +83,14 @@ def measure_campaign_throughput(trials=TRIALS):
 
         serial_s, serial = _measure(lambda: run_trial_block(
             prepared, workload, inp, ctx, scheme, SEED, 0, count))
+        default_s, default = _measure(lambda: run_trial_block(
+            prepared, workload, inp, ctx, scheme, SEED, 0, count,
+            backend="compiled"))
         batch_s, batch = _measure(lambda: run_trial_block_batch(
             prepared, workload, inp, ctx, scheme, SEED, 0, count))
         # throughput without equivalence is meaningless
+        assert default.to_dict() == serial.to_dict(), \
+            f"{wname}/{scheme}: default-path tallies diverged from serial"
         assert batch.to_dict() == serial.to_dict(), \
             f"{wname}/{scheme}: batch tallies diverged from serial"
 
@@ -88,8 +98,10 @@ def measure_campaign_throughput(trials=TRIALS):
             "trials": count,
             "region_steps": ctx.region_steps,
             "serial_trials_per_sec": round(count / serial_s, 2),
+            "default_trials_per_sec": round(count / default_s, 2),
             "batch_trials_per_sec": round(count / batch_s, 2),
             "speedup": round(serial_s / batch_s, 1),
+            "speedup_vs_default": round(default_s / batch_s, 1),
         }
     return results
 
@@ -117,8 +129,10 @@ def test_batch_engine_speedup():
     print("\n== batch-lane campaign throughput ==")
     for name, row in results.items():
         print(f"  {name}: serial {row['serial_trials_per_sec']:.1f} "
+              f"trials/s  default {row['default_trials_per_sec']:.1f} "
               f"trials/s  batch {row['batch_trials_per_sec']:.1f} trials/s  "
-              f"({row['speedup']:.1f}x)")
+              f"({row['speedup']:.1f}x, {row['speedup_vs_default']:.1f}x "
+              f"vs default)")
     cleared = sum(
         1 for row in results.values() if row["speedup"] >= REQUIRED_SPEEDUP)
     assert cleared >= REQUIRED_WORKLOADS, (

@@ -56,20 +56,13 @@ ALLOWED: Dict[str, str] = {
         "the compiled backend keeps the reference engine's interface",
     "repro.obs.events.sink_installed":
         "scoped install_sink/remove_sink for library users",
-    "repro.runtime.profiling.Profile.render":
-        "text table of a per-function profile for interactive use",
-    "repro.workloads.inputs.random_walk":
-        "input series for custom workloads, next to smooth_series",
     "repro.ir.builder.IRBuilder.or_": "IRBuilder has one emitter per opcode",
     "repro.ir.function.Function.reorder_blocks": _IR_API,
     "repro.ir.instructions.Instr.is_sync_point": _IR_API,
     "repro.ir.types.Type.is_pointer": _IR_API,
     "repro.ir.values.Value.is_reg": _IR_API,
     "repro.ir.values.Value.is_const": _IR_API,
-    "repro.analysis.cfg.CFG.reachable": _ANALYSIS_API,
-    "repro.analysis.costmodel.estimate_block_cost": _ANALYSIS_API,
     "repro.analysis.liveness.Liveness.live_at": _ANALYSIS_API,
-    "repro.analysis.loops.Loop.exits": _ANALYSIS_API,
 }
 
 

@@ -21,18 +21,6 @@ class CFG:
                     self.preds[s].append(label)
         self.entry = func.block_order()[0]
 
-    def reachable(self) -> Set[str]:
-        """Blocks reachable from the entry."""
-        seen: Set[str] = set()
-        stack = [self.entry]
-        while stack:
-            label = stack.pop()
-            if label in seen:
-                continue
-            seen.add(label)
-            stack.extend(self.succs.get(label, ()))
-        return seen
-
     def postorder(self) -> List[str]:
         """Postorder over reachable blocks (iterative DFS)."""
         seen: Set[str] = set()

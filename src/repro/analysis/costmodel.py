@@ -103,14 +103,3 @@ def estimate_function_cost(
                 )
             total += cost * weight
     return total
-
-
-def estimate_block_cost(func: Function, label: str, module: Optional[Module] = None) -> int:
-    """Unscaled cost of a single block (no loop-depth weighting)."""
-    total = 0
-    for instr in func.blocks[label].instrs:
-        cost = instr_cost(instr)
-        if instr.op is Opcode.CALL and module is not None and instr.callee in module.functions:
-            cost += estimate_function_cost(module.functions[instr.callee], module)
-        total += cost
-    return total

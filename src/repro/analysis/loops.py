@@ -8,7 +8,7 @@ bound, step) that the builder emits and the parser accepts.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set
 
 from ..ir.function import Function
 from ..ir.instructions import CmpPred, Instr, Opcode
@@ -38,15 +38,6 @@ class Loop:
             d += 1
             cur = cur.parent
         return d
-
-    def exits(self, cfg: CFG) -> List[Tuple[str, str]]:
-        """(inside_block, outside_block) exit edges."""
-        out = []
-        for label in sorted(self.blocks):
-            for succ in cfg.succs.get(label, ()):
-                if succ not in self.blocks:
-                    out.append((label, succ))
-        return out
 
     def contains(self, label: str) -> bool:
         return label in self.blocks

@@ -15,8 +15,7 @@ import random
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import partial
-from typing import (
-    Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple)
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..core.config import RSkipConfig
 from ..core.manager import LoopProfile
@@ -29,16 +28,15 @@ from ..obs.events import (
 from ..runtime.errors import TRIAL_TRAPS, classify_trap
 from ..pipeline.registry import PAPER_SCHEMES, get_scheme
 from ..runtime.backend import make_executor
-from ..runtime.compiler import CompiledExecutor
 from ..runtime.faults import (
     DEFAULT_KIND_WEIGHTS,
     FaultPlan,
     Region,
     random_plan,
 )
-from ..runtime.interpreter import DecodedProgram, Interpreter
+from ..runtime.interpreter import DecodedProgram
 from ..runtime.outcomes import Outcome, classify_output, outputs_equal
-from ..runtime.prefix import GoldenPrefix, HandOff, HandedOff, capture as capture_prefix
+from ..runtime.prefix import GoldenPrefix, TrialRow, capture as capture_prefix, finish
 from ..workloads.base import Workload, WorkloadInput, stable_seed
 from .schemes import (
     PreparedProgram,
@@ -171,23 +169,6 @@ class CampaignResult:
         return result
 
 
-class TrialRow(NamedTuple):
-    """One finished trial, the same for every engine: the observables of
-    a :class:`~repro.runtime.batch.LaneResult` plus the memory the trial
-    ended with (a :class:`~repro.runtime.memory.Memory`, or a batch
-    lane's view with the same ``read_global``) and whether RSkip's exact
-    validation flagged a mismatch during it."""
-
-    value: object
-    steps: int
-    region_steps: int
-    #: ``None`` | ``"segfault"`` | ``"coredump"`` | ``"hang"``
-    trap: Optional[str]
-    detected: bool
-    memory: object
-    caught: bool = False
-
-
 def _run_trial(
     prepared: PreparedProgram,
     workload: Workload,
@@ -200,29 +181,13 @@ def _run_trial(
     from the campaign's golden prefix when it has one and, with
     *handoff*, finished on the compiled backend once its fault has acted."""
     memory = workload.fresh_memory(prepared.module, inp)
-    interp = Interpreter(
-        prepared.module, memory=memory, max_steps=ctx.max_steps,
-        fault_plan=plan, fault_region=ctx.region,
-        decoded=ctx.decoded_for(prepared.module, memory),
-    )
-    interp.register_intrinsics(prepared.intrinsics)
     state = None
     if ctx.prefix is not None:
         state = ctx.prefix.state_for(plan.step, memory, prepared.runtime)
-    interp.capture = HandOff(plan, state) if handoff else None
-    engine, value, trap, detected = interp, None, None, False
-    try:
-        try:
-            value = interp.run(prepared.main, inp.args, state=state).value
-        except HandedOff as stop:
-            engine = CompiledExecutor(prepared.module, memory, ctx.max_steps,
-                                      ctx.region, prepared.compiled)
-            engine.intrinsics = prepared.intrinsics
-            value = engine.run(prepared.main, state=stop.args[0]).value
-    except TRIAL_TRAPS as exc:
-        trap, detected = classify_trap(exc)
-    return TrialRow(value, engine.steps, engine.region_steps, trap, detected,
-                    memory)
+    return finish(prepared.module, memory, plan, prepared.intrinsics,
+                  ctx.region, ctx.max_steps,
+                  ctx.decoded_for(prepared.module, memory), prepared.compiled,
+                  prepared.main, inp.args, state=state, handoff=handoff)
 
 
 def _run_once_batch(
@@ -230,8 +195,7 @@ def _run_once_batch(
     workload: Workload,
     inp: WorkloadInput,
     plans: Sequence[FaultPlan],
-    region: Optional[Region],
-    max_steps: int,
+    ctx: "CampaignContext",
     runtimes: Optional[list],
 ) -> List[TrialRow]:
     """A whole trial chunk as one lane-vectorized execution.
@@ -248,17 +212,13 @@ def _run_once_batch(
     from ..runtime.batch import BatchExecutor
 
     template = workload.fresh_memory(prepared.module, inp)
-    executor = BatchExecutor(
+    return BatchExecutor(
         prepared.module, template, len(plans), fault_plans=list(plans),
-        fault_region=region, max_steps=max_steps,
+        fault_region=ctx.region, max_steps=ctx.max_steps,
         intrinsics=prepared.intrinsics if runtimes is None else None,
         compiled=prepared.compiled, runtimes=runtimes,
-    )
-    return [
-        TrialRow(res.value, res.steps, res.region_steps, res.trap,
-                 res.detected, executor.lane_memory(i))
-        for i, res in enumerate(executor.run(prepared.main, inp.args))
-    ]
+        decoded=ctx.decoded_for(prepared.module, template),
+    ).run(prepared.main, inp.args)
 
 
 @dataclass
@@ -482,8 +442,8 @@ def trial_rows(
         gc_was_enabled = gc.isenabled()
         gc.disable()
         try:
-            rows = _run_once_batch(prepared, workload, inp, slab, ctx.region,
-                                   ctx.max_steps, slab_runtimes)
+            rows = _run_once_batch(prepared, workload, inp, slab, ctx,
+                                   slab_runtimes)
         finally:
             if gc_was_enabled:
                 gc.enable()

@@ -41,7 +41,8 @@ from .compiler import (
     compile_module,
     module_fingerprint,
 )
-from .batch import BatchExecutor, LaneResult
+from .batch import BatchExecutor
+from .prefix import TrialRow
 from .backend import (
     BACKENDS,
     default_backend,
@@ -62,6 +63,6 @@ __all__ = [
     "OPCODES", "OPERAND_ARITY", "RunResult",
     "CompiledExecutor", "CompiledModule", "clear_compile_cache",
     "compile_module", "module_fingerprint",
-    "BatchExecutor", "LaneResult",
+    "BatchExecutor", "TrialRow",
     "BACKENDS", "default_backend", "make_executor", "set_default_backend",
 ]

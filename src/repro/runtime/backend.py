@@ -17,10 +17,10 @@ Three backends execute IR:
   trials in lockstep over one instruction stream.  It applies at the
   campaign-chunk level (``repro.eval.fault_campaign`` routes trial
   blocks through it when it is the default backend).  Lanes that leave
-  lockstep finish on ``compiled`` once their fault has fully acted and
-  on ``ref`` otherwise.  A single :func:`make_executor` call cannot
-  express "many trials", so here ``batch`` behaves like ``compiled``
-  for clean runs and like ``ref`` for instrumented ones.
+  lockstep finish like ``compiled`` campaign trials (``prefix.finish``).
+  A single :func:`make_executor` call cannot express "many trials", so
+  here ``batch`` behaves like ``compiled`` for clean runs and like
+  ``ref`` for instrumented ones.
 
 :func:`make_executor` picks the backend: any *instrumented* request
 (a fault plan, a timing model, or a profile) always routes to the

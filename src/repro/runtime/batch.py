@@ -58,14 +58,14 @@ Divergence and retirement
   does a lane whose skip or control-flow fault just fired.  Each such
   lane exports a :class:`~repro.runtime.interpreter.MachineState` (its
   frames, its memory view, both counters and its pending fault state)
-  and finishes alone.  A lane whose fault
-  has fully acted — no trigger, inversion or address corruption left,
-  and not a skip/cf plan — is a clean run from there on and resumes on
-  the compiled backend; every other lane resumes on the reference
-  interpreter.  A faulted lane that hangs burns through ``HANG_FACTOR``
+  and finishes alone the way a campaign trial does
+  (:func:`repro.runtime.prefix.finish`): on the reference interpreter
+  until its fault has fully acted — no trigger, inversion or address
+  corruption left, and not a skip/cf plan — then on the compiled
+  backend.  A faulted lane that hangs burns through ``HANG_FACTOR``
   baseline budgets alone, so the tail can take a large share of a
-  campaign's time; the ``batch.lockstep`` / ``batch.tail:compiled`` /
-  ``batch.tail:ref`` spans report the split when a sink is installed.
+  campaign's time; the ``batch.lockstep`` / ``batch.tail`` spans report
+  the split when a sink is installed.
 
 Value ops take their semantics from :mod:`repro.runtime.semantics`: the
 uniform path calls its ``OPS`` table for every cold op, the sparse path
@@ -110,7 +110,6 @@ different exception than the reference's ``KeyError``.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from time import perf_counter
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -120,7 +119,7 @@ from ..ir.values import Const, GlobalAddr, Reg
 from ..obs.events import current_sink, diverted, emit as obs_emit
 from ..obs.events import enabled as obs_enabled
 from ..obs.sinks import MemorySink
-from .compiler import CompiledExecutor, CompiledModule, compile_module
+from .compiler import CompiledModule, compile_module
 from .errors import TRIAL_TRAPS, CoreDumpError, HangError, SegfaultError, classify_trap
 from .faults import SKIP_KINDS, FaultPlan, Region, flip_value
 from .interpreter import (
@@ -131,11 +130,11 @@ from .interpreter import (
     OPERAND_ARITY,
     REGISTER_FILE_SIZE,
     DecodedProgram,
-    Interpreter,
     MachineState,
     ResumeFrame,
 )
 from .memory import Memory
+from .prefix import TrialRow, finish
 from .semantics import CODE as _CODE, LAST_VALUE_OP, OPS as _OPS, PRED as _PRED
 from .semantics import HUGE_INT as _HUGE_INT, INT_MASK64 as _INT_MASK64, apply
 
@@ -157,20 +156,6 @@ _MISS = object()
 #: Layered accesses after which a lane memory flattens its prefix: the
 #: copy costs about as much as this many layered lookups.
 FLATTEN_AFTER = 256
-
-
-@dataclass
-class LaneResult:
-    """What one lane of a batched run produced (mirrors the observable
-    state of one reference-interpreter trial)."""
-
-    value: object
-    steps: int
-    region_steps: int
-    #: ``None`` | ``"segfault"`` | ``"coredump"`` | ``"hang"``
-    trap: Optional[str] = None
-    detected: bool = False
-    finished: bool = False
 
 
 def _check_addr(addr, size: int) -> int:
@@ -474,9 +459,11 @@ class BatchExecutor:
     calls, and each lane's runtime ends up holding its trial's
     statistics.
 
-    ``run`` returns one :class:`LaneResult` per lane; final memory state
-    is read through :meth:`lane_memory`, whose view composes the lane's
-    overlay, its group's write layer and the shared template.  With a
+    ``run`` returns one :class:`~repro.runtime.prefix.TrialRow` per
+    lane whose memory, the view :meth:`lane_memory` also returns,
+    composes the lane's overlay, its group's write layer and the shared
+    template; tail lanes finish on the *compiled* and *decoded* programs
+    passed in (a campaign's own).  With a
     sink installed, ``group_calls``/``lane_calls`` count the lockstep
     calls of stateful intrinsics made once per group and once per lane,
     and ``state_copies`` the lanes given their own runtime state.
@@ -493,6 +480,7 @@ class BatchExecutor:
         intrinsics=None,
         compiled: Optional[CompiledModule] = None,
         runtimes=None,
+        decoded: Optional[DecodedProgram] = None,
     ):
         if n_lanes <= 0:
             raise ValueError("a batch needs at least one lane")
@@ -551,17 +539,17 @@ class BatchExecutor:
         # instruction-skip / control-flow fault state: remaining dynamic
         # instructions to drop, and the pending wrong-target pick.  Lanes
         # carrying these leave lockstep the moment the trigger fires (their
-        # instruction stream diverges); the tail hands them to the reference.
+        # instruction stream diverges) and finish in the tail.
         self._skip = [0] * n_lanes
         self._cf: List[Optional[float]] = [None] * n_lanes
-        #: the compiled program tail lanes resume on (looked up once),
-        #: and the program decoded for the reference tail (decoded once)
+        #: the programs tail lanes finish on, compiled and decoded once
         self._compiled = compiled
-        self._decoded: Optional[DecodedProgram] = None
-        #: wall-clock ms per tail route, kept only while a sink is installed
-        self._tail_ms: Optional[Dict[str, float]] = None
+        self._decoded = decoded or DecodedProgram(module, fault_region, template)
+        #: wall-clock ms of tail lanes, summed while a sink is installed
+        self._tail_ms = 0.0
         self._ovs: List[dict] = [dict() for _ in range(n_lanes)]
-        self._results: List[Optional[LaneResult]] = [None] * n_lanes
+        #: each lane's row, its memory view attached when ``run`` returns
+        self._results: List[Optional[TrialRow]] = [None] * n_lanes
         self._lmems: List[Optional[_LaneMem]] = [None] * n_lanes
         self._dcache: Dict[str, tuple] = {}
 
@@ -743,8 +731,8 @@ class BatchExecutor:
         for row, exc in dead.items():
             trap, det = classify_trap(exc)
             lane = g.rows[row]
-            self._results[lane] = LaneResult(
-                None, g.steps, g.region_steps, trap, det)
+            self._results[lane] = TrialRow(
+                None, g.steps, g.region_steps, trap, det, None)
             if snap is None:
                 snap = dict(g.gmem)
             self._bind_lane(lane, snap, brks[row] if brks is not None else g.brk)
@@ -770,7 +758,8 @@ class BatchExecutor:
         trap, det = classify_trap(exc)
         brks = g.brks
         for i, lane in enumerate(g.rows):
-            self._results[lane] = LaneResult(None, g.steps, g.region_steps, trap, det)
+            self._results[lane] = TrialRow(
+                None, g.steps, g.region_steps, trap, det, None)
             self._bind_lane(lane, g.gmem, brks[i] if brks is not None else g.brk)
         g.rows[:] = []
 
@@ -864,7 +853,7 @@ class BatchExecutor:
         return (*out, recorder.events)
 
     # -- public API ---------------------------------------------------------
-    def run(self, func_name: str = "main", args: Sequence = ()) -> List[LaneResult]:
+    def run(self, func_name: str = "main", args: Sequence = ()) -> List[TrialRow]:
         func = self.module.get_function(func_name)
         if len(args) != len(func.params):
             raise TypeError(
@@ -887,26 +876,17 @@ class BatchExecutor:
             group.nshare = self.n_lanes
         work = [group]
         self._traced = obs_enabled()
-        if self._traced:
-            self._tail_ms = {"compiled": 0.0, "ref": 0.0}
-            t0 = perf_counter()
+        self._tail_ms = 0.0
+        t0 = perf_counter()
         while work:
             self._run_group(work.pop(), work)
-        tail_ms = self._tail_ms
-        if tail_ms is not None:
-            sink = current_sink()
-            if sink is not None:
-                total = (perf_counter() - t0) * 1000.0
-                sink.record_span("batch.lockstep", total - sum(tail_ms.values()))
-                for route, ms in tail_ms.items():
-                    sink.record_span(f"batch.tail:{route}", ms)
-            self._tail_ms = None
-        results = []
-        for lane in range(self.n_lanes):
-            res = self._results[lane]
-            assert res is not None, f"lane {lane} neither finished nor retired"
-            results.append(res)
-        return results
+        sink = current_sink() if self._traced else None
+        if sink is not None:
+            total = (perf_counter() - t0) * 1000.0
+            sink.record_span("batch.lockstep", total - self._tail_ms)
+            sink.record_span("batch.tail", self._tail_ms)
+        return [self._results[lane]._replace(memory=self.lane_memory(lane))
+                for lane in range(self.n_lanes)]
 
     # -- the lockstep machine ----------------------------------------------
     def _run_group(self, g: _Group, work: List[_Group]) -> None:
@@ -1374,9 +1354,9 @@ class BatchExecutor:
                         brks = g.brks
                         for i in range(L):
                             lane = rows[i]
-                            self._results[lane] = LaneResult(
+                            self._results[lane] = TrialRow(
                                 _at(rv, i),
-                                g.steps, g.region_steps, None, False, True)
+                                g.steps, g.region_steps, None, False, None)
                             self._bind_lane(
                                 lane, gmem,
                                 brks[i] if brks is not None else g.brk)
@@ -1588,13 +1568,15 @@ class BatchExecutor:
     # -- the tail -----------------------------------------------------------
     def _finish_tail(self, g: _Group) -> None:
         """Finish every lane of a small group off lockstep: each exports
-        a :class:`MachineState` and resumes alone, on the compiled backend
-        when its fault has fully acted, else on the reference."""
+        a :class:`MachineState` and runs alone to its end, as a campaign
+        trial does (:func:`~repro.runtime.prefix.finish`)."""
         if g.nshare:
             self._detach(g, [lane for lane in g.rows if not self._own[lane]])
+        if self._compiled is None:
+            self._compiled = compile_module(self.module)
         pending = {lane: step for step, lane in g.trigs[g.tptr:]}
         brks = g.brks
-        tail_ms = self._tail_ms
+        entry = g.frames[0].fname
         for i, lane in enumerate(g.rows):
             # the group is done: its write layer is frozen for the lanes
             self._bind_lane(lane, g.gmem, brks[i] if brks is not None else g.brk)
@@ -1613,36 +1595,12 @@ class BatchExecutor:
             # the lane's flags leave with it: drop them from the live counts
             self._n_invert -= state.invert
             self._n_corrupt -= state.corrupt is not None
-            plan = self._plans[lane]
-            if not state.finishes_on_compiled(plan):
-                route = "ref"
-                if self._decoded is None:
-                    self._decoded = DecodedProgram(
-                        self.module, self.fault_region, mem)
-                engine = Interpreter(
-                    self.module, memory=mem, max_steps=self.max_steps,
-                    fault_plan=plan, fault_region=self.fault_region,
-                    decoded=self._decoded)
-            else:
-                route = "compiled"
-                if self._compiled is None:
-                    self._compiled = compile_module(self.module)
-                engine = CompiledExecutor(
-                    self.module, memory=mem, max_steps=self.max_steps,
-                    fault_region=self.fault_region, compiled=self._compiled)
-            engine.intrinsics = self._tables[lane]
-            if tail_ms is not None:
+            if self._traced:
                 t0 = perf_counter()
-            try:
-                out = engine.run(state.frames[0].func, state=state)
-                res = LaneResult(out.value, out.steps, out.region_steps,
-                                 None, False, True)
-            except TRIAL_TRAPS as exc:
-                trap, det = classify_trap(exc)
-                res = LaneResult(None, engine.steps, engine.region_steps,
-                                 trap, det)
-            if tail_ms is not None:
-                tail_ms[route] += (perf_counter() - t0) * 1000.0
-            self._results[lane] = res
+            self._results[lane] = finish(
+                self.module, mem, self._plans[lane], self._tables[lane],
+                self.fault_region, self.max_steps, self._decoded,
+                self._compiled, entry, state=state, handoff=True)
+            if self._traced:
+                self._tail_ms += (perf_counter() - t0) * 1000.0
         g.rows[:] = []
-

@@ -142,11 +142,6 @@ class MachineState:
         return (self.trigger is not None or self.skip > 0 or self.invert
                 or self.corrupt is not None or self.cf is not None)
 
-    def finishes_on_compiled(self, plan: Optional[FaultPlan]) -> bool:
-        """Whether the compiled backend may finish this run of *plan*: no fault
-        pending, no control kind (only the reference coredumps on undef reads)."""
-        return not self.pending and (plan is None or plan.kind not in CONTROL_KINDS)
-
 
 class DecodedProgram:
     """Decoded instructions of one module under one fault region and one

@@ -19,11 +19,15 @@ at or past each — recording a :class:`Snapshot` there:
 :meth:`GoldenPrefix.state_for` turns the latest snapshot at or before a
 plan's step into a :class:`~repro.runtime.interpreter.MachineState`:
 it patches the trial's fresh memory, restores the runtime and re-emits
-the recorded events, and the trial continues with
-``Interpreter.run(..., state=...)``; unless the backend is ``ref``, a
-:class:`HandOff` hook passes it to the compiled backend once the fault
-has fully acted.  Trap, outputs, ``steps``, ``region_steps`` and
-runtime statistics equal a from-scratch trial's.
+the recorded events.  Trap, outputs, ``steps``, ``region_steps`` and
+runtime statistics of the continued trial equal a from-scratch trial's.
+
+:func:`finish` runs every faulted trial to its end and returns its
+:class:`TrialRow`: a campaign trial from its snapshot state (or from
+the start) and a batch lane from the state it leaves lockstep with.  It
+runs the reference interpreter; with ``handoff`` (every backend but
+``ref``) a :class:`HandOff` hook passes the trial to the compiled
+backend once its fault has fully acted.
 """
 from __future__ import annotations
 
@@ -33,6 +37,9 @@ from typing import Dict, List, NamedTuple, Optional, Sequence
 
 from ..obs.events import diverted, emit as obs_emit, enabled as obs_enabled
 from ..obs.sinks import MemorySink
+from .compiler import CompiledExecutor, CompiledModule
+from .errors import TRIAL_TRAPS, classify_trap
+from .faults import CONTROL_KINDS, FaultPlan, Region
 from .interpreter import _NEVER, DecodedProgram, Interpreter, MachineState, ResumeFrame
 from .memory import Memory
 
@@ -159,14 +166,30 @@ class _Capture(_Hook):
         return self.at
 
 
+class TrialRow(NamedTuple):
+    """One finished trial, the same for every engine: its return value,
+    both step counters, how it trapped, the memory it ended with (a
+    :class:`~repro.runtime.memory.Memory`, or a batch lane's view with
+    the same ``read_global``) and whether RSkip's exact validation
+    flagged a mismatch during it."""
+
+    value: object
+    steps: int
+    region_steps: int
+    #: ``None`` | ``"segfault"`` | ``"coredump"`` | ``"hang"``
+    trap: Optional[str]
+    detected: bool
+    memory: object
+    caught: bool = False
+
+
 class HandedOff(Exception):
     """Raised by :class:`HandOff`; ``args[0]`` is the exported state."""
 
 
 class HandOff(_Hook):
     """Stops a trial of *plan* (resumed from *state*, if any) at the first
-    block entry past its trigger where ``MachineState.finishes_on_compiled``
-    holds; it re-checks while fault state is pending, else disarms."""
+    block entry past its trigger where no fault state is pending."""
 
     def __init__(self, plan, state: Optional[MachineState] = None):
         super().__init__(state.frames if state is not None else ())
@@ -179,10 +202,44 @@ class HandOff(_Hook):
             interp.region_steps, self._plan.step if interp._fault_pending else None,
             interp._skip_left, interp._invert_next_cbr, interp._corrupt_next_mem,
             interp._cf_pick)
-        if state.finishes_on_compiled(self._plan):
+        if not state.pending:
             raise HandedOff(state)
-        self.at = interp.region_steps if state.pending else _NEVER
+        self.at = interp.region_steps
         return self.at
+
+
+def finish(module, memory, plan: Optional[FaultPlan], intrinsics: Dict[str, object],
+           region: Optional[Region], max_steps: int,
+           decoded: Optional[DecodedProgram], compiled: Optional[CompiledModule],
+           entry: str, args: Sequence = (), state: Optional[MachineState] = None,
+           handoff: bool = False) -> TrialRow:
+    """Run one trial of *plan* on *memory* to its end — from the start of
+    *entry*, or continuing the paused *state* — and return its row.
+
+    The trial runs on the reference interpreter.  With *handoff*, a
+    :class:`HandOff` hook passes it to the compiled backend once its
+    fault has fully acted (at once, when *state* has none pending) —
+    unless *plan* is a skip or cf fault, whose dropped definitions only
+    the reference turns into core dumps when read."""
+    handoff = handoff and (plan is None or plan.kind not in CONTROL_KINDS)
+    try:
+        try:
+            if handoff and state is not None and not state.pending:
+                raise HandedOff(state)
+            engine = Interpreter(module, memory=memory, max_steps=max_steps,
+                                 fault_plan=plan, fault_region=region,
+                                 decoded=decoded)
+            engine.intrinsics = intrinsics
+            engine.capture = HandOff(plan, state) if handoff else None
+            value = engine.run(entry, args, state=state).value
+        except HandedOff as stop:
+            engine = CompiledExecutor(module, memory, max_steps, region, compiled)
+            engine.intrinsics = intrinsics
+            value = engine.run(entry, state=stop.args[0]).value
+    except TRIAL_TRAPS as exc:
+        return TrialRow(None, engine.steps, engine.region_steps,
+                        *classify_trap(exc), memory)
+    return TrialRow(value, engine.steps, engine.region_steps, None, False, memory)
 
 
 def capture(

@@ -9,7 +9,7 @@ instructions the outlined ``body.dup`` re-computations consume).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List
+from typing import Dict
 
 
 @dataclass
@@ -29,35 +29,3 @@ class Profile:
         """Exclusive share of all executed instructions."""
         total = sum(self.exclusive.values())
         return self.exclusive.get(name, 0) / total if total else 0.0
-
-    def top(self, n: int = 10) -> List[tuple]:
-        """(name, exclusive, inclusive, calls) rows, hottest first.
-
-        Ties on exclusive steps break on the name, so the rendered order
-        never depends on dict-insertion (i.e. first-call) order.
-        """
-        return sorted(
-            (
-                (name, self.exclusive.get(name, 0), self.inclusive.get(name, 0),
-                 self.calls.get(name, 0))
-                for name in self.inclusive
-            ),
-            key=lambda row: (-row[1], row[0]),
-        )[:n]
-
-    def render(self, n: int = 10, name_width: int = 32) -> str:
-        """Aligned table of the top-*n* rows.
-
-        The name column widens to the longest rendered name up to twice
-        *name_width*; anything longer is head-truncated (keeping the
-        suffix — outlined clones like ``…body.dup`` differ at the tail).
-        """
-        rows = self.top(n)
-        width = max([name_width] + [len(name) for name, *_ in rows])
-        width = min(width, 2 * name_width)
-        lines = [f"{'function':{width}s} {'self':>10s} {'total':>10s} {'calls':>8s}"]
-        for name, self_steps, total, calls in rows:
-            if len(name) > width:
-                name = "…" + name[-(width - 1):]
-            lines.append(f"{name:{width}s} {self_steps:>10d} {total:>10d} {calls:>8d}")
-        return "\n".join(lines)

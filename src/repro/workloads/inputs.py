@@ -6,7 +6,6 @@ produce data in that regime with controllable roughness:
 
 * :func:`smooth_series` — sinusoid mixtures plus relative noise (signals,
   images, weights);
-* :func:`random_walk` — integrated noise (price-like series);
 * :func:`clustered_values` — draws around a few popular centers
   (blackscholes option parameters: poor trends, memoization-friendly).
 """
@@ -35,24 +34,6 @@ def smooth_series(
             + 0.4 * math.sin(2 * math.pi * k / (period * 0.37) + phase2)
         )
         v *= 1.0 + rng.uniform(-noise_rel, noise_rel)
-        out.append(v)
-    return out
-
-
-def random_walk(
-    rng: random.Random,
-    n: int,
-    start: float = 10.0,
-    step_rel: float = 0.02,
-    floor: float = 0.05,
-) -> List[float]:
-    """Multiplicative random walk bounded away from zero."""
-    out = []
-    v = start
-    for _ in range(n):
-        v *= 1.0 + rng.uniform(-step_rel, step_rel)
-        if v < floor:
-            v = floor
         out.append(v)
     return out
 

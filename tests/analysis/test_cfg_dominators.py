@@ -39,14 +39,6 @@ class TestCFG:
         merge = [l for l in f.blocks if l.startswith("if.end")][0]
         assert set(cfg.preds[merge]) == set(succs)
 
-    def test_reachable_excludes_orphans(self):
-        f = diamond_func()
-        orphan = f.add_block("orphan")
-        from repro.ir import Instr, Opcode
-        orphan.append(Instr(Opcode.RET, args=()))
-        cfg = CFG(f)
-        assert "orphan" not in cfg.reachable()
-
     def test_postorder_ends_with_entry_in_rpo(self):
         f = diamond_func()
         cfg = CFG(f)

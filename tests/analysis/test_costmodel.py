@@ -1,7 +1,6 @@
 from repro.analysis import (
     DEFAULT_TRIP,
     LATENCY,
-    estimate_block_cost,
     estimate_function_cost,
     instr_cost,
 )
@@ -78,9 +77,3 @@ class TestFunctionCost:
         b.ret(b.call("main", []))
         # must terminate and return a finite value
         assert estimate_function_cost(f, m) > 0
-
-    def test_block_cost_unweighted(self):
-        m, f = self.build(1)
-        entry = f.block_order()[0]
-        cost = estimate_block_cost(f, entry)
-        assert 0 < cost < 100

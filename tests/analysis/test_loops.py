@@ -39,17 +39,6 @@ class TestFindLoops:
         for latch in outer.latches:
             assert latch in outer.blocks
 
-    def test_exits(self):
-        f = nested_loops_func()
-        cfg = CFG(f)
-        loops = find_loops(f, cfg)
-        inner_b = [l for l in loops if l.header.startswith("B.head")][0]
-        exits = inner_b.exits(cfg)
-        assert len(exits) == 1
-        inside, outside = exits[0]
-        assert inside == inner_b.header
-        assert outside not in inner_b.blocks
-
     def test_depth_map(self):
         f = nested_loops_func()
         loops = find_loops(f)

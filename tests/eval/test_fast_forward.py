@@ -27,7 +27,9 @@ from repro.eval.fault_campaign import (
 )
 from repro.eval.schemes import prepare
 from repro.pipeline.registry import all_descriptors
+from repro.runtime import prefix
 from repro.runtime.backend import make_executor, set_default_backend
+from repro.runtime.batch import SCALAR_CUTOFF
 from repro.runtime.compiler import CompiledExecutor
 from repro.runtime.faults import (
     ADVERSARIAL_KIND_WEIGHTS, CONTROL_KINDS, DEFAULT_KIND_WEIGHTS, FaultPlan)
@@ -68,7 +70,7 @@ def handed_off(monkeypatch):
             states.append(state)
             return super().run(func_name, args, state=state)
 
-    monkeypatch.setattr(fault_campaign, "CompiledExecutor", Recorded)
+    monkeypatch.setattr(prefix, "CompiledExecutor", Recorded)
     return states
 
 
@@ -258,6 +260,56 @@ class TestHandoff:
                                   handed_off)
         assert any(len(state.frames) > 1 for state in handed_off)
         assert any(state.frames[-1].index > 0 for state in handed_off)
+
+    @pytest.mark.parametrize("workload_name,scheme,weights", [
+        ("sgemm", "AR50", (("value", 0.5), ("branch", 0.25), ("addr", 0.25))),
+        ("conv1d", "UNSAFE", ADVERSARIAL_KIND_WEIGHTS)],
+        ids=["sgemm-AR50", "conv1d-UNSAFE"])
+    def test_batch_tail_lanes_hand_off(self, monkeypatch, workload_name,
+                                       scheme, weights):
+        """A slab no wider than ``SCALAR_CUTOFF`` sends every lane to the
+        tail with its trigger pending.  A value, branch or addr lane then
+        hands off once its fault has acted, a skip or cf lane builds no
+        compiled executor, and every row equals the reference's."""
+        workload, prepared, inp, ctx = campaign(workload_name, scheme)
+        plans = seeded_plans(SEED, workload.name, scheme, 0, 90,
+                             ctx.region_steps, weights)
+        built, resumed = [], []
+
+        class Recorded(CompiledExecutor):
+            def __init__(self, *args, **kwargs):
+                built.append(self)
+                super().__init__(*args, **kwargs)
+
+            def run(self, func_name, args=(), state=None):
+                resumed.append(state is not None)
+                return super().run(func_name, args, state=state)
+
+        monkeypatch.setattr(prefix, "CompiledExecutor", Recorded)
+
+        def rows(kind_plans, backend):
+            return [
+                (repr(row.value), row.trap, row.detected, row.caught,
+                 row.steps, row.region_steps,
+                 None if row.trap else
+                 [repr(v) for v in row.memory.read_global(*inp.output)])
+                for row in fault_campaign.trial_rows(
+                    prepared, workload, inp, ctx, kind_plans, backend,
+                    lanes=SCALAR_CUTOFF)]
+
+        kinds = sorted({plan.kind for plan in plans})
+        assert {"value", "branch", "addr"} <= set(kinds)
+        for kind in kinds:
+            kind_plans = [plan for plan in plans if plan.kind == kind]
+            want = rows(kind_plans, "ref")
+            assert not built
+            assert rows(kind_plans, "batch") == want, kind
+            if kind in CONTROL_KINDS:
+                assert not built, kind
+            else:
+                assert resumed and all(resumed), kind
+            built.clear()
+            resumed.clear()
 
 
 class TestCapture:

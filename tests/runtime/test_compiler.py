@@ -132,7 +132,7 @@ def assert_backends_agree(module, args=(), max_steps=1_000_000,
             intrinsics=intrinsics_factory() if intrinsics_factory else None)
         for lane, res in enumerate(engine.run("main", list(args))):
             if ref[0] == "ok":
-                assert res.finished and res.trap is None
+                assert res.trap is None and not res.detected
                 assert same_value(res.value, ref[1])
                 assert (res.steps, res.region_steps) == (ref[2], ref[4])
             else:
@@ -301,14 +301,14 @@ def test_vector_path_matches_table(op):
         uniform = BatchExecutor(module, Memory(), SCALAR_CUTOFF + 1,
                                 intrinsics=table(x, y))
         for res in uniform.run("main"):
-            assert res.finished
+            assert res.trap is None and not res.detected
             check(res.value, x, y, "batch uniform")
 
     tables = [table(x, y) for x, y in LANE_OPERANDS]
     assert len(tables) > SCALAR_CUTOFF
     engine = BatchExecutor(module, Memory(), len(tables), intrinsics=tables)
     for res, (x, y) in zip(engine.run("main"), LANE_OPERANDS):
-        assert res.finished
+        assert res.trap is None and not res.detected
         check(res.value, x, y, "batch columns")
 
 

@@ -33,41 +33,9 @@ class TestProfiler:
         profile, _ = self.run_profiled(build_dot_module(), [4, 8])
         assert profile.exclusive["main"] == profile.inclusive["main"]
 
-    def test_render(self):
-        profile, _ = self.run_profiled(build_call_module(), [6])
-        text = profile.render()
-        assert "main" in text and "g" in text
-
     def test_profiling_off_by_default(self):
         interp = Interpreter(build_dot_module(), memory=seed_memory(build_dot_module()))
         assert interp.profile is None
-
-    def test_top_breaks_ties_by_name(self):
-        """Tied exclusive counts render in name order, not dict-insertion
-        (first-call) order."""
-        profile = Profile()
-        for name in ("zeta", "alpha", "mid"):
-            profile.record(name, 10, 10)
-        assert [row[0] for row in profile.top()] == ["alpha", "mid", "zeta"]
-
-    def test_render_widens_for_long_outlined_names(self):
-        profile = Profile()
-        long_name = "main.loop.body.clone.protected.outlined.body.dup"
-        profile.record(long_name, 100, 100)
-        profile.record("main", 50, 50)
-        header, first, second = profile.render().splitlines()
-        assert long_name in first
-        # columns stay aligned: every row is the same rendered width
-        assert len(header) == len(first) == len(second)
-
-    def test_render_truncates_extreme_names_keeping_suffix(self):
-        profile = Profile()
-        huge = "x" * 100 + ".body.dup"
-        profile.record(huge, 1, 1)
-        row = profile.render().splitlines()[1]
-        assert "….body.dup".replace("…", "") in row  # suffix survives
-        assert row.split()[0].startswith("…")
-        assert len(row.split()[0]) <= 64
 
 
 class TestCorePresets:

@@ -6,7 +6,6 @@ import pytest
 from repro.workloads.inputs import (
     clustered_values,
     diagonally_dominant_matrix,
-    random_walk,
     smooth_grid,
     smooth_series,
 )
@@ -29,19 +28,6 @@ class TestSmoothSeries:
 
     def test_deterministic_given_rng(self):
         assert smooth_series(random.Random(7), 50) == smooth_series(random.Random(7), 50)
-
-
-class TestRandomWalk:
-    def test_respects_floor(self):
-        rng = random.Random(0)
-        xs = random_walk(rng, 500, start=0.2, step_rel=0.5, floor=0.1)
-        assert min(xs) >= 0.1
-
-    def test_multiplicative_steps_bounded(self):
-        rng = random.Random(0)
-        xs = random_walk(rng, 100, start=10.0, step_rel=0.01)
-        for a, b in zip(xs, xs[1:]):
-            assert abs(b / a - 1.0) <= 0.011
 
 
 class TestClusteredValues:
