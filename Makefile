@@ -16,9 +16,10 @@ test:
 ## trapping lanes) + a mixed-kinds
 ## smoke (SEU + skip/cf kinds in one campaign, again serial==batch;
 ## each of these three runs its serial side under the ref backend) + a
-## hand-off smoke (default-backend trials finish on the compiled backend
-## once their fault has acted: sgemm AR50 and adversarial conv1d UNSAFE
-## tallies byte-identical to the ref backend's) +
+## hand-off smoke (default-backend trials end at the golden run they
+## re-joined or finish on the compiled backend once their fault has
+## acted: sgemm AR50 and adversarial conv1d UNSAFE tallies
+## byte-identical to the ref backend's) +
 ## an incremental smoke (warm stratified re-campaign must fully reuse
 ## the section store and tally byte-identically) +
 ## artifact-cache byte-identity over the checked-in corpus (off vs on)

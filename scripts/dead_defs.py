@@ -39,7 +39,6 @@ CALLER_DIRS = ("src", "perfbench", "benchmarks", "scripts", "examples")
 DOTTED = re.compile(r"[A-Za-z_]\w*(\.[A-Za-z_]\w*)*")
 
 _IR_API = "IR library API (README module map), for hand-built programs"
-_ANALYSIS_API = "analysis library query (README module map: repro.analysis)"
 
 #: qualified name -> why it stays without a caller outside tests
 ALLOWED: Dict[str, str] = {
@@ -62,7 +61,6 @@ ALLOWED: Dict[str, str] = {
     "repro.ir.types.Type.is_pointer": _IR_API,
     "repro.ir.values.Value.is_reg": _IR_API,
     "repro.ir.values.Value.is_const": _IR_API,
-    "repro.analysis.liveness.Liveness.live_at": _ANALYSIS_API,
 }
 
 

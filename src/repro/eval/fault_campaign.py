@@ -179,7 +179,8 @@ def _run_trial(
 ) -> TrialRow:
     """One faulted trial on the reference interpreter, fast-forwarded
     from the campaign's golden prefix when it has one and, with
-    *handoff*, finished on the compiled backend once its fault has acted."""
+    *handoff*, ended at the golden run once it re-joins it or else
+    finished on the compiled backend once its fault has acted."""
     memory = workload.fresh_memory(prepared.module, inp)
     state = None
     if ctx.prefix is not None:
@@ -187,7 +188,9 @@ def _run_trial(
     return finish(prepared.module, memory, plan, prepared.intrinsics,
                   ctx.region, ctx.max_steps,
                   ctx.decoded_for(prepared.module, memory), prepared.compiled,
-                  prepared.main, inp.args, state=state, handoff=handoff)
+                  prepared.main, inp.args, state=state, handoff=handoff,
+                  golden=ctx.prefix if state is not None else None,
+                  runtime=prepared.runtime)
 
 
 def _run_once_batch(

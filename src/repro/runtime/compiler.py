@@ -569,6 +569,8 @@ class CompiledModule:
         self.global_names = list(module.globals)
         self.gindex = {n: i for i, n in enumerate(self.global_names)}
         self._functions: Dict[str, Optional[CompiledFunction]] = {}
+        #: (function, region funcs, region blocks) -> region steps per block
+        self._overlays: Dict[tuple, tuple] = {}
         # compiled modules are shared across serve executor threads; the
         # lazy per-function compile must publish exactly one closure set
         self._compile_lock = threading.Lock()
@@ -585,6 +587,19 @@ class CompiledModule:
                     )
             cf = self._functions[name]
         return cf
+
+    def overlay(self, cf: CompiledFunction, region) -> tuple:
+        """The region steps each block of *cf* adds under *region* (its
+        size, or 0 outside the region), built once per region."""
+        key = (cf.name, region.funcs, region.blocks)
+        ov = self._overlays.get(key)
+        if ov is None:
+            contains = region.contains
+            ov = self._overlays[key] = tuple([
+                n if contains(cf.name, lbl) else 0
+                for lbl, n in zip(cf.labels, cf.block_sizes)
+            ])
+        return ov
 
 
 def module_fingerprint(module: Module) -> str:
@@ -665,7 +680,7 @@ class CompiledExecutor:
         self._cm = compiled if compiled is not None else compile_module(module)
         self._G: Optional[List[int]] = None
         self._depth = 0
-        self._overlays: Dict[str, list] = {}
+        self._overlays: Dict[str, tuple] = {}
         self._resolved: set = set()
 
     # -- public API -----------------------------------------------------------
@@ -831,16 +846,13 @@ class CompiledExecutor:
         if overlay is not None and overlay[bi]:
             self.region_steps += done
 
-    def _overlay(self, cf: CompiledFunction) -> list:
+    def _overlay(self, cf: CompiledFunction) -> tuple:
+        # every call looks its overlay up: by name here, because calling
+        # the module's region-keyed lookup per call cost ~10% of perfbench
+        # campaign-batch trials/s
         ov = self._overlays.get(cf.name)
         if ov is None:
-            region = self.fault_region
-            contains = region.contains
-            ov = [
-                n if contains(cf.name, lbl) else 0
-                for lbl, n in zip(cf.labels, cf.block_sizes)
-            ]
-            self._overlays[cf.name] = ov
+            ov = self._overlays[cf.name] = self._cm.overlay(cf, self.fault_region)
         return ov
 
     def _hang(self, handle, R):

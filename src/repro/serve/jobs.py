@@ -226,12 +226,14 @@ class JobManager:
         with self._lock:
             record.result = result.to_dict()
             record.done_trials = record.total_trials
-        self._finish(record, JOB_DONE)
-        # the record holds the tallies now; the checkpoint is spent
+        # the record holds the tallies now; the checkpoint is spent.  It
+        # goes before the status flips, so no poller that sees the job
+        # done finds it still on disk
         try:
             os.remove(record.checkpoint)
         except OSError:
             pass
+        self._finish(record, JOB_DONE)
 
     def _finish(self, record: JobRecord, status: str, error: str = "") -> None:
         with self._lock:

@@ -7,14 +7,18 @@ per-trial observable — trap, detection, outputs, loop outputs, ``steps``,
 ``region_steps`` and the runtime's stats delta (hence ``caught``) — must
 equal the from-scratch trial's, for stateless and stateful schemes and
 for every fault kind; and it must stay the same when the trial finishes
-on the compiled backend once its fault has fully acted.
+on the compiled backend once its fault has fully acted, or ends at the
+golden run once it matches a golden snapshot.
 """
 import bisect
+import copy
 import dataclasses
 import pickle
 
 import pytest
 
+from repro.analysis.liveness import Liveness
+from repro.core.manager import Element
 from repro.core.serialize import profiles_to_json
 from repro.eval import Harness
 from repro.eval import fault_campaign
@@ -32,7 +36,8 @@ from repro.runtime.backend import make_executor, set_default_backend
 from repro.runtime.batch import SCALAR_CUTOFF
 from repro.runtime.compiler import CompiledExecutor
 from repro.runtime.faults import (
-    ADVERSARIAL_KIND_WEIGHTS, CONTROL_KINDS, DEFAULT_KIND_WEIGHTS, FaultPlan)
+    ADVERSARIAL_KIND_WEIGHTS, CONTROL_KINDS, DEFAULT_KIND_WEIGHTS, FaultPlan,
+    flip_value)
 from repro.workloads import ALL_WORKLOADS, get_workload
 
 SCALE = 0.35
@@ -72,6 +77,21 @@ def handed_off(monkeypatch):
 
     monkeypatch.setattr(prefix, "CompiledExecutor", Recorded)
     return states
+
+
+@pytest.fixture
+def exited(monkeypatch):
+    """The golden snapshot each trial that ended at the golden run
+    matched, in order."""
+    snaps = []
+    golden_exit = prefix.GoldenPrefix.exit
+
+    def recorded(self, snap, memory, runtime=None):
+        snaps.append(snap)
+        return golden_exit(self, snap, memory, runtime)
+
+    monkeypatch.setattr(prefix.GoldenPrefix, "exit", recorded)
+    return snaps
 
 
 def trial_rows(workload, prepared, inp, ctx, plans, handoff=False):
@@ -194,45 +214,58 @@ class TestEdges:
         assert_equivalent(workload, prepared, inp, ctx, plans)
 
 
-def handoff_rows(workload, prepared, inp, ctx, plans, handed_off):
+def handoff_rows(workload, prepared, inp, ctx, plans, handed_off, exited=()):
     """Per-trial observables with the hand-off on, and per plan whether
-    its trial finished on the compiled backend."""
-    rows, moved = [], []
+    its trial finished on the compiled backend and whether it ended at
+    the golden run (recorded in *exited*)."""
+    rows, moved, ended = [], [], []
     for plan in plans:
-        before = len(handed_off)
+        before, exits = len(handed_off), len(exited)
         rows += trial_rows(workload, prepared, inp, ctx, [plan], handoff=True)
         moved.append(len(handed_off) > before)
-    return rows, moved
+        ended.append(len(exited) > exits)
+    return rows, moved, ended
 
 
-def assert_handoff_equivalent(workload, prepared, inp, ctx, plans, handed_off):
+def assert_handoff_equivalent(workload, prepared, inp, ctx, plans, handed_off,
+                              exited=()):
     want = trial_rows(workload, prepared, inp, ctx, plans)
-    got, moved = handoff_rows(workload, prepared, inp, ctx, plans, handed_off)
+    got, moved, ended = handoff_rows(workload, prepared, inp, ctx, plans,
+                                     handed_off, exited)
     for plan, a, b in zip(plans, want, got):
         assert b == a, plan
-    return want, moved
+    return want, moved, ended
 
 
 class TestHandoff:
-    """A trial whose fault has fully acted finishes on the compiled
-    backend with the rows the reference interpreter produces alone."""
+    """A trial whose fault has fully acted ends at the golden run it
+    re-joined or finishes on the compiled backend, with the rows the
+    reference interpreter produces alone."""
 
     @pytest.mark.parametrize("weights", sorted(WEIGHTS))
     @pytest.mark.parametrize("workload_name,scheme", CASES,
                              ids=[f"{w}-{s}" for w, s in CASES])
-    def test_rows_match_the_reference(self, handed_off, workload_name, scheme,
-                                      weights):
+    def test_rows_match_the_reference(self, handed_off, exited, workload_name,
+                                      scheme, weights):
+        """Every value, branch and addr trial that the reference does not
+        end first (a trap or detection) hands off or ends at the golden
+        run, and some end there; skip and cf trials do neither."""
         workload, prepared, inp, ctx = campaign(workload_name, scheme)
         plans = seeded_plans(SEED, workload.name, scheme, 0, 24,
                              ctx.region_steps, WEIGHTS[weights])
-        _, moved = assert_handoff_equivalent(workload, prepared, inp, ctx,
-                                             plans, handed_off)
-        control = [m for plan, m in zip(plans, moved)
+        rows, moved, ended = assert_handoff_equivalent(
+            workload, prepared, inp, ctx, plans, handed_off, exited)
+        control = [m or e for plan, m, e in zip(plans, moved, ended)
                    if plan.kind in CONTROL_KINDS]
-        others = [m for plan, m in zip(plans, moved)
+        others = [(m, e, row) for plan, m, e, row
+                  in zip(plans, moved, ended, rows)
                   if plan.kind not in CONTROL_KINDS]
         assert not any(control)
-        assert sum(others) > len(others) // 2
+        assert not any(m and e for m, e, _ in others)
+        # the rest trapped or were caught on the reference first
+        assert all(m or e for m, e, (trap, detected, *_) in others
+                   if trap is None and not detected)
+        assert any(e for _, e, _ in others)
 
     def test_hangs_hand_off(self, handed_off):
         workload, prepared, inp, ctx = campaign("conv1d", "UNSAFE")
@@ -241,8 +274,8 @@ class TestHandoff:
         hangs = [plan for plan, row in zip(plans, trial_rows(
             workload, prepared, inp, ctx, plans)) if row[0] == "hang"]
         assert hangs, "no hanging trial among the drawn plans"
-        rows, moved = assert_handoff_equivalent(workload, prepared, inp, ctx,
-                                                hangs, handed_off)
+        rows, moved, _ = assert_handoff_equivalent(workload, prepared, inp,
+                                                   ctx, hangs, handed_off)
         assert all(row[4] == ctx.max_steps + 1 for row in rows)
         assert any(moved)
 
@@ -250,7 +283,9 @@ class TestHandoff:
         """Faults in a callee entered before the trial's snapshot: the
         trial hands off inside the callee (its caller resumes at the
         snapshot's call site) or, once the callee has returned, as the
-        caller re-enters its block after the call."""
+        caller re-enters its block after the call.  The hand-off points
+        are checked with the golden exit off, where each trial hands off
+        as soon as its fault has acted."""
         workload, prepared, inp, ctx = campaign("sgemm", "AR50")
         nested = [snap for snap in ctx.prefix.snapshots if len(snap.frames) > 1]
         plans = [FaultPlan(snap.region_steps + k, kind, bit=52, pick=0.1)
@@ -258,6 +293,12 @@ class TestHandoff:
                  for kind in ("value", "addr", "branch")]
         assert_handoff_equivalent(workload, prepared, inp, ctx, plans,
                                   handed_off)
+        no_exit = copy.copy(ctx.prefix)
+        no_exit.end = None
+        handed_off.clear()
+        assert_handoff_equivalent(workload, prepared, inp,
+                                  dataclasses.replace(ctx, prefix=no_exit),
+                                  plans, handed_off)
         assert any(len(state.frames) > 1 for state in handed_off)
         assert any(state.frames[-1].index > 0 for state in handed_off)
 
@@ -310,6 +351,145 @@ class TestHandoff:
                 assert resumed and all(resumed), kind
             built.clear()
             resumed.clear()
+
+
+class TestGoldenMatch:
+    """``GoldenPrefix.matches``: a state restored from a snapshot matches
+    it, and each change the rest of the run could observe breaks the
+    match."""
+
+    @staticmethod
+    def paused(nested=True):
+        """(golden prefix, snapshot, a state equal to it, its runtime)."""
+        workload, prepared, inp, ctx = campaign("sgemm", "AR50")
+        golden = ctx.prefix
+        snap = [s for s in golden.snapshots
+                if (len(s.frames) > 1) == nested][-1]
+        runtime = prepared.runtime
+        runtime.reset()
+        memory = workload.fresh_memory(prepared.module, inp)
+        state = golden.state_for(snap.region_steps, memory, runtime)
+        assert golden.matches(snap, state, runtime)
+        return golden, snap, state, runtime
+
+    @staticmethod
+    def live(golden, frame):
+        func = golden.module.functions[frame.func]
+        return Liveness(func).live_at(frame.label, frame.index)
+
+    def test_a_dead_register_is_ignored(self):
+        golden, snap, state, runtime = self.paused()
+        frame = state.frames[-1]
+        dead = sorted(set(frame.regs) - self.live(golden, frame))
+        assert dead
+        frame.regs[dead[0]] = flip_value(frame.regs[dead[0]], 3)
+        del frame.regs[dead[-1]]
+        assert golden.matches(snap, state, runtime)
+
+    def test_an_outer_frames_pending_call_dest_is_ignored(self):
+        golden, snap, state, runtime = self.paused()
+        outer = state.frames[-2]
+        call = golden.module.functions[outer.func].blocks[outer.label] \
+            .instrs[outer.index - 1]
+        assert call.dest is not None and call.dest.name in self.live(golden, outer)
+        outer.regs[call.dest.name] = -1.5
+        assert golden.matches(snap, state, runtime)
+
+    @pytest.mark.parametrize("change", ["value", "type", "undefined",
+                                        "undefined in both"])
+    def test_a_live_register_differs(self, change):
+        """A live register must be defined in both states and equal."""
+        golden, snap, state, runtime = self.paused()
+        frame = state.frames[-1]
+        regs = frame.regs
+        name = sorted(self.live(golden, frame) & set(regs))[0]
+        if change == "value":
+            regs[name] = flip_value(regs[name], 1)
+        elif change == "type":
+            regs[name] = float(regs[name]) if isinstance(regs[name], int) \
+                else int(regs[name])
+        else:
+            del regs[name]
+        if change == "undefined in both":
+            frames = [f._replace(regs=dict(f.regs)) for f in snap.frames]
+            del frames[-1].regs[name]
+            snap = snap._replace(frames=frames)
+        assert not golden.matches(snap, state, runtime)
+
+    def test_register_values_compare_type_and_zero_sign(self):
+        assert prefix._same(0.0, 0.0) and prefix._same(2, 2)
+        assert not prefix._same(0.0, -0.0)
+        assert not prefix._same(1, 1.0)
+        assert not prefix._same(float("nan"), float("nan"))
+
+    def test_a_cell_beyond_brk_differs(self):
+        golden, snap, state, runtime = self.paused()
+        memory = state.memory
+        memory.cells[memory.brk + 1] = 1.0
+        assert not golden.matches(snap, state, runtime)
+
+    def test_brk_differs(self):
+        golden, snap, state, runtime = self.paused()
+        state.memory.allocate(1)
+        assert not golden.matches(snap, state, runtime)
+
+    def test_cells_the_golden_run_wrote_compare_zero_sign(self):
+        image = [0.0] * 16
+        written = {9: 0.0, 10: 2.5}
+        cells = list(image)
+        cells[10] = 2.5
+        assert prefix._same_cells(cells, written, image)
+        cells[9] = -0.0
+        assert not prefix._same_cells(cells, written, image)
+        assert cells[9] == 0.0 and str(cells[9]) == "-0.0"  # left as it was
+        cells[9], cells[12] = 0.0, 3.0
+        assert not prefix._same_cells(cells, written, image)
+
+    @pytest.mark.parametrize("change", ["queue", "disabled"])
+    def test_a_loops_run_state_differs(self, change):
+        golden, snap, state, runtime = self.paused()
+        loop = next(iter(runtime.loops.values()))
+        if change == "queue":
+            loop.queue.append(Element(0, 1.0, 8))
+        else:
+            loop.disabled = not loop.disabled
+        assert not golden.matches(snap, state, runtime)
+
+    def test_a_stats_counter_differs(self):
+        golden, snap, state, runtime = self.paused()
+        next(iter(runtime.loops.values())).stats.skipped_interp += 1
+        assert not golden.matches(snap, state, runtime)
+
+    @pytest.mark.parametrize("counter", prefix.RECOVERY_COUNTERS)
+    def test_recovery_counters_are_ignored(self, counter):
+        golden, snap, state, runtime = self.paused()
+        stats = next(iter(runtime.loops.values())).stats
+        setattr(stats, counter, getattr(stats, counter) + 1)
+        assert golden.matches(snap, state, runtime)
+
+    def test_positions_and_step_counters_differ(self):
+        golden, snap, state, runtime = self.paused(nested=False)
+        for changed in (dataclasses.replace(state, steps=state.steps + 1),
+                        dataclasses.replace(state,
+                                            region_steps=state.region_steps - 1),
+                        dataclasses.replace(state, frames=[
+                            state.frames[0]._replace(index=1)])):
+            assert not golden.matches(snap, changed, runtime)
+
+    def test_recovery_in_the_golden_run_arms_no_exit(self):
+        """A golden run that counted recovery activity keeps no end, so
+        its trials hand off instead of ending there."""
+        workload, prepared, inp, ctx = campaign("sgemm", "AR50")
+        assert ctx.prefix.end is not None
+        runtime = prepared.runtime
+        runtime.reset()
+        next(iter(runtime.loops.values())).stats.corrected_master = 1
+        memory = workload.fresh_memory(prepared.module, inp)
+        golden = prefix.capture(
+            prepared.module, memory, prepared.intrinsics, runtime, ctx.region,
+            ctx.decoded_for(prepared.module, memory), prepared.main, inp.args,
+            ctx.region_steps, ctx.max_steps)
+        assert golden.end is None
 
 
 class TestCapture:

@@ -183,18 +183,26 @@ class TestTraceContents:
     def test_handed_off_trials_emit_the_reference_trace(self, tmp_path,
                                                          monkeypatch):
         """Trials that finish on the compiled backend once their fault
-        has acted (the default backend) write the trace body the
-        reference interpreter writes alone."""
+        has acted, or end at the golden run they re-joined (the default
+        backend), write the trace body the reference interpreter writes
+        alone."""
         sgemm = get_workload("sgemm")
         profiles = Harness(sgemm, scale=SCALE, timing=False).profiles_for(0.5)
-        handoffs = []
+        handoffs, exits = [], []
 
         class Recorded(CompiledExecutor):
             def run(self, func_name, args=(), state=None):
                 handoffs.append(state is not None)
                 return super().run(func_name, args, state=state)
 
+        golden_exit = prefix.GoldenPrefix.exit
+
+        def exit_recorded(self, snap, memory, runtime=None):
+            exits.append(snap)
+            return golden_exit(self, snap, memory, runtime)
+
         monkeypatch.setattr(prefix, "CompiledExecutor", Recorded)
+        monkeypatch.setattr(prefix.GoldenPrefix, "exit", exit_recorded)
 
         def traced(name, backend):
             out = str(tmp_path / name)
@@ -209,10 +217,12 @@ class TestTraceContents:
                 return out, handle.read()
 
         _, ref = traced("ref.jsonl", "ref")
-        assert not handoffs
+        assert not handoffs and not exits
         _, default = traced("default.jsonl", None)
         assert default == ref
-        assert sum(handoffs) > 30  # most of the 60 trials handed off
+        # most of the 60 trials handed off or ended at the golden run
+        assert sum(handoffs) + len(exits) > 30
+        assert exits and any(handoffs)
 
     def test_untraced_campaign_writes_nothing(self, conv1d, conv1d_profiles,
                                               tmp_path, monkeypatch):

@@ -388,6 +388,25 @@ def test_trap_counts_mid_segment(funcs):
     assert counters_in_region(CompiledExecutor, module, region) == ref
 
 
+def test_region_overlay_is_built_once_per_module_and_region():
+    """Executors of one compiled module share each function's region
+    overlay; an equal region finds it, another region builds its own."""
+    module = parse_module(NESTED_TRAP)
+    compiled = compile_module(module)
+    cf = compiled.function("f")
+    first = compiled.overlay(cf, Region(funcs=("f",)))
+    assert first == tuple(cf.block_sizes)
+    assert compiled.overlay(cf, Region(funcs=("f",))) is first
+    assert compiled.overlay(cf, Region(funcs=("main",))) == (0,) * len(first)
+    for _ in range(2):
+        engine = CompiledExecutor(module, memory=Memory(),
+                                  fault_region=Region(funcs=("f",)),
+                                  compiled=compiled)
+        with pytest.raises(SegfaultError):
+            engine.run("main", [])
+        assert engine._overlay(cf) is first
+
+
 @pytest.mark.parametrize("budget", range(1, 9))
 def test_hang_counts_across_calls_and_intrinsics(budget):
     # the budget runs out at every position: inside segments, at the

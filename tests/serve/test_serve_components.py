@@ -221,6 +221,33 @@ class TestJobManager:
         finally:
             manager.shutdown()
 
+    def test_checkpoint_is_gone_before_the_job_reads_done(self, tmp_path):
+        """A poller that sees ``done`` must not find the spent checkpoint:
+        it is removed before the status flips."""
+        manager = JobManager(str(tmp_path), chunk=2)
+        on_disk_at_done = []
+        finish = manager._finish
+
+        def recorded(record, status, error=""):
+            if status == JOB_DONE:
+                on_disk_at_done.append(os.path.exists(record.checkpoint))
+            finish(record, status, error)
+
+        manager._finish = recorded
+        try:
+            record = manager.submit(
+                {"workload": "conv1d", "scheme": "UNSAFE", "trials": 4,
+                 "scale": 0.35})
+            import time
+            t0 = time.time()
+            while record.status not in ("done", "failed"):
+                assert time.time() - t0 < 60
+                time.sleep(0.05)
+            assert record.status == JOB_DONE, record.error
+            assert on_disk_at_done == [False]
+        finally:
+            manager.shutdown()
+
     def test_recover_skips_finished_and_corrupt_records(self, tmp_path):
         manager = JobManager(str(tmp_path))
         manager.shutdown()

@@ -117,6 +117,26 @@ class TestEndpoints:
         /protect requests cost one computation; the rest are dedup hits."""
         async def scenario(app, _resumed):
             h, p = app.host, app.port
+            # the leader's computation waits until all four requests have
+            # reached the registry, so every follower finds it in flight
+            registry_run = app.dedup.run
+            arrived = 0
+            all_in = asyncio.Event()
+
+            async def held_run(key, factory):
+                nonlocal arrived
+                arrived += 1
+                if arrived == 4:
+                    all_in.set()
+
+                async def held():
+                    # bounded, so a lost request fails the test, not hangs it
+                    await asyncio.wait_for(all_in.wait(), 60)
+                    return await factory()
+
+                return await registry_run(key, held)
+
+            app.dedup.run = held_run
             body = {"workload": "blackscholes", "scheme": "AR20"}
             results = await asyncio.gather(
                 *[_request(h, p, "POST", "/protect", body) for _ in range(4)])
