@@ -55,14 +55,15 @@ Divergence and retirement
   Retired and finished lanes expose their memory as a :class:`_LaneMem`
   view (overlay → group layer → template) via ``lane_memory``.
 * A group at or below ``SCALAR_CUTOFF`` lanes leaves lockstep, and so
-  does a lane whose skip or control-flow fault just fired.  Each such
-  lane exports a :class:`~repro.runtime.interpreter.MachineState` (its
-  frames, its memory view, both counters and its pending fault state)
-  and finishes alone the way a campaign trial does
-  (:func:`repro.runtime.prefix.finish`): on the reference interpreter
-  until its fault has fully acted — no trigger, inversion or address
-  corruption left, and not a skip/cf plan — then on the compiled
-  backend.  A faulted lane that hangs burns through ``HANG_FACTOR``
+  does a lane whose ``branch``, ``skip``, ``skip-burst`` or ``cf``
+  trigger comes up, before that trigger fires.  Each such lane exports
+  a :class:`~repro.runtime.interpreter.MachineState` (its frames, its
+  memory view, both counters, a still-pending trigger and a pending
+  address-corruption bit) and finishes alone the way a campaign trial
+  does (:func:`repro.runtime.prefix.finish`): on the reference
+  interpreter, which fires any pending trigger, until its fault has
+  fully acted, then on the compiled backend (skip/cf lanes stay on the
+  reference).  A faulted lane that hangs burns through ``HANG_FACTOR``
   baseline budgets alone, so the tail can take a large share of a
   campaign's time; the ``batch.lockstep`` / ``batch.tail`` spans report
   the split when a sink is installed.
@@ -72,13 +73,15 @@ uniform path calls its ``OPS`` table for every cold op, the sparse path
 calls ``apply``, and only the hot ops (MOV, ADD/FADD, SUB/FSUB, FMUL,
 MUL, ICMP/FCMP) are inlined, on the uniform path.
 
-Per-lane faults follow :meth:`Interpreter._inject` to the letter: the
-trigger fires when ``region_steps - 1 == plan.step`` *before* operand
-fetch, value flips pick a victim across the frame stack's name-sorted
-live registers modelling a ``REGISTER_FILE_SIZE``-slot physical file
-(a flip on a uniform slot widens it into a column), branch faults invert
-the lane's next conditional, address faults XOR a bit into the lane's
-next memory access.
+Only ``value`` and ``addr`` faults act in lockstep, and they follow
+:meth:`Interpreter._inject` to the letter: the trigger fires when
+``region_steps - 1 == plan.step`` *before* operand fetch, value flips
+pick a victim across the frame stack's name-sorted live registers
+modelling a ``REGISTER_FILE_SIZE``-slot physical file (a flip on a
+uniform slot widens it into a column), and address faults XOR a bit
+into the lane's next memory access.  The other kinds change which
+instructions a lane executes, so their rules live in the reference
+interpreter alone.
 
 In lockstep, intrinsics are called with ``None`` as their interpreter
 argument (tail lanes hand over their resuming engine): every in-tree
@@ -121,7 +124,7 @@ from ..obs.events import enabled as obs_enabled
 from ..obs.sinks import MemorySink
 from .compiler import CompiledModule, compile_module
 from .errors import TRIAL_TRAPS, CoreDumpError, HangError, SegfaultError, classify_trap
-from .faults import SKIP_KINDS, FaultPlan, Region, flip_value
+from .faults import FaultPlan, Region, flip_value
 from .interpreter import (
     _ADD, _ALLOC, _BR, _CALL, _CBR, _FADD, _FCMP, _FMUL, _FSUB, _ICMP,
     _INTRIN, _LOAD, _MOV, _MUL, _RET, _STORE, _SUB,
@@ -531,17 +534,9 @@ class BatchExecutor:
         self._traced = False
         self.fault_region = fault_region
         self.max_steps = max_steps
-        self._invert = [False] * n_lanes
         self._corrupt: List[Optional[int]] = [None] * n_lanes
-        # live counts let the hot loop skip per-lane flag checks entirely
-        self._n_invert = 0
+        # a live count lets the hot loop skip per-lane flag checks entirely
         self._n_corrupt = 0
-        # instruction-skip / control-flow fault state: remaining dynamic
-        # instructions to drop, and the pending wrong-target pick.  Lanes
-        # carrying these leave lockstep the moment the trigger fires (their
-        # instruction stream diverges) and finish in the tail.
-        self._skip = [0] * n_lanes
-        self._cf: List[Optional[float]] = [None] * n_lanes
         #: the programs tail lanes finish on, compiled and decoded once
         self._compiled = compiled
         self._decoded = decoded or DecodedProgram(module, fault_region, template)
@@ -630,11 +625,12 @@ class BatchExecutor:
 
     # -- fault machinery ----------------------------------------------------
     def _fire_triggers(self, g: _Group) -> List[int]:
-        """Inject every plan whose trigger step just elapsed (mirrors the
-        ``region_steps - 1 == plan.step`` check before operand fetch).
-        Returns the lanes whose plan forces them out of lockstep (skip and
-        control-flow kinds): their stream diverges at this instruction, so
-        the caller must peel them off to the tail."""
+        """Handle every plan whose trigger step just elapsed (mirrors the
+        ``region_steps - 1 == plan.step`` check before operand fetch):
+        ``value`` and ``addr`` plans inject here.  Returns the lanes of
+        every other plan, whose instruction stream diverges at this
+        instruction: the caller peels them off to the tail, where the
+        reference interpreter fires their trigger."""
         want = g.region_steps - 1
         row_of = g.row_of
         peel: List[int] = []
@@ -644,33 +640,26 @@ class BatchExecutor:
             row = row_of.get(lane)
             if row is None:
                 continue  # lane retired before its trigger
-            if self._inject_lane(g, row, lane):
+            kind = self._plans[lane].kind
+            if kind == "value" or kind == "addr":
+                self._inject_lane(g, row, lane)
+            else:
                 peel.append(lane)
         return peel
 
-    def _inject_lane(self, g: _Group, row: int, lane: int) -> bool:
-        """One lane's SEU — the exact victim-selection walk of
-        ``Interpreter._inject`` over this group's frame stack.  A flip
-        landing on a uniform slot widens it into a column (unless the
-        flip was masked and the value is unchanged).  Returns whether the
-        lane must leave lockstep (skip / control-flow kinds)."""
+    def _inject_lane(self, g: _Group, row: int, lane: int) -> None:
+        """One lane's ``value`` or ``addr`` fault.  An address fault arms
+        the lane's next memory access; a value flip takes the exact
+        victim-selection walk of ``Interpreter._inject`` over this
+        group's frame stack, and landing on a uniform slot widens it
+        into a column (unless the flip was masked and the value is
+        unchanged)."""
         plan = self._plans[lane]
-        if plan.kind == "branch":
-            if not self._invert[lane]:
-                self._invert[lane] = True
-                self._n_invert += 1
-            return False
         if plan.kind == "addr":
             if self._corrupt[lane] is None:
                 self._n_corrupt += 1
             self._corrupt[lane] = plan.bit
-            return False
-        if plan.kind in SKIP_KINDS:
-            self._skip[lane] = plan.burst_len
-            return True
-        if plan.kind == "cf":
-            self._cf[lane] = plan.pick
-            return True
+            return
         slots: List[Tuple[list, int]] = []
         for frame in g.frames:
             fregs = frame.regs
@@ -680,11 +669,11 @@ class BatchExecutor:
             )
             slots.extend((fregs, s) for _name, s in named)
         if not slots:
-            return False
+            return
         nfile = max(REGISTER_FILE_SIZE, len(slots))
         k = int(plan.pick * nfile)
         if k >= len(slots):
-            return False  # landed on a slot holding no live value: masked
+            return  # landed on a slot holding no live value: masked
         fregs, s = slots[k]
         col = fregs[s]
         if col.__class__ is _SpCol:
@@ -694,7 +683,6 @@ class BatchExecutor:
             nv = flip_value(col, plan.bit)
             if nv is not col:  # flip_value returns its input when masked
                 fregs[s] = _SpCol(col, {row: nv})
-        return False
 
     # -- retirement / splitting --------------------------------------------
     def _bind_lane(self, lane: int, gmem: dict, brk) -> None:
@@ -934,12 +922,12 @@ class BatchExecutor:
                         g.region_steps = rsteps
                         peel = self._fire_triggers(g)
                         if peel:
-                            # skip/cf lanes diverge at this very instruction,
-                            # which has not executed yet: rewind it so both
-                            # children re-fetch it — the lockstep rest runs it
-                            # normally, the peeled lanes drop/retarget it on
-                            # the reference (triggers at this step are all
-                            # consumed, so nothing re-fires)
+                            # the peeled lanes diverge at this very
+                            # instruction, which has not executed yet: rewind
+                            # it so both children re-fetch it — the lockstep
+                            # rest runs it normally (its triggers here are
+                            # consumed, so nothing re-fires), the peeled
+                            # lanes fire theirs on the reference
                             frame.pc = pc - 1
                             g.steps = steps - 1
                             g.region_steps = rsteps - 1
@@ -953,6 +941,10 @@ class BatchExecutor:
                                 children.append(self._fork(g, sel_rest, True))
                                 work.append(children[0])
                             children.append(self._fork(g, sel_peel, not sel_rest))
+                            # hand the peeled lanes back the triggers they
+                            # have not fired: the reference fires them
+                            children[-1].trigs = [
+                                (rsteps - 1, ln) for ln in peel]
                             self._hand_runtime(g, children)
                             self._finish_tail(children[-1])
                             return
@@ -1268,54 +1260,28 @@ class BatchExecutor:
                 if code == _CBR:
                     k, v = ops[0]
                     a = regs[v] if k else v
-                    cls = a.__class__
-                    if cls is _SpCol and not self._n_invert:
-                        # near-uniform condition: only exception lanes can
-                        # disagree with the base direction
-                        tb = a.base != 0 and a.base == a.base
-                        div = sorted(
-                            r for r, v_ in a.exc.items()
-                            if (v_ != 0 and v_ == v_) != tb)
-                        if len(div) == L:
-                            # every row disagrees with a base none holds
-                            tb = not tb
-                            div = []
-                        if not div:
-                            frame.label = extra[1] if tb else extra[2]
-                            frame.pc = 0
-                            break
-                        div_set = set(div)
-                        others = [i for i in range(L) if i not in div_set]
-                        taken_sel, fall_sel = \
-                            (others, div) if tb else (div, others)
-                    else:
-                        if cls is _SpCol:
-                            tb = a.base != 0 and a.base == a.base
-                            takens = [tb] * L
-                            for r, v_ in a.exc.items():
-                                takens[r] = v_ != 0 and v_ == v_
-                        else:
-                            t0 = a != 0 and a == a  # NaN falls through
-                            if not self._n_invert:
-                                frame.label = extra[1] if t0 else extra[2]
-                                frame.pc = 0
-                                break
-                            takens = [t0] * L
-                        if self._n_invert:
-                            invert = self._invert
-                            for i in range(L):
-                                lane = rows[i]
-                                if invert[lane]:
-                                    takens[i] = not takens[i]
-                                    invert[lane] = False
-                                    self._n_invert -= 1
-                        first = takens[0]
-                        if takens.count(first) == L:
-                            frame.label = extra[1] if first else extra[2]
-                            frame.pc = 0
-                            break
-                        taken_sel = [i for i, t in enumerate(takens) if t]
-                        fall_sel = [i for i, t in enumerate(takens) if not t]
+                    if a.__class__ is not _SpCol:
+                        t0 = a != 0 and a == a  # NaN falls through
+                        frame.label = extra[1] if t0 else extra[2]
+                        frame.pc = 0
+                        break
+                    # near-uniform condition: only exception lanes can
+                    # disagree with the base direction
+                    tb = a.base != 0 and a.base == a.base
+                    div = sorted(
+                        r for r, v_ in a.exc.items()
+                        if (v_ != 0 and v_ == v_) != tb)
+                    if len(div) == L:
+                        # every row disagrees with a base none holds
+                        tb = not tb
+                        div = []
+                    if not div:
+                        frame.label = extra[1] if tb else extra[2]
+                        frame.pc = 0
+                        break
+                    div_set = set(div)
+                    others = [i for i in range(L) if i not in div_set]
+                    taken_sel, fall_sel = (others, div) if tb else (div, others)
                     frame.pc = pc
                     g.steps = steps
                     g.region_steps = rsteps
@@ -1587,18 +1553,15 @@ class BatchExecutor:
                     if col is not _UNDEF})
                 for fr in g.frames
             ]
-            state = MachineState(
-                frames, mem, g.steps, g.region_steps,
-                trigger=pending.get(lane), skip=self._skip[lane],
-                invert=self._invert[lane], corrupt=self._corrupt[lane],
-                cf=self._cf[lane])
-            # the lane's flags leave with it: drop them from the live counts
-            self._n_invert -= state.invert
+            plan = self._plans[lane]
+            state = MachineState(frames, mem, g.steps, g.region_steps,
+                                 pending.get(lane), self._corrupt[lane])
+            # the lane's flag leaves with it: drop it from the live count
             self._n_corrupt -= state.corrupt is not None
             if self._traced:
                 t0 = perf_counter()
             self._results[lane] = finish(
-                self.module, mem, self._plans[lane], self._tables[lane],
+                self.module, mem, plan, self._tables[lane],
                 self.fault_region, self.max_steps, self._decoded,
                 self._compiled, entry, state=state, handoff=True)
             if self._traced:

@@ -48,7 +48,10 @@ FAULT_KINDS = ("value", "branch", "addr", "skip", "skip-burst", "cf")
 SKIP_KINDS = ("skip", "skip-burst")
 
 #: Kinds that corrupt the instruction stream itself rather than stored
-#: bits; these force a lane out of lockstep in the batch engine.
+#: bits.  Their dropped definitions and illegal control edges can reach
+#: reads of unwritten registers, which only the reference interpreter
+#: turns into core dumps, so ``prefix.finish`` never hands these trials
+#: to the compiled backend.
 CONTROL_KINDS = ("skip", "skip-burst", "cf")
 
 #: Default mix of fault kinds: register-file upsets dominate; a small share

@@ -118,29 +118,26 @@ class MachineState:
     """A paused execution, continued by ``run(..., state=...)`` on either
     :class:`Interpreter` or
     :class:`~repro.runtime.compiler.CompiledExecutor`: the frame stack
-    (outermost first), the memory it runs on, both step counters, the
-    per-opcode counts when the pausing engine kept them, and the fault
-    state still to act — the plan step whose trigger has not fired
-    (``None`` once fired), instructions still to drop, a pending branch
-    inversion, address-corruption bit and cf pick."""
+    (outermost first), the memory it runs on, both step counters, and
+    the fault state a pause can leave still to act — the plan step
+    whose trigger has not fired (``None`` once fired) and a pending
+    address-corruption bit.  Nothing pauses a run while a branch
+    inversion, skip or cf retarget is pending: batch lanes leave
+    lockstep before those triggers fire, and a hand-off waits until
+    the interpreter's fault has fully acted."""
 
     frames: List[ResumeFrame]
     memory: object
     steps: int
     region_steps: int
     trigger: Optional[int] = None
-    skip: int = 0
-    invert: bool = False
     corrupt: Optional[int] = None
-    cf: Optional[float] = None
-    counts: Optional[List[int]] = None
 
     @property
     def pending(self) -> bool:
         """Whether fault state is still to act (if not, the rest of the
         execution is a clean run)."""
-        return (self.trigger is not None or self.skip > 0 or self.invert
-                or self.corrupt is not None or self.cf is not None)
+        return self.trigger is not None or self.corrupt is not None
 
 
 class DecodedProgram:
@@ -262,7 +259,8 @@ class Interpreter:
         index); when the frame returns, its value goes into the caller's
         ``call`` dest and the caller continues, outward to the first
         frame.  Every frame is on the stack throughout, so a value flip
-        still picks its victim across the whole stack."""
+        still picks its victim across the whole stack.  A resumed run's
+        per-opcode ``counts`` cover only what it executed itself."""
         func = self.module.get_function(func_name)
         if state is None and len(args) != len(func.params):
             raise TypeError(
@@ -286,13 +284,8 @@ class Interpreter:
         self.memory = state.memory
         self.steps = state.steps
         self.region_steps = state.region_steps
-        if state.counts is not None:
-            self.counts = list(state.counts)
         self._fault_pending = state.trigger is not None
-        self._skip_left = state.skip
-        self._invert_next_cbr = state.invert
         self._corrupt_next_mem = state.corrupt
-        self._cf_pick = state.cf
         frames = state.frames
         self._frames.extend(frame.regs for frame in frames)
         self._frame_funcs.extend(frame.func for frame in frames)

@@ -10,7 +10,7 @@ at or past each — recording a :class:`Snapshot` there:
 * the frame stack, each caller resuming after its pending ``call``;
 * memory as a diff against the initial image (every cell written so
   far, plus the allocation pointer) — a few dozen cells, not a copy;
-* both step counters and the per-opcode counts;
+* both step counters;
 * the stateful runtime's loop state (``LoopRuntimes.snapshot()``,
   which shares trained profiles and configs by reference);
 * with an observability sink installed, how many of the golden run's
@@ -76,7 +76,6 @@ class Snapshot(NamedTuple):
 
     region_steps: int
     steps: int
-    counts: List[int]
     frames: List[ResumeFrame]
     #: cell address -> value of every cell written since the initial image
     cells: Dict[int, object]
@@ -143,7 +142,7 @@ class GoldenPrefix:
             _replay(self.events[:snap.events])
         frames = [f._replace(regs=dict(f.regs)) for f in snap.frames]
         return MachineState(frames, memory, snap.steps, snap.region_steps,
-                            trigger=step, counts=snap.counts)
+                            trigger=step)
 
     def after(self, region_steps: int) -> Optional[Snapshot]:
         """The first snapshot at or after *region_steps*, if any."""
@@ -352,7 +351,7 @@ class _Capture(_Hook):
         """Snapshot the paused run; returns the next threshold."""
         memory = self._memory
         self.snapshots.append(Snapshot(
-            interp.region_steps, interp.steps, list(interp.counts),
+            interp.region_steps, interp.steps,
             self._frames(interp, label, index),
             {addr: memory.cells[addr] for addr in memory.written},
             memory.brk,
@@ -401,19 +400,15 @@ class HandOff(_Hook):
     def __init__(self, plan, state: Optional[MachineState] = None,
                  golden: Optional[GoldenPrefix] = None, runtime=None):
         super().__init__(state.frames if state is not None else ())
-        self._plan = plan
         self._golden = golden
         self._runtime = runtime
         self._snap: Optional[Snapshot] = None
         self.at = plan.step + 1
 
     def take(self, interp: Interpreter, label: str, index: int) -> int:
-        state = MachineState(
-            self._frames(interp, label, index), interp.memory, interp.steps,
-            interp.region_steps, self._plan.step if interp._fault_pending else None,
-            interp._skip_left, interp._invert_next_cbr, interp._corrupt_next_mem,
-            interp._cf_pick)
-        if state.pending:
+        # no skip or cf state to check: finish() hooks no CONTROL_KINDS plan
+        if (interp._fault_pending or interp._invert_next_cbr
+                or interp._corrupt_next_mem is not None):
             self.at = interp.region_steps
             return self.at
         golden, snap = self._golden, self._snap
@@ -422,6 +417,8 @@ class HandOff(_Hook):
             if snap is not None and snap.region_steps > interp.region_steps:
                 self.at = snap.region_steps
                 return self.at
+        state = MachineState(self._frames(interp, label, index), interp.memory,
+                             interp.steps, interp.region_steps)
         if snap is not None and golden.matches(snap, state, self._runtime):
             raise Converged(snap)
         raise HandedOff(state)
@@ -489,8 +486,9 @@ def capture(
 
     *runtime* must be freshly reset; the capture leaves it in its
     end-of-run state.  The golden run's end is kept for trials that
-    re-join it unless the run counted recovery activity.  With a sink installed the run's runtime events are
-    recorded instead of written and its spans are dropped."""
+    re-join it unless the run counted recovery activity.  With a sink
+    installed the run's runtime events are recorded instead of written
+    and its spans are dropped."""
     log = _WriteLog(memory)
     interp = Interpreter(module, memory=log, max_steps=max_steps,
                          fault_region=region, decoded=decoded)

@@ -82,23 +82,25 @@ def test_protection_reduces_skip_sdc_rate():
 
 
 def test_o6_detects_a_seeded_skip_divergence(monkeypatch):
-    """Sensitivity: if the batch engine mis-times its skip window
-    (arming one instruction late), lanes diverge from their reference
+    """Sensitivity: if the batch engine hands a skip lane to the tail
+    with its trigger one step late, lanes diverge from their reference
     trials and o6 must say so."""
+    from dataclasses import replace
+
     from repro.runtime import batch as batch_mod
 
     module = generate(0, 0).module
     assert check_skip_exhaustive(module) == []
 
-    real_inject = batch_mod.BatchExecutor._inject_lane
+    real_finish = batch_mod.finish
 
-    def late_inject(self, g, row, lane):
-        fired = real_inject(self, g, row, lane)
-        if fired and self._skip[lane]:
-            self._skip[lane] += 1  # drop one extra instruction
-        return fired
+    def late_finish(module, memory, plan, *args, state=None, **kwargs):
+        if plan is not None and plan.kind == "skip" and state.trigger is not None:
+            plan = replace(plan, step=plan.step + 1)
+            state.trigger = plan.step
+        return real_finish(module, memory, plan, *args, state=state, **kwargs)
 
-    monkeypatch.setattr(batch_mod.BatchExecutor, "_inject_lane", late_inject)
+    monkeypatch.setattr(batch_mod, "finish", late_finish)
     violations = check_skip_exhaustive(module)
     assert violations and all(v.oracle == "o6" for v in violations)
 

@@ -172,11 +172,14 @@ def _cross_check(build, args, plans):
 
 
 class TestCrossEngine:
-    def test_skip_sites_byte_identical(self):
-        """Every 3rd single-skip site of the dot kernel, ref vs batch."""
+    @pytest.mark.parametrize("kind", ["skip", "branch", "addr"])
+    def test_skip_sites_byte_identical(self, kind):
+        """A fault at every 3rd step of the dot kernel, ref vs batch:
+        triggers land on its ``cbr``, ``load`` and ``store`` sites.
+        Skip and branch lanes leave lockstep there; addr lanes stay."""
         build = lambda: build_dot_module(4)
         total = _count_steps(build, [3, 4])
-        plans = [FaultPlan(step=s, kind="skip") for s in range(0, total, 3)]
+        plans = [FaultPlan(step=s, kind=kind) for s in range(0, total, 3)]
         _cross_check(build, [3, 4], plans)
 
     def test_bursts_and_cf_byte_identical(self):
