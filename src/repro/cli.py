@@ -665,7 +665,8 @@ def build_parser() -> argparse.ArgumentParser:
                              "faulted campaign trials as lockstep lanes "
                              "(tallies identical to 'ref') and clean runs "
                              "like 'compiled'.  Other instrumented runs "
-                             "(timing, profiling, single faulted runs) "
+                             "(timing, golden-run captures, single faulted "
+                             "runs) "
                              "always use the reference interpreter")
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -50,7 +50,7 @@ from ..obs.events import (
 from ..runtime.errors import CoreDumpError
 from .acceptance import within_range
 from .config import RSkipConfig
-from .interpolation import CutEvent, PhaseSlicer, validate_phase
+from .interpolation import CutEvent, PhaseSlicer, Point, validate_phase
 from .memoization import MemoTable
 from .signature import QoSModel, make_signature
 from .temporal import TemporalPredictor
@@ -730,7 +730,41 @@ def _copy_run_state(state: dict) -> dict:
     profile."""
     memo = {id(state[name]): state[name] for name in _SHARED_STATE
             if name in state}
-    return copy.deepcopy(state, memo)
+    return _copy_fields(state, memo)
+
+
+#: values a copy shares: immutable, or never written after construction
+_SHARED_TYPES = frozenset({int, float, str, bool, type(None), Element, Point})
+#: plain run-state classes, copied field by field as ``copy.deepcopy`` does
+_FIELDWISE = frozenset({SkipStats, PhaseSlicer})
+
+
+def _copy_fields(fields: Dict[str, object], memo: dict) -> Dict[str, object]:
+    shared = _SHARED_TYPES
+    return {name: value if type(value) in shared else _deepcopy(value, memo)
+            for name, value in fields.items()}
+
+
+def _deepcopy(value, memo: dict):
+    """``copy.deepcopy(value, memo)``, built faster for the lists, deques
+    and ``_FIELDWISE`` objects loop run state holds (aliasing kept
+    through *memo*); anything else goes to ``copy.deepcopy``.  The
+    caller keeps the originals alive, so no ``id`` is reused mid-copy."""
+    key = id(value)
+    if key in memo:
+        return memo[key]
+    cls = type(value)
+    if cls is list or cls is deque:
+        new = memo[key] = [] if cls is list else deque((), value.maxlen)
+        shared = _SHARED_TYPES
+        new.extend([item if type(item) in shared else _deepcopy(item, memo)
+                    for item in value])
+        return new
+    if cls in _FIELDWISE:
+        new = memo[key] = cls.__new__(cls)
+        vars(new).update(_copy_fields(vars(value), memo))
+        return new
+    return copy.deepcopy(value, memo)
 
 
 class RskipRuntime(LoopRuntimes):

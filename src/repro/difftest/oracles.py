@@ -35,9 +35,9 @@ Seven machine-checked properties:
   program is protected once and campaigned whole-program; reference
   trials reset its runtime and fast-forward from the golden prefix as
   campaign trials do, and batch lanes get one runtime fork each.  O5
-  draws one random fault plan per lane.  O6 takes a counting pre-run
-  that names every in-region dynamic instruction and injects one skip
-  plan per site, which *proves* per-scheme skip coverage instead of
+  draws one random fault plan per lane.  O6 reads every in-region
+  dynamic instruction off the golden run's segments and injects one
+  skip plan per site, which *proves* per-scheme skip coverage instead of
   sampling it; under the duplication schemes a skip whose victim is a
   shadow instruction must also never be silent corruption (the
   instruction-skip analogue of O3's shadow-flip property).
@@ -90,9 +90,10 @@ from ..pipeline.registry import canonical_scheme, get_scheme
 from ..runtime.backend import make_executor
 from ..runtime.errors import FaultDetectedError, TrapError
 from ..runtime.faults import FaultPlan, Region, flip_value, random_plan
-from ..runtime.interpreter import OPCODES, Interpreter
+from ..runtime.interpreter import OPCODES, DecodedProgram, Interpreter
 from ..runtime.memory import Memory
 from ..runtime.outcomes import outputs_equal
+from ..runtime.prefix import capture
 from ..workloads.base import stable_seed
 
 DEFAULT_MAX_STEPS = 5_000_000
@@ -387,36 +388,41 @@ def check_backend_equivalence(
 # -- O5/O6: trials through the campaign's trial runner -------------------------
 class _Trials:
     """One (program, protection) campaigned the way ``repro campaign``
-    runs its trials: protected once (:func:`_prepared`), given a counting
-    run, then trials through :func:`~repro.eval.fault_campaign.trial_rows`
-    on either engine."""
+    runs its trials: protected once (:func:`_prepared`), its golden run
+    captured once (:func:`~repro.runtime.prefix.capture`), then trials
+    through :func:`~repro.eval.fault_campaign.trial_rows` on either
+    engine."""
 
     def __init__(self, module: Module, protection: Optional[str],
                  max_steps: int):
         self.prepared = prepared = _prepared(module, protection)
         self.workload = ModuleWorkload(module)
         self.inp = self.workload.make_input()
-        # the counting run: the clean observation, the hang budget, and
-        # one (opcode index, dest name) entry per in-region dynamic
-        # instruction — entry i names what a plan with step == i hits
+        # the golden run: the clean observation, the hang budget, the
+        # prefix trials fast-forward from, and one (opcode index, dest
+        # name) site per in-region dynamic instruction — site i names
+        # what a plan with step == i hits
         region = fault_region(prepared)
         if prepared.runtime is not None:
             prepared.runtime.reset()
         memory = self.workload.fresh_memory(prepared.module, self.inp)
-        interp = Interpreter(prepared.module, memory=memory,
-                             max_steps=max_steps, fault_region=region)
-        interp.register_intrinsics(prepared.intrinsics)
-        self.trace: List[Tuple[int, Optional[str]]] = []
-        interp.site_trace = self.trace
-        value = interp.run(prepared.main, self.inp.args).value
-        self.clean = ExecResult(value, _finals(prepared.module, memory),
-                                interp.steps, region_steps=interp.region_steps)
+        decoded = DecodedProgram(prepared.module, region, memory)
+        golden = capture(prepared.module, memory, prepared.intrinsics,
+                         prepared.runtime, region, decoded, prepared.main,
+                         self.inp.args, max_steps)
+        run = golden.result
+        self.sites: List[Tuple[int, Optional[str]]] = [
+            instr[:2]
+            for func, label, index, _start, length in golden.windows()
+            for instr in decoded.funcs[func][1][label][index:index + length]]
+        self.clean = ExecResult(run.value, _finals(prepared.module, memory),
+                                run.steps, region_steps=run.region_steps)
         # oracles compare whole rows and never tally, so the context
         # carries no golden outputs; faulted trials get their own hang
         # budget so they cannot run to the full fuzz limit
         self.ctx = CampaignContext(
-            region, [], [], interp.region_steps,
-            min(max_steps, max(interp.steps * 8, 10_000)), interp.steps)
+            region, [], [], run.region_steps,
+            min(max_steps, max(run.steps * 8, 10_000)), golden, decoded)
 
     def observe(self, plans: List[FaultPlan], backend: str) -> List[ExecResult]:
         """Each plan's trial on *backend* (one slab of ``len(plans)``
@@ -511,7 +517,7 @@ class SkipMap:
     """Per-scheme single-skip (or burst) vulnerability map of a program."""
 
     protection: Optional[str]
-    total_sites: int   # counting pre-run total (every in-region instruction)
+    total_sites: int   # golden-run total (every in-region instruction)
     exhaustive: bool   # True when every site was enumerated
     burst_len: int     # 1 for single skips, >1 for burst maps
     sites: List[SkipSite] = field(default_factory=list)
@@ -559,11 +565,11 @@ def skip_site_map(
     O6, reusable on its own (``repro skipmap`` and the vulnerability
     table build on it)."""
     trials = _Trials(module, protection, max_steps)
-    site_steps, exhaustive = _enumerate_sites(len(trials.trace), site_cap)
-    smap = SkipMap(protection, len(trials.trace), exhaustive, burst_len)
+    site_steps, exhaustive = _enumerate_sites(len(trials.sites), site_cap)
+    smap = SkipMap(protection, len(trials.sites), exhaustive, burst_len)
     observed = trials.observe(_skip_plans(site_steps, burst_len), "ref")
     for s, obs in zip(site_steps, observed):
-        code, dest = trials.trace[s]
+        code, dest = trials.sites[s]
         smap.sites.append(SkipSite(
             s, OPCODES[code].value, dest, _classify_outcome(obs, trials.clean)))
     return smap
@@ -580,9 +586,9 @@ def check_skip_exhaustive(
 
     For the plain program and (when given) the protected program:
 
-    * a counting pre-run names every in-region dynamic instruction, and
-      its site count must equal the clean run's region-step total — the
-      enumeration provably covers the whole dynamic stream;
+    * the golden run's segments name every in-region dynamic
+      instruction, one site per region step — the enumeration covers
+      the whole dynamic stream;
     * every site is injected once as a ``skip`` plan, per-trial on the
       reference interpreter (fast-forwarded from the golden prefix, as
       campaign trials are) and again as one lane of a single batched
@@ -603,14 +609,8 @@ def check_skip_exhaustive(
         pipe = (prot,) if prot else ()
         label = prot or "plain"
         trials = _Trials(module, prot, max_steps)
-        trace = trials.trace
-        if trials.ctx.region_steps != len(trace):
-            violations.append(Violation(
-                "o6", f"[{label}] counting pre-run named {len(trace)} "
-                      f"sites but the clean run executed "
-                      f"{trials.ctx.region_steps} region steps", pipe))
-            continue
-        site_steps, _exhaustive = _enumerate_sites(len(trace), site_cap)
+        sites = trials.sites
+        site_steps, _exhaustive = _enumerate_sites(len(sites), site_cap)
         if not site_steps:
             continue
         for blen in ([1, 2] if burst else [1]):
@@ -622,7 +622,7 @@ def check_skip_exhaustive(
 
             if prot in _SKIP_CONTRACT_SCHEMES and blen == 1:
                 for s, obs in zip(site_steps, ref):
-                    code, dest = trace[s]
+                    code, dest = sites[s]
                     if dest is None or not _is_shadow(dest):
                         continue
                     if _classify_outcome(obs, trials.clean) == "sdc":

@@ -10,10 +10,9 @@ in any order and still produce byte-identical tallies.
 
 This engine shards those units over a ``ProcessPoolExecutor``:
 
-* each worker caches the prepared program and its fault-free golden run
-  per (workload, scheme) — plus, once a chunk repays it, the golden
-  prefix its reference trials fast-forward from — so a chunk only pays
-  for its own trials;
+* each worker caches the prepared program and its one fault-free golden
+  run per (workload, scheme) — with the golden prefix its reference
+  trials fast-forward from — so a chunk only pays for its own trials;
 * every finished chunk is checkpointed to a JSON file (written
   atomically), and ``resume=True`` skips the chunks the file already
   holds — an interrupted campaign continues to the same final result;
@@ -38,9 +37,9 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..core.config import RSkipConfig
 from ..core.manager import LoopProfile
-from ..obs.events import install_sink, remove_sink
+from ..obs.events import diverted, install_sink, remove_sink
 from ..obs.manifest import RunManifest, run_id_for
-from ..obs.sinks import JsonlSink, merge_traces
+from ..obs.sinks import JsonlSink, MemorySink, merge_traces
 from ..pipeline.registry import canonical_scheme, get_scheme
 from ..runtime.backend import default_backend
 from ..runtime.faults import DEFAULT_KIND_WEIGHTS
@@ -87,9 +86,11 @@ class CampaignTask:
 
 
 # -- worker side ------------------------------------------------------------
-#: (workload, scheme, seed, scale, config) -> (workload, prepared, inp, ctx).
-#: One entry per campaign a worker process has touched; the prepared
-#: program is reused across that campaign's chunks (trials reset it).
+#: (workload, scheme, seed, scale, config) -> (workload, prepared, inp, ctx,
+#: spans).  One entry per campaign a worker process has touched; the
+#: prepared program is reused across that campaign's chunks (trials reset
+#: it).  *spans* holds the golden run's spans until a traced chunk
+#: reports them.
 _WORKER_CACHE: Dict[Tuple, Tuple] = {}
 
 
@@ -110,8 +111,10 @@ def _worker_campaign(
         if inp is None:
             inp = workload.test_inputs(1, seed=task.seed + 17, scale=task.scale)[0]
         prepared = prepare(workload, task.scheme, config, profiles)
-        ctx = campaign_context(prepared, workload, inp)
-        entry = (workload, prepared, inp, ctx)
+        spans = MemorySink(capacity=0)
+        with diverted(spans):
+            ctx = campaign_context(prepared, workload, inp)
+        entry = (workload, prepared, inp, ctx, spans.spans)
         _WORKER_CACHE[key] = entry
     return entry
 
@@ -133,10 +136,11 @@ def _run_chunk(
     workers ever interleave writes into a shared fd.  The sink goes up
     *after* the cached golden run (which is per-worker warmup,
     not per-chunk work), keeping shard contents deterministic for any
-    worker count.  The chunk's wall-clock and module fingerprint ride
-    back on the result dict for the parent's run manifest.
+    worker count; the first traced chunk after it reports its
+    ``ref.capture`` span.  The chunk's wall-clock and module fingerprint
+    ride back on the result dict for the parent's run manifest.
     """
-    workload, prepared, inp, ctx = _worker_campaign(
+    workload, prepared, inp, ctx, warmup = _worker_campaign(
         task, workload, config, profiles, inp
     )
 
@@ -162,8 +166,12 @@ def _run_chunk(
     data = result.to_dict()
     data["elapsed_ms"] = (time.perf_counter() - t0) * 1000.0
     data["fingerprint"] = module_fingerprint(prepared.module)
-    if sink.spans:  # the engines' own, e.g. the batch lockstep/tail split
-        data["spans"] = sink.spans
+    # the golden run's, then the engines' own (e.g. the batch
+    # lockstep/tail split)
+    spans = warmup + sink.spans
+    warmup.clear()
+    if spans:
+        data["spans"] = spans
     return task.key, data
 
 

@@ -6,6 +6,13 @@ classified as Correct / SDC / Segfault / Core dump / Hang against the
 golden output.  For RSkip schemes the campaign additionally measures
 *false negatives*: runs where the detected loop's output region diverged
 from golden — a corrupted value slipped through fuzzy validation.
+
+Everything a campaign needs from the fault-free execution comes from one
+golden run per campaign, captured on the reference interpreter
+(:func:`campaign_context`): the golden outputs, both step counters, the
+hang budget, and the golden prefix — the snapshots reference trials
+fast-forward from and the segments section windows and skip sites are
+read from.
 """
 from __future__ import annotations
 
@@ -27,7 +34,6 @@ from ..obs.events import (
 )
 from ..runtime.errors import TRIAL_TRAPS, classify_trap
 from ..pipeline.registry import PAPER_SCHEMES, get_scheme
-from ..runtime.backend import make_executor
 from ..runtime.faults import (
     DEFAULT_KIND_WEIGHTS,
     FaultPlan,
@@ -178,19 +184,20 @@ def _run_trial(
     handoff: bool,
 ) -> TrialRow:
     """One faulted trial on the reference interpreter, fast-forwarded
-    from the campaign's golden prefix when it has one and, with
-    *handoff*, ended at the golden run once it re-joins it or else
-    finished on the compiled backend once its fault has acted."""
+    from the campaign's golden prefix (from scratch on a context without
+    one) and, with *handoff*, ended at the golden run once it re-joins
+    it or else finished on the compiled backend once its fault has
+    acted."""
     memory = workload.fresh_memory(prepared.module, inp)
+    golden = ctx.prefix
     state = None
-    if ctx.prefix is not None:
-        state = ctx.prefix.state_for(plan.step, memory, prepared.runtime)
+    if golden is not None:
+        state = golden.state_for(plan.step, memory, prepared.runtime)
     return finish(prepared.module, memory, plan, prepared.intrinsics,
                   ctx.region, ctx.max_steps,
                   ctx.decoded_for(prepared.module, memory), prepared.compiled,
                   prepared.main, inp.args, state=state, handoff=handoff,
-                  golden=ctx.prefix if state is not None else None,
-                  runtime=prepared.runtime)
+                  golden=golden, runtime=prepared.runtime)
 
 
 def _run_once_batch(
@@ -226,19 +233,21 @@ def _run_once_batch(
 
 @dataclass
 class CampaignContext:
-    """Fault-free reference state of one (workload, scheme, input) campaign:
-    the injection region, golden outputs, the golden run's step count and
-    the hang budget.  Workers cache one per prepared program so trial
-    chunks pay for the golden run once; it also holds the program
-    decoded for the reference interpreter and, once a block of trials
-    repays it, the golden prefix trials fast-forward from."""
+    """Fault-free reference state of one (workload, scheme, input) campaign,
+    all from its one golden run: the injection region, golden outputs,
+    its region steps, the hang budget and the golden prefix
+    (:func:`~repro.runtime.prefix.capture`) — the snapshots reference
+    trials fast-forward from and the segments section windows and skip
+    sites are read from.  Workers cache one per prepared program so
+    trial chunks pay for the golden run once; it also holds the program
+    decoded for the reference interpreter.  A context without a prefix
+    runs its trials from scratch."""
 
     region: Region
     golden: List[float]
     golden_loop: List[float]
     region_steps: int
     max_steps: int
-    steps: int
     prefix: Optional[GoldenPrefix] = None
     decoded: Optional[DecodedProgram] = None
 
@@ -256,51 +265,37 @@ def campaign_context(
     workload: Workload,
     inp: WorkloadInput,
 ) -> CampaignContext:
-    """The golden (fault-free) pass of a campaign on *prepared*: golden
-    outputs, region steps, and the hang budget from its step count.
+    """The golden (fault-free) run of a campaign on *prepared*, captured
+    on the reference interpreter (one ``ref.capture`` span; nothing
+    reaches the trace body): golden outputs, region steps, the hang
+    budget from its step count, and the golden prefix.
 
-    The runtime is reset before the pass, so a cached prepared program
+    The runtime is reset before the run, so a cached prepared program
     yields byte-identical reference state to a freshly built one.
     """
     region = fault_region(prepared)
-    if prepared.runtime is not None:
-        prepared.runtime.reset()
-    memory = workload.fresh_memory(prepared.module, inp)
-    executor = make_executor(prepared.module, memory=memory,
-                             max_steps=500_000_000, fault_region=region)
-    executor.register_intrinsics(prepared.intrinsics)
-    try:
-        executor.run(prepared.main, inp.args)
-    except TRIAL_TRAPS as exc:
-        raise RuntimeError(
-            f"{workload.name}/{prepared.scheme}: fault-free run trapped "
-            f"with {classify_trap(exc)[0]}") from None
-    if executor.region_steps <= 0:
-        raise RuntimeError(f"{workload.name}/{prepared.scheme}: empty fault region")
-    return CampaignContext(
-        region, memory.read_global(*inp.output),
-        memory.read_global(*inp.loop_output), executor.region_steps,
-        max(executor.steps * HANG_FACTOR, 100_000), executor.steps,
-    )
-
-
-def _capture_prefix(
-    prepared: PreparedProgram,
-    workload: Workload,
-    inp: WorkloadInput,
-    ctx: CampaignContext,
-) -> GoldenPrefix:
-    """Snapshot the golden run on the reference interpreter (one
-    ``ref.capture`` span; nothing reaches the trace body)."""
     runtime = prepared.runtime
     if runtime is not None:
         runtime.reset()
     memory = workload.fresh_memory(prepared.module, inp)
-    with obs_span("ref.capture"):
-        return capture_prefix(
-            prepared.module, memory, prepared.intrinsics, runtime,
-            ctx.region, ctx.decoded_for(prepared.module, memory),
-            prepared.main, inp.args, ctx.region_steps, ctx.max_steps)
+    decoded = DecodedProgram(prepared.module, region, memory)
+    try:
+        with obs_span("ref.capture"):
+            golden = capture_prefix(
+                prepared.module, memory, prepared.intrinsics, runtime, region,
+                decoded, prepared.main, inp.args, 500_000_000)
+    except TRIAL_TRAPS as exc:
+        raise RuntimeError(
+            f"{workload.name}/{prepared.scheme}: fault-free run trapped "
+            f"with {classify_trap(exc)[0]}") from None
+    result = golden.result
+    if result.region_steps <= 0:
+        raise RuntimeError(f"{workload.name}/{prepared.scheme}: empty fault region")
+    return CampaignContext(
+        region, memory.read_global(*inp.output),
+        memory.read_global(*inp.loop_output), result.region_steps,
+        max(result.steps * HANG_FACTOR, 100_000), golden, decoded,
+    )
 
 
 def trial_seed(seed: int, workload: str, scheme: str, trial_index: int) -> int:
@@ -405,20 +400,14 @@ def trial_rows(
     state until their intrinsic calls diverge, and leaves each lane's
     statistics in its own fork.  Other backends run the plans one by one
     on the reference interpreter, each fast-forwarded to the latest
-    golden-prefix snapshot at or before its fault step; ``"compiled"``
-    finishes each on the compiled backend once its fault has acted.  The
-    prefix is captured once per campaign (kept on *ctx*), by the first
-    block whose plans' steps sum past the golden run's step count — the
-    prefix work those trials would otherwise replay outweighs the one
-    capture run.
+    snapshot of *ctx*'s golden prefix at or before its fault step;
+    ``"compiled"`` finishes each on the compiled backend once its fault
+    has acted, or at the golden run once it re-joins it.
     Rows are identical across backends, slab widths, fast-forwarding and
     hand-offs (difftest oracles O5 and O6 compare them).
     """
     runtime = prepared.runtime
     if backend != "batch":
-        if ctx.prefix is None and sum(plan.step for plan in plans) > ctx.steps:
-            # the prefixes these trials would replay outweigh one golden run
-            ctx.prefix = _capture_prefix(prepared, workload, inp, ctx)
         for plan in plans:
             since = None
             if runtime is not None:

@@ -253,12 +253,7 @@ def run_campaign_stratified(
     if prepared is None:
         prepared = prepare(workload, scheme, config, profiles)
     ctx = campaign_context(prepared, workload, inp)
-    partition = partition_sections(prepared, workload, inp, ctx.region)
-    if partition.region_steps != ctx.region_steps:
-        raise RuntimeError(
-            f"{workload.name}/{scheme}: section counting run saw "
-            f"{partition.region_steps} region steps, campaign context "
-            f"{ctx.region_steps}")
+    partition = partition_sections(prepared, workload, ctx)
     scheme_hash = get_scheme(scheme, config).descriptor_hash()
     engine = backend if backend is not None else default_backend()
 

@@ -15,7 +15,7 @@ steps form its step window.  Two section kinds cover the region:
   (pattern callees, RSkip outlined bodies): the whole function is one
   section.
 
-Anything the counting pre-run observes that no section claims falls into
+Any region step of the golden run that no section claims falls into
 a **residual** section fingerprinted over the whole module — it can only
 be reused when nothing at all changed, which keeps the partition total
 (no gaps) without ever reusing a tally whose provenance is unclear.
@@ -30,12 +30,12 @@ cross-section data flow is the documented approximation of compositional
 reuse (see DESIGN.md §10); oracle O7 pins the cases where sections are
 genuinely independent.
 
-Step windows come from a counting pre-run on the reference interpreter
-with :attr:`~repro.runtime.interpreter.Interpreter.section_trace`
-enabled, compressed to run-length ``(global_start, length)`` segments.
-The partition is validated against the interpreter's own
-``region_steps`` total: sections cover the region exactly, with no gaps
-and no overlaps.
+Step windows come from the campaign's one golden run: the segments its
+capture records (:meth:`~repro.runtime.prefix.GoldenPrefix.windows`)
+name the block every region step executes, and consecutive steps of one
+section merge into run-length ``(global_start, length)`` windows.  Every
+region step lies in exactly one window, so sections cover the region
+exactly, with no gaps and no overlaps.
 """
 from __future__ import annotations
 
@@ -48,10 +48,9 @@ from ..ir.function import Function
 from ..ir.module import Module
 from ..ir.printer import format_function, format_instr, format_module
 from ..pipeline.cache import artifact_key
-from ..runtime.faults import Region
-from ..runtime.interpreter import Interpreter
-from ..workloads.base import Workload, WorkloadInput
-from .schemes import PreparedProgram, fault_region
+from ..workloads.base import Workload
+from .fault_campaign import CampaignContext
+from .schemes import PreparedProgram
 
 #: Name of the catch-all section for steps no static section claims.
 RESIDUAL_SECTION = "residual"
@@ -107,27 +106,6 @@ class SectionPartition:
     sections: List[Section]
     region_steps: int
 
-
-
-class _SegmentRecorder:
-    """Run-length ``section_trace`` sink: stores ``[key, start, length]``
-    runs instead of one tuple per step, so counting a million-step region
-    costs a few hundred list cells."""
-
-    __slots__ = ("runs", "_last", "_pos")
-
-    def __init__(self):
-        self.runs: List[list] = []
-        self._last = None
-        self._pos = 0
-
-    def append(self, key) -> None:
-        if key == self._last:
-            self.runs[-1][2] += 1
-        else:
-            self.runs.append([key, self._pos, 1])
-            self._last = key
-        self._pos += 1
 
 
 def _block_text(func: Function, label: str) -> str:
@@ -214,21 +192,17 @@ def _loop_label_owners(
 def partition_sections(
     prepared: PreparedProgram,
     workload: Workload,
-    inp: WorkloadInput,
-    region: Optional[Region] = None,
+    ctx: CampaignContext,
     original_module: Optional[Module] = None,
 ) -> SectionPartition:
     """Partition the injection region of one campaign into sections.
 
     Static structure (owners, fingerprints) comes from the prepared
-    module; dynamic step windows come from a counting pre-run on the
-    reference interpreter.  Raises if the section step counts do not sum
-    to the interpreter's ``region_steps`` — coverage is checked, not
-    assumed.
+    module; dynamic step windows come from the segments of the golden
+    run *ctx* captured.
     """
     module = prepared.module
-    if region is None:
-        region = fault_region(prepared)
+    region = ctx.region
     main = prepared.main
     main_func = module.get_function(main)
     provenance = main_func.attrs.get("provenance", {})
@@ -264,19 +238,9 @@ def partition_sections(
         for label in module.get_function(fname).block_order():
             owners[(fname, label)] = name
 
-    recorder = _SegmentRecorder()
-    if prepared.runtime is not None:
-        prepared.runtime.reset()
-    memory = workload.fresh_memory(module, inp)
-    interp = Interpreter(
-        module, memory=memory, max_steps=500_000_000, fault_region=region)
-    interp.register_intrinsics(prepared.intrinsics)
-    interp.section_trace = recorder
-    interp.run(main, inp.args)
-
     residual: Optional[Section] = None
-    for key, start, length in recorder.runs:
-        name = owners.get(tuple(key))
+    for func, label, _index, start, length in ctx.prefix.windows():
+        name = owners.get((func, label))
         if name is None:
             if residual is None:
                 residual = Section(
@@ -291,9 +255,4 @@ def partition_sections(
 
     ordered = [s for s in sections.values() if s.step_count > 0]
     ordered.sort(key=lambda s: s.segments[0][0])
-    total = sum(s.step_count for s in ordered)
-    if total != interp.region_steps:
-        raise RuntimeError(
-            f"{workload.name}/{prepared.scheme}: section partition covers "
-            f"{total} steps but the region executes {interp.region_steps}")
-    return SectionPartition(ordered, interp.region_steps)
+    return SectionPartition(ordered, ctx.region_steps)

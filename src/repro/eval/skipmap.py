@@ -2,8 +2,8 @@
 
 Where :mod:`repro.eval.fault_campaign` *samples* fault outcomes, this
 table *proves* them: for each bounded generated program, the O6
-machinery enumerates every single-skip site named by a counting pre-run
-and classifies it as detected / masked / sdc / trap / hang under every
+machinery enumerates every single-skip site named by the golden run's
+segments and classifies it as detected / masked / sdc / trap / hang under every
 protection scheme.  The aggregated rows are the layered-protection
 story in numbers — how much of the skip surface each scheme closes, and
 what residue only a hang-budget watchdog can catch.
@@ -31,7 +31,7 @@ class SkipmapRow:
     """Aggregated skip outcomes of one scheme over a program set."""
 
     scheme: str
-    total_sites: int = 0          # counting pre-run totals, summed
+    total_sites: int = 0          # golden-run site totals, summed
     enumerated: int = 0           # sites actually injected
     exhaustive: bool = True       # every program fully enumerated
     tallies: Dict[str, int] = field(default_factory=dict)

@@ -10,7 +10,6 @@ from .errors import (
 from .memory import DEFAULT_SIZE, Memory
 from .outcomes import Outcome, classify_output, outputs_equal
 from .energy import ENERGY, EnergyEstimate, LEAKAGE_PER_CYCLE, estimate_energy
-from .profiling import Profile
 from .scheduler import TimingModel
 from .faults import (
     ADVERSARIAL_KIND_WEIGHTS,
@@ -55,7 +54,7 @@ __all__ = [
     "DEFAULT_SIZE", "Memory",
     "Outcome", "classify_output", "outputs_equal",
     "ENERGY", "EnergyEstimate", "LEAKAGE_PER_CYCLE", "estimate_energy",
-    "Profile", "TimingModel",
+    "TimingModel",
     "ADVERSARIAL_KIND_WEIGHTS", "CONTROL_KINDS", "DEFAULT_KIND_WEIGHTS",
     "FAULT_KINDS", "FaultPlan", "Region", "SKIP_KINDS",
     "flip_float", "flip_int", "flip_value", "random_plan",

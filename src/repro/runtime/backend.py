@@ -3,10 +3,11 @@
 Three backends execute IR:
 
 * ``ref`` — the reference :class:`~repro.runtime.interpreter.Interpreter`:
-  tree-walking, instrumented (timing model, SEU fault injection,
-  profiling).  The semantics oracle.  Campaign trials off the batch
-  backend start on it, fast-forwarded from golden-run snapshots
-  (:mod:`repro.runtime.prefix`); as the default it also finishes them.
+  tree-walking, instrumented (timing model, SEU fault injection).  The
+  semantics oracle.  Every campaign's one golden run is captured on it
+  (:mod:`repro.runtime.prefix`), on every backend; campaign trials off
+  the batch backend start on it, fast-forwarded from that run's
+  snapshots, and as the default it also finishes them.
 * ``compiled`` — the closure-compiling backend of
   :mod:`repro.runtime.compiler`: clean mode only, observationally
   identical and several times faster.  Besides clean runs it continues
@@ -23,7 +24,7 @@ Three backends execute IR:
   ``ref`` for instrumented ones.
 
 :func:`make_executor` picks the backend: any *instrumented* request
-(a fault plan, a timing model, or a profile) always routes to the
+(a fault plan or a timing model) always routes to the
 reference interpreter — the SEU model and cycle model stay bit-exact —
 while clean runs (golden runs, QoS training sweeps, difftest oracle
 re-execution) use the compiled backend unless the default says
@@ -72,12 +73,11 @@ def make_executor(
     max_steps: int = DEFAULT_MAX_STEPS,
     fault_plan=None,
     fault_region=None,
-    profile=None,
     backend: Optional[str] = None,
 ):
     """An execution context for *module* on the right backend.
 
-    Instrumented runs (any of *fault_plan*, *timing*, *profile* set) are
+    Instrumented runs (*fault_plan* or *timing* set) are
     always served by the reference interpreter; clean runs go to the
     compiled backend unless ``backend="ref"`` (or the process default)
     forces the reference.
@@ -86,11 +86,10 @@ def make_executor(
         backend = default_backend()
     elif backend not in BACKENDS:
         raise ValueError(f"unknown backend {backend!r}; choose from {BACKENDS}")
-    if (fault_plan is not None or timing is not None or profile is not None
-            or backend == "ref"):
+    if fault_plan is not None or timing is not None or backend == "ref":
         return Interpreter(
             module, memory=memory, timing=timing, max_steps=max_steps,
-            fault_plan=fault_plan, fault_region=fault_region, profile=profile,
+            fault_plan=fault_plan, fault_region=fault_region,
         )
     return CompiledExecutor(
         module, memory=memory, max_steps=max_steps, fault_region=fault_region,

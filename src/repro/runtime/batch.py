@@ -106,8 +106,8 @@ diverted and emits them once per sharing lane in row order, between the
 private lanes' own calls, so the trace equals per-lane execution's.
 
 Known divergences from the reference interpreter (documented, not
-observable in campaign tallies): per-opcode counts, timing and profiling
-are not maintained (campaign trials never read them), and reading a
+observable in campaign tallies): per-opcode counts and timing are not
+maintained (campaign trials never read them), and reading a
 never-written register — impossible in verified IR — fails with a
 different exception than the reference's ``KeyError``.
 """

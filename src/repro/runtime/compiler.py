@@ -11,7 +11,7 @@ straight-line instructions are fused into a single *superinstruction*
 closure that bumps ``steps`` and the per-opcode ``counts`` in bulk.
 
 The backend serves **clean mode only** — no fault plan, no timing model,
-no profile.  Instrumented runs stay on the reference
+no capture hook.  Instrumented runs stay on the reference
 :class:`~repro.runtime.interpreter.Interpreter`; the dispatch lives in
 :mod:`repro.runtime.backend`.  Clean also covers the rest of a faulted
 batch lane once its fault has fully acted: ``CompiledExecutor.run(...,
@@ -648,8 +648,8 @@ class CompiledExecutor:
     ``intrinsics``, ``memory``) and the same ``run``/``register_intrinsic``
     surface; ``run(..., state=...)`` continues a paused execution with
     no fault state pending.  ``fault_region`` is supported (bulk per-block
-    accounting) so golden campaign runs can measure their injection
-    window; fault *plans*, timing and profiling are not — those runs
+    accounting) so clean runs can measure their injection window; fault
+    *plans* and timing are not — those runs
     belong to the reference interpreter (see :mod:`repro.runtime.backend`).
     *compiled* passes in a :func:`compile_module` result looked up once.
     """

@@ -9,6 +9,10 @@ of state every experiment needs:
 * **fault-injection hooks** implementing the SEU model of
   `repro.runtime.faults` (Figure 9).
 
+One optional pause hook, :attr:`Interpreter.capture`, sees block entries
+and calls: `repro.runtime.prefix` uses it to capture a campaign's golden
+run and to hand faulted trials off.
+
 Value ops follow `repro.runtime.semantics`: the hot ops are inlined in the
 dispatch chain, every other one is a call into its ``OPS`` table.
 
@@ -32,7 +36,6 @@ from ..obs.events import enabled as obs_enabled, span as obs_span
 from .errors import CoreDumpError, HangError
 from .faults import CONTROL_KINDS, SKIP_KINDS, FaultPlan, Region, flip_value
 from .memory import Memory
-from .profiling import Profile
 from .scheduler import TimingModel
 from .semantics import CODE as _CODE, OPCODES, OPS as _OPS, PRED as _PRED
 from .semantics import HUGE_INT as _HUGE_INT, INT_MASK64 as _INT_MASK64
@@ -179,7 +182,6 @@ class Interpreter:
         max_steps: int = DEFAULT_MAX_STEPS,
         fault_plan: Optional[FaultPlan] = None,
         fault_region: Optional[Region] = None,
-        profile: Optional["Profile"] = None,
         decoded: Optional[DecodedProgram] = None,
     ):
         self.module = module
@@ -219,27 +221,13 @@ class Interpreter:
         #: (lets scope-aware injectors — O3's protocol-region flips — pick
         #: victims only from frames of designated functions)
         self._frame_funcs: List[str] = []
-        self.profile = profile
-        self._prof_stack: List[List[int]] = []
-        #: optional per-block execution counts ((func, label) -> visits);
-        #: assign a dict to enable (used by the vulnerability analysis)
-        self.block_counts: Optional[Dict[Tuple[str, str], int]] = None
-        #: optional trace of every in-region dynamic instruction as
-        #: (opcode index, dest register name); assign a list to enable.
-        #: This is the counting pre-run of the O6 exhaustive skip checker:
-        #: entry *i* names the instruction a plan with ``step == i`` hits.
-        self.site_trace: Optional[List[Tuple[int, Optional[str]]]] = None
-        #: optional owner trace of every in-region dynamic instruction as
-        #: (function name, block label); assign anything with ``append``
-        #: to enable (repro.eval.sections passes a run-length recorder).
-        #: Entry *i* names the static location a plan with ``step == i``
-        #: would trigger at — the counting pre-run of the incremental
-        #: campaign's section partition.
-        self.section_trace = None
         #: optional pause hook (``repro.runtime.prefix``): its ``take`` runs
         #: at the first block entry (or resumed frame's mid-block re-entry)
         #: at or past region step ``at`` and returns the next threshold; its
-        #: ``call`` runs every CALL so it knows each caller's resume point
+        #: ``call`` runs every CALL so it knows each caller's resume point.
+        #: The golden-run capture pauses at every block entry: its record
+        #: of block entries and returns names the instruction each region
+        #: step executes (section windows, O6's skip sites, block visits)
         self.capture = None
 
     # -- public API -----------------------------------------------------------
@@ -442,26 +430,11 @@ class Interpreter:
 
         self._frames.append(regs)
         self._frame_funcs.append(func.name)
-        if self.profile is None:
-            try:
-                return self._exec(func, entry, blocks, regs, times, depth)
-            finally:
-                self._frames.pop()
-                self._frame_funcs.pop()
-
-        child_steps = [0]
-        self._prof_stack.append(child_steps)
-        start = self.steps
         try:
             return self._exec(func, entry, blocks, regs, times, depth)
         finally:
             self._frames.pop()
             self._frame_funcs.pop()
-            self._prof_stack.pop()
-            total = self.steps - start
-            self.profile.record(func.name, total, total - child_steps[0])
-            if self._prof_stack:
-                self._prof_stack[-1][0] += total
 
     def _exec(
         self,
@@ -480,11 +453,8 @@ class Interpreter:
         counts = self.counts
         max_steps = self.max_steps
         label = entry
-        block_counts = self.block_counts
         fname = func.name
         fault_plan = self.fault_plan
-        site_trace = self.site_trace
-        section_trace = self.section_trace
         # skip faults are serviced entirely within the _exec whose trigger
         # armed them (entering a frame needs an executed CALL, leaving one
         # an executed RET — both impossible mid-burst), so the hot loop
@@ -504,9 +474,6 @@ class Interpreter:
 
         try:
             while True:
-                if block_counts is not None:
-                    key = (fname, label)
-                    block_counts[key] = block_counts.get(key, 0) + 1
                 if region_steps >= capture_at:
                     self.steps = steps
                     self.region_steps = region_steps
@@ -519,10 +486,6 @@ class Interpreter:
                     counts[code] += 1
                     if in_region:
                         region_steps += 1
-                        if site_trace is not None:
-                            site_trace.append((code, dest))
-                        if section_trace is not None:
-                            section_trace.append((fname, label))
                         if self._fault_pending and region_steps - 1 == fault_plan.step:
                             self._inject(regs)
                     if may_skip and self._skip_left:

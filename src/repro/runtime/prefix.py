@@ -3,9 +3,12 @@
 A campaign trial injects one fault at a uniformly random in-region step
 (paper section 7.2), so everything it executes before that step replays
 the fault-free golden run.  :func:`capture` runs the golden execution
-once on the reference interpreter and pauses it at evenly spaced
-region-step thresholds — at the first block entry, at any call depth,
-at or past each — recording a :class:`Snapshot` there:
+once on the reference interpreter — the one golden run a campaign
+makes.  It records a segment at every block entry and every return into
+a caller (:attr:`GoldenPrefix.segments`: which instruction each region
+step executes), the golden run's runtime events, and a :class:`Snapshot`
+at the first block entry, at any call depth, at or past each of evenly
+spaced region-step thresholds:
 
 * the frame stack, each caller resuming after its pending ``call``;
 * memory as a diff against the initial image (every cell written so
@@ -13,8 +16,7 @@ at or past each — recording a :class:`Snapshot` there:
 * both step counters;
 * the stateful runtime's loop state (``LoopRuntimes.snapshot()``,
   which shares trained profiles and configs by reference);
-* with an observability sink installed, how many of the golden run's
-  runtime events precede it.
+* how many of the golden run's runtime events precede it.
 
 :meth:`GoldenPrefix.state_for` turns the latest snapshot at or before a
 plan's step into a :class:`~repro.runtime.interpreter.MachineState`:
@@ -40,16 +42,15 @@ statistics except the recovery counters (:data:`RECOVERY_COUNTERS`).
 A match ends the trial with the golden run's row
 (:meth:`GoldenPrefix.exit`); a mismatch hands it off.  The exit is
 armed only when the golden run counted no recovery activity
-(:class:`GoldenEnd`).  Batch lanes have no prefix and ``ref`` trials no
-hook, so neither ends early.
+(:class:`GoldenEnd`).  Batch lanes do not use the prefix and ``ref``
+trials have no hook, so neither ends early.
 """
 from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
 from collections import deque
-from contextlib import nullcontext
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from ..analysis.liveness import Liveness
 from ..obs.events import diverted, emit as obs_emit, enabled as obs_enabled
@@ -57,11 +58,13 @@ from ..obs.sinks import MemorySink
 from .compiler import CompiledExecutor, CompiledModule
 from .errors import TRIAL_TRAPS, classify_trap
 from .faults import CONTROL_KINDS, FaultPlan, Region
-from .interpreter import _NEVER, DecodedProgram, Interpreter, MachineState, ResumeFrame
+from .interpreter import (_INTRIN, DecodedProgram, Interpreter, MachineState,
+                          ResumeFrame, RunResult)
 from .memory import Memory
 
-#: snapshots per capture: thresholds every region_steps / SNAPSHOTS steps
-SNAPSHOTS = 32
+#: a capture holds at most SNAPSHOTS snapshots, evenly spaced over the
+#: golden run's region steps (more than half as many on a long run)
+SNAPSHOTS = 64
 
 #: ``SkipStats`` counters only recovery increments and nothing reads
 #: back: a trial that re-joins the golden run keeps its own values
@@ -87,11 +90,9 @@ class Snapshot(NamedTuple):
 
 
 class GoldenEnd(NamedTuple):
-    """How the golden execution ended: where a trial that re-joins it ends."""
+    """The golden execution's final state: where a trial that re-joins
+    it ends (its value and step counters are :attr:`GoldenPrefix.result`'s)."""
 
-    value: object
-    steps: int
-    region_steps: int
     #: cell address -> final value of every cell the golden run wrote
     cells: Dict[int, object]
     brk: int
@@ -100,20 +101,28 @@ class GoldenEnd(NamedTuple):
 
 
 class GoldenPrefix:
-    """The snapshots of one golden execution, in region-step order."""
+    """One golden execution: how it ran and ended, its segments and its
+    snapshots, in region-step order."""
 
-    def __init__(self, snapshots: List[Snapshot], events: Optional[list],
-                 module, end: Optional[GoldenEnd]):
+    def __init__(self, snapshots: List[Snapshot], events: list, module,
+                 end: Optional[GoldenEnd], result: RunResult,
+                 segments: List[Tuple[str, str, int, int]]):
         self.snapshots = snapshots
         self._marks = [snap.region_steps for snap in snapshots]
-        #: the golden run's runtime events, or ``None`` when it was
-        #: captured without a sink (then traced trials cannot fast-forward)
+        #: the golden run's runtime events
         self.events = events
         #: the module the golden run executed (its liveness is queried)
         self.module = module
         #: the golden run's end, or ``None`` when trials may not exit
         #: there (the golden run counted recovery activity)
         self.end = end
+        #: the golden run's value and both step counters
+        self.result = result
+        #: ``(function, label, first index, region_steps)`` at every block
+        #: entry (index 0) and every return into a caller (the index after
+        #: the call), in run order: until the next segment, each region
+        #: step executes the next instruction of that block
+        self.segments = segments
         #: the initial memory image the snapshots' diffs apply to, copied
         #: from the first memory :meth:`state_for` patches
         self._image: Optional[list] = None
@@ -122,23 +131,30 @@ class GoldenPrefix:
         #: of an outer frame resuming there (without its call's dest)
         self._live: Dict[Tuple[str, str, int], Tuple[tuple, tuple]] = {}
 
-    def state_for(self, step: int, memory: Memory,
-                  runtime=None) -> Optional[MachineState]:
+    def windows(self) -> Iterator[Tuple[str, str, int, int, int]]:
+        """``(function, label, first index, first region step, length)``
+        of every segment that executed region steps, in run order: region
+        step ``first + i`` executes instruction ``index + i`` of that
+        block."""
+        segments = self.segments
+        ends = [seg[3] for seg in segments[1:]] + [self.result.region_steps]
+        for (func, label, index, start), end in zip(segments, ends):
+            if end > start:
+                yield func, label, index, start, end - start
+
+    def state_for(self, step: int, memory: Memory, runtime=None) -> MachineState:
         """Fast-forward a trial whose fault triggers at region step
         *step*: patch its fresh *memory*, restore *runtime* and re-emit
         the golden events, all to the latest snapshot at or before
         *step*; returns the state to run from (trigger pending at
-        *step*), or ``None`` when the trial must run from scratch."""
-        traced = obs_enabled()
-        if traced and self.events is None:
-            return None
+        *step*)."""
         snap = self.snapshots[bisect_right(self._marks, step) - 1]
         if self.end is not None and self._image is None:
             self._image = list(memory.cells)
         memory.patch(snap.cells, snap.brk)
         if runtime is not None:
             runtime.restore(snap.runtime)
-        if traced:
+        if obs_enabled():
             _replay(self.events[:snap.events])
         frames = [f._replace(regs=dict(f.regs)) for f in snap.frames]
         return MachineState(frames, memory, snap.steps, snap.region_steps,
@@ -204,8 +220,9 @@ class GoldenPrefix:
                 loop.stats = stats
         if obs_enabled():
             _replay(self.events[snap.events:])
-        return TrialRow(end.value, end.steps, end.region_steps, None, False,
-                        memory)
+        result = self.result
+        return TrialRow(result.value, result.steps, result.region_steps, None,
+                        False, memory)
 
     def _live_at(self, frame: ResumeFrame, outer: bool) -> tuple:
         """The registers live where *frame* resumes (cached per campaign)."""
@@ -334,34 +351,76 @@ class _Hook:
 
 
 class _Capture(_Hook):
-    """The interpreter hook that takes the snapshots."""
+    """The interpreter hook of the golden run: it pauses at every block
+    entry and records a segment there (and one after every call), and
+    snapshots the run at the first block entry at or past each multiple
+    of a spacing.  The spacing starts at one region step and doubles,
+    dropping every snapshot no multiple of the new spacing needs,
+    whenever more than ``SNAPSHOTS`` are held: without knowing the run's
+    length in advance, it ends with at most ``SNAPSHOTS`` evenly spaced
+    snapshots.  Snapshots with no intrinsic call between them share one
+    copy of the runtime's state."""
 
-    def __init__(self, region_steps: int, runtime, memory: _WriteLog,
-                 recorder: Optional[MemorySink]):
+    #: pause at every block entry: each one starts a segment
+    at = 0
+
+    def __init__(self, runtime, memory: _WriteLog, recorder: MemorySink):
         super().__init__()
-        self._thresholds = sorted({region_steps * k // SNAPSHOTS
-                                   for k in range(SNAPSHOTS)})
-        self.at = self._thresholds[0]
+        self._every = 1
+        self._next = 0
+        self._calls = -1
+        self._state = None
         self._runtime = runtime
         self._memory = memory
         self._recorder = recorder
         self.snapshots: List[Snapshot] = []
+        self.segments: List[Tuple[str, str, int, int]] = []
+
+    def call(self, interp: Interpreter, label: str, index: int, callee,
+             vals, vts, depth: int):
+        result = super().call(interp, label, index, callee, vals, vts, depth)
+        self.segments.append((interp._frame_funcs[-1], label, index,
+                              interp.region_steps))
+        return result
 
     def take(self, interp: Interpreter, label: str, index: int) -> int:
-        """Snapshot the paused run; returns the next threshold."""
+        region_steps = interp.region_steps
+        self.segments.append((interp._frame_funcs[-1], label, index,
+                              region_steps))
+        if region_steps >= self._next:
+            self._snapshot(interp, label, index)
+        return 0
+
+    def _snapshot(self, interp: Interpreter, label: str, index: int) -> None:
         memory = self._memory
         self.snapshots.append(Snapshot(
             interp.region_steps, interp.steps,
             self._frames(interp, label, index),
             {addr: memory.cells[addr] for addr in memory.written},
             memory.brk,
-            self._runtime.snapshot() if self._runtime is not None else None,
-            len(self._recorder.events) if self._recorder is not None else 0,
+            self._runtime_state(interp),
+            len(self._recorder.events),
         ))
-        thresholds = self._thresholds
-        k = bisect_right(thresholds, interp.region_steps)
-        self.at = thresholds[k] if k < len(thresholds) else _NEVER
-        return self.at
+        if len(self.snapshots) > SNAPSHOTS:
+            every = self._every = 2 * self._every
+            kept, mark = [], 0
+            for snap in self.snapshots:
+                if snap.region_steps >= mark:
+                    kept.append(snap)
+                    mark = (snap.region_steps // every + 1) * every
+            self.snapshots = kept
+        self._next = (interp.region_steps // self._every + 1) * self._every
+
+    def _runtime_state(self, interp: Interpreter):
+        """The runtime's state, copied — or the last snapshot's copy when
+        no intrinsic ran since (only intrinsics touch the runtime)."""
+        if self._runtime is None:
+            return None
+        calls = interp.counts[_INTRIN]
+        if calls != self._calls:
+            self._calls = calls
+            self._state = self._runtime.snapshot()
+        return self._state
 
 
 class TrialRow(NamedTuple):
@@ -474,42 +533,35 @@ def capture(
     intrinsics: Dict[str, object],
     runtime,
     region,
-    decoded: DecodedProgram,
+    decoded: Optional[DecodedProgram],
     main: str,
     args: Sequence,
-    region_steps: int,
     max_steps: int,
 ) -> GoldenPrefix:
     """Run the golden execution of *main* on a fresh *memory* on the
-    reference interpreter and snapshot it at ``SNAPSHOTS`` evenly spaced
-    thresholds over its *region_steps* in-region steps.
+    reference interpreter, recording its segments, its runtime events
+    and its snapshots (see :class:`_Capture`).
 
-    *runtime* must be freshly reset; the capture leaves it in its
-    end-of-run state.  The golden run's end is kept for trials that
-    re-join it unless the run counted recovery activity.  With a sink
-    installed the run's runtime events are recorded instead of written
-    and its spans are dropped."""
+    *runtime* must be freshly reset; the capture leaves it, and
+    *memory*'s cells, in their end-of-run state.  The golden run's end
+    is kept for trials that re-join it unless the run counted recovery
+    activity.  Its runtime events are recorded, not written to any
+    installed sink, and its spans are dropped.  A trap propagates."""
     log = _WriteLog(memory)
     interp = Interpreter(module, memory=log, max_steps=max_steps,
                          fault_region=region, decoded=decoded)
     interp.register_intrinsics(intrinsics)
-    recorder = MemorySink(capacity=None) if obs_enabled() else None
-    hook = interp.capture = _Capture(region_steps, runtime, log, recorder)
-    with diverted(recorder) if recorder is not None else nullcontext():
-        value = interp.run(main, args).value
-    if interp.region_steps != region_steps:
-        raise RuntimeError(
-            f"golden capture saw {interp.region_steps} region steps, "
-            f"the golden run {region_steps}")
+    recorder = MemorySink(capacity=None)
+    hook = interp.capture = _Capture(runtime, log, recorder)
+    with diverted(recorder):
+        result = interp.run(main, args)
     end = None
     if runtime is None or not any(getattr(runtime.total_stats(), name)
                                   for name in RECOVERY_COUNTERS):
-        end = GoldenEnd(value, interp.steps, interp.region_steps,
-                        {addr: log.cells[addr] for addr in log.written},
+        end = GoldenEnd({addr: log.cells[addr] for addr in log.written},
                         log.brk,
                         {} if runtime is None else
                         {ctx_id: loop.stats.copy()
                          for ctx_id, loop in runtime.loops.items()})
-    return GoldenPrefix(hook.snapshots,
-                        list(recorder.events) if recorder is not None else None,
-                        module, end)
+    return GoldenPrefix(hook.snapshots, list(recorder.events), module, end,
+                        result, hook.segments)

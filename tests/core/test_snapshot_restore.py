@@ -78,3 +78,48 @@ def test_restored_fork_continues_like_the_original(conv1d, scheme):
     feed(twin, calls[:half])
     assert source.total_stats() == end
     assert twin.total_stats() != end
+
+
+class _Plain:
+    pass
+
+
+def test_run_state_copy_equals_deepcopy():
+    """The run-state copy builds what ``copy.deepcopy`` builds: equal
+    values, the same aliasing and cycles, shared config/profile and
+    never-written outputs (Element), and nothing else shared."""
+    import copy
+    from collections import deque
+
+    from repro.core.manager import Element, _copy_run_state
+
+    config, profile = object(), object()
+    shared_list = [1.5, -0.0]
+    element = Element(3, 2.0, 40)
+    inner = _Plain()
+    inner.points = shared_list
+    inner.alias = shared_list
+    inner.me = inner
+    cyclic = []
+    cyclic.append(cyclic)
+    state = {
+        "config": config, "profile": profile, "stats": SkipStats(elements=7),
+        "queue": deque([element, (1, shared_list)], maxlen=8),
+        "slicer": inner, "cyclic": cyclic, "tuple": (1, "a", None),
+        "nested": {"k": [inner, {1, 2}]},
+    }
+    got = _copy_run_state(state)
+    want = copy.deepcopy(state, {id(config): config, id(profile): profile})
+    assert got["config"] is config and got["profile"] is profile
+    assert got["stats"] == want["stats"] and got["stats"] is not state["stats"]
+    assert got["queue"].maxlen == 8 and got["queue"][0] is element
+    slicer = got["slicer"]
+    assert slicer is not inner and slicer.me is slicer
+    assert slicer.points is slicer.alias is got["queue"][1][1]
+    assert slicer.points == shared_list and slicer.points is not shared_list
+    assert got["cyclic"][0] is got["cyclic"]
+    assert got["tuple"] is state["tuple"]
+    assert got["nested"]["k"][0] is slicer
+    assert got["nested"]["k"][1] == {1, 2}
+    assert got["nested"]["k"][1] is not state["nested"]["k"][1]
+    assert str(got["stats"]) == str(want["stats"])

@@ -48,7 +48,7 @@ _CAMPAIGNS = {}
 
 
 def campaign(workload_name, scheme):
-    """(workload, prepared, inp, ctx with a captured prefix), cached."""
+    """(workload, prepared, inp, ctx with its golden prefix), cached."""
     key = (workload_name, scheme)
     if key not in _CAMPAIGNS:
         workload = get_workload(workload_name)
@@ -59,7 +59,6 @@ def campaign(workload_name, scheme):
         prepared = prepare(workload, scheme, profiles=profiles)
         inp = workload.test_inputs(1, seed=SEED + 17, scale=SCALE)[0]
         ctx = campaign_context(prepared, workload, inp)
-        ctx.prefix = fault_campaign._capture_prefix(prepared, workload, inp, ctx)
         _CAMPAIGNS[key] = (workload, prepared, inp, ctx)
     return _CAMPAIGNS[key]
 
@@ -140,17 +139,13 @@ class TestEquivalence:
                              ctx.region_steps, WEIGHTS[weights])
         assert_equivalent(workload, prepared, inp, ctx, plans)
 
-    def test_campaign_tallies_match_capture_off(self, monkeypatch):
-        """Through ``run_plans`` (which decides when to capture): the
-        tallies equal a campaign whose capture is switched off."""
+    def test_campaign_tallies_match_capture_off(self):
+        """Through ``run_plans``: the tallies equal a campaign whose
+        context has no golden prefix (every trial from scratch)."""
         workload, prepared, inp, ctx = campaign("sgemm", "AR50")
         plans = seeded_plans(SEED + 1, workload.name, "AR50", 0, 40,
                              ctx.region_steps, ADVERSARIAL_KIND_WEIGHTS)
-        fresh = dataclasses.replace(ctx, prefix=None)
-        fast = run_plans(prepared, workload, inp, fresh, plans)
-        assert fresh.prefix is not None  # 40 plans repay a capture
-        monkeypatch.setattr(fault_campaign, "_capture_prefix",
-                            lambda *args: None)
+        fast = run_plans(prepared, workload, inp, ctx, plans)
         slow = run_plans(prepared, workload, inp,
                          dataclasses.replace(ctx, prefix=None), plans)
         assert fast.to_dict() == slow.to_dict()
@@ -488,7 +483,7 @@ class TestGoldenMatch:
         golden = prefix.capture(
             prepared.module, memory, prepared.intrinsics, runtime, ctx.region,
             ctx.decoded_for(prepared.module, memory), prepared.main, inp.args,
-            ctx.region_steps, ctx.max_steps)
+            ctx.max_steps)
         assert golden.end is None
 
 
@@ -497,26 +492,58 @@ class TestCapture:
         workload, prepared, inp, ctx = campaign("sgemm", "AR50")
         last = ctx.prefix.snapshots[-1]
         assert 0 < len(last.cells) < 1000
-        assert ctx.prefix.events is None  # captured without a sink
+        # recorded without a sink, so traced trials can replay them
+        assert ctx.prefix.events
+
+    def test_snapshots_are_evenly_spaced(self):
+        """Without knowing the run's length in advance the capture keeps
+        at most SNAPSHOTS snapshots: the first block entry at or past
+        each multiple of one power-of-two spacing."""
+        workload, prepared, inp, ctx = campaign("conv1d", "UNSAFE")
+        marks = [snap.region_steps for snap in ctx.prefix.snapshots]
+        assert prefix.SNAPSHOTS // 2 < len(marks) <= prefix.SNAPSHOTS
+        entries = sorted({seg[3] for seg in ctx.prefix.segments if seg[2] == 0})
+
+        def first_entries(every):
+            return sorted({entries[bisect.bisect_left(entries, m)]
+                           for m in range(0, marks[-1] + 1, every)})
+
+        assert any(first_entries(1 << k) == marks for k in range(20))
+
+    def test_segments_name_every_region_step(self):
+        """Expanded, the segments give one instruction per region step
+        (the sites O6 injects at and the windows sections own)."""
+        workload, prepared, inp, ctx = campaign("sgemm", "AR50")
+        windows = list(ctx.prefix.windows())
+        assert windows[0][3] == 0
+        for (_, _, _, start, length), nxt in zip(windows, windows[1:] + [None]):
+            assert length > 0
+            assert (nxt[3] if nxt else ctx.region_steps) == start + length
 
     def test_one_trial_block_does_not_capture(self, monkeypatch):
-        """A block whose plans' steps sum below one golden run (perfbench
-        set-up's one-trial campaign) never pays for a capture."""
+        """Trial blocks never capture: the context's golden run is the
+        campaign's only one, on every backend."""
         workload, prepared, inp, ctx = campaign("sgemm", "AR50")
-        fresh = dataclasses.replace(ctx, prefix=None)
+
+        def no_capture(*args):
+            raise AssertionError("a trial block captured")
+
+        monkeypatch.setattr(fault_campaign, "capture_prefix", no_capture)
         plans = seeded_plans(SEED, workload.name, "AR50", 0, 1,
                              ctx.region_steps)
-        assert sum(p.step for p in plans) <= ctx.steps
-        run_plans(prepared, workload, inp, fresh, plans)
-        assert fresh.prefix is None
+        run_plans(prepared, workload, inp, ctx, plans)
 
-    def test_batch_never_captures(self):
+    def test_batch_never_captures(self, monkeypatch):
         workload, prepared, inp, ctx = campaign("conv1d", "UNSAFE")
-        fresh = dataclasses.replace(ctx, prefix=None)
+        assert ctx.prefix is not None  # batch contexts hold one too
+
+        def no_capture(*args):
+            raise AssertionError("a batch block captured")
+
+        monkeypatch.setattr(fault_campaign, "capture_prefix", no_capture)
         plans = seeded_plans(SEED, workload.name, "UNSAFE", 0, 30,
                              ctx.region_steps)
-        run_plans(prepared, workload, inp, fresh, plans, backend="batch")
-        assert fresh.prefix is None
+        run_plans(prepared, workload, inp, ctx, plans, backend="batch")
 
 
 @pytest.mark.slow
@@ -532,8 +559,9 @@ def test_500_trials_match_from_scratch(workload_name, scheme, weights):
 class TestGoldenContext:
     def test_hang_budget_comes_from_the_golden_run(self):
         """The golden run's step count sets ``max_steps`` (no separate
-        counting run): region steps, steps and the budget equal a
-        separate clean run's, for every workload and scheme."""
+        counting run): region steps, steps and the budget equal a clean
+        run's on the compiled backend, for every workload and scheme —
+        so the engines' step counters agree on every program too."""
         for workload in ALL_WORKLOADS:
             inp = workload.test_inputs(1, seed=SEED + 17, scale=SCALE)[0]
             for descriptor in all_descriptors():
@@ -542,11 +570,14 @@ class TestGoldenContext:
                 if prepared.runtime is not None:
                     prepared.runtime.reset()
                 clean = make_executor(
-                    prepared.module, backend="ref", fault_region=ctx.region,
+                    prepared.module, backend="compiled",
+                    fault_region=ctx.region,
                     memory=workload.fresh_memory(prepared.module, inp))
+                assert isinstance(clean, CompiledExecutor)
                 clean.register_intrinsics(prepared.intrinsics)
                 clean.run(prepared.main, inp.args)
-                assert (ctx.region_steps, ctx.steps, ctx.max_steps) == (
+                assert (ctx.region_steps, ctx.prefix.result.steps,
+                        ctx.max_steps) == (
                     clean.region_steps, clean.steps,
                     max(clean.steps * HANG_FACTOR, 100_000)), \
                     (workload.name, descriptor.name)

@@ -12,9 +12,12 @@ from repro.eval import (
     run_campaign_stratified,
     stratified_allocation,
 )
+from repro.eval import incremental
 from repro.eval.fault_campaign import campaign_context
 from repro.eval.incremental import section_plans, section_store_key
+from repro.runtime.compiler import CompiledExecutor
 from repro.runtime.faults import ADVERSARIAL_KIND_WEIGHTS
+from repro.runtime.interpreter import Interpreter
 from repro.workloads import get_workload
 
 SCALE = 0.3
@@ -28,6 +31,39 @@ def conv1d():
 
 def result_dict(stratified):
     return stratified.result.to_dict()
+
+
+class _FirstTrial(Exception):
+    pass
+
+
+class TestGoldenRun:
+    def test_one_golden_run_before_the_first_trial(self, conv1d, monkeypatch):
+        """A stratified campaign runs the golden program exactly once
+        before its first trial: one reference run (the capture that also
+        yields the section windows), no compiled run."""
+        runs = {"ref": 0, "compiled": 0}
+
+        def counted(cls, name):
+            original = cls.run
+
+            def run(self, *args, **kwargs):
+                runs[name] += 1
+                return original(self, *args, **kwargs)
+            monkeypatch.setattr(cls, "run", run)
+
+        counted(Interpreter, "ref")
+        counted(CompiledExecutor, "compiled")
+        seen = []
+
+        def first_block(*args, **kwargs):
+            seen.append(dict(runs))
+            raise _FirstTrial
+
+        monkeypatch.setattr(incremental, "_run_plan_block", first_block)
+        with pytest.raises(_FirstTrial):
+            run_campaign_stratified(conv1d, "UNSAFE", TRIALS, scale=SCALE)
+        assert seen == [{"ref": 1, "compiled": 0}]
 
 
 class TestAllocation:
@@ -54,7 +90,7 @@ class TestSectionPlans:
         inp = conv1d.test_inputs(1, seed=18, scale=SCALE)[0]
         prepared = prepare(conv1d, "UNSAFE")
         ctx = campaign_context(prepared, conv1d, inp)
-        part = partition_sections(prepared, conv1d, inp, ctx.region)
+        part = partition_sections(prepared, conv1d, ctx)
         for section in part.sections:
             window = set()
             for start, length in section.segments:
@@ -69,7 +105,7 @@ class TestSectionPlans:
         inp = conv1d.test_inputs(1, seed=18, scale=SCALE)[0]
         prepared = prepare(conv1d, "UNSAFE")
         ctx = campaign_context(prepared, conv1d, inp)
-        part = partition_sections(prepared, conv1d, inp, ctx.region)
+        part = partition_sections(prepared, conv1d, ctx)
         assert len(part.sections) >= 2
         a, b = part.sections[0], part.sections[1]
         plans_a = section_plans(a, 10, 0, conv1d.name, "UNSAFE")
@@ -173,7 +209,7 @@ class TestStoreReuse:
         inp = conv1d.test_inputs(1, seed=18, scale=SCALE)[0]
         prepared = prepare(conv1d, "UNSAFE")
         ctx = campaign_context(prepared, conv1d, inp)
-        part = partition_sections(prepared, conv1d, inp, ctx.region)
+        part = partition_sections(prepared, conv1d, ctx)
         section = part.sections[0]
         base = dict(workload="conv1d", scheme_hash="h", section=section,
                     trials=5, seed=0, scale=0.3,

@@ -18,7 +18,7 @@ def _partition(workload_name, scheme):
     inp = workload.test_inputs(1, seed=18, scale=SCALE)[0]
     prepared = prepare(workload, scheme)
     ctx = campaign_context(prepared, workload, inp)
-    part = partition_sections(prepared, workload, inp, ctx.region)
+    part = partition_sections(prepared, workload, ctx)
     return workload, inp, prepared, ctx, part
 
 
@@ -77,7 +77,9 @@ class TestFingerprints:
         """A no-op print/parse round trip changes nothing: same sections,
         same fingerprints, same step windows."""
         workload, inp, prepared, ctx, part = _partition("conv1d", "UNSAFE")
-        again = partition_sections(_reprinted(prepared), workload, inp, ctx.region)
+        reprinted = _reprinted(prepared)
+        again = partition_sections(
+            reprinted, workload, campaign_context(reprinted, workload, inp))
         assert [(s.name, s.fingerprint, s.segments) for s in part.sections] \
             == [(s.name, s.fingerprint, s.segments) for s in again.sections]
 
@@ -105,7 +107,8 @@ class TestFingerprints:
         mutated = mutate_function(edited.module, callee, seed=4)
         mutated.name = edited.module.name
         edited.module = mutated
-        again = partition_sections(edited, workload, inp, ctx.region)
+        again = partition_sections(
+            edited, workload, campaign_context(edited, workload, inp))
 
         after_by_name = {s.name: s for s in again.sections}
         for section in part.sections:

@@ -1,11 +1,12 @@
 """Campaign tracing: per-shard files, deterministic merge, manifests."""
+import dataclasses
 import json
 import os
 from collections import Counter
 
 import pytest
 
-from repro.eval import Harness, fault_campaign
+from repro.eval import Harness, campaign_engine
 from repro.eval.campaign_engine import run_campaign_parallel, run_campaigns
 from repro.obs import RunManifest, read_trace
 from repro.runtime import prefix
@@ -152,9 +153,10 @@ class TestTraceContents:
             self, tmp_path, monkeypatch):
         """Reference trials fast-forwarded from golden-run snapshots
         re-emit the runtime events of the prefix they skip: a full-event
-        RSkip trace is byte-identical to the same campaign with the
-        capture switched off, and across --jobs 1/2.  The capture itself
-        reaches the manifest as one span and nothing else."""
+        RSkip trace is byte-identical to the same campaign run from
+        scratch (its context without a prefix), and across --jobs 1/2.
+        The capture itself reaches the manifest as one span and nothing
+        else."""
         sgemm = get_workload("sgemm")
         profiles = Harness(sgemm, scale=SCALE, timing=False).profiles_for(0.5)
 
@@ -168,17 +170,17 @@ class TestTraceContents:
 
         out, fast = traced("fast.jsonl", jobs=1)
         _, parallel = traced("parallel.jsonl", jobs=2)
+        golden_context = campaign_engine.campaign_context
         with monkeypatch.context() as patch:
-            patch.setattr(fault_campaign, "_capture_prefix",
-                          lambda *args: None)
-            slow_out, slow = traced("slow.jsonl", jobs=1)
+            patch.setattr(campaign_engine, "campaign_context",
+                          lambda *args: dataclasses.replace(
+                              golden_context(*args), prefix=None))
+            _, slow = traced("slow.jsonl", jobs=1)
         assert fast == slow == parallel
         kinds = {event.kind for event in read_trace(out)}
         assert {"exec", "phase-cut", "skip", "trial-outcome"} <= kinds
         spans = [label for label, _ in RunManifest.load(out).spans]
-        assert "ref.capture" in spans
-        assert "ref.capture" not in [
-            label for label, _ in RunManifest.load(slow_out).spans]
+        assert spans.count("ref.capture") == 1
 
     def test_handed_off_trials_emit_the_reference_trace(self, tmp_path,
                                                          monkeypatch):
