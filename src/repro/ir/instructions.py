@@ -67,6 +67,14 @@ class Opcode(enum.Enum):
         return self.value
 
 
+#: each opcode's index in declaration order (``Opcode.X.code``): the
+#: engines' per-opcode count lists use it, and a plain attribute read
+#: costs less than hashing the member on a hot path
+for _code, _op in enumerate(Opcode):
+    _op.code = _code
+del _code, _op
+
+
 class CmpPred(enum.Enum):
     EQ = "eq"
     NE = "ne"

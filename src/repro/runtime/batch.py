@@ -310,7 +310,8 @@ class _LaneMem:
     lockstep (the tail) flattens its allocated prefix ``[0, brk)`` into
     ``cells`` after ``FLATTEN_AFTER`` layered accesses: from then on
     addresses below ``size`` live there, where the compiled backend's
-    fast path indexes them.  Short-lived lanes never pay for the copy.
+    fast path indexes them, and an access above ``size`` grows
+    ``cells`` in place.  Short-lived lanes never pay for the copy.
     """
 
     __slots__ = ("cells", "size", "tcells", "globals", "limit", "gmem",
@@ -346,21 +347,34 @@ class _LaneMem:
             self.cells[idx] = value
 
     def _flattened(self, idx: int) -> bool:
-        """Count one layered access; flatten once they add up.  Whether
-        *idx* now lies in ``cells``.  (A new list: compiled code still
-        holding the old one also holds its old bound, 0.)"""
+        """Whether the valid address *idx* now lies in ``cells``.  Before
+        the flatten, count one layered access and flatten ``[0, brk)``
+        once they add up; after it, grow ``cells`` to cover *idx*, at
+        least doubling it.  (``cells`` is a new list only at the flatten:
+        compiled code still holding the empty one also holds its bound,
+        0; later growth extends the same list.)"""
+        if self.size:
+            self._grow(max(idx + 1, 2 * self.size))
+            return True
         self._misses += 1
         if self._misses != FLATTEN_AFTER:
             return False
-        brk = self._brk
-        cells = self.tcells[:brk]
+        self.cells = []
+        self._grow(self._brk)
+        return idx < self.size
+
+    def _grow(self, stop: int) -> None:
+        """Extend ``cells`` in place up to *stop* (at most the memory
+        size): the template's cells with the group layer, then this
+        lane's overlay, folded in."""
+        start, stop = self.size, min(stop, self.limit)
+        cells = self.cells
+        cells.extend(self.tcells[start:stop])
         for layer in (self.gmem, self.ov):
             for i, val in layer.items():
-                if i < brk:
+                if start <= i < stop:
                     cells[i] = val
-        self.cells = cells
-        self.size = brk
-        return idx < brk
+        self.size = stop
 
     def allocate(self, size: int) -> int:
         if size <= 0:

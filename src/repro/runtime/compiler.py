@@ -8,7 +8,16 @@ per operand (constant folded into the generated source, register slot
 index baked in, global address resolved through a per-run table), and
 comparison predicates are baked into the generated expression.  Runs of
 straight-line instructions are fused into a single *superinstruction*
-closure that bumps ``steps`` and the per-opcode ``counts`` in bulk.
+closure that commits ``steps`` in bulk.  Each innermost natural loop
+with no ``call``/``intrin`` compiles into one *loop closure*: a
+``while`` loop over its blocks with a local step counter and local
+block-hit counters, which returns the block the loop exits to.
+
+Per-opcode counts are not kept on the hot path.  The executor counts
+block *hits* (one per block entry; a loop closure counts its own), and
+at the end of a run folds them into the per-opcode ``counts`` through
+each block's static opcode histogram — and, under a fault region, into
+``region_steps`` through each block's region size.
 
 The backend serves **clean mode only** — no fault plan, no timing model,
 no capture hook.  Instrumented runs stay on the reference
@@ -27,12 +36,14 @@ contract (enforced by difftest oracle O4):
 * identical trap behaviour — ``CoreDumpError``/``SegfaultError`` at the
   same instruction, ``HangError`` with the exact same step count, and
   the same ``steps``/``region_steps`` after any trap.  Bulk accounting
-  commits per fused segment *before* executing it; a segment that would
-  cross ``max_steps`` is re-executed instruction-by-instruction with
-  reference accounting, so the hang — or any trap that precedes it —
-  surfaces exactly where the reference interpreter raises it.  A trap
-  inside a segment is mapped from the generated line it raised at back
-  to its instruction, and the counters are corrected to that point;
+  commits per fused segment (per block, in a loop closure) *before*
+  executing it; one that would cross ``max_steps`` is re-executed
+  instruction-by-instruction with reference accounting, so the hang —
+  or any trap that precedes it — surfaces exactly where the reference
+  interpreter raises it.  A trap inside generated code is mapped from
+  the line it raised at back to its instruction (a loop closure's
+  block, step counter and hit counters are read from its frame's
+  locals), and the counters are corrected to that point;
 * the same value-op semantics: the hot ops (MOV, ADD/FADD, SUB/FSUB,
   FMUL, MUL with its lazy 64-bit wrap, ICMP/FCMP) are generated inline,
   every other value op is a call to its :mod:`repro.runtime.semantics`
@@ -50,9 +61,11 @@ from __future__ import annotations
 import hashlib
 import math
 import threading
-from collections import OrderedDict
+from collections import Counter, OrderedDict
+from functools import partial
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from ..analysis.loops import find_loops
 from ..ir.function import Function
 from ..ir.instructions import Opcode
 from ..ir.module import Module
@@ -75,6 +88,8 @@ _CALL = _CODE[Opcode.CALL]
 _INTRIN = _CODE[Opcode.INTRIN]
 _BR = _CODE[Opcode.BR]
 _CBR = _CODE[Opcode.CBR]
+_ICMP = _CODE[Opcode.ICMP]
+_FCMP = _CODE[Opcode.FCMP]
 _RET = _CODE[Opcode.RET]
 _TERMINATORS = (_BR, _CBR, _RET)
 #: codes that write a result register (used to route a missing dest to the
@@ -191,12 +206,21 @@ def _decode_function(func: Function, gindex: Dict[str, int]):
 
 # -- code generation ----------------------------------------------------------
 class _Closure:
-    """Source being generated for one closure (fused segment or unit)."""
+    """Source being generated for one closure (fused segment, unit or
+    loop): its statements with, per line, the index of the instruction
+    it belongs to in its block (``None`` for control lines)."""
 
     def __init__(self):
         self.lines: List[str] = []
+        self.owners: List[Optional[int]] = []
         self.consts: List[object] = []
         self.needs: set = set()
+        self.pad = ""      # indentation of the next statements
+        self.owner: Optional[int] = None
+
+    def add(self, line: str) -> None:
+        self.lines.append(self.pad + line)
+        self.owners.append(self.owner)
 
     def expr(self, spec) -> str:
         kind, payload = spec
@@ -217,10 +241,12 @@ class _Closure:
         return f"K{len(self.consts) - 1}"
 
 
-def _emit(cl: _Closure, rec, fell_msg: Optional[str] = None) -> None:
-    """Append the statements for one instruction record to *cl*."""
+def _emit(cl: _Closure, rec) -> None:
+    """Append the statements for one instruction record to *cl*: a value
+    op, memory op or ``ret`` (:func:`_segment` renders ``br``/``cbr``,
+    :func:`_emit_call` a ``call``/``intrin``)."""
     code, d, specs, extra = rec
-    out = cl.lines.append
+    out = cl.add
     ex = cl.expr
     op = OPCODES[code]
 
@@ -238,12 +264,16 @@ def _emit(cl: _Closure, rec, fell_msg: Optional[str] = None) -> None:
         out("    r &= _M")
         out(f"R[{d}] = r")
     elif op is Opcode.LOAD:
+        # the slow path re-reads the fast-path view: a lane memory may
+        # have flattened or grown its prefix (a loop closure lives on)
         cl.needs.add("cells")
         out(f"a = {ex(specs[0])}")
         out("if a.__class__ is int and 8 <= a < SZ:")
         out(f"    R[{d}] = cells[a]")
         out("else:")
         out(f"    R[{d}] = mem.load(a)")
+        out("    cells = mem.cells")
+        out("    SZ = mem.size")
     elif op is Opcode.STORE:
         cl.needs.add("cells")
         out(f"a = {ex(specs[0])}")
@@ -252,15 +282,11 @@ def _emit(cl: _Closure, rec, fell_msg: Optional[str] = None) -> None:
         out("    cells[b] = a")
         out("else:")
         out("    mem.store(b, a)")
+        out("    cells = mem.cells")
+        out("    SZ = mem.size")
     elif op in (Opcode.ICMP, Opcode.FCMP):
         sym = _CMP_SYMBOL[extra]
         out(f"R[{d}] = 1 if {ex(specs[0])} {sym} {ex(specs[1])} else 0")
-    elif op is Opcode.CBR:
-        ti, fi = extra
-        out(f"a = {ex(specs[0])}")
-        out(f"return {ti} if (a != 0 and a == a) else {fi}")
-    elif op is Opcode.BR:
-        out(f"return {extra}")
     elif op is Opcode.RET:
         if specs:
             out(f"return ({ex(specs[0])},)")
@@ -272,128 +298,158 @@ def _emit(cl: _Closure, rec, fell_msg: Optional[str] = None) -> None:
     elif OPS[code] is not None:
         # every other value op: a call to its semantics-table function
         out(f"R[{d}] = _{op.value}({', '.join(ex(s) for s in specs)})")
-    else:  # pragma: no cover - CALL/INTRIN never reach the generator
+    else:  # pragma: no cover - branches and calls have their own emitters
         raise AssertionError(f"cannot generate code for {op}")
 
 
-def _assemble(name: str, cl: _Closure, acct) -> str:
-    """Render one maker function.  *acct* is ``None`` or
-    ``(static_count, [(code_index, count), ...])`` for a fused segment that
-    owns its block-slice accounting (handle ``H`` is the maker's first
-    parameter)."""
-    params = []
-    if acct is not None:
-        params.append("H")
-    params.extend(f"K{i}" for i in range(len(cl.consts)))
-    lines = [f"def {name}({', '.join(params)}):", "    def _op(R, st):"]
-    inner: List[str] = []
-    if acct is not None:
-        n, pairs = acct
-        inner.append(f"steps = st.steps + {n}")
-        inner.append("if steps > st.max_steps:")
-        inner.append("    return st._hang(H, R)")
-        inner.append("st.steps = steps")
-        if pairs:
-            inner.append("c = st.counts")
-            for ci, k in pairs:
-                inner.append(f"c[{ci}] += {k}")
+def _assemble(name: str, cl: _Closure, handles: Sequence[str] = (),
+              sig: str = "R, st", prologue: Sequence[str] = ()):
+    """Render one maker function: its parameters are *handles* (segment
+    handles for the hang replay), then the closure's constants; the
+    closure it returns takes *sig* and starts with *prologue*.  Returns
+    ``(source, owners)`` with one owner entry per source line."""
+    params = list(handles) + [f"K{i}" for i in range(len(cl.consts))]
+    head = [f"def {name}({', '.join(params)}):", f"    def _op({sig}):"]
+    body = list(prologue)
     if "G" in cl.needs:
-        inner.append("G = st._G")
+        body.append("G = st._G")
     if "mem" in cl.needs or "cells" in cl.needs:
-        inner.append("mem = st.memory")
+        body.append("mem = st.memory")
     if "cells" in cl.needs:
-        inner.append("cells = mem.cells")
-        inner.append("SZ = mem.size")
-    inner.extend(cl.lines)
-    if not inner:
-        inner.append("pass")
-    lines.extend("        " + ln for ln in inner)
-    lines.append("    return _op")
-    return "\n".join(lines)
+        body.append("cells = mem.cells")
+        body.append("SZ = mem.size")
+    owners = [None] * (len(head) + len(body)) + cl.owners
+    body.extend(cl.lines)
+    if not body:
+        body.append("pass")
+        owners.append(None)
+    lines = head + ["        " + ln for ln in body] + ["    return _op"]
+    owners.append(None)
+    return "\n".join(lines), owners
 
 
-def _make_call(code: int, callee: str, fetch, dest: Optional[int]):
-    """Runtime closure for a ``call``: own accounting (exact hang step),
-    argument fetch, dispatch through the executor's compiled-module cache."""
-
-    def _op(R, st):
-        steps = st.steps + 1
-        if steps > st.max_steps:
-            raise HangError(steps)
-        st.steps = steps
-        st.counts[code] += 1
-        vals = []
-        ap = vals.append
-        for k, p in fetch:
-            if k == 0:
-                ap(R[p])
-            elif k == 1:
-                ap(p)
-            elif k == 2:
-                ap(st._G[p])
-            else:
-                ap(st.memory.global_addr(p))
-        rv = st._call(callee, vals)
-        if dest is not None:
-            R[dest] = rv
-
-    return _op
-
-
-def _make_intrin(code: int, name: str, fetch, dest: Optional[int]):
-    """Runtime closure for an ``intrin``: dispatches to the registered
-    intrinsic and charges its opcode list, exactly like the reference
-    interpreter (charges bump ``steps`` but never the hang check)."""
-
-    def _op(R, st):
-        steps = st.steps + 1
-        if steps > st.max_steps:
-            raise HangError(steps)
-        st.steps = steps
-        counts = st.counts
-        counts[code] += 1
-        fn = st.intrinsics.get(name)
-        if fn is None:
-            raise CoreDumpError(f"unknown intrinsic {name!r}")
-        vals = []
-        ap = vals.append
-        for k, p in fetch:
-            if k == 0:
-                ap(R[p])
-            elif k == 1:
-                ap(p)
-            elif k == 2:
-                ap(st._G[p])
-            else:
-                ap(st.memory.global_addr(p))
-        rv, charge = fn(st, tuple(vals))
-        n = len(charge)
-        if n:
-            cmap = _CODE
-            for op in charge:
-                counts[cmap[op]] += 1
-            st.steps = steps + n
-            st.charged += n
-        if dest is not None:
-            R[dest] = rv
-
-    return _op
-
-
-def _fetch_spec(specs) -> Tuple[Tuple[int, object], ...]:
-    """Operand specs in the compact numeric form the factories loop over:
-    0=register slot, 1=constant value, 2=global index, 3=global name."""
-    out = []
-    for kind, payload in specs:
-        if kind == "r":
-            out.append((0, payload))
-        elif kind == "c":
-            out.append((1, payload))
-        elif kind == "gi":
-            out.append((2, payload))
+def _segment(cl: _Closure, recs, start: int, stop: int, edge=None) -> None:
+    """Emit records [start, stop) of one block (no call or intrin).  A
+    ``br``/``cbr`` ending them jumps through *edge(to)* (by default a
+    ``return`` of block *to*); a ``cbr`` on the flag an ``icmp``/``fcmp``
+    just set tests the comparison itself."""
+    if edge is None:
+        def edge(to: int) -> None:
+            cl.add(f"return {to}")
+    code = recs[stop - 1][0] if stop > start else None
+    body = stop - 1 if code in (_BR, _CBR) else stop
+    cond = recs[body][2][0] if code == _CBR else None
+    fused = (body > start and recs[body - 1][0] in (_ICMP, _FCMP)
+             and cond == ("r", recs[body - 1][1]))
+    for i in range(start, body - fused):
+        cl.owner = i
+        _emit(cl, recs[i])
+    if code == _BR:
+        cl.owner = None
+        edge(recs[body][3])
+    elif code == _CBR:
+        if fused:
+            _, d, (x, y), pred = recs[body - 1]
+            cl.owner = body - 1
+            cl.add(f"if {cl.expr(x)} {_CMP_SYMBOL[pred]} {cl.expr(y)}:")
+            sets = ((f"R[{d}] = 1",), (f"R[{d}] = 0",))
         else:
-            out.append((3, payload))
-    return tuple(out)
+            cl.owner = body
+            cl.add(f"a = {cl.expr(cond)}")
+            cl.add("if a != 0 and a == a:")
+            sets = ((), ())
+        cl.owner = None
+        pad = cl.pad
+        for k, to in enumerate(recs[body][3]):
+            if k:
+                cl.add("else:")
+            cl.pad = pad + "    "
+            for line in sets[k]:
+                cl.add(line)
+            edge(to)
+            cl.pad = pad
+    cl.owner = None
+
+
+def _loop_closure(cl: _Closure, fname: str, members: Sequence[int],
+                  records) -> Tuple[List[str], List[str]]:
+    """Emit one call-free loop as a single closure ``_op(R, st, blk)``.
+
+    It runs the *members* blocks (header first) in one ``while`` loop
+    from block ``blk`` on: a local step counter ``s`` (committed before
+    each block, hang-checked against ``lim``) and local block-hit
+    counters ``h<k>``, bumped on each edge into block ``k`` inside the
+    loop (``_invoke`` counts the entry).  A block that would cross
+    ``max_steps`` is replayed by ``st._hang`` with its handle ``J<k>``.
+    An edge out of the loop commits both counters and returns its
+    target.  Returns ``(handles, prologue)`` for :func:`_assemble`."""
+    pos = {b: i for i, b in enumerate(members)}
+
+    def edge(here: int, to: int) -> None:
+        if to in pos:
+            cl.add(f"blk = {to}")
+            cl.add(f"h{to} += 1")
+            if pos[to] <= pos[here]:
+                cl.add("continue")
+        else:
+            cl.add(f"nxt = {to}")
+            cl.add("break")
+
+    cl.add("while True:")
+    for b in members:
+        recs = records[b]
+        n = len(recs)
+        cl.pad = "    "
+        cl.add(f"if blk == {b}:")
+        cl.pad = "        "
+        cl.add(f"s += {n}")
+        cl.add("if s > lim:")
+        cl.add(f"    st.steps = s - {n}")
+        cl.add(f"    return st._hang(J{b}, R)")
+        _segment(cl, recs, 0, n, partial(edge, b))
+    cl.pad = ""
+    cl.add("st.steps = s")
+    cl.add(f"HT = st._hits[{fname!r}]")
+    for b in members:
+        cl.add(f"HT[{b}] += h{b}")
+    cl.add("return nxt")
+    prologue = ["s = st.steps", "lim = st.max_steps",
+                " = ".join(f"h{b}" for b in members) + " = 0"]
+    return [f"J{b}" for b in members], prologue
+
+
+def _emit_call(cl: _Closure, rec) -> None:
+    """The statements of a ``call``/``intrin`` closure.  It does its own
+    accounting (the exact hang step), fetches its arguments, then calls
+    through the executor's compiled module — or the registered intrinsic,
+    whose charged opcodes bump ``steps`` but never the hang check,
+    exactly like the reference interpreter."""
+    code, d, specs, name = rec
+    out = cl.add
+    out("steps = st.steps + 1")
+    out("if steps > st.max_steps:")
+    out("    raise HangError(steps)")
+    out("st.steps = steps")
+    out(f"st.counts[{code}] += 1")
+    args = [cl.expr(spec) for spec in specs]
+    if code == _CALL:
+        call = f"st._call({name!r}, [{', '.join(args)}])"
+        out(call if d is None else f"R[{d}] = {call}")
+        return
+    missing = f"unknown intrinsic {name!r}"
+    out(f"fn = st.intrinsics.get({name!r})")
+    out("if fn is None:")
+    out(f"    raise CoreDumpError({missing!r})")
+    out(f"rv, charge = fn(st, ({''.join(a + ', ' for a in args)}))")
+    out("n = len(charge)")
+    out("if n:")
+    out("    counts = st.counts")
+    out("    for op in charge:")
+    out("        counts[op.code] += 1")
+    out("    st.steps = steps + n")
+    out("    st.charged += n")
+    if d is not None:
+        out(f"R[{d}] = rv")
 
 
 class CompiledFunction:
@@ -401,10 +457,11 @@ class CompiledFunction:
 
     __slots__ = ("name", "nregs", "nparams", "labels", "blocks",
                  "block_sizes", "undeclared", "records", "slot_of",
-                 "spans", "line_instr", "_replay")
+                 "spans", "line_instr", "loops", "hist", "_replay")
 
     def __init__(self, name, nregs, nparams, labels, blocks, block_sizes,
-                 undeclared, records, slot_of, spans, line_instr):
+                 undeclared, records, slot_of, spans, line_instr, loops,
+                 hist):
         self.name = name
         self.nregs = nregs
         self.nparams = nparams
@@ -419,6 +476,12 @@ class CompiledFunction:
         self.spans = spans
         #: source line of a generated instruction -> its index in its block
         self.line_instr = line_instr
+        #: per block: the member blocks of the loop closure it runs in
+        #: (header first), or ``None``
+        self.loops = loops
+        #: per block: ``(code, count)`` of its generated instructions —
+        #: one block hit adds these to the per-opcode counts
+        self.hist = hist
         self._replay: Dict[int, list] = {}
 
     def replay_units(self, bi: int) -> list:
@@ -436,59 +499,94 @@ def _compile_units(fname: str, lbl: str, recs) -> list:
     and INTRIN positions hold their ordinary closures, which do their own
     step accounting."""
     src_parts: List[str] = []
-    makers: List[Optional[Tuple[str, list]]] = []
+    consts: List[list] = []
     for i, rec in enumerate(recs):
-        if rec[0] in (_CALL, _INTRIN):
-            makers.append(None)
-            continue
         cl = _Closure()
-        _emit(cl, rec)
-        name = f"_u{i}"
-        src_parts.append(_assemble(name, cl, None))
-        makers.append((name, cl.consts))
+        if rec[0] in (_CALL, _INTRIN):
+            _emit_call(cl, rec)
+        else:
+            _segment(cl, recs, i, i + 1)
+        src_parts.append(_assemble(f"_u{i}", cl)[0])
+        consts.append(cl.consts)
     env = dict(_BASE_ENV)
     if src_parts:
         code = compile("\n".join(src_parts),
                        f"<repro-replay:@{fname}:{lbl}>", "exec")
         exec(code, env)
-    units = []
-    for rec, mk in zip(recs, makers):
-        if mk is None:
-            units.append((rec[0], _call_closure(rec)))
-        else:
-            name, consts = mk
-            units.append((rec[0], env[name](*consts)))
-    return units
+    return [(rec[0], env[f"_u{i}"](*consts[i]))
+            for i, rec in enumerate(recs)]
 
 
-def _call_closure(rec):
-    """The self-accounting closure of a CALL or INTRIN record."""
-    make = _make_call if rec[0] == _CALL else _make_intrin
-    return make(rec[0], rec[3], _fetch_spec(rec[2]), rec[1])
+def _inner_loops(func: Function, labels, records) -> List[Tuple[int, ...]]:
+    """The innermost natural loops of *func* that a loop closure can run:
+    every block ends in ``br``/``cbr`` and holds no ``call``/``intrin``.
+    Each as its block indices, header first; no block in two."""
+    if not labels:
+        return []
+    index = {lbl: i for i, lbl in enumerate(labels)}
+    loops: List[Tuple[int, ...]] = []
+    taken: set = set()
+    for loop in find_loops(func):
+        if loop.children:
+            continue
+        members = sorted(index[lbl] for lbl in loop.blocks)
+        if taken.intersection(members) or not all(
+                records[b] and records[b][-1][0] in (_BR, _CBR)
+                and not any(r[0] in (_CALL, _INTRIN) for r in records[b])
+                for b in members):
+            continue
+        head = index[loop.header]
+        members.remove(head)
+        loops.append((head, *members))
+        taken.update(members)
+        taken.add(head)
+    return loops
 
 
 def _compile_function(cm: "CompiledModule", func: Function) -> CompiledFunction:
     slot_of, nregs, nparams, labels, records, undeclared = _decode_function(
         func, cm.gindex
     )
+    loops = _inner_loops(func, labels, records)
+    loop_of: List[Optional[Tuple[int, ...]]] = [None] * len(labels)
+    for members in loops:
+        for b in members:
+            loop_of[b] = members
     src_parts: List[str] = []
-    #: per block: list of ("mk", name, args) | ("obj", closure)
-    pending_blocks: List[list] = []
+    #: per block: its closures' (maker name, maker args), or its loop's
+    #: header
+    pending_blocks: List[object] = []
     spans: List[tuple] = []
     line_instr: Dict[int, int] = {}
     handles: List[list] = []
     serial = 0
     lineno = 1  # first line of the next source part
 
-    def add_part(name, cl, acct, owners) -> None:
-        nonlocal lineno
-        src_parts.append(_assemble(name, cl, acct))
-        lineno += src_parts[-1].count("\n") + 1
-        # the instruction lines end the inner function, before ``return _op``
-        first = lineno - 1 - len(cl.lines)
-        line_instr.update((first + k, i) for k, i in enumerate(owners))
+    def add_part(cl, handle_names=(), sig="R, st", prologue=()) -> str:
+        nonlocal lineno, serial
+        name = f"_mk{serial}"
+        serial += 1
+        src, owners = _assemble(name, cl, handle_names, sig, prologue)
+        src_parts.append(src)
+        line_instr.update((lineno + k, i) for k, i in enumerate(owners)
+                          if i is not None)
+        lineno += len(owners)
+        return name
+
+    loop_makers: Dict[int, tuple] = {}
+    for members in loops:
+        cl = _Closure()
+        names, prologue = _loop_closure(cl, func.name, members, records)
+        hs = [[None, b, 0, len(records[b])] for b in members]
+        handles.extend(hs)
+        name = add_part(cl, names, f"R, st, blk={members[0]}", prologue)
+        loop_makers[members[0]] = (name, hs + cl.consts)
 
     for bi, (lbl, recs) in enumerate(zip(labels, records)):
+        if loop_of[bi] is not None:
+            pending_blocks.append(loop_of[bi][0])
+            spans.append(((0, len(recs), True),))
+            continue
         pending: list = []
         bspans: list = []
         terminated = bool(recs) and recs[-1][0] in _TERMINATORS
@@ -499,26 +597,26 @@ def _compile_function(cm: "CompiledModule", func: Function) -> CompiledFunction:
         while i < n:
             rec = recs[i]
             if rec[0] in (_CALL, _INTRIN):
-                pending.append(("obj", _call_closure(rec)))
+                cl = _Closure()
+                _emit_call(cl, rec)
+                pending.append((add_part(cl), cl.consts))
                 bspans.append((i, 1, False))
                 i += 1
                 continue
             start = i
-            cl = _Closure()
-            owners: List[int] = []
-            count_pairs: Dict[int, int] = {}
             while i < n and recs[i][0] not in (_CALL, _INTRIN):
-                _emit(cl, recs[i])
-                owners.extend([i] * (len(cl.lines) - len(owners)))
-                count_pairs[recs[i][0]] = count_pairs.get(recs[i][0], 0) + 1
                 i += 1
             seg = i - start
+            cl = _Closure()
+            _segment(cl, recs, start, i)
             handle = [None, bi, start, seg]
             handles.append(handle)
-            name = f"_mk{serial}"
-            serial += 1
-            add_part(name, cl, (seg, sorted(count_pairs.items())), owners)
-            pending.append(("mk", name, [handle] + cl.consts))
+            prologue = (f"steps = st.steps + {seg}",
+                        "if steps > st.max_steps:",
+                        "    return st._hang(H, R)",
+                        "st.steps = steps")
+            name = add_part(cl, ("H",), prologue=prologue)
+            pending.append((name, [handle] + cl.consts))
             bspans.append((start, seg, True))
 
         if not terminated:
@@ -527,11 +625,8 @@ def _compile_function(cm: "CompiledModule", func: Function) -> CompiledFunction:
             msg = (f"block {lbl} of @{func.name} fell through "
                    f"without terminator")
             cl = _Closure()
-            cl.lines.append(f"raise CoreDumpError({msg!r})")
-            name = f"_mk{serial}"
-            serial += 1
-            add_part(name, cl, None, ())
-            pending.append(("mk", name, []))
+            cl.add(f"raise CoreDumpError({msg!r})")
+            pending.append((add_part(cl), []))
             bspans.append((n, 0, True))
         pending_blocks.append(pending)
         spans.append(tuple(bspans))
@@ -542,17 +637,22 @@ def _compile_function(cm: "CompiledModule", func: Function) -> CompiledFunction:
                        f"<repro-compiled:@{func.name}>", "exec")
         exec(code, env)
 
+    runs = {head: env[name](*args)
+            for head, (name, args) in loop_makers.items()}
     blocks = tuple(
-        tuple(
-            item[1] if item[0] == "obj" else env[item[1]](*item[2])
-            for item in pending
-        )
-        for pending in pending_blocks
+        (runs[p] if p == bi else partial(runs[p], blk=bi),)
+        if isinstance(p, int) else tuple(env[name](*args) for name, args in p)
+        for bi, p in enumerate(pending_blocks)
     )
     block_sizes = tuple(len(recs) for recs in records)
+    hist = tuple(
+        tuple(sorted(Counter(rec[0] for rec in recs
+                             if rec[0] not in (_CALL, _INTRIN)).items()))
+        for recs in records
+    )
     cf = CompiledFunction(func.name, nregs, nparams, tuple(labels), blocks,
                           block_sizes, tuple(undeclared), records, slot_of,
-                          tuple(spans), line_instr)
+                          tuple(spans), line_instr, tuple(loop_of), hist)
     for handle in handles:
         handle[0] = cf
     return cf
@@ -646,9 +746,11 @@ class CompiledExecutor:
 
     Exposes the same running state (``steps``, ``counts``, ``region_steps``,
     ``intrinsics``, ``memory``) and the same ``run``/``register_intrinsic``
-    surface; ``run(..., state=...)`` continues a paused execution with
-    no fault state pending.  ``fault_region`` is supported (bulk per-block
-    accounting) so clean runs can measure their injection window; fault
+    surface — ``counts`` and, under a fault region, ``region_steps`` are
+    exact once a run has ended (its block hits fold in then);
+    ``run(..., state=...)`` continues a paused execution with no fault
+    state pending.  ``fault_region`` is supported (per-block region
+    sizes) so clean runs can measure their injection window; fault
     *plans* and timing are not — those runs
     belong to the reference interpreter (see :mod:`repro.runtime.backend`).
     *compiled* passes in a :func:`compile_module` result looked up once.
@@ -682,6 +784,9 @@ class CompiledExecutor:
         self._depth = 0
         self._overlays: Dict[str, tuple] = {}
         self._resolved: set = set()
+        #: per function name: entries of each block since the last fold
+        #: into ``counts`` (and ``region_steps``) at the end of a run
+        self._hits: Dict[str, List[int]] = {}
 
     # -- public API -----------------------------------------------------------
     def register_intrinsic(self, name: str, fn: IntrinsicFn) -> None:
@@ -700,7 +805,8 @@ class CompiledExecutor:
 
         A resumed run re-enters the innermost frame at its (label, index)
         and runs the rest of that block per instruction
-        (:meth:`CompiledFunction.replay_units`), then whole fused blocks.
+        (:meth:`CompiledFunction.replay_units`), then whole blocks (a
+        loop closure entered at the block the frame reached).
         When the frame returns, its value goes into the caller's ``call``
         dest and the caller continues the same way, outward to the first
         frame."""
@@ -731,7 +837,9 @@ class CompiledExecutor:
     def _exact(self, body, *args):
         """``body(*args)`` with the reference's counters on every exit.
         Without a fault region every architectural step is in region —
-        never an intrinsic charge, nor the step that hung."""
+        never an intrinsic charge, nor the step that hung.  The run's
+        block hits fold into the per-opcode counts (and, with a fault
+        region, its region steps) at the end."""
         self._G = [self.memory.global_addr(n) for n in self._cm.global_names]
         steps0, region0 = self.steps, self.region_steps
         self.charged = 0
@@ -743,9 +851,30 @@ class CompiledExecutor:
             raise
         finally:
             self._depth = 0
+            self._fold()
             if self.fault_region is None:
                 self.region_steps = (region0 + self.steps - steps0
                                      - self.charged - hung)
+
+    def _fold(self) -> None:
+        """Add each block's hits times its opcode histogram to ``counts``
+        and, under a fault region, times its region size to
+        ``region_steps``; then start the hit counters over."""
+        counts = self.counts
+        region = 0
+        for name, hits in self._hits.items():
+            cf = self._cm.function(name)
+            hist = cf.hist
+            overlay = (self._overlay(cf) if self.fault_region is not None
+                       else None)
+            for bi, n in enumerate(hits):
+                if n:
+                    for code, k in hist[bi]:
+                        counts[code] += n * k
+                    if overlay is not None:
+                        region += n * overlay[bi]
+        self._hits = {}
+        self.region_steps += region
 
     def _resume_frames(self, frames) -> object:
         value = None
@@ -794,47 +923,50 @@ class CompiledExecutor:
                     self.memory.global_addr(name)
                 self._resolved.add(cf.name)
             blocks = cf.blocks
-            overlay = None
+            hits = self._hits.get(cf.name)
+            if hits is None:
+                hits = self._hits[cf.name] = [0] * len(blocks)
             try:
-                if self.fault_region is None:
-                    while True:
-                        for op in blocks[bi]:
-                            r = op(R, self)
-                        if r.__class__ is int:
-                            bi = r
-                        else:
-                            return r[0]
-                overlay = self._overlay(cf)
                 while True:
+                    hits[bi] += 1
                     for op in blocks[bi]:
                         r = op(R, self)
-                    self.region_steps += overlay[bi]
                     if r.__class__ is int:
                         bi = r
                     else:
                         return r[0]
             except TRIAL_TRAPS as exc:
-                self._settle(cf, bi, op, exc, overlay)
+                self._settle(cf, bi, op, exc)
                 raise
         finally:
             self._depth = depth
 
-    def _settle(self, cf: CompiledFunction, bi: int, op, exc, overlay) -> None:
+    def _settle(self, cf: CompiledFunction, bi: int, op, exc) -> None:
         """Make ``steps``/``region_steps`` exact after closure *op* of
         block *bi* raised.  A fused segment commits all its steps up
-        front, and a block's region steps are added after it; the
-        trapping instruction comes from the line the segment's frame
-        stopped at, never from a re-run (it may have overwritten its own
-        operands)."""
+        front, and the block's hit was counted on entry; the trapping
+        instruction comes from the line the closure's frame stopped at,
+        never from a re-run (it may have overwritten its own operands).
+        A loop closure's counters and current block are its frame's
+        locals."""
+        tb = exc.__traceback__.tb_next  # the frame of *op*
+        hits = self._hits[cf.name]
+        members = cf.loops[bi]
+        if members is None:
+            start, count, generated = cf.spans[bi][cf.blocks[bi].index(op)]
+            steps = self.steps
+        else:
+            local = tb.tb_frame.f_locals
+            for b in members:
+                hits[b] += local[f"h{b}"]
+            bi, steps = local["blk"], local["s"]
+            start, count, generated = cf.spans[bi][0]
+        hits[bi] -= 1  # entered, not completed: its region steps follow
         if isinstance(exc, HangError):
             self.steps = exc.steps  # hang checks raise before committing
-        start, count, generated = cf.spans[bi][cf.blocks[bi].index(op)]
-        tb = exc.__traceback__
-        while tb.tb_frame.f_code is not op.__code__:
-            tb = tb.tb_next
         at = cf.line_instr.get(tb.tb_lineno) if generated else None
         if at is not None:
-            self.steps -= start + count - 1 - at
+            self.steps = steps - (start + count - 1 - at)
             done = at + 1
         elif generated or (isinstance(exc, HangError) and tb.tb_next is None):
             # the hang replay counted this segment itself, the block fell
@@ -843,22 +975,21 @@ class CompiledExecutor:
             done = start
         else:
             done = start + 1
-        if overlay is not None and overlay[bi]:
+        if self.fault_region is not None and self._overlay(cf)[bi]:
             self.region_steps += done
 
     def _overlay(self, cf: CompiledFunction) -> tuple:
-        # every call looks its overlay up: by name here, because calling
-        # the module's region-keyed lookup per call cost ~10% of perfbench
-        # campaign-batch trials/s
+        # by name: the module's lookup builds a region key each time
         ov = self._overlays.get(cf.name)
         if ov is None:
             ov = self._overlays[cf.name] = self._cm.overlay(cf, self.fault_region)
         return ov
 
     def _hang(self, handle, R):
-        """Replay a fused segment that would cross ``max_steps`` with
-        exact reference accounting: the hang — or any trap the reference
-        interpreter would hit first — surfaces at the precise step."""
+        """Replay a fused segment (or a loop closure's block) that would
+        cross ``max_steps`` with exact reference accounting: the hang —
+        or any trap the reference interpreter would hit first — surfaces
+        at the precise step."""
         cf, bi, start, count = handle
         self._run_units(cf, bi, start, start + count, R)
         raise AssertionError("hang replay completed without trapping")  # pragma: no cover

@@ -634,7 +634,7 @@ class Interpreter:
                             steps = self.steps
                             region_steps = self.region_steps
                         for op in charge:
-                            counts[_CODE[op]] += 1
+                            counts[op.code] += 1
                         steps += len(charge)
                         if tm:
                             ready = 0

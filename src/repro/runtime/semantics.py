@@ -28,7 +28,7 @@ from .errors import CoreDumpError
 
 #: Opcode index order shared by every decoder (``code`` in decoded records).
 OPCODES: List[Opcode] = list(Opcode)
-CODE: Dict[Opcode, int] = {op: i for i, op in enumerate(OPCODES)}
+CODE: Dict[Opcode, int] = {op: op.code for op in OPCODES}
 #: The value ops (everything :func:`apply` evaluates) are codes
 #: ``0 .. LAST_VALUE_OP``; memory and control opcodes follow.
 LAST_VALUE_OP = CODE[Opcode.SELECT]

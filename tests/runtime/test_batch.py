@@ -321,6 +321,37 @@ class TestResume:
             (9.0, 7, 7 if region is None else 3)
 
 
+class TestLaneMemory:
+    """A tail lane's memory view flattens its allocated prefix into
+    ``cells`` (the compiled backend's fast path) and then grows that same
+    list on demand, so loads above the ``brk`` it flattened at read
+    ``cells`` too."""
+
+    def test_loads_above_brk_after_the_flatten_read_cells(self):
+        template = [0.0] * 64
+        template[40] = 4.0
+        group = {30: 3.0, 45: 4.5}
+        overlay = {20: 2.0, 45: 5.0}
+        lane = batch_mod._LaneMem(template, {}, 64, group, overlay, 16)
+        for _ in range(batch_mod.FLATTEN_AFTER):
+            assert lane.load(12) == 0.0
+        cells = lane.cells
+        assert lane.size == 16
+        lane.allocate(32)  # the lane allocates past the flattened prefix
+        assert lane.load(45) == 5.0 and lane.load(30) == 3.0
+        # grown in place (code still holding the list sees the growth),
+        # the layers folded in, the template beneath them
+        assert lane.cells is cells and lane.size == 46
+        assert (cells[20], cells[30], cells[40], cells[45]) == \
+            (2.0, 3.0, 4.0, 5.0)
+        cells[30] = 7.0
+        assert lane.load(30) == 7.0
+        lane.store(50, 8.0)  # a store above the prefix grows it too
+        assert lane.size == 64 and lane.cells is cells and cells[50] == 8.0
+        assert lane.read_array(44, 8) == [0.0, 5.0, 0.0, 0.0, 0.0, 0.0,
+                                          8.0, 0.0]
+
+
 class TestConstruction:
     def test_zero_lanes_rejected(self):
         module = _load(LOOP_SUM)

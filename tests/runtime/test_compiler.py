@@ -34,8 +34,11 @@ from repro.runtime import (
     set_default_backend,
 )
 from repro.runtime.batch import SCALAR_CUTOFF, BatchExecutor
+from repro.eval.schemes import fault_region, prepare
 from repro.runtime.faults import FaultPlan, Region
-from repro.runtime.semantics import CODE, PRED, apply
+from repro.runtime.interpreter import MachineState, ResumeFrame
+from repro.runtime.semantics import CODE, OPCODES, PRED, apply
+from repro.workloads import ALL_WORKLOADS
 
 from ..conftest import (
     build_call_module,
@@ -312,6 +315,14 @@ def test_vector_path_matches_table(op):
         check(res.value, x, y, "batch columns")
 
 
+def test_opcode_code_is_its_count_index():
+    """Every engine indexes its per-opcode counts by ``Opcode.code``
+    (intrinsic charges) and by ``semantics.CODE`` (decoding): the two
+    must agree with ``OPCODES`` order."""
+    assert [op.code for op in OPCODES] == list(range(len(OPCODES)))
+    assert all(CODE[op] == op.code for op in Opcode)
+
+
 def test_hang_parity_exact_step():
     src = "func @main() -> f64 {\nentry:\n  br entry\n}\n"
     for budget in (1, 2, 100):
@@ -354,13 +365,13 @@ def test_trap_before_hang_in_same_segment():
 
 
 def counters_in_region(cls, module, region, max_steps=1_000_000,
-                       intrinsics=None):
+                       intrinsics=None, args=()):
     """(exception name, steps, region steps) of one run over *region*."""
     engine = cls(module, memory=Memory(), max_steps=max_steps,
                  fault_region=region)
     engine.register_intrinsics(intrinsics or {})
     try:
-        engine.run("main", [])
+        engine.run("main", list(args))
         name = None
     except Exception as exc:  # noqa: BLE001 - traps are part of the contract
         name = type(exc).__name__
@@ -468,6 +479,126 @@ def test_arity_error_parity():
     obs = assert_backends_agree(parse_module(src), args=(), every_engine=False)
     assert obs[1] == "TypeError"
     assert obs[2] == "@main expects 1 arguments, got 0"
+
+
+#: a three-block call-free loop (head, body, latch), run by the compiled
+#: backend as one loop closure.  The body's middle instruction loads
+#: ``@a + k * i``: with ``k`` = 20000 it leaves memory at ``i`` = 4.
+LOOP3 = (
+    "global @a 64 f64\n"
+    "func @main(%n: i64, %k: i64) -> f64 {\nentry:\n  %i = mov 0:i64\n"
+    "  %s = mov 0.0:f64\n  %ap = mov @a\n  br head\n"
+    "head:\n  %c = icmp lt %i, %n\n  cbr %c, body, done\n"
+    "body:\n  %o = mul %i, %k\n  %p = add %ap, %o\n  %v = load %p\n"
+    "  %s = fadd %s, %v\n  store %s, %p\n  br latch\n"
+    "latch:\n  %i = add %i, 1:i64\n  br head\n"
+    "done:\n  ret %s\n}\n"
+)
+
+#: the whole program, the loop's function, and one block of the loop only
+LOOP3_REGIONS = [None, Region(funcs=("main",)),
+                 Region(blocks=(("main", "body"),))]
+LOOP3_REGION_IDS = ["everything", "function", "body-block"]
+
+
+class TestLoopClosures:
+    """A call-free innermost loop runs as one generated closure that
+    keeps its step and block-hit counters in locals: it must still stop
+    exactly where the reference does and count exactly what it does."""
+
+    def test_the_loop_compiles_to_one_closure(self):
+        module = parse_module(LOOP3)
+        cf = compile_module(module).function("main")
+        head, body, latch = (cf.labels.index(lbl)
+                             for lbl in ("head", "body", "latch"))
+        loop = (head, body, latch)
+        assert [cf.loops[b] for b in loop] == [loop] * 3
+        assert cf.loops[cf.labels.index("entry")] is None
+        assert cf.blocks[head] == (cf.blocks[head][0],)
+        # every other block enters the same closure at itself
+        assert cf.blocks[body][0].func is cf.blocks[head][0]
+        assert cf.blocks[body][0].keywords == {"blk": body}
+
+    def test_completed_run_counts_match(self):
+        obs = assert_backends_agree(parse_module(LOOP3), args=[10, 1])
+        assert obs[0] == "ok" and obs[3][Opcode.LOAD] == 10
+
+    @pytest.mark.parametrize("region", LOOP3_REGIONS, ids=LOOP3_REGION_IDS)
+    def test_hang_at_every_budget(self, region):
+        # entry takes 4 steps and each iteration 10: the budget runs out
+        # at every position of the first four iterations
+        module = parse_module(LOOP3)
+        for budget in range(1, 45):
+            ref = counters_in_region(Interpreter, module, region, budget,
+                                     args=(10 ** 6, 1))
+            assert ref[0] == "HangError" and ref[1] == budget + 1
+            assert counters_in_region(CompiledExecutor, module, region,
+                                      budget, args=(10 ** 6, 1)) == ref
+
+    @pytest.mark.parametrize("region", LOOP3_REGIONS, ids=LOOP3_REGION_IDS)
+    def test_segfault_mid_block(self, region):
+        module = parse_module(LOOP3)
+        ref = counters_in_region(Interpreter, module, region,
+                                 args=(10, 20000))
+        # 4 entry steps, 4 full iterations, then head and the body up to
+        # its load
+        assert ref[:2] == ("SegfaultError", 4 + 4 * 10 + 2 + 3)
+        assert counters_in_region(CompiledExecutor, module, region,
+                                  args=(10, 20000)) == ref
+        assert_backends_agree(module, args=[10, 20000])
+
+    @pytest.mark.parametrize("region", LOOP3_REGIONS, ids=LOOP3_REGION_IDS)
+    @pytest.mark.parametrize("label,index", [
+        ("head", 0), ("head", 1), ("body", 0), ("body", 3), ("body", 5),
+        ("latch", 0), ("latch", 1)])
+    def test_resume_inside_the_loop(self, region, label, index):
+        """``run(state=...)`` enters the loop at a block's first
+        instruction (its header included) or in its middle, then runs
+        on in the closure; everything matches the reference's resume."""
+        module = parse_module(LOOP3)
+        regs = {"n": 10, "k": 1, "i": 3, "s": 2.5, "ap": 8, "c": 1,
+                "o": 3, "p": 11, "v": 0.5}
+
+        def resumed(cls):
+            memory = Memory()
+            memory.load_globals(module)
+            state = MachineState([ResumeFrame("main", label, index,
+                                              dict(regs))],
+                                 memory, steps=40, region_steps=30)
+            engine = cls(module, memory=memory, fault_region=region)
+            result = engine.run("main", state=state)
+            return (result.value, result.steps, result.region_steps,
+                    result.counts, memory.cells)
+
+        assert resumed(CompiledExecutor) == resumed(Interpreter)
+
+
+#: the schemes whose per-opcode counts Fig. 7 reads, one per family
+FIG7_SCHEMES = ("UNSAFE", "SWIFT-R", "AR50", "REPLAY2", "CKPT8")
+
+
+@pytest.mark.parametrize("scheme", FIG7_SCHEMES)
+@pytest.mark.parametrize("workload", ALL_WORKLOADS, ids=lambda w: w.name)
+def test_workload_counts_match_the_reference(workload, scheme):
+    """Block-hit accounting rebuilds the exact per-opcode counts: a clean
+    run of every workload under every scheme family, with its fault
+    region, counts what the reference interpreter counts."""
+    prepared = prepare(workload, scheme)
+    region = fault_region(prepared)
+    inp = workload.test_inputs(1, seed=5, scale=0.2)[0]
+
+    def run(cls):
+        if prepared.runtime is not None:
+            prepared.runtime.reset()
+        engine = cls(prepared.module,
+                     memory=workload.fresh_memory(prepared.module, inp),
+                     fault_region=region)
+        engine.register_intrinsics(prepared.intrinsics)
+        result = engine.run(workload.main, inp.args)
+        return (repr(result.value), result.steps, result.region_steps,
+                result.counts)
+
+    assert run(CompiledExecutor) == run(Interpreter)
 
 
 @pytest.mark.parametrize(
