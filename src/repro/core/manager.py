@@ -230,7 +230,21 @@ class FaultLikelihoodSignal:
         return sum(self._outcomes) / len(self._outcomes)
 
 
-class LoopRuntime:
+class ResettableLoop:
+    """Base of every per-loop runtime, RSkip's and the protocols': its
+    ``fork()`` builds the loop in its just-constructed state, and
+    :meth:`reset` returns to that state."""
+
+    def reset(self) -> None:
+        """Restore the just-constructed state: a fresh ``fork()``'s
+        attributes replace this loop's, so everything a run can mutate
+        starts over while the read-only config and profile stay shared.
+        Campaign trials call this so every fault lands in a
+        statistically independent execution."""
+        vars(self).update(vars(self.fork()))
+
+
+class LoopRuntime(ResettableLoop):
     """Predictors + run-time management for one transformed loop."""
 
     def __init__(
@@ -247,7 +261,6 @@ class LoopRuntime:
         tp = self.profile.default_tp
         if tp is None:
             tp = config.tuning_parameter
-        self._initial_tp = tp
         self.slicer = PhaseSlicer(tp, config.max_pending)
         self.payloads: List[Element] = []
         self.queue: Deque[Element] = deque()
@@ -363,36 +376,6 @@ class LoopRuntime:
                 execution=stats.executions_pp + stats.executions_cp,
                 elements=d_elements, skipped=d_skipped,
             )
-
-    def reset(self) -> None:
-        """Restore the just-constructed state.
-
-        Everything a run can mutate goes back to its initial value: stats,
-        the QoS disable flags, the tuning parameter (run-time management
-        may have adjusted it), phase-slicer state, the re-computation
-        queue and temporal-predictor history.  The profile is never
-        written at run time, so it needs no reset.  Campaign trials call
-        this so every fault lands in a statistically independent
-        execution.
-        """
-        self.slicer = PhaseSlicer(self._initial_tp, self.config.max_pending)
-        self.payloads = []
-        self.queue.clear()
-        self.current = None
-        self._rv1 = None
-        self._need2 = False
-        self.stats = SkipStats()
-        self.disabled = False
-        self.memo_active = (
-            self.config.memoization and self.profile.memo is not None
-        )
-        self.temporal = TemporalPredictor() if self.config.temporal else None
-        self.signatures = []
-        self.recording = None
-        self._enter_mark = (0, 0)
-        self._recent_execs.clear()
-        self._memo_enter_mark = (0, 0)
-        self._memo_recent.clear()
 
     # -- the observation path ------------------------------------------------
     def observe(self, element: Element) -> Tuple[int, List[Opcode]]:

@@ -51,6 +51,7 @@ from .manager import (
     Element,
     FaultLikelihoodSignal,
     LoopRuntimes,
+    ResettableLoop,
     SkipStats,
     _FETCH_CHARGE,
     _READ_CHARGE,
@@ -73,7 +74,7 @@ _RECORD_CHARGE = (Opcode.MOV, Opcode.ADD, Opcode.ICMP)
 _SIGNAL_PRESSURE = 0.75
 
 
-class _ProtocolLoop:
+class _ProtocolLoop(ResettableLoop):
     """State shared by both per-loop protocol runtimes."""
 
     def __init__(self, key: str, rmw: bool = False):
@@ -97,12 +98,6 @@ class _ProtocolLoop:
                 EXEC, loop=self.key, execution=self.stats.executions_pp,
                 elements=self.stats.elements - self._enter_mark, skipped=0,
             )
-
-    def reset(self) -> None:
-        self.queue.clear()
-        self.current = None
-        self.stats = SkipStats()
-        self._enter_mark = 0
 
     # -- drain plumbing ----------------------------------------------------
     def fetch(self) -> Tuple[int, List[Opcode]]:
@@ -141,11 +136,6 @@ class ReplayLoopRuntime(_ProtocolLoop):
 
     def enter(self) -> None:
         super().enter()
-        self._buffer = []
-        self._windows_seen = 0
-
-    def reset(self) -> None:
-        super().reset()
         self._buffer = []
         self._windows_seen = 0
 
@@ -238,15 +228,6 @@ class CkptLoopRuntime(_ProtocolLoop):
         self._need2 = False
         if self.signal is not None:
             self.signal.reset()
-
-    def reset(self) -> None:
-        super().reset()
-        self._segment = []
-        self._rv1 = None
-        self._need2 = False
-        if self.signal is not None:
-            self.signal.reset()
-        self.commit_intervals = []
 
     def fork(self) -> "CkptLoopRuntime":
         return CkptLoopRuntime(self.key, self.base_interval, rmw=self.rmw,

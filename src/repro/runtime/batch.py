@@ -55,15 +55,15 @@ Divergence and retirement
   Retired and finished lanes expose their memory as a :class:`_LaneMem`
   view (overlay → group layer → template) via ``lane_memory``.
 * A group at or below ``SCALAR_CUTOFF`` lanes leaves lockstep, and so
-  does a lane whose ``branch``, ``skip``, ``skip-burst`` or ``cf``
-  trigger comes up, before that trigger fires.  Each such lane exports
-  a :class:`~repro.runtime.interpreter.MachineState` (its frames, its
-  memory view, both counters, a still-pending trigger and a pending
-  address-corruption bit) and finishes alone the way a campaign trial
-  does (:func:`repro.runtime.prefix.finish`): on the reference
-  interpreter, which fires any pending trigger, until its fault has
-  fully acted, then on the compiled backend (skip/cf lanes stay on the
-  reference).  A faulted lane that hangs burns through ``HANG_FACTOR``
+  does a lane whose trigger of any kind but ``value`` comes up, before
+  that trigger fires.  Each such lane exports a
+  :class:`~repro.runtime.interpreter.MachineState` (its frames, its
+  memory view, both counters and a still-pending trigger) and finishes
+  alone the way a campaign trial does
+  (:func:`repro.runtime.prefix.finish`): on the reference interpreter,
+  which fires any pending trigger, until its fault has fully acted,
+  then on the compiled backend (skip/cf lanes stay on the reference).
+  A faulted lane that hangs burns through ``HANG_FACTOR``
   baseline budgets alone, so the tail can take a large share of a
   campaign's time; the ``batch.lockstep`` / ``batch.tail`` spans report
   the split when a sink is installed.
@@ -73,15 +73,13 @@ uniform path calls its ``OPS`` table for every cold op, the sparse path
 calls ``apply``, and only the hot ops (MOV, ADD/FADD, SUB/FSUB, FMUL,
 MUL, ICMP/FCMP) are inlined, on the uniform path.
 
-Only ``value`` and ``addr`` faults act in lockstep, and they follow
+Only value flips act in lockstep, and they follow
 :meth:`Interpreter._inject` to the letter: the trigger fires when
-``region_steps - 1 == plan.step`` *before* operand fetch, value flips
-pick a victim across the frame stack's name-sorted live registers
+``region_steps - 1 == plan.step`` *before* operand fetch, and the flip
+picks a victim across the frame stack's name-sorted live registers
 modelling a ``REGISTER_FILE_SIZE``-slot physical file (a flip on a
-uniform slot widens it into a column), and address faults XOR a bit
-into the lane's next memory access.  The other kinds change which
-instructions a lane executes, so their rules live in the reference
-interpreter alone.
+uniform slot widens it into a column).  The rules of every other kind
+live in the reference interpreter alone.
 
 In lockstep, intrinsics are called with ``None`` as their interpreter
 argument (tail lanes hand over their resuming engine): every in-tree
@@ -105,11 +103,9 @@ reads.  With a sink installed, a shared call runs with its events
 diverted and emits them once per sharing lane in row order, between the
 private lanes' own calls, so the trace equals per-lane execution's.
 
-Known divergences from the reference interpreter (documented, not
-observable in campaign tallies): per-opcode counts and timing are not
-maintained (campaign trials never read them), and reading a
-never-written register — impossible in verified IR — fails with a
-different exception than the reference's ``KeyError``.
+Known divergence from the reference interpreter (not observable in
+campaign tallies): per-opcode counts and timing are not maintained
+(campaign trials never read them).
 """
 from __future__ import annotations
 
@@ -119,8 +115,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from ..ir.function import Function
 from ..ir.module import Module
 from ..ir.values import Const, GlobalAddr, Reg
-from ..obs.events import current_sink, diverted, emit as obs_emit
-from ..obs.events import enabled as obs_enabled
+from ..obs.events import current_sink, diverted, enabled as obs_enabled
 from ..obs.sinks import MemorySink
 from .compiler import CompiledModule, compile_module
 from .errors import TRIAL_TRAPS, CoreDumpError, HangError, SegfaultError, classify_trap
@@ -137,7 +132,7 @@ from .interpreter import (
     ResumeFrame,
 )
 from .memory import Memory
-from .prefix import TrialRow, finish
+from .prefix import TrialRow, _replay, finish
 from .semantics import CODE as _CODE, LAST_VALUE_OP, OPS as _OPS, PRED as _PRED
 from .semantics import HUGE_INT as _HUGE_INT, INT_MASK64 as _INT_MASK64, apply
 
@@ -275,12 +270,6 @@ def _call(fn, name: str, args: tuple):
         return rv, len(charge), None
     except TRIAL_TRAPS as exc:
         return None, 0, exc
-
-
-def _replay(events) -> None:
-    """Emit recorded *events* again, as one more lane's own call would."""
-    for event in events:
-        obs_emit(event.kind, event.loop, **event.payload)
 
 
 def _take_stats(lane_runtime, group_runtime) -> None:
@@ -548,9 +537,6 @@ class BatchExecutor:
         self._traced = False
         self.fault_region = fault_region
         self.max_steps = max_steps
-        self._corrupt: List[Optional[int]] = [None] * n_lanes
-        # a live count lets the hot loop skip per-lane flag checks entirely
-        self._n_corrupt = 0
         #: the programs tail lanes finish on, compiled and decoded once
         self._compiled = compiled
         self._decoded = decoded or DecodedProgram(module, fault_region, template)
@@ -641,10 +627,9 @@ class BatchExecutor:
     def _fire_triggers(self, g: _Group) -> List[int]:
         """Handle every plan whose trigger step just elapsed (mirrors the
         ``region_steps - 1 == plan.step`` check before operand fetch):
-        ``value`` and ``addr`` plans inject here.  Returns the lanes of
-        every other plan, whose instruction stream diverges at this
-        instruction: the caller peels them off to the tail, where the
-        reference interpreter fires their trigger."""
+        ``value`` plans inject here.  Returns the lanes of every other
+        plan: the caller peels them off to the tail, where the reference
+        interpreter fires their trigger."""
         want = g.region_steps - 1
         row_of = g.row_of
         peel: List[int] = []
@@ -654,26 +639,18 @@ class BatchExecutor:
             row = row_of.get(lane)
             if row is None:
                 continue  # lane retired before its trigger
-            kind = self._plans[lane].kind
-            if kind == "value" or kind == "addr":
+            if self._plans[lane].kind == "value":
                 self._inject_lane(g, row, lane)
             else:
                 peel.append(lane)
         return peel
 
     def _inject_lane(self, g: _Group, row: int, lane: int) -> None:
-        """One lane's ``value`` or ``addr`` fault.  An address fault arms
-        the lane's next memory access; a value flip takes the exact
-        victim-selection walk of ``Interpreter._inject`` over this
-        group's frame stack, and landing on a uniform slot widens it
-        into a column (unless the flip was masked and the value is
-        unchanged)."""
+        """One lane's value flip: the exact victim-selection walk of
+        ``Interpreter._inject`` over this group's frame stack.  Landing
+        on a uniform slot widens it into a column (unless the flip was
+        masked and the value is unchanged)."""
         plan = self._plans[lane]
-        if plan.kind == "addr":
-            if self._corrupt[lane] is None:
-                self._n_corrupt += 1
-            self._corrupt[lane] = plan.bit
-            return
         slots: List[Tuple[list, int]] = []
         for frame in g.frames:
             fregs = frame.regs
@@ -936,7 +913,7 @@ class BatchExecutor:
                         g.region_steps = rsteps
                         peel = self._fire_triggers(g)
                         if peel:
-                            # the peeled lanes diverge at this very
+                            # the peeled lanes leave at this very
                             # instruction, which has not executed yet: rewind
                             # it so both children re-fetch it — the lockstep
                             # rest runs it normally (its triggers here are
@@ -1072,9 +1049,8 @@ class BatchExecutor:
                     k, v = ops[0]
                     a = regs[v] if k else v
                     gmem = g.gmem
-                    cls = a.__class__
-                    if cls is not _SpCol and not self._n_corrupt:
-                        # uniform address, no pending addr faults
+                    if a.__class__ is not _SpCol:
+                        # uniform address
                         if type(a) is int and 8 <= a < msize:
                             idx = a
                         else:
@@ -1105,58 +1081,49 @@ class BatchExecutor:
                             rexc[r] = v_
                         regs[dest] = _SpCol(vbase, rexc) if rexc else vbase
                         continue
-                    if cls is _SpCol and not self._n_corrupt:
-                        # near-uniform address: resolve the base once and
-                        # the exception lanes' own addresses individually
-                        try:
-                            ab = a.base
-                            if type(ab) is int and 8 <= ab < msize:
-                                idx = ab
+                    # near-uniform address: resolve the base once and the
+                    # exception lanes' own addresses individually
+                    try:
+                        ab = a.base
+                        if type(ab) is int and 8 <= ab < msize:
+                            idx = ab
+                        else:
+                            idx = _check_addr(ab, msize)
+                        vbase = gmem.get(idx, _MISS)
+                        if vbase is _MISS:
+                            vbase = tcells[idx]
+                        rexc = {}
+                        writers = g.dirty.get(idx)
+                        if writers:
+                            row_of = g.row_of
+                            for lane in writers:
+                                r = row_of.get(lane)
+                                if r is not None:
+                                    rexc[r] = ovs[lane][idx]
+                        for r, av_ in a.exc.items():
+                            if type(av_) is int and 8 <= av_ < msize:
+                                idx2 = av_
                             else:
-                                idx = _check_addr(ab, msize)
-                            vbase = gmem.get(idx, _MISS)
-                            if vbase is _MISS:
-                                vbase = tcells[idx]
-                            rexc = {}
-                            writers = g.dirty.get(idx)
-                            if writers:
-                                row_of = g.row_of
-                                for lane in writers:
-                                    r = row_of.get(lane)
-                                    if r is not None:
-                                        rexc[r] = ovs[lane][idx]
-                            for r, av_ in a.exc.items():
-                                if type(av_) is int and 8 <= av_ < msize:
-                                    idx2 = av_
-                                else:
-                                    idx2 = _check_addr(av_, msize)
-                                v_ = ovs[rows[r]].get(idx2, _MISS)
+                                idx2 = _check_addr(av_, msize)
+                            v_ = ovs[rows[r]].get(idx2, _MISS)
+                            if v_ is _MISS:
+                                v_ = gmem.get(idx2, _MISS)
                                 if v_ is _MISS:
-                                    v_ = gmem.get(idx2, _MISS)
-                                    if v_ is _MISS:
-                                        v_ = tcells[idx2]
-                                rexc[r] = v_
-                            tb = vbase.__class__
-                            for r in [r for r, v_ in rexc.items()
-                                      if v_.__class__ is tb and v_ == vbase]:
-                                del rexc[r]
-                            regs[dest] = _pack(vbase, rexc, L)
-                            continue
-                        except SegfaultError:
-                            pass  # a lane traps: resolve row by row below
-                    # a trapping address and/or an addr-fault window is open
-                    corrupt = self._corrupt
+                                    v_ = tcells[idx2]
+                            rexc[r] = v_
+                        tb = vbase.__class__
+                        for r in [r for r, v_ in rexc.items()
+                                  if v_.__class__ is tb and v_ == vbase]:
+                            del rexc[r]
+                        regs[dest] = _pack(vbase, rexc, L)
+                        continue
+                    except SegfaultError:
+                        pass  # a lane traps: resolve row by row below
                     out = [None] * L
                     dead = None
                     for i in range(L):
                         addr = _at(a, i)
                         lane = rows[i]
-                        if corrupt[lane] is not None:
-                            bit = corrupt[lane]
-                            corrupt[lane] = None
-                            self._n_corrupt -= 1
-                            if isinstance(addr, int):
-                                addr = addr ^ (1 << (bit % 24))
                         try:
                             if type(addr) is int and 8 <= addr < msize:
                                 idx = addr
@@ -1190,7 +1157,7 @@ class BatchExecutor:
                     addr0 = regs[va] if ka else va
                     gmem = g.gmem
                     dirty = g.dirty
-                    if addr0.__class__ is not _SpCol and not self._n_corrupt:
+                    if addr0.__class__ is not _SpCol:
                         if type(addr0) is int and 8 <= addr0 < msize:
                             idx = addr0
                         else:
@@ -1235,17 +1202,10 @@ class BatchExecutor:
                                 dirty.pop(idx, None)
                             gmem[idx] = vb
                         continue
-                    corrupt = self._corrupt
                     dead = None
                     for i in range(L):
                         addr = _at(addr0, i)
                         lane = rows[i]
-                        if corrupt[lane] is not None:
-                            bit = corrupt[lane]
-                            corrupt[lane] = None
-                            self._n_corrupt -= 1
-                            if isinstance(addr, int):
-                                addr = addr ^ (1 << (bit % 24))
                         try:
                             if type(addr) is int and 8 <= addr < msize:
                                 idx = addr
@@ -1567,15 +1527,12 @@ class BatchExecutor:
                     if col is not _UNDEF})
                 for fr in g.frames
             ]
-            plan = self._plans[lane]
             state = MachineState(frames, mem, g.steps, g.region_steps,
-                                 pending.get(lane), self._corrupt[lane])
-            # the lane's flag leaves with it: drop it from the live count
-            self._n_corrupt -= state.corrupt is not None
+                                 pending.get(lane))
             if self._traced:
                 t0 = perf_counter()
             self._results[lane] = finish(
-                self.module, mem, plan, self._tables[lane],
+                self.module, mem, self._plans[lane], self._tables[lane],
                 self.fault_region, self.max_steps, self._decoded,
                 self._compiled, entry, state=state, handoff=True)
             if self._traced:

@@ -818,7 +818,7 @@ class CompiledExecutor:
                     f"got {len(args)}")
             body, body_args = self._call, (func_name, list(args))
         else:
-            assert not state.pending, "faulted resumes belong to the reference"
+            assert state.trigger is None, "faulted resumes belong to the reference"
             self.memory = state.memory
             self.steps = state.steps
             self.region_steps = state.region_steps

@@ -122,25 +122,17 @@ class MachineState:
     :class:`Interpreter` or
     :class:`~repro.runtime.compiler.CompiledExecutor`: the frame stack
     (outermost first), the memory it runs on, both step counters, and
-    the fault state a pause can leave still to act — the plan step
-    whose trigger has not fired (``None`` once fired) and a pending
-    address-corruption bit.  Nothing pauses a run while a branch
-    inversion, skip or cf retarget is pending: batch lanes leave
-    lockstep before those triggers fire, and a hand-off waits until
-    the interpreter's fault has fully acted."""
+    the plan step whose trigger has not fired (``None`` once fired, and
+    then the rest of the execution is a clean run).  That is the only
+    fault state a pause can leave still to act: batch lanes leave
+    lockstep before any trigger but a value flip's fires, and a
+    hand-off waits until the interpreter's fault has fully acted."""
 
     frames: List[ResumeFrame]
     memory: object
     steps: int
     region_steps: int
     trigger: Optional[int] = None
-    corrupt: Optional[int] = None
-
-    @property
-    def pending(self) -> bool:
-        """Whether fault state is still to act (if not, the rest of the
-        execution is a clean run)."""
-        return self.trigger is not None or self.corrupt is not None
 
 
 class DecodedProgram:
@@ -273,7 +265,6 @@ class Interpreter:
         self.steps = state.steps
         self.region_steps = state.region_steps
         self._fault_pending = state.trigger is not None
-        self._corrupt_next_mem = state.corrupt
         frames = state.frames
         self._frames.extend(frame.regs for frame in frames)
         self._frame_funcs.extend(frame.func for frame in frames)

@@ -244,7 +244,8 @@ class GoldenPrefix:
 
 
 def _replay(events) -> None:
-    """Emit recorded golden runtime events into the current sink."""
+    """Emit recorded runtime events (the golden run's, or a shared batch
+    group call's) into the current sink."""
     for event in events:
         obs_emit(event.kind, event.loop, **event.payload)
 
@@ -506,7 +507,7 @@ def finish(module, memory, plan: Optional[FaultPlan], intrinsics: Dict[str, obje
         golden = None
     try:
         try:
-            if handoff and state is not None and not state.pending:
+            if handoff and state is not None and state.trigger is None:
                 raise HandedOff(state)
             engine = Interpreter(module, memory=memory, max_steps=max_steps,
                                  fault_plan=plan, fault_region=region,

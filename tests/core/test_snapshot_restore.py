@@ -7,10 +7,12 @@ exactly as the original would, and share no mutable run state with it.
 """
 import pytest
 
-from repro.core.manager import SkipStats
+from repro.core.manager import LoopRuntime, SkipStats
+from repro.core.protocol import CkptLoopRuntime, ReplayLoopRuntime
 from repro.eval import Harness
 from repro.eval.schemes import prepare
 from repro.runtime.interpreter import Interpreter
+from repro.runtime.prefix import _same_state
 from repro.workloads import get_workload
 
 SCALE = 0.35
@@ -123,3 +125,30 @@ def test_run_state_copy_equals_deepcopy():
     assert got["nested"]["k"][1] == {1, 2}
     assert got["nested"]["k"][1] is not state["nested"]["k"][1]
     assert str(got["stats"]) == str(want["stats"])
+
+
+@pytest.mark.parametrize("scheme, loop_type, signal", [
+    ("AR50", LoopRuntime, None),
+    ("REPLAY2", ReplayLoopRuntime, None),
+    ("CKPT8", CkptLoopRuntime, True),
+    ("CKPT8FIX", CkptLoopRuntime, False),
+])
+def test_reset_equals_a_fresh_fork(conv1d, scheme, loop_type, signal):
+    """A loop dirtied by a run must, once reset, equal a fresh ``fork()``
+    in every attribute: ``reset()`` is derived from ``fork()``, so no
+    field list can drift from the constructor's."""
+    workload, inp, profiles = conv1d
+    prepared = prepare(workload, scheme, None,
+                       profiles if scheme.startswith("AR") else None)
+    runtime = prepared.runtime.fork()
+    fresh = runtime.fork()
+    feed(runtime, clean_calls(prepared, workload, inp))
+    assert runtime.loops
+    for ctx_id, loop in runtime.loops.items():
+        assert type(loop) is loop_type
+        if signal is not None:
+            assert (loop.signal is not None) is signal
+        assert not _same_state(vars(loop), vars(fresh.loops[ctx_id]))
+    runtime.reset()
+    for ctx_id, loop in runtime.loops.items():
+        assert _same_state(vars(loop), vars(fresh.loops[ctx_id]))

@@ -129,22 +129,33 @@ class TestCleanLanes:
 
 
 class TestDivergence:
-    def test_lane0_traps_while_the_rest_run_on(self):
-        """An address fault segfaults lane 0; the surviving lanes must
-        retire it and still finish with the clean answer and step count."""
+    def test_lane0_traps_while_the_rest_run_on(self, monkeypatch):
+        """A value flip of a load's address register segfaults lane 0 in
+        lockstep; the surviving lanes must retire it and still finish
+        with the clean answer and step count."""
         module = _load(LOOP_SUM)
         region = _region(module)
-        # bit 22 lands the next memory access far outside the template
-        trap_plan = FaultPlan(step=6, kind="addr", bit=22)
+        # step 8 is the first ``load %addr``; pick 0.0 lands on %addr (the
+        # first live name) and bit 22 moves it far outside the template
+        trap_plan = FaultPlan(step=8, kind="value", bit=22, pick=0.0)
         ref_rows = [_ref_trial(module, trap_plan, region),
                     _ref_trial(module, None, region)]
         assert ref_rows[0][0] == "segfault"
 
+        tail_plans = []
+        real_finish = batch_mod.finish
+
+        def recording_finish(module, memory, plan, *args, **kw):
+            tail_plans.append(plan)
+            return real_finish(module, memory, plan, *args, **kw)
+
+        monkeypatch.setattr(batch_mod, "finish", recording_finish)
         lanes = SCALAR_CUTOFF + 4
         plans = [trap_plan] + [None] * (lanes - 1)
         executor = BatchExecutor(module, Memory(), lanes, fault_plans=plans,
                                  fault_region=region, max_steps=100_000)
         results = executor.run("main", [])
+        assert trap_plan not in tail_plans  # it retired in lockstep
         trap_r, _, steps_r, rsteps_r, _ = ref_rows[0]
         assert (results[0].trap, results[0].steps, results[0].region_steps) \
             == (trap_r, steps_r, rsteps_r)
@@ -199,15 +210,15 @@ class TestDivergence:
             assert res.steps == steps  # the interpreter's exact cutoff
 
     def test_control_lanes_leave_before_their_trigger_fires(self, monkeypatch):
-        """Branch, skip, skip-burst and cf lanes leave lockstep when their
-        trigger comes up and reach the tail with it still pending: the
-        reference interpreter fires it there, at the instruction the
+        """Branch, addr, skip, skip-burst and cf lanes leave lockstep when
+        their trigger comes up and reach the tail with it still pending:
+        the reference interpreter fires it there, at the instruction the
         lane stopped in front of.  Their rows equal the reference's."""
         module = _load(LOOP_SUM)
         region = _region(module)
         control = [FaultPlan(step=s, kind=kind, pick=0.5,
                              burst_len=2 if kind == "skip-burst" else 1)
-                   for kind in ("branch", "skip", "skip-burst", "cf")
+                   for kind in ("branch", "addr", "skip", "skip-burst", "cf")
                    for s in (5, 13, 40, 77)]
         plans = control + [None] * (SCALAR_CUTOFF + 2)
         arrivals = {}

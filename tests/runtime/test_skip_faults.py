@@ -176,7 +176,8 @@ class TestCrossEngine:
     def test_skip_sites_byte_identical(self, kind):
         """A fault at every 3rd step of the dot kernel, ref vs batch:
         triggers land on its ``cbr``, ``load`` and ``store`` sites.
-        Skip and branch lanes leave lockstep there; addr lanes stay."""
+        Every one of these lanes leaves lockstep there, its trigger still
+        pending, and the reference interpreter fires it."""
         build = lambda: build_dot_module(4)
         total = _count_steps(build, [3, 4])
         plans = [FaultPlan(step=s, kind=kind) for s in range(0, total, 3)]
