@@ -15,8 +15,8 @@ test:
 ## handed off to the compiled backend once their fault has acted,
 ## trapping lanes) + a mixed-kinds
 ## smoke (SEU + skip/cf kinds in one campaign, again serial==batch; it
-## must draw skip, branch and addr faults, so lanes of every kind that
-## leaves lockstep before its trigger fires run;
+## must draw skip, branch and addr faults, so trials of the kinds the
+## batch backend runs per trial beside its value-flip lanes run;
 ## each of these three runs its serial side under the ref backend) + a
 ## hand-off smoke (default-backend trials end at the golden run they
 ## re-joined or finish on the compiled backend once their fault has

@@ -49,10 +49,6 @@ ALLOWED: Dict[str, str] = {
         "reported protection rates are to carry a Wilson interval",
     "repro.runtime.compiler.CompiledExecutor._hang":
         "called from the generated segment code (a string)",
-    "repro.runtime.interpreter.Interpreter.register_intrinsic":
-        "the engine interface the interpreter's module docstring documents",
-    "repro.runtime.compiler.CompiledExecutor.register_intrinsic":
-        "the compiled backend keeps the reference engine's interface",
     "repro.obs.events.sink_installed":
         "scoped install_sink/remove_sink for library users",
     "repro.ir.builder.IRBuilder.or_": "IRBuilder has one emitter per opcode",

@@ -27,9 +27,9 @@ Seven machine-checked properties:
   **O6 — exhaustive single-skip model checking**
   (:func:`check_skip_exhaustive`) run their trials through the
   campaign's own trial runner,
-  :func:`repro.eval.fault_campaign.trial_rows`, once on the reference
-  interpreter and once as one batched lane slab (O5 also handed off to
-  the compiled backend), and demand identical rows: trap kind,
+  :func:`repro.eval.fault_campaign.trial_rows`, once wholly on the
+  reference interpreter and once handed off to the compiled backend
+  (O5 also as one batched lane slab), and demand identical rows: trap kind,
   detection flag, caught validation mismatch, step and region-step
   counts, return value and final global memory.  The
   program is protected once and campaigned whole-program; reference
@@ -440,7 +440,7 @@ class _Trials:
 
     def compare(
         self, plans: List[FaultPlan], oracle: str, wheres: List[str],
-        pipe: Tuple[str, ...], backends: Tuple[str, ...] = ("batch",),
+        pipe: Tuple[str, ...], backends: Tuple[str, ...],
     ) -> Tuple[List[ExecResult], List[Violation]]:
         """Run every plan on the reference engine and on each of
         *backends*; returns the reference observations and one *oracle*
@@ -469,8 +469,9 @@ def check_batch_equivalence(
     must trials handed off to the compiled backend.
 
     Draws one fault plan per lane (over a region spanning the whole
-    program), runs every plan on the reference interpreter, as a lane of
-    a single batched run and handed off, and compares each outcome:
+    program), runs every plan on the reference interpreter, on the batch
+    backend (the value flips as lanes of a single batched run) and
+    handed off, and compares each outcome:
     trap kind, detection flag, caught mismatch, step and region-step
     counts, return value and final global memory.  Checked on the plain
     program and, when *protection* is given, on the protected program.
@@ -589,18 +590,20 @@ def check_skip_exhaustive(
     * the golden run's segments name every in-region dynamic
       instruction, one site per region step — the enumeration covers
       the whole dynamic stream;
-    * every site is injected once as a ``skip`` plan, per-trial on the
-      reference interpreter (fast-forwarded from the golden prefix, as
-      campaign trials are) and again as one lane of a single batched
-      slab, and each lane's (trap kind, detection flag, step counts,
-      return value, final globals) must be byte-identical;
+    * every site is injected once as a ``skip`` plan, per trial on the
+      reference interpreter alone (fast-forwarded from the golden
+      prefix, as campaign trials are) and again the way default-backend
+      campaigns run it (handed off to the compiled backend, or ended at
+      the golden run, once the skip has acted), and each pair's (trap
+      kind, detection flag, step counts, return value, final globals)
+      must be byte-identical;
     * under the duplication schemes (swift, swift-r) a skip whose victim
       is a *shadow* instruction must never classify as silent
       corruption — the master stream is intact, so the checker detects
       it, the vote masks it, or a poisoned shadow traps/hangs first.
 
     With *burst* set, every 2-instruction burst is checked the same way
-    (reference==batch only: a burst can straddle master and checker
+    (reference==compiled only: a burst can straddle master and checker
     instructions, so the shadow contract holds only for single skips).
     Programs larger than *site_cap* are stride-sampled.
     """
@@ -617,7 +620,8 @@ def check_skip_exhaustive(
             kind = "skip" if blen == 1 else "skip-burst"
             ref, found = trials.compare(
                 _skip_plans(site_steps, blen), "o6",
-                [f"[{label}] {kind}@{s}" for s in site_steps], pipe)
+                [f"[{label}] {kind}@{s}" for s in site_steps], pipe,
+                ("compiled",))
             violations.extend(found)
 
             if prot in _SKIP_CONTRACT_SCHEMES and blen == 1:

@@ -183,21 +183,28 @@ def _run_trial(
     plan: FaultPlan,
     handoff: bool,
 ) -> TrialRow:
-    """One faulted trial on the reference interpreter, fast-forwarded
+    """One faulted trial on the reference interpreter, from a freshly
+    reset runtime (``caught`` comes from its stats delta), fast-forwarded
     from the campaign's golden prefix (from scratch on a context without
     one) and, with *handoff*, ended at the golden run once it re-joins
     it or else finished on the compiled backend once its fault has
     acted."""
+    runtime = prepared.runtime
+    since = None
+    if runtime is not None:
+        runtime.reset()
+        since = runtime.total_stats()
     memory = workload.fresh_memory(prepared.module, inp)
     golden = ctx.prefix
     state = None
     if golden is not None:
-        state = golden.state_for(plan.step, memory, prepared.runtime)
-    return finish(prepared.module, memory, plan, prepared.intrinsics,
-                  ctx.region, ctx.max_steps,
-                  ctx.decoded_for(prepared.module, memory), prepared.compiled,
-                  prepared.main, inp.args, state=state, handoff=handoff,
-                  golden=golden, runtime=prepared.runtime)
+        state = golden.state_for(plan.step, memory, runtime)
+    row = finish(prepared.module, memory, plan, prepared.intrinsics,
+                 ctx.region, ctx.max_steps,
+                 ctx.decoded_for(prepared.module, memory), prepared.compiled,
+                 prepared.main, inp.args, state=state, handoff=handoff,
+                 golden=golden, runtime=runtime)
+    return _mark_caught(row, runtime, since)
 
 
 def _run_once_batch(
@@ -208,27 +215,42 @@ def _run_once_batch(
     ctx: "CampaignContext",
     runtimes: Optional[list],
 ) -> List[TrialRow]:
-    """A whole trial chunk as one lane-vectorized execution.
+    """Value-flip trials as one lane-vectorized execution.
 
     Returns one :class:`TrialRow` per plan, whose memory is the lane's
-    view.  :func:`trial_rows` yields these rows and the reference
-    interpreter's in the same shape, and difftest oracles O5 and O6
-    compare the two streams row by row: row *i* must equal what
-    :func:`_run_trial` returns for ``plans[i]``.  *runtimes* holds one
-    reset runtime per lane for a stateful scheme (each ends up with its
-    trial's statistics); a stateless scheme passes ``None`` and every
-    lane shares ``prepared.intrinsics``.
+    view: row *i* equals what :func:`_run_trial` returns for
+    ``plans[i]``.  *runtimes* holds one runtime per lane for a stateful
+    scheme, reset here (each ends up with its trial's statistics); a
+    stateless scheme passes ``None`` and every lane shares
+    ``prepared.intrinsics``.
     """
     from ..runtime.batch import BatchExecutor
 
+    marks = None
+    if runtimes is not None:
+        for runtime in runtimes:
+            runtime.reset()
+        marks = [runtime.total_stats() for runtime in runtimes]
     template = workload.fresh_memory(prepared.module, inp)
-    return BatchExecutor(
-        prepared.module, template, len(plans), fault_plans=list(plans),
-        fault_region=ctx.region, max_steps=ctx.max_steps,
-        intrinsics=prepared.intrinsics if runtimes is None else None,
-        compiled=prepared.compiled, runtimes=runtimes,
-        decoded=ctx.decoded_for(prepared.module, template),
-    ).run(prepared.main, inp.args)
+    # lane execution allocates heavily but briefly; keep the cyclic
+    # collector out of the hot loop
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        rows = BatchExecutor(
+            prepared.module, template, len(plans), fault_plans=list(plans),
+            fault_region=ctx.region, max_steps=ctx.max_steps,
+            intrinsics=prepared.intrinsics if runtimes is None else None,
+            compiled=prepared.compiled, runtimes=runtimes,
+            decoded=ctx.decoded_for(prepared.module, template),
+        ).run(prepared.main, inp.args)
+    finally:
+        if gc_was_enabled:
+            gc.enable()
+    if runtimes is None:
+        return rows
+    return [_mark_caught(row, runtime, since)
+            for row, runtime, since in zip(rows, runtimes, marks)]
 
 
 @dataclass
@@ -392,57 +414,39 @@ def trial_rows(
 
     Each trial starts from a freshly reset runtime, so a fault that
     corrupts predictor state cannot bias the next trial, and ``caught``
-    comes from a per-trial stats delta.  ``backend="batch"`` runs slabs
-    of up to *lanes* plans as one BatchExecutor run each.  A
-    runtime-stateful scheme gives every lane slot its own fork of
-    ``prepared.runtime`` (:func:`~repro.runtime.batch.fork_lanes`), reset
-    per slab; the executor runs the lanes on one shared copy of that
-    state until their intrinsic calls diverge, and leaves each lane's
-    statistics in its own fork.  Other backends run the plans one by one
-    on the reference interpreter, each fast-forwarded to the latest
-    snapshot of *ctx*'s golden prefix at or before its fault step;
-    ``"compiled"`` finishes each on the compiled backend once its fault
-    has acted, or at the golden run once it re-joins it.
+    comes from a per-trial stats delta.  ``"ref"`` and ``"compiled"``
+    run the plans one by one on the reference interpreter
+    (:func:`_run_trial`), each fast-forwarded to the latest snapshot of
+    *ctx*'s golden prefix at or before its fault step; ``"compiled"``
+    finishes each on the compiled backend once its fault has acted, or
+    at the golden run once it re-joins it.  ``"batch"`` runs the value
+    flips of each slab of up to *lanes* plans as one BatchExecutor run,
+    and every other plan as ``"compiled"`` does.  A runtime-stateful
+    scheme gives every lane slot its own fork of ``prepared.runtime``
+    (:func:`~repro.runtime.batch.fork_lanes`); the executor runs the
+    lanes on one shared copy of that state until their intrinsic calls
+    diverge, and leaves each lane's statistics in its own fork.
     Rows are identical across backends, slab widths, fast-forwarding and
     hand-offs (difftest oracles O5 and O6 compare them).
     """
-    runtime = prepared.runtime
     if backend != "batch":
         for plan in plans:
-            since = None
-            if runtime is not None:
-                runtime.reset()
-                since = runtime.total_stats()
             # unbound here, so a row's memory can go before the next trial
-            yield _mark_caught(_run_trial(prepared, workload, inp, ctx, plan,
-                                          backend == "compiled"),
-                               runtime, since)
+            yield _run_trial(prepared, workload, inp, ctx, plan,
+                             backend == "compiled")
         return
     from ..runtime.batch import fork_lanes
 
-    lane_runtimes = fork_lanes(runtime, min(lanes, len(plans)))
+    lane_runtimes = fork_lanes(prepared.runtime, min(lanes, len(plans)))
     for first in range(0, len(plans), lanes):
         slab = plans[first:first + lanes]
-        slab_runtimes = marks = None
-        if lane_runtimes is not None:
-            slab_runtimes = lane_runtimes[:len(slab)]
-            for lane_runtime in slab_runtimes:
-                lane_runtime.reset()
-            marks = [lane_runtime.total_stats() for lane_runtime in slab_runtimes]
-        # lane execution allocates heavily but briefly; keep the cyclic
-        # collector out of the hot loop
-        gc_was_enabled = gc.isenabled()
-        gc.disable()
-        try:
-            rows = _run_once_batch(prepared, workload, inp, slab, ctx,
-                                   slab_runtimes)
-        finally:
-            if gc_was_enabled:
-                gc.enable()
-        for i, row in enumerate(rows):
-            if slab_runtimes is not None:
-                row = _mark_caught(row, slab_runtimes[i], marks[i])
-            yield row
+        values = [plan for plan in slab if plan.kind == "value"]
+        rows = iter(_run_once_batch(
+            prepared, workload, inp, values, ctx,
+            lane_runtimes and lane_runtimes[:len(values)]) if values else ())
+        for plan in slab:
+            yield (next(rows) if plan.kind == "value" else
+                   _run_trial(prepared, workload, inp, ctx, plan, True))
 
 
 def run_plans(

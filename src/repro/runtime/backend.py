@@ -14,11 +14,12 @@ Three backends execute IR:
   (``run(..., state=...)``) faulted campaign trials and batch lanes
   whose fault has fully acted.
 * ``batch`` — the lane-vectorized batch engine of
-  :mod:`repro.runtime.batch`: runs a whole block of fault-injection
-  trials in lockstep over one instruction stream.  It applies at the
-  campaign-chunk level (``repro.eval.fault_campaign`` routes trial
-  blocks through it when it is the default backend).  Lanes that leave
-  lockstep finish like ``compiled`` campaign trials (``prefix.finish``).
+  :mod:`repro.runtime.batch`: runs the value flips of a whole block of
+  fault-injection trials in lockstep over one instruction stream.  It
+  applies at the campaign-chunk level (``repro.eval.fault_campaign``
+  routes trial blocks through it when it is the default backend); the
+  block's trials of every other fault kind, and lanes that leave
+  lockstep, finish like ``compiled`` campaign trials (``prefix.finish``).
   A single :func:`make_executor` call cannot express "many trials", so
   here ``batch`` behaves like ``compiled`` for clean runs and like
   ``ref`` for instrumented ones.

@@ -54,15 +54,13 @@ Divergence and retirement
   running; exceeding ``max_steps`` retires the whole group as `hang`.
   Retired and finished lanes expose their memory as a :class:`_LaneMem`
   view (overlay → group layer → template) via ``lane_memory``.
-* A group at or below ``SCALAR_CUTOFF`` lanes leaves lockstep, and so
-  does a lane whose trigger of any kind but ``value`` comes up, before
-  that trigger fires.  Each such lane exports a
+* A group at or below ``SCALAR_CUTOFF`` lanes leaves lockstep.  Each
+  of its lanes exports a
   :class:`~repro.runtime.interpreter.MachineState` (its frames, its
-  memory view, both counters and a still-pending trigger) and finishes
-  alone the way a campaign trial does
-  (:func:`repro.runtime.prefix.finish`): on the reference interpreter,
-  which fires any pending trigger, until its fault has fully acted,
-  then on the compiled backend (skip/cf lanes stay on the reference).
+  memory view, both counters and its trigger, if still pending) and
+  finishes alone the way a campaign trial does
+  (:func:`repro.runtime.prefix.finish`): on the reference interpreter
+  until its flip has fired, then on the compiled backend.
   A faulted lane that hangs burns through ``HANG_FACTOR``
   baseline budgets alone, so the tail can take a large share of a
   campaign's time; the ``batch.lockstep`` / ``batch.tail`` spans report
@@ -73,7 +71,9 @@ uniform path calls its ``OPS`` table for every cold op, the sparse path
 calls ``apply``, and only the hot ops (MOV, ADD/FADD, SUB/FSUB, FMUL,
 MUL, ICMP/FCMP) are inlined, on the uniform path.
 
-Only value flips act in lockstep, and they follow
+Lanes carry value flips only (a plan of any other kind is a
+``ValueError``; campaigns run those trials one by one, see
+:func:`repro.eval.fault_campaign.trial_rows`), and the flips follow
 :meth:`Interpreter._inject` to the letter: the trigger fires when
 ``region_steps - 1 == plan.step`` *before* operand fetch, and the flip
 picks a victim across the frame stack's name-sorted live registers
@@ -453,7 +453,8 @@ class _Group:
 
 class BatchExecutor:
     """Execute one module over N lanes sharing one template memory, each
-    lane with its own fault plan, memory overlay and intrinsics.
+    lane with its own value-flip plan (or none), memory overlay and
+    intrinsics.
 
     ``intrinsics`` may be ``None`` (no intrinsics), one shared table
     (stateless checkers — UNSAFE/SWIFT/SWIFT-R), or a sequence of
@@ -502,6 +503,9 @@ class BatchExecutor:
             fault_plans = [None] * n_lanes
         if len(fault_plans) != n_lanes:
             raise ValueError("one fault plan (or None) per lane required")
+        if any(plan is not None and plan.kind != "value" for plan in fault_plans):
+            raise ValueError("batch lanes take value flips only; every other "
+                             "fault kind runs per trial")
         self._plans = list(fault_plans)
         #: each lane's runtime (stateful schemes), its own intrinsics
         #: table, and whether it calls that table — False while it shares
@@ -624,26 +628,17 @@ class BatchExecutor:
         return _Frame(func.name, blocks, names, slot_of, regs, entry, ret_dest)
 
     # -- fault machinery ----------------------------------------------------
-    def _fire_triggers(self, g: _Group) -> List[int]:
-        """Handle every plan whose trigger step just elapsed (mirrors the
-        ``region_steps - 1 == plan.step`` check before operand fetch):
-        ``value`` plans inject here.  Returns the lanes of every other
-        plan: the caller peels them off to the tail, where the reference
-        interpreter fires their trigger."""
+    def _fire_triggers(self, g: _Group) -> None:
+        """Inject every value flip whose trigger step just elapsed (mirrors
+        the ``region_steps - 1 == plan.step`` check before operand fetch)."""
         want = g.region_steps - 1
         row_of = g.row_of
-        peel: List[int] = []
         while g.tptr < len(g.trigs) and g.trigs[g.tptr][0] == want:
             lane = g.trigs[g.tptr][1]
             g.tptr += 1
             row = row_of.get(lane)
-            if row is None:
-                continue  # lane retired before its trigger
-            if self._plans[lane].kind == "value":
+            if row is not None:  # else the lane retired before its trigger
                 self._inject_lane(g, row, lane)
-            else:
-                peel.append(lane)
-        return peel
 
     def _inject_lane(self, g: _Group, row: int, lane: int) -> None:
         """One lane's value flip: the exact victim-selection walk of
@@ -911,34 +906,7 @@ class BatchExecutor:
                     if rsteps == ntrig1:
                         g.steps = steps
                         g.region_steps = rsteps
-                        peel = self._fire_triggers(g)
-                        if peel:
-                            # the peeled lanes leave at this very
-                            # instruction, which has not executed yet: rewind
-                            # it so both children re-fetch it — the lockstep
-                            # rest runs it normally (its triggers here are
-                            # consumed, so nothing re-fires), the peeled
-                            # lanes fire theirs on the reference
-                            frame.pc = pc - 1
-                            g.steps = steps - 1
-                            g.region_steps = rsteps - 1
-                            peel_set = set(peel)
-                            sel_rest = [i for i, ln in enumerate(rows)
-                                        if ln not in peel_set]
-                            sel_peel = [i for i, ln in enumerate(rows)
-                                        if ln in peel_set]
-                            children = []
-                            if sel_rest:
-                                children.append(self._fork(g, sel_rest, True))
-                                work.append(children[0])
-                            children.append(self._fork(g, sel_peel, not sel_rest))
-                            # hand the peeled lanes back the triggers they
-                            # have not fired: the reference fires them
-                            children[-1].trigs = [
-                                (rsteps - 1, ln) for ln in peel]
-                            self._hand_runtime(g, children)
-                            self._finish_tail(children[-1])
-                            return
+                        self._fire_triggers(g)
                         ntrig1 = (g.trigs[g.tptr][0] + 1) \
                             if g.tptr < len(g.trigs) else -9
 

@@ -745,7 +745,7 @@ class CompiledExecutor:
     """Clean-mode drop-in for :class:`Interpreter`.
 
     Exposes the same running state (``steps``, ``counts``, ``region_steps``,
-    ``intrinsics``, ``memory``) and the same ``run``/``register_intrinsic``
+    ``intrinsics``, ``memory``) and the same ``run``/``register_intrinsics``
     surface — ``counts`` and, under a fault region, ``region_steps`` are
     exact once a run has ended (its block hits fold in then);
     ``run(..., state=...)`` continues a paused execution with no fault
@@ -789,9 +789,6 @@ class CompiledExecutor:
         self._hits: Dict[str, List[int]] = {}
 
     # -- public API -----------------------------------------------------------
-    def register_intrinsic(self, name: str, fn: IntrinsicFn) -> None:
-        self.intrinsics[name] = fn
-
     def register_intrinsics(self, table: Dict[str, IntrinsicFn]) -> None:
         self.intrinsics.update(table)
 

@@ -44,14 +44,14 @@ _INT_SIGN = 1 << 63
 FAULT_KINDS = ("value", "branch", "addr", "skip", "skip-burst", "cf")
 
 #: Kinds that drop instructions (and can therefore leave registers
-#: unwritten — both engines turn reads of such registers into coredumps).
+#: unwritten).
 SKIP_KINDS = ("skip", "skip-burst")
 
 #: Kinds that corrupt the instruction stream itself rather than stored
 #: bits.  Their dropped definitions and illegal control edges can reach
-#: reads of unwritten registers, which only the reference interpreter
-#: turns into core dumps, so ``prefix.finish`` never hands these trials
-#: to the compiled backend.
+#: reads of unwritten registers, which the reference interpreter alone
+#: turns into core dumps: a trial stays on it while a register live
+#: where its frames resume is unwritten (``prefix.HandOff``).
 CONTROL_KINDS = ("skip", "skip-burst", "cf")
 
 #: Default mix of fault kinds: register-file upsets dominate; a small share

@@ -17,7 +17,7 @@ Value ops follow `repro.runtime.semantics`: the hot ops are inlined in the
 dispatch chain, every other one is a call into its ``OPS`` table.
 
 Intrinsics (``intrin`` instructions) dispatch to Python callables registered
-with :meth:`Interpreter.register_intrinsic`; each returns its result plus a
+with :meth:`Interpreter.register_intrinsics`; each returns its result plus a
 list of opcodes to *charge*, so predictor bookkeeping shows up in both the
 instruction counts and the cycle model (DESIGN.md: "predictor cost
 charging").
@@ -28,6 +28,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
+from ..analysis.liveness import Liveness
 from ..ir.function import Function
 from ..ir.instructions import Opcode
 from ..ir.module import Module
@@ -124,9 +125,9 @@ class MachineState:
     (outermost first), the memory it runs on, both step counters, and
     the plan step whose trigger has not fired (``None`` once fired, and
     then the rest of the execution is a clean run).  That is the only
-    fault state a pause can leave still to act: batch lanes leave
-    lockstep before any trigger but a value flip's fires, and a
-    hand-off waits until the interpreter's fault has fully acted."""
+    fault state a pause can leave still to act: batch lanes carry value
+    flips alone, and a hand-off waits until the interpreter's fault has
+    fully acted."""
 
     frames: List[ResumeFrame]
     memory: object
@@ -138,9 +139,10 @@ class MachineState:
 class DecodedProgram:
     """Decoded instructions of one module under one fault region and one
     global layout (global operands are decoded to their addresses),
-    built lazily per function.  Every :class:`Interpreter` constructed with
-    ``decoded=`` shares it, so a campaign decodes its program once
-    rather than once per trial."""
+    built lazily per function, and the registers live where a paused
+    frame resumes.  Every :class:`Interpreter` constructed with
+    ``decoded=`` shares it, so a campaign decodes its program and
+    analyses its liveness once rather than once per trial."""
 
     def __init__(self, module: Module, region: Optional[Region], memory: Memory):
         self.module = module
@@ -151,10 +153,40 @@ class DecodedProgram:
         #: function name -> (layout-successor map, block order), used by
         #: the skip fall-through and cf retarget machinery
         self.succ: Dict[str, Tuple[Dict[str, Optional[str]], Tuple[str, ...]]] = {}
+        self._liveness: Dict[str, Liveness] = {}
+        #: (function, label, index) -> live registers there, and those
+        #: of an outer frame resuming there (without its call's dest)
+        self._live: Dict[Tuple[str, str, int], Tuple[tuple, tuple]] = {}
 
     def fits(self, module: Module, region: Optional[Region], memory: Memory) -> bool:
         return (module is self.module and region is self.region
                 and memory.globals == self.layout)
+
+    def live_at(self, frame: ResumeFrame, outer: bool) -> tuple:
+        """The registers live where *frame* resumes; for an *outer*
+        frame, without its pending call's dest (about to be written)."""
+        key = (frame.func, frame.label, frame.index)
+        live = self._live.get(key)
+        if live is None:
+            func = self.module.functions[frame.func]
+            liveness = self._liveness.get(frame.func)
+            if liveness is None:
+                liveness = self._liveness[frame.func] = Liveness(func)
+            inner = tuple(sorted(liveness.live_at(frame.label, frame.index)))
+            dest = None
+            if frame.index:
+                dest = func.blocks[frame.label].instrs[frame.index - 1].dest
+            live = self._live[key] = (
+                inner,
+                tuple(n for n in inner if dest is None or n != dest.name))
+        return live[outer]
+
+    def defines_live(self, frames: Sequence[ResumeFrame]) -> bool:
+        """Whether every frame of a paused stack (outermost first) holds
+        every register live where it resumes."""
+        last = len(frames) - 1
+        return all(name in frame.regs for depth, frame in enumerate(frames)
+                   for name in self.live_at(frame, depth < last))
 
 
 class Interpreter:
@@ -190,6 +222,7 @@ class Interpreter:
         elif not decoded.fits(module, fault_region, self.memory):
             raise ValueError("decoded program was built for another module, "
                              "fault region or global layout")
+        self.decoded = decoded
         self._dcache = decoded.funcs
         #: layout-successor map and block order per decoded function
         self._succ = decoded.succ
@@ -223,9 +256,6 @@ class Interpreter:
         self.capture = None
 
     # -- public API -----------------------------------------------------------
-    def register_intrinsic(self, name: str, fn: IntrinsicFn) -> None:
-        self.intrinsics[name] = fn
-
     def register_intrinsics(self, table: Dict[str, IntrinsicFn]) -> None:
         self.intrinsics.update(table)
 

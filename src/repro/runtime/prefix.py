@@ -29,7 +29,11 @@ runtime statistics of the continued trial equal a from-scratch trial's.
 the start) and a batch lane from the state it leaves lockstep with.  It
 runs the reference interpreter; with ``handoff`` (every backend but
 ``ref``) a :class:`HandOff` hook passes the trial to the compiled
-backend once its fault has fully acted.
+backend once its fault has fully acted, of whatever kind — unless a
+skip or cf fault left a register unwritten that is live where the
+trial's frames resume (:meth:`DecodedProgram.live_at`).  Only the
+reference turns a read of one into a core dump, so that trial stays
+on it to its end.
 
 A campaign trial that re-joins the golden run only replays it from
 there on.  Given the golden prefix its state came from, the hook keeps
@@ -52,14 +56,13 @@ from bisect import bisect_left, bisect_right
 from collections import deque
 from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
-from ..analysis.liveness import Liveness
 from ..obs.events import diverted, emit as obs_emit, enabled as obs_enabled
 from ..obs.sinks import MemorySink
 from .compiler import CompiledExecutor, CompiledModule
 from .errors import TRIAL_TRAPS, classify_trap
-from .faults import CONTROL_KINDS, FaultPlan, Region
-from .interpreter import (_INTRIN, DecodedProgram, Interpreter, MachineState,
-                          ResumeFrame, RunResult)
+from .faults import FaultPlan, Region
+from .interpreter import (_INTRIN, _NEVER, DecodedProgram, Interpreter,
+                          MachineState, ResumeFrame, RunResult)
 from .memory import Memory
 
 #: a capture holds at most SNAPSHOTS snapshots, evenly spaced over the
@@ -104,15 +107,15 @@ class GoldenPrefix:
     """One golden execution: how it ran and ended, its segments and its
     snapshots, in region-step order."""
 
-    def __init__(self, snapshots: List[Snapshot], events: list, module,
-                 end: Optional[GoldenEnd], result: RunResult,
-                 segments: List[Tuple[str, str, int, int]]):
+    def __init__(self, snapshots: List[Snapshot], events: list,
+                 decoded: DecodedProgram, end: Optional[GoldenEnd],
+                 result: RunResult, segments: List[Tuple[str, str, int, int]]):
         self.snapshots = snapshots
         self._marks = [snap.region_steps for snap in snapshots]
         #: the golden run's runtime events
         self.events = events
-        #: the module the golden run executed (its liveness is queried)
-        self.module = module
+        #: the program the golden run executed (its liveness is queried)
+        self.decoded = decoded
         #: the golden run's end, or ``None`` when trials may not exit
         #: there (the golden run counted recovery activity)
         self.end = end
@@ -126,10 +129,6 @@ class GoldenPrefix:
         #: the initial memory image the snapshots' diffs apply to, copied
         #: from the first memory :meth:`state_for` patches
         self._image: Optional[list] = None
-        self._liveness: Dict[str, Liveness] = {}
-        #: (function, label, index) -> live registers there, and those
-        #: of an outer frame resuming there (without its call's dest)
-        self._live: Dict[Tuple[str, str, int], Tuple[tuple, tuple]] = {}
 
     def windows(self) -> Iterator[Tuple[str, str, int, int, int]]:
         """``(function, label, first index, first region step, length)``
@@ -184,7 +183,7 @@ class GoldenPrefix:
             if mine[:3] != gold[:3]:
                 return False
             regs, golden_regs = mine.regs, gold.regs
-            for name in self._live_at(gold, depth < last):
+            for name in self.decoded.live_at(gold, depth < last):
                 value = regs.get(name, _MISSING)
                 if value is _MISSING or not _same(
                         value, golden_regs.get(name, _MISSING)):
@@ -223,24 +222,6 @@ class GoldenPrefix:
         result = self.result
         return TrialRow(result.value, result.steps, result.region_steps, None,
                         False, memory)
-
-    def _live_at(self, frame: ResumeFrame, outer: bool) -> tuple:
-        """The registers live where *frame* resumes (cached per campaign)."""
-        key = (frame.func, frame.label, frame.index)
-        live = self._live.get(key)
-        if live is None:
-            func = self.module.functions[frame.func]
-            liveness = self._liveness.get(frame.func)
-            if liveness is None:
-                liveness = self._liveness[frame.func] = Liveness(func)
-            inner = tuple(sorted(liveness.live_at(frame.label, frame.index)))
-            dest = None
-            if frame.index:
-                dest = func.blocks[frame.label].instrs[frame.index - 1].dest
-            live = self._live[key] = (
-                inner,
-                tuple(n for n in inner if dest is None or n != dest.name))
-        return live[outer]
 
 
 def _replay(events) -> None:
@@ -455,7 +436,10 @@ class HandOff(_Hook):
     block entry past its trigger where no fault state is pending.  Given
     the *golden* prefix the trial resumed from, it runs on to the first
     snapshot mark from there and stops once more: :class:`Converged` when
-    the trial (with *runtime*) matches that snapshot, else handed off."""
+    the trial (with *runtime*) matches that snapshot, else handed off —
+    unless a dropped definition or an illegal control edge left a
+    register live there unwritten.  Only the reference turns a read of
+    one into a core dump, so such a trial stays on it to its end."""
 
     def __init__(self, plan, state: Optional[MachineState] = None,
                  golden: Optional[GoldenPrefix] = None, runtime=None):
@@ -466,9 +450,9 @@ class HandOff(_Hook):
         self.at = plan.step + 1
 
     def take(self, interp: Interpreter, label: str, index: int) -> int:
-        # no skip or cf state to check: finish() hooks no CONTROL_KINDS plan
         if (interp._fault_pending or interp._invert_next_cbr
-                or interp._corrupt_next_mem is not None):
+                or interp._corrupt_next_mem is not None or interp._skip_left
+                or interp._cf_pick is not None):
             self.at = interp.region_steps
             return self.at
         golden, snap = self._golden, self._snap
@@ -481,6 +465,9 @@ class HandOff(_Hook):
                              interp.steps, interp.region_steps)
         if snap is not None and golden.matches(snap, state, self._runtime):
             raise Converged(snap)
+        if not interp.decoded.defines_live(state.frames):
+            self.at = _NEVER
+            return self.at
         raise HandedOff(state)
 
 
@@ -495,14 +482,12 @@ def finish(module, memory, plan: Optional[FaultPlan], intrinsics: Dict[str, obje
 
     The trial runs on the reference interpreter.  With *handoff*, a
     :class:`HandOff` hook passes it to the compiled backend once its
-    fault has fully acted (at once, when *state* has none pending) —
-    unless *plan* is a skip or cf fault, whose dropped definitions only
-    the reference turns into core dumps when read.  Given the *golden*
-    prefix *state* was restored from (and the *runtime* behind
-    *intrinsics*), a handed-off trial that matches the first snapshot
-    after its fault has acted ends there with the golden run's row
+    fault has fully acted (at once, when *state* has none pending) and
+    every register live where its frames resume is written.  Given the
+    *golden* prefix *state* was restored from (and the *runtime* behind
+    *intrinsics*), a trial that matches the first snapshot after its
+    fault has acted ends there with the golden run's row
     (:meth:`GoldenPrefix.exit`) instead."""
-    handoff = handoff and (plan is None or plan.kind not in CONTROL_KINDS)
     if golden is not None and golden.end is None:
         golden = None
     try:
@@ -564,5 +549,5 @@ def capture(
                         {} if runtime is None else
                         {ctx_id: loop.stats.copy()
                          for ctx_id, loop in runtime.loops.items()})
-    return GoldenPrefix(hook.snapshots, list(recorder.events), module, end,
-                        result, hook.segments)
+    return GoldenPrefix(hook.snapshots, list(recorder.events), interp.decoded,
+                        end, result, hook.segments)

@@ -1,9 +1,10 @@
 """O6: exhaustive single-skip model checking.
 
-A counting pre-run names every in-region dynamic instruction; the
-oracle then injects a skip at each named site — per-trial on the
-reference interpreter (fast-forwarded from the golden prefix, as
-campaign trials are) and as one lane of a batched slab — and demands
+The golden run's segments name every in-region dynamic instruction;
+the oracle then injects a skip at each named site — per trial wholly on
+the reference interpreter (fast-forwarded from the golden prefix, as
+campaign trials are) and again handed off to the compiled backend once
+the skip has acted, as default-backend campaigns run it — and demands
 (1) the enumeration provably covers the dynamic stream, (2) every lane
 matches its reference trial byte-for-byte, and (3) under the
 duplication schemes a skipped *shadow* instruction never ends as
@@ -31,8 +32,8 @@ def test_o6_is_registered():
 def test_generated_programs_exhaustive(index, site_cap):
     """At least three generated programs with *exhaustive* skip-site
     maps — every dynamic instruction enumerated (asserted against the
-    counting pre-run total by the oracle) and every site byte-identical
-    between reference and batch injection.  Index 1 runs with a raised
+    golden run's total by the oracle) and every site byte-identical
+    between the reference and the handed-off trial.  Index 1 runs with a raised
     cap so all three maps are full enumerations, not stride samples."""
     module = generate(0, index).module
     assert skip_site_map(module, site_cap=site_cap).exhaustive
@@ -82,26 +83,26 @@ def test_protection_reduces_skip_sdc_rate():
 
 
 def test_o6_detects_a_seeded_skip_divergence(monkeypatch):
-    """Sensitivity: if the batch engine hands a skip lane to the tail
-    with its trigger one step late, lanes diverge from their reference
-    trials and o6 must say so."""
-    from dataclasses import replace
-
-    from repro.runtime import batch as batch_mod
+    """Sensitivity: if the hand-off passed a skip-burst trial to the
+    compiled backend while instructions of its burst were still to be
+    dropped, the compiled backend would execute them, trials would
+    diverge from their reference runs and o6 must say so."""
+    from repro.runtime import prefix as prefix_mod
 
     module = generate(0, 0).module
-    assert check_skip_exhaustive(module) == []
+    assert check_skip_exhaustive(module, burst=True) == []
 
-    real_finish = batch_mod.finish
+    real_take = prefix_mod.HandOff.take
 
-    def late_finish(module, memory, plan, *args, state=None, **kwargs):
-        if plan is not None and plan.kind == "skip" and state.trigger is not None:
-            plan = replace(plan, step=plan.step + 1)
-            state.trigger = plan.step
-        return real_finish(module, memory, plan, *args, state=state, **kwargs)
+    def eager_take(self, interp, label, index):
+        left, interp._skip_left = interp._skip_left, 0
+        try:
+            return real_take(self, interp, label, index)
+        finally:
+            interp._skip_left = left
 
-    monkeypatch.setattr(batch_mod, "finish", late_finish)
-    violations = check_skip_exhaustive(module)
+    monkeypatch.setattr(prefix_mod.HandOff, "take", eager_take)
+    violations = check_skip_exhaustive(module, burst=True)
     assert violations and all(v.oracle == "o6" for v in violations)
 
 

@@ -149,16 +149,18 @@ class TestSharedRuntime:
     """Lockstep lanes share one runtime until their calls diverge."""
 
     def test_lanes_call_the_runtime_once_per_group(self):
-        """On a 25-lane conv1d AR50 slab, lanes sharing their group's
-        runtime make under a fifth of the per-lane calls that lanes on
-        their own runtimes from the start make, with the same results
-        and the same runtime events in the same order."""
+        """On a conv1d AR50 slab of the value flips among 25 trials, lanes
+        sharing their group's runtime make under a fifth of the per-lane
+        calls that lanes on their own runtimes from the start make, with
+        the same results and the same runtime events in the same order."""
         workload = get_workload("conv1d")
         profiles = Harness(workload, scale=SCALE, timing=False).profiles_for(0.5)
         inp = workload.test_inputs(1, seed=17, scale=SCALE)[0]
         prepared = prepare(workload, "AR50", None, profiles)
         ctx = campaign_context(prepared, workload, inp)
-        plans = seeded_plans(0, "conv1d", "AR50", 0, 25, ctx.region_steps)
+        plans = [plan for plan in seeded_plans(0, "conv1d", "AR50", 0, 25,
+                                               ctx.region_steps)
+                 if plan.kind == "value"]
 
         def run(traced, **lanes):
             executor = BatchExecutor(
@@ -194,14 +196,14 @@ class TestTrapStepCounts:
     Trials 163, 187 and 192 of this sgemm AR50 campaign do: each
     segfaults after its value flip fired, on the compiled backend, and a
     count taken per segment instead of at the trapping instruction left
-    their region steps short by 1, 1 and 9."""
+    their region steps short by 1, 1 and 9.  The slabs hold the value
+    flips among trials [start, start + 25): lanes carry no other kind."""
 
-    @pytest.mark.parametrize("start", [150, 175])
-    @pytest.mark.parametrize("scheme", ["AR50", "REPLAY2", "CKPT8"])
-    def test_slab_lanes_count_like_the_reference(self, scheme, start):
-        """Each lane also ends with its serial trial's runtime statistics,
-        whether it retired, finished or left lockstep while sharing its
-        group's runtime or after it had its own."""
+    @staticmethod
+    def slab(scheme, start):
+        """(reference, lane) observations of the value flips among trials
+        [start, start + 25): trap, detection, both step counters and the
+        runtime's stats delta."""
         workload = get_workload("sgemm")
         seed = 1
         profiles = None
@@ -210,7 +212,9 @@ class TestTrapStepCounts:
         inp = workload.test_inputs(1, seed=seed + 17, scale=SCALE)[0]
         prepared = prepare(workload, scheme, None, profiles)
         ctx = campaign_context(prepared, workload, inp)
-        plans = seeded_plans(seed, "sgemm", scheme, start, 25, ctx.region_steps)
+        plans = [plan for plan in seeded_plans(seed, "sgemm", scheme, start,
+                                               25, ctx.region_steps)
+                 if plan.kind == "value"]
         runtime = prepared.runtime
         want = []
         for plan in plans:
@@ -237,17 +241,36 @@ class TestTrapStepCounts:
         results = executor.run(prepared.main, inp.args)
         got = [(r.trap, r.detected, r.steps, r.region_steps, rt.stats_delta(b))
                for r, rt, b in zip(results, runtimes, befores)]
+        return want, got
+
+    @pytest.mark.parametrize("start", [150, 175])
+    @pytest.mark.parametrize("scheme", ["AR50", "REPLAY2", "CKPT8"])
+    def test_slab_lanes_count_like_the_reference(self, scheme, start):
+        """Each lane also ends with its serial trial's runtime statistics,
+        whether it retired, finished or left lockstep while sharing its
+        group's runtime or after it had its own."""
+        want, got = self.slab(scheme, start)
         assert got == want
-        assert any(w[4].recompute_mismatches for w in want)
         if scheme == "AR50":
             assert sum(w[0] == "segfault" for w in want) > 0
+
+    @pytest.mark.parametrize("scheme,start", [
+        ("AR50", 60), ("REPLAY2", 175), ("CKPT8", 150)])
+    def test_lanes_whose_flip_is_caught_keep_their_statistics(self, scheme,
+                                                              start):
+        """Slabs holding a value flip that exact validation catches: the
+        recovering lane ends with its serial trial's statistics too."""
+        want, got = self.slab(scheme, start)
+        assert got == want
+        assert any(w[4].recompute_mismatches for w in want)
 
 
 class TestMixedKinds:
     """One kind_weights table mixing the classic kinds (value / branch /
     addr) with the control-flow kinds (skip / skip-burst / cf): the batch
-    engine must peel armed lanes to its scalar path and still tally
-    byte-identically to the reference interpreter, per fault kind."""
+    backend runs the value flips as lanes and every other trial one by
+    one, and must still tally byte-identically to the reference
+    interpreter, per fault kind."""
 
     def test_adversarial_mix_tallies_identical(self):
         serial, batch = _blocks("conv1d", "UNSAFE", 32,

@@ -116,7 +116,7 @@ class TestTraceContents:
         spans = dict(RunManifest.load(out).spans)
         assert {"batch.lockstep", "batch.tail"} <= set(spans)
         assert spans["batch.lockstep"] > 0
-        assert spans["batch.tail"] > 0  # small groups and peeled skip/cf lanes
+        assert spans["batch.tail"] > 0  # groups of SCALAR_CUTOFF lanes or fewer
         assert not any(label.startswith("batch.")
                        for label, _ in RunManifest.load(
                            str(tmp_path / "ref.jsonl")).spans)

@@ -209,66 +209,6 @@ class TestDivergence:
             assert res.trap == "hang"
             assert res.steps == steps  # the interpreter's exact cutoff
 
-    def test_control_lanes_leave_before_their_trigger_fires(self, monkeypatch):
-        """Branch, addr, skip, skip-burst and cf lanes leave lockstep when
-        their trigger comes up and reach the tail with it still pending:
-        the reference interpreter fires it there, at the instruction the
-        lane stopped in front of.  Their rows equal the reference's."""
-        module = _load(LOOP_SUM)
-        region = _region(module)
-        control = [FaultPlan(step=s, kind=kind, pick=0.5,
-                             burst_len=2 if kind == "skip-burst" else 1)
-                   for kind in ("branch", "addr", "skip", "skip-burst", "cf")
-                   for s in (5, 13, 40, 77)]
-        plans = control + [None] * (SCALAR_CUTOFF + 2)
-        arrivals = {}
-        real_finish = batch_mod.finish
-
-        def recording_finish(module, memory, plan, *args, state=None, **kw):
-            arrivals[id(plan)] = (state.trigger, state.region_steps)
-            return real_finish(module, memory, plan, *args, state=state, **kw)
-
-        monkeypatch.setattr(batch_mod, "finish", recording_finish)
-        executor = BatchExecutor(module, Memory(), len(plans),
-                                 fault_plans=plans, fault_region=region,
-                                 max_steps=100_000)
-        results = executor.run("main", [])
-        for plan in control:
-            assert arrivals[id(plan)] == (plan.step, plan.step), plan
-        for lane, (plan, res) in enumerate(zip(plans, results)):
-            trap, value, steps, rsteps, memory = _ref_trial(module, plan, region)
-            assert (res.trap, res.value, res.steps, res.region_steps) == \
-                (trap, value, steps, rsteps), plan
-            if trap is None:
-                assert executor.lane_memory(lane).read_global("out", 8) == \
-                    memory.read_global("out", 8)
-
-
-    @pytest.mark.parametrize("kind", ["branch", "skip"])
-    def test_value_lane_sharing_a_peeled_lanes_step_fires_once(self, kind):
-        """A control lane peeled at step s rewinds that instruction for the
-        lanes it leaves behind; a value lane whose trigger fired at the
-        same s must not fire again when the rest, now at or below
-        ``SCALAR_CUTOFF`` lanes, goes straight to the tail."""
-        module = _load(LOOP_SUM)
-        region = _region(module)
-        for step in (5, 13, 40, 77):
-            plans = [FaultPlan(step=step, kind=kind, pick=0.5),
-                     FaultPlan(step=step, kind="value", pick=0.0, bit=52)]
-            plans += [None] * (SCALAR_CUTOFF + 1 - len(plans))
-            executor = BatchExecutor(module, Memory(), len(plans),
-                                     fault_plans=plans, fault_region=region,
-                                     max_steps=100_000)
-            results = executor.run("main", [])
-            for lane, (plan, res) in enumerate(zip(plans, results)):
-                trap, value, steps, rsteps, memory = _ref_trial(
-                    module, plan, region)
-                assert (res.trap, res.value, res.steps, res.region_steps) == \
-                    (trap, value, steps, rsteps), plan
-                if trap is None:
-                    assert executor.lane_memory(lane).read_global("out", 8) \
-                        == memory.read_global("out", 8)
-
 
 WIDE = """
 module batch_wide
@@ -373,6 +313,14 @@ class TestConstruction:
         module = _load(LOOP_SUM)
         with pytest.raises(ValueError, match="per lane"):
             BatchExecutor(module, Memory(), 4, fault_plans=[None] * 3)
+
+    @pytest.mark.parametrize("kind", ["branch", "addr", "skip", "skip-burst",
+                                      "cf"])
+    def test_plans_other_than_value_flips_rejected(self, kind):
+        module = _load(LOOP_SUM)
+        plans = [FaultPlan(step=3, kind="value"), FaultPlan(step=5, kind=kind)]
+        with pytest.raises(ValueError, match="value flips only"):
+            BatchExecutor(module, Memory(), 2, fault_plans=plans)
 
     def test_unfinished_lane_memory_rejected(self):
         module = _load(LOOP_SUM)

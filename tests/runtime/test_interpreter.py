@@ -145,8 +145,8 @@ class TestAccounting:
     def test_intrinsic_charge_counted(self):
         m = expr_module("  %a = intrin probe() : i64\n  %f = sitofp %a\n  ret %f")
         interp = Interpreter(m)
-        interp.register_intrinsic(
-            "probe", lambda interp, args: (7, [Opcode.FMUL, Opcode.FMUL, Opcode.LOAD])
+        interp.register_intrinsics(
+            {"probe": lambda interp, args: (7, [Opcode.FMUL, Opcode.FMUL, Opcode.LOAD])}
         )
         result = interp.run("main", [])
         assert result.value == 7.0

@@ -3,15 +3,24 @@
 The reference interpreter defines the semantics (a skipped instruction
 is fetched and counted but its architectural effects are dropped; a
 skipped terminator falls through in block-layout order; ``cf`` retargets
-the next executed branch to a wrong-but-valid block).  The batch engine
-must reproduce them byte-identically — trap kind, step counts, return
-value and final global memory — even though it peels armed lanes out of
-the lockstep slab onto its scalar path.
+the next executed branch to a wrong-but-valid block).  A campaign on the
+batch backend runs these trials one by one and hands each off to the
+compiled backend once its fault has acted (value flips run as lanes);
+it must reproduce them byte-identically — trap kind, step counts,
+return value and final global memory — and a trial whose fault left a
+live register unwritten must stay on the reference, which turns the
+read into a core dump.
 """
+from types import SimpleNamespace
+
 import pytest
 
+from repro.eval.fault_campaign import CampaignContext, trial_rows
+from repro.eval.schemes import PreparedProgram
+from repro.runtime import prefix
+
 from repro.runtime import (
-    BatchExecutor,
+    CompiledExecutor,
     CoreDumpError,
     FaultDetectedError,
     FaultPlan,
@@ -22,6 +31,7 @@ from repro.runtime import (
 )
 
 from repro.ir import F64, I64, Function, IRBuilder, Module, Reg, verify_module
+from repro.ir.parser import parse_module
 
 from ..conftest import build_call_module, build_dot_module, seed_memory
 
@@ -70,18 +80,20 @@ def _ref_run(build, args, plan):
     return trap, detected, interp.steps, interp.region_steps, value, finals
 
 
-def _batch_run(build, args, plans):
-    """One observation tuple per plan, from a single lane slab."""
+def _campaign_run(build, args, plans, backend="batch"):
+    """One observation tuple per plan from the campaign's trial runner on
+    *backend*, every trial from scratch (a context without a golden
+    prefix)."""
     module = build()
-    executor = BatchExecutor(
-        module, seed_memory(module), len(plans), fault_plans=list(plans),
-        max_steps=MAX_STEPS,
-    )
+    workload = SimpleNamespace(fresh_memory=lambda module, inp: seed_memory(module))
     rows = []
-    for i, res in enumerate(executor.run("main", args)):
+    for res in trial_rows(PreparedProgram("UNSAFE", module), workload,
+                          SimpleNamespace(args=list(args)),
+                          CampaignContext(None, [], [], 0, MAX_STEPS), plans,
+                          backend):
         finals = None
         if res.trap is None:
-            finals = _globals_snapshot(module, executor.lane_memory(i))
+            finals = _globals_snapshot(module, res.memory)
         rows.append((res.trap, res.detected, res.steps, res.region_steps,
                      res.value, finals))
     return rows
@@ -166,18 +178,19 @@ class TestSkipSemantics:
 
 def _cross_check(build, args, plans):
     ref = [_ref_run(build, args, p) for p in plans]
-    batch = _batch_run(build, args, plans)
+    batch = _campaign_run(build, args, plans)
     for i, (r, b) in enumerate(zip(ref, batch)):
-        assert r == b, f"lane {i} plan {plans[i]}: ref={r[:5]} batch={b[:5]}"
+        assert r == b, f"trial {i} plan {plans[i]}: ref={r[:5]} batch={b[:5]}"
 
 
 class TestCrossEngine:
     @pytest.mark.parametrize("kind", ["skip", "branch", "addr"])
     def test_skip_sites_byte_identical(self, kind):
-        """A fault at every 3rd step of the dot kernel, ref vs batch:
-        triggers land on its ``cbr``, ``load`` and ``store`` sites.
-        Every one of these lanes leaves lockstep there, its trigger still
-        pending, and the reference interpreter fires it."""
+        """A fault at every 3rd step of the dot kernel, ref vs the batch
+        backend: triggers land on its ``cbr``, ``load`` and ``store``
+        sites.  None of these trials runs as a lane: each fires its fault
+        on the reference interpreter and is handed off once it has
+        acted."""
         build = lambda: build_dot_module(4)
         total = _count_steps(build, [3, 4])
         plans = [FaultPlan(step=s, kind=kind) for s in range(0, total, 3)]
@@ -194,7 +207,8 @@ class TestCrossEngine:
 
     def test_call_module_mixed_kinds_byte_identical(self):
         """Skips across a CALL boundary (dropped calls, skipped callee
-        instructions, skipped RETs) plus classic kinds in the same slab."""
+        instructions, skipped RETs) plus classic kinds in the same slab
+        (its value flip a lane)."""
         build = build_call_module
         total = _count_steps(build, [4])
         plans = [FaultPlan(step=s, kind="skip") for s in range(0, total, 5)]
@@ -204,3 +218,57 @@ class TestCrossEngine:
                   FaultPlan(step=3, kind="value", bit=40, pick=0.2),
                   FaultPlan(step=9, kind="branch", pick=0.0)]
         _cross_check(build, [4], plans)
+
+
+#: ``%x`` is written in ``def`` alone and read in ``use``: a skip of its
+#: definition, or a cf fault retargeting ``entry``'s branch past ``def``,
+#: reaches ``use`` with a live register unwritten
+UNDEF_READ = """
+module undef_read
+
+global @out 1 f64
+
+func @main(%n: i64) -> f64 {
+entry:
+  %k = add %n, 1:i64
+  br def
+def:
+  %x = sitofp %k
+  br use
+use:
+  %y = fadd %x, 1.5:f64
+  store %y, @out
+  ret %y
+}
+"""
+
+
+class TestLiveRegisterGuard:
+    @pytest.mark.parametrize("plan", [
+        FaultPlan(step=2, kind="skip"),
+        FaultPlan(step=1, kind="cf", pick=0.99)], ids=["skip", "cf"])
+    def test_trial_with_an_unwritten_live_register_stays_on_the_reference(
+            self, monkeypatch, plan):
+        """The fault has acted by the time ``use`` is entered, yet ``%x``,
+        live there, was never written: the hand-off must not happen, and
+        the trial core-dumps on the reference under both backends."""
+        build = lambda: parse_module(UNDEF_READ)
+        built = []
+
+        class Recorded(CompiledExecutor):
+            def __init__(self, *args, **kwargs):
+                built.append(self)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(prefix, "CompiledExecutor", Recorded)
+        ref = _campaign_run(build, [2], [plan], "ref")
+        assert ref == [_ref_run(build, [2], plan)]
+        assert ref[0][0] == "coredump"
+        assert _campaign_run(build, [2], [plan], "compiled") == ref
+        assert not built
+        # a skipped ``br def`` falls through to ``def``: masked, and the
+        # trial hands off as it enters that block
+        masked = FaultPlan(step=1, kind="skip")
+        assert _campaign_run(build, [2], [masked], "compiled") == \
+            [_ref_run(build, [2], masked)]
+        assert built

@@ -156,7 +156,7 @@ class TestFaultBehavior:
                                      pick=(k * 0.17) % 1.0),
                 max_steps=5_000_000,
             )
-            interp.register_intrinsic(DETECT_INTRINSIC, detect_handler)
+            interp.register_intrinsics({DETECT_INTRINSIC: detect_handler})
             try:
                 interp.run("main", [6, 8])
             except FaultDetectedError:
