@@ -31,6 +31,7 @@ not free (see DESIGN.md).
 from __future__ import annotations
 
 import copy
+import operator
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Deque, Dict, List, Optional, Tuple
@@ -729,19 +730,28 @@ def _copy_fields(fields: Dict[str, object], memo: dict) -> Dict[str, object]:
 
 
 def _deepcopy(value, memo: dict):
-    """``copy.deepcopy(value, memo)``, built faster for the lists, deques
-    and ``_FIELDWISE`` objects loop run state holds (aliasing kept
+    """``copy.deepcopy(value, memo)``, built faster for the lists, deques,
+    tuples and ``_FIELDWISE`` objects loop run state holds (aliasing kept
     through *memo*); anything else goes to ``copy.deepcopy``.  The
     caller keeps the originals alive, so no ``id`` is reused mid-copy."""
     key = id(value)
     if key in memo:
         return memo[key]
     cls = type(value)
+    shared = _SHARED_TYPES
     if cls is list or cls is deque:
         new = memo[key] = [] if cls is list else deque((), value.maxlen)
-        shared = _SHARED_TYPES
         new.extend([item if type(item) in shared else _deepcopy(item, memo)
                     for item in value])
+        return new
+    if cls is tuple:
+        items = [item if type(item) in shared else _deepcopy(item, memo)
+                 for item in value]
+        if key in memo:  # an item's copy reached this tuple through a cycle
+            return memo[key]
+        if all(map(operator.is_, items, value)):
+            return value  # nothing inside needed a copy: share the tuple
+        new = memo[key] = tuple(items)
         return new
     if cls in _FIELDWISE:
         new = memo[key] = cls.__new__(cls)

@@ -14,8 +14,10 @@ This engine shards those units over a ``ProcessPoolExecutor``:
   run per (workload, scheme) — with the golden prefix its reference
   trials fast-forward from — so a chunk only pays for its own trials;
 * every finished chunk is checkpointed to a JSON file (written
-  atomically), and ``resume=True`` skips the chunks the file already
-  holds — an interrupted campaign continues to the same final result;
+  atomically; each chunk's entry is encoded once and the file rewritten
+  from those texts, chunks in task order whatever order they finish
+  in), and ``resume=True`` skips the chunks the file already holds — an
+  interrupted campaign continues to the same final result;
 * a ``progress(done_trials, total_trials, elapsed_seconds)`` callback
   reports completion for ETA display.
 
@@ -337,18 +339,27 @@ def _load_checkpoint(path: str, params_key: str) -> Dict[str, dict]:
     return dict(data.get("chunks", {}))
 
 
-def _save_checkpoint(path: str, params_key: str, chunks: Dict[str, dict]) -> None:
-    payload = {
-        "version": CHECKPOINT_VERSION,
-        "params": params_key,
-        "chunks": chunks,
-    }
+def _chunk_text(key: str, data: dict) -> str:
+    """One checkpoint chunk entry, ``"key": {...}``, as ``json.dump``
+    writes it inside the ``chunks`` object."""
+    return f"{json.dumps(key)}: {json.dumps(data)}"
+
+
+def _save_checkpoint(path: str, params_key: str,
+                     texts: Dict[str, Optional[str]]) -> None:
+    """Write the checkpoint: the header and the chunk entries of *texts*
+    (:func:`_chunk_text`, ``None`` for a chunk not finished yet) in
+    their order.  Each entry is encoded once, when its chunk arrives;
+    the file is byte-identical to ``json.dump`` of ``{"version",
+    "params", "chunks"}``."""
+    head = json.dumps({"version": CHECKPOINT_VERSION, "params": params_key})
+    body = ", ".join(text for text in texts.values() if text is not None)
     # write-then-rename: an interrupt mid-save never corrupts the file
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".campaign-", suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle)
+            handle.write(f'{head[:-1]}, "chunks": {{{body}}}}}')
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -482,6 +493,12 @@ def run_campaigns(
         if checkpoint is not None and resume:
             chunks = _load_checkpoint(checkpoint, params_key)
         pending = [t for t in tasks if t.key not in chunks]
+        # the checkpoint's entries: the loaded ones in file order, then
+        # the pending chunks in task order (whatever order they finish
+        # in), each encoded once
+        texts: Dict[str, Optional[str]] = {
+            key: _chunk_text(key, data) for key, data in chunks.items()}
+        texts.update(dict.fromkeys(t.key for t in pending))
 
         total_trials = trials * len(groups)
         done_trials = total_trials - sum(t.count for t in pending)
@@ -495,7 +512,8 @@ def run_campaigns(
             chunks[task.key] = result[1]
             done_trials += task.count
             if checkpoint is not None:
-                _save_checkpoint(checkpoint, params_key, chunks)
+                texts[task.key] = _chunk_text(task.key, result[1])
+                _save_checkpoint(checkpoint, params_key, texts)
             if progress is not None:
                 progress(done_trials, total_trials, time.monotonic() - started)
             if jobs <= 1 and task.start + task.count == trials:

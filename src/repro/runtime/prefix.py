@@ -43,6 +43,9 @@ snapshot, once (:meth:`GoldenPrefix.matches`): both step counters,
 frame positions, every register live at each frame's resume point,
 every memory cell and ``brk``, the loop runtimes' run state and their
 statistics except the recovery counters (:data:`RECOVERY_COUNTERS`).
+Such a trial runs on a :class:`_WriteLog` of its memory, so the memory
+check reads only the cells the snapshot holds and the cells the trial
+stored to: every other cell still holds its initial image value.
 A match ends the trial with the golden run's row
 (:meth:`GoldenPrefix.exit`); a mismatch hands it off.  The exit is
 armed only when the golden run counted no recovery activity
@@ -173,8 +176,15 @@ class GoldenPrefix:
         and ``brk`` equal, and each loop runtime's run state equal, its
         statistics in every field but :data:`RECOVERY_COUNTERS`.
         Registers and the cells the golden run has written compare type
-        and zero sign too; the memory compares against the initial image
-        :meth:`state_for` keeps, so it never matches before one."""
+        and zero sign too.  *state*'s memory must be a :class:`_WriteLog`
+        over a fresh image that :meth:`state_for` patched, as
+        :func:`finish` gives a trial that can reach this check: only the
+        snapshot's cells and the cells the trial stored to are read
+        (:func:`_same_cells`), the latter against the initial image
+        :meth:`state_for` keeps, so it never matches before one.  That
+        is exact because every cell outside both still holds its image
+        value, and the golden run's written cells only grow from the
+        snapshot the trial restored to *snap*."""
         if (state.steps != snap.steps or state.region_steps != snap.region_steps
                 or len(state.frames) != len(snap.frames)):
             return False
@@ -190,7 +200,8 @@ class GoldenPrefix:
                     return False
         memory = state.memory
         if (self._image is None or memory.brk != snap.brk
-                or not _same_cells(memory.cells, snap.cells, self._image)):
+                or not _same_cells(memory.cells, snap.cells, memory.written,
+                                   self._image)):
             return False
         if runtime is not None:
             loops = runtime.loops
@@ -241,23 +252,22 @@ def _same(a, b) -> bool:
             or math.copysign(1.0, a) == math.copysign(1.0, b))
 
 
-def _same_cells(cells: list, written: Dict[int, object], image: list) -> bool:
+def _same_cells(cells: list, written: Dict[int, object], stored,
+                image: list) -> bool:
     """Whether *cells* hold the golden memory: *image* overwritten by
-    *written*.  Those cells compare with :func:`_same`, the rest with
-    ``==`` in one pass over the whole list."""
+    *written*, given that every cell outside *written* and *stored* (the
+    trial's own stores) still holds its *image* value.  The *written*
+    cells compare with :func:`_same`; the trial's other stored cells
+    compare with the image as list equality does (``is`` or ``==``)."""
     for addr, value in written.items():
         if not _same(cells[addr], value):
             return False
-    # *cells* is one trial's own memory: the image's values stand in at
-    # the written cells while the whole lists compare
-    own = [cells[addr] for addr in written]
-    for addr in written:
-        cells[addr] = image[addr]
-    try:
-        return cells == image
-    finally:
-        for addr, value in zip(written, own):
-            cells[addr] = value
+    for addr in stored:
+        if addr not in written:
+            have, want = cells[addr], image[addr]
+            if have is not want and have != want:
+                return False
+    return True
 
 
 def _same_loop(state: dict, golden: dict) -> bool:
@@ -293,7 +303,14 @@ def _same_state(a, b) -> bool:
 
 
 class _WriteLog(Memory):
-    """Memory that remembers the address of every cell it stores to."""
+    """Memory that remembers the address of every cell it stores to.
+
+    It shares the cells of the memory it wraps.  :meth:`Memory.store` is
+    the only writer on the reference interpreter's path (``patch`` is
+    the fast-forward's own restore, not the program's), so
+    :attr:`written` holds every cell the run changed since the wrap: the
+    golden capture's written set, and the cells a trial that can reach
+    :meth:`GoldenPrefix.matches` stored to."""
 
     def __init__(self, memory: Memory):
         self.__dict__.update(vars(memory))  # the same cells and layout
@@ -490,6 +507,11 @@ def finish(module, memory, plan: Optional[FaultPlan], intrinsics: Dict[str, obje
     (:meth:`GoldenPrefix.exit`) instead."""
     if golden is not None and golden.end is None:
         golden = None
+    if handoff and golden is not None:
+        # the golden check reads only the cells the trial stores to
+        memory = _WriteLog(memory)
+        state = MachineState(state.frames, memory, state.steps,
+                             state.region_steps, state.trigger)
     try:
         try:
             if handoff and state is not None and state.trigger is None:

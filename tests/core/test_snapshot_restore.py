@@ -86,10 +86,12 @@ class _Plain:
     pass
 
 
-def test_run_state_copy_equals_deepcopy():
+def test_run_state_copy_equals_deepcopy(monkeypatch):
     """The run-state copy builds what ``copy.deepcopy`` builds: equal
-    values, the same aliasing and cycles, shared config/profile and
-    never-written outputs (Element), and nothing else shared."""
+    values, the same aliasing and cycles, shared config/profile,
+    never-written outputs (Element) and tuples nothing inside of needs
+    a copy, and nothing else shared.  Tuples are copied the way lists
+    are, never by ``copy.deepcopy``."""
     import copy
     from collections import deque
 
@@ -104,14 +106,26 @@ def test_run_state_copy_equals_deepcopy():
     inner.me = inner
     cyclic = []
     cyclic.append(cyclic)
+    frozen = (element, (3, "b"), None)
+    pair = (2, [shared_list, element])
     state = {
         "config": config, "profile": profile, "stats": SkipStats(elements=7),
         "queue": deque([element, (1, shared_list)], maxlen=8),
         "slicer": inner, "cyclic": cyclic, "tuple": (1, "a", None),
         "nested": {"k": [inner, {1, 2}]},
+        "frozen": frozen, "pairs": [pair, pair, (pair, frozen)],
     }
-    got = _copy_run_state(state)
     want = copy.deepcopy(state, {id(config): config, id(profile): profile})
+    handed = []
+    real_deepcopy = copy.deepcopy
+
+    def spy(value, memo=None):
+        handed.append(type(value))
+        return real_deepcopy(value, memo)
+
+    monkeypatch.setattr(copy, "deepcopy", spy)
+    got = _copy_run_state(state)
+    assert tuple not in handed
     assert got["config"] is config and got["profile"] is profile
     assert got["stats"] == want["stats"] and got["stats"] is not state["stats"]
     assert got["queue"].maxlen == 8 and got["queue"][0] is element
@@ -125,6 +139,14 @@ def test_run_state_copy_equals_deepcopy():
     assert got["nested"]["k"][1] == {1, 2}
     assert got["nested"]["k"][1] is not state["nested"]["k"][1]
     assert str(got["stats"]) == str(want["stats"])
+    # a tuple of shared items is shared, as copy.deepcopy shares it
+    assert want["frozen"] is frozen and got["frozen"] is frozen
+    # a tuple holding a list is copied once, its aliases kept
+    pairs = got["pairs"]
+    assert pairs == want["pairs"] and pairs[0] is not pair
+    assert pairs[0] is pairs[1] is pairs[2][0] and pairs[2][1] is frozen
+    assert pairs[2] is not state["pairs"][2]
+    assert pairs[0][1][0] is slicer.points and pairs[0][1][1] is element
 
 
 @pytest.mark.parametrize("scheme, loop_type, signal", [

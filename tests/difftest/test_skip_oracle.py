@@ -109,8 +109,8 @@ def test_o6_detects_a_seeded_skip_divergence(monkeypatch):
 def test_o6_checks_prefix_fast_forwarding(monkeypatch):
     """Sensitivity: O6's reference trials fast-forward from golden-run
     snapshots, as campaign trials do.  If a restored snapshot dropped the
-    memory the golden run had written, those trials diverge from their
-    batch lanes and o6 must say so."""
+    memory the golden run had written, those trials diverge from the
+    same trials on the ``"compiled"`` stream and o6 must say so."""
     from repro.runtime import prefix as prefix_mod
 
     module = generate(0, 0).module

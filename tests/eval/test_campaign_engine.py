@@ -128,6 +128,41 @@ class TestCheckpointResume:
         ]
         assert campaign_fingerprint(resumed) == campaign_fingerprint(full)
 
+    def test_checkpoint_bytes_match_the_serial_run(self, conv1d, tmp_path):
+        """Chunk entries are encoded once and the file is rebuilt from
+        them: a fresh run, a run resumed after an interrupt and a
+        ``jobs=2`` run each write what ``json.dumps`` writes of the
+        parsed file, byte-identical to the uninterrupted serial run's."""
+        group = [(conv1d, "UNSAFE", None), (conv1d, "SWIFT", None)]
+        kwargs = dict(trials=TRIALS, scale=SCALE, chunk=4)
+
+        def written(name, **extra):
+            path = tmp_path / name
+            run_campaigns(group, checkpoint=str(path), **kwargs, **extra)
+            text = path.read_text(encoding="utf-8")
+            assert text == json.dumps(json.loads(text))
+            return text
+
+        want = written("serial.json", jobs=1)
+        assert list(json.loads(want)["chunks"]) == [
+            f"conv1d|{scheme}|{start}|{min(4, TRIALS - start)}"
+            for scheme in ("UNSAFE", "SWIFT") for start in (0, 4, 8)]
+
+        class Interrupt(Exception):
+            pass
+
+        def stop_after_two_chunks(done, total, elapsed):
+            if done >= 8:
+                raise Interrupt
+
+        with pytest.raises(Interrupt):
+            written("resumed.json", jobs=1, progress=stop_after_two_chunks)
+        partial = (tmp_path / "resumed.json").read_text(encoding="utf-8")
+        assert partial == json.dumps(json.loads(partial))
+        assert len(json.loads(partial)["chunks"]) == 2
+        assert written("resumed.json", jobs=1, resume=True) == want
+        assert written("parallel.json", jobs=2) == want
+
     def test_progress_reports_completion(self, conv1d, tmp_path):
         seen = []
         run_campaigns(

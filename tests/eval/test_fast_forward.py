@@ -360,7 +360,9 @@ class TestGoldenMatch:
                 if (len(s.frames) > 1) == nested][-1]
         runtime = prepared.runtime
         runtime.reset()
-        memory = workload.fresh_memory(prepared.module, inp)
+        # as ``prefix.finish`` gives a trial that can reach the check: a
+        # memory that records the cells it stores to
+        memory = prefix._WriteLog(workload.fresh_memory(prepared.module, inp))
         state = golden.state_for(snap.region_steps, memory, runtime)
         assert golden.matches(snap, state, runtime)
         return golden, snap, state, runtime
@@ -418,7 +420,7 @@ class TestGoldenMatch:
     def test_a_cell_beyond_brk_differs(self):
         golden, snap, state, runtime = self.paused()
         memory = state.memory
-        memory.cells[memory.brk + 1] = 1.0
+        memory.store(memory.brk + 1, 1.0)
         assert not golden.matches(snap, state, runtime)
 
     def test_brk_differs(self):
@@ -431,12 +433,14 @@ class TestGoldenMatch:
         written = {9: 0.0, 10: 2.5}
         cells = list(image)
         cells[10] = 2.5
-        assert prefix._same_cells(cells, written, image)
+        assert prefix._same_cells(cells, written, {10}, image)
         cells[9] = -0.0
-        assert not prefix._same_cells(cells, written, image)
-        assert cells[9] == 0.0 and str(cells[9]) == "-0.0"  # left as it was
+        assert not prefix._same_cells(cells, written, {9, 10}, image)
         cells[9], cells[12] = 0.0, 3.0
-        assert not prefix._same_cells(cells, written, image)
+        assert not prefix._same_cells(cells, written, {12}, image)
+        # a stored cell outside *written* compares as list equality does
+        cells[12] = -0.0
+        assert prefix._same_cells(cells, written, {12}, image)
 
     @pytest.mark.parametrize("change", ["queue", "disabled"])
     def test_a_loops_run_state_differs(self, change):
@@ -468,6 +472,43 @@ class TestGoldenMatch:
                         dataclasses.replace(state, frames=[
                             state.frames[0]._replace(index=1)])):
             assert not golden.matches(snap, changed, runtime)
+
+    def test_a_cell_only_the_trial_stored_differs(self, monkeypatch):
+        """An address fault sends lud's first store (row 0 stores the
+        value it loaded) into a cell of a later row.  The trial reaches
+        the next snapshot with the golden run's positions, step counters,
+        live registers and written cells: only a cell the golden run has
+        not written by then differs.  The check must see the trial's own
+        stores, and the trial's row must equal the ``ref`` backend's."""
+        workload, prepared, inp, ctx = campaign("lud", "UNSAFE")
+        plan = FaultPlan(10, "addr", bit=5)
+        real = prefix.GoldenPrefix.matches
+        checks = []
+
+        def spy(self, snap, state, runtime=None):
+            matched = real(self, snap, state, runtime)
+            # the same state with its stores forgotten, while the cells
+            # still hold what they held at the check
+            blind = dataclasses.replace(state,
+                                        memory=prefix._WriteLog(state.memory))
+            checks.append((matched, state.memory.written - snap.cells.keys(),
+                           real(self, snap, blind, runtime)))
+            return matched
+
+        monkeypatch.setattr(prefix.GoldenPrefix, "matches", spy)
+
+        def row(backend):
+            (got,) = fault_campaign.trial_rows(
+                prepared, workload, inp, ctx, [plan], backend)
+            return (repr(got.value), got.steps, got.region_steps, got.trap,
+                    [repr(v) for v in got.memory.read_global(*inp.output)])
+
+        want = row("ref")
+        assert not checks
+        assert row("compiled") == want
+        ((matched, stray, blind_match),) = checks
+        assert stray and blind_match
+        assert not matched
 
     def test_recovery_in_the_golden_run_arms_no_exit(self):
         """A golden run that counted recovery activity keeps no end, so
