@@ -11,7 +11,7 @@ tallies are identical for any value).
 """
 import os
 
-from repro.eval import Harness, figure9, reporting
+from repro.eval import campaign_profiles, figure9, reporting
 from repro.pipeline import PAPER_SCHEMES as SCHEMES
 from repro.runtime import Outcome
 from repro.workloads import ALL_WORKLOADS
@@ -25,21 +25,12 @@ def _campaigns(trials, scale):
     key = (trials, scale)
     cached = _CACHE.get(key)
     if cached is None:
-        harnesses = {}
-
-        def profile_source(workload, ar):
-            harness = harnesses.get(workload.name)
-            if harness is None:
-                harness = Harness(workload, scale=scale, timing=False)
-                harnesses[workload.name] = harness
-            return harness.profiles_for(ar)
-
         cached = figure9(
             ALL_WORKLOADS,
             schemes=SCHEMES,
             trials=trials,
             scale=scale,
-            profile_source=profile_source,
+            profile_source=campaign_profiles(scale),
             jobs=BENCH_JOBS,
         )
         _CACHE[key] = cached

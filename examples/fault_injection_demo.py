@@ -28,11 +28,9 @@ def main() -> None:
     print("-" * len(header) + "-------")
 
     for scheme in ("UNSAFE", "SWIFT-R", "AR20", "AR100"):
-        profiles = None
-        if scheme.startswith("AR"):
-            profiles = harness.profiles_for(int(scheme[2:]) / 100.0)
         campaign = run_campaign(
-            workload, scheme, trials, scale=SCALE, profiles=profiles
+            workload, scheme, trials, scale=SCALE,
+            profiles=harness.scheme_profiles(scheme),
         )
         row = f"{scheme:9s}"
         for outcome in Outcome:

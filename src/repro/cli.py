@@ -41,6 +41,8 @@ from .eval import (
     CheckpointBusyError,
     CheckpointMismatchError,
     Harness,
+    campaign_input,
+    campaign_profiles,
     charts,
     cost_ratio,
     figure2,
@@ -48,11 +50,12 @@ from .eval import (
     figure8a,
     figure8b,
     figure9,
+    injection_scale,
     reporting,
     section73,
     table1,
 )
-from .pipeline.registry import PAPER_SCHEMES, canonical_scheme, get_scheme, scheme_names
+from .pipeline.registry import PAPER_SCHEMES, canonical_scheme, scheme_names
 from .workloads import ALL_WORKLOADS, get_workload
 
 
@@ -183,24 +186,11 @@ def cmd_figure8b(args) -> None:
         )
 
 
-def _profile_source_factory(scale):
-    harnesses = {}
-
-    def profile_source(workload, ar):
-        harness = harnesses.get(workload.name)
-        if harness is None:
-            harness = Harness(workload, scale=scale, timing=False)
-            harnesses[workload.name] = harness
-        return harness.profiles_for(ar)
-
-    return profile_source
-
-
 def cmd_figure9(args) -> None:
     from .eval import eta_printer
 
     schemes = PAPER_SCHEMES
-    sfi_scale = min(args.scale, 0.45)  # injection runs use smaller problems
+    sfi_scale = injection_scale(args.scale)
     resume = getattr(args, "resume", False)
     checkpoint = getattr(args, "checkpoint", None)
     if resume and checkpoint is None:
@@ -216,7 +206,7 @@ def cmd_figure9(args) -> None:
             schemes=schemes,
             trials=args.trials,
             scale=sfi_scale,
-            profile_source=_profile_source_factory(sfi_scale),
+            profile_source=campaign_profiles(sfi_scale),
             jobs=jobs,
             checkpoint=checkpoint,
             resume=resume,
@@ -248,7 +238,7 @@ def cmd_tradeoff(args) -> None:
             ALL_WORKLOADS,
             trials=args.trials,
             perf_scale=args.scale,
-            sfi_scale=min(args.scale, 0.45),
+            sfi_scale=injection_scale(args.scale),
             jobs=args.jobs,
         )
         print(reporting.render_tradeoff(rows))
@@ -261,7 +251,7 @@ def cmd_sweep(args) -> None:
     with _timed(f"Acceptable-range continuum: {workload.name}"):
         points = ar_sweep(
             workload, scale=args.scale, trials=args.trials,
-            sfi_scale=min(args.scale, 0.45), jobs=args.jobs,
+            sfi_scale=injection_scale(args.scale), jobs=args.jobs,
         )
         print(render_sweep(workload.name, points))
 
@@ -469,11 +459,8 @@ def cmd_run(args) -> None:
         install_sink(sink, run_id=run_id)
     try:
         with _timed(f"run: {workload.name} under {args.scheme}"):
-            inp = workload.test_inputs(1, seed=args.seed + 17,
-                                       scale=args.scale)[0]
-            golden = harness.run_scheme("UNSAFE", inp)
-            record = harness.run_scheme(args.scheme, inp,
-                                        golden=golden.output)
+            inp = campaign_input(workload, args.seed, args.scale)
+            record = harness.run_all([args.scheme], inp)[args.scheme]
             print(f"   steps={record.steps}  cycles={record.cycles}  "
                   f"ipc={record.ipc:.2f}  correct={record.correct}")
             if record.skip_rate is not None:
@@ -516,13 +503,8 @@ def cmd_campaign(args) -> None:
     from .eval import eta_printer, run_campaign_parallel
 
     workload = get_workload(args.workload)
-    sfi_scale = min(args.scale, 0.45)
-    descriptor = get_scheme(args.scheme)
-    profiles = None
-    if descriptor.needs_training:
-        profiles = _profile_source_factory(sfi_scale)(
-            workload, descriptor.acceptable_range
-        )
+    sfi_scale = injection_scale(args.scale)
+    profiles = campaign_profiles(sfi_scale)(workload, args.scheme)
     stratified = args.stratified or args.incremental
     if stratified:
         if args.jobs > 1:

@@ -656,51 +656,21 @@ def o3_descriptor(protection: str):
     return descriptor
 
 
-class ShadowFlipInterpreter(Interpreter):
-    """Interpreter whose injection targets only shadow-stream registers.
+class SlotFlipInterpreter(Interpreter):
+    """Interpreter whose injection targets only the register slots that
+    ``victim(owner, name, value)`` accepts, *owner* being the function
+    of the slot's frame.
 
-    The plan's ``pick`` selects among the live shadow slots of the whole
-    frame stack at the chosen step; if none is live, the flip is absorbed
-    (architectural masking), mirroring :meth:`Interpreter._inject`.
+    The plan's ``pick`` selects among the qualifying slots of the whole
+    frame stack at the chosen step; if none is live, the flip is
+    absorbed (architectural masking), mirroring
+    :meth:`Interpreter._inject`.
     """
 
-    def __init__(self, *args, **kwargs):
+    def __init__(self, *args, victim, **kwargs):
         super().__init__(*args, **kwargs)
         self.flipped: Optional[str] = None
-
-    def _inject(self, regs):
-        plan = self.fault_plan
-        self._fault_pending = False
-        slots = [
-            (frame, name)
-            for frame in self._frames
-            for name in sorted(frame)
-            if _is_shadow(name)
-        ]
-        if not slots:
-            return
-        frame, name = slots[int(plan.pick * len(slots)) % len(slots)]
-        frame[name] = flip_value(frame[name], plan.bit)
-        self.flipped = name
-
-
-class RegionFlipInterpreter(Interpreter):
-    """Interpreter whose injection targets the time-redundant stream:
-    live *float* registers inside protocol-region frames (the outlined
-    loop bodies that both the main path and the re-execution run).
-
-    Float slots only — integer registers carry loop counters and
-    addresses, which re-execution validates indirectly (a corrupted
-    address yields a corrupted value) but whose direct upset models
-    machine faults outside the value-recompute contract.  With no region
-    frame live at the chosen step the flip is absorbed (architectural
-    masking), mirroring :class:`ShadowFlipInterpreter`.
-    """
-
-    def __init__(self, *args, region_funcs=(), **kwargs):
-        super().__init__(*args, **kwargs)
-        self.flipped: Optional[str] = None
-        self._region_funcs = frozenset(region_funcs)
+        self._victim = victim
 
     def _inject(self, regs):
         plan = self.fault_plan
@@ -708,9 +678,8 @@ class RegionFlipInterpreter(Interpreter):
         slots = [
             (frame, name)
             for frame, owner in zip(self._frames, self._frame_funcs)
-            if owner in self._region_funcs
             for name in sorted(frame)
-            if isinstance(frame[name], float)
+            if self._victim(owner, name, frame[name])
         ]
         if not slots:
             return
@@ -840,11 +809,24 @@ def check_fault_metamorphic(
     region_steps = golden.steps
     max_steps = max(golden.steps * 8, 100_000)
 
-    region_funcs = tuple(sorted(
-        name for name, fn in prepared.functions.items()
-        if fn.attrs.get(PROTOCOL_REGION_ATTR)))
     exact = proto.contract == "exactly-masked"
     scope = proto.flip_scope
+    if scope == "region":
+        # the time-redundant stream: live *float* registers inside
+        # protocol-region frames (the outlined loop bodies both the main
+        # path and the re-execution run).  Integer registers carry loop
+        # counters and addresses, which re-execution validates only
+        # indirectly; their direct upset models machine faults outside
+        # the value-recompute contract.
+        region_funcs = frozenset(
+            name for name, fn in prepared.functions.items()
+            if fn.attrs.get(PROTOCOL_REGION_ATTR))
+
+        def victim(owner, _name, value):
+            return owner in region_funcs and isinstance(value, float)
+    else:
+        def victim(_owner, name, _value):
+            return _is_shadow(name)
 
     rng = random.Random(stable_seed(seed, "difftest.o3", protection, prepared.name))
     detections = 0
@@ -855,17 +837,10 @@ def check_fault_metamorphic(
             bit=rng.randrange(64), pick=rng.random(),
         )
         memory = memory_factory() if memory_factory is not None else Memory()
-        if scope == "region":
-            interp = RegionFlipInterpreter(
-                prepared, memory=memory, max_steps=max_steps,
-                fault_plan=plan, fault_region=region,
-                region_funcs=region_funcs,
-            )
-        else:
-            interp = ShadowFlipInterpreter(
-                prepared, memory=memory, max_steps=max_steps,
-                fault_plan=plan, fault_region=region,
-            )
+        interp = SlotFlipInterpreter(
+            prepared, memory=memory, max_steps=max_steps,
+            fault_plan=plan, fault_region=region, victim=victim,
+        )
         interp.register_intrinsics(intrinsics)
         if runtime is not None:
             runtime.reset()

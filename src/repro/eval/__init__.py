@@ -11,7 +11,7 @@ from .schemes import (
     prepare,
     rskip_label,
 )
-from .harness import Harness, RunRecord
+from .harness import Harness, RunRecord, campaign_profiles
 from .perf import (
     Figure7Result,
     Figure8aRow,
@@ -26,7 +26,9 @@ from .fault_campaign import (
     CampaignContext,
     CampaignResult,
     campaign_context,
+    campaign_input,
     figure9,
+    injection_scale,
     run_campaign,
     run_plans,
     run_trial_block,
@@ -63,11 +65,12 @@ from . import charts, reporting
 __all__ = [
     "PAPER_SCHEMES", "PreparedProgram", "SWIFT", "SWIFT_R", "UNSAFE",
     "fault_region", "prepare", "rskip_label",
-    "Harness", "RunRecord",
+    "Harness", "RunRecord", "campaign_profiles",
     "Figure7Result", "Figure8aRow", "Figure8bRow", "PERF_SCHEMES",
     "SchemeAverages", "figure7", "figure8a", "figure8b",
-    "CampaignContext", "CampaignResult", "campaign_context", "figure9",
-    "run_campaign", "run_plans", "run_trial_block", "trial_seed",
+    "CampaignContext", "CampaignResult", "campaign_context", "campaign_input",
+    "figure9", "injection_scale", "run_campaign", "run_plans",
+    "run_trial_block", "trial_seed",
     "CampaignTask", "eta_printer", "run_campaign_parallel", "run_campaigns",
     "Section", "SectionPartition", "partition_sections",
     "SectionReport", "SectionStore", "StratifiedResult",

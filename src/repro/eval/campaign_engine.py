@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import json
 import os
-import tempfile
 import threading
 import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
@@ -42,13 +41,16 @@ from ..core.manager import LoopProfile
 from ..obs.events import diverted, install_sink, remove_sink
 from ..obs.manifest import RunManifest, run_id_for
 from ..obs.sinks import JsonlSink, MemorySink, merge_traces
+from ..pipeline.cache import write_atomic
 from ..pipeline.registry import canonical_scheme, get_scheme
 from ..runtime.backend import default_backend
 from ..runtime.faults import DEFAULT_KIND_WEIGHTS
 from ..workloads.base import Workload, WorkloadInput
 from .fault_campaign import (
+    MAX_INJECTION_SCALE,
     CampaignResult,
     campaign_context,
+    campaign_input,
     run_trial_block,
     run_trial_block_batch,  # noqa: F401  (perfbench/tracer.py wraps this name)
 )
@@ -111,7 +113,7 @@ def _worker_campaign(
     entry = _WORKER_CACHE.get(key)
     if entry is None:
         if inp is None:
-            inp = workload.test_inputs(1, seed=task.seed + 17, scale=task.scale)[0]
+            inp = campaign_input(workload, task.seed, task.scale)
         prepared = prepare(workload, task.scheme, config, profiles)
         spans = MemorySink(capacity=0)
         with diverted(spans):
@@ -355,16 +357,7 @@ def _save_checkpoint(path: str, params_key: str,
     head = json.dumps({"version": CHECKPOINT_VERSION, "params": params_key})
     body = ", ".join(text for text in texts.values() if text is not None)
     # write-then-rename: an interrupt mid-save never corrupts the file
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".campaign-", suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            handle.write(f'{head[:-1]}, "chunks": {{{body}}}}}')
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    write_atomic(path, f'{head[:-1]}, "chunks": {{{body}}}}}')
 
 
 # -- the engine -------------------------------------------------------------
@@ -412,7 +405,7 @@ def run_campaigns(
     groups: Sequence[Tuple[Workload, str, Optional[Dict[str, LoopProfile]]]],
     trials: int,
     seed: int = 0,
-    scale: float = 0.45,
+    scale: float = MAX_INJECTION_SCALE,
     config: Optional[RSkipConfig] = None,
     jobs: int = 1,
     checkpoint: Optional[str] = None,
@@ -642,7 +635,7 @@ def run_campaign_parallel(
     scheme: str,
     trials: int,
     seed: int = 0,
-    scale: float = 0.45,
+    scale: float = MAX_INJECTION_SCALE,
     config: Optional[RSkipConfig] = None,
     profiles: Optional[Dict[str, LoopProfile]] = None,
     inp: Optional[WorkloadInput] = None,

@@ -33,7 +33,7 @@ from ..obs.events import (
     span as obs_span,
 )
 from ..runtime.errors import TRIAL_TRAPS, classify_trap
-from ..pipeline.registry import PAPER_SCHEMES, get_scheme
+from ..pipeline.registry import PAPER_SCHEMES, canonical_scheme
 from ..runtime.faults import (
     DEFAULT_KIND_WEIGHTS,
     FaultPlan,
@@ -52,6 +52,10 @@ from .schemes import (
 
 #: Budget multiplier over the fault-free step count before declaring Hang.
 HANG_FACTOR = 8
+
+#: Largest problem size a fault campaign injects into (the default scale
+#: of every campaign entry point).
+MAX_INJECTION_SCALE = 0.45
 
 #: Lane-slab width of the batch backend.  Engine chunks (DEFAULT_CHUNK
 #: trials) map 1:1 to batches; a single-chunk campaign slabs its trials
@@ -320,6 +324,18 @@ def campaign_context(
     )
 
 
+def injection_scale(scale: float) -> float:
+    """The problem size fault injection runs at for a front-end *scale*:
+    campaigns use smaller problems than the performance study."""
+    return min(scale, MAX_INJECTION_SCALE)
+
+
+def campaign_input(workload: Workload, seed: int, scale: float) -> WorkloadInput:
+    """The one test input a campaign at *seed* (and ``repro run``)
+    executes on."""
+    return workload.test_inputs(1, seed=seed + 17, scale=scale)[0]
+
+
 def trial_seed(seed: int, workload: str, scheme: str, trial_index: int) -> int:
     """The deterministic seed of one trial.
 
@@ -504,7 +520,7 @@ def run_campaign(
     scheme: str,
     trials: int,
     seed: int = 0,
-    scale: float = 0.45,
+    scale: float = MAX_INJECTION_SCALE,
     config: Optional[RSkipConfig] = None,
     profiles: Optional[Dict[str, LoopProfile]] = None,
     inp: Optional[WorkloadInput] = None,
@@ -541,7 +557,7 @@ def figure9(
     schemes: Sequence[str] = PAPER_SCHEMES,
     trials: int = 100,
     seed: int = 0,
-    scale: float = 0.45,
+    scale: float = MAX_INJECTION_SCALE,
     config: Optional[RSkipConfig] = None,
     profile_source=None,
     jobs: int = 1,
@@ -551,8 +567,8 @@ def figure9(
 ) -> Dict[Tuple[str, str], CampaignResult]:
     """The full Figure 9 campaign: every workload under every scheme.
 
-    ``profile_source(workload, ar) -> profiles`` supplies trained profiles
-    for RSkip schemes (`repro.eval.harness.Harness.profiles_for`).
+    ``profile_source(workload, scheme) -> profiles or None`` supplies
+    trained profiles (:func:`repro.eval.harness.campaign_profiles`).
 
     ``jobs > 1`` shards (workload, scheme, trial-chunk) work units over a
     process pool; *checkpoint* names a JSON file partial tallies are saved
@@ -562,11 +578,10 @@ def figure9(
     groups = []
     for workload in workloads:
         for scheme in schemes:
-            descriptor = get_scheme(scheme, config)
-            profiles = None
-            if descriptor.needs_training and profile_source is not None:
-                profiles = profile_source(workload, descriptor.acceptable_range)
-            groups.append((workload, descriptor.name, profiles))
+            name = canonical_scheme(scheme, config)
+            profiles = (profile_source(workload, name)
+                        if profile_source is not None else None)
+            groups.append((workload, name, profiles))
 
     from .campaign_engine import run_campaigns
 

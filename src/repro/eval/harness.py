@@ -90,7 +90,7 @@ class Harness:
         ]
         return self._traces
 
-    def _profile_key(self, acceptable_range: float) -> str:
+    def profile_key(self, acceptable_range: float) -> str:
         """Artifact-cache key for one trained-profile set: the workload's
         module fingerprint × everything that shapes training."""
         if self._module_fingerprint is None:
@@ -118,7 +118,7 @@ class Harness:
         # (train-loop, exec, phase-cut …), which a cache hit would elide —
         # so the cross-process artifact cache only serves untraced runs
         store = get_cache() if not obs_enabled() else None
-        key = self._profile_key(acceptable_range) if store is not None else None
+        key = self.profile_key(acceptable_range) if store is not None else None
         if store is not None:
             payload = store.get(key)
             if payload is not None:
@@ -137,6 +137,14 @@ class Harness:
             })
         return profiles
 
+    def scheme_profiles(self, scheme: str) -> Optional[Dict[str, LoopProfile]]:
+        """The trained profiles *scheme* runs with: those for its
+        acceptable range, or ``None`` when it needs no training."""
+        descriptor = get_scheme(scheme, self.config)
+        if not descriptor.needs_training:
+            return None
+        return self.profiles_for(descriptor.acceptable_range)
+
     # -- execution -------------------------------------------------------------
     def prepare_scheme(self, scheme: str, fresh: bool = False) -> PreparedProgram:
         """The workload compiled under *scheme* (any registry spelling).
@@ -150,10 +158,8 @@ class Harness:
             cached = self._prepared_by_scheme.get(descriptor.name)
             if cached is not None:
                 return cached
-        profiles = None
-        if descriptor.needs_training:
-            profiles = self.profiles_for(descriptor.acceptable_range)
-        prepared = prepare(self.workload, descriptor.name, self.config, profiles)
+        prepared = prepare(self.workload, descriptor.name, self.config,
+                           self.scheme_profiles(descriptor.name))
         if self.verify:
             verify_module(prepared.module)
         if not fresh:
@@ -232,3 +238,20 @@ class Harness:
             records[scheme] = self.run_scheme(scheme, inp, golden=unsafe.output)
         return records
 
+
+def campaign_profiles(scale: float, config: Optional[RSkipConfig] = None):
+    """The trained-profile source of fault campaigns at *scale*:
+    ``source(workload, scheme)`` is :meth:`Harness.scheme_profiles` of
+    one untimed harness per workload.  ``repro figure9``, ``tradeoff``,
+    ``campaign`` and serve jobs all train here, so their tallies agree
+    at the same parameters."""
+    harnesses: Dict[str, Harness] = {}
+
+    def source(workload: Workload, scheme: str):
+        harness = harnesses.get(workload.name)
+        if harness is None:
+            harness = harnesses[workload.name] = Harness(
+                workload, config=config, scale=scale, timing=False)
+        return harness.scheme_profiles(scheme)
+
+    return source

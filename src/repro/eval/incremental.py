@@ -46,9 +46,11 @@ from ..runtime.backend import default_backend
 from ..runtime.faults import DEFAULT_KIND_WEIGHTS, FaultPlan, random_plan
 from ..workloads.base import Workload, WorkloadInput, stable_seed
 from .fault_campaign import (
+    MAX_INJECTION_SCALE,
     CampaignResult,
     _tally_trial,  # noqa: F401  (perfbench/tracer.py wraps this name)
     campaign_context,
+    campaign_input,
     run_plans,
 )
 from .schemes import PreparedProgram, prepare
@@ -219,7 +221,7 @@ def run_campaign_stratified(
     scheme: str,
     trials: int,
     seed: int = 0,
-    scale: float = 0.45,
+    scale: float = MAX_INJECTION_SCALE,
     config: Optional[RSkipConfig] = None,
     profiles: Optional[Dict[str, LoopProfile]] = None,
     inp: Optional[WorkloadInput] = None,
@@ -249,7 +251,7 @@ def run_campaign_stratified(
     if trials <= 0:
         raise ValueError("trials must be positive")
     if inp is None:
-        inp = workload.test_inputs(1, seed=seed + 17, scale=scale)[0]
+        inp = campaign_input(workload, seed, scale)
     if prepared is None:
         prepared = prepare(workload, scheme, config, profiles)
     ctx = campaign_context(prepared, workload, inp)

@@ -10,13 +10,13 @@ get tradeoff rows with no per-scheme code here.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 from ..core.config import RSkipConfig
-from ..pipeline.registry import get_scheme
+from ..pipeline.registry import canonical_scheme
 from ..workloads.base import Workload
-from .fault_campaign import run_campaign
-from .harness import Harness
+from .fault_campaign import MAX_INJECTION_SCALE, figure9
+from .harness import campaign_profiles
 from .perf import Figure7Result, figure7, PERF_SCHEMES
 
 
@@ -32,41 +32,31 @@ def section73(
     schemes: Sequence[str] = PERF_SCHEMES,
     trials: int = 60,
     perf_scale: float = 0.6,
-    sfi_scale: float = 0.45,
+    sfi_scale: float = MAX_INJECTION_SCALE,
     seed: int = 0,
     config: Optional[RSkipConfig] = None,
     fig7: Optional[Figure7Result] = None,
     jobs: int = 1,
 ) -> List[TradeoffRow]:
-    """Average protection rate and slowdown per scheme (paper section 7.3)."""
+    """Average protection rate and slowdown per scheme (paper section 7.3).
+
+    The protection rates come from one :func:`figure9` reliability study
+    over every (workload, scheme) pair, so ``jobs > 1`` shards all of
+    them together."""
     if fig7 is None:
         fig7 = figure7(workloads, schemes, scale=perf_scale, config=config)
     time_by_scheme = {
         avg.scheme: avg.norm_time for avg in fig7.averages()
     }
-
-    harness_cache: Dict[str, Harness] = {}
-
-    def profile_source(workload: Workload, ar: float):
-        harness = harness_cache.get(workload.name)
-        if harness is None:
-            harness = Harness(workload, config=config, scale=sfi_scale, timing=False)
-            harness_cache[workload.name] = harness
-        return harness.profiles_for(ar)
+    campaigns = figure9(
+        workloads, schemes, trials, seed=seed, scale=sfi_scale, config=config,
+        profile_source=campaign_profiles(sfi_scale, config), jobs=jobs,
+    )
 
     rows: List[TradeoffRow] = []
     for scheme in schemes:
-        rates = []
-        for workload in workloads:
-            descriptor = get_scheme(scheme, config)
-            profiles = None
-            if descriptor.needs_training:
-                profiles = profile_source(workload, descriptor.acceptable_range)
-            campaign = run_campaign(
-                workload, scheme, trials, seed=seed, scale=sfi_scale,
-                config=config, profiles=profiles, jobs=jobs,
-            )
-            rates.append(campaign.protection_rate)
+        name = canonical_scheme(scheme, config)
+        rates = [campaigns[(w.name, name)].protection_rate for w in workloads]
         rows.append(
             TradeoffRow(
                 scheme=scheme,

@@ -188,18 +188,8 @@ class ArtifactCache:
         record = {"version": CACHE_VERSION, "key": key, "payload": payload}
         try:
             os.makedirs(self.directory, exist_ok=True)
-            fd, tmp = tempfile.mkstemp(
-                prefix=f".{key[:12]}-", suffix=".tmp", dir=self.directory)
-            try:
-                with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                    json.dump(record, handle, separators=(",", ":"))
-                os.replace(tmp, self._path(key))
-            except BaseException:
-                try:
-                    os.remove(tmp)
-                except OSError:
-                    pass
-                raise
+            write_atomic(self._path(key),
+                         json.dumps(record, separators=(",", ":")))
         except OSError:
             # a read-only or full disk degrades to memory-only caching
             pass
@@ -212,6 +202,25 @@ class ArtifactCache:
                 "disk_hits": self.disk_hits, "puts": self.puts,
                 "directory": self.directory,
             }
+
+
+def write_atomic(path: str, text: str) -> None:
+    """Replace *path* with *text* in one step: write a ``.``-prefixed
+    ``*.tmp`` sibling (what :func:`sweep_stale_tmp` collects after a
+    crash) and ``os.replace`` it over *path*.  A write that fails leaves
+    *path* as it was and removes the temp file, then re-raises."""
+    directory, name = os.path.split(os.path.abspath(path))
+    fd, tmp = tempfile.mkstemp(prefix=f".{name}-", suffix=".tmp", dir=directory)
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as handle:
+            handle.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        try:
+            os.remove(tmp)
+        except OSError:
+            pass
+        raise
 
 
 def _drop_stale(path: str, stamp) -> None:
@@ -246,9 +255,9 @@ STALE_TMP_AGE = 3600.0
 def sweep_stale_tmp(directory: str, max_age: float = STALE_TMP_AGE) -> int:
     """Remove ``*.tmp`` files under *directory* older than *max_age* seconds.
 
-    ``_write_disk`` (and the campaign checkpoint/section-store writers,
-    which follow the same ``mkstemp`` + ``os.replace`` discipline) leak
-    their temp file when the process dies between the two calls.  The
+    :func:`write_atomic` (behind the cache and section store, campaign
+    checkpoints and serve job records) leaks its temp file when the
+    process dies between ``mkstemp`` and ``os.replace``.  The
     age gate keeps a live writer's in-flight tmp safe; anything older
     has no owner.  Returns the number of files removed.
     """

@@ -35,7 +35,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from typing import Optional, Tuple
 
-from ..eval import Harness
+from ..eval import Harness, campaign_input
 from ..ir.parser import parse_module
 from ..ir.printer import format_module
 from ..obs import RunManifest, run_id_for
@@ -54,7 +54,7 @@ from .http import (
     error_response,
     read_request,
 )
-from .jobs import JobManager
+from .jobs import JobManager, is_json_number
 from .quotas import AdmissionGate
 
 #: keep-alive connections idle longer than this are closed
@@ -311,26 +311,31 @@ class ServeApp:
                     "optimize": optimize},
             fingerprints={f"{source}|{descriptor.name}": fingerprint})
 
-    async def _train(self, request: Request) -> Response:
-        body = request.json()
-        descriptor = self._scheme_of(body, default="AR50")
-        if not descriptor.needs_training:
-            raise HttpError(
-                422, f"scheme {descriptor.name} needs no training")
+    @staticmethod
+    def _workload_scale_seed(body: dict):
+        """The workload, scale and seed of a ``/train`` or ``/run`` body."""
         try:
             workload = get_workload(body.get("workload", ""))
         except KeyError as exc:
             raise _bad_request(exc)
         scale = body.get("scale", 0.6)
         seed = body.get("seed", 1)
-        if not isinstance(scale, (int, float)) or not isinstance(seed, int):
+        if not is_json_number(scale) or not is_json_number(seed, int):
             raise HttpError(422, "'scale' must be a number, 'seed' an int")
-        harness = Harness(workload, scale=float(scale), seed=seed,
-                          timing=False)
+        return workload, float(scale), seed
+
+    async def _train(self, request: Request) -> Response:
+        body = request.json()
+        descriptor = self._scheme_of(body, default="AR50")
+        if not descriptor.needs_training:
+            raise HttpError(
+                422, f"scheme {descriptor.name} needs no training")
+        workload, scale, seed = self._workload_scale_seed(body)
+        harness = Harness(workload, scale=scale, seed=seed, timing=False)
         ar = descriptor.acceptable_range
         # the harness's own cache key: fingerprint × training parameters —
         # identical train requests dedup exactly like identical protects
-        key = await self._in_executor(lambda: harness._profile_key(ar))
+        key = await self._in_executor(lambda: harness.profile_key(ar))
 
         def compute():
             profiles = harness.profiles_for(ar)
@@ -344,31 +349,20 @@ class ServeApp:
         return await self._deduped(
             "/train", key, compute,
             params={"workload": workload.name, "scheme": descriptor.name,
-                    "scale": float(scale), "seed": seed},
+                    "scale": scale, "seed": seed},
             fingerprints={})
 
     async def _run(self, request: Request) -> Response:
         body = request.json()
         descriptor = self._scheme_of(body)
-        try:
-            workload = get_workload(body.get("workload", ""))
-        except KeyError as exc:
-            raise _bad_request(exc)
-        scale = body.get("scale", 0.6)
-        seed = body.get("seed", 1)
-        if not isinstance(scale, (int, float)) or not isinstance(seed, int):
-            raise HttpError(422, "'scale' must be a number, 'seed' an int")
-        scale = float(scale)
+        workload, scale, seed = self._workload_scale_seed(body)
         key = artifact_key("serve-run", workload.name, descriptor.name,
                            scale, seed)
 
         def compute():
-            # `repro run` semantics: golden from UNSAFE on the same input
             harness = Harness(workload, scale=scale, seed=seed)
-            inp = workload.test_inputs(1, seed=seed + 17, scale=scale)[0]
-            golden = harness.run_scheme("UNSAFE", inp)
-            record = harness.run_scheme(descriptor.name, inp,
-                                        golden=golden.output)
+            inp = campaign_input(workload, seed, scale)
+            record = harness.run_all([descriptor.name], inp)[descriptor.name]
             return {
                 "workload": workload.name,
                 "scheme": descriptor.name,

@@ -8,7 +8,8 @@ on the machinery the engine already has:
 * every chunk the engine finishes lands in the job's **checkpoint**
   file (atomic write-then-rename, ``campaign_engine._save_checkpoint``);
 * the job **record** (params, status, progress) is its own JSON file
-  under ``<state>/jobs/``, saved with the same atomicity;
+  under ``<state>/jobs/``, saved through the same writer
+  (``pipeline.cache.write_atomic``);
 * on daemon restart, :meth:`JobManager.recover` re-submits every job
   that was queued or running with ``resume=True`` — the engine skips the
   checkpointed chunks, and the final tallies are byte-identical to an
@@ -23,16 +24,16 @@ from __future__ import annotations
 
 import json
 import os
-import tempfile
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 from typing import Dict, List, Optional
 
-from ..eval import Harness
+from ..eval import campaign_profiles, injection_scale
 from ..eval.campaign_engine import CheckpointBusyError, run_campaign_parallel
-from ..pipeline.registry import canonical_scheme, get_scheme
+from ..pipeline.cache import write_atomic
+from ..pipeline.registry import canonical_scheme
 from ..workloads import get_workload
 
 JOB_QUEUED = "queued"
@@ -46,6 +47,12 @@ MAX_TRIALS = 100_000
 
 #: chunks per checkpoint write; small so a kill loses little work
 DEFAULT_JOB_CHUNK = 5
+
+
+def is_json_number(value, kinds=(int, float)) -> bool:
+    """*value* is a JSON number of *kinds*.  ``bool`` subclasses
+    ``int``, so a bare ``isinstance`` would take ``true`` for 1."""
+    return isinstance(value, kinds) and not isinstance(value, bool)
 
 
 @dataclass
@@ -98,19 +105,8 @@ class JobManager:
         return os.path.join(self.jobs_dir, f"{job_id}.json")
 
     def _save(self, record: JobRecord) -> None:
-        payload = asdict(record)
-        fd, tmp = tempfile.mkstemp(
-            prefix=".job-", suffix=".tmp", dir=self.jobs_dir)
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                json.dump(payload, handle, sort_keys=True)
-            os.replace(tmp, self._record_path(record.id))
-        except BaseException:
-            try:
-                os.remove(tmp)
-            except OSError:
-                pass
-            raise
+        write_atomic(self._record_path(record.id),
+                     json.dumps(asdict(record), sort_keys=True))
 
     def recover(self) -> List[str]:
         """Load persisted records; re-submit unfinished jobs with resume.
@@ -163,21 +159,20 @@ class JobManager:
             raise ValueError(str(exc.args[0] if exc.args else exc))
         scheme = canonical_scheme(body.get("scheme", "UNSAFE"))
         trials = body.get("trials", 100)
-        if not isinstance(trials, int) or not 1 <= trials <= MAX_TRIALS:
+        if not is_json_number(trials, int) or not 1 <= trials <= MAX_TRIALS:
             raise ValueError(f"'trials' must be an int in [1, {MAX_TRIALS}]")
         seed = body.get("seed", 0)
-        if not isinstance(seed, int):
+        if not is_json_number(seed, int):
             raise ValueError("'seed' must be an int")
         scale = body.get("scale", 0.6)
-        if not isinstance(scale, (int, float)) or not 0.0 < scale <= 4.0:
+        if not is_json_number(scale) or not 0.0 < scale <= 4.0:
             raise ValueError("'scale' must be a number in (0, 4]")
-        # the CLI's injection discipline: SFI runs use smaller problems
         return {
             "workload": workload,
             "scheme": scheme,
             "trials": trials,
             "seed": seed,
-            "scale": min(float(scale), 0.45),
+            "scale": injection_scale(float(scale)),
         }
 
     def submit(self, body: dict) -> JobRecord:
@@ -245,18 +240,12 @@ class JobManager:
     def _run_campaign(self, record: JobRecord, progress):
         params = record.params
         workload = get_workload(params["workload"])
-        descriptor = get_scheme(params["scheme"])
-        profiles = None
-        if descriptor.needs_training:
-            # the CLI's exact profile source, so job tallies are
-            # byte-identical to `repro campaign` at the same params
-            profiles = Harness(
-                workload, scale=params["scale"], timing=False,
-            ).profiles_for(descriptor.acceptable_range)
         return run_campaign_parallel(
-            workload, descriptor.name,
+            workload, params["scheme"],
             trials=params["trials"], seed=params["seed"],
-            scale=params["scale"], profiles=profiles,
+            scale=params["scale"],
+            profiles=campaign_profiles(params["scale"])(
+                workload, params["scheme"]),
             jobs=1, chunk=self.chunk,
             checkpoint=record.checkpoint, resume=True,
             progress=progress,

@@ -16,6 +16,7 @@ from repro.eval import Harness
 from repro.eval.fault_campaign import (
     CampaignResult,
     campaign_context,
+    campaign_input,
     run_campaign,
     run_trial_block,
     run_trial_block_batch,
@@ -209,7 +210,7 @@ class TestTrapStepCounts:
         profiles = None
         if scheme == "AR50":
             profiles = Harness(workload, scale=SCALE, timing=False).profiles_for(0.5)
-        inp = workload.test_inputs(1, seed=seed + 17, scale=SCALE)[0]
+        inp = campaign_input(workload, seed, SCALE)
         prepared = prepare(workload, scheme, None, profiles)
         ctx = campaign_context(prepared, workload, inp)
         plans = [plan for plan in seeded_plans(seed, "sgemm", scheme, start,

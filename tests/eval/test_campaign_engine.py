@@ -6,6 +6,7 @@ import pytest
 from repro.eval import (
     CampaignResult,
     Harness,
+    campaign_profiles,
     figure9,
     prepare,
     run_campaign,
@@ -88,13 +89,10 @@ class TestParallelDeterminism:
             )[(conv1d.name, "UNSAFE")]
             assert campaign_fingerprint(chunked) == campaign_fingerprint(serial)
 
-    def test_figure9_parallel_matches_serial(self, conv1d, conv1d_profiles):
-        def profile_source(workload, ar):
-            return conv1d_profiles
-
+    def test_figure9_parallel_matches_serial(self, conv1d):
         kwargs = dict(
             schemes=("UNSAFE", "AR100"), trials=6, scale=SCALE,
-            profile_source=profile_source,
+            profile_source=campaign_profiles(SCALE),
         )
         serial = figure9([conv1d], **kwargs)
         parallel = figure9([conv1d], jobs=2, **kwargs)

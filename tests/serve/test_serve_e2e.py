@@ -8,6 +8,8 @@ import time
 
 import pytest
 
+from repro.cli import main as cli_main
+from repro.eval import Harness
 from repro.eval.campaign_engine import run_campaign_parallel
 from repro.pipeline import reset_cache
 from repro.serve import ServeApp
@@ -169,7 +171,7 @@ class TestEndpoints:
         assert "swift" in data["passes"]
         assert len(data["module"]) > len(source)
 
-    def test_run_endpoint_matches_cli_semantics(self, tmp_path):
+    def test_run_endpoint_matches_cli_semantics(self, tmp_path, capsys):
         async def scenario(app, _resumed):
             body = {"workload": "conv1d", "scheme": "AR50", "scale": 0.35,
                     "seed": 1}
@@ -185,6 +187,14 @@ class TestEndpoints:
         a, b = dict(first[1]), dict(second[1])
         a.pop("deduped"), b.pop("deduped")
         assert a == b
+        # and they report what `repro run` prints at the same parameters
+        capsys.readouterr()
+        cli_main(["--scale", "0.35", "run", "conv1d", "--scheme", "AR50",
+                  "--seed", "1"])
+        printed = capsys.readouterr().out.splitlines()
+        assert (f"   steps={a['steps']}  cycles={a['cycles']}  "
+                f"ipc={a['ipc']:.2f}  correct={a['correct']}") in printed
+        assert f"   skip rate {a['skip_rate']:.1%}" in printed
 
     def test_train_endpoint(self, tmp_path):
         async def scenario(app, _resumed):
@@ -215,20 +225,47 @@ class TestEndpoints:
         assert manifest["params"]["workload"] == "conv1d"
         assert manifest["params"]["deduped"] is False
 
+    @pytest.mark.parametrize("path, body", [
+        ("/campaigns", {"workload": "conv1d", "trials": True}),
+        ("/campaigns", {"workload": "conv1d", "seed": False}),
+        ("/campaigns", {"workload": "conv1d", "scale": True}),
+        ("/run", {"workload": "conv1d", "seed": False}),
+        ("/run", {"workload": "conv1d", "scale": True}),
+        ("/train", {"workload": "conv1d", "seed": True}),
+        ("/train", {"workload": "conv1d", "scale": False}),
+    ])
+    def test_boolean_in_a_numeric_field_is_422(self, tmp_path, path, body):
+        """JSON booleans are not numbers: ``true`` must not run a 1-trial
+        campaign, nor ``false`` seed a trial stream as the string
+        "False"."""
+        async def scenario(app, _resumed):
+            return await _request(app.host, app.port, "POST", path, body)
+
+        status, data, _ = _serve_test(scenario, state_dir=str(tmp_path))
+        assert status == 422, data
+        assert not os.listdir(os.path.join(str(tmp_path), "jobs"))
+
 
 class TestCampaignJobs:
     PARAMS = {"workload": "conv1d", "scheme": "UNSAFE", "trials": 8,
               "seed": 3, "scale": 0.35}
 
-    def _reference_result(self):
-        """What the CLI computes at the same parameters (jobs.py mirrors
-        `repro campaign`: jobs=1, the manager's chunk, sfi scale cap)."""
+    def _reference_result(self, scheme="UNSAFE"):
+        """The engine's own campaign at the job's parameters (jobs=1, the
+        manager's chunk; 0.35 is under the injection-scale cap), with the
+        profiles `repro campaign` trains for *scheme*: one untimed
+        harness at the campaign scale."""
         from repro.serve.jobs import DEFAULT_JOB_CHUNK
 
+        workload = get_workload("conv1d")
+        profiles = None
+        if scheme == "AR50":
+            profiles = Harness(workload, scale=self.PARAMS["scale"],
+                               timing=False).profiles_for(0.5)
         return run_campaign_parallel(
-            get_workload("conv1d"), "UNSAFE", trials=self.PARAMS["trials"],
+            workload, scheme, trials=self.PARAMS["trials"],
             seed=self.PARAMS["seed"], scale=self.PARAMS["scale"],
-            jobs=1, chunk=DEFAULT_JOB_CHUNK,
+            profiles=profiles, jobs=1, chunk=DEFAULT_JOB_CHUNK,
         )
 
     async def _poll_until_final(self, app, job_id, deadline=120.0):
@@ -242,11 +279,11 @@ class TestCampaignJobs:
             assert time.monotonic() - t0 < deadline
             await asyncio.sleep(0.05)
 
-    def test_job_lifecycle_and_cli_byte_identity(self, tmp_path):
+    def _job_matches_reference(self, tmp_path, scheme):
         async def scenario(app, _resumed):
             h, p = app.host, app.port
             status, data, _ = await _request(h, p, "POST", "/campaigns",
-                                             self.PARAMS)
+                                             dict(self.PARAMS, scheme=scheme))
             assert status == 202
             job_id = data["job"]["id"]
             listed = await _request(h, p, "GET", "/campaigns")
@@ -256,9 +293,17 @@ class TestCampaignJobs:
         job = _serve_test(scenario, state_dir=str(tmp_path))
         assert job["status"] == "done", job["error"]
         assert job["done_trials"] == self.PARAMS["trials"]
-        reference = self._reference_result()
+        reference = self._reference_result(scheme)
         assert (json.dumps(job["result"], sort_keys=True)
                 == json.dumps(reference.to_dict(), sort_keys=True))
+
+    def test_job_lifecycle_and_cli_byte_identity(self, tmp_path):
+        self._job_matches_reference(tmp_path, "UNSAFE")
+
+    def test_trained_scheme_job_matches_cli_profiles(self, tmp_path):
+        """AR50 needs trained profiles: the job must train them exactly
+        as `repro campaign` does."""
+        self._job_matches_reference(tmp_path, "AR50")
 
     def test_unknown_job_is_404(self, tmp_path):
         async def scenario(app, _resumed):
