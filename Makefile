@@ -36,10 +36,13 @@ test:
 ## fast-forward check (500 sgemm AR50 and 500 adversarial conv1d UNSAFE
 ## reference trials, each identical to its from-scratch run) + the
 ## dead-definition gate (no src/repro def or method that only tests
-## use, unless scripts/dead_defs.py allow-lists it with a reason).
+## use, unless scripts/dead_defs.py allow-lists it with a reason) + the
+## campaign benchmark's self-tests (perfbench: tracer wrap points and
+## reference tally digests).
 ## Full exhaustive skip sweeps stay behind pytest's `slow` marker.
 verify: test
 	$(PYTHON) scripts/dead_defs.py
+	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m pytest perfbench -q
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m pytest -q -m slow tests/eval/test_fast_forward.py
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m repro difftest --oracle o4 --n 60
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m repro difftest --oracle o5 --n 60

@@ -76,7 +76,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..core.rskip import PROTOCOL_REGION_ATTR
-from ..eval.fault_campaign import CampaignContext, trial_rows
+from ..eval.fault_campaign import HANG_FACTOR, CampaignContext, trial_rows
 from ..eval.schemes import PreparedProgram, fault_region
 from ..ir.instructions import CmpPred, Opcode
 from ..ir.module import Module
@@ -422,7 +422,7 @@ class _Trials:
         # budget so they cannot run to the full fuzz limit
         self.ctx = CampaignContext(
             region, [], [], run.region_steps,
-            min(max_steps, max(run.steps * 8, 10_000)), golden, decoded)
+            min(max_steps, max(run.steps * HANG_FACTOR, 10_000)), golden, decoded)
 
     def observe(self, plans: List[FaultPlan], backend: str) -> List[ExecResult]:
         """Each plan's trial on *backend* (one slab of ``len(plans)``
@@ -807,7 +807,7 @@ def check_fault_metamorphic(
             "o3", f"fault-free {protection} run trapped: {exc}", (protection,)))
         return violations
     region_steps = golden.steps
-    max_steps = max(golden.steps * 8, 100_000)
+    max_steps = max(golden.steps * HANG_FACTOR, 100_000)
 
     exact = proto.contract == "exactly-masked"
     scope = proto.flip_scope

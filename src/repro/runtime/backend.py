@@ -7,7 +7,8 @@ Three backends execute IR:
   semantics oracle.  Every campaign's one golden run is captured on it
   (:mod:`repro.runtime.prefix`), on every backend; campaign trials off
   the batch backend start on it, fast-forwarded from that run's
-  snapshots, and as the default it also finishes them.
+  snapshots, and under ``ref`` it also finishes them (the default,
+  ``compiled``, takes each over once its fault has fully acted).
 * ``compiled`` — the closure-compiling backend of
   :mod:`repro.runtime.compiler`: clean mode only, observationally
   identical and several times faster.  Besides clean runs it continues

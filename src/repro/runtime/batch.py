@@ -66,20 +66,24 @@ Divergence and retirement
   campaign's time; the ``batch.lockstep`` / ``batch.tail`` spans report
   the split when a sink is installed.
 
-Value ops take their semantics from :mod:`repro.runtime.semantics`: the
-uniform path calls its ``OPS`` table for every cold op, the sparse path
-calls ``apply``, and only the hot ops (MOV, ADD/FADD, SUB/FSUB, FMUL,
-MUL, ICMP/FCMP) are inlined, on the uniform path.
+The engine holds no copy of a reference rule.  Value ops take their
+semantics from :mod:`repro.runtime.semantics`: the uniform path calls
+its ``OPS`` table for every cold op, the sparse path calls ``apply``,
+and only the hot ops (MOV, ADD/FADD, SUB/FSUB, FMUL, MUL, ICMP/FCMP)
+are inlined, on the uniform path.  Lanes run the reference decode of
+the program (:meth:`DecodedProgram.slotted`, its slot-indexed view,
+shared by every slab of a campaign), every load and store checks its
+address with :func:`repro.runtime.memory.check_addr` once the inline
+in-bounds integer test fails, and a flip picks its victim through
+:func:`repro.runtime.faults.victim_index`.
 
 Lanes carry value flips only (a plan of any other kind is a
 ``ValueError``; campaigns run those trials one by one, see
-:func:`repro.eval.fault_campaign.trial_rows`), and the flips follow
-:meth:`Interpreter._inject` to the letter: the trigger fires when
-``region_steps - 1 == plan.step`` *before* operand fetch, and the flip
-picks a victim across the frame stack's name-sorted live registers
-modelling a ``REGISTER_FILE_SIZE``-slot physical file (a flip on a
-uniform slot widens it into a column).  The rules of every other kind
-live in the reference interpreter alone.
+:func:`repro.eval.fault_campaign.trial_rows`): the trigger fires when
+``region_steps - 1 == plan.step`` *before* operand fetch, as on the
+reference interpreter, and a flip on a uniform slot widens it into a
+column.  The rules of every other kind live in the reference
+interpreter alone.
 
 In lockstep, intrinsics are called with ``None`` as their interpreter
 argument (tail lanes hand over their resuming engine): every in-tree
@@ -114,26 +118,23 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..ir.function import Function
 from ..ir.module import Module
-from ..ir.values import Const, GlobalAddr, Reg
 from ..obs.events import current_sink, diverted, enabled as obs_enabled
 from ..obs.sinks import MemorySink
 from .compiler import CompiledModule, compile_module
 from .errors import TRIAL_TRAPS, CoreDumpError, HangError, SegfaultError, classify_trap
-from .faults import FaultPlan, Region, flip_value
+from .faults import FaultPlan, Region, flip_value, victim_index
 from .interpreter import (
     _ADD, _ALLOC, _BR, _CALL, _CBR, _FADD, _FCMP, _FMUL, _FSUB, _ICMP,
     _INTRIN, _LOAD, _MOV, _MUL, _RET, _STORE, _SUB,
     DEFAULT_MAX_STEPS,
     MAX_CALL_DEPTH,
-    OPERAND_ARITY,
-    REGISTER_FILE_SIZE,
     DecodedProgram,
     MachineState,
     ResumeFrame,
 )
-from .memory import Memory
+from .memory import Memory, check_addr, global_addr
 from .prefix import TrialRow, _replay, finish
-from .semantics import CODE as _CODE, LAST_VALUE_OP, OPS as _OPS, PRED as _PRED
+from .semantics import LAST_VALUE_OP, OPS as _OPS
 from .semantics import HUGE_INT as _HUGE_INT, INT_MASK64 as _INT_MASK64, apply
 
 #: Groups at or below this many lanes leave lockstep for the tail.
@@ -154,20 +155,6 @@ _MISS = object()
 #: Layered accesses after which a lane memory flattens its prefix: the
 #: copy costs about as much as this many layered lookups.
 FLATTEN_AFTER = 256
-
-
-def _check_addr(addr, size: int) -> int:
-    """``Memory._check`` restated as a free function: same coercions,
-    same exception classes, same messages."""
-    if isinstance(addr, float):
-        if not addr.is_integer():
-            raise SegfaultError(addr, f"non-integer address {addr!r}")
-        addr = int(addr)
-    if not isinstance(addr, int):
-        raise SegfaultError(addr, f"invalid address {addr!r}")
-    if addr < 8 or addr >= size:
-        raise SegfaultError(addr)
-    return addr
 
 
 def _try_collapse(vals: list):
@@ -318,7 +305,7 @@ class _LaneMem:
         self._misses = 0
 
     def load(self, addr):
-        idx = _check_addr(addr, self.limit)
+        idx = check_addr(addr, self.limit)
         if idx >= self.size and not self._flattened(idx):
             val = self.ov.get(idx, _MISS)
             if val is _MISS:
@@ -329,7 +316,7 @@ class _LaneMem:
         return self.cells[idx]
 
     def store(self, addr, value) -> None:
-        idx = _check_addr(addr, self.limit)
+        idx = check_addr(addr, self.limit)
         if idx >= self.size and not self._flattened(idx):
             self.ov[idx] = value
         else:
@@ -375,10 +362,7 @@ class _LaneMem:
         return base
 
     def global_addr(self, name: str) -> int:
-        try:
-            return self.globals[name]
-        except KeyError:
-            raise SegfaultError(None, f"unknown global @{name}") from None
+        return global_addr(self.globals, name)
 
     # -- convenience for harnesses ------------------------------------------
     def read_array(self, base: int, count: int) -> list:
@@ -541,16 +525,17 @@ class BatchExecutor:
         self._traced = False
         self.fault_region = fault_region
         self.max_steps = max_steps
-        #: the programs tail lanes finish on, compiled and decoded once
+        #: the compiled program tail lanes finish on, and the decoded
+        #: one every lane runs (lockstep lanes its slot-indexed view)
         self._compiled = compiled
-        self._decoded = decoded or DecodedProgram(module, fault_region, template)
+        self._decoded = DecodedProgram.adopt(decoded, module, fault_region,
+                                             template)
         #: wall-clock ms of tail lanes, summed while a sink is installed
         self._tail_ms = 0.0
         self._ovs: List[dict] = [dict() for _ in range(n_lanes)]
         #: each lane's row, its memory view attached when ``run`` returns
         self._results: List[Optional[TrialRow]] = [None] * n_lanes
         self._lmems: List[Optional[_LaneMem]] = [None] * n_lanes
-        self._dcache: Dict[str, tuple] = {}
 
     def lane_memory(self, lane: int) -> _LaneMem:
         """The composed memory view of a finished or retired lane."""
@@ -559,71 +544,9 @@ class BatchExecutor:
             raise ValueError(f"lane {lane} has not finished")
         return lm
 
-    # -- decoding -----------------------------------------------------------
-    def _decode(self, func: Function) -> tuple:
-        """Slot-indexed mirror of ``Interpreter._decode``: same opcode
-        indices, same arity contract, same region flags; register names
-        become dense slot indices (parameters first, then first-use
-        order), and each operand is an ``(is_reg, slot or value)`` pair:
-        constants and global addresses are resolved to their value."""
-        cached = self._dcache.get(func.name)
-        if cached is not None:
-            return cached
-        region = self.fault_region
-        template = self._template
-        slot_of: Dict[str, int] = {}
-        names: List[str] = []
-
-        def slot(name: str) -> int:
-            s = slot_of.get(name)
-            if s is None:
-                s = len(names)
-                slot_of[name] = s
-                names.append(name)
-            return s
-
-        for p in func.params:
-            slot(p.name)
-        blocks: Dict[str, list] = {}
-        for label in func.block_order():
-            in_region = True if region is None else region.contains(func.name, label)
-            decoded = []
-            for idx, instr in enumerate(func.blocks[label].instrs):
-                ops = []
-                for a in instr.args:
-                    if isinstance(a, Reg):
-                        ops.append((True, slot(a.name)))
-                    elif isinstance(a, GlobalAddr):
-                        ops.append((False, template.global_addr(a.name)))
-                    else:
-                        assert isinstance(a, Const)
-                        ops.append((False, a.value))
-                code = _CODE[instr.op]
-                want = OPERAND_ARITY[code]
-                if want is not None and len(ops) not in want:
-                    raise CoreDumpError(
-                        f"@{func.name}:{label}: {instr.op.value} expects "
-                        f"{' or '.join(map(str, want))} operand(s), got {len(ops)}"
-                    )
-                dest = slot(instr.dest.name) if instr.dest is not None else None
-                if code == _BR:
-                    extra = instr.labels[0]
-                elif code == _CBR:
-                    extra = ((func.name, label, idx), instr.labels[0], instr.labels[1])
-                elif code in (_CALL, _INTRIN):
-                    extra = instr.callee
-                elif code in (_ICMP, _FCMP):
-                    extra = _PRED[instr.pred]
-                else:
-                    extra = None
-                decoded.append((code, dest, tuple(ops), extra, in_region))
-            blocks[label] = decoded
-        result = (func.block_order()[0], blocks, names, slot_of)
-        self._dcache[func.name] = result
-        return result
-
+    # -- frames -------------------------------------------------------------
     def _make_frame(self, func: Function, ret_dest: Optional[int]) -> _Frame:
-        entry, blocks, names, slot_of = self._decode(func)
+        entry, blocks, names, slot_of = self._decoded.slotted(func)
         regs = [_UNDEF] * len(names)
         return _Frame(func.name, blocks, names, slot_of, regs, entry, ret_dest)
 
@@ -641,10 +564,11 @@ class BatchExecutor:
                 self._inject_lane(g, row, lane)
 
     def _inject_lane(self, g: _Group, row: int, lane: int) -> None:
-        """One lane's value flip: the exact victim-selection walk of
-        ``Interpreter._inject`` over this group's frame stack.  Landing
-        on a uniform slot widens it into a column (unless the flip was
-        masked and the value is unchanged)."""
+        """One lane's value flip on the victim :func:`victim_index` picks
+        among this group's frame stack's name-sorted written registers,
+        as the reference interpreter's flip does.  Landing on a uniform
+        slot widens it into a column (unless the flip was masked and the
+        value is unchanged)."""
         plan = self._plans[lane]
         slots: List[Tuple[list, int]] = []
         for frame in g.frames:
@@ -654,12 +578,9 @@ class BatchExecutor:
                 for s in range(len(fregs)) if fregs[s] is not _UNDEF
             )
             slots.extend((fregs, s) for _name, s in named)
-        if not slots:
+        k = victim_index(len(slots), plan.pick)
+        if k is None:
             return
-        nfile = max(REGISTER_FILE_SIZE, len(slots))
-        k = int(plan.pick * nfile)
-        if k >= len(slots):
-            return  # landed on a slot holding no live value: masked
         fregs, s = slots[k]
         col = fregs[s]
         if col.__class__ is _SpCol:
@@ -1023,7 +944,7 @@ class BatchExecutor:
                             idx = a
                         else:
                             try:
-                                idx = _check_addr(a, msize)
+                                idx = check_addr(a, msize)
                             except SegfaultError as exc:
                                 g.steps = steps
                                 g.region_steps = rsteps
@@ -1056,7 +977,7 @@ class BatchExecutor:
                         if type(ab) is int and 8 <= ab < msize:
                             idx = ab
                         else:
-                            idx = _check_addr(ab, msize)
+                            idx = check_addr(ab, msize)
                         vbase = gmem.get(idx, _MISS)
                         if vbase is _MISS:
                             vbase = tcells[idx]
@@ -1072,7 +993,7 @@ class BatchExecutor:
                             if type(av_) is int and 8 <= av_ < msize:
                                 idx2 = av_
                             else:
-                                idx2 = _check_addr(av_, msize)
+                                idx2 = check_addr(av_, msize)
                             v_ = ovs[rows[r]].get(idx2, _MISS)
                             if v_ is _MISS:
                                 v_ = gmem.get(idx2, _MISS)
@@ -1096,7 +1017,7 @@ class BatchExecutor:
                             if type(addr) is int and 8 <= addr < msize:
                                 idx = addr
                             else:
-                                idx = _check_addr(addr, msize)
+                                idx = check_addr(addr, msize)
                         except SegfaultError as exc:
                             if dead is None:
                                 dead = {}
@@ -1130,7 +1051,7 @@ class BatchExecutor:
                             idx = addr0
                         else:
                             try:
-                                idx = _check_addr(addr0, msize)
+                                idx = check_addr(addr0, msize)
                             except SegfaultError as exc:
                                 g.steps = steps
                                 g.region_steps = rsteps
@@ -1178,7 +1099,7 @@ class BatchExecutor:
                             if type(addr) is int and 8 <= addr < msize:
                                 idx = addr
                             else:
-                                idx = _check_addr(addr, msize)
+                                idx = check_addr(addr, msize)
                         except SegfaultError as exc:
                             if dead is None:
                                 dead = {}
@@ -1281,12 +1202,12 @@ class BatchExecutor:
                     break
 
                 if code == _CALL:
-                    callee = module.functions.get(extra)
+                    callee = module.functions.get(extra[0])
                     if callee is None:
                         g.steps = steps
                         g.region_steps = rsteps
-                        self._retire_all(
-                            g, CoreDumpError(f"call to unknown function @{extra}"))
+                        self._retire_all(g, CoreDumpError(
+                            f"call to unknown function @{extra[0]}"))
                         return
                     if len(g.frames) > MAX_CALL_DEPTH:
                         g.steps = steps

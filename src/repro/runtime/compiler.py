@@ -76,10 +76,10 @@ from .errors import TRIAL_TRAPS, CoreDumpError, HangError
 from .interpreter import (
     DEFAULT_MAX_STEPS,
     MAX_CALL_DEPTH,
-    OPERAND_ARITY,
     IntrinsicFn,
     MachineState,
     RunResult,
+    check_arity,
 )
 from .memory import Memory
 from .semantics import CODE as _CODE, HUGE_INT, INT_MASK64, OPCODES, OPS, PRED as _PRED
@@ -148,14 +148,7 @@ def _decode_function(func: Function, gindex: Dict[str, int]):
     for lbl in labels:
         recs: List[list] = []
         for instr in func.blocks[lbl].instrs:
-            code = _CODE[instr.op]
-            want = OPERAND_ARITY[code]
-            if want is not None and len(instr.args) not in want:
-                raise CoreDumpError(
-                    f"@{func.name}:{lbl}: {instr.op.value} expects "
-                    f"{' or '.join(map(str, want))} operand(s), "
-                    f"got {len(instr.args)}"
-                )
+            code = check_arity(func.name, lbl, instr)
             specs = []
             for v in instr.args:
                 if isinstance(v, Reg):

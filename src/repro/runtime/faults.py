@@ -35,7 +35,7 @@ import math
 import random
 import struct
 from dataclasses import dataclass
-from typing import FrozenSet, Tuple
+from typing import FrozenSet, Optional, Tuple
 
 _INT_MASK = (1 << 64) - 1
 _INT_SIGN = 1 << 63
@@ -66,6 +66,22 @@ ADVERSARIAL_KIND_WEIGHTS = (
     ("value", 0.55), ("branch", 0.05), ("addr", 0.05),
     ("skip", 0.20), ("skip-burst", 0.10), ("cf", 0.05),
 )
+
+
+#: Physical register file modelled by the SEU injector: flips landing on
+#: slots that hold no live program value are architecturally masked.
+REGISTER_FILE_SIZE = 64
+
+
+def victim_index(live: int, pick: float) -> Optional[int]:
+    """Where a value flip with uniform *pick* lands among *live* register
+    slots (the name-sorted registers of the whole frame stack), or
+    ``None`` when it hits a slot of the ``REGISTER_FILE_SIZE``-slot file
+    that holds no live program value: the flip is architecturally masked
+    (the dominant effect in the paper's UNSAFE runs).  Both the reference
+    interpreter and the batch lanes pick their victims here."""
+    k = int(pick * max(REGISTER_FILE_SIZE, live))
+    return k if k < live else None
 
 
 def flip_int(value: int, bit: int) -> int:

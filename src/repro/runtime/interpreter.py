@@ -35,8 +35,9 @@ from ..ir.module import Module
 from ..ir.values import Const, GlobalAddr, Reg
 from ..obs.events import enabled as obs_enabled, span as obs_span
 from .errors import CoreDumpError, HangError
-from .faults import CONTROL_KINDS, SKIP_KINDS, FaultPlan, Region, flip_value
-from .memory import Memory
+from .faults import (CONTROL_KINDS, SKIP_KINDS, FaultPlan, Region, flip_value,
+                     victim_index)
+from .memory import Memory, global_addr
 from .scheduler import TimingModel
 from .semantics import CODE as _CODE, OPCODES, OPS as _OPS, PRED as _PRED
 from .semantics import HUGE_INT as _HUGE_INT, INT_MASK64 as _INT_MASK64
@@ -81,13 +82,25 @@ for _op, _n in {
     OPERAND_ARITY[_CODE[_op]] = (_n,)
 OPERAND_ARITY[_CODE[Opcode.RET]] = (0, 1)
 
+
+def check_arity(func_name: str, label: str, instr) -> int:
+    """The opcode index of *instr* (in block *label* of *func_name*),
+    whose operand count must meet ``OPERAND_ARITY``: a program that
+    breaks the contract core-dumps when its function is decoded."""
+    code = _CODE[instr.op]
+    want = OPERAND_ARITY[code]
+    if want is not None and len(instr.args) not in want:
+        raise CoreDumpError(
+            f"@{func_name}:{label}: {instr.op.value} expects "
+            f"{' or '.join(map(str, want))} operand(s), got {len(instr.args)}"
+        )
+    return code
+
+
 DEFAULT_MAX_STEPS = 200_000_000
 #: capture threshold of a run with no capture hook: no region step reaches it
 _NEVER = 1 << 62
 MAX_CALL_DEPTH = 64
-#: Physical register file modelled by the SEU injector: flips landing on
-#: slots that hold no live program value are architecturally masked.
-REGISTER_FILE_SIZE = 64
 
 #: Intrinsic signature: (interp, args) -> (result, charge_opcodes)
 IntrinsicFn = Callable[["Interpreter", Tuple], Tuple[object, Sequence[Opcode]]]
@@ -139,10 +152,12 @@ class MachineState:
 class DecodedProgram:
     """Decoded instructions of one module under one fault region and one
     global layout (global operands are decoded to their addresses),
-    built lazily per function, and the registers live where a paused
-    frame resumes.  Every :class:`Interpreter` constructed with
+    built lazily per function, their slot-indexed view for the batch
+    engine, and the registers live where a paused frame resumes.  Every
+    :class:`Interpreter` and
+    :class:`~repro.runtime.batch.BatchExecutor` constructed with
     ``decoded=`` shares it, so a campaign decodes its program and
-    analyses its liveness once rather than once per trial."""
+    analyses its liveness once rather than once per trial or slab."""
 
     def __init__(self, module: Module, region: Optional[Region], memory: Memory):
         self.module = module
@@ -153,6 +168,8 @@ class DecodedProgram:
         #: function name -> (layout-successor map, block order), used by
         #: the skip fall-through and cf retarget machinery
         self.succ: Dict[str, Tuple[Dict[str, Optional[str]], Tuple[str, ...]]] = {}
+        #: function name -> :meth:`slotted` view
+        self._slotted: Dict[str, tuple] = {}
         self._liveness: Dict[str, Liveness] = {}
         #: (function, label, index) -> live registers there, and those
         #: of an outer frame resuming there (without its call's dest)
@@ -161,6 +178,95 @@ class DecodedProgram:
     def fits(self, module: Module, region: Optional[Region], memory: Memory) -> bool:
         return (module is self.module and region is self.region
                 and memory.globals == self.layout)
+
+    @classmethod
+    def adopt(cls, decoded: Optional["DecodedProgram"], module: Module,
+              region: Optional[Region], memory: Memory) -> "DecodedProgram":
+        """The decoded program an engine over *module*, *region* and
+        *memory* runs: *decoded*, which must fit them, or a new one."""
+        if decoded is None:
+            return cls(module, region, memory)
+        if not decoded.fits(module, region, memory):
+            raise ValueError("decoded program was built for another module, "
+                             "fault region or global layout")
+        return decoded
+
+    def decode(self, func: Function) -> Tuple[str, Dict[str, list]]:
+        """*func*'s entry label and its blocks as lists of instructions
+        ``(opcode index, dest name, operands, extra, in region)``; an
+        operand is ``(True, register name)`` or ``(False, value)``, its
+        constant or global address.  ``extra`` holds a branch's
+        target(s), a compare's predicate index, a call's callee and
+        resume index, or an intrinsic's name.  Decoded on first use."""
+        cached = self.funcs.get(func.name)
+        if cached is not None:
+            return cached
+        region = self.region
+        layout = self.layout
+        order = tuple(func.block_order())
+        blocks: Dict[str, list] = {}
+        for label in order:
+            in_region = True if region is None else region.contains(func.name, label)
+            decoded = []
+            for idx, instr in enumerate(func.blocks[label].instrs):
+                ops = []
+                for a in instr.args:
+                    if isinstance(a, Reg):
+                        ops.append((True, a.name))
+                    elif isinstance(a, GlobalAddr):
+                        ops.append((False, global_addr(layout, a.name)))
+                    else:
+                        assert isinstance(a, Const)
+                        ops.append((False, a.value))
+                code = check_arity(func.name, label, instr)
+                dest = instr.dest.name if instr.dest is not None else None
+                if instr.op is Opcode.BR:
+                    extra = instr.labels[0]
+                elif instr.op is Opcode.CBR:
+                    extra = ((func.name, label, idx), instr.labels[0], instr.labels[1])
+                elif instr.op is Opcode.CALL:
+                    # the callee, and where the caller resumes after it
+                    extra = (instr.callee, idx + 1)
+                elif instr.op is Opcode.INTRIN:
+                    extra = instr.callee
+                elif instr.op in (Opcode.ICMP, Opcode.FCMP):
+                    extra = _PRED[instr.pred]
+                else:
+                    extra = None
+                decoded.append((code, dest, tuple(ops), extra, in_region))
+            blocks[label] = decoded
+        self.succ[func.name] = (dict(zip(order, order[1:] + (None,))), order)
+        cached = self.funcs[func.name] = (order[0], blocks)
+        return cached
+
+    def slotted(self, func: Function) -> tuple:
+        """*func* as the batch engine runs it: ``(entry, blocks, names,
+        slot_of)``, the instructions of :meth:`decode` with every
+        register name replaced by a dense slot index — parameters first,
+        then registers in first-use order — and the maps between slots
+        and names.  Built once per function."""
+        view = self._slotted.get(func.name)
+        if view is not None:
+            return view
+        entry, blocks = self.decode(func)
+        slot_of: Dict[str, int] = {}
+
+        def slot(name: str) -> int:
+            return slot_of.setdefault(name, len(slot_of))
+
+        for p in func.params:
+            slot(p.name)
+        sblocks: Dict[str, list] = {}
+        for label, instrs in blocks.items():
+            out = []
+            for code, dest, ops, extra, in_region in instrs:
+                ops = tuple((True, slot(v)) if k else (k, v) for k, v in ops)
+                if dest is not None:
+                    dest = slot(dest)
+                out.append((code, dest, ops, extra, in_region))
+            sblocks[label] = out
+        view = self._slotted[func.name] = (entry, sblocks, list(slot_of), slot_of)
+        return view
 
     def live_at(self, frame: ResumeFrame, outer: bool) -> tuple:
         """The registers live where *frame* resumes; for an *outer*
@@ -217,12 +323,9 @@ class Interpreter:
         self.steps = 0
         self.counts: List[int] = [0] * len(OPCODES)
         self.intrinsics: Dict[str, IntrinsicFn] = {}
-        if decoded is None:
-            decoded = DecodedProgram(module, fault_region, self.memory)
-        elif not decoded.fits(module, fault_region, self.memory):
-            raise ValueError("decoded program was built for another module, "
-                             "fault region or global layout")
-        self.decoded = decoded
+        self.decoded = decoded = DecodedProgram.adopt(
+            decoded, module, fault_region, self.memory)
+        #: function name -> (entry, blocks), filled by ``decoded.decode``
         self._dcache = decoded.funcs
         #: layout-successor map and block order per decoded function
         self._succ = decoded.succ
@@ -303,7 +406,7 @@ class Interpreter:
             for depth in range(len(frames) - 1, -1, -1):
                 fname, label, index, regs = frames[depth]
                 func = self.module.functions[fname]
-                _, blocks = self._decode(func)
+                _, blocks = self._dcache.get(fname) or self.decoded.decode(func)
                 if depth < len(frames) - 1:
                     dest = blocks[label][index - 1][1]  # the pending call's
                     if dest is not None:
@@ -343,59 +446,6 @@ class Interpreter:
     def count_dict(self) -> Dict[Opcode, int]:
         return {op: self.counts[i] for i, op in enumerate(OPCODES) if self.counts[i]}
 
-    # -- decoding -------------------------------------------------------------
-    def _decode(self, func: Function) -> Tuple[str, Dict[str, list]]:
-        cached = self._dcache.get(func.name)
-        if cached is not None:
-            return cached
-        region = self.fault_region
-        blocks: Dict[str, list] = {}
-        for label in func.block_order():
-            in_region = True if region is None else region.contains(func.name, label)
-            decoded = []
-            for idx, instr in enumerate(func.blocks[label].instrs):
-                ops = []
-                for a in instr.args:
-                    if isinstance(a, Reg):
-                        ops.append((True, a.name))
-                    elif isinstance(a, GlobalAddr):
-                        ops.append((False, self.memory.global_addr(a.name)))
-                    else:
-                        assert isinstance(a, Const)
-                        ops.append((False, a.value))
-                code = _CODE[instr.op]
-                want = OPERAND_ARITY[code]
-                if want is not None and len(ops) not in want:
-                    raise CoreDumpError(
-                        f"@{func.name}:{label}: {instr.op.value} expects "
-                        f"{' or '.join(map(str, want))} operand(s), got {len(ops)}"
-                    )
-                dest = instr.dest.name if instr.dest is not None else None
-                if instr.op is Opcode.BR:
-                    extra = instr.labels[0]
-                elif instr.op is Opcode.CBR:
-                    extra = ((func.name, label, idx), instr.labels[0], instr.labels[1])
-                elif instr.op is Opcode.CALL:
-                    # the callee, and where the caller resumes after it
-                    extra = (instr.callee, idx + 1)
-                elif instr.op is Opcode.INTRIN:
-                    extra = instr.callee
-                elif instr.op in (Opcode.ICMP, Opcode.FCMP):
-                    extra = _PRED[instr.pred]
-                else:
-                    extra = None
-                decoded.append((code, dest, tuple(ops), extra, in_region))
-            blocks[label] = decoded
-        order = tuple(func.block_order())
-        nextmap: Dict[str, Optional[str]] = {
-            lab: (order[i + 1] if i + 1 < len(order) else None)
-            for i, lab in enumerate(order)
-        }
-        self._succ[func.name] = (nextmap, order)
-        entry = order[0]
-        self._dcache[func.name] = (entry, blocks)
-        return entry, blocks
-
     # -- fault machinery ---------------------------------------------------
     def _inject(self, regs: Dict[str, object]) -> None:
         plan = self.fault_plan
@@ -416,15 +466,8 @@ class Interpreter:
         slots = []  # the current frame is always on the stack
         for frame in self._frames:
             slots.extend((frame, name) for name in sorted(frame))
-        if not slots:
-            return
-        # the SEU lands somewhere in a fixed-size physical register file;
-        # slots not currently holding live program values absorb the flip
-        # (architectural masking — the dominant effect in the paper's
-        # UNSAFE runs)
-        nfile = max(REGISTER_FILE_SIZE, len(slots))
-        k = int(plan.pick * nfile)
-        if k >= len(slots):
+        k = victim_index(len(slots), plan.pick)
+        if k is None:
             return
         frame, name = slots[k]
         frame[name] = flip_value(frame[name], plan.bit)
@@ -439,7 +482,7 @@ class Interpreter:
     ) -> Tuple[object, int]:
         if depth > MAX_CALL_DEPTH:
             raise CoreDumpError(f"call depth exceeded in @{func.name}")
-        entry, blocks = self._decode(func)
+        entry, blocks = self._dcache.get(func.name) or self.decoded.decode(func)
 
         regs: Dict[str, object] = {}
         times: Dict[str, int] = {}

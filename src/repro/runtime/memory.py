@@ -17,6 +17,32 @@ from .errors import SegfaultError
 DEFAULT_SIZE = 1 << 16
 
 
+def check_addr(addr, size: int) -> int:
+    """The cell index of *addr* in a memory of *size* cells, or a
+    :class:`SegfaultError`: an integral float is taken as its integer, any
+    other non-integer is an invalid address, and the null guard
+    ``[0, 8)`` and everything from *size* up are out of bounds.  Every
+    load and store of every engine checks its address here."""
+    if isinstance(addr, float):
+        if not addr.is_integer():
+            raise SegfaultError(addr, f"non-integer address {addr!r}")
+        addr = int(addr)
+    if not isinstance(addr, int):
+        raise SegfaultError(addr, f"invalid address {addr!r}")
+    if addr < 8 or addr >= size:
+        raise SegfaultError(addr)
+    return addr
+
+
+def global_addr(layout: Dict[str, int], name: str) -> int:
+    """The base address of global *name* in *layout* (name -> address),
+    or a :class:`SegfaultError` for a global the layout lacks."""
+    try:
+        return layout[name]
+    except KeyError:
+        raise SegfaultError(None, f"unknown global @{name}") from None
+
+
 class Memory:
     """Bounds-checked flat memory with global layout and bump allocation."""
 
@@ -62,30 +88,14 @@ class Memory:
         self._brk = brk
 
     def global_addr(self, name: str) -> int:
-        try:
-            return self.globals[name]
-        except KeyError:
-            raise SegfaultError(None, f"unknown global @{name}") from None
+        return global_addr(self.globals, name)
 
     # -- access -------------------------------------------------------------
     def load(self, addr) -> float:
-        idx = self._check(addr)
-        return self.cells[idx]
+        return self.cells[check_addr(addr, self.size)]
 
     def store(self, addr, value) -> None:
-        idx = self._check(addr)
-        self.cells[idx] = value
-
-    def _check(self, addr) -> int:
-        if isinstance(addr, float):
-            if not addr.is_integer():
-                raise SegfaultError(addr, f"non-integer address {addr!r}")
-            addr = int(addr)
-        if not isinstance(addr, int):
-            raise SegfaultError(addr, f"invalid address {addr!r}")
-        if addr < 8 or addr >= self.size:
-            raise SegfaultError(addr)
-        return addr
+        self.cells[check_addr(addr, self.size)] = value
 
     # -- convenience for harnesses ------------------------------------------
     def write_array(self, base: int, values: Sequence[float]) -> None:

@@ -66,7 +66,7 @@ from .errors import TRIAL_TRAPS, classify_trap
 from .faults import FaultPlan, Region
 from .interpreter import (_INTRIN, _NEVER, DecodedProgram, Interpreter,
                           MachineState, ResumeFrame, RunResult)
-from .memory import Memory
+from .memory import Memory, check_addr
 
 #: a capture holds at most SNAPSHOTS snapshots, evenly spaced over the
 #: golden run's region steps (more than half as many on a long run)
@@ -317,7 +317,7 @@ class _WriteLog(Memory):
         self.written: set = set()
 
     def store(self, addr, value) -> None:
-        idx = self._check(addr)
+        idx = check_addr(addr, self.size)
         self.cells[idx] = value
         self.written.add(idx)
 

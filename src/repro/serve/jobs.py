@@ -32,7 +32,7 @@ from typing import Dict, List, Optional
 
 from ..eval import campaign_profiles, injection_scale
 from ..eval.campaign_engine import CheckpointBusyError, run_campaign_parallel
-from ..pipeline.cache import write_atomic
+from ..pipeline.cache import sweep_stale_tmp, write_atomic
 from ..pipeline.registry import canonical_scheme
 from ..workloads import get_workload
 
@@ -112,8 +112,12 @@ class JobManager:
         """Load persisted records; re-submit unfinished jobs with resume.
 
         Returns the ids that were resumed, oldest first — the restart
-        half of the crash-recovery contract.
+        half of the crash-recovery contract.  Temp files a killed daemon
+        left behind in the job and checkpoint directories (older than
+        ``STALE_TMP_AGE``; a live writer's are newer) are removed first.
         """
+        for directory in (self.jobs_dir, self.checkpoints_dir):
+            sweep_stale_tmp(directory)
         try:
             names = sorted(os.listdir(self.jobs_dir))
         except OSError:

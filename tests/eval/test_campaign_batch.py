@@ -27,6 +27,7 @@ from repro.obs.events import sink_installed
 from repro.obs.sinks import MemorySink
 from repro.pipeline.registry import canonical_scheme
 from repro.runtime.backend import set_default_backend
+from repro.runtime import batch as batch_mod
 from repro.runtime.batch import BatchExecutor, fork_lanes
 from repro.runtime.errors import TRIAL_TRAPS, classify_trap
 from repro.runtime.faults import ADVERSARIAL_KIND_WEIGHTS
@@ -144,6 +145,40 @@ class TestLaneRuntimes:
             batch = run_trial_block_batch(
                 prepared, workload, inp, ctx, scheme, SEED, 0, 16, **kwargs)
             assert batch.to_dict() == serial, lanes
+
+
+class TestSharedDecode:
+    def test_slabs_share_one_slot_view(self, monkeypatch):
+        """A campaign decodes its program once: the lanes of every slab
+        run the slot view of the context's own decoded program."""
+        workload = get_workload("conv1d")
+        inp = workload.test_inputs(1, seed=SEED + 17, scale=SCALE)[0]
+        prepared = prepare(workload, "UNSAFE")
+        ctx = campaign_context(prepared, workload, inp)
+        frames = []
+        executors = set()
+
+        class Frame(batch_mod._Frame):
+            __slots__ = ()
+
+            def __init__(self, fname, blocks, *rest):
+                super().__init__(fname, blocks, *rest)
+                frames.append((fname, blocks))
+
+        real_run = BatchExecutor.run
+
+        def run(self, *args):
+            executors.add(self)
+            return real_run(self, *args)
+
+        monkeypatch.setattr(batch_mod, "_Frame", Frame)
+        monkeypatch.setattr(BatchExecutor, "run", run)
+        run_trial_block_batch(prepared, workload, inp, ctx, "UNSAFE", SEED,
+                              0, 24, lanes=12)
+        assert len(executors) == 2 and frames
+        functions = prepared.module.functions
+        for fname, blocks in frames:
+            assert blocks is ctx.decoded.slotted(functions[fname])[1], fname
 
 
 class TestSharedRuntime:

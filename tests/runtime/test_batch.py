@@ -18,7 +18,8 @@ from repro.runtime.batch import SCALAR_CUTOFF, BatchExecutor
 from repro.runtime.errors import CoreDumpError, HangError, SegfaultError
 from repro.runtime.faults import FaultPlan, Region
 from repro.runtime.compiler import CompiledExecutor
-from repro.runtime.interpreter import Interpreter, MachineState, ResumeFrame
+from repro.runtime.interpreter import (DecodedProgram, Interpreter,
+                                      MachineState, ResumeFrame)
 from repro.runtime.memory import Memory
 
 LOOP_SUM = """
@@ -321,6 +322,33 @@ class TestConstruction:
         plans = [FaultPlan(step=3, kind="value"), FaultPlan(step=5, kind=kind)]
         with pytest.raises(ValueError, match="value flips only"):
             BatchExecutor(module, Memory(), 2, fault_plans=plans)
+
+    @pytest.mark.parametrize("other", ["module", "region", "layout"])
+    def test_decoded_program_for_another_program_rejected(self, other):
+        """Both engines refuse a shared decode built for another module,
+        fault region or global layout (it holds their global addresses
+        and region flags)."""
+        module = _load(LOOP_SUM)
+        region = _region(module)
+        memory = Memory()
+        memory.load_globals(module)
+        decoded = DecodedProgram(module, region, memory)
+        # the program it was built for fits
+        Interpreter(module, memory=Memory(), fault_region=region, decoded=decoded)
+        BatchExecutor(module, Memory(), 2, fault_region=region, decoded=decoded)
+        memory = Memory()
+        if other == "module":
+            module = _load(LOOP_SUM)
+        elif other == "region":
+            region = Region(blocks=(("main", "body"),))
+        else:
+            memory.allocate(4)  # the globals land 4 cells higher
+        with pytest.raises(ValueError, match="another module"):
+            Interpreter(module, memory=memory, fault_region=region,
+                        decoded=decoded)
+        with pytest.raises(ValueError, match="another module"):
+            BatchExecutor(module, memory, 2, fault_region=region,
+                          decoded=decoded)
 
     def test_unfinished_lane_memory_rejected(self):
         module = _load(LOOP_SUM)

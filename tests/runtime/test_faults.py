@@ -19,6 +19,8 @@ from repro.runtime import (
     random_plan,
 )
 
+from repro.runtime.faults import REGISTER_FILE_SIZE, victim_index
+
 from ..conftest import build_dot_module, run_main, seed_memory
 
 
@@ -183,6 +185,25 @@ class TestPlans:
             assert (old.step, old.bit, old.pick) == (
                 b.randrange(300), b.randrange(64), b.random())
             del x
+
+
+class TestVictimIndex:
+    """Where a value flip lands in the modelled register file."""
+
+    def test_a_pick_past_the_live_slots_is_masked(self):
+        assert victim_index(3, 2 / REGISTER_FILE_SIZE) == 2
+        assert victim_index(3, 3 / REGISTER_FILE_SIZE) is None
+        assert victim_index(3, 0.5) is None
+        assert victim_index(0, 0.0) is None  # no live register at all
+
+    def test_more_live_slots_than_the_file_grow_it(self):
+        live = REGISTER_FILE_SIZE + 36
+        assert victim_index(live, 0.5) == 50
+        assert victim_index(live, 0.999) == live - 1
+        # every slot of a file the live values fill is a victim but the
+        # pick of exactly 1.0, which lands one past the end
+        assert victim_index(live, 1.0) is None
+        assert victim_index(REGISTER_FILE_SIZE, 0.999) == REGISTER_FILE_SIZE - 1
 
 
 class TestRegion:

@@ -2,6 +2,8 @@ import pytest
 
 from repro.ir import Module
 from repro.runtime import Memory, SegfaultError
+from repro.runtime.batch import _LaneMem
+from repro.runtime.prefix import _WriteLog
 
 
 class TestBounds:
@@ -33,6 +35,23 @@ class TestBounds:
     def test_invalid_size(self):
         with pytest.raises(ValueError):
             Memory(0)
+
+
+class TestOneAddressCheck:
+    """The reference memory, the golden check's write log and a batch
+    lane's memory view reject an address with the same segfault."""
+
+    @pytest.mark.parametrize("addr", [10.5, "x", 7, 64])
+    def test_every_memory_raises_the_same_segfault(self, addr):
+        memories = [Memory(64), _WriteLog(Memory(64)),
+                    _LaneMem([0.0] * 64, {}, 64, {}, {}, 8)]
+        seen = set()
+        for memory in memories:
+            for access in (memory.load, lambda a: memory.store(a, 1.0)):
+                with pytest.raises(SegfaultError) as info:
+                    access(addr)
+                seen.add((type(info.value), str(info.value), info.value.address))
+        assert len(seen) == 1, seen
 
 
 class TestAllocation:

@@ -3,6 +3,7 @@ dedup, admission control, job records, and the dispatch-level 429."""
 import asyncio
 import json
 import os
+import time
 
 import pytest
 
@@ -203,7 +204,6 @@ class TestJobManager:
                 {"workload": "conv1d", "scheme": "UNSAFE", "trials": 4,
                  "scale": 0.35})
             deadline = 60
-            import time
             t0 = time.time()
             while record.status not in ("done", "failed"):
                 assert time.time() - t0 < deadline
@@ -238,7 +238,6 @@ class TestJobManager:
             record = manager.submit(
                 {"workload": "conv1d", "scheme": "UNSAFE", "trials": 4,
                  "scale": 0.35})
-            import time
             t0 = time.time()
             while record.status not in ("done", "failed"):
                 assert time.time() - t0 < 60
@@ -268,3 +267,23 @@ class TestJobManager:
             assert fresh.get("002-junk") is None
         finally:
             fresh.shutdown()
+
+    def test_recover_sweeps_orphaned_temp_files(self, tmp_path):
+        manager = JobManager(str(tmp_path))
+        two_hours_ago = time.time() - 2 * 3600
+        planted = {}
+        for directory in (manager.jobs_dir, manager.checkpoints_dir):
+            old = os.path.join(directory, ".x.tmp")
+            fresh = os.path.join(directory, ".y.tmp")
+            for path in (old, fresh):
+                with open(path, "w", encoding="utf-8") as handle:
+                    handle.write("{")
+            os.utime(old, (two_hours_ago, two_hours_ago))
+            planted[directory] = (old, fresh)
+        try:
+            assert manager.recover() == []
+            for old, fresh in planted.values():
+                assert not os.path.exists(old)
+                assert os.path.exists(fresh)
+        finally:
+            manager.shutdown()
