@@ -187,19 +187,24 @@ def _run_trial(
     plan: FaultPlan,
     handoff: bool,
 ) -> TrialRow:
-    """One faulted trial on the reference interpreter, from a freshly
-    reset runtime (``caught`` comes from its stats delta), fast-forwarded
-    from the campaign's golden prefix (from scratch on a context without
-    one) and, with *handoff*, ended at the golden run once it re-joins
-    it or else finished on the compiled backend once its fault has
-    acted."""
+    """One faulted trial, from a freshly reset runtime (``caught`` comes
+    from its stats delta).  With *handoff*, a trial whose plan the
+    campaign's golden prefix finds masked settles as the golden row
+    without running (:meth:`~repro.runtime.prefix.GoldenPrefix.settle`).
+    Every other trial runs on the reference interpreter, fast-forwarded
+    from the golden prefix (from scratch on a context without one) and,
+    with *handoff*, ended at the golden run once it re-joins it or else
+    finished on the compiled backend once its fault has acted."""
     runtime = prepared.runtime
     since = None
     if runtime is not None:
         runtime.reset()
         since = runtime.total_stats()
-    memory = workload.fresh_memory(prepared.module, inp)
     golden = ctx.prefix
+    if handoff and golden is not None and golden.masked(plan):
+        fresh = partial(workload.fresh_memory, prepared.module, inp)
+        return _mark_caught(golden.settle(fresh, runtime), runtime, since)
+    memory = workload.fresh_memory(prepared.module, inp)
     state = None
     if golden is not None:
         state = golden.state_for(plan.step, memory, runtime)
@@ -431,19 +436,22 @@ def trial_rows(
     Each trial starts from a freshly reset runtime, so a fault that
     corrupts predictor state cannot bias the next trial, and ``caught``
     comes from a per-trial stats delta.  ``"ref"`` and ``"compiled"``
-    run the plans one by one on the reference interpreter
-    (:func:`_run_trial`), each fast-forwarded to the latest snapshot of
-    *ctx*'s golden prefix at or before its fault step; ``"compiled"``
-    finishes each on the compiled backend once its fault has acted, or
-    at the golden run once it re-joins it.  ``"batch"`` runs the value
+    run the plans one by one (:func:`_run_trial`).  ``"ref"`` runs each
+    on the reference interpreter, fast-forwarded to the latest snapshot
+    of *ctx*'s golden prefix at or before its fault step.  ``"compiled"``
+    ends each trial early in one of three ways: a masked value flip
+    settles as the golden row at plan time without running; any other
+    trial runs on the reference as ``"ref"`` does and ends at the golden
+    run once it re-joins it, or else is handed off to the compiled
+    backend once its fault has acted.  ``"batch"`` runs the value
     flips of each slab of up to *lanes* plans as one BatchExecutor run,
     and every other plan as ``"compiled"`` does.  A runtime-stateful
     scheme gives every lane slot its own fork of ``prepared.runtime``
     (:func:`~repro.runtime.batch.fork_lanes`); the executor runs the
     lanes on one shared copy of that state until their intrinsic calls
     diverge, and leaves each lane's statistics in its own fork.
-    Rows are identical across backends, slab widths, fast-forwarding and
-    hand-offs (difftest oracles O5 and O6 compare them).
+    Rows are identical across backends, slab widths, fast-forwarding,
+    settlement and hand-offs (difftest oracles O5 and O6 compare them).
     """
     if backend != "batch":
         for plan in plans:

@@ -8,10 +8,11 @@ per operand (constant folded into the generated source, register slot
 index baked in, global address resolved through a per-run table), and
 comparison predicates are baked into the generated expression.  Runs of
 straight-line instructions are fused into a single *superinstruction*
-closure that commits ``steps`` in bulk.  Each innermost natural loop
-with no ``call``/``intrin`` compiles into one *loop closure*: a
-``while`` loop over its blocks with a local step counter and local
-block-hit counters, which returns the block the loop exits to.
+closure that commits ``steps`` in bulk.  Each outermost natural loop
+with no ``call``/``intrin`` in any of its blocks, nested loops included,
+compiles into one *loop closure*: a ``while`` loop over its blocks with
+a local step counter and local block-hit counters, which returns the
+block the loop exits to.
 
 Per-opcode counts are not kept on the hot path.  The executor counts
 block *hits* (one per block entry; a loop closure counts its own), and
@@ -366,9 +367,9 @@ def _segment(cl: _Closure, recs, start: int, stop: int, edge=None) -> None:
 
 def _loop_closure(cl: _Closure, fname: str, members: Sequence[int],
                   records) -> Tuple[List[str], List[str]]:
-    """Emit one call-free loop as a single closure ``_op(R, st, blk)``.
+    """Emit one call-free loop nest as a single closure ``_op(R, st, blk)``.
 
-    It runs the *members* blocks (header first) in one ``while`` loop
+    It runs the *members* blocks (in dispatch order) in one ``while`` loop
     from block ``blk`` on: a local step counter ``s`` (committed before
     each block, hang-checked against ``lim``) and local block-hit
     counters ``h<k>``, bumped on each edge into block ``k`` inside the
@@ -470,7 +471,7 @@ class CompiledFunction:
         #: source line of a generated instruction -> its index in its block
         self.line_instr = line_instr
         #: per block: the member blocks of the loop closure it runs in
-        #: (header first), or ``None``
+        #: (in its dispatch order, innermost loop first), or ``None``
         self.loops = loops
         #: per block: ``(code, count)`` of its generated instructions —
         #: one block hit adds these to the per-opcode counts
@@ -510,41 +511,50 @@ def _compile_units(fname: str, lbl: str, recs) -> list:
             for i, rec in enumerate(recs)]
 
 
-def _inner_loops(func: Function, labels, records) -> List[Tuple[int, ...]]:
-    """The innermost natural loops of *func* that a loop closure can run:
-    every block ends in ``br``/``cbr`` and holds no ``call``/``intrin``.
-    Each as its block indices, header first; no block in two."""
+def _loop_nests(func: Function, labels,
+                records) -> List[Tuple[int, Tuple[int, ...]]]:
+    """The outermost natural loops of *func* that a loop closure can run:
+    every block, those of nested loops included, ends in ``br``/``cbr``
+    and holds no ``call``/``intrin``.  Each as its header and its block
+    indices, the most deeply nested first and then in block order (a
+    back edge re-enters the closure's block dispatch at its top, so the
+    innermost loop's blocks are found first); no block in two."""
     if not labels:
         return []
     index = {lbl: i for i, lbl in enumerate(labels)}
-    loops: List[Tuple[int, ...]] = []
+    nests: List[Tuple[int, Tuple[int, ...]]] = []
     taken: set = set()
-    for loop in find_loops(func):
-        if loop.children:
-            continue
-        members = sorted(index[lbl] for lbl in loop.blocks)
+    for loop in find_loops(func):  # outermost first
+        members = [index[lbl] for lbl in loop.blocks]
         if taken.intersection(members) or not all(
                 records[b] and records[b][-1][0] in (_BR, _CBR)
                 and not any(r[0] in (_CALL, _INTRIN) for r in records[b])
                 for b in members):
             continue
-        head = index[loop.header]
-        members.remove(head)
-        loops.append((head, *members))
+        depth = dict.fromkeys(members, 0)
+        pending = [loop]
+        while pending:
+            inner = pending.pop()
+            pending.extend(inner.children)
+            for lbl in inner.blocks:
+                depth[index[lbl]] += 1
+        nests.append((index[loop.header],
+                      tuple(sorted(members, key=lambda b: (-depth[b], b)))))
         taken.update(members)
-        taken.add(head)
-    return loops
+    return nests
 
 
 def _compile_function(cm: "CompiledModule", func: Function) -> CompiledFunction:
     slot_of, nregs, nparams, labels, records, undeclared = _decode_function(
         func, cm.gindex
     )
-    loops = _inner_loops(func, labels, records)
+    nests = _loop_nests(func, labels, records)
     loop_of: List[Optional[Tuple[int, ...]]] = [None] * len(labels)
-    for members in loops:
+    head_of: Dict[int, int] = {}
+    for head, members in nests:
         for b in members:
             loop_of[b] = members
+            head_of[b] = head
     src_parts: List[str] = []
     #: per block: its closures' (maker name, maker args), or its loop's
     #: header
@@ -567,17 +577,17 @@ def _compile_function(cm: "CompiledModule", func: Function) -> CompiledFunction:
         return name
 
     loop_makers: Dict[int, tuple] = {}
-    for members in loops:
+    for head, members in nests:
         cl = _Closure()
         names, prologue = _loop_closure(cl, func.name, members, records)
         hs = [[None, b, 0, len(records[b])] for b in members]
         handles.extend(hs)
-        name = add_part(cl, names, f"R, st, blk={members[0]}", prologue)
-        loop_makers[members[0]] = (name, hs + cl.consts)
+        name = add_part(cl, names, f"R, st, blk={head}", prologue)
+        loop_makers[head] = (name, hs + cl.consts)
 
     for bi, (lbl, recs) in enumerate(zip(labels, records)):
         if loop_of[bi] is not None:
-            pending_blocks.append(loop_of[bi][0])
+            pending_blocks.append(head_of[bi])
             spans.append(((0, len(recs), True),))
             continue
         pending: list = []

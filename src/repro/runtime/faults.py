@@ -4,8 +4,15 @@ One fault per run, injected into the architectural state of the simulated
 core at a uniformly random point of the (optionally restricted) dynamic
 instruction stream.  The SEU kinds model where a bit-flip upset lands:
 
-* ``value`` — a random bit of a random *register* of the current frame
-  (live or stale; stale hits are how faults get architecturally masked);
+* ``value`` — a random bit of one slot of a ``REGISTER_FILE_SIZE``-slot
+  register file (more slots when the stack holds more registers): the
+  name-sorted registers of every frame on the stack, outermost first,
+  live or stale, then the empty slots (:func:`victim_index`).  A flip
+  that lands on an empty slot, or on a register not live where its
+  frame is (an outer frame at its resume point, less its pending call's
+  dest), leaves the run the golden one: on every backend but ``ref``
+  such a trial settles as the golden row without running
+  (``prefix.GoldenPrefix.masked``);
 * ``branch`` — the next conditional branch takes the wrong direction
   (modelling the opcode-field flips the paper names as the residual
   failures of software-only schemes);

@@ -1,4 +1,4 @@
-"""Golden-prefix snapshots: fast-forwarding faulted trials.
+"""Golden-prefix snapshots: ending faulted trials early.
 
 A campaign trial injects one fault at a uniformly random in-region step
 (paper section 7.2), so everything it executes before that step replays
@@ -6,9 +6,10 @@ the fault-free golden run.  :func:`capture` runs the golden execution
 once on the reference interpreter — the one golden run a campaign
 makes.  It records a segment at every block entry and every return into
 a caller (:attr:`GoldenPrefix.segments`: which instruction each region
-step executes), the golden run's runtime events, and a :class:`Snapshot`
-at the first block entry, at any call depth, at or past each of evenly
-spaced region-step thresholds:
+step executes) with the innermost frame's activation and register
+count, the golden run's runtime events, its final state, and a
+:class:`Snapshot` at the first block entry, at any call depth, at or
+past each of evenly spaced region-step thresholds:
 
 * the frame stack, each caller resuming after its pending ``call``;
 * memory as a diff against the initial image (every cell written so
@@ -18,42 +19,47 @@ spaced region-step thresholds:
   which shares trained profiles and configs by reference);
 * how many of the golden run's runtime events precede it.
 
-:meth:`GoldenPrefix.state_for` turns the latest snapshot at or before a
-plan's step into a :class:`~repro.runtime.interpreter.MachineState`:
-it patches the trial's fresh memory, restores the runtime and re-emits
-the recorded events.  Trap, outputs, ``steps``, ``region_steps`` and
-runtime statistics of the continued trial equal a from-scratch trial's.
+A default-backend trial (every backend but ``ref``; batch lanes
+excepted) ends early in one of three ways:
 
-:func:`finish` runs every faulted trial to its end and returns its
-:class:`TrialRow`: a campaign trial from its snapshot state (or from
-the start) and a batch lane from the state it leaves lockstep with.  It
-runs the reference interpreter; with ``handoff`` (every backend but
-``ref``) a :class:`HandOff` hook passes the trial to the compiled
-backend once its fault has fully acted, of whatever kind — unless a
-skip or cf fault left a register unwritten that is live where the
-trial's frames resume (:meth:`DecodedProgram.live_at`).  Only the
-reference turns a read of one into a core dump, so that trial stays
-on it to its end.
+1. **Settled at plan time.**  A value flip whose victim is an empty
+   slot of the register file or a register dead where its frame is
+   (:meth:`GoldenPrefix.masked`) leaves the run the golden one, so the
+   trial never runs: :meth:`GoldenPrefix.settle` returns the golden
+   row.
+2. **At the golden exit.**  :meth:`GoldenPrefix.state_for` turns the
+   latest snapshot at or before the plan's step into a
+   :class:`~repro.runtime.interpreter.MachineState` (it patches the
+   trial's fresh memory, restores the runtime and re-emits the recorded
+   events), and :func:`finish` runs the trial on the reference
+   interpreter.  A :class:`HandOff` hook keeps it there up to the first
+   snapshot at or after the point its fault has fully acted and
+   compares it with that snapshot, once (:meth:`GoldenPrefix.matches`):
+   both step counters, frame positions, every register live at each
+   frame's resume point, every memory cell and ``brk``, the loop
+   runtimes' run state and their statistics except the recovery
+   counters (:data:`RECOVERY_COUNTERS`).  Such a trial runs on a
+   :class:`_WriteLog` of its memory, so the memory check reads only the
+   cells the snapshot holds and the cells the trial stored to.  A match
+   ends the trial with the golden run's row (:meth:`GoldenPrefix.exit`);
+   the exit is armed only when the golden run counted no recovery
+   activity (:attr:`GoldenPrefix.end`).
+3. **Handed off.**  Otherwise the hook passes the trial to the compiled
+   backend once its fault has fully acted, of whatever kind — unless a
+   skip or cf fault left a register unwritten that is live where the
+   trial's frames resume (:meth:`DecodedProgram.live_at`).  Only the
+   reference turns a read of one into a core dump, so that trial stays
+   on it to its end.
 
-A campaign trial that re-joins the golden run only replays it from
-there on.  Given the golden prefix its state came from, the hook keeps
-the trial on the reference interpreter up to the first snapshot at or
-after the point its fault has fully acted and compares it with that
-snapshot, once (:meth:`GoldenPrefix.matches`): both step counters,
-frame positions, every register live at each frame's resume point,
-every memory cell and ``brk``, the loop runtimes' run state and their
-statistics except the recovery counters (:data:`RECOVERY_COUNTERS`).
-Such a trial runs on a :class:`_WriteLog` of its memory, so the memory
-check reads only the cells the snapshot holds and the cells the trial
-stored to: every other cell still holds its initial image value.
-A match ends the trial with the golden run's row
-(:meth:`GoldenPrefix.exit`); a mismatch hands it off.  The exit is
-armed only when the golden run counted no recovery activity
-(:class:`GoldenEnd`).  Batch lanes do not use the prefix and ``ref``
-trials have no hook, so neither ends early.
+Trap, outputs, ``steps``, ``region_steps`` and runtime statistics of
+every trial equal a from-scratch reference trial's.  :func:`finish`
+also ends batch lanes, from the state they leave lockstep with; they
+hand off but neither settle nor exit, and ``ref`` trials have no hook,
+so they run every instruction on the reference interpreter.
 """
 from __future__ import annotations
 
+import copy
 import math
 from bisect import bisect_left, bisect_right
 from collections import deque
@@ -63,7 +69,7 @@ from ..obs.events import diverted, emit as obs_emit, enabled as obs_enabled
 from ..obs.sinks import MemorySink
 from .compiler import CompiledExecutor, CompiledModule
 from .errors import TRIAL_TRAPS, classify_trap
-from .faults import FaultPlan, Region
+from .faults import FaultPlan, Region, victim_index
 from .interpreter import (_INTRIN, _NEVER, DecodedProgram, Interpreter,
                           MachineState, ResumeFrame, RunResult)
 from .memory import Memory, check_addr
@@ -97,7 +103,8 @@ class Snapshot(NamedTuple):
 
 class GoldenEnd(NamedTuple):
     """The golden execution's final state: where a trial that re-joins
-    it ends (its value and step counters are :attr:`GoldenPrefix.result`'s)."""
+    it or never leaves it ends (its value and step counters are
+    :attr:`GoldenPrefix.result`'s)."""
 
     #: cell address -> final value of every cell the golden run wrote
     cells: Dict[int, object]
@@ -111,17 +118,20 @@ class GoldenPrefix:
     snapshots, in region-step order."""
 
     def __init__(self, snapshots: List[Snapshot], events: list,
-                 decoded: DecodedProgram, end: Optional[GoldenEnd],
-                 result: RunResult, segments: List[Tuple[str, str, int, int]]):
+                 decoded: DecodedProgram, final: GoldenEnd, converges: bool,
+                 result: RunResult, segments: List[Tuple[str, str, int, int]],
+                 frames: List[Tuple[int, "_Activation", int]]):
         self.snapshots = snapshots
         self._marks = [snap.region_steps for snap in snapshots]
         #: the golden run's runtime events
         self.events = events
         #: the program the golden run executed (its liveness is queried)
         self.decoded = decoded
+        #: the golden run's end, where a trial whose flip is masked ends
+        self.final = final
         #: the golden run's end, or ``None`` when trials may not exit
         #: there (the golden run counted recovery activity)
-        self.end = end
+        self.end = final if converges else None
         #: the golden run's value and both step counters
         self.result = result
         #: ``(function, label, first index, region_steps)`` at every block
@@ -129,9 +139,20 @@ class GoldenPrefix:
         #: the call), in run order: until the next segment, each region
         #: step executes the next instruction of that block
         self.segments = segments
-        #: the initial memory image the snapshots' diffs apply to, copied
-        #: from the first memory :meth:`state_for` patches
-        self._image: Optional[list] = None
+        #: ``(first segment, activation, count)`` wherever the innermost
+        #: frame's activation or its register count at a segment (before
+        #: a return's call dest) changed, in run order
+        self._frames = frames
+        #: the first region step and the first frames entry of each
+        #: segment, listed on first use
+        self._starts: Optional[List[int]] = None
+        self._frame_marks: Optional[List[int]] = None
+        #: the golden run's final memory (:meth:`_final_from`): every
+        #: settled row's memory and, but for the cells in ``_initial``
+        #: (the initial values of the cells the golden run wrote), the
+        #: initial image the snapshots' diffs apply to
+        self._final_memory: Optional[Memory] = None
+        self._initial: Dict[int, object] = {}
 
     def windows(self) -> Iterator[Tuple[str, str, int, int, int]]:
         """``(function, label, first index, first region step, length)``
@@ -151,8 +172,8 @@ class GoldenPrefix:
         *step*; returns the state to run from (trigger pending at
         *step*)."""
         snap = self.snapshots[bisect_right(self._marks, step) - 1]
-        if self.end is not None and self._image is None:
-            self._image = list(memory.cells)
+        if self.end is not None and self._final_memory is None:
+            self._final_from(memory)
         memory.patch(snap.cells, snap.brk)
         if runtime is not None:
             runtime.restore(snap.runtime)
@@ -161,6 +182,18 @@ class GoldenPrefix:
         frames = [f._replace(regs=dict(f.regs)) for f in snap.frames]
         return MachineState(frames, memory, snap.steps, snap.region_steps,
                             trigger=step)
+
+    def _final_from(self, memory: Memory) -> Memory:
+        """The golden run's final memory, built once: a copy of the fresh
+        *memory* patched with the golden run's final cells, the initial
+        values of those cells kept aside."""
+        final = self._final_memory
+        if final is None:
+            final = self._final_memory = copy.copy(memory)
+            cells = final.cells = list(memory.cells)
+            self._initial = {addr: cells[addr] for addr in self.final.cells}
+            final.patch(self.final.cells, self.final.brk)
+        return final
 
     def after(self, region_steps: int) -> Optional[Snapshot]:
         """The first snapshot at or after *region_steps*, if any."""
@@ -181,10 +214,10 @@ class GoldenPrefix:
         :func:`finish` gives a trial that can reach this check: only the
         snapshot's cells and the cells the trial stored to are read
         (:func:`_same_cells`), the latter against the initial image
-        :meth:`state_for` keeps, so it never matches before one.  That
-        is exact because every cell outside both still holds its image
-        value, and the golden run's written cells only grow from the
-        snapshot the trial restored to *snap*."""
+        kept since :meth:`state_for` first ran, so it never matches
+        before one.  That is exact because every cell outside both still
+        holds its image value, and the golden run's written cells only
+        grow from the snapshot the trial restored to *snap*."""
         if (state.steps != snap.steps or state.region_steps != snap.region_steps
                 or len(state.frames) != len(snap.frames)):
             return False
@@ -198,10 +231,10 @@ class GoldenPrefix:
                 if value is _MISSING or not _same(
                         value, golden_regs.get(name, _MISSING)):
                     return False
-        memory = state.memory
-        if (self._image is None or memory.brk != snap.brk
+        memory, final = state.memory, self._final_memory
+        if (final is None or memory.brk != snap.brk
                 or not _same_cells(memory.cells, snap.cells, memory.written,
-                                   self._image)):
+                                   final.cells, self._initial)):
             return False
         if runtime is not None:
             loops = runtime.loops
@@ -234,6 +267,72 @@ class GoldenPrefix:
         return TrialRow(result.value, result.steps, result.region_steps, None,
                         False, memory)
 
+    def masked(self, plan: FaultPlan) -> bool:
+        """Whether *plan* is a value flip that leaves its trial the golden
+        run: its victim (:func:`~repro.runtime.faults.victim_index` over
+        the name-sorted registers of the frame stack at the plan's step)
+        is an empty slot of the register file, or a register that is
+        not live there — in an outer frame, where it resumes, without
+        its pending call's dest (the rule of :meth:`matches`).
+
+        The innermost frame's registers are its first registers at the
+        segment holding the step (a dict only grows, in insertion order)
+        plus the dests the segment wrote before the step, the call's
+        first after a return; an outer frame's are its first registers
+        at its call."""
+        if plan.kind != "value":
+            return False
+        if self._starts is None:
+            self._starts = [seg[3] for seg in self.segments]
+            self._frame_marks = [entry[0] for entry in self._frames]
+        k = bisect_right(self._starts, plan.step) - 1
+        func, label, index, start = self.segments[k]
+        _, act, count = self._frames[bisect_right(self._frame_marks, k) - 1]
+        at = index + plan.step - start
+        names = set(act.keys[:count])
+        for instr in self.decoded.funcs[func][1][label][index and index - 1:at]:
+            if instr[1] is not None:
+                names.add(instr[1])
+        frames = [(func, label, at, names)]
+        while act.parent is not None:
+            caller = act.parent
+            frames.append((caller.func, act.label, act.index,
+                           caller.keys[:act.outer]))
+            act = caller
+        frames.reverse()
+        victim = victim_index(sum(len(frame[3]) for frame in frames), plan.pick)
+        if victim is None:
+            return True
+        last = len(frames) - 1
+        for depth, (func, label, index, names) in enumerate(frames):
+            if victim < len(names):
+                live = self.decoded.live_at(
+                    ResumeFrame(func, label, index, None), depth < last)
+                return sorted(names)[victim] not in live
+            victim -= len(names)
+        raise AssertionError("victim_index returned a slot past the stack")
+
+    def settle(self, fresh_memory, runtime=None) -> "TrialRow":
+        """The row of a trial whose plan is :meth:`masked`, without running
+        it: the golden run's value and step counters with no trap, and
+        its final memory (one per prefix, built once on
+        ``fresh_memory()``; a row's memory is only read).  *runtime*,
+        freshly reset, takes each loop's final golden statistics, so
+        ``caught`` is the golden run's.  Under tracing the golden run's
+        events are re-emitted, as the trial would emit them."""
+        memory = self._final_memory
+        if memory is None:
+            memory = self._final_from(fresh_memory())
+        if runtime is not None:
+            stats = self.final.stats
+            for ctx_id, loop in runtime.loops.items():
+                loop.stats = stats[ctx_id].copy()
+        if obs_enabled():
+            _replay(self.events)
+        result = self.result
+        return TrialRow(result.value, result.steps, result.region_steps, None,
+                        False, memory)
+
 
 def _replay(events) -> None:
     """Emit recorded runtime events (the golden run's, or a shared batch
@@ -253,18 +352,21 @@ def _same(a, b) -> bool:
 
 
 def _same_cells(cells: list, written: Dict[int, object], stored,
-                image: list) -> bool:
-    """Whether *cells* hold the golden memory: *image* overwritten by
-    *written*, given that every cell outside *written* and *stored* (the
-    trial's own stores) still holds its *image* value.  The *written*
-    cells compare with :func:`_same`; the trial's other stored cells
-    compare with the image as list equality does (``is`` or ``==``)."""
+                final: list, initial: Dict[int, object]) -> bool:
+    """Whether *cells* hold the golden memory: the initial image
+    overwritten by *written*, given that every cell outside *written* and
+    *stored* (the trial's own stores) still holds its initial value.  The
+    initial image is the golden run's *final* cells but for those it
+    wrote, whose initial values *initial* holds.  The *written* cells
+    compare with :func:`_same`; the trial's other stored cells compare
+    with the image as list equality does (``is`` or ``==``)."""
     for addr, value in written.items():
         if not _same(cells[addr], value):
             return False
     for addr in stored:
         if addr not in written:
-            have, want = cells[addr], image[addr]
+            have = cells[addr]
+            want = initial[addr] if addr in initial else final[addr]
             if have is not want and have != want:
                 return False
     return True
@@ -349,11 +451,33 @@ class _Hook:
                 in zip(interp._frame_funcs, positions, interp._frames)]
 
 
+class _Activation:
+    """One call the golden run made: its function, its caller's
+    activation, where the caller resumes and how many registers it held
+    at the call (none of these for the entry function), and its
+    registers — the frame's dict while it runs, its key tuple once it
+    has returned.  A frame's dict only grows, in insertion order, so a
+    register count at any point of the call names a prefix of that
+    tuple."""
+
+    __slots__ = ("func", "parent", "label", "index", "outer", "keys")
+
+    def __init__(self, func: str, parent: Optional["_Activation"] = None,
+                 label: Optional[str] = None, index: int = 0, outer: int = 0):
+        self.func = func
+        self.parent = parent
+        self.label = label
+        self.index = index
+        self.outer = outer
+        self.keys = ()
+
+
 class _Capture(_Hook):
     """The interpreter hook of the golden run: it pauses at every block
-    entry and records a segment there (and one after every call), and
-    snapshots the run at the first block entry at or past each multiple
-    of a spacing.  The spacing starts at one region step and doubles,
+    entry and records a segment there (and one after every call), with
+    the innermost frame's activation and register count, and snapshots
+    the run at the first block entry at or past each multiple of a
+    spacing.  The spacing starts at one region step and doubles,
     dropping every snapshot no multiple of the new spacing needs,
     whenever more than ``SNAPSHOTS`` are held: without knowing the run's
     length in advance, it ends with at most ``SNAPSHOTS`` evenly spaced
@@ -363,7 +487,8 @@ class _Capture(_Hook):
     #: pause at every block entry: each one starts a segment
     at = 0
 
-    def __init__(self, runtime, memory: _WriteLog, recorder: MemorySink):
+    def __init__(self, runtime, memory: _WriteLog, recorder: MemorySink,
+                 main: str):
         super().__init__()
         self._every = 1
         self._next = 0
@@ -374,18 +499,40 @@ class _Capture(_Hook):
         self._recorder = recorder
         self.snapshots: List[Snapshot] = []
         self.segments: List[Tuple[str, str, int, int]] = []
+        self.root = self._act = _Activation(main)
+        #: ``(first segment, innermost activation, its register count)``
+        #: at each segment where either changed
+        self.frames: List[Tuple[int, _Activation, int]] = []
+        self._count = -1
+        #: one key tuple per distinct register order of a returned call
+        self._keys: Dict[tuple, tuple] = {}
 
     def call(self, interp: Interpreter, label: str, index: int, callee,
              vals, vts, depth: int):
+        caller = self._act
+        count = len(interp._frames[-1])
+        act = self._act = _Activation(callee.name, caller, label, index, count)
+        self._count = -1  # the callee's first segment records it
         result = super().call(interp, label, index, callee, vals, vts, depth)
-        self.segments.append((interp._frame_funcs[-1], label, index,
-                              interp.region_steps))
+        keys = tuple(act.keys)
+        act.keys = self._keys.setdefault(keys, keys)
+        self._act = caller
+        self._count = count
+        segments = self.segments
+        self.frames.append((len(segments), caller, count))
+        segments.append((caller.func, label, index, interp.region_steps))
         return result
 
     def take(self, interp: Interpreter, label: str, index: int) -> int:
+        regs = interp._frames[-1]
+        act = self._act
+        segments = self.segments
+        if len(regs) != self._count:
+            act.keys = regs
+            self._count = len(regs)
+            self.frames.append((len(segments), act, self._count))
         region_steps = interp.region_steps
-        self.segments.append((interp._frame_funcs[-1], label, index,
-                              region_steps))
+        segments.append((act.func, label, index, region_steps))
         if region_steps >= self._next:
             self._snapshot(interp, label, index)
         return 0
@@ -504,7 +651,9 @@ def finish(module, memory, plan: Optional[FaultPlan], intrinsics: Dict[str, obje
     *golden* prefix *state* was restored from (and the *runtime* behind
     *intrinsics*), a trial that matches the first snapshot after its
     fault has acted ends there with the golden run's row
-    (:meth:`GoldenPrefix.exit`) instead."""
+    (:meth:`GoldenPrefix.exit`) instead.  The third early end, a masked
+    value flip settled at plan time (:meth:`GoldenPrefix.settle`), is
+    the caller's: such a trial never gets here."""
     if golden is not None and golden.end is None:
         golden = None
     if handoff and golden is not None:
@@ -560,16 +709,15 @@ def capture(
                          fault_region=region, decoded=decoded)
     interp.register_intrinsics(intrinsics)
     recorder = MemorySink(capacity=None)
-    hook = interp.capture = _Capture(runtime, log, recorder)
+    hook = interp.capture = _Capture(runtime, log, recorder, main)
     with diverted(recorder):
         result = interp.run(main, args)
-    end = None
-    if runtime is None or not any(getattr(runtime.total_stats(), name)
-                                  for name in RECOVERY_COUNTERS):
-        end = GoldenEnd({addr: log.cells[addr] for addr in log.written},
-                        log.brk,
-                        {} if runtime is None else
-                        {ctx_id: loop.stats.copy()
-                         for ctx_id, loop in runtime.loops.items()})
+    hook.root.keys = tuple(hook.root.keys)
+    final = GoldenEnd({addr: log.cells[addr] for addr in log.written}, log.brk,
+                      {} if runtime is None else
+                      {ctx_id: loop.stats.copy()
+                       for ctx_id, loop in runtime.loops.items()})
+    converges = runtime is None or not any(
+        getattr(runtime.total_stats(), name) for name in RECOVERY_COUNTERS)
     return GoldenPrefix(hook.snapshots, list(recorder.events), interp.decoded,
-                        end, result, hook.segments)
+                        final, converges, result, hook.segments, hook.frames)

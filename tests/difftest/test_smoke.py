@@ -11,17 +11,23 @@ SMOKE_SEED = 0
 SMOKE_N = 15
 
 
-def test_fixed_seed_smoke_is_clean():
-    report = run_difftest(seed=SMOKE_SEED, n=SMOKE_N, oracle="all", jobs=1)
+@pytest.fixture(scope="module")
+def serial_report():
+    """The serial fixed-seed report over every oracle, computed once for
+    the tests that read it."""
+    return run_difftest(seed=SMOKE_SEED, n=SMOKE_N, oracle="all", jobs=1)
+
+
+def test_fixed_seed_smoke_is_clean(serial_report):
+    report = serial_report
     assert report.violations == [], render_report(report)
     assert len(report.records) == SMOKE_N
     assert [r.index for r in report.records] == list(range(SMOKE_N))
 
 
-def test_report_is_byte_identical_across_jobs():
-    serial = run_difftest(seed=SMOKE_SEED, n=SMOKE_N, jobs=1)
+def test_report_is_byte_identical_across_jobs(serial_report):
     sharded = run_difftest(seed=SMOKE_SEED, n=SMOKE_N, jobs=2, chunk=4)
-    assert render_report(serial) == render_report(sharded)
+    assert render_report(serial_report) == render_report(sharded)
 
 
 def test_single_oracle_selection():

@@ -14,6 +14,7 @@ import bisect
 import copy
 import dataclasses
 import pickle
+import sys
 
 import pytest
 
@@ -35,9 +36,10 @@ from repro.runtime import prefix
 from repro.runtime.backend import make_executor, set_default_backend
 from repro.runtime.batch import SCALAR_CUTOFF
 from repro.runtime.compiler import CompiledExecutor
+from repro.runtime.interpreter import Interpreter
 from repro.runtime.faults import (
     ADVERSARIAL_KIND_WEIGHTS, CONTROL_KINDS, DEFAULT_KIND_WEIGHTS, FaultPlan,
-    flip_value)
+    flip_value, victim_index)
 from repro.workloads import ALL_WORKLOADS, get_workload
 
 SCALE = 0.35
@@ -91,6 +93,21 @@ def exited(monkeypatch):
 
     monkeypatch.setattr(prefix.GoldenPrefix, "exit", recorded)
     return snaps
+
+
+@pytest.fixture
+def settled(monkeypatch):
+    """One entry per trial that settled as the golden row without
+    running (its plan's victim was masked), in order."""
+    rows = []
+    golden_settle = prefix.GoldenPrefix.settle
+
+    def recorded(self, fresh_memory, runtime=None):
+        rows.append(golden_settle(self, fresh_memory, runtime))
+        return rows[-1]
+
+    monkeypatch.setattr(prefix.GoldenPrefix, "settle", recorded)
+    return rows
 
 
 def trial_rows(workload, prepared, inp, ctx, plans, handoff=False):
@@ -209,27 +226,38 @@ class TestEdges:
         assert_equivalent(workload, prepared, inp, ctx, plans)
 
 
-def handoff_rows(workload, prepared, inp, ctx, plans, handed_off, exited=()):
+def handoff_rows(workload, prepared, inp, ctx, plans, handed_off, exited=(),
+                 settled=()):
     """Per-trial observables with the hand-off on, and per plan whether
-    its trial finished on the compiled backend and whether it ended at
-    the golden run (recorded in *exited*)."""
-    rows, moved, ended = [], [], []
+    its trial finished on the compiled backend, whether it ended at the
+    golden run (recorded in *exited*) and whether it settled without
+    running (recorded in *settled*)."""
+    rows, moved, ended, settles = [], [], [], []
     for plan in plans:
-        before, exits = len(handed_off), len(exited)
+        before, exits, settles_before = len(handed_off), len(exited), len(settled)
         rows += trial_rows(workload, prepared, inp, ctx, [plan], handoff=True)
         moved.append(len(handed_off) > before)
         ended.append(len(exited) > exits)
-    return rows, moved, ended
+        settles.append(len(settled) > settles_before)
+    return rows, moved, ended, settles
+
+
+def no_settling(ctx):
+    """*ctx* over a copy of its golden prefix that settles no plan: every
+    trial runs, a masked one to the golden exit or a hand-off."""
+    golden = copy.copy(ctx.prefix)
+    golden.masked = lambda plan: False
+    return dataclasses.replace(ctx, prefix=golden)
 
 
 def assert_handoff_equivalent(workload, prepared, inp, ctx, plans, handed_off,
-                              exited=()):
+                              exited=(), settled=()):
     want = trial_rows(workload, prepared, inp, ctx, plans)
-    got, moved, ended = handoff_rows(workload, prepared, inp, ctx, plans,
-                                     handed_off, exited)
+    got, moved, ended, settles = handoff_rows(
+        workload, prepared, inp, ctx, plans, handed_off, exited, settled)
     for plan, a, b in zip(plans, want, got):
         assert b == a, plan
-    return want, moved, ended
+    return want, moved, ended, settles
 
 
 class TestHandoff:
@@ -240,25 +268,40 @@ class TestHandoff:
     @pytest.mark.parametrize("weights", sorted(WEIGHTS))
     @pytest.mark.parametrize("workload_name,scheme", CASES,
                              ids=[f"{w}-{s}" for w, s in CASES])
-    def test_rows_match_the_reference(self, handed_off, exited, workload_name,
-                                      scheme, weights):
+    def test_rows_match_the_reference(self, handed_off, exited, settled,
+                                      workload_name, scheme, weights):
         """Every trial that the reference does not end first (a trap or
-        detection) hands off or ends at the golden run, and some end
-        there.  That includes skip and cf trials: none of them leaves a
-        live register unwritten here without trapping."""
+        detection) takes exactly one early route: it settles as the
+        golden row without running (a masked value flip), hands off or
+        ends at the golden run, and some settle.  That includes skip and
+        cf trials: none of them leaves a live register unwritten here
+        without trapping.  With settlement off, the masked trials run
+        and each ends at the golden run or hands off, with the same
+        rows, and some trials end at the golden run."""
         workload, prepared, inp, ctx = campaign(workload_name, scheme)
         plans = seeded_plans(SEED, workload.name, scheme, 0, 24,
                              ctx.region_steps, WEIGHTS[weights])
-        rows, moved, ended = assert_handoff_equivalent(
-            workload, prepared, inp, ctx, plans, handed_off, exited)
-        assert not any(m and e for m, e in zip(moved, ended))
+        rows, moved, ended, settles = assert_handoff_equivalent(
+            workload, prepared, inp, ctx, plans, handed_off, exited, settled)
+        assert all(m + e + s <= 1 for m, e, s in zip(moved, ended, settles))
         # the rest trapped or were caught on the reference first
-        assert all(m or e for m, e, (trap, detected, *_)
-                   in zip(moved, ended, rows) if trap is None and not detected)
-        assert any(e for plan, e in zip(plans, ended)
-                   if plan.kind not in CONTROL_KINDS)
+        untrapped = [trap is None and not detected
+                     for trap, detected, *_ in rows]
+        assert all(m or e or s for m, e, s, free
+                   in zip(moved, ended, settles, untrapped) if free)
+        assert any(settles)
+        assert all(plan.kind == "value" for plan, s in zip(plans, settles) if s)
         if weights == "adversarial":
             assert any(plan.kind in CONTROL_KINDS for plan in plans)
+
+        got, moved, ended, unsettled = handoff_rows(
+            workload, prepared, inp, no_settling(ctx), plans, handed_off,
+            exited, settled)
+        assert got == rows and not any(unsettled)
+        assert all(m + e == 1 for m, e, free in zip(moved, ended, untrapped)
+                   if free)
+        assert any(e for plan, e in zip(plans, ended)
+                   if plan.kind not in CONTROL_KINDS)
 
     def test_hangs_hand_off(self, handed_off):
         workload, prepared, inp, ctx = campaign("conv1d", "UNSAFE")
@@ -267,8 +310,8 @@ class TestHandoff:
         hangs = [plan for plan, row in zip(plans, trial_rows(
             workload, prepared, inp, ctx, plans)) if row[0] == "hang"]
         assert hangs, "no hanging trial among the drawn plans"
-        rows, moved, _ = assert_handoff_equivalent(workload, prepared, inp,
-                                                   ctx, hangs, handed_off)
+        rows, moved, *_ = assert_handoff_equivalent(workload, prepared, inp,
+                                                    ctx, hangs, handed_off)
         assert all(row[4] == ctx.max_steps + 1 for row in rows)
         assert any(moved)
 
@@ -277,8 +320,8 @@ class TestHandoff:
         trial hands off inside the callee (its caller resumes at the
         snapshot's call site) or, once the callee has returned, as the
         caller re-enters its block after the call.  The hand-off points
-        are checked with the golden exit off, where each trial hands off
-        as soon as its fault has acted."""
+        are checked with the golden exit and settlement off, where each
+        trial hands off as soon as its fault has acted."""
         workload, prepared, inp, ctx = campaign("sgemm", "AR50")
         nested = [snap for snap in ctx.prefix.snapshots if len(snap.frames) > 1]
         plans = [FaultPlan(snap.region_steps + k, kind, bit=52, pick=0.1)
@@ -286,7 +329,7 @@ class TestHandoff:
                  for kind in ("value", "addr", "branch")]
         assert_handoff_equivalent(workload, prepared, inp, ctx, plans,
                                   handed_off)
-        no_exit = copy.copy(ctx.prefix)
+        no_exit = no_settling(ctx).prefix
         no_exit.end = None
         handed_off.clear()
         assert_handoff_equivalent(workload, prepared, inp,
@@ -433,14 +476,22 @@ class TestGoldenMatch:
         written = {9: 0.0, 10: 2.5}
         cells = list(image)
         cells[10] = 2.5
-        assert prefix._same_cells(cells, written, {10}, image)
+        assert prefix._same_cells(cells, written, {10}, image, {})
         cells[9] = -0.0
-        assert not prefix._same_cells(cells, written, {9, 10}, image)
+        assert not prefix._same_cells(cells, written, {9, 10}, image, {})
         cells[9], cells[12] = 0.0, 3.0
-        assert not prefix._same_cells(cells, written, {12}, image)
+        assert not prefix._same_cells(cells, written, {12}, image, {})
         # a stored cell outside *written* compares as list equality does
         cells[12] = -0.0
-        assert prefix._same_cells(cells, written, {12}, image)
+        assert prefix._same_cells(cells, written, {12}, image, {})
+        # ... with its initial value, also where the golden run's final
+        # cells (standing in for the image) hold a later write
+        final, initial = list(image), {13: 0.0}
+        final[13] = 7.0
+        cells[13] = 0.0
+        assert prefix._same_cells(cells, written, {13}, final, initial)
+        cells[13] = 7.0
+        assert not prefix._same_cells(cells, written, {13}, final, initial)
 
     @pytest.mark.parametrize("change", ["queue", "disabled"])
     def test_a_loops_run_state_differs(self, change):
@@ -583,6 +634,142 @@ class TestCapture:
         plans = seeded_plans(SEED, workload.name, "UNSAFE", 0, 30,
                              ctx.region_steps)
         run_plans(prepared, workload, inp, ctx, plans, backend="batch")
+
+
+class _Landed(Exception):
+    """Raised by :func:`landing`'s probe once it has classified a flip."""
+
+
+def landing(interp):
+    """Where the value flip *interp* is injecting lands, read off the
+    interpreter's own frames and the Python frames running them:
+    ``"empty"`` (a slot of the register file that holds no register),
+    or ``"dead"`` / ``"live"`` by its victim's liveness — in the
+    innermost frame before the instruction about to run, in an outer
+    frame where it resumes, less its pending call's dest."""
+    frames = interp._frames
+    victim = victim_index(sum(map(len, frames)), interp.fault_plan.pick)
+    if victim is None:
+        return "empty"
+    # (function, label, resume index) per outer frame, outermost first:
+    # those of a resumed state, then one per _exec paused at its call
+    where, execs = [], []
+    py = sys._getframe(2)
+    while py is not None and py.f_code is not _START:
+        if py.f_code is _EXEC:
+            execs.append(py.f_locals)
+        py = py.f_back
+    if py is not None:
+        state_frames, depth = py.f_locals["frames"], py.f_locals["depth"]
+        for frame in state_frames[:depth]:
+            where.append((frame.func, frame.label, frame.index))
+    execs.reverse()
+    for local in execs[:-1]:
+        where.append((local["fname"], local["label"], local["extra"][1]))
+    inner = execs[-1]
+    block = inner["blocks"][inner["label"]]
+    at = [i for i, instr in enumerate(block)
+          if instr[2] is inner["ops"] and instr[3] is inner["extra"]
+          and instr[1] == inner["dest"]]
+    assert len(at) == 1 and len(where) + 1 == len(frames)
+    for depth, regs in enumerate(frames):
+        if victim < len(regs):
+            break
+        victim -= len(regs)
+    name = sorted(regs)[victim]
+    functions = interp.module.functions
+    if depth == len(where):
+        live = liveness(functions[inner["fname"]]).live_at(inner["label"], at[0])
+    else:
+        fname, label, index = where[depth]
+        func = functions[fname]
+        call = func.blocks[label].instrs[index - 1]
+        live = liveness(func).live_at(label, index) - {
+            call.dest.name if call.dest else None}
+    return "live" if name in live else "dead"
+
+
+_EXEC = Interpreter._exec.__code__
+_START = Interpreter._start.__code__
+_LIVENESS = {}
+
+
+def liveness(func):
+    if func not in _LIVENESS:
+        _LIVENESS[func] = Liveness(func)
+    return _LIVENESS[func]
+
+
+class TestSettle:
+    """A value flip whose victim is an empty slot or a dead register
+    settles as the golden row without running, exactly where the
+    reference interpreter sees such a victim."""
+
+    @staticmethod
+    def plans(ctx, prepared, workload, scheme):
+        """Seeded plans, and 200 evenly spaced picks (one or more per
+        slot of the stack) at two golden snapshot steps and, where the
+        region calls a function, at a late step of a callee's entry
+        block and at the first step after a return; and whether the
+        region does."""
+        golden = ctx.prefix
+        plans = seeded_plans(SEED, workload.name, scheme, 0, 40,
+                             ctx.region_steps)
+        marks = [snap.region_steps for snap in golden.snapshots
+                 if snap.region_steps < ctx.region_steps]
+        steps = [marks[len(marks) // 2], marks[-1]]
+        windows = list(golden.windows())
+        half = len(windows) // 2
+        callee = [w for w in windows[half:]
+                  if w[0] != prepared.main and w[2] == 0 and w[4] > 2]
+        returned = [w for w in windows[half:] if w[2] > 0]
+        if callee:
+            steps.append(callee[0][3] + callee[0][4] - 1)
+        if returned:
+            steps.append(returned[0][3])
+        sweep = [FaultPlan(step, "value", bit=5, pick=(i + 0.5) / 200)
+                 for step in steps for i in range(200)]
+        return plans + sweep, bool(callee and returned)
+
+    @pytest.mark.parametrize("workload_name,scheme", [
+        ("sgemm", "UNSAFE"), ("conv1d", "AR50"), ("kde", "SWIFT-R")])
+    def test_settled_trials_are_the_masked_victims(
+            self, monkeypatch, settled, workload_name, scheme):
+        workload, prepared, inp, ctx = campaign(workload_name, scheme)
+        plans, calls = self.plans(ctx, prepared, workload, scheme)
+        # only RSkip outlines a loop body it calls from the region
+        assert calls == (scheme == "AR50")
+
+        seen = []
+
+        def probe(interp, regs):
+            if interp.fault_plan.kind != "value":
+                seen.append(None)
+            else:
+                seen.append(landing(interp))
+            raise _Landed
+
+        with monkeypatch.context() as patch:
+            patch.setattr(Interpreter, "_inject", probe)
+            for plan in plans:
+                with pytest.raises(_Landed):
+                    fault_campaign._run_trial(prepared, workload, inp, ctx,
+                                              plan, False)
+        # the default path, with every trial that does not settle stopped
+        # before it runs
+        monkeypatch.setattr(fault_campaign, "finish",
+                            lambda *args, **kwargs: prefix.TrialRow(
+                                None, 0, 0, "hang", False, None))
+        settles = []
+        for plan in plans:
+            before = len(settled)
+            fault_campaign._run_trial(prepared, workload, inp, ctx, plan, True)
+            settles.append(len(settled) > before)
+        masked = [where in ("empty", "dead") for where in seen]
+        assert settles == masked
+        assert {"dead", "live"} <= set(seen)
+        if scheme == "UNSAFE":
+            assert "empty" in seen
 
 
 @pytest.mark.slow

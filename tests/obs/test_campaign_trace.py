@@ -152,13 +152,23 @@ class TestTraceContents:
     def test_fast_forwarded_trials_re_emit_the_golden_prefix(
             self, tmp_path, monkeypatch):
         """Reference trials fast-forwarded from golden-run snapshots
-        re-emit the runtime events of the prefix they skip: a full-event
-        RSkip trace is byte-identical to the same campaign run from
-        scratch (its context without a prefix), and across --jobs 1/2.
-        The capture itself reaches the manifest as one span and nothing
-        else."""
+        re-emit the runtime events of the prefix they skip, and trials
+        settled without running re-emit the whole golden run's: a
+        full-event RSkip trace is byte-identical to the same campaign run
+        from scratch (its context without a prefix, where nothing
+        settles) and on the reference backend (which never settles), and
+        across --jobs 1/2.  The capture itself reaches the manifest as
+        one span and nothing else."""
         sgemm = get_workload("sgemm")
         profiles = Harness(sgemm, scale=SCALE, timing=False).profiles_for(0.5)
+        settled = []
+        golden_settle = prefix.GoldenPrefix.settle
+
+        def settle_recorded(self, fresh_memory, runtime=None):
+            settled.append(True)
+            return golden_settle(self, fresh_memory, runtime)
+
+        monkeypatch.setattr(prefix.GoldenPrefix, "settle", settle_recorded)
 
         def traced(name, jobs):
             out = str(tmp_path / name)
@@ -169,14 +179,22 @@ class TestTraceContents:
                 return out, handle.read()
 
         out, fast = traced("fast.jsonl", jobs=1)
+        assert settled
         _, parallel = traced("parallel.jsonl", jobs=2)
         golden_context = campaign_engine.campaign_context
+        settled.clear()
         with monkeypatch.context() as patch:
             patch.setattr(campaign_engine, "campaign_context",
                           lambda *args: dataclasses.replace(
                               golden_context(*args), prefix=None))
             _, slow = traced("slow.jsonl", jobs=1)
-        assert fast == slow == parallel
+        set_default_backend("ref")
+        try:
+            _, ref = traced("ref.jsonl", jobs=1)
+        finally:
+            set_default_backend(None)
+        assert not settled
+        assert fast == slow == parallel == ref
         kinds = {event.kind for event in read_trace(out)}
         assert {"exec", "phase-cut", "skip", "trial-outcome"} <= kinds
         spans = [label for label, _ in RunManifest.load(out).spans]
@@ -184,13 +202,13 @@ class TestTraceContents:
 
     def test_handed_off_trials_emit_the_reference_trace(self, tmp_path,
                                                          monkeypatch):
-        """Trials that finish on the compiled backend once their fault
-        has acted, or end at the golden run they re-joined (the default
-        backend), write the trace body the reference interpreter writes
-        alone."""
+        """Trials that settle without running (a masked value flip),
+        finish on the compiled backend once their fault has acted, or
+        end at the golden run they re-joined (the default backend) write
+        the trace body the reference interpreter writes alone."""
         sgemm = get_workload("sgemm")
         profiles = Harness(sgemm, scale=SCALE, timing=False).profiles_for(0.5)
-        handoffs, exits = [], []
+        handoffs, exits, settles = [], [], []
 
         class Recorded(CompiledExecutor):
             def run(self, func_name, args=(), state=None):
@@ -198,13 +216,19 @@ class TestTraceContents:
                 return super().run(func_name, args, state=state)
 
         golden_exit = prefix.GoldenPrefix.exit
+        golden_settle = prefix.GoldenPrefix.settle
 
         def exit_recorded(self, snap, memory, runtime=None):
             exits.append(snap)
             return golden_exit(self, snap, memory, runtime)
 
+        def settle_recorded(self, fresh_memory, runtime=None):
+            settles.append(True)
+            return golden_settle(self, fresh_memory, runtime)
+
         monkeypatch.setattr(prefix, "CompiledExecutor", Recorded)
         monkeypatch.setattr(prefix.GoldenPrefix, "exit", exit_recorded)
+        monkeypatch.setattr(prefix.GoldenPrefix, "settle", settle_recorded)
 
         def traced(name, backend):
             out = str(tmp_path / name)
@@ -219,12 +243,13 @@ class TestTraceContents:
                 return out, handle.read()
 
         _, ref = traced("ref.jsonl", "ref")
-        assert not handoffs and not exits
+        assert not handoffs and not exits and not settles
         _, default = traced("default.jsonl", None)
         assert default == ref
-        # most of the 60 trials handed off or ended at the golden run
-        assert sum(handoffs) + len(exits) > 30
-        assert exits and any(handoffs)
+        # most of the 60 trials settled, handed off or ended at the
+        # golden run
+        assert sum(handoffs) + len(exits) + len(settles) > 30
+        assert settles and exits and any(handoffs)
 
     def test_untraced_campaign_writes_nothing(self, conv1d, conv1d_profiles,
                                               tmp_path, monkeypatch):

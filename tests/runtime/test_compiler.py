@@ -502,7 +502,7 @@ LOOP3_REGION_IDS = ["everything", "function", "body-block"]
 
 
 class TestLoopClosures:
-    """A call-free innermost loop runs as one generated closure that
+    """A call-free loop runs as one generated closure that
     keeps its step and block-hit counters in locals: it must still stop
     exactly where the reference does and count exactly what it does."""
 
@@ -558,6 +558,103 @@ class TestLoopClosures:
         module = parse_module(LOOP3)
         regs = {"n": 10, "k": 1, "i": 3, "s": 2.5, "ap": 8, "c": 1,
                 "o": 3, "p": 11, "v": 0.5}
+
+        def resumed(cls):
+            memory = Memory()
+            memory.load_globals(module)
+            state = MachineState([ResumeFrame("main", label, index,
+                                              dict(regs))],
+                                 memory, steps=40, region_steps=30)
+            engine = cls(module, memory=memory, fault_region=region)
+            result = engine.run("main", state=state)
+            return (result.value, result.steps, result.region_steps,
+                    result.counts, memory.cells)
+
+        assert resumed(CompiledExecutor) == resumed(Interpreter)
+
+
+#: LOOP3 run three times by an outer call-free loop (ohead, init,
+#: olatch): the whole nest is one loop closure.  With ``k`` = 20000 the
+#: body leaves memory at ``i`` = 4 of the first outer iteration.
+NEST = (
+    "global @a 64 f64\n"
+    "func @main(%n: i64, %k: i64) -> f64 {\nentry:\n  %j = mov 0:i64\n"
+    "  %s = mov 0.0:f64\n  %ap = mov @a\n  br ohead\n"
+    "ohead:\n  %oc = icmp lt %j, 3:i64\n  cbr %oc, init, done\n"
+    "init:\n  %i = mov 0:i64\n  br head\n"
+    "head:\n  %c = icmp lt %i, %n\n  cbr %c, body, olatch\n"
+    "body:\n  %o = mul %i, %k\n  %p = add %ap, %o\n  %v = load %p\n"
+    "  %s = fadd %s, %v\n  store %s, %p\n  br latch\n"
+    "latch:\n  %i = add %i, 1:i64\n  br head\n"
+    "olatch:\n  %j = add %j, 1:i64\n  br ohead\n"
+    "done:\n  ret %s\n}\n"
+)
+NEST_REGIONS = [None, Region(funcs=("main",)),
+                Region(blocks=(("main", "body"), ("main", "olatch")))]
+NEST_REGION_IDS = ["everything", "function", "two-blocks"]
+
+
+class TestLoopNestClosures:
+    """A call-free loop nest runs as one loop closure, its innermost
+    loop's blocks first in the dispatch; it stops and counts exactly
+    where the reference does, as a single loop's closure does."""
+
+    def test_the_nest_compiles_to_one_closure(self):
+        cf = compile_module(parse_module(NEST)).function("main")
+        at = {lbl: cf.labels.index(lbl) for lbl in cf.labels}
+        nest = tuple(at[lbl] for lbl in ("head", "body", "latch", "ohead",
+                                         "init", "olatch"))
+        assert {cf.loops[b] for b in nest} == {nest}
+        assert cf.loops[at["entry"]] is None and cf.loops[at["done"]] is None
+        closure = cf.blocks[at["ohead"]][0]
+        assert cf.blocks[at["head"]][0].func is closure
+        assert cf.blocks[at["head"]][0].keywords == {"blk": at["head"]}
+
+    def test_a_call_in_the_inner_loop_keeps_the_nest_apart(self):
+        src = NEST.replace("  br latch\n", "  %x = call @f() : f64\n"
+                           "  br latch\n") + (
+            "func @f() -> f64 {\nentry:\n  ret 1.0:f64\n}\n")
+        cf = compile_module(parse_module(src)).function("main")
+        assert all(loop is None for loop in cf.loops)
+        assert_backends_agree(parse_module(src), args=[4, 1])
+
+    def test_completed_run_counts_match(self):
+        obs = assert_backends_agree(parse_module(NEST), args=[10, 1])
+        assert obs[0] == "ok" and obs[3][Opcode.LOAD] == 30
+
+    @pytest.mark.parametrize("region", NEST_REGIONS, ids=NEST_REGION_IDS)
+    def test_hang_at_every_budget(self, region):
+        # entry 4 steps, ohead 2 and init 2 per outer iteration, 10 per
+        # inner iteration, head's exit 2 and olatch 2: with n = 2 the
+        # budget runs out at every position of the first two outer
+        # iterations
+        module = parse_module(NEST)
+        for budget in range(1, 60):
+            ref = counters_in_region(Interpreter, module, region, budget,
+                                     args=(2, 1))
+            assert ref[0] == "HangError" and ref[1] == budget + 1
+            assert counters_in_region(CompiledExecutor, module, region,
+                                      budget, args=(2, 1)) == ref
+
+    @pytest.mark.parametrize("region", NEST_REGIONS, ids=NEST_REGION_IDS)
+    def test_segfault_mid_block(self, region):
+        module = parse_module(NEST)
+        ref = counters_in_region(Interpreter, module, region,
+                                 args=(10, 20000))
+        # 4 entry steps, ohead and init, 4 full inner iterations, then
+        # head and the body up to its load
+        assert ref[:2] == ("SegfaultError", 4 + 4 + 4 * 10 + 2 + 3)
+        assert counters_in_region(CompiledExecutor, module, region,
+                                  args=(10, 20000)) == ref
+
+    @pytest.mark.parametrize("region", NEST_REGIONS, ids=NEST_REGION_IDS)
+    @pytest.mark.parametrize("label,index", [
+        ("ohead", 0), ("ohead", 1), ("init", 0), ("head", 1), ("body", 3),
+        ("latch", 0), ("olatch", 1)])
+    def test_resume_inside_the_nest(self, region, label, index):
+        module = parse_module(NEST)
+        regs = {"n": 4, "k": 1, "i": 2, "j": 1, "s": 2.5, "ap": 8, "c": 1,
+                "oc": 1, "o": 2, "p": 10, "v": 0.5}
 
         def resumed(cls):
             memory = Memory()
