@@ -187,23 +187,25 @@ def _run_trial(
     plan: FaultPlan,
     handoff: bool,
 ) -> TrialRow:
-    """One faulted trial, from a freshly reset runtime (``caught`` comes
-    from its stats delta).  With *handoff*, a trial whose plan the
+    """One faulted trial.  With *handoff*, a trial whose plan the
     campaign's golden prefix finds masked settles as the golden row
-    without running (:meth:`~repro.runtime.prefix.GoldenPrefix.settle`).
-    Every other trial runs on the reference interpreter, fast-forwarded
-    from the golden prefix (from scratch on a context without one) and,
-    with *handoff*, ended at the golden run once it re-joins it or else
-    finished on the compiled backend once its fault has acted."""
+    without running (:meth:`~repro.runtime.prefix.GoldenPrefix.settle`:
+    one row per prefix, ``caught`` included; the runtime takes the
+    golden run's final statistics).  Every other trial runs from a
+    freshly reset runtime (``caught`` comes from its stats delta) on the
+    reference interpreter, fast-forwarded from the golden prefix (from
+    scratch on a context without one) and, with *handoff*, ended at the
+    golden run once it re-joins it or else finished on the compiled
+    backend once its fault has acted."""
     runtime = prepared.runtime
+    golden = ctx.prefix
+    if handoff and golden is not None and golden.masked(plan):
+        return golden.settle(
+            partial(workload.fresh_memory, prepared.module, inp), runtime)
     since = None
     if runtime is not None:
         runtime.reset()
         since = runtime.total_stats()
-    golden = ctx.prefix
-    if handoff and golden is not None and golden.masked(plan):
-        fresh = partial(workload.fresh_memory, prepared.module, inp)
-        return _mark_caught(golden.settle(fresh, runtime), runtime, since)
     memory = workload.fresh_memory(prepared.module, inp)
     state = None
     if golden is not None:
@@ -281,6 +283,9 @@ class CampaignContext:
     max_steps: int
     prefix: Optional[GoldenPrefix] = None
     decoded: Optional[DecodedProgram] = None
+    #: ``(row, outcome, false negative)`` of the prefix's settled row,
+    #: classified once (:func:`_tally_trial`)
+    settled_class: Optional[tuple] = field(default=None, repr=False)
 
     def decoded_for(self, module, memory) -> DecodedProgram:
         """The decoded program for *module* on *memory*'s global layout
@@ -367,7 +372,8 @@ def _tally_trial(
 ) -> None:
     """Classify one finished trial into *result* — the same rule for
     every engine, so a campaign's tallies do not depend on which one
-    executed the trials."""
+    executed the trials.  Every settled trial of *ctx* brings the one
+    settled row, whose outputs are compared once."""
     trap, detected = row.trap, row.detected
     if row.caught:
         result.caught += 1
@@ -378,10 +384,17 @@ def _tally_trial(
     elif trap is not None:
         outcome = _TRAP_OUTCOMES[trap]
     else:
-        outcome = classify_output(ctx.golden, row.memory.read_global(*inp.output))
-        if stateful and not outputs_equal(
-                ctx.golden_loop, row.memory.read_global(*inp.loop_output)):
-            false_negative = True
+        known = ctx.settled_class
+        if known is not None and known[0] is row:
+            outcome, false_negative = known[1:]
+        else:
+            outcome = classify_output(ctx.golden,
+                                      row.memory.read_global(*inp.output))
+            false_negative = stateful and not outputs_equal(
+                ctx.golden_loop, row.memory.read_global(*inp.loop_output))
+            if ctx.prefix is not None and row is ctx.prefix.settled:
+                ctx.settled_class = (row, outcome, false_negative)
+        if false_negative:
             result.false_negatives += 1
             result.fn_by_outcome[outcome] += 1
     result.tallies[outcome] += 1

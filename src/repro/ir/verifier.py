@@ -26,12 +26,14 @@ class VerificationError(ValueError):
 
 
 def _check_types(func: Function, instr: Instr, errors: List[str]) -> None:
-    loc = f"@{func.name}: {instr!r}"
+    # each problem is prefixed ``@func: instr: `` once found: printing
+    # every instruction of a clean module would dominate the check
+    found: List[str] = []
     op = instr.op
 
     def want(n: int) -> bool:
         if len(instr.args) != n:
-            errors.append(f"{loc}: expected {n} operands, got {len(instr.args)}")
+            found.append(f"expected {n} operands, got {len(instr.args)}")
             return False
         return True
 
@@ -39,62 +41,65 @@ def _check_types(func: Function, instr: Instr, errors: List[str]) -> None:
         if want(2):
             for a in instr.args:
                 if not a.ty.is_int:
-                    errors.append(f"{loc}: integer op on {a.ty} operand")
+                    found.append(f"integer op on {a.ty} operand")
             if instr.dest is not None and not instr.dest.ty.is_int:
-                errors.append(f"{loc}: integer op writes {instr.dest.ty} register")
+                found.append(f"integer op writes {instr.dest.ty} register")
     elif op in FLOAT_BINOPS:
         if want(2):
             for a in instr.args:
                 if not a.ty.is_float:
-                    errors.append(f"{loc}: float op on {a.ty} operand")
+                    found.append(f"float op on {a.ty} operand")
     elif op in FLOAT_UNOPS:
         if want(1) and not instr.args[0].ty.is_float:
-            errors.append(f"{loc}: float op on {instr.args[0].ty} operand")
+            found.append(f"float op on {instr.args[0].ty} operand")
     elif op is Opcode.SITOFP:
         if want(1) and not instr.args[0].ty.is_int:
-            errors.append(f"{loc}: sitofp of non-integer")
+            found.append("sitofp of non-integer")
     elif op is Opcode.FPTOSI:
         if want(1) and not instr.args[0].ty.is_float:
-            errors.append(f"{loc}: fptosi of non-float")
+            found.append("fptosi of non-float")
     elif op is Opcode.ICMP:
         if want(2):
             for a in instr.args:
                 if not a.ty.is_int:
-                    errors.append(f"{loc}: icmp of {a.ty} operand")
+                    found.append(f"icmp of {a.ty} operand")
     elif op is Opcode.FCMP:
         if want(2):
             for a in instr.args:
                 if not a.ty.is_float:
-                    errors.append(f"{loc}: fcmp of {a.ty} operand")
+                    found.append(f"fcmp of {a.ty} operand")
     elif op is Opcode.SELECT:
         if want(3):
             if not instr.args[0].ty.is_int:
-                errors.append(f"{loc}: select condition must be integer")
+                found.append("select condition must be integer")
             if instr.args[1].ty != instr.args[2].ty:
-                errors.append(f"{loc}: select arm types differ")
+                found.append("select arm types differ")
     elif op is Opcode.LOAD:
         if want(1) and not instr.args[0].ty.is_int:
-            errors.append(f"{loc}: load address must be integer/ptr")
+            found.append("load address must be integer/ptr")
     elif op is Opcode.STORE:
         if want(2) and not instr.args[1].ty.is_int:
-            errors.append(f"{loc}: store address must be integer/ptr")
+            found.append("store address must be integer/ptr")
     elif op is Opcode.ALLOC:
         if want(1) and not instr.args[0].ty.is_int:
-            errors.append(f"{loc}: alloc size must be integer")
+            found.append("alloc size must be integer")
     elif op is Opcode.CBR:
         if want(1) and not instr.args[0].ty.is_int:
-            errors.append(f"{loc}: branch condition must be integer")
+            found.append("branch condition must be integer")
     elif op is Opcode.MOV:
         if want(1) and instr.dest is not None:
             src_ty, dst_ty = instr.args[0].ty, instr.dest.ty
             compatible = src_ty == dst_ty or (src_ty.is_int and dst_ty.is_int)
             if not compatible:
-                errors.append(f"{loc}: mov between {src_ty} and {dst_ty}")
+                found.append(f"mov between {src_ty} and {dst_ty}")
 
     if op in (Opcode.ICMP, Opcode.FCMP) and instr.pred is None:
-        errors.append(f"{loc}: compare without predicate")
+        found.append("compare without predicate")
     if op in (Opcode.CALL, Opcode.INTRIN) and instr.callee is None:
-        errors.append(f"{loc}: call without callee")
+        found.append("call without callee")
+    if found:
+        loc = f"@{func.name}: {instr!r}"
+        errors.extend(f"{loc}: {problem}" for problem in found)
 
 
 def _check_definite_assignment(func: Function, errors: List[str]) -> None:

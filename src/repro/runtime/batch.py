@@ -75,7 +75,7 @@ the program (:meth:`DecodedProgram.slotted`, its slot-indexed view,
 shared by every slab of a campaign), every load and store checks its
 address with :func:`repro.runtime.memory.check_addr` once the inline
 in-bounds integer test fails, and a flip picks its victim through
-:func:`repro.runtime.faults.victim_index`.
+:func:`repro.runtime.faults.flip_victim`.
 
 Lanes carry value flips only (a plan of any other kind is a
 ``ValueError``; campaigns run those trials one by one, see
@@ -122,7 +122,7 @@ from ..obs.events import current_sink, diverted, enabled as obs_enabled
 from ..obs.sinks import MemorySink
 from .compiler import CompiledModule, compile_module
 from .errors import TRIAL_TRAPS, CoreDumpError, HangError, SegfaultError, classify_trap
-from .faults import FaultPlan, Region, flip_value, victim_index
+from .faults import FaultPlan, Region, flip_value, flip_victim
 from .interpreter import (
     _ADD, _ALLOC, _BR, _CALL, _CBR, _FADD, _FCMP, _FMUL, _FSUB, _ICMP,
     _INTRIN, _LOAD, _MOV, _MUL, _RET, _STORE, _SUB,
@@ -281,32 +281,33 @@ class _LaneMem:
     """One lane's memory view, with :class:`Memory`'s load, store,
     allocate and read API (same checks, exception classes, messages).
 
-    Reads resolve overlay → group layer → shared template, and writes
-    land in the lane's private overlay.  A lane that keeps running off
-    lockstep (the tail) flattens its allocated prefix ``[0, brk)`` into
-    ``cells`` after ``FLATTEN_AFTER`` layered accesses: from then on
-    addresses below ``size`` live there, where the compiled backend's
-    fast path indexes them, and an access above ``size`` grows
-    ``cells`` in place.  Short-lived lanes never pay for the copy.
+    Reads resolve overlay → group layer → shared template (the
+    template's cells padded to ``size``), and writes land in the lane's
+    private overlay.  A lane that keeps running off lockstep (the tail)
+    flattens its allocated prefix ``[0, brk)`` into ``cells`` after
+    ``FLATTEN_AFTER`` layered accesses.  From then on ``cells`` follows
+    :class:`Memory`'s rule: it runs up to a high-water mark, where the
+    compiled backend's fast path bounds its index by ``len(cells)``, and
+    an access above the mark grows it in place.  Short-lived lanes never
+    pay for the copy.
     """
 
-    __slots__ = ("cells", "size", "tcells", "globals", "limit", "gmem",
-                 "ov", "_brk", "_misses")
+    __slots__ = ("cells", "size", "tcells", "globals", "gmem", "ov",
+                 "_brk", "_misses")
 
-    def __init__(self, tcells, globals_, limit, gmem, ov, brk):
+    def __init__(self, tcells, globals_, size, gmem, ov, brk):
         self.cells: list = []
-        self.size = 0               # fast-path bound: len(cells)
+        self.size = size            # the memory's size
         self.tcells = tcells        # shared template cells (read-only)
         self.globals = globals_
-        self.limit = limit          # the memory's size
         self.gmem = gmem            # group write layer (frozen)
         self.ov = ov                # this lane's private overlay
         self._brk = brk
         self._misses = 0
 
     def load(self, addr):
-        idx = check_addr(addr, self.limit)
-        if idx >= self.size and not self._flattened(idx):
+        idx = check_addr(addr, self.size)
+        if idx >= len(self.cells) and not self._flattened(idx):
             val = self.ov.get(idx, _MISS)
             if val is _MISS:
                 val = self.gmem.get(idx, _MISS)
@@ -316,8 +317,8 @@ class _LaneMem:
         return self.cells[idx]
 
     def store(self, addr, value) -> None:
-        idx = check_addr(addr, self.limit)
-        if idx >= self.size and not self._flattened(idx):
+        idx = check_addr(addr, self.size)
+        if idx >= len(self.cells) and not self._flattened(idx):
             self.ov[idx] = value
         else:
             self.cells[idx] = value
@@ -329,35 +330,34 @@ class _LaneMem:
         least doubling it.  (``cells`` is a new list only at the flatten:
         compiled code still holding the empty one also holds its bound,
         0; later growth extends the same list.)"""
-        if self.size:
-            self._grow(max(idx + 1, 2 * self.size))
+        if self.cells:
+            self._grow(max(idx + 1, 2 * len(self.cells)))
             return True
         self._misses += 1
         if self._misses != FLATTEN_AFTER:
             return False
         self.cells = []
         self._grow(self._brk)
-        return idx < self.size
+        return idx < len(self.cells)
 
     def _grow(self, stop: int) -> None:
         """Extend ``cells`` in place up to *stop* (at most the memory
         size): the template's cells with the group layer, then this
         lane's overlay, folded in."""
-        start, stop = self.size, min(stop, self.limit)
         cells = self.cells
+        start, stop = len(cells), min(stop, self.size)
         cells.extend(self.tcells[start:stop])
         for layer in (self.gmem, self.ov):
             for i, val in layer.items():
                 if start <= i < stop:
                     cells[i] = val
-        self.size = stop
 
     def allocate(self, size: int) -> int:
         if size <= 0:
             raise SegfaultError(self._brk, f"allocation of non-positive size {size}")
         base = self._brk
         self._brk += int(size)
-        if self._brk > self.limit:
+        if self._brk > self.size:
             raise SegfaultError(base, "out of memory")
         return base
 
@@ -366,9 +366,9 @@ class _LaneMem:
 
     # -- convenience for harnesses ------------------------------------------
     def read_array(self, base: int, count: int) -> list:
-        if base < 8 or base + count > self.limit:
+        if base < 8 or base + count > self.size:
             raise SegfaultError(base, "array read out of bounds")
-        mid = min(base + count, self.size)
+        mid = min(base + count, len(self.cells))
         out = self.cells[base:mid]
         ov = self.ov
         gmem = self.gmem
@@ -480,7 +480,10 @@ class BatchExecutor:
         if not template.globals and module.globals:
             template.load_globals(module)
         self._template = template
-        self._tcells = template.cells
+        # lockstep loads index the template up to the memory size: its
+        # cells padded past their high-water mark, once per run
+        tcells = template.cells
+        self._tcells = tcells + [0.0] * (template.size - len(tcells))
         self._globals = template.globals
         self._size = template.size
         if fault_plans is None:
@@ -564,24 +567,19 @@ class BatchExecutor:
                 self._inject_lane(g, row, lane)
 
     def _inject_lane(self, g: _Group, row: int, lane: int) -> None:
-        """One lane's value flip on the victim :func:`victim_index` picks
-        among this group's frame stack's name-sorted written registers,
-        as the reference interpreter's flip does.  Landing on a uniform
-        slot widens it into a column (unless the flip was masked and the
+        """One lane's value flip on the victim :func:`flip_victim` picks
+        among this group's frame stack's written registers, as the
+        reference interpreter's flip does.  Landing on a uniform slot
+        widens it into a column (unless the flip was masked and the
         value is unchanged)."""
         plan = self._plans[lane]
-        slots: List[Tuple[list, int]] = []
-        for frame in g.frames:
-            fregs = frame.regs
-            named = sorted(
-                (frame.names[s], s)
-                for s in range(len(fregs)) if fregs[s] is not _UNDEF
-            )
-            slots.extend((fregs, s) for _name, s in named)
-        k = victim_index(len(slots), plan.pick)
-        if k is None:
+        written = [{frame.names[s]: s for s, reg in enumerate(frame.regs)
+                    if reg is not _UNDEF} for frame in g.frames]
+        victim = flip_victim(written, plan.pick)
+        if victim is None:
             return
-        fregs, s = slots[k]
+        depth, name = victim
+        fregs, s = g.frames[depth].regs, written[depth][name]
         col = fregs[s]
         if col.__class__ is _SpCol:
             cur = col.exc.get(row, col.base)

@@ -64,6 +64,8 @@ import math
 import threading
 from collections import Counter, OrderedDict
 from functools import partial
+from itertools import compress
+from operator import mul
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..analysis.loops import find_loops
@@ -258,8 +260,9 @@ def _emit(cl: _Closure, rec) -> None:
         out("    r &= _M")
         out(f"R[{d}] = r")
     elif op is Opcode.LOAD:
-        # the slow path re-reads the fast-path view: a lane memory may
-        # have flattened or grown its prefix (a loop closure lives on)
+        # the fast path indexes cells below the memory's high-water mark;
+        # the slow path re-reads the view, as a lane memory may have
+        # flattened its prefix and any memory grown (a loop closure lives on)
         cl.needs.add("cells")
         out(f"a = {ex(specs[0])}")
         out("if a.__class__ is int and 8 <= a < SZ:")
@@ -267,7 +270,7 @@ def _emit(cl: _Closure, rec) -> None:
         out("else:")
         out(f"    R[{d}] = mem.load(a)")
         out("    cells = mem.cells")
-        out("    SZ = mem.size")
+        out("    SZ = len(cells)")
     elif op is Opcode.STORE:
         cl.needs.add("cells")
         out(f"a = {ex(specs[0])}")
@@ -277,7 +280,7 @@ def _emit(cl: _Closure, rec) -> None:
         out("else:")
         out("    mem.store(b, a)")
         out("    cells = mem.cells")
-        out("    SZ = mem.size")
+        out("    SZ = len(cells)")
     elif op in (Opcode.ICMP, Opcode.FCMP):
         sym = _CMP_SYMBOL[extra]
         out(f"R[{d}] = 1 if {ex(specs[0])} {sym} {ex(specs[1])} else 0")
@@ -311,7 +314,7 @@ def _assemble(name: str, cl: _Closure, handles: Sequence[str] = (),
         body.append("mem = st.memory")
     if "cells" in cl.needs:
         body.append("cells = mem.cells")
-        body.append("SZ = mem.size")
+        body.append("SZ = len(cells)")
     owners = [None] * (len(head) + len(body)) + cl.owners
     body.extend(cl.lines)
     if not body:
@@ -672,8 +675,10 @@ class CompiledModule:
         self.global_names = list(module.globals)
         self.gindex = {n: i for i, n in enumerate(self.global_names)}
         self._functions: Dict[str, Optional[CompiledFunction]] = {}
-        #: (function, region funcs, region blocks) -> region steps per block
-        self._overlays: Dict[tuple, tuple] = {}
+        #: (region funcs, region blocks) -> function -> region steps per
+        #: block, and the region last asked about with its entry
+        self._overlays: Dict[tuple, Dict[str, tuple]] = {}
+        self._last_region: tuple = (None, {})
         # compiled modules are shared across serve executor threads; the
         # lazy per-function compile must publish exactly one closure set
         self._compile_lock = threading.Lock()
@@ -693,12 +698,19 @@ class CompiledModule:
 
     def overlay(self, cf: CompiledFunction, region) -> tuple:
         """The region steps each block of *cf* adds under *region* (its
-        size, or 0 outside the region), built once per region."""
-        key = (cf.name, region.funcs, region.blocks)
-        ov = self._overlays.get(key)
+        size, or 0 outside the region), built once per region.  The
+        region last asked about is found by identity: a campaign's
+        trials share one, while comparing an equal region's block set
+        costs a pass over it."""
+        last, overlays = self._last_region
+        if last is not region:
+            overlays = self._overlays.setdefault(
+                (region.funcs, region.blocks), {})
+            self._last_region = (region, overlays)
+        ov = overlays.get(cf.name)
         if ov is None:
             contains = region.contains
-            ov = self._overlays[key] = tuple([
+            ov = overlays[cf.name] = tuple([
                 n if contains(cf.name, lbl) else 0
                 for lbl, n in zip(cf.labels, cf.block_sizes)
             ])
@@ -785,7 +797,6 @@ class CompiledExecutor:
         self._cm = compiled if compiled is not None else compile_module(module)
         self._G: Optional[List[int]] = None
         self._depth = 0
-        self._overlays: Dict[str, tuple] = {}
         self._resolved: set = set()
         #: per function name: entries of each block since the last fold
         #: into ``counts`` (and ``region_steps``) at the end of a run
@@ -861,18 +872,17 @@ class CompiledExecutor:
         and, under a fault region, times its region size to
         ``region_steps``; then start the hit counters over."""
         counts = self.counts
+        cm, fault_region = self._cm, self.fault_region
         region = 0
         for name, hits in self._hits.items():
-            cf = self._cm.function(name)
+            cf = cm.function(name)
             hist = cf.hist
-            overlay = (self._overlay(cf) if self.fault_region is not None
-                       else None)
-            for bi, n in enumerate(hits):
-                if n:
-                    for code, k in hist[bi]:
-                        counts[code] += n * k
-                    if overlay is not None:
-                        region += n * overlay[bi]
+            for bi in compress(range(len(hits)), hits):
+                n = hits[bi]
+                for code, k in hist[bi]:
+                    counts[code] += n * k
+            if fault_region is not None:
+                region += sum(map(mul, hits, cm.overlay(cf, fault_region)))
         self._hits = {}
         self.region_steps += region
 
@@ -975,15 +985,9 @@ class CompiledExecutor:
             done = start
         else:
             done = start + 1
-        if self.fault_region is not None and self._overlay(cf)[bi]:
+        if (self.fault_region is not None
+                and self._cm.overlay(cf, self.fault_region)[bi]):
             self.region_steps += done
-
-    def _overlay(self, cf: CompiledFunction) -> tuple:
-        # by name: the module's lookup builds a region key each time
-        ov = self._overlays.get(cf.name)
-        if ov is None:
-            ov = self._overlays[cf.name] = self._cm.overlay(cf, self.fault_region)
-        return ov
 
     def _hang(self, handle, R):
         """Replay a fused segment (or a loop closure's block) that would

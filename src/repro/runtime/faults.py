@@ -7,7 +7,7 @@ instruction stream.  The SEU kinds model where a bit-flip upset lands:
 * ``value`` — a random bit of one slot of a ``REGISTER_FILE_SIZE``-slot
   register file (more slots when the stack holds more registers): the
   name-sorted registers of every frame on the stack, outermost first,
-  live or stale, then the empty slots (:func:`victim_index`).  A flip
+  live or stale, then the empty slots (:func:`flip_victim`).  A flip
   that lands on an empty slot, or on a register not live where its
   frame is (an outer frame at its resume point, less its pending call's
   dest), leaves the run the golden one: on every backend but ``ref``
@@ -42,7 +42,7 @@ import math
 import random
 import struct
 from dataclasses import dataclass
-from typing import FrozenSet, Optional, Tuple
+from typing import Collection, FrozenSet, Optional, Sequence, Tuple
 
 _INT_MASK = (1 << 64) - 1
 _INT_SIGN = 1 << 63
@@ -85,10 +85,28 @@ def victim_index(live: int, pick: float) -> Optional[int]:
     slots (the name-sorted registers of the whole frame stack), or
     ``None`` when it hits a slot of the ``REGISTER_FILE_SIZE``-slot file
     that holds no live program value: the flip is architecturally masked
-    (the dominant effect in the paper's UNSAFE runs).  Both the reference
-    interpreter and the batch lanes pick their victims here."""
+    (the dominant effect in the paper's UNSAFE runs); every engine asks
+    through :func:`flip_victim`."""
     k = int(pick * max(REGISTER_FILE_SIZE, live))
     return k if k < live else None
+
+
+def flip_victim(frames: Sequence[Collection], pick: float):
+    """The register a value flip with uniform *pick* lands on, as
+    ``(frame index, name)``, or ``None`` when :func:`victim_index` finds
+    it masked.  *frames* holds each frame's register names (any
+    collection: a register dict, a set), outermost first; the slots run
+    through each frame's names in sorted order.  Only the victim's frame
+    is sorted.  The reference interpreter, the batch lanes and
+    ``GoldenPrefix.masked`` all pick their victims here."""
+    k = victim_index(sum(map(len, frames)), pick)
+    if k is None:
+        return None
+    for depth, names in enumerate(frames):
+        if k < len(names):
+            return depth, sorted(names)[k]
+        k -= len(names)
+    raise AssertionError("victim_index returned a slot past the stack")
 
 
 def flip_int(value: int, bit: int) -> int:

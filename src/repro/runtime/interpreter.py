@@ -36,7 +36,7 @@ from ..ir.values import Const, GlobalAddr, Reg
 from ..obs.events import enabled as obs_enabled, span as obs_span
 from .errors import CoreDumpError, HangError
 from .faults import (CONTROL_KINDS, SKIP_KINDS, FaultPlan, Region, flip_value,
-                     victim_index)
+                     flip_victim)
 from .memory import Memory, global_addr
 from .scheduler import TimingModel
 from .semantics import CODE as _CODE, OPCODES, OPS as _OPS, PRED as _PRED
@@ -463,13 +463,10 @@ class Interpreter:
         if plan.kind == "cf":
             self._cf_pick = plan.pick
             return
-        slots = []  # the current frame is always on the stack
-        for frame in self._frames:
-            slots.extend((frame, name) for name in sorted(frame))
-        k = victim_index(len(slots), plan.pick)
-        if k is None:
+        victim = flip_victim(self._frames, plan.pick)
+        if victim is None:
             return
-        frame, name = slots[k]
+        frame, name = self._frames[victim[0]], victim[1]
         frame[name] = flip_value(frame[name], plan.bit)
 
     # -- execution -----------------------------------------------------------

@@ -1,8 +1,13 @@
 """Flat runtime memory.
 
-One linear array of numeric cells.  Address 0 is reserved (a null guard),
-globals are laid out at load time and ``alloc`` bumps a pointer — there is
-no free, matching the arena-style allocation of the benchmark programs.
+A linear space of ``size`` numeric cells.  Address 0 is reserved (a
+null guard), globals are laid out at load time and ``alloc`` bumps a
+pointer — there is no free, matching the arena-style allocation of the
+benchmark programs.  A :class:`Memory` holds its cells only up to a
+high-water mark, at least ``brk``: a program touches a few thousand of
+its 65,536 cells, so a trial's fresh image is that long, not the whole
+space.  Every cell above the mark reads ``0.0``, and a store there first
+extends the list with ``0.0``.  The address bound stays ``size``.
 
 Per the paper's assumption memory is ECC-protected: the fault injector
 never flips bits in memory cells at rest, only in register state.
@@ -44,13 +49,18 @@ def global_addr(layout: Dict[str, int], name: str) -> int:
 
 
 class Memory:
-    """Bounds-checked flat memory with global layout and bump allocation."""
+    """Bounds-checked flat memory with global layout and bump allocation.
+
+    ``cells`` runs up to the high-water mark (see the module docstring):
+    code that indexes it directly reads a cell at or past ``len(cells)``
+    as ``0.0``, as the compiled backend's fast path bounds its index by
+    ``len(cells)``."""
 
     def __init__(self, size: int = DEFAULT_SIZE):
         if size <= 0:
             raise ValueError("memory size must be positive")
         self.size = size
-        self.cells = [0.0] * size
+        self.cells = [0.0] * 8  # the null guard region
         self.globals: Dict[str, int] = {}
         self._brk = 8  # skip the null guard region
 
@@ -71,7 +81,14 @@ class Memory:
         self._brk += int(size)
         if self._brk > self.size:
             raise SegfaultError(base, "out of memory")
+        self._grow(self._brk)
         return base
+
+    def _grow(self, stop: int) -> None:
+        """Raise the high-water mark to *stop* (if below it)."""
+        cells = self.cells
+        if stop > len(cells):
+            cells.extend([0.0] * (stop - len(cells)))
 
     @property
     def brk(self) -> int:
@@ -82,9 +99,14 @@ class Memory:
         """Overwrite *cells* (address -> value) and move the allocation
         pointer to *brk*: a paused execution's memory over the initial
         image it started from."""
+        self._grow(brk)
         store = self.cells
         for addr, value in cells.items():
-            store[addr] = value
+            try:
+                store[addr] = value
+            except IndexError:
+                self._grow(addr + 1)
+                store[addr] = value
         self._brk = brk
 
     def global_addr(self, name: str) -> int:
@@ -92,21 +114,33 @@ class Memory:
 
     # -- access -------------------------------------------------------------
     def load(self, addr) -> float:
-        return self.cells[check_addr(addr, self.size)]
+        try:
+            return self.cells[check_addr(addr, self.size)]
+        except IndexError:  # above the high-water mark
+            return 0.0
 
     def store(self, addr, value) -> None:
-        self.cells[check_addr(addr, self.size)] = value
+        idx = check_addr(addr, self.size)
+        try:
+            self.cells[idx] = value
+        except IndexError:  # above the high-water mark
+            self._grow(idx + 1)
+            self.cells[idx] = value
 
     # -- convenience for harnesses ------------------------------------------
     def write_array(self, base: int, values: Sequence[float]) -> None:
         if base < 8 or base + len(values) > self.size:
             raise SegfaultError(base, "array write out of bounds")
+        self._grow(base + len(values))
         self.cells[base : base + len(values)] = list(values)
 
     def read_array(self, base: int, count: int) -> list:
         if base < 8 or base + count > self.size:
             raise SegfaultError(base, "array read out of bounds")
-        return self.cells[base : base + count]
+        out = self.cells[base : base + count]
+        if len(out) < count:
+            out.extend([0.0] * (count - len(out)))
+        return out
 
     def write_global(self, name: str, values: Sequence[float], offset: int = 0) -> None:
         self.write_array(self.global_addr(name) + offset, values)

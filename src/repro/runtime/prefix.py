@@ -69,7 +69,7 @@ from ..obs.events import diverted, emit as obs_emit, enabled as obs_enabled
 from ..obs.sinks import MemorySink
 from .compiler import CompiledExecutor, CompiledModule
 from .errors import TRIAL_TRAPS, classify_trap
-from .faults import FaultPlan, Region, victim_index
+from .faults import FaultPlan, Region, flip_victim
 from .interpreter import (_INTRIN, _NEVER, DecodedProgram, Interpreter,
                           MachineState, ResumeFrame, RunResult)
 from .memory import Memory, check_addr
@@ -153,6 +153,8 @@ class GoldenPrefix:
         #: initial image the snapshots' diffs apply to
         self._final_memory: Optional[Memory] = None
         self._initial: Dict[int, object] = {}
+        #: the one row of every settled trial (:meth:`settle`), once built
+        self.settled: Optional[TrialRow] = None
 
     def windows(self) -> Iterator[Tuple[str, str, int, int, int]]:
         """``(function, label, first index, first region step, length)``
@@ -191,7 +193,9 @@ class GoldenPrefix:
         if final is None:
             final = self._final_memory = copy.copy(memory)
             cells = final.cells = list(memory.cells)
-            self._initial = {addr: cells[addr] for addr in self.final.cells}
+            mark = len(cells)
+            self._initial = {addr: cells[addr] if addr < mark else 0.0
+                             for addr in self.final.cells}
             final.patch(self.final.cells, self.final.brk)
         return final
 
@@ -269,8 +273,8 @@ class GoldenPrefix:
 
     def masked(self, plan: FaultPlan) -> bool:
         """Whether *plan* is a value flip that leaves its trial the golden
-        run: its victim (:func:`~repro.runtime.faults.victim_index` over
-        the name-sorted registers of the frame stack at the plan's step)
+        run: its victim (:func:`~repro.runtime.faults.flip_victim` over
+        the registers of the frame stack at the plan's step)
         is an empty slot of the register file, or a register that is
         not live there — in an outer frame, where it resumes, without
         its pending call's dest (the rule of :meth:`matches`).
@@ -300,38 +304,43 @@ class GoldenPrefix:
                            caller.keys[:act.outer]))
             act = caller
         frames.reverse()
-        victim = victim_index(sum(len(frame[3]) for frame in frames), plan.pick)
+        victim = flip_victim([frame[3] for frame in frames], plan.pick)
         if victim is None:
             return True
-        last = len(frames) - 1
-        for depth, (func, label, index, names) in enumerate(frames):
-            if victim < len(names):
-                live = self.decoded.live_at(
-                    ResumeFrame(func, label, index, None), depth < last)
-                return sorted(names)[victim] not in live
-            victim -= len(names)
-        raise AssertionError("victim_index returned a slot past the stack")
+        depth, name = victim
+        func, label, index, _ = frames[depth]
+        return name not in self.decoded.live_at(
+            ResumeFrame(func, label, index, None), depth < len(frames) - 1)
 
     def settle(self, fresh_memory, runtime=None) -> "TrialRow":
         """The row of a trial whose plan is :meth:`masked`, without running
-        it: the golden run's value and step counters with no trap, and
-        its final memory (one per prefix, built once on
-        ``fresh_memory()``; a row's memory is only read).  *runtime*,
-        freshly reset, takes each loop's final golden statistics, so
-        ``caught`` is the golden run's.  Under tracing the golden run's
+        it: the golden run's value and step counters with no trap, its
+        final memory and ``caught`` as the golden run's statistics have
+        it.  The row is built once per prefix (its memory on
+        ``fresh_memory()``) and returned to every settled trial: a row is
+        only read.  Each loop of *runtime* takes a copy of its final
+        golden statistics, as the trial, run from a reset runtime, would
+        end with; its run state is not reset, since no intrinsic reads it
+        before the next trial resets it.  Under tracing the golden run's
         events are re-emitted, as the trial would emit them."""
-        memory = self._final_memory
-        if memory is None:
-            memory = self._final_from(fresh_memory())
+        row = self.settled
+        if row is None:
+            memory = self._final_memory
+            if memory is None:
+                memory = self._final_from(fresh_memory())
+            caught = sum(stats.recompute_mismatches
+                         for stats in self.final.stats.values()) != 0
+            result = self.result
+            row = self.settled = TrialRow(
+                result.value, result.steps, result.region_steps, None, False,
+                memory, caught)
         if runtime is not None:
             stats = self.final.stats
             for ctx_id, loop in runtime.loops.items():
                 loop.stats = stats[ctx_id].copy()
         if obs_enabled():
             _replay(self.events)
-        result = self.result
-        return TrialRow(result.value, result.steps, result.region_steps, None,
-                        False, memory)
+        return row
 
 
 def _replay(events) -> None:
@@ -359,14 +368,19 @@ def _same_cells(cells: list, written: Dict[int, object], stored,
     initial image is the golden run's *final* cells but for those it
     wrote, whose initial values *initial* holds.  The *written* cells
     compare with :func:`_same`; the trial's other stored cells compare
-    with the image as list equality does (``is`` or ``==``)."""
+    with the image as list equality does (``is`` or ``==``).  A cell
+    past the end of either list (its memory's high-water mark) is
+    ``0.0``; the trial's stored cells are all within *cells*."""
+    mark = len(cells)
     for addr, value in written.items():
-        if not _same(cells[addr], value):
+        if not _same(cells[addr] if addr < mark else 0.0, value):
             return False
+    mark = len(final)
     for addr in stored:
         if addr not in written:
             have = cells[addr]
-            want = initial[addr] if addr in initial else final[addr]
+            want = (initial[addr] if addr in initial else
+                    final[addr] if addr < mark else 0.0)
             if have is not want and have != want:
                 return False
     return True
@@ -420,7 +434,11 @@ class _WriteLog(Memory):
 
     def store(self, addr, value) -> None:
         idx = check_addr(addr, self.size)
-        self.cells[idx] = value
+        try:
+            self.cells[idx] = value
+        except IndexError:  # above the high-water mark
+            self._grow(idx + 1)
+            self.cells[idx] = value
         self.written.add(idx)
 
 

@@ -31,6 +31,8 @@ from repro.eval.fault_campaign import (
     seeded_plans,
 )
 from repro.eval.schemes import prepare
+from repro.obs.events import TRIAL_OUTCOME, sink_installed
+from repro.obs.sinks import MemorySink
 from repro.pipeline.registry import all_descriptors
 from repro.runtime import prefix
 from repro.runtime.backend import make_executor, set_default_backend
@@ -770,6 +772,77 @@ class TestSettle:
         assert {"dead", "live"} <= set(seen)
         if scheme == "UNSAFE":
             assert "empty" in seen
+
+
+    @staticmethod
+    def split(ctx, workload, scheme):
+        """Seeded plans of *ctx*'s campaign that settle, and that run."""
+        plans = seeded_plans(SEED, workload.name, scheme, 0, 40,
+                             ctx.region_steps)
+        masked = [plan for plan in plans if ctx.prefix.masked(plan)]
+        return masked, [plan for plan in plans if plan not in masked]
+
+    def test_settled_trials_share_one_row_and_end_with_the_golden_stats(
+            self, settled):
+        """Every settled trial returns the prefix's one row, its
+        ``caught`` the from-scratch trial's, and leaves each loop runtime
+        holding its own copy of the golden run's final statistics,
+        whatever the trial before it left there: no reset comes first."""
+        workload, prepared, inp, ctx = campaign("sgemm", "AR50")
+        golden, runtime = ctx.prefix, prepared.runtime
+        masked, running = self.split(ctx, workload, "AR50")
+        assert len(masked) >= 3 and running
+        scratch = dataclasses.replace(ctx, prefix=None)
+        rows = []
+        for plan in masked[:3]:
+            fault_campaign._run_trial(prepared, workload, inp, ctx,
+                                      running[0], True)
+            for loop in runtime.loops.values():  # as a faulted trial may
+                loop.stats = dataclasses.replace(
+                    loop.stats, elements=loop.stats.elements + 1)
+            rows.append(fault_campaign._run_trial(prepared, workload, inp,
+                                                  ctx, plan, True))
+            for ctx_id, loop in runtime.loops.items():
+                want = golden.final.stats[ctx_id]
+                assert loop.stats == want and loop.stats is not want
+            want = fault_campaign._run_trial(prepared, workload, inp,
+                                             scratch, plan, False)
+            assert rows[-1].caught == want.caught
+        assert len(settled) == 3 and all(row is rows[0] for row in rows)
+
+        # a golden run that counted a recompute mismatch marks every
+        # settled row caught
+        caught = copy.copy(golden)
+        caught.settled = None
+        caught.final = golden.final._replace(stats={
+            ctx_id: dataclasses.replace(stats, recompute_mismatches=1)
+            for ctx_id, stats in golden.final.stats.items()})
+        assert caught.settle(lambda: None, runtime).caught
+        assert not golden.settle(lambda: None, runtime).caught
+
+    def test_each_settled_trial_replays_the_golden_events(self):
+        """Under tracing, each settled trial re-emits the golden run's
+        events and is tallied with its own trial outcome, though its
+        outputs are compared once."""
+        workload, prepared, inp, ctx = campaign("sgemm", "AR50")
+        masked, _ = self.split(ctx, workload, "AR50")
+        golden = [(event.kind, event.loop, event.payload)
+                  for event in ctx.prefix.events]
+        assert golden
+        sink = MemorySink(capacity=None)
+        with sink_installed(sink):
+            result = run_plans(prepared, workload, inp, ctx, masked[:3],
+                               start=10, backend="compiled")
+        events = [(event.kind, event.loop, event.payload)
+                  for event in sink.events]
+        outcomes = [i for i, event in enumerate(events)
+                    if event[0] == TRIAL_OUTCOME]
+        assert len(outcomes) == 3 and result.trials == 3
+        assert [events[i][2]["trial"] for i in outcomes] == [10, 11, 12]
+        starts = [0] + [i + 1 for i in outcomes[:-1]]
+        for start, end in zip(starts, outcomes):
+            assert events[start:end] == golden
+        assert ctx.settled_class[0] is ctx.prefix.settled
 
 
 @pytest.mark.slow

@@ -174,3 +174,28 @@ class TestDataflowAndLinkage:
         m, f = empty_main()
         errors = verify_function(f, m)
         assert errors and "no blocks" in errors[0]
+
+
+class TestMessages:
+    """An instruction is printed only into a message about it."""
+
+    def test_a_clean_module_prints_no_instruction(self, dot_module, monkeypatch):
+        from repro.ir import printer
+
+        def refuse(*args):
+            raise AssertionError("an instruction was printed")
+
+        monkeypatch.setattr(Instr, "__repr__", refuse)
+        monkeypatch.setattr(printer, "format_instr", refuse)
+        verify_module(dot_module)
+
+    def test_each_type_error_names_its_instruction(self):
+        m, f = empty_main()
+        block = f.add_block("entry")
+        bad = Instr(Opcode.ADD, dest=Reg("a", F64), args=(f64(1.0), i64(2)))
+        block.append(bad)
+        block.append(Instr(Opcode.RET, args=(f64(0.0),)))
+        assert verify_function(f, m) == [
+            f"@main: {bad!r}: integer op on f64 operand",
+            f"@main: {bad!r}: integer op writes f64 register",
+        ]

@@ -288,18 +288,18 @@ class TestLaneMemory:
         for _ in range(batch_mod.FLATTEN_AFTER):
             assert lane.load(12) == 0.0
         cells = lane.cells
-        assert lane.size == 16
+        assert len(cells) == 16
         lane.allocate(32)  # the lane allocates past the flattened prefix
         assert lane.load(45) == 5.0 and lane.load(30) == 3.0
         # grown in place (code still holding the list sees the growth),
         # the layers folded in, the template beneath them
-        assert lane.cells is cells and lane.size == 46
+        assert lane.cells is cells and len(cells) == 46
         assert (cells[20], cells[30], cells[40], cells[45]) == \
             (2.0, 3.0, 4.0, 5.0)
         cells[30] = 7.0
         assert lane.load(30) == 7.0
         lane.store(50, 8.0)  # a store above the prefix grows it too
-        assert lane.size == 64 and lane.cells is cells and cells[50] == 8.0
+        assert len(cells) == 64 and lane.cells is cells and cells[50] == 8.0
         assert lane.read_array(44, 8) == [0.0, 5.0, 0.0, 0.0, 0.0, 0.0,
                                           8.0, 0.0]
 

@@ -14,6 +14,7 @@ floats, NaN, infinities and mixed types
 and the backend dispatch rules.
 """
 import math
+import random
 
 import pytest
 
@@ -92,10 +93,16 @@ def assert_same_run(ref, other):
         assert ref == other
 
 
+def contents(memory):
+    """Every addressable cell (8 and up) of *memory*, those above its
+    high-water mark included."""
+    return memory.read_array(8, memory.size - 8)
+
+
 def assert_same_memory(ref_mem, cells):
     """Every addressable cell (8 and up) of *cells* matches *ref_mem*."""
     assert len(cells) == ref_mem.size - 8
-    for i, (a, b) in enumerate(zip(ref_mem.cells[8:], cells), start=8):
+    for i, (a, b) in enumerate(zip(contents(ref_mem), cells), start=8):
         assert same_value(a, b), f"memory cell {i}: {a!r} != {b!r}"
 
 
@@ -124,7 +131,7 @@ def assert_backends_agree(module, args=(), max_steps=1_000_000,
     comp, comp_mem, comp_counters = run(CompiledExecutor)
     assert_same_run(ref, comp)
     assert comp_counters == ref_counters
-    assert_same_memory(ref_mem, comp_mem.cells[8:])
+    assert_same_memory(ref_mem, contents(comp_mem))
     if not every_engine:
         return ref
 
@@ -141,8 +148,7 @@ def assert_backends_agree(module, args=(), max_steps=1_000_000,
             else:
                 assert (res.trap, res.steps, res.region_steps) == \
                     (TRAP_KIND[ref[1]], *ref_counters)
-            assert_same_memory(
-                ref_mem, engine.lane_memory(lane).read_array(8, ref_mem.size - 8))
+            assert_same_memory(ref_mem, contents(engine.lane_memory(lane)))
     return ref
 
 
@@ -401,21 +407,25 @@ def test_trap_counts_mid_segment(funcs):
 
 def test_region_overlay_is_built_once_per_module_and_region():
     """Executors of one compiled module share each function's region
-    overlay; an equal region finds it, another region builds its own."""
+    overlay; an equal region finds it, another region builds its own,
+    and asking about a region again finds it once more."""
     module = parse_module(NESTED_TRAP)
     compiled = compile_module(module)
     cf = compiled.function("f")
     first = compiled.overlay(cf, Region(funcs=("f",)))
     assert first == tuple(cf.block_sizes)
     assert compiled.overlay(cf, Region(funcs=("f",))) is first
-    assert compiled.overlay(cf, Region(funcs=("main",))) == (0,) * len(first)
+    other = Region(funcs=("main",))
+    assert compiled.overlay(cf, other) == (0,) * len(first)
+    assert compiled.overlay(cf, other) is compiled.overlay(cf, other)
     for _ in range(2):
         engine = CompiledExecutor(module, memory=Memory(),
                                   fault_region=Region(funcs=("f",)),
                                   compiled=compiled)
         with pytest.raises(SegfaultError):
             engine.run("main", [])
-        assert engine._overlay(cf) is first
+        assert compiled.overlay(cf, engine.fault_region) is first
+        assert compiled.overlay(cf, other) is not first
 
 
 @pytest.mark.parametrize("budget", range(1, 9))
@@ -495,6 +505,38 @@ LOOP3 = (
     "done:\n  ret %s\n}\n"
 )
 
+#: a call-free loop over cells *k* apart from @a: each iteration loads a
+#: cell above the memory's high-water mark, stores to it and loads it back
+ABOVE_MARK = (
+    "global @a 4 f64\n"
+    "func @main(%n: i64, %k: i64) -> f64 {\nentry:\n  %i = mov 0:i64\n"
+    "  %s = mov 0.0:f64\n  %ap = mov @a\n  br head\n"
+    "head:\n  %c = icmp lt %i, %n\n  cbr %c, body, done\n"
+    "body:\n  %o = mul %i, %k\n  %p = add %ap, %o\n  %w = load %p\n"
+    "  %t = fadd %w, 1.5:f64\n  store %t, %p\n  %v = load %p\n"
+    "  %s = fadd %s, %v\n  br latch\n"
+    "latch:\n  %i = add %i, 1:i64\n  br head\n"
+    "done:\n  ret %s\n}\n"
+)
+
+
+class TestAboveTheMark:
+    def test_a_loop_closure_stores_above_the_mark_and_loads_back(self):
+        """The loop runs as one closure whose fast path bounds its index
+        by the cells the memory holds: a load above them reads 0.0, a
+        store grows them and the load after it reads the stored value,
+        as on the reference."""
+        module = parse_module(ABOVE_MARK)
+        cf = compile_module(module).function("main")
+        assert cf.loops[cf.labels.index("body")] is not None
+        obs = assert_backends_agree(module, args=[20, 100])
+        assert obs[:2] == ("ok", 30.0)
+        memory = Memory()
+        CompiledExecutor(module, memory=memory).run("main", [20, 100])
+        assert len(memory.cells) == 8 + 19 * 100 + 1
+        assert memory.load(8 + 19 * 100) == 1.5
+
+
 #: the whole program, the loop's function, and one block of the loop only
 LOOP3_REGIONS = [None, Region(funcs=("main",)),
                  Region(blocks=(("main", "body"),))]
@@ -568,7 +610,7 @@ class TestLoopClosures:
             engine = cls(module, memory=memory, fault_region=region)
             result = engine.run("main", state=state)
             return (result.value, result.steps, result.region_steps,
-                    result.counts, memory.cells)
+                    result.counts, contents(memory))
 
         assert resumed(CompiledExecutor) == resumed(Interpreter)
 
@@ -665,7 +707,7 @@ class TestLoopNestClosures:
             engine = cls(module, memory=memory, fault_region=region)
             result = engine.run("main", state=state)
             return (result.value, result.steps, result.region_steps,
-                    result.counts, memory.cells)
+                    result.counts, contents(memory))
 
         assert resumed(CompiledExecutor) == resumed(Interpreter)
 
@@ -696,6 +738,37 @@ def test_workload_counts_match_the_reference(workload, scheme):
                 result.counts)
 
     assert run(CompiledExecutor) == run(Interpreter)
+
+
+def test_fold_matches_the_per_block_fold():
+    """Folding block hits into per-opcode counts and region steps gives
+    what multiplying them out block by block gives, on random hit
+    vectors over every function of a protected workload (zeros
+    included), with and without a fault region."""
+    workload = next(w for w in ALL_WORKLOADS if w.name == "sgemm")
+    prepared = prepare(workload, "AR50")
+    module = prepared.module
+    cm = compile_module(module)
+    rng = random.Random(5)
+    for region in (fault_region(prepared), None):
+        for _ in range(20):
+            engine = CompiledExecutor(module, fault_region=region, compiled=cm)
+            want_counts, want_region = [0] * len(OPCODES), 0
+            for name in module.functions:
+                cf = cm.function(name)
+                hits = [rng.choice([0, 0, 1, rng.randint(2, 10 ** 6)])
+                        for _ in cf.labels]
+                engine._hits[name] = hits
+                for bi, n in enumerate(hits):
+                    for code, k in cf.hist[bi]:
+                        want_counts[code] += n * k
+                    if region is not None and region.contains(name, cf.labels[bi]):
+                        want_region += n * cf.block_sizes[bi]
+            engine.region_steps = 7
+            engine._fold()
+            assert engine.counts == want_counts
+            assert engine.region_steps == 7 + want_region
+            assert engine._hits == {}
 
 
 @pytest.mark.parametrize(

@@ -19,7 +19,7 @@ from repro.runtime import (
     random_plan,
 )
 
-from repro.runtime.faults import REGISTER_FILE_SIZE, victim_index
+from repro.runtime.faults import REGISTER_FILE_SIZE, flip_victim, victim_index
 
 from ..conftest import build_dot_module, run_main, seed_memory
 
@@ -204,6 +204,50 @@ class TestVictimIndex:
         # pick of exactly 1.0, which lands one past the end
         assert victim_index(live, 1.0) is None
         assert victim_index(REGISTER_FILE_SIZE, 0.999) == REGISTER_FILE_SIZE - 1
+
+
+def slot_list_victim(frames, pick):
+    """The victim rule as one name-sorted slot list over every frame."""
+    slots = []
+    for depth, names in enumerate(frames):
+        slots.extend((depth, name) for name in sorted(names))
+    k = victim_index(len(slots), pick)
+    return None if k is None else slots[k]
+
+
+class TestFlipVictim:
+    """The victim of a value flip, counted frame by frame, is the one a
+    single sorted slot list over the whole stack names."""
+
+    def test_random_stacks_pick_the_slot_list_victim(self):
+        rng = random.Random(11)
+        for _ in range(300):
+            names = [f"r{i}" for i in rng.sample(range(200), 120)]
+            frames, at = [], 0
+            for _ in range(rng.randint(1, 5)):
+                width = rng.choice([0, 1, 2, rng.randint(3, 40)])
+                frame = names[at:at + width]
+                at += width
+                frames.append(rng.choice([set, dict.fromkeys])(frame))
+            live = sum(map(len, frames))
+            file = max(REGISTER_FILE_SIZE, live)
+            # each frame's first and last slot, one past the last live
+            # slot (empty when the file is larger), and random picks
+            ends, first = [], 0
+            for frame in frames:
+                ends += [first, first + len(frame) - 1]
+                first += len(frame)
+            picks = [(k + 0.5) / file for k in ends + [live] if 0 <= k < file]
+            picks += [rng.random() for _ in range(5)]
+            for pick in picks:
+                assert flip_victim(frames, pick) == \
+                    slot_list_victim(frames, pick), (frames, pick)
+
+    def test_an_empty_stack_or_slot_is_masked(self):
+        assert flip_victim([set(), {}], 0.0) is None
+        assert flip_victim([{"a"}, {"b", "c"}], 3.5 / REGISTER_FILE_SIZE) is None
+        assert flip_victim([{"a"}, {"c", "b"}], 1.5 / REGISTER_FILE_SIZE) == \
+            (1, "b")
 
 
 class TestRegion:

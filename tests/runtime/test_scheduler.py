@@ -129,7 +129,7 @@ class TestEndToEndTiming:
             module = parse_module(src)
             tm = TimingModel(width=4)
             interp = Interpreter(module, timing=tm)
-            interp.memory.cells[32] = 1.5
+            interp.memory.store(32, 1.5)
             interp.run("main", [32])
             return tm.ipc
 

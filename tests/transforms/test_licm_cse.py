@@ -212,7 +212,7 @@ class TestCSE:
         replaced = run_cse(module.get_function("main"))
         assert replaced == 1  # v2 merged, v3 must re-load after the store
         interp = Interpreter(module)
-        interp.memory.cells[64] = 2.0
+        interp.memory.store(64, 2.0)
         assert interp.run("main", [64]).value == 2.0 + 2.0 + 9.0
 
     def test_preserves_workload_semantics(self):
