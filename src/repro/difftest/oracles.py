@@ -72,7 +72,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..core.rskip import PROTOCOL_REGION_ATTR
@@ -424,10 +424,12 @@ class _Trials:
             region, [], [], run.region_steps,
             min(max_steps, max(run.steps * HANG_FACTOR, 10_000)), golden, decoded)
 
-    def observe(self, plans: List[FaultPlan], backend: str) -> List[ExecResult]:
+    def observe(self, plans: List[FaultPlan], backend: str,
+                ctx: Optional[CampaignContext] = None) -> List[ExecResult]:
         """Each plan's trial on *backend* (one slab of ``len(plans)``
-        lanes for the batch engine), reduced to its observation as soon
-        as it finishes."""
+        lanes for the batch engine) over *ctx* (the campaign's, golden
+        prefix included, by default), reduced to its observation as
+        soon as it finishes."""
         module = self.prepared.module
         return [
             ExecResult(row.value,
@@ -435,17 +437,20 @@ class _Trials:
                        row.steps, region_steps=row.region_steps,
                        trap=row.trap, detected=row.detected, caught=row.caught)
             for row in trial_rows(self.prepared, self.workload, self.inp,
-                                  self.ctx, plans, backend, lanes=len(plans))
+                                  ctx or self.ctx, plans, backend,
+                                  lanes=len(plans))
         ]
 
     def compare(
         self, plans: List[FaultPlan], oracle: str, wheres: List[str],
         pipe: Tuple[str, ...], backends: Tuple[str, ...],
     ) -> Tuple[List[ExecResult], List[Violation]]:
-        """Run every plan on the reference engine and on each of
-        *backends*; returns the reference observations and one *oracle*
-        violation per diverging trial, located by ``wheres[i]``."""
-        ref = self.observe(plans, "ref")
+        """Run every plan on the reference engine from the program's
+        entry, and as a campaign runs it on each of *backends*
+        (fast-forwarded from the golden prefix, settled or handed off);
+        returns the reference observations and one *oracle* violation
+        per diverging trial, located by ``wheres[i]``."""
+        ref = self.observe(plans, "ref", replace(self.ctx, prefix=None))
         violations = []
         for backend in backends:
             got = self.observe(plans, backend)
@@ -469,9 +474,10 @@ def check_batch_equivalence(
     must trials handed off to the compiled backend.
 
     Draws one fault plan per lane (over a region spanning the whole
-    program), runs every plan on the reference interpreter, on the batch
-    backend (the value flips as lanes of a single batched run) and
-    handed off, and compares each outcome:
+    program), runs every plan on the reference interpreter from the
+    program's entry, on the batch backend (the value flips as lanes of a
+    single batched run) and as default campaigns run it (fast-forwarded,
+    settled or handed off), and compares each outcome:
     trap kind, detection flag, caught mismatch, step and region-step
     counts, return value and final global memory.  Checked on the plain
     program and, when *protection* is given, on the protected program.
@@ -591,10 +597,10 @@ def check_skip_exhaustive(
       instruction, one site per region step — the enumeration covers
       the whole dynamic stream;
     * every site is injected once as a ``skip`` plan, per trial on the
-      reference interpreter alone (fast-forwarded from the golden
-      prefix, as campaign trials are) and again the way default-backend
-      campaigns run it (handed off to the compiled backend, or ended at
-      the golden run, once the skip has acted), and each pair's (trap
+      reference interpreter alone from the program's entry and again
+      the way default-backend campaigns run it (fast-forwarded from the
+      golden prefix and handed off to the compiled backend once the
+      skip has acted), and each pair's (trap
       kind, detection flag, step counts, return value, final globals)
       must be byte-identical;
     * under the duplication schemes (swift, swift-r) a skip whose victim

@@ -42,7 +42,8 @@ from ..runtime.faults import (
 )
 from ..runtime.interpreter import DecodedProgram
 from ..runtime.outcomes import Outcome, classify_output, outputs_equal
-from ..runtime.prefix import GoldenPrefix, TrialRow, capture as capture_prefix, finish
+from ..runtime.prefix import (GoldenPrefix, TrialRow, capture as capture_prefix,
+                              caught_in, finish)
 from ..workloads.base import Workload, WorkloadInput, stable_seed
 from .schemes import (
     PreparedProgram,
@@ -192,20 +193,17 @@ def _run_trial(
     without running (:meth:`~repro.runtime.prefix.GoldenPrefix.settle`:
     one row per prefix, ``caught`` included; the runtime takes the
     golden run's final statistics).  Every other trial runs from a
-    freshly reset runtime (``caught`` comes from its stats delta) on the
-    reference interpreter, fast-forwarded from the golden prefix (from
-    scratch on a context without one) and, with *handoff*, ended at the
-    golden run once it re-joins it or else finished on the compiled
-    backend once its fault has acted."""
+    freshly reset runtime (``caught`` comes from the statistics it ends
+    with) on the reference interpreter, fast-forwarded from the golden
+    prefix (from scratch on a context without one) and, with *handoff*,
+    finished on the compiled backend once its fault has acted."""
     runtime = prepared.runtime
     golden = ctx.prefix
     if handoff and golden is not None and golden.masked(plan):
         return golden.settle(
             partial(workload.fresh_memory, prepared.module, inp), runtime)
-    since = None
     if runtime is not None:
         runtime.reset()
-        since = runtime.total_stats()
     memory = workload.fresh_memory(prepared.module, inp)
     state = None
     if golden is not None:
@@ -213,9 +211,8 @@ def _run_trial(
     row = finish(prepared.module, memory, plan, prepared.intrinsics,
                  ctx.region, ctx.max_steps,
                  ctx.decoded_for(prepared.module, memory), prepared.compiled,
-                 prepared.main, inp.args, state=state, handoff=handoff,
-                 golden=golden, runtime=runtime)
-    return _mark_caught(row, runtime, since)
+                 prepared.main, inp.args, state=state, handoff=handoff)
+    return _mark_caught(row, runtime)
 
 
 def _run_once_batch(
@@ -237,11 +234,9 @@ def _run_once_batch(
     """
     from ..runtime.batch import BatchExecutor
 
-    marks = None
     if runtimes is not None:
         for runtime in runtimes:
             runtime.reset()
-        marks = [runtime.total_stats() for runtime in runtimes]
     template = workload.fresh_memory(prepared.module, inp)
     # lane execution allocates heavily but briefly; keep the cyclic
     # collector out of the hot loop
@@ -260,8 +255,7 @@ def _run_once_batch(
             gc.enable()
     if runtimes is None:
         return rows
-    return [_mark_caught(row, runtime, since)
-            for row, runtime, since in zip(rows, runtimes, marks)]
+    return [_mark_caught(row, runtime) for row, runtime in zip(rows, runtimes)]
 
 
 @dataclass
@@ -427,10 +421,11 @@ def seeded_plans(
     ]
 
 
-def _mark_caught(row: TrialRow, runtime, since) -> TrialRow:
-    """*row*, marked caught when *runtime* (if any) counted an exact
-    validation mismatch since its stats were *since*."""
-    if runtime is not None and runtime.stats_delta(since).recompute_mismatches:
+def _mark_caught(row: TrialRow, runtime) -> TrialRow:
+    """*row*, marked caught when *runtime* (if any), reset before the
+    trial, counted an exact validation mismatch."""
+    if runtime is not None and caught_in(
+            loop.stats for loop in runtime.loops.values()):
         return row._replace(caught=True)
     return row
 
@@ -448,14 +443,13 @@ def trial_rows(
 
     Each trial starts from a freshly reset runtime, so a fault that
     corrupts predictor state cannot bias the next trial, and ``caught``
-    comes from a per-trial stats delta.  ``"ref"`` and ``"compiled"``
-    run the plans one by one (:func:`_run_trial`).  ``"ref"`` runs each
-    on the reference interpreter, fast-forwarded to the latest snapshot
-    of *ctx*'s golden prefix at or before its fault step.  ``"compiled"``
-    ends each trial early in one of three ways: a masked value flip
-    settles as the golden row at plan time without running; any other
-    trial runs on the reference as ``"ref"`` does and ends at the golden
-    run once it re-joins it, or else is handed off to the compiled
+    comes from the statistics it ends with.  ``"ref"`` and
+    ``"compiled"`` run the plans one by one (:func:`_run_trial`).
+    ``"ref"`` runs each on the reference interpreter, fast-forwarded to
+    the latest snapshot of *ctx*'s golden prefix at or before its fault
+    step.  ``"compiled"`` settles a masked value flip as the golden row
+    at plan time without running it; any other trial runs on the
+    reference as ``"ref"`` does and is handed off to the compiled
     backend once its fault has acted.  ``"batch"`` runs the value
     flips of each slab of up to *lanes* plans as one BatchExecutor run,
     and every other plan as ``"compiled"`` does.  A runtime-stateful

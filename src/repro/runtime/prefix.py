@@ -1,4 +1,4 @@
-"""Golden-prefix snapshots: ending faulted trials early.
+"""Golden-prefix snapshots: fast-forwarding faulted trials.
 
 A campaign trial injects one fault at a uniformly random in-region step
 (paper section 7.2), so everything it executes before that step replays
@@ -20,49 +20,34 @@ past each of evenly spaced region-step thresholds:
 * how many of the golden run's runtime events precede it.
 
 A default-backend trial (every backend but ``ref``; batch lanes
-excepted) ends early in one of three ways:
+excepted) takes one of two shortcuts:
 
 1. **Settled at plan time.**  A value flip whose victim is an empty
    slot of the register file or a register dead where its frame is
    (:meth:`GoldenPrefix.masked`) leaves the run the golden one, so the
    trial never runs: :meth:`GoldenPrefix.settle` returns the golden
    row.
-2. **At the golden exit.**  :meth:`GoldenPrefix.state_for` turns the
+2. **Handed off.**  Otherwise :meth:`GoldenPrefix.state_for` turns the
    latest snapshot at or before the plan's step into a
    :class:`~repro.runtime.interpreter.MachineState` (it patches the
    trial's fresh memory, restores the runtime and re-emits the recorded
    events), and :func:`finish` runs the trial on the reference
-   interpreter.  A :class:`HandOff` hook keeps it there up to the first
-   snapshot at or after the point its fault has fully acted and
-   compares it with that snapshot, once (:meth:`GoldenPrefix.matches`):
-   both step counters, frame positions, every register live at each
-   frame's resume point, every memory cell and ``brk``, the loop
-   runtimes' run state and their statistics except the recovery
-   counters (:data:`RECOVERY_COUNTERS`).  Such a trial runs on a
-   :class:`_WriteLog` of its memory, so the memory check reads only the
-   cells the snapshot holds and the cells the trial stored to.  A match
-   ends the trial with the golden run's row (:meth:`GoldenPrefix.exit`);
-   the exit is armed only when the golden run counted no recovery
-   activity (:attr:`GoldenPrefix.end`).
-3. **Handed off.**  Otherwise the hook passes the trial to the compiled
-   backend once its fault has fully acted, of whatever kind — unless a
-   skip or cf fault left a register unwritten that is live where the
-   trial's frames resume (:meth:`DecodedProgram.live_at`).  Only the
-   reference turns a read of one into a core dump, so that trial stays
-   on it to its end.
+   interpreter.  A :class:`HandOff` hook passes it to the compiled
+   backend at the first block entry where its fault, of whatever kind,
+   has fully acted — unless a skip or cf fault left a register
+   unwritten that is live where the trial's frames resume
+   (:meth:`DecodedProgram.live_at`).  Only the reference turns a read
+   of one into a core dump, so that trial stays on it to its end.
 
 Trap, outputs, ``steps``, ``region_steps`` and runtime statistics of
 every trial equal a from-scratch reference trial's.  :func:`finish`
 also ends batch lanes, from the state they leave lockstep with; they
-hand off but neither settle nor exit, and ``ref`` trials have no hook,
-so they run every instruction on the reference interpreter.
+hand off but never settle, and ``ref`` trials have no hook, so they
+run every instruction on the reference interpreter.
 """
 from __future__ import annotations
 
-import copy
-import math
-from bisect import bisect_left, bisect_right
-from collections import deque
+from bisect import bisect_right
 from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from ..obs.events import diverted, emit as obs_emit, enabled as obs_enabled
@@ -77,13 +62,6 @@ from .memory import Memory, check_addr
 #: a capture holds at most SNAPSHOTS snapshots, evenly spaced over the
 #: golden run's region steps (more than half as many on a long run)
 SNAPSHOTS = 64
-
-#: ``SkipStats`` counters only recovery increments and nothing reads
-#: back: a trial that re-joins the golden run keeps its own values
-RECOVERY_COUNTERS = ("recompute_mismatches", "corrected_master",
-                     "corrected_shadow", "unresolved_votes")
-
-_MISSING = object()
 
 
 class Snapshot(NamedTuple):
@@ -102,8 +80,8 @@ class Snapshot(NamedTuple):
 
 
 class GoldenEnd(NamedTuple):
-    """The golden execution's final state: where a trial that re-joins
-    it or never leaves it ends (its value and step counters are
+    """The golden execution's final state: where a trial whose flip is
+    masked ends (its value and step counters are
     :attr:`GoldenPrefix.result`'s)."""
 
     #: cell address -> final value of every cell the golden run wrote
@@ -118,8 +96,8 @@ class GoldenPrefix:
     snapshots, in region-step order."""
 
     def __init__(self, snapshots: List[Snapshot], events: list,
-                 decoded: DecodedProgram, final: GoldenEnd, converges: bool,
-                 result: RunResult, segments: List[Tuple[str, str, int, int]],
+                 decoded: DecodedProgram, final: GoldenEnd, result: RunResult,
+                 segments: List[Tuple[str, str, int, int]],
                  frames: List[Tuple[int, "_Activation", int]]):
         self.snapshots = snapshots
         self._marks = [snap.region_steps for snap in snapshots]
@@ -129,9 +107,6 @@ class GoldenPrefix:
         self.decoded = decoded
         #: the golden run's end, where a trial whose flip is masked ends
         self.final = final
-        #: the golden run's end, or ``None`` when trials may not exit
-        #: there (the golden run counted recovery activity)
-        self.end = final if converges else None
         #: the golden run's value and both step counters
         self.result = result
         #: ``(function, label, first index, region_steps)`` at every block
@@ -147,12 +122,6 @@ class GoldenPrefix:
         #: segment, listed on first use
         self._starts: Optional[List[int]] = None
         self._frame_marks: Optional[List[int]] = None
-        #: the golden run's final memory (:meth:`_final_from`): every
-        #: settled row's memory and, but for the cells in ``_initial``
-        #: (the initial values of the cells the golden run wrote), the
-        #: initial image the snapshots' diffs apply to
-        self._final_memory: Optional[Memory] = None
-        self._initial: Dict[int, object] = {}
         #: the one row of every settled trial (:meth:`settle`), once built
         self.settled: Optional[TrialRow] = None
 
@@ -174,8 +143,6 @@ class GoldenPrefix:
         *step*; returns the state to run from (trigger pending at
         *step*)."""
         snap = self.snapshots[bisect_right(self._marks, step) - 1]
-        if self.end is not None and self._final_memory is None:
-            self._final_from(memory)
         memory.patch(snap.cells, snap.brk)
         if runtime is not None:
             runtime.restore(snap.runtime)
@@ -185,99 +152,13 @@ class GoldenPrefix:
         return MachineState(frames, memory, snap.steps, snap.region_steps,
                             trigger=step)
 
-    def _final_from(self, memory: Memory) -> Memory:
-        """The golden run's final memory, built once: a copy of the fresh
-        *memory* patched with the golden run's final cells, the initial
-        values of those cells kept aside."""
-        final = self._final_memory
-        if final is None:
-            final = self._final_memory = copy.copy(memory)
-            cells = final.cells = list(memory.cells)
-            mark = len(cells)
-            self._initial = {addr: cells[addr] if addr < mark else 0.0
-                             for addr in self.final.cells}
-            final.patch(self.final.cells, self.final.brk)
-        return final
-
-    def after(self, region_steps: int) -> Optional[Snapshot]:
-        """The first snapshot at or after *region_steps*, if any."""
-        k = bisect_left(self._marks, region_steps)
-        return self.snapshots[k] if k < len(self.snapshots) else None
-
-    def matches(self, snap: Snapshot, state: MachineState, runtime=None) -> bool:
-        """Whether *state* (running with *runtime*) is the golden run
-        paused at *snap*, as far as the rest of the run can tell: equal
-        step counters and frame positions, every register live at each
-        frame's resume point defined in both and equal (an outer frame's
-        pending call dest is about to be overwritten), every memory cell
-        and ``brk`` equal, and each loop runtime's run state equal, its
-        statistics in every field but :data:`RECOVERY_COUNTERS`.
-        Registers and the cells the golden run has written compare type
-        and zero sign too.  *state*'s memory must be a :class:`_WriteLog`
-        over a fresh image that :meth:`state_for` patched, as
-        :func:`finish` gives a trial that can reach this check: only the
-        snapshot's cells and the cells the trial stored to are read
-        (:func:`_same_cells`), the latter against the initial image
-        kept since :meth:`state_for` first ran, so it never matches
-        before one.  That is exact because every cell outside both still
-        holds its image value, and the golden run's written cells only
-        grow from the snapshot the trial restored to *snap*."""
-        if (state.steps != snap.steps or state.region_steps != snap.region_steps
-                or len(state.frames) != len(snap.frames)):
-            return False
-        last = len(snap.frames) - 1
-        for depth, (mine, gold) in enumerate(zip(state.frames, snap.frames)):
-            if mine[:3] != gold[:3]:
-                return False
-            regs, golden_regs = mine.regs, gold.regs
-            for name in self.decoded.live_at(gold, depth < last):
-                value = regs.get(name, _MISSING)
-                if value is _MISSING or not _same(
-                        value, golden_regs.get(name, _MISSING)):
-                    return False
-        memory, final = state.memory, self._final_memory
-        if (final is None or memory.brk != snap.brk
-                or not _same_cells(memory.cells, snap.cells, memory.written,
-                                   final.cells, self._initial)):
-            return False
-        if runtime is not None:
-            loops = runtime.loops
-            for ctx_id, golden_state in snap.runtime.items():
-                if not _same_loop(vars(loops[ctx_id]), golden_state):
-                    return False
-        return True
-
-    def exit(self, snap: Snapshot, memory: Memory, runtime=None) -> "TrialRow":
-        """The row of a trial that :meth:`matches` *snap*: the golden run's
-        value and step counters with no trap, and *memory* patched to the
-        golden run's final cells.  Each loop of *runtime* ends with the
-        golden run's final statistics plus the trial's own
-        :data:`RECOVERY_COUNTERS` (the golden run's are zero), as the
-        full run would; the rest of its run state stays as the check
-        found it (every trial starts from a reset runtime).  Under
-        tracing the golden events after *snap* are re-emitted, as the
-        rest of the trial would emit them."""
-        end = self.end
-        memory.patch(end.cells, end.brk)
-        if runtime is not None:
-            for ctx_id, loop in runtime.loops.items():
-                stats = end.stats[ctx_id].copy()
-                for name in RECOVERY_COUNTERS:
-                    setattr(stats, name, getattr(loop.stats, name))
-                loop.stats = stats
-        if obs_enabled():
-            _replay(self.events[snap.events:])
-        result = self.result
-        return TrialRow(result.value, result.steps, result.region_steps, None,
-                        False, memory)
-
     def masked(self, plan: FaultPlan) -> bool:
         """Whether *plan* is a value flip that leaves its trial the golden
         run: its victim (:func:`~repro.runtime.faults.flip_victim` over
         the registers of the frame stack at the plan's step)
         is an empty slot of the register file, or a register that is
         not live there — in an outer frame, where it resumes, without
-        its pending call's dest (the rule of :meth:`matches`).
+        its pending call's dest (:meth:`DecodedProgram.live_at`).
 
         The innermost frame's registers are its first registers at the
         segment holding the step (a dict only grows, in insertion order)
@@ -325,15 +206,12 @@ class GoldenPrefix:
         events are re-emitted, as the trial would emit them."""
         row = self.settled
         if row is None:
-            memory = self._final_memory
-            if memory is None:
-                memory = self._final_from(fresh_memory())
-            caught = sum(stats.recompute_mismatches
-                         for stats in self.final.stats.values()) != 0
-            result = self.result
+            final, result = self.final, self.result
+            memory = fresh_memory()
+            memory.patch(final.cells, final.brk)
             row = self.settled = TrialRow(
                 result.value, result.steps, result.region_steps, None, False,
-                memory, caught)
+                memory, caught_in(final.stats.values()))
         if runtime is not None:
             stats = self.final.stats
             for ctx_id, loop in runtime.loops.items():
@@ -350,83 +228,14 @@ def _replay(events) -> None:
         obs_emit(event.kind, event.loop, **event.payload)
 
 
-def _same(a, b) -> bool:
-    """Equal values of one type; a float zero's sign counts too."""
-    if a is b:
-        return True
-    if type(a) is not type(b) or a != b:
-        return False
-    return (a != 0 or type(a) is not float
-            or math.copysign(1.0, a) == math.copysign(1.0, b))
-
-
-def _same_cells(cells: list, written: Dict[int, object], stored,
-                final: list, initial: Dict[int, object]) -> bool:
-    """Whether *cells* hold the golden memory: the initial image
-    overwritten by *written*, given that every cell outside *written* and
-    *stored* (the trial's own stores) still holds its initial value.  The
-    initial image is the golden run's *final* cells but for those it
-    wrote, whose initial values *initial* holds.  The *written* cells
-    compare with :func:`_same`; the trial's other stored cells compare
-    with the image as list equality does (``is`` or ``==``).  A cell
-    past the end of either list (its memory's high-water mark) is
-    ``0.0``; the trial's stored cells are all within *cells*."""
-    mark = len(cells)
-    for addr, value in written.items():
-        if not _same(cells[addr] if addr < mark else 0.0, value):
-            return False
-    mark = len(final)
-    for addr in stored:
-        if addr not in written:
-            have = cells[addr]
-            want = (initial[addr] if addr in initial else
-                    final[addr] if addr < mark else 0.0)
-            if have is not want and have != want:
-                return False
-    return True
-
-
-def _same_loop(state: dict, golden: dict) -> bool:
-    """Whether a loop runtime's attributes equal a golden snapshot's
-    (``LoopRuntimes.snapshot()``), its stats but for recovery counters."""
-    for name, want in golden.items():
-        have = state[name]
-        if name == "stats":
-            if any(getattr(have, field) != getattr(want, field)
-                   for field in have.__dataclass_fields__
-                   if field not in RECOVERY_COUNTERS):
-                return False
-        elif not _same_state(have, want):
-            return False
-    return True
-
-
-def _same_state(a, b) -> bool:
-    """Structural equality of run state: ``==`` where it holds, else the
-    same type with equal items or, for plain objects, equal attributes."""
-    if a is b or a == b:
-        return True
-    if type(a) is not type(b):
-        return False
-    if isinstance(a, (list, tuple, deque)):
-        return len(a) == len(b) and all(map(_same_state, a, b))
-    if isinstance(a, dict):
-        return a.keys() == b.keys() and all(_same_state(v, b[k])
-                                            for k, v in a.items())
-    if hasattr(a, "__dict__"):
-        return _same_state(vars(a), vars(b))
-    return False
-
-
 class _WriteLog(Memory):
     """Memory that remembers the address of every cell it stores to.
 
     It shares the cells of the memory it wraps.  :meth:`Memory.store` is
-    the only writer on the reference interpreter's path (``patch`` is
-    the fast-forward's own restore, not the program's), so
+    the only writer on the reference interpreter's path, so
     :attr:`written` holds every cell the run changed since the wrap: the
-    golden capture's written set, and the cells a trial that can reach
-    :meth:`GoldenPrefix.matches` stored to."""
+    golden capture's written set, which its snapshots and its end
+    hold."""
 
     def __init__(self, memory: Memory):
         self.__dict__.update(vars(memory))  # the same cells and layout
@@ -604,31 +413,26 @@ class TrialRow(NamedTuple):
     caught: bool = False
 
 
+def caught_in(stats) -> bool:
+    """Whether RSkip's exact validation flagged a mismatch in any of the
+    loop runtimes' *stats* (``SkipStats``): a trial's ``caught``."""
+    return any(loop_stats.recompute_mismatches for loop_stats in stats)
+
+
 class HandedOff(Exception):
     """Raised by :class:`HandOff`; ``args[0]`` is the exported state."""
 
 
-class Converged(Exception):
-    """Raised by :class:`HandOff`; ``args[0]`` is the golden snapshot the
-    trial matched."""
-
-
 class HandOff(_Hook):
     """Stops a trial of *plan* (resumed from *state*, if any) at the first
-    block entry past its trigger where no fault state is pending.  Given
-    the *golden* prefix the trial resumed from, it runs on to the first
-    snapshot mark from there and stops once more: :class:`Converged` when
-    the trial (with *runtime*) matches that snapshot, else handed off —
-    unless a dropped definition or an illegal control edge left a
-    register live there unwritten.  Only the reference turns a read of
-    one into a core dump, so such a trial stays on it to its end."""
+    block entry past its trigger where no fault state is pending, and
+    hands it off — unless a dropped definition or an illegal control
+    edge left a register live there unwritten.  Only the reference turns
+    a read of one into a core dump, so such a trial stays on it to its
+    end."""
 
-    def __init__(self, plan, state: Optional[MachineState] = None,
-                 golden: Optional[GoldenPrefix] = None, runtime=None):
+    def __init__(self, plan, state: Optional[MachineState] = None):
         super().__init__(state.frames if state is not None else ())
-        self._golden = golden
-        self._runtime = runtime
-        self._snap: Optional[Snapshot] = None
         self.at = plan.step + 1
 
     def take(self, interp: Interpreter, label: str, index: int) -> int:
@@ -637,48 +441,29 @@ class HandOff(_Hook):
                 or interp._cf_pick is not None):
             self.at = interp.region_steps
             return self.at
-        golden, snap = self._golden, self._snap
-        if golden is not None and snap is None:
-            snap = self._snap = golden.after(interp.region_steps)
-            if snap is not None and snap.region_steps > interp.region_steps:
-                self.at = snap.region_steps
-                return self.at
-        state = MachineState(self._frames(interp, label, index), interp.memory,
-                             interp.steps, interp.region_steps)
-        if snap is not None and golden.matches(snap, state, self._runtime):
-            raise Converged(snap)
-        if not interp.decoded.defines_live(state.frames):
+        frames = self._frames(interp, label, index)
+        if not interp.decoded.defines_live(frames):
             self.at = _NEVER
             return self.at
-        raise HandedOff(state)
+        raise HandedOff(MachineState(frames, interp.memory, interp.steps,
+                                     interp.region_steps))
 
 
 def finish(module, memory, plan: Optional[FaultPlan], intrinsics: Dict[str, object],
            region: Optional[Region], max_steps: int,
            decoded: Optional[DecodedProgram], compiled: Optional[CompiledModule],
            entry: str, args: Sequence = (), state: Optional[MachineState] = None,
-           handoff: bool = False, golden: Optional[GoldenPrefix] = None,
-           runtime=None) -> TrialRow:
+           handoff: bool = False) -> TrialRow:
     """Run one trial of *plan* on *memory* to its end — from the start of
     *entry*, or continuing the paused *state* — and return its row.
 
     The trial runs on the reference interpreter.  With *handoff*, a
     :class:`HandOff` hook passes it to the compiled backend once its
     fault has fully acted (at once, when *state* has none pending) and
-    every register live where its frames resume is written.  Given the
-    *golden* prefix *state* was restored from (and the *runtime* behind
-    *intrinsics*), a trial that matches the first snapshot after its
-    fault has acted ends there with the golden run's row
-    (:meth:`GoldenPrefix.exit`) instead.  The third early end, a masked
-    value flip settled at plan time (:meth:`GoldenPrefix.settle`), is
-    the caller's: such a trial never gets here."""
-    if golden is not None and golden.end is None:
-        golden = None
-    if handoff and golden is not None:
-        # the golden check reads only the cells the trial stores to
-        memory = _WriteLog(memory)
-        state = MachineState(state.frames, memory, state.steps,
-                             state.region_steps, state.trigger)
+    every register live where its frames resume is written.  The other
+    shortcut, a masked value flip settled at plan time
+    (:meth:`GoldenPrefix.settle`), is the caller's: such a trial never
+    gets here."""
     try:
         try:
             if handoff and state is not None and state.trigger is None:
@@ -687,8 +472,7 @@ def finish(module, memory, plan: Optional[FaultPlan], intrinsics: Dict[str, obje
                                  fault_plan=plan, fault_region=region,
                                  decoded=decoded)
             engine.intrinsics = intrinsics
-            engine.capture = (HandOff(plan, state, golden, runtime)
-                              if handoff else None)
+            engine.capture = HandOff(plan, state) if handoff else None
             value = engine.run(entry, args, state=state).value
         except HandedOff as stop:
             engine = CompiledExecutor(module, memory, max_steps, region, compiled)
@@ -697,8 +481,6 @@ def finish(module, memory, plan: Optional[FaultPlan], intrinsics: Dict[str, obje
     except TRIAL_TRAPS as exc:
         return TrialRow(None, engine.steps, engine.region_steps,
                         *classify_trap(exc), memory)
-    except Converged as hit:
-        return golden.exit(hit.args[0], memory, runtime)
     return TrialRow(value, engine.steps, engine.region_steps, None, False, memory)
 
 
@@ -718,10 +500,9 @@ def capture(
     and its snapshots (see :class:`_Capture`).
 
     *runtime* must be freshly reset; the capture leaves it, and
-    *memory*'s cells, in their end-of-run state.  The golden run's end
-    is kept for trials that re-join it unless the run counted recovery
-    activity.  Its runtime events are recorded, not written to any
-    installed sink, and its spans are dropped.  A trap propagates."""
+    *memory*'s cells, in their end-of-run state.  Its runtime events are
+    recorded, not written to any installed sink, and its spans are
+    dropped.  A trap propagates."""
     log = _WriteLog(memory)
     interp = Interpreter(module, memory=log, max_steps=max_steps,
                          fault_region=region, decoded=decoded)
@@ -735,7 +516,5 @@ def capture(
                       {} if runtime is None else
                       {ctx_id: loop.stats.copy()
                        for ctx_id, loop in runtime.loops.items()})
-    converges = runtime is None or not any(
-        getattr(runtime.total_stats(), name) for name in RECOVERY_COUNTERS)
     return GoldenPrefix(hook.snapshots, list(recorder.events), interp.decoded,
-                        final, converges, result, hook.segments, hook.frames)
+                        final, result, hook.segments, hook.frames)

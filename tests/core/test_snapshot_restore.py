@@ -5,6 +5,8 @@ lane its own copy of that state (a snapshot restored into the lane's
 fork) the moment its intrinsic calls diverge.  A copy must continue
 exactly as the original would, and share no mutable run state with it.
 """
+from collections import deque
+
 import pytest
 
 from repro.core.manager import LoopRuntime, SkipStats
@@ -12,10 +14,26 @@ from repro.core.protocol import CkptLoopRuntime, ReplayLoopRuntime
 from repro.eval import Harness
 from repro.eval.schemes import prepare
 from repro.runtime.interpreter import Interpreter
-from repro.runtime.prefix import _same_state
 from repro.workloads import get_workload
 
 SCALE = 0.35
+
+
+def _same_state(a, b) -> bool:
+    """Structural equality of run state: ``==`` where it holds, else the
+    same type with equal items or, for plain objects, equal attributes."""
+    if a is b or a == b:
+        return True
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, (list, tuple, deque)):
+        return len(a) == len(b) and all(map(_same_state, a, b))
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(_same_state(v, b[k])
+                                            for k, v in a.items())
+    if hasattr(a, "__dict__"):
+        return _same_state(vars(a), vars(b))
+    return False
 
 
 def clean_calls(prepared, workload, inp):
@@ -93,7 +111,6 @@ def test_run_state_copy_equals_deepcopy(monkeypatch):
     a copy, and nothing else shared.  Tuples are copied the way lists
     are, never by ``copy.deepcopy``."""
     import copy
-    from collections import deque
 
     from repro.core.manager import Element, _copy_run_state
 

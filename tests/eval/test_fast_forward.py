@@ -6,20 +6,21 @@ before its fault step and continues on the reference interpreter.  Every
 per-trial observable — trap, detection, outputs, loop outputs, ``steps``,
 ``region_steps`` and the runtime's stats delta (hence ``caught``) — must
 equal the from-scratch trial's, for stateless and stateful schemes and
-for every fault kind; and it must stay the same when the trial finishes
-on the compiled backend once its fault has fully acted, or ends at the
-golden run once it matches a golden snapshot.
+for every fault kind; and it must stay the same when the trial settles
+as the golden row without running (a masked value flip) or finishes on
+the compiled backend from the first block entry where its fault has
+fully acted.
 """
 import bisect
 import copy
 import dataclasses
 import pickle
 import sys
+from functools import partial
 
 import pytest
 
 from repro.analysis.liveness import Liveness
-from repro.core.manager import Element
 from repro.core.serialize import profiles_to_json
 from repro.eval import Harness
 from repro.eval import fault_campaign
@@ -41,7 +42,7 @@ from repro.runtime.compiler import CompiledExecutor
 from repro.runtime.interpreter import Interpreter
 from repro.runtime.faults import (
     ADVERSARIAL_KIND_WEIGHTS, CONTROL_KINDS, DEFAULT_KIND_WEIGHTS, FaultPlan,
-    flip_value, victim_index)
+    victim_index)
 from repro.workloads import ALL_WORKLOADS, get_workload
 
 SCALE = 0.35
@@ -80,21 +81,6 @@ def handed_off(monkeypatch):
 
     monkeypatch.setattr(prefix, "CompiledExecutor", Recorded)
     return states
-
-
-@pytest.fixture
-def exited(monkeypatch):
-    """The golden snapshot each trial that ended at the golden run
-    matched, in order."""
-    snaps = []
-    golden_exit = prefix.GoldenPrefix.exit
-
-    def recorded(self, snap, memory, runtime=None):
-        snaps.append(snap)
-        return golden_exit(self, snap, memory, runtime)
-
-    monkeypatch.setattr(prefix.GoldenPrefix, "exit", recorded)
-    return snaps
 
 
 @pytest.fixture
@@ -228,82 +214,109 @@ class TestEdges:
         assert_equivalent(workload, prepared, inp, ctx, plans)
 
 
-def handoff_rows(workload, prepared, inp, ctx, plans, handed_off, exited=(),
+def handoff_rows(workload, prepared, inp, ctx, plans, handed_off,
                  settled=()):
     """Per-trial observables with the hand-off on, and per plan whether
-    its trial finished on the compiled backend, whether it ended at the
-    golden run (recorded in *exited*) and whether it settled without
-    running (recorded in *settled*)."""
-    rows, moved, ended, settles = [], [], [], []
+    its trial finished on the compiled backend and whether it settled
+    without running (recorded in *settled*)."""
+    rows, moved, settles = [], [], []
     for plan in plans:
-        before, exits, settles_before = len(handed_off), len(exited), len(settled)
+        before, settles_before = len(handed_off), len(settled)
         rows += trial_rows(workload, prepared, inp, ctx, [plan], handoff=True)
         moved.append(len(handed_off) > before)
-        ended.append(len(exited) > exits)
         settles.append(len(settled) > settles_before)
-    return rows, moved, ended, settles
+    return rows, moved, settles
 
 
 def no_settling(ctx):
     """*ctx* over a copy of its golden prefix that settles no plan: every
-    trial runs, a masked one to the golden exit or a hand-off."""
+    trial runs, a masked one to a hand-off."""
     golden = copy.copy(ctx.prefix)
     golden.masked = lambda plan: False
     return dataclasses.replace(ctx, prefix=golden)
 
 
 def assert_handoff_equivalent(workload, prepared, inp, ctx, plans, handed_off,
-                              exited=(), settled=()):
+                              settled=()):
     want = trial_rows(workload, prepared, inp, ctx, plans)
-    got, moved, ended, settles = handoff_rows(
-        workload, prepared, inp, ctx, plans, handed_off, exited, settled)
+    got, moved, settles = handoff_rows(
+        workload, prepared, inp, ctx, plans, handed_off, settled)
     for plan, a, b in zip(plans, want, got):
         assert b == a, plan
-    return want, moved, ended, settles
+    return want, moved, settles
 
 
 class TestHandoff:
-    """A trial whose fault has fully acted ends at the golden run it
-    re-joined or finishes on the compiled backend, with the rows the
-    reference interpreter produces alone."""
+    """A trial whose fault has fully acted finishes on the compiled
+    backend, with the rows the reference interpreter produces alone."""
 
     @pytest.mark.parametrize("weights", sorted(WEIGHTS))
     @pytest.mark.parametrize("workload_name,scheme", CASES,
                              ids=[f"{w}-{s}" for w, s in CASES])
-    def test_rows_match_the_reference(self, handed_off, exited, settled,
+    def test_rows_match_the_reference(self, handed_off, settled,
                                       workload_name, scheme, weights):
         """Every trial that the reference does not end first (a trap or
-        detection) takes exactly one early route: it settles as the
-        golden row without running (a masked value flip), hands off or
-        ends at the golden run, and some settle.  That includes skip and
-        cf trials: none of them leaves a live register unwritten here
-        without trapping.  With settlement off, the masked trials run
-        and each ends at the golden run or hands off, with the same
-        rows, and some trials end at the golden run."""
+        detection) takes exactly one shortcut: it settles as the golden
+        row without running (a masked value flip) or hands off, and some
+        settle.  That includes skip and cf trials: none of them leaves a
+        live register unwritten here without trapping.  With settlement
+        off, the masked trials run and hand off too, with the same
+        rows."""
         workload, prepared, inp, ctx = campaign(workload_name, scheme)
         plans = seeded_plans(SEED, workload.name, scheme, 0, 24,
                              ctx.region_steps, WEIGHTS[weights])
-        rows, moved, ended, settles = assert_handoff_equivalent(
-            workload, prepared, inp, ctx, plans, handed_off, exited, settled)
-        assert all(m + e + s <= 1 for m, e, s in zip(moved, ended, settles))
+        rows, moved, settles = assert_handoff_equivalent(
+            workload, prepared, inp, ctx, plans, handed_off, settled)
+        assert not any(m and s for m, s in zip(moved, settles))
         # the rest trapped or were caught on the reference first
         untrapped = [trap is None and not detected
                      for trap, detected, *_ in rows]
-        assert all(m or e or s for m, e, s, free
-                   in zip(moved, ended, settles, untrapped) if free)
+        assert all(m or s for m, s, free in zip(moved, settles, untrapped)
+                   if free)
         assert any(settles)
         assert all(plan.kind == "value" for plan, s in zip(plans, settles) if s)
         if weights == "adversarial":
             assert any(plan.kind in CONTROL_KINDS for plan in plans)
 
-        got, moved, ended, unsettled = handoff_rows(
+        got, moved, unsettled = handoff_rows(
             workload, prepared, inp, no_settling(ctx), plans, handed_off,
-            exited, settled)
+            settled)
         assert got == rows and not any(unsettled)
-        assert all(m + e == 1 for m, e, free in zip(moved, ended, untrapped)
-                   if free)
-        assert any(e for plan, e in zip(plans, ended)
-                   if plan.kind not in CONTROL_KINDS)
+        assert all(m for m, free in zip(moved, untrapped) if free)
+
+    @pytest.mark.parametrize("weights", sorted(WEIGHTS))
+    @pytest.mark.parametrize("workload_name,scheme", [
+        ("sgemm", "AR50"), ("kde", "SWIFT-R")], ids=["sgemm-AR50", "kde-SWIFT-R"])
+    def test_value_flips_hand_off_at_the_next_block_entry(
+            self, handed_off, settled, workload_name, scheme, weights):
+        """A value flip has fully acted once it has landed, so a running
+        trial whose row is untrapped hands off at the first block entry
+        after its fault step: no later than the end of the block holding
+        that step, and with the row the reference produces alone."""
+        workload, prepared, inp, ctx = campaign(workload_name, scheme)
+        golden = ctx.prefix
+        plans = [plan for plan in seeded_plans(
+            SEED, workload.name, scheme, 0, 60, ctx.region_steps,
+            WEIGHTS[weights]) if plan.kind == "value"]
+        entries = [seg[3] for seg in golden.segments if seg[2] == 0]
+        starts = [seg[3] for seg in golden.segments]
+        rows, moved, settles = assert_handoff_equivalent(
+            workload, prepared, inp, ctx, plans, handed_off, settled)
+        exported = iter(handed_off)
+        checked = 0
+        for plan, row, m, s in zip(plans, rows, moved, settles):
+            state = next(exported) if m else None
+            if s or row[0] is not None or row[1]:
+                continue
+            assert m, plan
+            entry = entries[bisect.bisect_right(entries, plan.step)]
+            assert state.region_steps == entry, plan
+            func, label, _, _ = golden.segments[
+                bisect.bisect_right(starts, plan.step) - 1]
+            block = golden.decoded.funcs[func][1][label]
+            assert state.region_steps - plan.step <= len(block), plan
+            checked += 1
+        assert checked >= 5
 
     def test_hangs_hand_off(self, handed_off):
         workload, prepared, inp, ctx = campaign("conv1d", "UNSAFE")
@@ -312,8 +325,8 @@ class TestHandoff:
         hangs = [plan for plan, row in zip(plans, trial_rows(
             workload, prepared, inp, ctx, plans)) if row[0] == "hang"]
         assert hangs, "no hanging trial among the drawn plans"
-        rows, moved, *_ = assert_handoff_equivalent(workload, prepared, inp,
-                                                    ctx, hangs, handed_off)
+        rows, moved, _ = assert_handoff_equivalent(workload, prepared, inp,
+                                                   ctx, hangs, handed_off)
         assert all(row[4] == ctx.max_steps + 1 for row in rows)
         assert any(moved)
 
@@ -322,8 +335,7 @@ class TestHandoff:
         trial hands off inside the callee (its caller resumes at the
         snapshot's call site) or, once the callee has returned, as the
         caller re-enters its block after the call.  The hand-off points
-        are checked with the golden exit and settlement off, where each
-        trial hands off as soon as its fault has acted."""
+        are checked with settlement off, where every trial runs."""
         workload, prepared, inp, ctx = campaign("sgemm", "AR50")
         nested = [snap for snap in ctx.prefix.snapshots if len(snap.frames) > 1]
         plans = [FaultPlan(snap.region_steps + k, kind, bit=52, pick=0.1)
@@ -331,11 +343,8 @@ class TestHandoff:
                  for kind in ("value", "addr", "branch")]
         assert_handoff_equivalent(workload, prepared, inp, ctx, plans,
                                   handed_off)
-        no_exit = no_settling(ctx).prefix
-        no_exit.end = None
         handed_off.clear()
-        assert_handoff_equivalent(workload, prepared, inp,
-                                  dataclasses.replace(ctx, prefix=no_exit),
+        assert_handoff_equivalent(workload, prepared, inp, no_settling(ctx),
                                   plans, handed_off)
         assert any(len(state.frames) > 1 for state in handed_off)
         assert any(state.frames[-1].index > 0 for state in handed_off)
@@ -389,194 +398,6 @@ class TestHandoff:
                 assert len(resumed) == len(kind_plans)
             built.clear()
             resumed.clear()
-
-
-class TestGoldenMatch:
-    """``GoldenPrefix.matches``: a state restored from a snapshot matches
-    it, and each change the rest of the run could observe breaks the
-    match."""
-
-    @staticmethod
-    def paused(nested=True):
-        """(golden prefix, snapshot, a state equal to it, its runtime)."""
-        workload, prepared, inp, ctx = campaign("sgemm", "AR50")
-        golden = ctx.prefix
-        snap = [s for s in golden.snapshots
-                if (len(s.frames) > 1) == nested][-1]
-        runtime = prepared.runtime
-        runtime.reset()
-        # as ``prefix.finish`` gives a trial that can reach the check: a
-        # memory that records the cells it stores to
-        memory = prefix._WriteLog(workload.fresh_memory(prepared.module, inp))
-        state = golden.state_for(snap.region_steps, memory, runtime)
-        assert golden.matches(snap, state, runtime)
-        return golden, snap, state, runtime
-
-    @staticmethod
-    def live(golden, frame):
-        func = golden.decoded.module.functions[frame.func]
-        return Liveness(func).live_at(frame.label, frame.index)
-
-    def test_a_dead_register_is_ignored(self):
-        golden, snap, state, runtime = self.paused()
-        frame = state.frames[-1]
-        dead = sorted(set(frame.regs) - self.live(golden, frame))
-        assert dead
-        frame.regs[dead[0]] = flip_value(frame.regs[dead[0]], 3)
-        del frame.regs[dead[-1]]
-        assert golden.matches(snap, state, runtime)
-
-    def test_an_outer_frames_pending_call_dest_is_ignored(self):
-        golden, snap, state, runtime = self.paused()
-        outer = state.frames[-2]
-        call = golden.decoded.module.functions[outer.func].blocks[outer.label] \
-            .instrs[outer.index - 1]
-        assert call.dest is not None and call.dest.name in self.live(golden, outer)
-        outer.regs[call.dest.name] = -1.5
-        assert golden.matches(snap, state, runtime)
-
-    @pytest.mark.parametrize("change", ["value", "type", "undefined",
-                                        "undefined in both"])
-    def test_a_live_register_differs(self, change):
-        """A live register must be defined in both states and equal."""
-        golden, snap, state, runtime = self.paused()
-        frame = state.frames[-1]
-        regs = frame.regs
-        name = sorted(self.live(golden, frame) & set(regs))[0]
-        if change == "value":
-            regs[name] = flip_value(regs[name], 1)
-        elif change == "type":
-            regs[name] = float(regs[name]) if isinstance(regs[name], int) \
-                else int(regs[name])
-        else:
-            del regs[name]
-        if change == "undefined in both":
-            frames = [f._replace(regs=dict(f.regs)) for f in snap.frames]
-            del frames[-1].regs[name]
-            snap = snap._replace(frames=frames)
-        assert not golden.matches(snap, state, runtime)
-
-    def test_register_values_compare_type_and_zero_sign(self):
-        assert prefix._same(0.0, 0.0) and prefix._same(2, 2)
-        assert not prefix._same(0.0, -0.0)
-        assert not prefix._same(1, 1.0)
-        assert not prefix._same(float("nan"), float("nan"))
-
-    def test_a_cell_beyond_brk_differs(self):
-        golden, snap, state, runtime = self.paused()
-        memory = state.memory
-        memory.store(memory.brk + 1, 1.0)
-        assert not golden.matches(snap, state, runtime)
-
-    def test_brk_differs(self):
-        golden, snap, state, runtime = self.paused()
-        state.memory.allocate(1)
-        assert not golden.matches(snap, state, runtime)
-
-    def test_cells_the_golden_run_wrote_compare_zero_sign(self):
-        image = [0.0] * 16
-        written = {9: 0.0, 10: 2.5}
-        cells = list(image)
-        cells[10] = 2.5
-        assert prefix._same_cells(cells, written, {10}, image, {})
-        cells[9] = -0.0
-        assert not prefix._same_cells(cells, written, {9, 10}, image, {})
-        cells[9], cells[12] = 0.0, 3.0
-        assert not prefix._same_cells(cells, written, {12}, image, {})
-        # a stored cell outside *written* compares as list equality does
-        cells[12] = -0.0
-        assert prefix._same_cells(cells, written, {12}, image, {})
-        # ... with its initial value, also where the golden run's final
-        # cells (standing in for the image) hold a later write
-        final, initial = list(image), {13: 0.0}
-        final[13] = 7.0
-        cells[13] = 0.0
-        assert prefix._same_cells(cells, written, {13}, final, initial)
-        cells[13] = 7.0
-        assert not prefix._same_cells(cells, written, {13}, final, initial)
-
-    @pytest.mark.parametrize("change", ["queue", "disabled"])
-    def test_a_loops_run_state_differs(self, change):
-        golden, snap, state, runtime = self.paused()
-        loop = next(iter(runtime.loops.values()))
-        if change == "queue":
-            loop.queue.append(Element(0, 1.0, 8))
-        else:
-            loop.disabled = not loop.disabled
-        assert not golden.matches(snap, state, runtime)
-
-    def test_a_stats_counter_differs(self):
-        golden, snap, state, runtime = self.paused()
-        next(iter(runtime.loops.values())).stats.skipped_interp += 1
-        assert not golden.matches(snap, state, runtime)
-
-    @pytest.mark.parametrize("counter", prefix.RECOVERY_COUNTERS)
-    def test_recovery_counters_are_ignored(self, counter):
-        golden, snap, state, runtime = self.paused()
-        stats = next(iter(runtime.loops.values())).stats
-        setattr(stats, counter, getattr(stats, counter) + 1)
-        assert golden.matches(snap, state, runtime)
-
-    def test_positions_and_step_counters_differ(self):
-        golden, snap, state, runtime = self.paused(nested=False)
-        for changed in (dataclasses.replace(state, steps=state.steps + 1),
-                        dataclasses.replace(state,
-                                            region_steps=state.region_steps - 1),
-                        dataclasses.replace(state, frames=[
-                            state.frames[0]._replace(index=1)])):
-            assert not golden.matches(snap, changed, runtime)
-
-    def test_a_cell_only_the_trial_stored_differs(self, monkeypatch):
-        """An address fault sends lud's first store (row 0 stores the
-        value it loaded) into a cell of a later row.  The trial reaches
-        the next snapshot with the golden run's positions, step counters,
-        live registers and written cells: only a cell the golden run has
-        not written by then differs.  The check must see the trial's own
-        stores, and the trial's row must equal the ``ref`` backend's."""
-        workload, prepared, inp, ctx = campaign("lud", "UNSAFE")
-        plan = FaultPlan(10, "addr", bit=5)
-        real = prefix.GoldenPrefix.matches
-        checks = []
-
-        def spy(self, snap, state, runtime=None):
-            matched = real(self, snap, state, runtime)
-            # the same state with its stores forgotten, while the cells
-            # still hold what they held at the check
-            blind = dataclasses.replace(state,
-                                        memory=prefix._WriteLog(state.memory))
-            checks.append((matched, state.memory.written - snap.cells.keys(),
-                           real(self, snap, blind, runtime)))
-            return matched
-
-        monkeypatch.setattr(prefix.GoldenPrefix, "matches", spy)
-
-        def row(backend):
-            (got,) = fault_campaign.trial_rows(
-                prepared, workload, inp, ctx, [plan], backend)
-            return (repr(got.value), got.steps, got.region_steps, got.trap,
-                    [repr(v) for v in got.memory.read_global(*inp.output)])
-
-        want = row("ref")
-        assert not checks
-        assert row("compiled") == want
-        ((matched, stray, blind_match),) = checks
-        assert stray and blind_match
-        assert not matched
-
-    def test_recovery_in_the_golden_run_arms_no_exit(self):
-        """A golden run that counted recovery activity keeps no end, so
-        its trials hand off instead of ending there."""
-        workload, prepared, inp, ctx = campaign("sgemm", "AR50")
-        assert ctx.prefix.end is not None
-        runtime = prepared.runtime
-        runtime.reset()
-        next(iter(runtime.loops.values())).stats.corrected_master = 1
-        memory = workload.fresh_memory(prepared.module, inp)
-        golden = prefix.capture(
-            prepared.module, memory, prepared.intrinsics, runtime, ctx.region,
-            ctx.decoded_for(prepared.module, memory), prepared.main, inp.args,
-            ctx.max_steps)
-        assert golden.end is None
 
 
 class TestCapture:
@@ -817,8 +638,9 @@ class TestSettle:
         caught.final = golden.final._replace(stats={
             ctx_id: dataclasses.replace(stats, recompute_mismatches=1)
             for ctx_id, stats in golden.final.stats.items()})
-        assert caught.settle(lambda: None, runtime).caught
-        assert not golden.settle(lambda: None, runtime).caught
+        fresh_memory = partial(workload.fresh_memory, prepared.module, inp)
+        assert caught.settle(fresh_memory, runtime).caught
+        assert not golden.settle(fresh_memory, runtime).caught
 
     def test_each_settled_trial_replays_the_golden_events(self):
         """Under tracing, each settled trial re-emits the golden run's

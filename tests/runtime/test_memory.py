@@ -40,7 +40,7 @@ class TestBounds:
 
 
 class TestOneAddressCheck:
-    """The reference memory, the golden check's write log and a batch
+    """The reference memory, the golden capture's write log and a batch
     lane's memory view reject an address with the same segfault."""
 
     @pytest.mark.parametrize("addr", [10.5, "x", 7, 64])
