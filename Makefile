@@ -10,7 +10,9 @@ test:
 ## tier-1 suite + backend-equivalence smokes (O4/O5 over 60 generated
 ## programs each, O6 exhaustive single-skip model checking over 20, O7
 ## incremental-campaign equivalence over 10) + a batch-backend campaign
-## smoke (tallies must be byte-identical to the reference path), also
+## smoke (tallies must be byte-identical to the reference path; its
+## 200 blackscholes SWIFT trials send the most lanes to the tail, each
+## on a real Memory copied from the template), also
 ## for a stateful scheme (sgemm AR50: forked lane runtimes, tail lanes
 ## handed off to the compiled backend once their fault has acted,
 ## trapping lanes) + a mixed-kinds
@@ -48,7 +50,7 @@ verify: test
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m repro difftest --oracle o5 --n 60
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m repro difftest --oracle o6 --n 20
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m repro difftest --oracle o7 --n 10
-	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -c "from repro.eval.fault_campaign import run_campaign; from repro.runtime.backend import set_default_backend; from repro.workloads import get_workload; w = get_workload('conv1d'); set_default_backend('ref'); a = run_campaign(w, 'UNSAFE', 30, seed=1, scale=0.35); set_default_backend('batch'); b = run_campaign(w, 'UNSAFE', 30, seed=1, scale=0.35); set_default_backend(None); assert b.to_dict() == a.to_dict(), 'batch campaign diverged from ref'; print('batch campaign smoke: 30 trials, tallies byte-identical')"
+	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -c "from repro.eval.fault_campaign import run_campaign; from repro.runtime.backend import set_default_backend; from repro.workloads import get_workload; c = get_workload('conv1d'); k = get_workload('blackscholes'); runs = lambda: (run_campaign(c, 'UNSAFE', 30, seed=1, scale=0.35).to_dict(), run_campaign(k, 'SWIFT', 200, seed=1, scale=0.35).to_dict()); set_default_backend('ref'); a = runs(); set_default_backend('batch'); b = runs(); set_default_backend(None); assert b == a, 'batch campaign diverged from ref'; print('batch campaign smoke: 30 conv1d UNSAFE + 200 blackscholes SWIFT trials, tallies byte-identical')"
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -c "from repro.eval import Harness; from repro.eval.fault_campaign import run_campaign; from repro.runtime.backend import set_default_backend; from repro.workloads import get_workload; w = get_workload('sgemm'); p = Harness(w, scale=0.35, timing=False).profiles_for(0.5); set_default_backend('ref'); a = run_campaign(w, 'AR50', 200, seed=1, scale=0.35, profiles=p); set_default_backend('batch'); b = run_campaign(w, 'AR50', 200, seed=1, scale=0.35, profiles=p); set_default_backend(None); assert b.to_dict() == a.to_dict(), 'stateful batch campaign diverged from ref'; assert a.tallies, 'no trials tallied'; print('stateful batch smoke: 200 sgemm AR50 trials, tallies byte-identical')"
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -c "from repro.eval.fault_campaign import run_campaign; from repro.runtime.backend import set_default_backend; from repro.runtime.faults import ADVERSARIAL_KIND_WEIGHTS as KW; from repro.workloads import get_workload; w = get_workload('conv1d'); set_default_backend('ref'); a = run_campaign(w, 'UNSAFE', 30, seed=1, scale=0.35, kind_weights=KW); set_default_backend('batch'); b = run_campaign(w, 'UNSAFE', 30, seed=1, scale=0.35, kind_weights=KW); set_default_backend(None); assert b.to_dict() == a.to_dict(), 'mixed-kinds campaign diverged from ref'; assert set(a.kind_tallies) & {'skip', 'skip-burst', 'cf'}, 'adversarial mix drew no skip kinds'; assert {'branch', 'addr'} <= set(a.kind_tallies), 'adversarial mix drew no branch or addr faults'; print('mixed-kinds smoke: 30 trials, tallies byte-identical')"
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -c "import json, os, tempfile; from repro.eval import Harness; from repro.eval.fault_campaign import run_campaign; from repro.runtime.backend import set_default_backend; from repro.runtime.faults import ADVERSARIAL_KIND_WEIGHTS as KW; from repro.workloads import get_workload; w = get_workload('sgemm'); p = Harness(w, scale=0.35, timing=False).profiles_for(0.5); c = get_workload('conv1d'); k = get_workload('kde'); tmp = tempfile.TemporaryDirectory(prefix='repro-cp-'); cp = os.path.join(tmp.name, 'sgemm.json'); runs = lambda cp=None: (run_campaign(w, 'AR50', 200, seed=1, scale=0.35, profiles=p, checkpoint=cp).to_dict(), run_campaign(c, 'UNSAFE', 30, seed=1, scale=0.35, kind_weights=KW).to_dict(), run_campaign(k, 'SWIFT-R', 200, seed=1, scale=0.35).to_dict()); a = runs(cp); text = open(cp, encoding='utf-8').read(); assert text == json.dumps(json.loads(text)), 'checkpoint is not the json.dumps text of its parse'; assert len(json.loads(text)['chunks']) == 8, 'checkpoint lacks chunks'; set_default_backend('ref'); b = runs(); set_default_backend(None); assert a == b, 'handed-off campaign diverged from ref'; print('hand-off smoke: 200 sgemm AR50 (checkpointed, 8 chunks) + 30 adversarial conv1d UNSAFE + 200 kde SWIFT-R trials, tallies byte-identical')"

@@ -22,15 +22,15 @@ Three backends execute IR:
   block's trials of every other fault kind, and lanes that leave
   lockstep, finish like ``compiled`` campaign trials (``prefix.finish``).
   A single :func:`make_executor` call cannot express "many trials", so
-  here ``batch`` behaves like ``compiled`` for clean runs and like
-  ``ref`` for instrumented ones.
+  here ``batch`` behaves like ``compiled`` for untimed runs and like
+  ``ref`` for timed ones.
 
-:func:`make_executor` picks the backend: any *instrumented* request
-(a fault plan or a timing model) always routes to the
-reference interpreter — the SEU model and cycle model stay bit-exact —
-while clean runs (golden runs, QoS training sweeps, difftest oracle
-re-execution) use the compiled backend unless the default says
-otherwise.
+:func:`make_executor` picks the backend for one fault-free run: a
+timed one (a timing model) always routes to the reference interpreter,
+whose cycle model stays bit-exact, while untimed runs (measurement and
+QoS training runs, difftest oracle re-execution) use the compiled
+backend unless the default says otherwise.  Faulted trials never come here: they
+build their engines in :func:`repro.runtime.prefix.finish`.
 
 The default backend is, in order: the value set via
 :func:`set_default_backend` (the CLI's ``--backend`` flag), the
@@ -73,25 +73,24 @@ def make_executor(
     memory: Optional[Memory] = None,
     timing=None,
     max_steps: int = DEFAULT_MAX_STEPS,
-    fault_plan=None,
     fault_region=None,
     backend: Optional[str] = None,
 ):
-    """An execution context for *module* on the right backend.
+    """An execution context for one fault-free run of *module* on the
+    right backend.
 
-    Instrumented runs (*fault_plan* or *timing* set) are
-    always served by the reference interpreter; clean runs go to the
-    compiled backend unless ``backend="ref"`` (or the process default)
-    forces the reference.
+    Timed runs (*timing* set) are always served by the reference
+    interpreter; the others go to the compiled backend unless
+    ``backend="ref"`` (or the process default) forces the reference.
     """
     if backend is None:
         backend = default_backend()
     elif backend not in BACKENDS:
         raise ValueError(f"unknown backend {backend!r}; choose from {BACKENDS}")
-    if fault_plan is not None or timing is not None or backend == "ref":
+    if timing is not None or backend == "ref":
         return Interpreter(
             module, memory=memory, timing=timing, max_steps=max_steps,
-            fault_plan=fault_plan, fault_region=fault_region,
+            fault_region=fault_region,
         )
     return CompiledExecutor(
         module, memory=memory, max_steps=max_steps, fault_region=fault_region,

@@ -35,8 +35,10 @@ group.  The representation exploits that:
   holds uniform stores, a per-lane overlay dict holds divergent stores,
   and a per-group ``dirty`` set (a conservative superset of the
   divergently-written addresses) picks the resolution path.  A clean
-  load or store is two dict operations *per group*; no per-lane memory
-  images are ever materialized.
+  load or store is two dict operations *per group*; in lockstep no
+  per-lane memory image is materialized.  The template ends at its
+  high-water mark, as a :class:`~repro.runtime.memory.Memory` does: a
+  cell past it reads ``0.0``.
 
 Divergence and retirement
 =========================
@@ -52,12 +54,15 @@ Divergence and retirement
 * A lane that traps **retires** with its outcome (`segfault`,
   `coredump`, `hang`, or detected) while the rest of its group keeps
   running; exceeding ``max_steps`` retires the whole group as `hang`.
-  Retired and finished lanes expose their memory as a :class:`_LaneMem`
-  view (overlay → group layer → template) via ``lane_memory``.
+  A lane that retires or finishes in lockstep ends with a read-only
+  :class:`_LaneMem` view of its memory (overlay → group layer →
+  template; ``read_array``/``read_global`` only) as its row's memory.
 * A group at or below ``SCALAR_CUTOFF`` lanes leaves lockstep.  Each
-  of its lanes exports a
-  :class:`~repro.runtime.interpreter.MachineState` (its frames, its
-  memory view, both counters and its trigger, if still pending) and
+  of its lanes gets a :class:`~repro.runtime.memory.Memory` of its own
+  (a copy of the template, patched with the group's write layer and
+  then the lane's overlay, at the lane's ``brk``), exports a
+  :class:`~repro.runtime.interpreter.MachineState` on it (its frames,
+  that memory, both counters and its trigger, if still pending) and
   finishes alone the way a campaign trial does
   (:func:`repro.runtime.prefix.finish`): on the reference interpreter
   until its flip has fired, then on the compiled backend.
@@ -74,7 +79,8 @@ are inlined, on the uniform path.  Lanes run the reference decode of
 the program (:meth:`DecodedProgram.slotted`, its slot-indexed view,
 shared by every slab of a campaign), every load and store checks its
 address with :func:`repro.runtime.memory.check_addr` once the inline
-in-bounds integer test fails, and a flip picks its victim through
+in-bounds integer test fails, every ``alloc`` bumps through
+:func:`repro.runtime.memory.bump`, and a flip picks its victim through
 :func:`repro.runtime.faults.flip_victim`.
 
 Lanes carry value flips only (a plan of any other kind is a
@@ -132,7 +138,7 @@ from .interpreter import (
     MachineState,
     ResumeFrame,
 )
-from .memory import Memory, check_addr, global_addr
+from .memory import Memory, bump, check_addr
 from .prefix import TrialRow, _replay, finish
 from .semantics import LAST_VALUE_OP, OPS as _OPS
 from .semantics import HUGE_INT as _HUGE_INT, INT_MASK64 as _INT_MASK64, apply
@@ -151,10 +157,6 @@ _UNDEF = object()
 
 #: Sentinel for dict-chain lookups where ``None`` is a legal value.
 _MISS = object()
-
-#: Layered accesses after which a lane memory flattens its prefix: the
-#: copy costs about as much as this many layered lookups.
-FLATTEN_AFTER = 256
 
 
 def _try_collapse(vals: list):
@@ -278,112 +280,33 @@ def fork_lanes(runtime, lanes: int) -> Optional[list]:
 
 
 class _LaneMem:
-    """One lane's memory view, with :class:`Memory`'s load, store,
-    allocate and read API (same checks, exception classes, messages).
+    """The memory a lane that finished or trapped in lockstep ended with,
+    read-only: its overlay over its group's write layer over the shared
+    *template* (a :class:`Memory`, whose ``read_array`` bounds the read
+    and reads a cell past its high-water mark as ``0.0``).  Lanes that
+    leave lockstep end on a :class:`Memory` of their own."""
 
-    Reads resolve overlay → group layer → shared template (the
-    template's cells padded to ``size``), and writes land in the lane's
-    private overlay.  A lane that keeps running off lockstep (the tail)
-    flattens its allocated prefix ``[0, brk)`` into ``cells`` after
-    ``FLATTEN_AFTER`` layered accesses.  From then on ``cells`` follows
-    :class:`Memory`'s rule: it runs up to a high-water mark, where the
-    compiled backend's fast path bounds its index by ``len(cells)``, and
-    an access above the mark grows it in place.  Short-lived lanes never
-    pay for the copy.
-    """
+    __slots__ = ("template", "size", "gmem", "ov")
 
-    __slots__ = ("cells", "size", "tcells", "globals", "gmem", "ov",
-                 "_brk", "_misses")
-
-    def __init__(self, tcells, globals_, size, gmem, ov, brk):
-        self.cells: list = []
-        self.size = size            # the memory's size
-        self.tcells = tcells        # shared template cells (read-only)
-        self.globals = globals_
+    def __init__(self, template, gmem, ov):
+        self.template = template
+        self.size = template.size   # the memory's size
         self.gmem = gmem            # group write layer (frozen)
-        self.ov = ov                # this lane's private overlay
-        self._brk = brk
-        self._misses = 0
+        self.ov = ov                # this lane's overlay
 
-    def load(self, addr):
-        idx = check_addr(addr, self.size)
-        if idx >= len(self.cells) and not self._flattened(idx):
-            val = self.ov.get(idx, _MISS)
-            if val is _MISS:
-                val = self.gmem.get(idx, _MISS)
-                if val is _MISS:
-                    val = self.tcells[idx]
-            return val
-        return self.cells[idx]
-
-    def store(self, addr, value) -> None:
-        idx = check_addr(addr, self.size)
-        if idx >= len(self.cells) and not self._flattened(idx):
-            self.ov[idx] = value
-        else:
-            self.cells[idx] = value
-
-    def _flattened(self, idx: int) -> bool:
-        """Whether the valid address *idx* now lies in ``cells``.  Before
-        the flatten, count one layered access and flatten ``[0, brk)``
-        once they add up; after it, grow ``cells`` to cover *idx*, at
-        least doubling it.  (``cells`` is a new list only at the flatten:
-        compiled code still holding the empty one also holds its bound,
-        0; later growth extends the same list.)"""
-        if self.cells:
-            self._grow(max(idx + 1, 2 * len(self.cells)))
-            return True
-        self._misses += 1
-        if self._misses != FLATTEN_AFTER:
-            return False
-        self.cells = []
-        self._grow(self._brk)
-        return idx < len(self.cells)
-
-    def _grow(self, stop: int) -> None:
-        """Extend ``cells`` in place up to *stop* (at most the memory
-        size): the template's cells with the group layer, then this
-        lane's overlay, folded in."""
-        cells = self.cells
-        start, stop = len(cells), min(stop, self.size)
-        cells.extend(self.tcells[start:stop])
-        for layer in (self.gmem, self.ov):
-            for i, val in layer.items():
-                if start <= i < stop:
-                    cells[i] = val
-
-    def allocate(self, size: int) -> int:
-        if size <= 0:
-            raise SegfaultError(self._brk, f"allocation of non-positive size {size}")
-        base = self._brk
-        self._brk += int(size)
-        if self._brk > self.size:
-            raise SegfaultError(base, "out of memory")
-        return base
-
-    def global_addr(self, name: str) -> int:
-        return global_addr(self.globals, name)
-
-    # -- convenience for harnesses ------------------------------------------
     def read_array(self, base: int, count: int) -> list:
-        if base < 8 or base + count > self.size:
-            raise SegfaultError(base, "array read out of bounds")
-        mid = min(base + count, len(self.cells))
-        out = self.cells[base:mid]
-        ov = self.ov
-        gmem = self.gmem
-        tcells = self.tcells
-        for idx in range(max(base, mid), base + count):
+        out = self.template.read_array(base, count)
+        ov, gmem = self.ov, self.gmem
+        for idx in range(base, base + count):
             val = ov.get(idx, _MISS)
             if val is _MISS:
                 val = gmem.get(idx, _MISS)
-                if val is _MISS:
-                    val = tcells[idx]
-            out.append(val)
+            if val is not _MISS:
+                out[idx - base] = val
         return out
 
     def read_global(self, name: str, count: int, offset: int = 0) -> list:
-        return self.read_array(self.global_addr(name) + offset, count)
+        return self.read_array(self.template.global_addr(name) + offset, count)
 
 
 class _Frame:
@@ -451,10 +374,9 @@ class BatchExecutor:
     statistics.
 
     ``run`` returns one :class:`~repro.runtime.prefix.TrialRow` per
-    lane whose memory, the view :meth:`lane_memory` also returns,
-    composes the lane's overlay, its group's write layer and the shared
-    template; tail lanes finish on the *compiled* and *decoded* programs
-    passed in (a campaign's own).  With a
+    lane, its memory the lane's (see the module docstring); tail lanes
+    finish on the *compiled* and *decoded* programs passed in (a
+    campaign's own).  With a
     sink installed, ``group_calls``/``lane_calls`` count the lockstep
     calls of stateful intrinsics made once per group and once per lane,
     and ``state_copies`` the lanes given their own runtime state.
@@ -480,11 +402,6 @@ class BatchExecutor:
         if not template.globals and module.globals:
             template.load_globals(module)
         self._template = template
-        # lockstep loads index the template up to the memory size: its
-        # cells padded past their high-water mark, once per run
-        tcells = template.cells
-        self._tcells = tcells + [0.0] * (template.size - len(tcells))
-        self._globals = template.globals
         self._size = template.size
         if fault_plans is None:
             fault_plans = [None] * n_lanes
@@ -536,16 +453,7 @@ class BatchExecutor:
         #: wall-clock ms of tail lanes, summed while a sink is installed
         self._tail_ms = 0.0
         self._ovs: List[dict] = [dict() for _ in range(n_lanes)]
-        #: each lane's row, its memory view attached when ``run`` returns
         self._results: List[Optional[TrialRow]] = [None] * n_lanes
-        self._lmems: List[Optional[_LaneMem]] = [None] * n_lanes
-
-    def lane_memory(self, lane: int) -> _LaneMem:
-        """The composed memory view of a finished or retired lane."""
-        lm = self._lmems[lane]
-        if lm is None:
-            raise ValueError(f"lane {lane} has not finished")
-        return lm
 
     # -- frames -------------------------------------------------------------
     def _make_frame(self, func: Function, ret_dest: Optional[int]) -> _Frame:
@@ -590,12 +498,6 @@ class BatchExecutor:
                 fregs[s] = _SpCol(col, {row: nv})
 
     # -- retirement / splitting --------------------------------------------
-    def _bind_lane(self, lane: int, gmem: dict, brk) -> None:
-        """Freeze a finished/retired lane's memory view."""
-        self._lmems[lane] = _LaneMem(
-            self._tcells, self._globals, self._size,
-            gmem, self._ovs[lane], brk)
-
     def _prune_dirty(self, g: _Group) -> None:
         """Drop dirty addresses no surviving lane has an overlay entry
         for (their writers retired or forked away) so clean loads at
@@ -619,16 +521,13 @@ class BatchExecutor:
         scalars where the departures made them uniform again."""
         if g.nshare:
             self._end_shares(g, [g.rows[row] for row in dead])
-        snap = None
-        brks = g.brks
+        snap = dict(g.gmem)
         for row, exc in dead.items():
             trap, det = classify_trap(exc)
             lane = g.rows[row]
             self._results[lane] = TrialRow(
-                None, g.steps, g.region_steps, trap, det, None)
-            if snap is None:
-                snap = dict(g.gmem)
-            self._bind_lane(lane, snap, brks[row] if brks is not None else g.brk)
+                None, g.steps, g.region_steps, trap, det,
+                _LaneMem(self._template, snap, self._ovs[lane]))
         keep = [i for i in range(len(g.rows)) if i not in dead]
         g.rows[:] = [g.rows[i] for i in keep]
         g.row_of = {lane: i for i, lane in enumerate(g.rows)}
@@ -640,8 +539,8 @@ class BatchExecutor:
                 for s, col in enumerate(regs):
                     if col.__class__ is _SpCol:
                         regs[s] = _remap(col, remap, n)
-            if brks is not None:
-                g.brk, g.brks = _select_brks(brks, keep)
+            if g.brks is not None:
+                g.brk, g.brks = _select_brks(g.brks, keep)
             self._prune_dirty(g)
         return keep
 
@@ -649,11 +548,10 @@ class BatchExecutor:
         if g.nshare:
             self._end_shares(g, g.rows)
         trap, det = classify_trap(exc)
-        brks = g.brks
-        for i, lane in enumerate(g.rows):
+        for lane in g.rows:
             self._results[lane] = TrialRow(
-                None, g.steps, g.region_steps, trap, det, None)
-            self._bind_lane(lane, g.gmem, brks[i] if brks is not None else g.brk)
+                None, g.steps, g.region_steps, trap, det,
+                _LaneMem(self._template, g.gmem, self._ovs[lane]))
         g.rows[:] = []
 
     def _fork(self, g: _Group, sel: List[int], reuse: bool) -> _Group:
@@ -778,8 +676,7 @@ class BatchExecutor:
             total = (perf_counter() - t0) * 1000.0
             sink.record_span("batch.lockstep", total - self._tail_ms)
             sink.record_span("batch.tail", self._tail_ms)
-        return [self._results[lane]._replace(memory=self.lane_memory(lane))
-                for lane in range(self.n_lanes)]
+        return list(self._results)
 
     # -- the lockstep machine ----------------------------------------------
     def _run_group(self, g: _Group, work: List[_Group]) -> None:
@@ -787,7 +684,9 @@ class BatchExecutor:
         module = self.module
         tables = self._tables
         ovs = self._ovs
-        tcells = self._tcells
+        # the template ends at its high-water mark: a cell past it reads 0.0
+        tcells = self._template.cells
+        tlen = len(tcells)
         rows = g.rows
         max_steps = self.max_steps
         msize = self._size
@@ -950,7 +849,7 @@ class BatchExecutor:
                                 return
                         vbase = gmem.get(idx, _MISS)
                         if vbase is _MISS:
-                            vbase = tcells[idx]
+                            vbase = tcells[idx] if idx < tlen else 0.0
                         writers = g.dirty.get(idx)
                         if writers is None:
                             regs[dest] = vbase
@@ -978,7 +877,7 @@ class BatchExecutor:
                             idx = check_addr(ab, msize)
                         vbase = gmem.get(idx, _MISS)
                         if vbase is _MISS:
-                            vbase = tcells[idx]
+                            vbase = tcells[idx] if idx < tlen else 0.0
                         rexc = {}
                         writers = g.dirty.get(idx)
                         if writers:
@@ -996,7 +895,7 @@ class BatchExecutor:
                             if v_ is _MISS:
                                 v_ = gmem.get(idx2, _MISS)
                                 if v_ is _MISS:
-                                    v_ = tcells[idx2]
+                                    v_ = tcells[idx2] if idx2 < tlen else 0.0
                             rexc[r] = v_
                         tb = vbase.__class__
                         for r in [r for r, v_ in rexc.items()
@@ -1025,7 +924,7 @@ class BatchExecutor:
                         if val is _MISS:
                             val = gmem.get(idx, _MISS)
                             if val is _MISS:
-                                val = tcells[idx]
+                                val = tcells[idx] if idx < tlen else 0.0
                         out[i] = val
                     if dead is not None:
                         g.steps = steps
@@ -1177,16 +1076,12 @@ class BatchExecutor:
                         g.region_steps = rsteps
                         if g.nshare:
                             self._end_shares(g, rows)
-                        gmem = g.gmem
-                        brks = g.brks
                         for i in range(L):
                             lane = rows[i]
                             self._results[lane] = TrialRow(
-                                _at(rv, i),
-                                g.steps, g.region_steps, None, False, None)
-                            self._bind_lane(
-                                lane, gmem,
-                                brks[i] if brks is not None else g.brk)
+                                _at(rv, i), g.steps, g.region_steps, None,
+                                False, _LaneMem(self._template, g.gmem,
+                                                ovs[lane]))
                         g.rows[:] = []
                         return
                     caller = g.frames[-1]
@@ -1332,20 +1227,15 @@ class BatchExecutor:
                     a = regs[v] if k else v
                     if a.__class__ is not _SpCol and g.brks is None:
                         sz = int(a)
-                        if sz <= 0:
+                        try:
+                            top = bump(sz, g.brk, msize)
+                        except SegfaultError as exc:
                             g.steps = steps
                             g.region_steps = rsteps
-                            self._retire_all(g, SegfaultError(
-                                g.brk, f"allocation of non-positive size {sz}"))
+                            self._retire_all(g, exc)
                             return
-                        base = g.brk
-                        g.brk = base + sz
-                        if g.brk > msize:
-                            g.steps = steps
-                            g.region_steps = rsteps
-                            self._retire_all(g, SegfaultError(base, "out of memory"))
-                            return
-                        regs[dest] = base
+                        regs[dest] = g.brk
+                        g.brk = top
                         continue
                     brks = g.brks
                     if brks is None:
@@ -1354,20 +1244,15 @@ class BatchExecutor:
                     dead = None
                     for i in range(L):
                         sz = int(_at(a, i))
+                        base = brks[i]
                         try:
-                            base = brks[i]
-                            if sz <= 0:
-                                raise SegfaultError(
-                                    base, f"allocation of non-positive size {sz}")
-                            nb = base + sz
-                            brks[i] = nb  # the reference bumps before the check
-                            if nb > msize:
-                                raise SegfaultError(base, "out of memory")
-                            out[i] = base
-                        except TRIAL_TRAPS as exc:
+                            brks[i] = bump(sz, base, msize)
+                        except SegfaultError as exc:
                             if dead is None:
                                 dead = {}
                             dead[i] = exc
+                            continue
+                        out[i] = base
                     if dead is not None:
                         g.steps = steps
                         g.region_steps = rsteps
@@ -1405,9 +1290,12 @@ class BatchExecutor:
         brks = g.brks
         entry = g.frames[0].fname
         for i, lane in enumerate(g.rows):
-            # the group is done: its write layer is frozen for the lanes
-            self._bind_lane(lane, g.gmem, brks[i] if brks is not None else g.brk)
-            mem = self._lmems[lane]
+            # the template, the group's write layer, then the lane's
+            # overlay, at the lane's allocation pointer
+            brk = brks[i] if brks is not None else g.brk
+            mem = self._template.copy()
+            mem.patch(g.gmem, brk)
+            mem.patch(self._ovs[lane], brk)
             frames = [
                 ResumeFrame(fr.fname, fr.label, fr.pc, {
                     name: _at(col, i) for name, col in zip(fr.names, fr.regs)

@@ -39,6 +39,19 @@ def check_addr(addr, size: int) -> int:
     return addr
 
 
+def bump(size, brk: int, limit: int) -> int:
+    """The allocation pointer after ``alloc`` hands out *size* cells at
+    *brk* in a memory of *limit* cells, or a :class:`SegfaultError` at
+    *brk* for a size that is not positive or runs past *limit*.  Every
+    allocation of every engine bumps here."""
+    if size <= 0:
+        raise SegfaultError(brk, f"allocation of non-positive size {size}")
+    top = brk + int(size)
+    if top > limit:
+        raise SegfaultError(brk, "out of memory")
+    return top
+
+
 def global_addr(layout: Dict[str, int], name: str) -> int:
     """The base address of global *name* in *layout* (name -> address),
     or a :class:`SegfaultError` for a global the layout lacks."""
@@ -75,12 +88,8 @@ class Memory:
                     self.cells[base + i] = v
 
     def allocate(self, size: int) -> int:
-        if size <= 0:
-            raise SegfaultError(self._brk, f"allocation of non-positive size {size}")
         base = self._brk
-        self._brk += int(size)
-        if self._brk > self.size:
-            raise SegfaultError(base, "out of memory")
+        self._brk = bump(size, base, self.size)
         self._grow(self._brk)
         return base
 
@@ -108,6 +117,15 @@ class Memory:
                 self._grow(addr + 1)
                 store[addr] = value
         self._brk = brk
+
+    def copy(self) -> "Memory":
+        """An independent memory with this one's cells, layout and
+        allocation pointer."""
+        clone = Memory(self.size)
+        clone.cells = self.cells[:]
+        clone.globals = dict(self.globals)
+        clone._brk = self._brk
+        return clone
 
     def global_addr(self, name: str) -> int:
         return global_addr(self.globals, name)

@@ -399,9 +399,10 @@ class _Capture(_Hook):
 class TrialRow(NamedTuple):
     """One finished trial, the same for every engine: its return value,
     both step counters, how it trapped, the memory it ended with (a
-    :class:`~repro.runtime.memory.Memory`, or a batch lane's view with
-    the same ``read_global``) and whether RSkip's exact validation
-    flagged a mismatch during it."""
+    :class:`~repro.runtime.memory.Memory`, or for a batch lane that
+    ended in lockstep a read-only view with the same ``read_array`` and
+    ``read_global``) and whether RSkip's exact validation flagged a
+    mismatch during it."""
 
     value: object
     steps: int

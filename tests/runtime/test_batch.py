@@ -11,16 +11,25 @@ plain trial.
 """
 import pytest
 
+from repro.eval import Harness
+from repro.eval.fault_campaign import (campaign_context, campaign_input,
+                                       seeded_plans, trial_rows)
+from repro.eval.schemes import prepare
 from repro.ir.parser import parse_module
 from repro.ir.verifier import verify_module
 from repro.runtime import batch as batch_mod
+from repro.runtime import prefix as prefix_mod
 from repro.runtime.batch import SCALAR_CUTOFF, BatchExecutor
 from repro.runtime.errors import CoreDumpError, HangError, SegfaultError
 from repro.runtime.faults import FaultPlan, Region
-from repro.runtime.compiler import CompiledExecutor
+from repro.runtime.compiler import CompiledExecutor, compile_module
 from repro.runtime.interpreter import (DecodedProgram, Interpreter,
                                       MachineState, ResumeFrame)
 from repro.runtime.memory import Memory
+from repro.runtime.prefix import finish
+from repro.workloads import get_workload
+
+from .test_compiler import contents, same_value
 
 LOOP_SUM = """
 module batch_loop_sum
@@ -79,7 +88,12 @@ def _region(module):
     return Region(funcs=tuple(module.functions))
 
 
-def _ref_trial(module, plan, region, max_steps=100_000):
+def same_cells(a, b) -> bool:
+    """Two memories' cells agree, a NaN matching a NaN."""
+    return a == b or (len(a) == len(b) and all(map(same_value, a, b)))
+
+
+def _ref_trial(module, plan, region, max_steps=100_000, args=()):
     """One reference-interpreter trial, reduced to the lane observables."""
     memory = Memory()
     interp = Interpreter(
@@ -88,7 +102,7 @@ def _ref_trial(module, plan, region, max_steps=100_000):
     trap = None
     value = None
     try:
-        value = interp.run("main", []).value
+        value = interp.run("main", list(args)).value
     except SegfaultError:
         trap = "segfault"
     except HangError:
@@ -110,8 +124,7 @@ class TestCleanLanes:
             assert res.trap is None and not res.detected
             assert res.value == value == pytest.approx(36.0)
             assert (res.steps, res.region_steps) == (steps, rsteps)
-        for lane in range(lanes):
-            assert executor.lane_memory(lane).read_global("out", 8) == \
+            assert res.memory.read_global("out", 8) == \
                 memory.read_global("out", 8)
 
     def test_single_lane_batch_is_a_plain_trial(self):
@@ -125,7 +138,7 @@ class TestCleanLanes:
         assert (res.trap, res.value, res.steps, res.region_steps) == \
             (trap, value, steps, rsteps)
         if trap is None:
-            assert executor.lane_memory(0).read_global("out", 8) == \
+            assert res.memory.read_global("out", 8) == \
                 memory.read_global("out", 8)
 
 
@@ -166,7 +179,7 @@ class TestDivergence:
             assert res.trap is None and not res.detected
             assert res.value == value_c
             assert (res.steps, res.region_steps) == (steps_c, rsteps_c)
-            assert executor.lane_memory(lane).read_global("out", 8) == \
+            assert res.memory.read_global("out", 8) == \
                 memory_c.read_global("out", 8)
 
     def test_every_row_diverges_then_some_trap(self):
@@ -185,11 +198,11 @@ class TestDivergence:
                                  max_steps=100_000)
         results = executor.run("main", [])
         assert {res.trap for res in results} == {None, "coredump"}
-        for lane, (plan, res) in enumerate(zip(plans, results)):
+        for plan, res in zip(plans, results):
             trap, value, steps, rsteps, memory = _ref_trial(module, plan, region)
             assert (res.trap, res.value, res.steps, res.region_steps) == \
                 (trap, value, steps, rsteps), f"bit {plan.bit}"
-            assert executor.lane_memory(lane).read_global("out", 1) == \
+            assert res.memory.read_global("out", 1) == \
                 memory.read_global("out", 1)
 
     def test_all_lanes_hang_against_the_step_budget(self):
@@ -274,34 +287,239 @@ class TestResume:
 
 
 class TestLaneMemory:
-    """A tail lane's memory view flattens its allocated prefix into
-    ``cells`` (the compiled backend's fast path) and then grows that same
-    list on demand, so loads above the ``brk`` it flattened at read
-    ``cells`` too."""
+    """A lane that leaves lockstep runs on a :class:`Memory` of its own
+    (the template, its group's write layer, then its overlay) and ends
+    with it: the cells its trial ends with on the reference interpreter,
+    whether its flip was still pending when it left or had fired in
+    lockstep."""
 
-    def test_loads_above_brk_after_the_flatten_read_cells(self):
-        template = [0.0] * 64
-        template[40] = 4.0
-        group = {30: 3.0, 45: 4.5}
-        overlay = {20: 2.0, 45: 5.0}
-        lane = batch_mod._LaneMem(template, {}, 64, group, overlay, 16)
-        for _ in range(batch_mod.FLATTEN_AFTER):
-            assert lane.load(12) == 0.0
-        cells = lane.cells
-        assert len(cells) == 16
-        lane.allocate(32)  # the lane allocates past the flattened prefix
-        assert lane.load(45) == 5.0 and lane.load(30) == 3.0
-        # grown in place (code still holding the list sees the growth),
-        # the layers folded in, the template beneath them
-        assert lane.cells is cells and len(cells) == 46
-        assert (cells[20], cells[30], cells[40], cells[45]) == \
-            (2.0, 3.0, 4.0, 5.0)
-        cells[30] = 7.0
-        assert lane.load(30) == 7.0
-        lane.store(50, 8.0)  # a store above the prefix grows it too
-        assert len(cells) == 64 and lane.cells is cells and cells[50] == 8.0
-        assert lane.read_array(44, 8) == [0.0, 5.0, 0.0, 0.0, 0.0, 0.0,
-                                          8.0, 0.0]
+    @pytest.mark.parametrize("workload_name,scheme", [
+        ("sgemm", "AR50"), ("blackscholes", "SWIFT")])
+    def test_tail_lanes_end_on_the_reference_memory(self, monkeypatch,
+                                                    workload_name, scheme):
+        workload = get_workload(workload_name)
+        profiles = None
+        if scheme == "AR50":
+            profiles = Harness(workload, scale=0.35,
+                               timing=False).profiles_for(0.5)
+        inp = campaign_input(workload, 1, 0.35)
+        prepared = prepare(workload, scheme, None, profiles)
+        ctx = campaign_context(prepared, workload, inp)
+        plans = [plan for plan in seeded_plans(1, workload_name, scheme, 0,
+                                               100, ctx.region_steps)
+                 if plan.kind == "value"]
+        tail = {}
+        real_finish = batch_mod.finish
+
+        def recording_finish(module, memory, plan, *args, **kw):
+            tail[id(plan)] = (kw["state"].trigger is not None, memory)
+            return real_finish(module, memory, plan, *args, **kw)
+
+        monkeypatch.setattr(batch_mod, "finish", recording_finish)
+        # 8-lane slabs: a group drops to the tail at its first divergence,
+        # often before the flips of the lanes left in it have fired
+        got = list(trial_rows(prepared, workload, inp, ctx, plans, "batch",
+                              lanes=SCALAR_CUTOFF + 2))
+        want = list(trial_rows(prepared, workload, inp, ctx, plans, "ref"))
+        assert {pending for pending, _ in tail.values()} == {True, False}
+        for plan, row, ref in zip(plans, got, want):
+            if id(plan) not in tail:
+                continue
+            assert type(row.memory) is Memory
+            assert row.memory is tail[id(plan)][1]
+            assert (row.trap, row.steps, row.region_steps) == \
+                (ref.trap, ref.steps, ref.region_steps)
+            assert same_cells(contents(row.memory), contents(ref.memory))
+
+
+ALLOC = """
+module batch_alloc
+
+global @out 2 i64
+
+func @main(%a: i64) -> i64 {
+entry:
+  %b = alloc 3:i64
+  %c = add %a, 0:i64
+  br grab
+grab:
+  %p = alloc %c
+  store %c, %p
+  store %p, @out
+  ret %p
+}
+"""
+
+
+def _segfault(fn):
+    """``fn()``'s segfault as (message, address)."""
+    with pytest.raises(SegfaultError) as info:
+        fn()
+    return str(info.value), info.value.address
+
+
+class TestAllocTraps:
+    """An ``alloc`` whose size is non-positive or runs past the memory
+    traps with the same message, address and step counts on every
+    engine: the reference interpreter, the compiled backend, a uniform
+    and a per-row lockstep group, and a lane in the tail (on the
+    reference before its flip fires, on the compiled backend after)."""
+
+    @staticmethod
+    def record_traps(monkeypatch):
+        """Every trial-ending exception the batch engine and ``finish``
+        classify, in order."""
+        seen = []
+        for mod in (batch_mod, prefix_mod):
+            def recording(exc, real=mod.classify_trap):
+                seen.append(exc)
+                return real(exc)
+            monkeypatch.setattr(mod, "classify_trap", recording)
+        return seen
+
+    @staticmethod
+    def reference(module, region, plan, size):
+        interp = Interpreter(module, memory=Memory(), fault_plan=plan,
+                             fault_region=region)
+        trap = _segfault(lambda: interp.run("main", [size]))
+        return trap, interp.steps, interp.region_steps
+
+    def check_lanes(self, rows, seen, lanes, want):
+        trap, steps, rsteps = want
+        for lane in lanes:
+            assert (rows[lane].trap, rows[lane].steps,
+                    rows[lane].region_steps) == ("segfault", steps, rsteps)
+        assert [(str(exc), exc.address) for exc in seen] == \
+            [trap] * len(seen) and seen
+
+    @pytest.mark.parametrize("size", [0, -5, 1 << 20])
+    def test_a_uniform_size(self, monkeypatch, size):
+        module = _load(ALLOC)
+        region = _region(module)
+        want = self.reference(module, region, None, size)
+        assert ("out of memory" in want[0][0]) == (size > 0)
+        compiled = CompiledExecutor(module, memory=Memory(),
+                                    fault_region=region)
+        trap = _segfault(lambda: compiled.run("main", [size]))
+        assert (trap, compiled.steps, compiled.region_steps) == want
+        seen = self.record_traps(monkeypatch)
+        lanes = SCALAR_CUTOFF + 2
+        rows = BatchExecutor(module, Memory(), lanes,
+                             fault_region=region).run("main", [size])
+        self.check_lanes(rows, seen, range(lanes), want)
+        assert len(seen) == 1  # the whole group retired at once
+
+    @pytest.mark.parametrize("bit", [2, 20, 63])  # 4 -> 0, 2**20 + 4, < 0
+    def test_a_flipped_size(self, monkeypatch, bit):
+        """The flip lands on the size's source ``%a`` in the entry block,
+        so a reference trial hands off at ``grab`` and traps compiled."""
+        module = _load(ALLOC)
+        region = _region(module)
+        plan = FaultPlan(step=1, kind="value", bit=bit, pick=0.0)
+        want = self.reference(module, region, plan, 4)
+        seen = self.record_traps(monkeypatch)
+        handoffs = []
+        real_compiled = prefix_mod.CompiledExecutor
+
+        def counting(*args, **kw):
+            handoffs.append(1)
+            return real_compiled(*args, **kw)
+
+        monkeypatch.setattr(prefix_mod, "CompiledExecutor", counting)
+        row = finish(module, Memory(), plan, {}, region, 100_000, None,
+                     compile_module(module), "main", [4], handoff=True)
+        self.check_lanes([row], seen, [0], want)
+        assert handoffs == [1]
+        # a per-row group: three lanes trap, the rest run on in lockstep
+        del seen[:]
+        lanes = SCALAR_CUTOFF + 4
+        plans = [plan] * 3 + [None] * (lanes - 3)
+        rows = BatchExecutor(module, Memory(), lanes, fault_plans=plans,
+                             fault_region=region).run("main", [4])
+        self.check_lanes(rows, seen, range(3), want)
+        assert len(seen) == 3 and handoffs == [1]
+        assert {rows[lane].trap for lane in range(3, lanes)} == {None}
+        # a lane alone in the tail: it hands off, as the trial did
+        del seen[:]
+        rows = BatchExecutor(module, Memory(), 1, fault_plans=[plan],
+                             fault_region=region).run("main", [4])
+        self.check_lanes(rows, seen, [0], want)
+        assert handoffs == [1, 1]
+
+    def test_a_tail_lane_traps_on_the_reference(self, monkeypatch):
+        """A flip of ``%c`` just before the ``alloc``: the tail lane
+        traps before any block entry could hand it off."""
+        module = _load(ALLOC)
+        region = _region(module)
+        # slots a, b, c at step 3; pick 0.04 lands on the third
+        plan = FaultPlan(step=3, kind="value", bit=2, pick=0.04)
+        want = self.reference(module, region, plan, 4)
+        seen = self.record_traps(monkeypatch)
+        monkeypatch.setattr(prefix_mod, "CompiledExecutor", None)
+        rows = BatchExecutor(module, Memory(), 1, fault_plans=[plan],
+                             fault_region=region).run("main", [4])
+        self.check_lanes(rows, seen, [0], want)
+
+
+HIGH_LOADS = """
+module batch_high_loads
+
+global @g 4 i64
+
+func @main(%o: i64) -> i64 {
+entry:
+  %u = add @g, 3000:i64
+  %x = load %u : i64
+  %a = add @g, %o
+  %y = load %a : i64
+  store %o, %u
+  %z = load %u : i64
+  store %a, %a
+  %v = load %a : i64
+  %gp = mov @g
+  store %x, %gp
+  %g1 = add %gp, 1:i64
+  store %y, %g1
+  %g2 = add %gp, 2:i64
+  store %z, %g2
+  %g3 = add %gp, 3:i64
+  store %v, %g3
+  ret %v
+}
+"""
+
+
+class TestLoadsAboveTheMark:
+    """The template ends at its high-water mark (just past ``@g``), and
+    lockstep loads above it read ``0.0``: at a uniform address, at a
+    column's base and exception rows, and (once one lane's address traps)
+    row by row; a load there then reads back the group layer's and each
+    overlay's store.  Every lane ends as its reference trial."""
+
+    @pytest.mark.parametrize("trapping", [False, True],
+                             ids=["column", "per-row"])
+    def test_lanes_read_zero_and_their_stores(self, trapping):
+        module = _load(HIGH_LOADS)
+        region = _region(module)
+        # the flip lands on %o before the first instruction
+        plans = [FaultPlan(step=0, kind="value", bit=bit, pick=0.0)
+                 for bit in (3, 4, 6, 7)] + [None] * (SCALAR_CUTOFF + 1)
+        if trapping:
+            plans[-1] = FaultPlan(step=0, kind="value", bit=40, pick=0.0)
+        template = Memory()
+        template.load_globals(module)
+        assert len(template.cells) < 2008
+        executor = BatchExecutor(module, template, len(plans),
+                                 fault_plans=plans, fault_region=region)
+        rows = executor.run("main", [2000])
+        for lane, (plan, row) in enumerate(zip(plans, rows)):
+            trap, value, steps, rsteps, memory = _ref_trial(
+                module, plan, region, args=[2000])
+            assert (row.trap, row.value, row.steps, row.region_steps) == \
+                (trap, value, steps, rsteps)
+            assert same_cells(contents(row.memory), contents(memory))
+        assert rows[0].memory.read_global("g", 2) == [0.0, 0.0]
+        assert (rows[-1].trap == "segfault") == trapping
 
 
 class TestConstruction:
@@ -349,9 +567,3 @@ class TestConstruction:
         with pytest.raises(ValueError, match="another module"):
             BatchExecutor(module, memory, 2, fault_region=region,
                           decoded=decoded)
-
-    def test_unfinished_lane_memory_rejected(self):
-        module = _load(LOOP_SUM)
-        executor = BatchExecutor(module, Memory(), 2)
-        with pytest.raises(ValueError, match="not finished"):
-            executor.lane_memory(0)

@@ -38,6 +38,7 @@ from repro.runtime.batch import SCALAR_CUTOFF, BatchExecutor
 from repro.eval.schemes import fault_region, prepare
 from repro.runtime.faults import FaultPlan, Region
 from repro.runtime.interpreter import MachineState, ResumeFrame
+from repro.runtime.scheduler import TimingModel
 from repro.runtime.semantics import CODE, OPCODES, PRED, apply
 from repro.workloads import ALL_WORKLOADS
 
@@ -140,7 +141,7 @@ def assert_backends_agree(module, args=(), max_steps=1_000_000,
         engine = BatchExecutor(
             module, template, n_lanes, max_steps=max_steps,
             intrinsics=intrinsics_factory() if intrinsics_factory else None)
-        for lane, res in enumerate(engine.run("main", list(args))):
+        for res in engine.run("main", list(args)):
             if ref[0] == "ok":
                 assert res.trap is None and not res.detected
                 assert same_value(res.value, ref[1])
@@ -148,7 +149,7 @@ def assert_backends_agree(module, args=(), max_steps=1_000_000,
             else:
                 assert (res.trap, res.steps, res.region_steps) == \
                     (TRAP_KIND[ref[1]], *ref_counters)
-            assert_same_memory(ref_mem, contents(engine.lane_memory(lane)))
+            assert_same_memory(ref_mem, contents(res.memory))
     return ref
 
 
@@ -821,9 +822,6 @@ class TestDispatch:
         m = module_of("  ret 1.0:f64")
         assert isinstance(
             make_executor(m, backend="batch"), CompiledExecutor)
-        plan = FaultPlan(step=0, kind="value", bit=1, pick=0.5)
-        assert isinstance(
-            make_executor(m, backend="batch", fault_plan=plan), Interpreter)
 
     def test_clean_run_defaults_to_compiled(self):
         m = module_of("  ret 1.0:f64")
@@ -835,8 +833,9 @@ class TestDispatch:
 
     def test_instrumented_run_always_ref(self):
         m = module_of("  ret 1.0:f64")
-        plan = FaultPlan(step=0, kind="value", bit=1, pick=0.5)
-        assert isinstance(make_executor(m, fault_plan=plan), Interpreter)
+        for backend in BACKENDS:
+            assert isinstance(make_executor(m, timing=TimingModel(),
+                                            backend=backend), Interpreter)
 
     def test_env_default(self, monkeypatch):
         m = module_of("  ret 1.0:f64")

@@ -4,7 +4,7 @@ import pytest
 
 from repro.ir import Module
 from repro.runtime import Memory, SegfaultError
-from repro.runtime.batch import FLATTEN_AFTER, _LaneMem
+from repro.runtime.batch import _LaneMem
 from repro.runtime.prefix import _WriteLog
 
 
@@ -40,19 +40,32 @@ class TestBounds:
 
 
 class TestOneAddressCheck:
-    """The reference memory, the golden capture's write log and a batch
-    lane's memory view reject an address with the same segfault."""
+    """The reference memory and the golden capture's write log reject an
+    address with the same segfault."""
 
     @pytest.mark.parametrize("addr", [10.5, "x", 7, 64])
     def test_every_memory_raises_the_same_segfault(self, addr):
-        memories = [Memory(64), _WriteLog(Memory(64)),
-                    _LaneMem([0.0] * 64, {}, 64, {}, {}, 8)]
+        memories = [Memory(64), _WriteLog(Memory(64))]
         seen = set()
         for memory in memories:
             for access in (memory.load, lambda a: memory.store(a, 1.0)):
                 with pytest.raises(SegfaultError) as info:
                     access(addr)
                 seen.add((type(info.value), str(info.value), info.value.address))
+        assert len(seen) == 1, seen
+
+
+class TestOneArrayCheck:
+    """A batch lane's read-only memory view bounds an array read as
+    :class:`Memory` does."""
+
+    @pytest.mark.parametrize("base,count", [(0, 4), (7, 1), (60, 10), (64, 1)])
+    def test_the_view_raises_the_memory_segfault(self, base, count):
+        seen = set()
+        for memory in (Memory(64), _LaneMem(Memory(64), {}, {})):
+            with pytest.raises(SegfaultError) as info:
+                memory.read_array(base, count)
+            seen.add((type(info.value), str(info.value), info.value.address))
         assert len(seen) == 1, seen
 
 
@@ -125,14 +138,11 @@ class TestHighWaterMark:
         memory.allocate(8)  # brk 16
         log = _WriteLog(Memory(256))
         log.allocate(8)
-        lane = _LaneMem([0.0] * 256, {}, 256, {}, {}, 16)
-        for _ in range(FLATTEN_AFTER):
-            lane.load(8)  # flattens [0, brk)
-        return [memory, log, lane]
+        return [memory, log]
 
-    @pytest.mark.parametrize("kind", ["memory", "write log", "lane"])
+    @pytest.mark.parametrize("kind", ["memory", "write log"])
     def test_above_the_mark(self, kind):
-        memory = self.memories()[["memory", "write log", "lane"].index(kind)]
+        memory = self.memories()[["memory", "write log"].index(kind)]
         cells = memory.cells
         assert len(cells) == 16
         assert positive_zero(memory.load(100))
